@@ -7,6 +7,11 @@ command, the resolved options, the seed, sha256 digests of every input
 file, and the package version, so a finished directory is self-describing.
 Reruns into a directory that already holds a manifest are refused unless
 --force is given.
+
+At any --jobs, run, ablate and gridsearch run every cell, list each failed
+cell in failures.txt and on stderr, and exit 1 if any failed. run still
+reports the cells that finished; ablate and gridsearch write results only
+when every cell succeeded.
 """
 
 import argparse
@@ -15,7 +20,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +30,6 @@ from .corpus import (
     build_vocab,
     load_essays,
     load_set_metadata,
-    matrix_from_vectors,
     parse_embedding_file,
 )
 from .experiments import (
@@ -35,29 +38,33 @@ from .experiments import (
     ExperimentData,
     ExperimentReport,
     FoldResult,
-    ablate,
+    ablation_cells,
+    ablation_report,
     assemble_report,
     compare,
+    execute_cells,
+    fold_cells,
     format_report,
+    grid_cells,
+    grid_fold,
     load_folds,
     make_folds,
-    prepare_cell,
-    report_rows,
     run_fold,
-    run_grid_cell,
     save_folds,
-    validate_run,
+    train_cell,
     write_report_csv,
 )
 from .gaze import (
     GAZE_ATTRIBUTES,
     GAZE_CSV_COLUMNS,
+    READER_FILTERS,
     bin_all,
+    filter_readers,
     load_gaze_records,
     load_reader_metadata,
     reader_stats,
 )
-from .training import GAZE_WEIGHT_GRID, TrainingDiverged, grid_search_gaze_weights, train
+from .training import GAZE_WEIGHT_GRID, TrainingDiverged, grid_search_gaze_weights
 
 DATA_DIR_ENV = "GAZESCORE_DATA"
 
@@ -187,6 +194,12 @@ def opt_int_list(options, key, default=()):
         return tuple(int(v) for v in opt_list(options, key, default))
     except ValueError:
         raise CliError(f"option {key!r} must be comma-separated integers")
+
+
+def opt_reader_filter(options):
+    """``reader_filter``: a named filter, or the tuple of its comma-separated reader ids."""
+    value = options.get("reader_filter", "all")
+    return value if value in READER_FILTERS else opt_list(options, "reader_filter")
 
 
 def typed_params(options, table):
@@ -421,7 +434,6 @@ def cmd_bin_gaze(args):
         return 0
 
     essays, _ = load_corpus_cache(cache_path)
-    reader_filter = options.get("reader_filter", "all")
     metadata = load_reader_metadata(reader_path) if reader_path else {}
 
     if Path(gaze_path).stat().st_size == 0:
@@ -431,15 +443,7 @@ def cmd_bin_gaze(args):
         rejected = list(load_report.rejected)
         total_rows = load_report.total_rows
 
-    if reader_filter == "native_only":
-        native = {rid for rid, info in metadata.items() if info.get("native")}
-        if not native:
-            raise CliError("reader_filter native_only needs reader metadata "
-                           "with at least one native reader")
-        records = [r for r in records if r.reader_id in native]
-    elif reader_filter != "all":
-        allowed = {rid.strip() for rid in reader_filter.split(",") if rid.strip()}
-        records = [r for r in records if r.reader_id in allowed]
+    records = filter_readers(records, opt_reader_filter(options), metadata)
 
     diagnostics = []
     sequences = {}
@@ -574,16 +578,11 @@ def _build_experiment_inputs(args, options, overrides, seed, command,
     for attribute in attributes:
         weights[attribute] = opt_float(
             options, f"gaze_weight_{attribute}", DEFAULT_GAZE_WEIGHTS.get(attribute, 0.0))
-    reader_filter = options.get("reader_filter", "all")
-    if reader_filter not in ("all", "native_only"):
-        reader_filter = tuple(
-            rid.strip() for rid in reader_filter.split(",") if rid.strip())
-
     config = ExperimentConfig(
         system=system or "self_attention",
         target_sets=target_sets,
         seed=seed,
-        gaze_reader_filter=reader_filter,
+        gaze_reader_filter=opt_reader_filter(options),
         gaze_attributes=attributes,
         gaze_loss_weights=weights,
         vocab_size=opt_int(options, "vocab_size", 4000),
@@ -613,47 +612,16 @@ def _write_report_files(out_dir, report, prefix=""):
     _write_predictions_csv(out_dir / f"{prefix}predictions.csv", report)
 
 
-def _execute_report(config, data, jobs, log=None):
-    """Run every (set, fold) cell, in-process or fanned out to workers.
-
-    Returns (report or None, failures); failures are (set_id, fold_id,
-    message) triples and never abort the remaining cells.
-    """
-    validate_run(config, data)
-    cells = [(set_id, fold)
-             for set_id in sorted(config.target_sets)
-             for fold in data.folds[set_id]]
-    results = []
-    failures = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(run_fold, config, data, set_id, fold): (set_id, fold)
-                for set_id, fold in cells
-            }
-            for future, (set_id, fold) in futures.items():
-                try:
-                    results.append(future.result())
-                except Exception as error:
-                    failures.append((set_id, fold.fold_id, str(error)))
-    else:
-        for set_id, fold in cells:
-            if log is not None:
-                log(f"system={config.system} set={set_id} fold={fold.fold_id}")
-            try:
-                results.append(run_fold(config, data, set_id, fold, log=log))
-            except Exception as error:
-                failures.append((set_id, fold.fold_id, str(error)))
-    report = assemble_report(config, results) if results else None
-    return report, failures
-
-
 def _report_failures(out_dir, failures):
+    """List failed cells in failures.txt and on stderr; the exit status."""
+    if not failures:
+        return 0
+    lines = [f"{cell.label}: {type(error).__name__}: {error}" for cell, error in failures]
     with open(out_dir / "failures.txt", "w", encoding="utf-8") as fh:
-        for set_id, fold_id, message in failures:
-            fh.write(f"set={set_id} fold={fold_id}: {message}\n")
-    for set_id, fold_id, message in failures:
-        print(f"failed: set={set_id} fold={fold_id}: {message}", file=sys.stderr)
+        fh.writelines(line + "\n" for line in lines)
+    for line in lines:
+        print(f"failed: {line}", file=sys.stderr)
+    return 1
 
 
 def cmd_run(args):
@@ -663,14 +631,13 @@ def cmd_run(args):
         args, options, overrides, seed, "run")
     if args.dry_run:
         return 0
-    report, failures = _execute_report(config, data, args.jobs, log=print)
-    if report is not None:
+    results, failures = execute_cells(
+        run_fold, data, fold_cells(config, data), args.jobs, log=print)
+    if results:
+        report = assemble_report(config, results)
         _write_report_files(out_dir, report)
         print(format_report(report), end="")
-    if failures:
-        _report_failures(out_dir, failures)
-        return 1
-    return 0
+    return _report_failures(out_dir, failures)
 
 
 def cmd_train(args):
@@ -690,15 +657,13 @@ def cmd_train(args):
                        f"{len(fold_list)} folds")
     fold = fold_list[fold_index]
 
-    cell = prepare_cell(config, data, set_id, fold)
     history_lines = []
 
     def log(line):
         history_lines.append(line)
         print(line)
 
-    result = train(cell.model, cell.train_examples, cell.dev_examples,
-                   cell.train_config, {set_id: cell.essay_set}, log=log)
+    _, result = train_cell(config, data, set_id, fold, log)
 
     save_checkpoint(out_dir / "checkpoint_best.txt", result.best_state)
     save_checkpoint(out_dir / "checkpoint_final.txt", result.final_state)
@@ -724,7 +689,11 @@ def cmd_ablate(args):
     attribute = options.get("attribute")
     if not attribute:
         raise CliError("missing required option 'attribute'")
-    result = ablate(config, data, attribute, log=print)
+    cells = ablation_cells(config, data, attribute)
+    results, failures = execute_cells(run_fold, data, cells, args.jobs, log=print)
+    if failures:
+        return _report_failures(out_dir, failures)
+    result = ablation_report(cells, results)
     _write_report_files(out_dir, result.full, prefix="full_")
     _write_report_files(out_dir, result.ablated, prefix="ablated_")
     lines = [f"ablated attribute: {attribute}"]
@@ -751,25 +720,15 @@ def cmd_gridsearch(args):
         raise CliError(f"system {config.system!r} has no gaze loss to search over")
     grid = tuple(float(w) for w in opt_list(options, "grid", GAZE_WEIGHT_GRID))
     attributes = config.gaze_attributes
-
-    if args.jobs > 1:
-        cells = [(a, w) for a in attributes for w in sorted(set(grid))]
-        computed = {}
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(run_grid_cell, config, data, a, w): (a, w)
-                for a, w in cells
-            }
-            for future, key in futures.items():
-                computed[key] = future.result()
-
-        def run_cell(attribute, weight):
-            return computed[(attribute, weight)]
-    else:
-        def run_cell(attribute, weight):
-            return run_grid_cell(config, data, attribute, weight, log=print)
-
-    best, table = grid_search_gaze_weights(run_cell, grid, attributes)
+    cells = grid_cells(config, data, attributes, grid)
+    results, failures = execute_cells(grid_fold, data, cells, args.jobs, log=print)
+    if failures:
+        return _report_failures(out_dir, failures)
+    per_point = {}
+    for cell, result in zip(cells, results):
+        (point,) = cell.config.gaze_loss_weights.items()
+        per_point.setdefault(point, []).append(result)
+    best, table = grid_search_gaze_weights(lambda *point: per_point[point], grid, attributes)
 
     lines = []
     for attribute in attributes:
@@ -794,13 +753,16 @@ def cmd_gridsearch(args):
 
 
 def load_run_directory(run_dir):
-    """Rebuild an ExperimentReport from a run directory's csv files."""
+    """Rebuild an ExperimentReport from a run directory's csv files and manifest."""
     run_dir = Path(run_dir)
     report_path = run_dir / "report.csv"
     predictions_path = run_dir / "predictions.csv"
-    for path in (report_path, predictions_path):
+    manifest_path = run_dir / MANIFEST_NAME
+    for path in (report_path, predictions_path, manifest_path):
         if not path.is_file():
             raise CliError(f"cannot read run file: {path}")
+    with open(manifest_path, encoding="utf-8") as fh:
+        seed = json.load(fh)["seed"]
     predictions = {}
     errors = {}
     with open(predictions_path, newline="", encoding="utf-8") as fh:
@@ -829,7 +791,7 @@ def load_run_directory(run_dir):
             ))
     if not results:
         raise CliError(f"no fold results in {report_path}")
-    return ExperimentReport(system=system, seed=0,
+    return ExperimentReport(system=system, seed=seed,
                             fold_results=tuple(sorted(results, key=lambda r: (r.set_id, r.fold_id))),
                             config_echo={})
 
@@ -897,7 +859,8 @@ def build_parser():
                          help="master seed (overrides config)")
         sub.add_argument("--out", required=True, help="output directory")
         sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel fold/grid workers")
+                         help="worker processes for the cells of run, ablate "
+                              "and gridsearch")
         sub.add_argument("--dry-run", action="store_true",
                          help="write manifest and resolved config, do no work")
         sub.add_argument("--force", action="store_true",

@@ -278,13 +278,6 @@ def build_vocab(train_essays, max_size=4000):
     )
 
 
-@dataclass
-class EmbeddingTable:
-    dimension: int
-    matrix: np.ndarray  # (len(vocab), dimension)
-    coverage: float
-
-
 def parse_embedding_file(path, restrict_tokens=None):
     """Stream a word-vector file into ({token: vector}, dimension).
 
@@ -336,11 +329,3 @@ def matrix_from_vectors(vectors, dimension, vocab, rng):
         raise ValueError("embedding table contains non-finite values")
     return matrix, coverage
 
-
-def load_embeddings(path, vocab, rng):
-    """Read word vectors for ``vocab`` from a file into an EmbeddingTable."""
-    vectors, dimension = parse_embedding_file(path, restrict_tokens=set(vocab.token_to_index))
-    if dimension is None:
-        dimension = 50
-    matrix, coverage = matrix_from_vectors(vectors, dimension, vocab, rng)
-    return EmbeddingTable(dimension=dimension, matrix=matrix, coverage=coverage)

@@ -7,6 +7,11 @@ article, with and without auxiliary gaze losses) and the unseen-prompt
 setting (training on a different pool of gaze-annotated essays, optionally
 augmented into the target set's own training partition).
 
+Runs, ablations and the gaze-weight grid search are lists of cells (one
+configuration on one (set, fold)) that :func:`execute_cells` runs, here or in
+worker processes, always to the last cell. The library entry points raise
+the first failed cell's own exception; the CLI lists every failure.
+
 Data that could leak evaluation information is guarded by runtime provenance
 assertions: the vocabulary must be built only from training essays, and
 reader gaze statistics must never include records from dev or test essays of
@@ -15,15 +20,20 @@ the fold being run.
 
 import csv
 import math
+import multiprocessing
+from collections import namedtuple
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .corpus import build_vocab, denormalize_score, matrix_from_vectors, text_to_sentences
-from .gaze import GAZE_ATTRIBUTES, bin_all, reader_stats
+from .gaze import GAZE_ATTRIBUTES, READER_FILTERS, bin_all, filter_readers, reader_stats
 from .metrics import SignificanceResult, paired_t_test, qwk
 from .model import EssayScorer, ModelConfig
-from .training import TrainConfig, prepare_example, train
+from .training import TrainConfig, evaluate_breakdown, prepare_example, train
 
 SYSTEMS = (
     "self_attention",
@@ -43,8 +53,6 @@ AUGMENTED_SYSTEMS = ("extra_essays", "essays_gaze")
 
 # Systems that attend over the prompt's source article.
 ARTICLE_SYSTEMS = ("co_attention", "co_attention_gaze")
-
-READER_FILTERS = ("all", "native_only")
 
 # Per-attribute auxiliary loss weights used by the fixed-weight systems.
 DEFAULT_GAZE_WEIGHTS = {"DT": 0.05, "FFD": 0.05, "IR": 0.01, "RC": 0.01, "Skip": 0.1}
@@ -287,18 +295,6 @@ class ExperimentReport:
         return sum(means.values()) / len(means)
 
 
-def _filter_readers(records, reader_filter, reader_metadata):
-    if reader_filter == "all":
-        return list(records)
-    if reader_filter == "native_only":
-        native = {rid for rid, info in reader_metadata.items() if info.get("native")}
-        if not native:
-            raise ValueError("native_only filter needs reader metadata with native readers")
-        return [r for r in records if r.reader_id in native]
-    allowed = set(reader_filter)
-    return [r for r in records if r.reader_id in allowed]
-
-
 def _article_sentence_ids(essay_set, vocab):
     if essay_set.source_article is None:
         raise ValueError(
@@ -333,18 +329,11 @@ def _fold_seed(base_seed, set_id, fold_id):
 
 
 def _examples_for(essay_ids, essays, vocab, gaze_sequences):
-    examples = []
-    for essay_id in essay_ids:
-        essay = essays[essay_id]
-        if gaze_sequences is not None:
-            per_reader = {
-                key[1]: seq for key, seq in gaze_sequences.items() if key[0] == essay_id
-            }
-            essay = replace(essay, gaze=per_reader if per_reader else None)
-        else:
-            essay = replace(essay, gaze=None)
-        examples.append(prepare_example(essay, vocab))
-    return examples
+    per_essay = {}
+    for (essay_id, reader_id), sequence in (gaze_sequences or {}).items():
+        per_essay.setdefault(essay_id, {})[reader_id] = sequence
+    return [prepare_example(replace(essays[essay_id], gaze=per_essay.get(essay_id)), vocab)
+            for essay_id in essay_ids]
 
 
 @dataclass
@@ -397,7 +386,7 @@ def prepare_cell(config, data, set_id, fold):
     stats = {}
     usable_records = []
     if config.uses_gaze:
-        usable_records = _filter_readers(
+        usable_records = filter_readers(
             data.gaze_records, config.gaze_reader_filter, data.reader_metadata)
         train_side = [r for r in usable_records if r.essay_id not in held_out]
         if not train_side:
@@ -457,24 +446,32 @@ def prepare_cell(config, data, set_id, fold):
     )
 
 
+def train_cell(config, data, set_id, fold, log=None):
+    """Prepare one cell, train it and load its best state into its model.
+
+    Returns (CellSetup, TrainResult).
+    """
+    setup = prepare_cell(config, data, set_id, fold)
+    result = train(setup.model, setup.train_examples, setup.dev_examples,
+                   setup.train_config, {set_id: setup.essay_set}, log=log)
+    setup.model.load_state_dict(result.best_state)
+    return setup, result
+
+
 def run_fold(config, data, set_id, fold, log=None):
     """Train one cell and score its test partition."""
-    cell = prepare_cell(config, data, set_id, fold)
-    result = train(cell.model, cell.train_examples, cell.dev_examples,
-                   cell.train_config, {set_id: cell.essay_set}, log=log)
-
-    cell.model.load_state_dict(result.best_state)
+    setup, result = train_cell(config, data, set_id, fold, log)
     pairs = []
     predictions = {}
     squared_errors = {}
-    for example in cell.test_examples:
-        output = cell.model.forward(example.sentence_ids, training=False)
+    for example in setup.test_examples:
+        output = setup.model.forward(example.sentence_ids, training=False)
         predicted = output.score_value
-        raw = denormalize_score(predicted, cell.essay_set)
+        raw = denormalize_score(predicted, setup.essay_set)
         predictions[example.essay_id] = (raw, example.raw_score)
         squared_errors[example.essay_id] = float((predicted - example.score_target) ** 2)
         pairs.append((int(example.raw_score), raw))
-    test_qwk = qwk(pairs, cell.essay_set.score_min, cell.essay_set.score_max)
+    test_qwk = qwk(pairs, setup.essay_set.score_min, setup.essay_set.score_max)
 
     return FoldResult(
         set_id=set_id,
@@ -484,23 +481,72 @@ def run_fold(config, data, set_id, fold, log=None):
         best_dev_qwk=result.best_dev_qwk,
         test_predictions=predictions,
         squared_errors=squared_errors,
-        n_train=len(cell.train_examples),
-        n_augmented=cell.n_augmented,
+        n_train=len(setup.train_examples),
+        n_augmented=setup.n_augmented,
     )
 
 
-def run_experiment(config, data, log=None):
-    """Train and evaluate one system over every fold of every target set."""
+# One configuration to train and score on one (set, fold); ``label`` names
+# the cell in logs and failure lists.
+Cell = namedtuple("Cell", "config set_id fold label")
+
+
+def fold_cells(config, data, name=None):
+    """The cells of one configuration in (set, fold) order, preconditions checked.
+
+    ``name`` starts every cell's label; it defaults to the system.
+    """
     validate_run(config, data)
+    name = name or f"system={config.system}"
+    return [Cell(config, set_id, fold, f"{name} set={set_id} fold={fold.fold_id}")
+            for set_id in sorted(config.target_sets)
+            for fold in data.folds[set_id]]
 
-    fold_results = []
-    for set_id in sorted(config.target_sets):
-        for fold in data.folds[set_id]:
+
+def execute_cells(task, data, cells, jobs=1, log=None):
+    """Run ``task(config, data, set_id, fold, log)`` for every cell, to the last.
+
+    One job runs the cells here, in order, and ``log`` gets each label and
+    then the task's lines; more run them in a pool of ``jobs`` worker
+    processes and ``log`` gets the labels only. Returns (results, failures):
+    the finished cells' results in cell order and a (cell, exception) pair
+    for each cell that raised.
+    """
+    results, failures = [], []
+    with ExitStack() as stack:
+        if jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")))
+            outcomes = [pool.submit(task, c.config, data, c.set_id, c.fold).result
+                        for c in cells]
+        else:
+            outcomes = [partial(task, c.config, data, c.set_id, c.fold, log) for c in cells]
+        for cell, outcome in zip(cells, outcomes):
             if log is not None:
-                log(f"system={config.system} set={set_id} fold={fold.fold_id}")
-            fold_results.append(run_fold(config, data, set_id, fold, log))
+                log(cell.label)
+            try:
+                results.append(outcome())
+            except Exception as error:
+                failures.append((cell, error))
+    return results, failures
 
-    return assemble_report(config, fold_results)
+
+def _all_results(outcome):
+    """The results of :func:`execute_cells`, or the first failed cell's exception."""
+    results, failures = outcome
+    if failures:
+        raise failures[0][1]
+    return results
+
+
+def run_experiment(config, data, log=None, jobs=1):
+    """Train and evaluate one system over every fold of every target set.
+
+    ``jobs`` above 1 runs the cells in that many worker processes; the
+    report is the same.
+    """
+    cells = fold_cells(config, data)
+    return assemble_report(config, _all_results(execute_cells(run_fold, data, cells, jobs, log)))
 
 
 def config_echo(config):
@@ -542,46 +588,43 @@ def validate_run(config, data):
         raise ValueError(f"system {config.system!r} needs a gaze essay pool to augment with")
 
 
+def grid_cells(config, data, attributes, weights):
+    """One cell per (attribute, weight, set, fold), the attribute alone at that weight."""
+    return [cell
+            for attribute in attributes
+            for weight in sorted(set(weights))
+            for cell in fold_cells(
+                replace(config, gaze_attributes=(attribute,),
+                        gaze_loss_weights={attribute: float(weight)}, ablate_attribute=None),
+                data, f"grid attribute={attribute} weight={weight}")]
+
+
+def grid_fold(config, data, set_id, fold, log=None):
+    """Train a single-attribute cell; its (dev gaze MSE, dev labeled-token count).
+
+    Dev gaze labels are binned with the fold's train-side reader
+    statistics; a dev partition without gaze records gives a zero count.
+    """
+    setup, _ = train_cell(config, data, set_id, fold, log)
+    (attribute,) = config.gaze_attributes
+    dev_ids = set(fold.dev)
+    dev_records = [r for r in setup.usable_records if r.essay_id in dev_ids]
+    dev_examples = setup.dev_examples
+    if dev_records:
+        sequences, _ = bin_all(dev_records, setup.reader_statistics, data.essays)
+        dev_examples = _examples_for(fold.dev, data.essays, setup.vocab, sequences)
+    breakdown = evaluate_breakdown(setup.model, dev_examples, config.effective_gaze_weights())
+    return (breakdown.gaze_mse.get(attribute, 0.0),
+            breakdown.gaze_token_counts.get(attribute, 0))
+
+
 def run_grid_cell(config, data, attribute, weight, log=None):
     """Train every fold with a single gaze attribute at one loss weight.
 
-    Returns one (dev gaze MSE, dev labeled-token count) pair per fold,
-    pooled over target sets. Dev gaze labels are binned with the fold's
-    train-side reader statistics; folds whose dev partition carries no
-    gaze records contribute a zero count.
+    Returns one :func:`grid_fold` pair per fold, pooled over target sets.
     """
-    from .training import evaluate_breakdown
-
-    cell_config = replace(
-        config,
-        gaze_attributes=(attribute,),
-        gaze_loss_weights={attribute: float(weight)},
-        ablate_attribute=None,
-    )
-    validate_run(cell_config, data)
-    results = []
-    for set_id in sorted(cell_config.target_sets):
-        for fold in data.folds[set_id]:
-            if log is not None:
-                log(f"grid attribute={attribute} weight={weight} "
-                    f"set={set_id} fold={fold.fold_id}")
-            cell = prepare_cell(cell_config, data, set_id, fold)
-            result = train(cell.model, cell.train_examples, cell.dev_examples,
-                           cell.train_config, {set_id: cell.essay_set}, log=None)
-            cell.model.load_state_dict(result.best_state)
-
-            dev_records = [r for r in cell.usable_records if r.essay_id in set(fold.dev)]
-            dev_examples = cell.dev_examples
-            if dev_records:
-                sequences, _ = bin_all(dev_records, cell.reader_statistics, data.essays)
-                dev_examples = _examples_for(fold.dev, data.essays, cell.vocab, sequences)
-            breakdown = evaluate_breakdown(
-                cell.model, dev_examples, {attribute: float(weight)})
-            results.append((
-                breakdown.gaze_mse.get(attribute, 0.0),
-                breakdown.gaze_token_counts.get(attribute, 0),
-            ))
-    return results
+    cells = grid_cells(config, data, (attribute,), (weight,))
+    return _all_results(execute_cells(grid_fold, data, cells, log=log))
 
 
 @dataclass(frozen=True)
@@ -601,24 +644,32 @@ class AblationReport:
         return self.full.grand_mean_qwk() - self.ablated.grand_mean_qwk()
 
 
-def ablate(config, data, attribute, log=None):
+def ablation_cells(config, data, attribute):
+    """The cells of ``config``, then those of ``config`` with ``attribute`` ablated."""
+    if config.ablate_attribute is not None:
+        raise ValueError("config already carries an ablation")
+    ablated = replace(config, ablate_attribute=attribute)  # validates the attribute
+    return (fold_cells(config, data)
+            + fold_cells(ablated, data, f"system={config.system} ablate={attribute}"))
+
+
+def ablation_report(cells, results):
+    """The AblationReport of the complete results of :func:`ablation_cells`."""
+    half = len(cells) // 2
+    full, ablated = cells[0].config, cells[-1].config
+    return AblationReport(ablated.ablate_attribute, assemble_report(full, results[:half]),
+                          assemble_report(ablated, results[half:]))
+
+
+def ablate(config, data, attribute, log=None, jobs=1):
     """Measure the QWK contribution of one gaze attribute.
 
     Runs the configured system twice, once as given and once with the
     attribute's loss weight forced to zero, and reports the QWK drop.
+    ``jobs`` above 1 runs the cells of both runs in one worker pool.
     """
-    if not config.uses_gaze:
-        raise ValueError(f"system {config.system!r} has no gaze loss to ablate")
-    if attribute not in config.gaze_attributes:
-        raise ValueError(
-            f"cannot ablate {attribute!r}: not among configured attributes "
-            f"{config.gaze_attributes}")
-    if config.ablate_attribute is not None:
-        raise ValueError("config already carries an ablation")
-    full = run_experiment(config, data, log=log)
-    ablated_config = replace(config, ablate_attribute=attribute)
-    ablated = run_experiment(ablated_config, data, log=log)
-    return AblationReport(attribute=attribute, full=full, ablated=ablated)
+    cells = ablation_cells(config, data, attribute)
+    return ablation_report(cells, _all_results(execute_cells(run_fold, data, cells, jobs, log)))
 
 
 @dataclass(frozen=True)

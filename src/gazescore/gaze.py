@@ -20,6 +20,9 @@ import numpy as np
 GAZE_ATTRIBUTES = ("DT", "FFD", "IR", "RC", "Skip")
 GAZE_MAX_BIN = {"DT": 5, "FFD": 5, "IR": 1, "RC": 5, "Skip": 1}
 
+# named reader filters; any other filter is an explicit collection of reader ids
+READER_FILTERS = ("all", "native_only")
+
 GAZE_CSV_COLUMNS = (
     "essay_id", "reader_id", "ia_index", "token",
     "dwell_time_ms", "first_fixation_ms", "is_regression", "run_count", "skip",
@@ -156,8 +159,23 @@ def load_reader_metadata(path):
     return readers
 
 
-def native_reader_ids(reader_metadata):
-    return {rid for rid, info in reader_metadata.items() if info.get("native")}
+def filter_readers(records, reader_filter, reader_metadata):
+    """The records of the readers ``reader_filter`` selects.
+
+    ``reader_filter`` is ``"all"``, ``"native_only"`` (the readers that
+    ``reader_metadata`` marks native; an error when it marks none) or a
+    collection of reader ids.
+    """
+    if reader_filter == "all":
+        return list(records)
+    if reader_filter == "native_only":
+        allowed = {rid for rid, info in reader_metadata.items() if info.get("native")}
+        if not allowed:
+            raise ValueError("reader_filter native_only needs reader metadata "
+                             "with at least one native reader")
+    else:
+        allowed = set(reader_filter)
+    return [r for r in records if r.reader_id in allowed]
 
 
 def reader_stats(records, expected_readers=None):
@@ -256,6 +274,7 @@ def bin_all(records, stats, essays):
     """
     sequences = {}
     diagnostics = []
+    token_counts = {}
     for record in records:
         essay = essays.get(record.essay_id)
         if essay is None:
@@ -266,14 +285,18 @@ def bin_all(records, stats, essays):
             diagnostics.append(
                 f"essay {record.essay_id}: no statistics for reader {record.reader_id}")
             continue
-        n_tokens = len(essay.tokens)
+        n_tokens = token_counts.get(record.essay_id)
+        if n_tokens is None:
+            n_tokens = token_counts[record.essay_id] = len(essay.tokens)
         if record.ia_index >= n_tokens:
             diagnostics.append(
                 f"essay {record.essay_id}, reader {record.reader_id}: ia_index "
                 f"{record.ia_index} out of range for {n_tokens} tokens")
             continue
         key = (record.essay_id, record.reader_id)
-        seq = sequences.setdefault(key, [None] * n_tokens)
+        seq = sequences.get(key)
+        if seq is None:
+            seq = sequences[key] = [None] * n_tokens
         if seq[record.ia_index] is not None:
             diagnostics.append(
                 f"essay {record.essay_id}, reader {record.reader_id}: duplicate "
@@ -282,11 +305,3 @@ def bin_all(records, stats, essays):
         seq[record.ia_index] = bin_record(record, stats[record.reader_id])
     return sequences, diagnostics
 
-
-def attach_gaze(essays, sequences):
-    """Store binned sequences on their essays' ``gaze`` field (reader keyed)."""
-    for (essay_id, reader_id), seq in sequences.items():
-        essay = essays[essay_id]
-        if essay.gaze is None:
-            essay.gaze = {}
-        essay.gaze[reader_id] = seq

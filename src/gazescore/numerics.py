@@ -4,8 +4,7 @@ The engine is deliberately small: it supports exactly the operations the
 essay-scoring models need (dense matmul, broadcast arithmetic, 1-d
 convolution, attention softmaxes, gated-recurrence building blocks,
 dropout, row selection, and mean-squared-error reduction). Data lives in
-numpy arrays, float64 by default; float32 can be selected per tensor for
-speed at the cost of gradient-check tolerance.
+float64 numpy arrays.
 
 Every operation returns a new ``Tensor`` that records its inputs and a
 closure computing input gradients from the output gradient. ``backward``
@@ -17,9 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_FLOAT_DTYPES = (np.float32, np.float64)
-
-
 class ShapeError(ValueError):
     """Raised when operands of an operation have incompatible shapes."""
 
@@ -27,11 +23,8 @@ class ShapeError(ValueError):
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_grad_fn")
 
-    def __init__(self, data, requires_grad=False, dtype=None, name=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float64)
-        self.data = arr
+    def __init__(self, data, requires_grad=False, name=None):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.name = name
@@ -71,10 +64,10 @@ class Tensor:
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        return add(self, neg(_as_tensor(other, like=self)))
+        return add(self, neg(_as_tensor(other)))
 
     def __rsub__(self, other):
-        return add(_as_tensor(other, like=self), neg(self))
+        return add(_as_tensor(other), neg(self))
 
     def __neg__(self):
         return neg(self)
@@ -83,11 +76,10 @@ class Tensor:
         return matmul(self, other)
 
 
-def _as_tensor(value, like=None):
+def _as_tensor(value):
     if isinstance(value, Tensor):
         return value
-    dtype = like.data.dtype if like is not None else np.float64
-    return Tensor(np.asarray(value, dtype=dtype))
+    return Tensor(value)
 
 
 def _make_output(data, parents, grad_fn):
@@ -181,8 +173,7 @@ def matmul(a, b):
 
 def add(a, b):
     """Elementwise addition with numpy broadcasting."""
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out_data = a.data + b.data
     except ValueError:
@@ -197,8 +188,7 @@ def add(a, b):
 
 def mul(a, b):
     """Elementwise product with numpy broadcasting."""
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out_data = a.data * b.data
     except ValueError:
@@ -462,26 +452,14 @@ OP_KINDS = {
 }
 
 
-def forward_op(op_kind, inputs, **attributes):
-    """Apply a registered operation by name; unknown names are rejected."""
-    try:
-        fn = OP_KINDS[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind: {op_kind!r}") from None
-    if op_kind == "concat":
-        return fn(inputs, **attributes)
-    return fn(*inputs, **attributes)
-
-
 # ---------------------------------------------------------------------------
 # parameter construction
 # ---------------------------------------------------------------------------
 
-def uniform_param(shape, rng, scale=0.05, dtype=np.float64, name=None):
+def uniform_param(shape, rng, scale=0.05, name=None):
     """Weight matrix initialised uniformly in [-scale, scale]."""
-    data = rng.uniform(-scale, scale, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True, name=name)
 
 
-def zeros_param(shape, dtype=np.float64, name=None):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True, name=name)
+def zeros_param(shape, name=None):
+    return Tensor(np.zeros(shape), requires_grad=True, name=name)

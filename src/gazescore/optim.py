@@ -68,9 +68,3 @@ class RMSProp:
         for p in self.parameters:
             p.grad = None
 
-    def state_arrays(self):
-        """Optimizer state in parameter order, for inspection and tests."""
-        return (
-            [self._square_avg[id(p)] for p in self.parameters],
-            [self._step_buf[id(p)] for p in self.parameters],
-        )

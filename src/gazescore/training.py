@@ -79,6 +79,10 @@ class TrainingDiverged(RuntimeError):
             f"non-finite loss at epoch {epoch}, batch {batch_index}; "
             f"largest parameter norms: {summary}")
 
+    def __reduce__(self):
+        # rebuilt from its fields, so a worker process can return it
+        return type(self), (self.epoch, self.batch_index, self.param_norms)
+
 
 def prepare_example(essay, vocab):
     """Encode an essay's sentences and collect its per-token gaze targets."""

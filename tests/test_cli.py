@@ -514,6 +514,22 @@ class TestAblate:
         assert (out / "full_report.csv").is_file()
         assert (out / "ablated_report.csv").is_file()
 
+    def test_jobs_two_matches_sequential(self, data_dir, prep_dir, pool_gaze_dir,
+                                         tmp_path):
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            assert main(["ablate", "--config", str(data_dir / "base.cfg"),
+                         "--out", str(outs[jobs]), "--jobs", jobs,
+                         "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                         "--set", "records_clean=" + str(pool_gaze_dir / "records_clean.csv"),
+                         "--set", "system=essays_gaze", "--set", "target_sets=1",
+                         "--set", "gaze_attributes=DT,Skip",
+                         "--set", "attribute=Skip"]) == 0
+        for name in ("ablation.txt", "full_report.csv", "full_predictions.csv",
+                     "ablated_report.csv", "ablated_predictions.csv"):
+            assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
+
     def test_missing_attribute_option(self, data_dir, prep_dir, pool_gaze_dir,
                                       tmp_path, capsys):
         out = tmp_path / "ablate"
@@ -596,6 +612,26 @@ class TestReport:
         assert "grand mean qwk" in capsys.readouterr().out
         assert (out / "rendered_report.txt").is_file()
 
+    def test_render_takes_seed_from_manifest(self, two_runs, tmp_path, capsys):
+        _, second = two_runs
+        out = tmp_path / "report"
+        code = main(["report", "--out", str(out),
+                     "--set", "run_a=" + str(second)])
+        assert code == 0
+        assert "seed: 5" in capsys.readouterr().out
+
+    def test_missing_manifest(self, two_runs, tmp_path, capsys):
+        first, _ = two_runs
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for name in ("report.csv", "predictions.csv"):
+            (copy / name).write_bytes((first / name).read_bytes())
+        code = main(["report", "--out", str(tmp_path / "report"),
+                     "--set", "run_a=" + str(copy)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "cannot read run file" in err and "manifest.json" in err
+
     def test_compare_two_runs(self, two_runs, tmp_path, capsys):
         first, second = two_runs
         out = tmp_path / "report"
@@ -626,6 +662,64 @@ class TestReport:
                      "--set", "run_a=" + str(tmp_path / "nothing")])
         assert code == 1
         assert "cannot read run file" in capsys.readouterr().err
+
+
+class TestFailurePolicy:
+    """run, ablate and gridsearch treat failed cells alike at any --jobs."""
+
+    COMMANDS = {"run": [], "ablate": ["attribute=DT"], "gridsearch": ["grid=0.05"]}
+    RESULT_FILES = ("report.csv", "ablation.txt", "gridsearch.csv")
+
+    def run_both(self, command, cause, data_dir, prep_dir, pool_gaze_dir, tmp_path,
+                 capsys):
+        """failures.txt of the command at --jobs 1 and 2, checking exit and stderr."""
+        listed = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{command}{jobs}"
+            args = [command, "--config", str(data_dir / "base.cfg"), "--out", str(out),
+                    "--jobs", jobs]
+            for pair in [
+                "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                "records_clean=" + str(pool_gaze_dir / "records_clean.csv"),
+                "system=essays_gaze", "target_sets=1", "gaze_attributes=DT", cause,
+                *self.COMMANDS[command],
+            ]:
+                args += ["--set", pair]
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            text = (out / "failures.txt").read_text()
+            assert err.count("failed: ") == text.count("\n")
+            listed.append((out, text))
+        assert listed[0][1] == listed[1][1]
+        return [out for out, _ in listed], listed[0][1]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_cell_failing(self, command, data_dir, prep_dir, pool_gaze_dir,
+                                tmp_path, capsys):
+        outs, text = self.run_both(command, "reader_filter=nobody", data_dir, prep_dir,
+                                   pool_gaze_dir, tmp_path, capsys)
+        assert text.count("ValueError: ") == {"run": 5, "ablate": 10, "gridsearch": 5}[command]
+        assert "none remain after filtering" in text
+        for out in outs:
+            assert not any((out / name).exists() for name in self.RESULT_FILES)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_leakage_in_some_cells(self, command, data_dir, prep_dir, pool_gaze_dir,
+                                   tmp_path, capsys):
+        # target essay 100 in the gaze pool is held out in two of the five folds
+        outs, text = self.run_both(command, "gaze_essay_ids=900,901,902,903,904,905,100",
+                                   data_dir, prep_dir, pool_gaze_dir, tmp_path, capsys)
+        assert text.count("LeakageError: ") == {"run": 2, "ablate": 4, "gridsearch": 2}[command]
+        assert text.count("\n") == text.count("LeakageError: ")
+        if command == "run":
+            with open(outs[0] / "report.csv", newline="") as fh:
+                assert len(list(csv.DictReader(fh))) == 3
+            for name in ("report.csv", "predictions.csv"):
+                assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+        else:
+            for out in outs:
+                assert not any((out / name).exists() for name in self.RESULT_FILES)
 
 
 class TestExitCodes:

@@ -14,10 +14,11 @@ from gazescore.corpus import (
     EssaySet,
     build_vocab,
     denormalize_score,
-    load_embeddings,
     load_essays,
     load_set_metadata,
+    matrix_from_vectors,
     normalize_score,
+    parse_embedding_file,
     split_sentences,
     text_to_sentences,
     tokenize,
@@ -323,48 +324,51 @@ def write_embeddings(tmp_path, lines):
     return path
 
 
+def embedding_matrix(path, vocab, seed):
+    """Embedding matrix and coverage for ``vocab``, read the way a fold does."""
+    vectors, dimension = parse_embedding_file(path)
+    return matrix_from_vectors(vectors, dimension, vocab, np.random.default_rng(seed))
+
+
 def test_load_embeddings_copies_matching_rows(tmp_path):
     vocab = build_vocab([make_essay(1, "apple banana")])
     path = write_embeddings(tmp_path, ["apple 0.1 0.2 0.3", "cherry 1 2 3"])
-    table = load_embeddings(path, vocab, np.random.default_rng(0))
-    assert table.dimension == 3
-    np.testing.assert_allclose(table.matrix[vocab.index("apple")], [0.1, 0.2, 0.3])
-    assert table.coverage == pytest.approx(0.5)
+    matrix, coverage = embedding_matrix(path, vocab, 0)
+    assert matrix.shape == (len(vocab), 3)
+    np.testing.assert_allclose(matrix[vocab.index("apple")], [0.1, 0.2, 0.3])
+    assert coverage == pytest.approx(0.5)
 
 
 def test_load_embeddings_fallback_rows_bounded(tmp_path):
     vocab = build_vocab([make_essay(1, "apple banana")])
     path = write_embeddings(tmp_path, ["apple 0.9 0.9"])
-    table = load_embeddings(path, vocab, np.random.default_rng(0))
-    missing_row = table.matrix[vocab.index("banana")]
+    matrix, coverage = embedding_matrix(path, vocab, 0)
+    missing_row = matrix[vocab.index("banana")]
     assert np.all(np.abs(missing_row) <= 0.05)
-    assert table.coverage < 1.0
+    assert coverage < 1.0
 
 
 def test_load_embeddings_pad_row_zero(tmp_path):
     vocab = build_vocab([make_essay(1, "apple")])
     path = write_embeddings(tmp_path, ["apple 1 1"])
-    table = load_embeddings(path, vocab, np.random.default_rng(0))
-    np.testing.assert_array_equal(table.matrix[PAD_INDEX], [0.0, 0.0])
+    matrix, _ = embedding_matrix(path, vocab, 0)
+    np.testing.assert_array_equal(matrix[PAD_INDEX], [0.0, 0.0])
 
 
 def test_load_embeddings_empty_file(tmp_path):
-    vocab = build_vocab([make_essay(1, "apple banana")])
-    table = load_embeddings(write_embeddings(tmp_path, []), vocab, np.random.default_rng(0))
-    assert table.coverage == 0.0
-    assert table.matrix.shape == (len(vocab), 50)
+    # an empty file has no dimension; callers reject it rather than guess one
+    assert parse_embedding_file(write_embeddings(tmp_path, [])) == ({}, None)
 
 
 def test_load_embeddings_rejects_ragged_dimensions(tmp_path):
-    vocab = build_vocab([make_essay(1, "apple")])
     path = write_embeddings(tmp_path, ["apple 1 2 3", "banana 1 2"])
     with pytest.raises(ValueError, match=":2"):
-        load_embeddings(path, vocab, np.random.default_rng(0))
+        parse_embedding_file(path)
 
 
 def test_load_embeddings_deterministic_given_seed(tmp_path):
     vocab = build_vocab([make_essay(1, "apple banana cherry")])
     path = write_embeddings(tmp_path, ["apple 1 2"])
-    t1 = load_embeddings(path, vocab, np.random.default_rng(5))
-    t2 = load_embeddings(path, vocab, np.random.default_rng(5))
-    np.testing.assert_array_equal(t1.matrix, t2.matrix)
+    m1, _ = embedding_matrix(path, vocab, 5)
+    m2, _ = embedding_matrix(path, vocab, 5)
+    np.testing.assert_array_equal(m1, m2)

@@ -2,11 +2,12 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gazescore.corpus import Essay, EssaySet, normalize_score
+from gazescore.corpus import Essay, EssaySet, build_vocab, normalize_score
 from gazescore.experiments import (
     DEFAULT_GAZE_WEIGHTS,
     AblationReport,
@@ -20,10 +21,12 @@ from gazescore.experiments import (
     SYSTEMS,
     _assert_no_stats_leakage,
     _assert_no_vocab_leakage,
-    _filter_readers,
+    _examples_for,
     ablate,
     assemble_report,
     compare,
+    execute_cells,
+    fold_cells,
     format_report,
     load_folds,
     make_folds,
@@ -33,8 +36,9 @@ from gazescore.experiments import (
     save_folds,
     write_report_csv,
 )
-from gazescore.gaze import GazeRecord, reader_stats
+from gazescore.gaze import GazeRecord, bin_all, filter_readers, reader_stats
 from gazescore.metrics import paired_t_test
+from gazescore.training import prepare_example
 
 TOKENS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue"]
 
@@ -436,6 +440,36 @@ class TestRunExperiment:
             run_tiny("self_attention", data, model_params=params)
 
 
+def _cell_task(config, data, set_id, fold, log=None):
+    """Picklable stand-in for run_fold: fold 2 fails, the rest echo their inputs."""
+    if fold.fold_id == 2:
+        raise LeakageError(f"set {set_id} fold {fold.fold_id} leaks")
+    return (config.seed, set_id, fold.fold_id, data["offset"] + fold.fold_id)
+
+
+class TestExecuteCells:
+    def test_failed_cell_does_not_stop_the_others(self):
+        config = ExperimentConfig(system="self_attention", target_sets=(1,), seed=4)
+        cells = fold_cells(config, make_data())
+        outcomes = {}
+        for jobs in (1, 2):
+            results, failures = execute_cells(_cell_task, {"offset": 10}, cells, jobs=jobs)
+            assert [cell for cell, _ in failures] == [cells[2]]
+            outcomes[jobs] = (results, [(type(e), str(e)) for _, e in failures])
+        assert outcomes[1] == outcomes[2]
+        assert outcomes[1] == (
+            [(4, 1, k, 10 + k) for k in (0, 1, 3, 4)],
+            [(LeakageError, "set 1 fold 2 leaks")],
+        )
+
+    def test_log_gets_each_cell_label_in_order(self):
+        config = ExperimentConfig(system="self_attention", target_sets=(1,))
+        lines = []
+        execute_cells(_cell_task, {"offset": 0}, fold_cells(config, make_data(), "probe"),
+                      log=lines.append)
+        assert lines == [f"probe set=1 fold={k}" for k in range(5)]
+
+
 class TestReportArithmetic:
     def test_set_mean_is_mean_of_fold_qwks(self):
         _, report = run_tiny("self_attention", make_data())
@@ -484,6 +518,18 @@ class TestLeakage:
         with pytest.raises(LeakageError, match="held out"):
             run_tiny("extra_essays", bad)
 
+    def test_worker_cells_raise_their_own_exception(self):
+        data = make_data(pool_size=6)
+        fold0 = data.folds[1][0]
+        poisoned = frozenset(data.gaze_essay_ids | {fold0.test[0]})
+        bad = ExperimentData(essays=data.essays, sets=data.sets, folds=data.folds,
+                             gaze_essay_ids=poisoned)
+        config = ExperimentConfig(system="extra_essays", target_sets=(1,),
+                                  model_params=dict(TINY_MODEL),
+                                  train_params=dict(TINY_TRAIN))
+        with pytest.raises(LeakageError, match="held out"):
+            run_experiment(config, bad, jobs=2)
+
     def test_vocab_leakage_assertion_fires(self):
         data = make_data()
         from gazescore.corpus import build_vocab
@@ -525,21 +571,44 @@ class TestReaderFilters:
 
     def test_all_keeps_everything(self):
         records = self.records_two_readers()
-        assert _filter_readers(records, "all", {}) == records
+        assert filter_readers(records, "all", {}) == records
 
     def test_native_only_uses_metadata(self):
         records = self.records_two_readers()
         metadata = {"r1": {"native": True}, "r2": {"native": False}}
-        kept = _filter_readers(records, "native_only", metadata)
+        kept = filter_readers(records, "native_only", metadata)
         assert {r.reader_id for r in kept} == {"r1"}
 
     def test_native_only_without_metadata_rejected(self):
         with pytest.raises(ValueError, match="native"):
-            _filter_readers(self.records_two_readers(), "native_only", {})
+            filter_readers(self.records_two_readers(), "native_only", {})
 
     def test_explicit_list_filters(self):
-        kept = _filter_readers(self.records_two_readers(), ("r2",), {})
+        kept = filter_readers(self.records_two_readers(), ("r2",), {})
         assert {r.reader_id for r in kept} == {"r2"}
+
+
+class TestExamplesFor:
+    def test_attaches_binned_gaze_per_reader(self):
+        # each example carries the binned sequences of its own essay's readers
+        essay_set = EssaySet(3, 0, 3)
+        rng = np.random.default_rng(0)
+        essays = {i: make_essay(i, essay_set, rng) for i in (7, 8, 9)}
+        records = (make_records(essays[7], "r1") + make_records(essays[7], "r2")
+                   + make_records(essays[8], "r1"))
+        sequences, _ = bin_all(records, reader_stats(records), essays)
+        vocab = build_vocab(essays.values())
+        examples = _examples_for([9, 8, 7], essays, vocab, sequences)
+        assert [ex.essay_id for ex in examples] == [9, 8, 7]
+        assert examples[0].gaze_targets == {}
+        for example, readers in ((examples[1], ("r1",)), (examples[2], ("r1", "r2"))):
+            gaze = {rid: sequences[(example.essay_id, rid)] for rid in readers}
+            expected = prepare_example(replace(essays[example.essay_id], gaze=gaze), vocab)
+            assert example.gaze_targets.keys() == expected.gaze_targets.keys()
+            for attribute, (positions, values) in expected.gaze_targets.items():
+                np.testing.assert_array_equal(example.gaze_targets[attribute][0], positions)
+                np.testing.assert_array_equal(example.gaze_targets[attribute][1], values)
+        assert all(essay.gaze is None for essay in essays.values())
 
 
 # ------------------------------------------------------------ ablation

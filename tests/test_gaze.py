@@ -11,14 +11,13 @@ from gazescore.gaze import (
     GAZE_MAX_BIN,
     BinnedGaze,
     GazeRecord,
-    attach_gaze,
     bin_all,
     bin_fixation,
     bin_record,
     bin_run_count,
+    filter_readers,
     load_gaze_records,
     load_reader_metadata,
-    native_reader_ids,
     reader_stats,
 )
 
@@ -103,7 +102,9 @@ def test_load_reader_metadata(tmp_path):
     assert readers["r2"]["native"] is False
     assert readers["r3"]["native"] is True
     assert readers["r1"]["age"] == "30"
-    assert native_reader_ids(readers) == {"r1", "r3"}
+    records = [record(reader=rid) for rid in ("r1", "r2", "r3")]
+    kept = filter_readers(records, "native_only", readers)
+    assert [r.reader_id for r in kept] == ["r1", "r3"]
 
 
 def test_load_reader_metadata_missing_column(tmp_path):
@@ -318,12 +319,3 @@ def test_bin_all_per_reader_isolation():
     assert seq1[(1, "a")] == seq2[(1, "a")]
     assert seq1[(1, "b")] != seq2[(1, "b")]
 
-
-def test_attach_gaze_sets_field():
-    essays = {1: essay_with_tokens(1, 2)}
-    recs = [record(ia=0)]
-    sequences, _ = bin_all(recs, reader_stats(recs), essays)
-    attach_gaze(essays, sequences)
-    assert essays[1].gaze is not None
-    assert "r1" in essays[1].gaze
-    assert len(essays[1].gaze["r1"]) == 2

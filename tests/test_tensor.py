@@ -16,7 +16,6 @@ from gazescore.numerics import (
     ShapeError,
     Tensor,
     backward,
-    forward_op,
     zero_grads,
 )
 
@@ -371,22 +370,8 @@ def test_no_grad_tracking_without_requires_grad():
 
 
 # ---------------------------------------------------------------------------
-# registry and shape validation
+# shape validation
 # ---------------------------------------------------------------------------
-
-def test_forward_op_matches_direct_call():
-    rng = np.random.default_rng(31)
-    a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(3, 2)))
-    via_registry = forward_op("matmul", [a, b])
-    np.testing.assert_array_equal(via_registry.data, nm.matmul(a, b).data)
-    out = forward_op("concat", [a, Tensor(rng.normal(size=(2, 3)))], axis=0)
-    assert out.data.shape == (4, 3)
-
-
-def test_forward_op_unknown_kind():
-    with pytest.raises(ValueError, match="unknown op kind"):
-        forward_op("convolve_2d", [Tensor(np.ones(2))])
-
 
 @pytest.mark.parametrize(
     "fn,args",

@@ -1,6 +1,7 @@
 """Training-loop tests: loss algebra, determinism, selection, equivalences."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -270,6 +271,14 @@ def test_divergence_aborts_with_diagnostics():
     assert excinfo.value.batch_index == 0
     assert "embedding" in excinfo.value.param_norms
     assert "epoch 1" in str(excinfo.value)
+
+
+def test_divergence_survives_pickling():
+    # a worker process hands the exception back to the parent by pickle
+    error = TrainingDiverged(3, 1, {"embedding": 2.5, "conv": 1.0})
+    copy = pickle.loads(pickle.dumps(error))
+    assert (copy.epoch, copy.batch_index, copy.param_norms) == (3, 1, error.param_norms)
+    assert str(copy) == str(error)
 
 
 def test_train_rejects_overlapping_dev():
