@@ -9,8 +9,8 @@ augmented into the target set's own training partition).
 
 Runs, ablations and the gaze-weight grid search are lists of cells (one
 configuration on one (set, fold)) that :func:`execute_cells` runs, here or in
-worker processes, always to the last cell. The library entry points raise
-the first failed cell's own exception; the CLI lists every failure.
+worker processes. The library entry points stop at the first failed cell and
+raise its own exception; the CLI runs every cell and lists every failure.
 
 Data that could leak evaluation information is guarded by runtime provenance
 assertions: the vocabulary must be built only from training essays, and
@@ -20,7 +20,6 @@ the fold being run.
 
 import csv
 import math
-import multiprocessing
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -503,20 +502,22 @@ def fold_cells(config, data, name=None):
             for fold in data.folds[set_id]]
 
 
-def execute_cells(task, data, cells, jobs=1, log=None):
-    """Run ``task(config, data, set_id, fold, log)`` for every cell, to the last.
+def execute_cells(task, data, cells, jobs=1, log=None, fail_fast=False):
+    """Run ``task(config, data, set_id, fold, log)`` for every cell.
 
     One job runs the cells here, in order, and ``log`` gets each label and
     then the task's lines; more run them in a pool of ``jobs`` worker
     processes and ``log`` gets the labels only. Returns (results, failures):
     the finished cells' results in cell order and a (cell, exception) pair
-    for each cell that raised.
+    for each cell that raised. With ``fail_fast`` the first failed cell's
+    exception propagates instead, and cells still waiting to start are
+    dropped.
     """
     results, failures = [], []
     with ExitStack() as stack:
         if jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")))
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            stack.callback(pool.shutdown, cancel_futures=True)
             outcomes = [pool.submit(task, c.config, data, c.set_id, c.fold).result
                         for c in cells]
         else:
@@ -527,16 +528,10 @@ def execute_cells(task, data, cells, jobs=1, log=None):
             try:
                 results.append(outcome())
             except Exception as error:
+                if fail_fast:
+                    raise
                 failures.append((cell, error))
     return results, failures
-
-
-def _all_results(outcome):
-    """The results of :func:`execute_cells`, or the first failed cell's exception."""
-    results, failures = outcome
-    if failures:
-        raise failures[0][1]
-    return results
 
 
 def run_experiment(config, data, log=None, jobs=1):
@@ -545,8 +540,9 @@ def run_experiment(config, data, log=None, jobs=1):
     ``jobs`` above 1 runs the cells in that many worker processes; the
     report is the same.
     """
-    cells = fold_cells(config, data)
-    return assemble_report(config, _all_results(execute_cells(run_fold, data, cells, jobs, log)))
+    results, _ = execute_cells(run_fold, data, fold_cells(config, data), jobs, log,
+                               fail_fast=True)
+    return assemble_report(config, results)
 
 
 def config_echo(config):
@@ -624,7 +620,7 @@ def run_grid_cell(config, data, attribute, weight, log=None):
     Returns one :func:`grid_fold` pair per fold, pooled over target sets.
     """
     cells = grid_cells(config, data, (attribute,), (weight,))
-    return _all_results(execute_cells(grid_fold, data, cells, log=log))
+    return execute_cells(grid_fold, data, cells, log=log, fail_fast=True)[0]
 
 
 @dataclass(frozen=True)
@@ -661,15 +657,15 @@ def ablation_report(cells, results):
                           assemble_report(ablated, results[half:]))
 
 
-def ablate(config, data, attribute, log=None, jobs=1):
+def ablate(config, data, attribute, log=None):
     """Measure the QWK contribution of one gaze attribute.
 
     Runs the configured system twice, once as given and once with the
     attribute's loss weight forced to zero, and reports the QWK drop.
-    ``jobs`` above 1 runs the cells of both runs in one worker pool.
     """
     cells = ablation_cells(config, data, attribute)
-    return ablation_report(cells, _all_results(execute_cells(run_fold, data, cells, jobs, log)))
+    results, _ = execute_cells(run_fold, data, cells, log=log, fail_fast=True)
+    return ablation_report(cells, results)
 
 
 @dataclass(frozen=True)

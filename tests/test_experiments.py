@@ -2,7 +2,9 @@
 
 import csv
 import math
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gazescore.corpus import Essay, EssaySet, build_vocab, normalize_score
 from gazescore.experiments import (
     DEFAULT_GAZE_WEIGHTS,
     AblationReport,
+    Cell,
     ComparisonReport,
     ExperimentConfig,
     ExperimentData,
@@ -447,6 +450,14 @@ def _cell_task(config, data, set_id, fold, log=None):
     return (config.seed, set_id, fold.fold_id, data["offset"] + fold.fold_id)
 
 
+def _marking_task(config, data, set_id, fold, log=None):
+    """Picklable task: cell 0 fails at once, the others mark ``data`` after a pause."""
+    if set_id == 0:
+        raise LeakageError("cell 0 leaks")
+    time.sleep(0.3)
+    (Path(data) / str(set_id)).touch()
+
+
 class TestExecuteCells:
     def test_failed_cell_does_not_stop_the_others(self):
         config = ExperimentConfig(system="self_attention", target_sets=(1,), seed=4)
@@ -468,6 +479,15 @@ class TestExecuteCells:
         execute_cells(_cell_task, {"offset": 0}, fold_cells(config, make_data(), "probe"),
                       log=lines.append)
         assert lines == [f"probe set=1 fold={k}" for k in range(5)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_raises_before_the_remaining_cells(self, jobs, tmp_path):
+        cells = [Cell(None, k, None, f"cell {k}") for k in range(12)]
+        with pytest.raises(LeakageError, match="cell 0 leaks"):
+            execute_cells(_marking_task, str(tmp_path), cells, jobs=jobs, fail_fast=True)
+        marked = len(list(tmp_path.iterdir()))
+        # at one job nothing after cell 0 runs; a pool drops the cells not yet started
+        assert marked == 0 if jobs == 1 else marked < len(cells) - 1
 
 
 class TestReportArithmetic:
