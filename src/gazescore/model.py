@@ -62,7 +62,6 @@ class ModelConfig:
 class ForwardOutput:
     predicted_score: Tensor  # shape (1, 1), value in (0, 1)
     gaze_predictions: dict  # attribute -> Tensor (n_tokens, 1)
-    attention_weights: dict  # {"word": [np array per sentence], "sentence": np array}
     n_tokens: int
     degenerate_sentences: list
 
@@ -216,26 +215,22 @@ class EssayScorer:
             x_t = nm.narrow(inputs, 0, t, t + 1)
             z = nm.add(nm.add(nm.matmul(x_t, self.lstm_wx), nm.matmul(h, self.lstm_wh)),
                        self.lstm_b)
-            i = nm.sigmoid(nm.narrow(z, 1, 0, h_size))
-            f = nm.sigmoid(nm.narrow(z, 1, h_size, 2 * h_size))
-            g = nm.tanh(nm.narrow(z, 1, 2 * h_size, 3 * h_size))
-            o = nm.sigmoid(nm.narrow(z, 1, 3 * h_size, 4 * h_size))
-            c = nm.add(nm.mul(f, c), nm.mul(i, g))
-            h = nm.mul(o, nm.tanh(c))
+            hc = nm.lstm_cell(z, c)
+            h = nm.narrow(hc, 1, 0, h_size)
+            c = nm.narrow(hc, 1, h_size, 2 * h_size)
             hidden_states.append(h)
         return nm.concat(hidden_states, axis=0) if len(hidden_states) > 1 else hidden_states[0]
 
     def encode_essay(self, sentence_ids, training, rng):
-        """Run the shared tower; returns (conv outputs per sentence, H, essay vector, diag)."""
+        """Run the shared tower; returns (conv outputs per sentence, H, essay vector,
+        sentence attention, indices of empty sentences)."""
         conv_outputs = []
         sentence_vectors = []
-        word_attention = []
         degenerate = []
         for index, ids in enumerate(sentence_ids):
-            conv, pooled, alpha = self.encode_sentence(ids, training, rng)
+            conv, pooled, _ = self.encode_sentence(ids, training, rng)
             conv_outputs.append(conv)
             sentence_vectors.append(pooled)
-            word_attention.append(None if alpha is None else alpha.data[0].copy())
             if conv is None:
                 degenerate.append(index)
         stacked = (nm.concat(sentence_vectors, axis=0)
@@ -243,7 +238,7 @@ class EssayScorer:
         hidden = self._lstm(stacked)
         essay_vector, sent_alpha = self._additive_attention(
             hidden, self.sent_attn_w, self.sent_attn_b, self.sent_attn_v)
-        return conv_outputs, hidden, essay_vector, word_attention, sent_alpha, degenerate
+        return conv_outputs, hidden, essay_vector, sent_alpha, degenerate
 
     def coattend(self, essay_hidden, article_hidden):
         """(essay2article, article2essay) mixtures from the affinity matrix."""
@@ -260,11 +255,11 @@ class EssayScorer:
             raise ValueError("forward: essay has no sentences")
         if training and self.config.dropout > 0.0 and rng is None:
             raise ValueError("forward: training mode with dropout needs an rng")
-        conv_outputs, essay_hidden, essay_vector, word_attention, sent_alpha, degenerate = \
+        conv_outputs, essay_hidden, essay_vector, _, degenerate = \
             self.encode_essay(sentence_ids, training, rng)
 
         if self.config.architecture == "co_attention":
-            _, article_hidden, _, _, _, _ = self.encode_essay(
+            _, article_hidden, _, _, _ = self.encode_essay(
                 self.article_sentence_ids, training, rng)
             essay2article, article2essay = self.coattend(essay_hidden, article_hidden)
             e2a_pooled, _ = self._additive_attention(
@@ -293,8 +288,6 @@ class EssayScorer:
         return ForwardOutput(
             predicted_score=score,
             gaze_predictions=gaze_predictions,
-            attention_weights={"word": word_attention,
-                               "sentence": sent_alpha.data[0].copy()},
             n_tokens=n_tokens,
             degenerate_sentences=degenerate,
         )

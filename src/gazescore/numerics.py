@@ -9,7 +9,27 @@ float64 numpy arrays.
 Every operation returns a new ``Tensor`` that records its inputs and a
 closure computing input gradients from the output gradient. ``backward``
 replays that record in reverse topological order; a tensor consumed by
-several downstream ops receives the sum of their gradient contributions.
+several downstream ops receives the sum of their gradient contributions,
+added one at a time in replay order: ((g1 + g2) + g3) + .... Training
+results depend on that order to the last bit, so an optimisation may
+change where a sum is stored but never the order of its terms.
+
+The first contribution is stored as given. It may be an array another
+node still holds (``add`` hands one array to both inputs, ``transpose`` a
+view), so the second contribution goes into a fresh buffer the engine
+owns, and later ones are added into that buffer in place. ``+=`` performs
+the same IEEE addition per element as ``a + b``. Ownership lasts for one
+``backward`` call: a gradient left from an earlier call may be held by the
+caller and is copied before it is written.
+
+``gather_rows`` (the embedding lookup) sums its output gradient into the
+distinct rows it read, each row's terms in the order ``np.add.at`` on a
+dense table would add them, and adds only those rows into the table's
+gradient; rows it never read are left untouched rather than given + 0.0.
+``lstm_cell`` fuses one LSTM cell update (gates, cell and hidden state)
+into a single node that evaluates the same elementwise expressions, in
+the same order, as the composition of ``narrow``, ``sigmoid``, ``tanh``,
+``mul`` and ``add`` it replaces.
 """
 
 from __future__ import annotations
@@ -21,7 +41,8 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_grad_fn")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_grad_fn",
+                 "_owns_grad")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -30,6 +51,7 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._grad_fn = None
+        self._owns_grad = False  # grad is a buffer the running backward allocated
 
     @property
     def shape(self):
@@ -94,7 +116,22 @@ def _make_output(data, parents, grad_fn):
 def _accumulate(tensor, grad):
     if not tensor.requires_grad:
         return
-    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+    if tensor.grad is None:
+        tensor.grad = grad
+    elif tensor._owns_grad:
+        tensor.grad += grad
+    else:
+        tensor.grad = tensor.grad + grad
+        tensor._owns_grad = True
+
+
+def _owned_grad(tensor):
+    """``tensor.grad`` as a buffer of this backward, safe to write in place."""
+    if not tensor._owns_grad:
+        tensor.grad = (np.zeros_like(tensor.data) if tensor.grad is None
+                       else tensor.grad.copy())
+        tensor._owns_grad = True
+    return tensor.grad
 
 
 def _unbroadcast(grad, shape):
@@ -136,6 +173,8 @@ def backward(loss, parameters=None):
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     order = _topological_order(loss)
+    for node in order:
+        node._owns_grad = False
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._grad_fn is not None and node.grad is not None:
@@ -271,11 +310,14 @@ def conv1d(x, w):
     return _make_output(out_data, (x, w), grad_fn)
 
 
+def _sigmoid(d):
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+
 def sigmoid(x):
     x = _as_tensor(x)
-    d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    out_data = _sigmoid(x.data)
 
     def grad_fn(g):
         _accumulate(x, g * out_data * (1.0 - out_data))
@@ -384,9 +426,10 @@ def gather_rows(table, ids):
     out_data = table.data[idx]
 
     def grad_fn(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        _accumulate(table, gt)
+        rows, inverse = np.unique(idx, return_inverse=True)
+        summed = np.zeros((rows.size, g.shape[1]), dtype=g.dtype)
+        np.add.at(summed, inverse, g)
+        _owned_grad(table)[rows] += summed
 
     return _make_output(out_data, (table,), grad_fn)
 
@@ -406,6 +449,45 @@ def narrow(x, axis, start, stop):
         _accumulate(x, gx)
 
     return _make_output(out_data, (x,), grad_fn)
+
+
+def lstm_cell(z, c):
+    """One LSTM cell update: z (n, 4H) gate pre-activations, c (n, H) -> [h | c'] (n, 2H).
+
+    Gates are laid out i, f, g, o along z's columns; c' = f*c + i*g and
+    h = o*tanh(c'). Forward and backward evaluate the same expressions, in
+    the same order, as the per-gate composition of ``narrow``, ``sigmoid``,
+    ``tanh``, ``mul`` and ``add``, so results match it bit for bit.
+    """
+    z, c = _as_tensor(z), _as_tensor(c)
+    if (z.data.ndim != 2 or c.data.ndim != 2 or z.data.shape[0] != c.data.shape[0]
+            or z.data.shape[1] != 4 * c.data.shape[1]):
+        raise ShapeError(f"lstm_cell: expected z (n, 4H) and c (n, H), got "
+                         f"{z.data.shape} and {c.data.shape}")
+    h_size = c.data.shape[1]
+    zd, c_prev = z.data, c.data
+    i = _sigmoid(zd[:, :h_size])
+    f = _sigmoid(zd[:, h_size:2 * h_size])
+    g = np.tanh(zd[:, 2 * h_size:3 * h_size])
+    o = _sigmoid(zd[:, 3 * h_size:])
+    c_next = f * c_prev + i * g
+    tc = np.tanh(c_next)
+    out_data = np.concatenate([o * tc, c_next], axis=1)
+
+    def grad_fn(grad):
+        dh, dc_next = grad[:, :h_size], grad[:, h_size:]
+        dc = dc_next + (dh * o) * (1.0 - tc * tc)
+        if z.requires_grad:
+            _accumulate(z, np.concatenate([
+                ((dc * g) * i) * (1.0 - i),
+                ((dc * c_prev) * f) * (1.0 - f),
+                (dc * i) * (1.0 - g * g),
+                ((dh * tc) * o) * (1.0 - o),
+            ], axis=1))
+        if c.requires_grad:
+            _accumulate(c, dc * f)
+
+    return _make_output(out_data, (z, c), grad_fn)
 
 
 def tensor_sum(x, axis=None, keepdims=False):
@@ -447,6 +529,7 @@ OP_KINDS = {
     "mse": mse,
     "gather_rows": gather_rows,
     "narrow": narrow,
+    "lstm_cell": lstm_cell,
     "sum": tensor_sum,
     "transpose": transpose,
 }

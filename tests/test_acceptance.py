@@ -223,6 +223,12 @@ def _inst_narrow(rng):
     return [rng.standard_normal(shape)], lambda ts: nm.narrow(ts[0], axis, start, stop)
 
 
+def _inst_lstm_cell(rng):
+    n, h = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    return [rng.standard_normal((n, 4 * h)), rng.standard_normal((n, h))], \
+        lambda ts: nm.lstm_cell(ts[0], ts[1])
+
+
 def _inst_sum(rng):
     shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
     axis = [None, 0, 1][int(rng.integers(0, 3))]
@@ -251,6 +257,7 @@ OP_INSTANCES = {
     "mse": _inst_mse,
     "gather_rows": _inst_gather_rows,
     "narrow": _inst_narrow,
+    "lstm_cell": _inst_lstm_cell,
     "sum": _inst_sum,
     "transpose": _inst_transpose,
 }
@@ -340,7 +347,7 @@ def test_01_gradient_oracle():
     bad_ops = {k: v for k, v in worst_by_op.items() if v >= FD_TOLERANCE}
     passed = (not missing and not bad_ops and model_worst < FD_TOLERANCE
               and elapsed < 60.0)
-    detail = (f"16 ops x 50 + model x 50, worst op err "
+    detail = (f"{len(OP_INSTANCES)} ops x 50 + model x 50, worst op err "
               f"{max(worst_by_op.values()):.2e}, worst model err "
               f"{model_worst:.2e}, {elapsed:.1f}s")
     if missing:

@@ -5,7 +5,9 @@ import pytest
 
 from gazescore import numerics as nm
 from gazescore.model import ARCHITECTURES, EssayScorer, ForwardOutput, ModelConfig
+from gazescore.corpus import EssaySet
 from gazescore.numerics import Tensor, backward, zero_grads
+from gazescore.training import TrainConfig, TrainExample, multitask_loss, train
 
 TINY = dict(embedding_dim=4, conv_kernel=3, conv_filters=3, lstm_hidden=3,
             modeling_hidden=3, dropout=0.0, vocab_size=12)
@@ -105,7 +107,7 @@ def test_permuting_identical_tokens_is_noop():
 
 def test_essay_hidden_states_shape():
     model = tiny_model()
-    _, hidden, essay_vector, _, sent_alpha, _ = model.encode_essay(
+    _, hidden, essay_vector, sent_alpha, _ = model.encode_essay(
         ESSAY, training=False, rng=None)
     assert hidden.data.shape == (len(ESSAY), TINY["lstm_hidden"])
     assert essay_vector.data.shape == (1, TINY["lstm_hidden"])
@@ -115,7 +117,7 @@ def test_essay_hidden_states_shape():
 
 def test_one_sentence_essay_pooled_vector_is_its_hidden_state():
     model = tiny_model()
-    _, hidden, essay_vector, _, sent_alpha, _ = model.encode_essay(
+    _, hidden, essay_vector, sent_alpha, _ = model.encode_essay(
         [[2, 3, 4]], training=False, rng=None)
     np.testing.assert_array_equal(sent_alpha.data, [[1.0]])
     np.testing.assert_allclose(essay_vector.data, hidden.data, atol=1e-15)
@@ -351,3 +353,82 @@ def test_end_to_end_gradient_check(architecture):
         np.testing.assert_allclose(
             analytic.reshape(-1), numeric, atol=1e-7, rtol=1e-4,
             err_msg=f"gradient mismatch in {tensor.name} ({architecture})")
+
+
+# ---------------------------------------------------------------------------
+# fused LSTM step against the per-gate composition it replaced
+# ---------------------------------------------------------------------------
+
+class PerGateLSTMScorer(EssayScorer):
+    """EssayScorer with the LSTM built from narrow/sigmoid/tanh/mul/add nodes."""
+
+    def _lstm(self, inputs):
+        h_size = self.config.lstm_hidden
+        h = Tensor(np.zeros((1, h_size)))
+        c = Tensor(np.zeros((1, h_size)))
+        hidden_states = []
+        for t in range(inputs.data.shape[0]):
+            x_t = nm.narrow(inputs, 0, t, t + 1)
+            z = nm.add(nm.add(nm.matmul(x_t, self.lstm_wx), nm.matmul(h, self.lstm_wh)),
+                       self.lstm_b)
+            i = nm.sigmoid(nm.narrow(z, 1, 0, h_size))
+            f = nm.sigmoid(nm.narrow(z, 1, h_size, 2 * h_size))
+            g = nm.tanh(nm.narrow(z, 1, 2 * h_size, 3 * h_size))
+            o = nm.sigmoid(nm.narrow(z, 1, 3 * h_size, 4 * h_size))
+            c = nm.add(nm.mul(f, c), nm.mul(i, g))
+            h = nm.mul(o, nm.tanh(c))
+            hidden_states.append(h)
+        return nm.concat(hidden_states, axis=0) if len(hidden_states) > 1 else hidden_states[0]
+
+
+def reference_pair(architecture):
+    """(EssayScorer, PerGateLSTMScorer) with identical initial parameters."""
+    weights = {"DT": 0.5, "Skip": 0.1}
+    params = dict(TINY, dropout=0.5, lstm_hidden=5)
+    config = ModelConfig(architecture=architecture, gaze_attributes=tuple(weights),
+                         gaze_loss_weights=weights, **params)
+    article = ARTICLE if architecture == "co_attention" else None
+    return tuple(cls(config, np.random.default_rng(3), article_sentence_ids=article)
+                 for cls in (EssayScorer, PerGateLSTMScorer))
+
+
+def reference_examples():
+    rng = np.random.default_rng(9)
+    examples = []
+    for i in range(6):
+        sents = [[int(rng.integers(1, 12)) for _ in range(int(rng.integers(1, 6)))]
+                 for _ in range(int(rng.integers(1, 5)))]
+        n_tokens = sum(len(s) for s in sents)
+        targets = {attribute: (np.arange(n_tokens, dtype=np.int64), rng.random(n_tokens))
+                   for attribute in ("DT", "Skip")}
+        examples.append(TrainExample(essay_id=i, set_id=3, sentence_ids=sents,
+                                     score_target=(i % 4) / 3, raw_score=i % 4,
+                                     gaze_targets=targets))
+    return examples
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_fused_lstm_gradients_match_per_gate_reference_bitwise(architecture):
+    examples = reference_examples()
+    scores, grads = [], []
+    for model in reference_pair(architecture):
+        rng = np.random.default_rng(4)
+        outputs = [model.forward(ex.sentence_ids, training=True, rng=rng) for ex in examples]
+        loss, _ = multitask_loss(outputs, examples, dict(model.config.gaze_loss_weights))
+        backward(loss, parameters=model.parameters())
+        scores.append([out.predicted_score.data for out in outputs])
+        grads.append({name: t.grad for name, t in model.named_parameters().items()})
+    fused, reference = grads
+    assert all(np.array_equal(a, b) for a, b in zip(*scores))
+    for name in reference:
+        assert np.array_equal(fused[name], reference[name]), name
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_fused_lstm_training_matches_per_gate_reference_bitwise(architecture):
+    examples = reference_examples()
+    config = TrainConfig(batch_size=len(examples), epochs=3, seed=5)
+    fused, reference = (train(model, examples, [], config, {3: EssaySet(3, 0, 3)}).final_state
+                        for model in reference_pair(architecture))
+    for name in reference:
+        assert fused[name].tobytes() == reference[name].tobytes(), name

@@ -258,6 +258,24 @@ def test_gather_rows_accumulates_repeated_ids():
     np.testing.assert_array_equal(table.grad[0], [0.0, 0.0])
 
 
+def test_gather_rows_gradient_matches_dense_reference_bitwise():
+    # the row-sparse backward must add each row's terms in the order the
+    # dense np.add.at table did, and sum the two calls' tables the same way
+    rng = np.random.default_rng(33)
+    data = rng.standard_normal((7, 3))
+    first, second = np.array([4, 1, 4, 4, 6]), np.array([1, 6, 1, 0])
+    w1, w2 = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    table = Tensor(data, requires_grad=True)
+    backward(nm.add(nm.tensor_sum(nm.mul(nm.gather_rows(table, first), Tensor(w1))),
+                    nm.tensor_sum(nm.mul(nm.gather_rows(table, second), Tensor(w2)))))
+    dense = []
+    for ids, w in ((first, w1), (second, w2)):
+        gt = np.zeros_like(data)
+        np.add.at(gt, ids, w)
+        dense.append(gt)
+    assert np.array_equal(table.grad, dense[0] + dense[1])
+
+
 def test_gather_rows_bounds_checked():
     table = Tensor(np.zeros((4, 2)))
     with pytest.raises(IndexError):
@@ -293,6 +311,49 @@ def test_sum_gradients_axis():
 def test_transpose_gradients():
     rng = np.random.default_rng(29)
     check_gradients(nm.transpose, [param(rng, 3, 5)])
+
+
+def reference_lstm_cell(z, c):
+    """The per-gate composition lstm_cell replaces: (h, c')."""
+    h_size = c.data.shape[1]
+    i = nm.sigmoid(nm.narrow(z, 1, 0, h_size))
+    f = nm.sigmoid(nm.narrow(z, 1, h_size, 2 * h_size))
+    g = nm.tanh(nm.narrow(z, 1, 2 * h_size, 3 * h_size))
+    o = nm.sigmoid(nm.narrow(z, 1, 3 * h_size, 4 * h_size))
+    c_next = nm.add(nm.mul(f, c), nm.mul(i, g))
+    return nm.mul(o, nm.tanh(c_next)), c_next
+
+
+def test_lstm_cell_gradients():
+    rng = np.random.default_rng(34)
+    check_gradients(nm.lstm_cell, [param(rng, 2, 12), param(rng, 2, 3)])
+
+
+@pytest.mark.parametrize("c_requires_grad", [True, False])
+def test_lstm_cell_matches_per_gate_composition_bitwise(c_requires_grad):
+    rng = np.random.default_rng(35)
+    n, h_size = 3, 5
+    z_data = 2.0 * rng.standard_normal((n, 4 * h_size))
+    z_data[0, :3] = [40.0, -40.0, 0.0]  # saturated and zero pre-activations
+    c_data = rng.standard_normal((n, h_size))
+    wh, wc = rng.standard_normal((n, h_size)), rng.standard_normal((n, h_size))
+
+    z, c = Tensor(z_data, requires_grad=True), Tensor(c_data, requires_grad=c_requires_grad)
+    hc = nm.lstm_cell(z, c)
+    backward(nm.tensor_sum(nm.mul(hc, Tensor(np.concatenate([wh, wc], axis=1)))))
+
+    z_ref, c_ref = Tensor(z_data, requires_grad=True), \
+        Tensor(c_data, requires_grad=c_requires_grad)
+    h, c_next = reference_lstm_cell(z_ref, c_ref)
+    backward(nm.add(nm.tensor_sum(nm.mul(h, Tensor(wh))),
+                    nm.tensor_sum(nm.mul(c_next, Tensor(wc)))))
+
+    assert np.array_equal(hc.data, np.concatenate([h.data, c_next.data], axis=1))
+    assert np.array_equal(z.grad, z_ref.grad)
+    if c_requires_grad:
+        assert np.array_equal(c.grad, c_ref.grad)
+    else:
+        assert c.grad is None and c_ref.grad is None
 
 
 def test_composite_expression_gradients():
@@ -352,6 +413,34 @@ def test_backward_accumulates_across_calls():
     assert x.grad is None
 
 
+def test_add_shares_its_gradient_and_a_later_contribution_leaves_it_alone():
+    # add hands one array to both inputs; b's path into a replays after y's,
+    # so a's second contribution must not be added into the shared array
+    a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    b = nm.mul(a, Tensor(np.array([3.0, 5.0, 7.0])))
+    y = nm.add(a, b)
+    w = np.array([2.0, -1.0, 4.0])
+    backward(nm.tensor_sum(nm.mul(y, Tensor(w))))
+    np.testing.assert_array_equal(b.grad, w)
+    np.testing.assert_array_equal(y.grad, w)
+    np.testing.assert_array_equal(a.grad, w + w * [3.0, 5.0, 7.0])
+
+
+def test_gradient_held_from_an_earlier_backward_is_not_written():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+
+    def loss():  # two contributions, so x.grad is a buffer backward allocated
+        return nm.tensor_sum(nm.add(nm.mul(x, Tensor(np.array([3.0, 5.0]))),
+                                    nm.mul(x, Tensor(np.array([-1.0, 2.0])))))
+
+    backward(loss())
+    held = x.grad
+    first = held.copy()
+    backward(loss())
+    np.testing.assert_array_equal(held, first)
+    np.testing.assert_array_equal(x.grad, 2 * first)
+
+
 def test_deep_chain_does_not_overflow_recursion():
     x = Tensor(np.array([1.0]), requires_grad=True)
     y = x
@@ -384,6 +473,8 @@ def test_no_grad_tracking_without_requires_grad():
         (nm.conv1d, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3, 2))))),
         (nm.conv1d, (Tensor(np.ones((5, 3))), Tensor(np.ones((3, 2, 2))))),
         (nm.transpose, (Tensor(np.ones(3)),)),
+        (nm.lstm_cell, (Tensor(np.ones((2, 8))), Tensor(np.ones((2, 3))))),
+        (nm.lstm_cell, (Tensor(np.ones((2, 8))), Tensor(np.ones((1, 2))))),
     ],
 )
 def test_shape_errors(fn, args):
