@@ -463,8 +463,9 @@ def run_fold(config, data, set_id, fold, log=None):
     pairs = []
     predictions = {}
     squared_errors = {}
+    article = setup.model.encode_article()
     for example in setup.test_examples:
-        output = setup.model.forward(example.sentence_ids, training=False)
+        output = setup.model.forward(example.sentence_ids, article=article)
         predicted = output.score_value
         raw = denormalize_score(predicted, setup.essay_set)
         predictions[example.essay_id] = (raw, example.raw_score)

@@ -9,7 +9,10 @@ directly. The co-attention variant also encodes the prompt's source
 article with the same tower, forms the affinity M = H_essay A H_article',
 mixes each side by the other's row-softmax, pools both mixtures with their
 own attention layers, and concatenates all three summaries before the
-modeling layer (dense tanh) and the scalar sigmoid output.
+modeling layer (dense tanh) and the scalar sigmoid output. The article's
+hidden states come from :meth:`EssayScorer.encode_article`, which the
+training loop calls once per mini-batch (one graph, one dropout mask, one
+backward per batch) and evaluation once per pass over its essays.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
@@ -75,7 +78,7 @@ class EssayScorer:
 
     ``article_sentence_ids`` (tokenized, vocabulary-encoded sentences of
     the prompt's source article) is required for the co_attention
-    architecture and must be absent for self_attention. Gaze heads are
+    architecture and ignored for self_attention. Gaze heads are
     created last so that runs with and without heads draw identical
     initial values for every shared parameter from the same seed.
     """
@@ -240,6 +243,21 @@ class EssayScorer:
             hidden, self.sent_attn_w, self.sent_attn_b, self.sent_attn_v)
         return conv_outputs, hidden, essay_vector, sent_alpha, degenerate
 
+    def encode_article(self, training=False, rng=None):
+        """The article's LSTM hidden states (n, H) for co_attention, else None.
+
+        Every essay scored with the same parameters and dropout mask can
+        share the result through ``forward``'s ``article`` argument.
+        """
+        self._check_rng(training, rng)
+        if self.article_sentence_ids is None:
+            return None
+        return self.encode_essay(self.article_sentence_ids, training, rng)[1]
+
+    def _check_rng(self, training, rng):
+        if training and self.config.dropout > 0.0 and rng is None:
+            raise ValueError("training mode with dropout needs an rng")
+
     def coattend(self, essay_hidden, article_hidden):
         """(essay2article, article2essay) mixtures from the affinity matrix."""
         affinity = nm.matmul(nm.matmul(essay_hidden, self.affinity),
@@ -249,19 +267,22 @@ class EssayScorer:
                                   essay_hidden)
         return essay2article, article2essay
 
-    def forward(self, sentence_ids, training=False, rng=None):
-        """Score one essay given its vocabulary-encoded sentences."""
+    def forward(self, sentence_ids, training=False, rng=None, article=None):
+        """Score one essay given its vocabulary-encoded sentences.
+
+        ``article`` is :meth:`encode_article`'s result for this parameter
+        state; when it is None, co_attention encodes the article itself.
+        """
         if not sentence_ids:
             raise ValueError("forward: essay has no sentences")
-        if training and self.config.dropout > 0.0 and rng is None:
-            raise ValueError("forward: training mode with dropout needs an rng")
+        self._check_rng(training, rng)
         conv_outputs, essay_hidden, essay_vector, _, degenerate = \
             self.encode_essay(sentence_ids, training, rng)
 
         if self.config.architecture == "co_attention":
-            _, article_hidden, _, _, _ = self.encode_essay(
-                self.article_sentence_ids, training, rng)
-            essay2article, article2essay = self.coattend(essay_hidden, article_hidden)
+            if article is None:
+                article = self.encode_article(training, rng)
+            essay2article, article2essay = self.coattend(essay_hidden, article)
             e2a_pooled, _ = self._additive_attention(
                 essay2article, self.e2a_attn_w, self.e2a_attn_b, self.e2a_attn_v)
             a2e_pooled, _ = self._additive_attention(

@@ -203,11 +203,6 @@ def format_epoch_line(stats):
     return " ".join(fields)
 
 
-def predicted_raw_score(model, example, sets):
-    out = model.forward(example.sentence_ids)
-    return denormalize_score(out.score_value, sets[example.set_id])
-
-
 def dev_qwk(model, examples, sets):
     """QWK of denormalized predictions against raw scores; nan when empty."""
     if not examples:
@@ -216,13 +211,17 @@ def dev_qwk(model, examples, sets):
     if len(set_ids) != 1:
         raise ValueError(f"dev set spans multiple essay sets: {sorted(set_ids)}")
     essay_set = sets[next(iter(set_ids))]
-    pairs = [(predicted_raw_score(model, ex, sets), ex.raw_score) for ex in examples]
+    article = model.encode_article()
+    scores = [model.forward(ex.sentence_ids, article=article).score_value for ex in examples]
+    pairs = [(denormalize_score(score, essay_set), ex.raw_score)
+             for score, ex in zip(scores, examples)]
     return qwk(pairs, essay_set.score_min, essay_set.score_max)
 
 
 def evaluate_breakdown(model, examples, weights):
     """Evaluation-mode LossBreakdown over a whole example list."""
-    outputs = [model.forward(ex.sentence_ids) for ex in examples]
+    article = model.encode_article()
+    outputs = [model.forward(ex.sentence_ids, article=article) for ex in examples]
     _, breakdown = multitask_loss(outputs, examples, weights)
     return breakdown
 
@@ -260,7 +259,8 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
 
     Returns a TrainResult. The per-epoch breakdown aggregates training-mode
     batch losses; dev QWK is computed after each epoch in evaluation mode.
-    An empty dev set yields nan QWK and the final epoch's checkpoint.
+    An empty dev set yields nan QWK and the final epoch's checkpoint. A
+    batch's essays share one article encoding, so one article dropout mask.
     """
     train_examples = list(train_examples)
     dev_examples = list(dev_examples)
@@ -293,7 +293,8 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
         for batch_start in range(0, len(order), config.batch_size):
             batch_index = batch_start // config.batch_size
             batch = [train_examples[i] for i in order[batch_start:batch_start + config.batch_size]]
-            outputs = [model.forward(ex.sentence_ids, training=True, rng=rng)
+            article = model.encode_article(training=True, rng=rng)
+            outputs = [model.forward(ex.sentence_ids, training=True, rng=rng, article=article)
                        for ex in batch]
             loss, breakdown = multitask_loss(outputs, batch, weights)
             if not math.isfinite(float(loss.data)):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazescore.corpus import Essay, EssaySet, build_vocab, normalize_score
+from gazescore.corpus import Essay, EssaySet, build_vocab, denormalize_score, normalize_score
 from gazescore.experiments import (
     DEFAULT_GAZE_WEIGHTS,
     AblationReport,
@@ -35,8 +35,10 @@ from gazescore.experiments import (
     make_folds,
     report_rows,
     run_experiment,
+    run_fold,
     run_grid_cell,
     save_folds,
+    train_cell,
     write_report_csv,
 )
 from gazescore.gaze import GazeRecord, bin_all, filter_readers, reader_stats
@@ -406,6 +408,27 @@ class TestRunExperiment:
         data = make_data(article="The sun rose early. Birds sang on the mat.")
         _, report = run_tiny("co_attention", data)
         assert len(report.fold_results) == 5
+
+    def test_co_attention_test_scores_match_per_essay_forward(self):
+        data = make_data(article="The sun rose early. Birds sang on the mat.")
+        config = ExperimentConfig(system="co_attention", target_sets=(1,), seed=0,
+                                  model_params=dict(TINY_MODEL, dropout=0.5),
+                                  train_params=dict(TINY_TRAIN, epochs=2))
+        fold = data.folds[1][0]
+        result = run_fold(config, data, 1, fold)
+        setup, _ = train_cell(config, data, 1, fold)  # same seed, same best state
+        predictions, squared_errors = {}, {}
+        model = setup.model
+        for example in setup.test_examples:
+            article = model.encode_essay(model.article_sentence_ids, False, None)[1]
+            score = model.forward(example.sentence_ids, article=article).score_value
+            predictions[example.essay_id] = (denormalize_score(score, setup.essay_set),
+                                             example.raw_score)
+            squared_errors[example.essay_id] = (score - example.score_target) ** 2
+        assert result.test_predictions == predictions
+        assert result.squared_errors.keys() == squared_errors.keys()
+        for essay_id, error in squared_errors.items():
+            assert np.array_equal(result.squared_errors[essay_id], error), essay_id
 
     def test_co_attention_gaze_on_prompt_specific_set(self):
         data = make_data(article="The sun rose early. Birds sang.",

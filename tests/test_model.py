@@ -166,6 +166,18 @@ def test_self_attention_ignores_articles_entirely():
     model = EssayScorer(config, np.random.default_rng(0), article_sentence_ids=ARTICLE)
     assert model.article_sentence_ids is None
     assert "coattn.affinity" not in model.named_parameters()
+    assert model.encode_article() is None
+
+
+def test_encode_article_needs_rng_like_forward():
+    model = tiny_model("co_attention", dropout=0.5)
+    with pytest.raises(ValueError) as from_article:
+        model.encode_article(training=True)
+    with pytest.raises(ValueError) as from_forward:
+        model.forward(ESSAY, training=True)
+    assert str(from_article.value) == str(from_forward.value)
+    hidden = model.encode_article(training=True, rng=np.random.default_rng(0))
+    assert hidden.data.shape == (len(ARTICLE), TINY["lstm_hidden"])
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +444,47 @@ def test_fused_lstm_training_matches_per_gate_reference_bitwise(architecture):
                         for model in reference_pair(architecture))
     for name in reference:
         assert fused[name].tobytes() == reference[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# one article encoding per batch against one per essay
+# ---------------------------------------------------------------------------
+
+def own_article(model, rng):
+    """A fresh training-mode encoding of the article; None for self_attention."""
+    if model.article_sentence_ids is None:
+        return None
+    return model.encode_essay(model.article_sentence_ids, True, rng)[1]
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_shared_article_gradients_match_per_essay_encoding(architecture):
+    weights = {"DT": 0.5, "Skip": 0.1}
+    config = ModelConfig(architecture=architecture, gaze_attributes=tuple(weights),
+                         gaze_loss_weights=weights, **dict(TINY, lstm_hidden=5))
+    article = ARTICLE if architecture == "co_attention" else None
+    examples = reference_examples()
+    scores, grads = [], []
+    for shared in (True, False):
+        model = EssayScorer(config, np.random.default_rng(3), article_sentence_ids=article)
+        rng = np.random.default_rng(4)
+        if shared:
+            hidden = model.encode_article(training=True, rng=rng)
+            outputs = [model.forward(ex.sentence_ids, training=True, rng=rng, article=hidden)
+                       for ex in examples]
+        else:  # the reference: every essay encodes its own copy of the article
+            outputs = [model.forward(ex.sentence_ids, training=True, rng=rng,
+                                     article=own_article(model, rng))
+                       for ex in examples]
+        loss, _ = multitask_loss(outputs, examples, weights)
+        backward(loss, parameters=model.parameters())
+        scores.append([out.predicted_score.data for out in outputs])
+        grads.append({name: t.grad for name, t in model.named_parameters().items()})
+    shared, reference = grads
+    assert all(np.array_equal(a, b) for a, b in zip(*scores))
+    # the article's gradient is summed in another order, so compare each
+    # parameter against the whole gradient: tiny ones are pure cancellation
+    bound = 0.0 if architecture == "self_attention" else \
+        1e-12 * np.sqrt(sum(np.sum(g ** 2) for g in reference.values()))
+    for name in reference:
+        assert np.max(np.abs(shared[name] - reference[name])) <= bound, name

@@ -6,8 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
-from gazescore.corpus import Essay, EssaySet, Vocabulary, build_vocab
+from gazescore.corpus import Essay, EssaySet, Vocabulary, build_vocab, denormalize_score
 from gazescore.gaze import BinnedGaze
+from gazescore.metrics import qwk
 from gazescore.model import EssayScorer, ModelConfig
 from gazescore.numerics import backward, zero_grads
 from gazescore.training import (
@@ -31,12 +32,16 @@ TINY = dict(embedding_dim=4, conv_kernel=3, conv_filters=3, lstm_hidden=3,
             modeling_hidden=3, dropout=0.0, vocab_size=12)
 
 
-def tiny_model(gaze=(), weights=None, seed=1, **overrides):
+ARTICLE = [[2, 3, 4], [5, 6, 7, 8], [9, 10]]
+
+
+def tiny_model(gaze=(), weights=None, seed=1, architecture="self_attention", **overrides):
     params = dict(TINY)
     params.update(overrides)
-    config = ModelConfig(architecture="self_attention", gaze_attributes=tuple(gaze),
+    config = ModelConfig(architecture=architecture, gaze_attributes=tuple(gaze),
                          gaze_loss_weights=weights or {}, **params)
-    return EssayScorer(config, np.random.default_rng(seed))
+    article = ARTICLE if architecture == "co_attention" else None
+    return EssayScorer(config, np.random.default_rng(seed), article_sentence_ids=article)
 
 
 def make_examples(n=10, with_gaze=False, seed=0, base=100):
@@ -385,6 +390,57 @@ def test_evaluate_breakdown_runs_in_eval_mode():
     b = evaluate_breakdown(model, examples, {"DT": 0.5})
     assert a.score_mse == b.score_mse  # no dropout noise
     assert a.gaze_token_count == b.gaze_token_count > 0
+
+
+def trained_co_attention_model():
+    """A co_attention model trained until its predicted raw scores differ between essays."""
+    model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture="co_attention",
+                       dropout=0.5)
+    train(model, make_examples(8, with_gaze=True), [],
+          TrainConfig(batch_size=4, epochs=20, seed=4, learning_rate=0.03), SETS)
+    return model
+
+
+def per_essay_forward(model, sentence_ids):
+    """Evaluation-mode forward with the article encoded again for this essay alone."""
+    article = model.encode_essay(model.article_sentence_ids, False, None)[1]
+    return model.forward(sentence_ids, article=article)
+
+
+def test_dev_qwk_matches_per_essay_forward_on_co_attention():
+    model = trained_co_attention_model()
+    examples = make_examples(8, seed=21, base=700)
+    sets = {3: EssaySet(3, 0, 60)}  # a wide range, so raw predictions resolve small changes
+    pairs = [(denormalize_score(per_essay_forward(model, ex.sentence_ids).score_value, sets[3]),
+              ex.raw_score) for ex in examples]
+    reference = qwk(pairs, 0, 60)
+    assert len({predicted for predicted, _ in pairs}) > 1
+    assert np.array_equal(dev_qwk(model, examples, sets), reference)
+
+
+def test_evaluate_breakdown_matches_per_essay_forward_on_co_attention():
+    model = trained_co_attention_model()
+    examples = make_examples(5, with_gaze=True, seed=22, base=700)
+    weights = {"DT": 0.5}
+    _, reference = multitask_loss([per_essay_forward(model, ex.sentence_ids) for ex in examples],
+                                  examples, weights)
+    assert evaluate_breakdown(model, examples, weights) == reference  # every field, exactly
+
+
+def test_train_encodes_the_article_once_per_batch_and_per_evaluation_pass():
+    model = tiny_model(architecture="co_attention", dropout=0.5)
+    encode_article = model.encode_article
+    modes = []
+
+    def counting(training=False, rng=None):
+        modes.append(training)
+        return encode_article(training, rng)
+
+    model.encode_article = counting
+    train(model, make_examples(4), make_examples(2, seed=9, base=900),
+          TrainConfig(batch_size=2, epochs=2, seed=0), SETS)
+    # initial breakdown, then per epoch two batches and one dev pass
+    assert modes == [False, True, True, False, True, True, False]
 
 
 # ---------------------------------------------------------------------------
