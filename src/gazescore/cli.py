@@ -728,7 +728,7 @@ def cmd_gridsearch(args):
     for cell, result in zip(cells, results):
         (point,) = cell.config.gaze_loss_weights.items()
         per_point.setdefault(point, []).append(result)
-    best, table = grid_search_gaze_weights(lambda *point: per_point[point], grid, attributes)
+    best, table = grid_search_gaze_weights(per_point, grid, attributes)
 
     lines = []
     for attribute in attributes:

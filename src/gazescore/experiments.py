@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,24 +35,19 @@ from .metrics import SignificanceResult, paired_t_test, qwk
 from .model import EssayScorer, ModelConfig
 from .training import TrainConfig, evaluate_breakdown, prepare_example, train
 
-SYSTEMS = (
-    "self_attention",
-    "co_attention",
-    "co_attention_gaze",
-    "only_prompt",
-    "extra_essays",
-    "essays_gaze",
-)
+# A system attends over the prompt's source article, adds the gaze terms to
+# its loss, and/or trains on the external gaze-annotated pool as well.
+System = namedtuple("System", "uses_article uses_gaze augments_train")
 
-# Systems whose loss includes the auxiliary gaze terms.
-GAZE_SYSTEMS = ("co_attention_gaze", "essays_gaze")
-
-# Systems that train on the target set's partition plus the external pool of
-# gaze-annotated essays (unseen-prompt setting).
-AUGMENTED_SYSTEMS = ("extra_essays", "essays_gaze")
-
-# Systems that attend over the prompt's source article.
-ARTICLE_SYSTEMS = ("co_attention", "co_attention_gaze")
+# only_prompt's row equals self_attention's: one system under two names.
+SYSTEMS = {
+    "self_attention": System(False, False, False),
+    "co_attention": System(True, False, False),
+    "co_attention_gaze": System(True, True, False),
+    "only_prompt": System(False, False, False),
+    "extra_essays": System(False, False, True),
+    "essays_gaze": System(False, True, True),
+}
 
 # Per-attribute auxiliary loss weights used by the fixed-weight systems.
 DEFAULT_GAZE_WEIGHTS = {"DT": 0.05, "FFD": 0.05, "IR": 0.01, "RC": 0.01, "Skip": 0.1}
@@ -177,7 +173,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}; expected one of {SYSTEMS}")
+            raise ValueError(f"unknown system {self.system!r}; expected one of {tuple(SYSTEMS)}")
         if not self.target_sets:
             raise ValueError("target_sets must not be empty")
         if isinstance(self.gaze_reader_filter, str):
@@ -203,16 +199,16 @@ class ExperimentConfig:
                 raise ValueError(f"system {self.system!r} has no gaze loss to ablate")
 
     @property
-    def uses_gaze(self):
-        return self.system in GAZE_SYSTEMS
+    def uses_article(self):
+        return SYSTEMS[self.system].uses_article
 
     @property
-    def uses_article(self):
-        return self.system in ARTICLE_SYSTEMS
+    def uses_gaze(self):
+        return SYSTEMS[self.system].uses_gaze
 
     @property
     def augments_train(self):
-        return self.system in AUGMENTED_SYSTEMS
+        return SYSTEMS[self.system].augments_train
 
     @property
     def architecture(self):
@@ -463,10 +459,9 @@ def run_fold(config, data, set_id, fold, log=None):
     pairs = []
     predictions = {}
     squared_errors = {}
-    article = setup.model.encode_article()
-    for example in setup.test_examples:
-        output = setup.model.forward(example.sentence_ids, article=article)
-        predicted = output.score_value
+    scores = map(attrgetter("score_value"),
+                 setup.model.forward_batch([ex.sentence_ids for ex in setup.test_examples]))
+    for example, predicted in zip(setup.test_examples, scores):
         raw = denormalize_score(predicted, setup.essay_set)
         predictions[example.essay_id] = (raw, example.raw_score)
         squared_errors[example.essay_id] = float((predicted - example.score_target) ** 2)
@@ -613,15 +608,6 @@ def grid_fold(config, data, set_id, fold, log=None):
     breakdown = evaluate_breakdown(setup.model, dev_examples, config.effective_gaze_weights())
     return (breakdown.gaze_mse.get(attribute, 0.0),
             breakdown.gaze_token_counts.get(attribute, 0))
-
-
-def run_grid_cell(config, data, attribute, weight, log=None):
-    """Train every fold with a single gaze attribute at one loss weight.
-
-    Returns one :func:`grid_fold` pair per fold, pooled over target sets.
-    """
-    cells = grid_cells(config, data, (attribute,), (weight,))
-    return execute_cells(grid_fold, data, cells, log=log, fail_fast=True)[0]
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ article with the same tower, forms the affinity M = H_essay A H_article',
 mixes each side by the other's row-softmax, pools both mixtures with their
 own attention layers, and concatenates all three summaries before the
 modeling layer (dense tanh) and the scalar sigmoid output. The article's
-hidden states come from :meth:`EssayScorer.encode_article`, which the
-training loop calls once per mini-batch (one graph, one dropout mask, one
-backward per batch) and evaluation once per pass over its essays.
+hidden states come from :meth:`EssayScorer.encode_article`, once per list
+of essays scored through :meth:`EssayScorer.forward_batch`: per mini-batch in
+training (one graph, one dropout mask, one backward), per evaluation pass.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
@@ -266,6 +266,17 @@ class EssayScorer:
         article2essay = nm.matmul(nm.softmax(nm.transpose(affinity), axis=-1),
                                   essay_hidden)
         return essay2article, article2essay
+
+    def forward_batch(self, batch_sentence_ids, training=False, rng=None):
+        """Yield one :class:`ForwardOutput` per essay, encoding the article once.
+
+        The essays share the article's graph and dropout mask. An output bound
+        to a loop variable keeps its graph alive through the next forward, so
+        callers that need only scores ``map`` the outputs to them.
+        """
+        article = self.encode_article(training, rng)
+        for sentence_ids in batch_sentence_ids:
+            yield self.forward(sentence_ids, training, rng, article=article)
 
     def forward(self, sentence_ids, training=False, rng=None, article=None):
         """Score one essay given its vocabulary-encoded sentences.

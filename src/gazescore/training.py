@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,8 +34,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     momentum: float = 0.9
     seed: int = 0
-    gaze_weight_grid: tuple = GAZE_WEIGHT_GRID
-    selection: str = "best-dev-qwk"
     clip_norm: float = 10.0
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.selection != "best-dev-qwk":
-            raise ValueError(f"unknown selection rule {self.selection!r}")
 
 
 @dataclass
@@ -192,7 +189,6 @@ class TrainResult:
     best_dev_qwk: float
     final_state: dict
     history: list  # EpochStats per epoch
-    initial: LossBreakdown
 
 
 def format_epoch_line(stats):
@@ -211,8 +207,8 @@ def dev_qwk(model, examples, sets):
     if len(set_ids) != 1:
         raise ValueError(f"dev set spans multiple essay sets: {sorted(set_ids)}")
     essay_set = sets[next(iter(set_ids))]
-    article = model.encode_article()
-    scores = [model.forward(ex.sentence_ids, article=article).score_value for ex in examples]
+    scores = map(attrgetter("score_value"),
+                 model.forward_batch([ex.sentence_ids for ex in examples]))
     pairs = [(denormalize_score(score, essay_set), ex.raw_score)
              for score, ex in zip(scores, examples)]
     return qwk(pairs, essay_set.score_min, essay_set.score_max)
@@ -220,8 +216,7 @@ def dev_qwk(model, examples, sets):
 
 def evaluate_breakdown(model, examples, weights):
     """Evaluation-mode LossBreakdown over a whole example list."""
-    article = model.encode_article()
-    outputs = [model.forward(ex.sentence_ids, article=article) for ex in examples]
+    outputs = list(model.forward_batch([ex.sentence_ids for ex in examples]))
     _, breakdown = multitask_loss(outputs, examples, weights)
     return breakdown
 
@@ -254,6 +249,27 @@ def _aggregate_epoch(batch_breakdowns, batch_sizes, weights):
     )
 
 
+def _train_step(model, optimizer, batch, weights, clip_norm, rng, epoch, batch_index):
+    """One optimizer step on one batch; returns its LossBreakdown.
+
+    Only this frame holds the batch's graph, so it is freed on return.
+    """
+    outputs = list(model.forward_batch([ex.sentence_ids for ex in batch],
+                                       training=True, rng=rng))
+    loss, breakdown = multitask_loss(outputs, batch, weights)
+    if not math.isfinite(float(loss.data)):
+        norms = {name: float(np.linalg.norm(t.data))
+                 for name, t in model.named_parameters().items()}
+        raise TrainingDiverged(epoch, batch_index, norms)
+    params = optimizer.parameters
+    zero_grads(params)
+    backward(loss, parameters=params)
+    model.pin_pad_embedding()
+    clip_global_norm(params, clip_norm)
+    optimizer.step()
+    return breakdown
+
+
 def train(model, train_examples, dev_examples, config, sets, log=None):
     """Seeded mini-batch training with best-dev-QWK checkpoint selection.
 
@@ -261,6 +277,7 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
     batch losses; dev QWK is computed after each epoch in evaluation mode.
     An empty dev set yields nan QWK and the final epoch's checkpoint. A
     batch's essays share one article encoding, so one article dropout mask.
+    Training starts at once: no evaluation pass precedes the first epoch.
     """
     train_examples = list(train_examples)
     dev_examples = list(dev_examples)
@@ -277,10 +294,8 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
                 f"training set; its head trains only through shared layers")
 
     rng = np.random.default_rng(config.seed)
-    params = model.parameters()
-    optimizer = RMSProp(params, lr=config.learning_rate, decay=0.9,
+    optimizer = RMSProp(model.parameters(), lr=config.learning_rate, decay=0.9,
                         momentum=config.momentum, eps=1e-6)
-    initial = evaluate_breakdown(model, train_examples, weights)
     best_state = model.state_dict()
     best_epoch = 0
     best_qwk = -math.inf
@@ -293,20 +308,8 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
         for batch_start in range(0, len(order), config.batch_size):
             batch_index = batch_start // config.batch_size
             batch = [train_examples[i] for i in order[batch_start:batch_start + config.batch_size]]
-            article = model.encode_article(training=True, rng=rng)
-            outputs = [model.forward(ex.sentence_ids, training=True, rng=rng, article=article)
-                       for ex in batch]
-            loss, breakdown = multitask_loss(outputs, batch, weights)
-            if not math.isfinite(float(loss.data)):
-                norms = {name: float(np.linalg.norm(t.data))
-                         for name, t in model.named_parameters().items()}
-                raise TrainingDiverged(epoch, batch_index, norms)
-            zero_grads(params)
-            backward(loss, parameters=params)
-            model.pin_pad_embedding()
-            clip_global_norm(params, config.clip_norm)
-            optimizer.step()
-            batch_breakdowns.append(breakdown)
+            batch_breakdowns.append(_train_step(model, optimizer, batch, weights,
+                                                config.clip_norm, rng, epoch, batch_index))
             batch_sizes.append(len(batch))
         epoch_breakdown = _aggregate_epoch(batch_breakdowns, batch_sizes, weights)
         epoch_qwk = dev_qwk(model, dev_examples, sets)
@@ -325,18 +328,17 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
         best_dev_qwk=best_qwk if history else float("nan"),
         final_state=model.state_dict(),
         history=history,
-        initial=initial,
     )
 
 
-def grid_search_gaze_weights(run_cell, grid, attributes):
+def grid_search_gaze_weights(results, grid, attributes):
     """Per-attribute weight selection by lowest dev gaze MSE.
 
-    ``run_cell(attribute, weight)`` trains the attribute alone at that
-    weight over the caller's folds and returns an iterable of
-    (dev_gaze_mse, labeled_token_count) pairs, one per fold. Fold results
-    combine as a token-weighted mean; ties break toward the smaller
-    weight. Returns ({attribute: best weight}, {attribute: {weight: mean mse}}).
+    ``results`` maps (attribute, weight) to the (dev_gaze_mse,
+    labeled_token_count) pairs of the folds trained with the attribute
+    alone at that weight. Fold results combine as a token-weighted mean;
+    ties break toward the smaller weight. Returns ({attribute: best
+    weight}, {attribute: {weight: mean mse}}).
     """
     grid = sorted(set(grid))
     if not grid:
@@ -346,7 +348,7 @@ def grid_search_gaze_weights(run_cell, grid, attributes):
     for attribute in attributes:
         table[attribute] = {}
         for weight in grid:
-            cells = list(run_cell(attribute, weight))
+            cells = results[(attribute, weight)]
             total_tokens = sum(count for _, count in cells)
             if total_tokens == 0:
                 raise ValueError(

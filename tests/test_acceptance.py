@@ -599,13 +599,14 @@ def test_06_multitask_signal():
                          gaze_attributes=tuple(PRODUCTION_WEIGHTS),
                          gaze_loss_weights=dict(PRODUCTION_WEIGHTS))
     model = EssayScorer(config, np.random.default_rng(1))
+    initial = evaluate_breakdown(model, examples, PRODUCTION_WEIGHTS)
     result = train(model, examples, [],
                    TrainConfig(batch_size=1, epochs=100, learning_rate=0.003, seed=7),
                    {3: SET_0_3})
     model.load_state_dict(result.final_state)
     final = evaluate_breakdown(model, examples, PRODUCTION_WEIGHTS)
 
-    ratios = {a: final.gaze_mse[a] / result.initial.gaze_mse[a]
+    ratios = {a: final.gaze_mse[a] / initial.gaze_mse[a]
               for a in sorted(PRODUCTION_WEIGHTS)}
     passed = all(r <= 0.5 for r in ratios.values()) and final.score_mse < 1e-2
     _report(6, "multi-task signal", passed,

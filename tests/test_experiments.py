@@ -31,12 +31,13 @@ from gazescore.experiments import (
     execute_cells,
     fold_cells,
     format_report,
+    grid_cells,
+    grid_fold,
     load_folds,
     make_folds,
     report_rows,
     run_experiment,
     run_fold,
-    run_grid_cell,
     save_folds,
     train_cell,
     write_report_csv,
@@ -813,11 +814,15 @@ class TestGridCell:
             model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN),
         )
 
+    def run_grid(self, config, data, attributes, weights):
+        cells = grid_cells(config, data, attributes, weights)
+        return cells, execute_cells(grid_fold, data, cells, fail_fast=True)[0]
+
     def test_returns_one_pair_per_fold_with_dev_labels(self):
         data = make_data(article="The sun rose. Birds sang.", target_records=True)
-        cells = run_grid_cell(self.base_config(), data, "DT", 0.05)
-        assert len(cells) == 5
-        for mse, count in cells:
+        _, results = self.run_grid(self.base_config(), data, ("DT",), (0.05,))
+        assert len(results) == 5
+        for mse, count in results:
             assert count > 0
             assert mse >= 0.0
 
@@ -828,19 +833,19 @@ class TestGridCell:
             system="essays_gaze", target_sets=(1,), seed=0,
             model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN),
         )
-        cells = run_grid_cell(config, data, "DT", 0.05)
-        assert len(cells) == 5
-        assert all(count == 0 for _, count in cells)
+        _, results = self.run_grid(config, data, ("DT",), (0.05,))
+        assert len(results) == 5
+        assert all(count == 0 for _, count in results)
 
     def test_feeds_grid_search_selection(self):
         from gazescore.training import grid_search_gaze_weights
         data = make_data(article="The sun rose. Birds sang.", target_records=True)
-        config = self.base_config()
-
-        def run_cell(attribute, weight):
-            return run_grid_cell(config, data, attribute, weight)
-
-        best, table = grid_search_gaze_weights(run_cell, (0.05, 0.1), ("DT",))
+        cells, results = self.run_grid(self.base_config(), data, ("DT",), (0.05, 0.1))
+        per_point = {}
+        for cell, result in zip(cells, results):
+            (point,) = cell.config.gaze_loss_weights.items()
+            per_point.setdefault(point, []).append(result)
+        best, table = grid_search_gaze_weights(per_point, (0.05, 0.1), ("DT",))
         assert best["DT"] in (0.05, 0.1)
         assert set(table["DT"]) == {0.05, 0.1}
         assert table["DT"][best["DT"]] == min(table["DT"].values())

@@ -2,10 +2,12 @@
 
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
+from gazescore import training as training_module
 from gazescore.corpus import Essay, EssaySet, Vocabulary, build_vocab, denormalize_score
 from gazescore.gaze import BinnedGaze
 from gazescore.metrics import qwk
@@ -80,7 +82,6 @@ def test_train_config_defaults_match_published_values():
     assert config.epochs == 100
     assert config.learning_rate == 0.001
     assert config.momentum == 0.9
-    assert config.gaze_weight_grid == (0.5, 0.1, 0.05, 0.01, 0.001)
     assert GAZE_WEIGHT_GRID == (0.5, 0.1, 0.05, 0.01, 0.001)
 
 
@@ -89,8 +90,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(selection="last-epoch")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,6 @@ def test_zero_epochs_returns_initial_checkpoint():
     assert math.isnan(result.best_dev_qwk)
     for name, arr in before.items():
         np.testing.assert_array_equal(result.best_state[name], arr)
-    assert isinstance(result.initial, LossBreakdown)
 
 
 def test_overfit_smoke_ten_essays():
@@ -259,11 +257,11 @@ def test_gaze_mse_halves_on_deterministic_bins():
     # gaze targets are a pure function of token identity, so 100 epochs
     # must cut the configured attribute's MSE by at least half
     model = tiny_model(gaze=("DT",), weights={"DT": 0.5})
-    result = train(model, make_examples(8, with_gaze=True), [],
-                   TrainConfig(batch_size=2, epochs=100, seed=7), SETS)
-    assert result.initial.gaze_mse["DT"] > 0
-    assert result.history[-1].breakdown.gaze_mse["DT"] \
-        <= 0.5 * result.initial.gaze_mse["DT"]
+    examples = make_examples(8, with_gaze=True)
+    initial = evaluate_breakdown(model, examples, {"DT": 0.5})
+    result = train(model, examples, [], TrainConfig(batch_size=2, epochs=100, seed=7), SETS)
+    assert initial.gaze_mse["DT"] > 0
+    assert result.history[-1].breakdown.gaze_mse["DT"] <= 0.5 * initial.gaze_mse["DT"]
 
 
 def test_divergence_aborts_with_diagnostics():
@@ -439,8 +437,33 @@ def test_train_encodes_the_article_once_per_batch_and_per_evaluation_pass():
     model.encode_article = counting
     train(model, make_examples(4), make_examples(2, seed=9, base=900),
           TrainConfig(batch_size=2, epochs=2, seed=0), SETS)
-    # initial breakdown, then per epoch two batches and one dev pass
-    assert modes == [False, True, True, False, True, True, False]
+    # per epoch two batches and one dev pass
+    assert modes == [True, True, False, True, True, False]
+
+
+def test_train_frees_each_batch_graph_before_the_next_forward(monkeypatch):
+    # a batch's loss (and so its graph) must be gone before the next batch,
+    # or the next dev pass, encodes the article
+    model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture="co_attention",
+                       dropout=0.5)
+    losses = []
+
+    def recording_loss(outputs, examples, weights):
+        loss, breakdown = multitask_loss(outputs, examples, weights)
+        losses.append(weakref.ref(loss.data))
+        return loss, breakdown
+
+    encode_article = model.encode_article
+
+    def checking(training=False, rng=None):
+        assert all(ref() is None for ref in losses), "an earlier batch's graph is alive"
+        return encode_article(training, rng)
+
+    monkeypatch.setattr(training_module, "multitask_loss", recording_loss)
+    model.encode_article = checking
+    train(model, make_examples(6, with_gaze=True), make_examples(2, seed=9, base=900),
+          TrainConfig(batch_size=2, epochs=2, seed=0), SETS)
+    assert len(losses) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -448,45 +471,39 @@ def test_train_encodes_the_article_once_per_batch_and_per_evaluation_pass():
 # ---------------------------------------------------------------------------
 
 def test_grid_search_single_value_grid():
-    best, table = grid_search_gaze_weights(
-        lambda attribute, weight: [(0.3, 10)], [0.05], ["DT"])
+    best, table = grid_search_gaze_weights({("DT", 0.05): [(0.3, 10)]}, [0.05], ["DT"])
     assert best == {"DT": 0.05}
     assert table["DT"][0.05] == pytest.approx(0.3)
 
 
 def test_grid_search_picks_minimum_mse():
-    results = {0.5: 0.30, 0.1: 0.20, 0.05: 0.10, 0.01: 0.15, 0.001: 0.25}
-
-    def run_cell(attribute, weight):
-        return [(results[weight], 100)]
-
-    best, _ = grid_search_gaze_weights(run_cell, GAZE_WEIGHT_GRID, ["FFD"])
+    mse = {0.5: 0.30, 0.1: 0.20, 0.05: 0.10, 0.01: 0.15, 0.001: 0.25}
+    results = {("FFD", weight): [(value, 100)] for weight, value in mse.items()}
+    best, _ = grid_search_gaze_weights(results, GAZE_WEIGHT_GRID, ["FFD"])
     assert best == {"FFD": 0.05}
 
 
 def test_grid_search_token_weighted_fold_mean():
-    def run_cell(attribute, weight):
-        if weight == 0.1:
-            return [(0.0, 1), (0.4, 3)]  # mean 0.3
-        return [(0.25, 2), (0.25, 2)]    # mean 0.25
-
-    best, table = grid_search_gaze_weights(run_cell, [0.1, 0.01], ["DT"])
+    results = {("DT", 0.1): [(0.0, 1), (0.4, 3)],     # mean 0.3
+               ("DT", 0.01): [(0.25, 2), (0.25, 2)]}  # mean 0.25
+    best, table = grid_search_gaze_weights(results, [0.1, 0.01], ["DT"])
     assert table["DT"][0.1] == pytest.approx(0.3)
     assert table["DT"][0.01] == pytest.approx(0.25)
     assert best == {"DT": 0.01}
 
 
 def test_grid_search_tie_breaks_to_smaller_weight():
-    best, _ = grid_search_gaze_weights(
-        lambda attribute, weight: [(0.2, 5)], [0.5, 0.001, 0.05], ["Skip"])
+    grid = [0.5, 0.001, 0.05]
+    best, _ = grid_search_gaze_weights({("Skip", w): [(0.2, 5)] for w in grid}, grid,
+                                       ["Skip"])
     assert best == {"Skip": 0.001}
 
 
 def test_grid_search_rejects_empty_grid():
     with pytest.raises(ValueError):
-        grid_search_gaze_weights(lambda a, w: [(0.1, 1)], [], ["DT"])
+        grid_search_gaze_weights({}, [], ["DT"])
 
 
 def test_grid_search_rejects_unlabeled_attribute():
     with pytest.raises(ValueError, match="no labeled tokens"):
-        grid_search_gaze_weights(lambda a, w: [(0.0, 0)], [0.1], ["DT"])
+        grid_search_gaze_weights({("DT", 0.1): [(0.0, 0)]}, [0.1], ["DT"])
