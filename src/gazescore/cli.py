@@ -1,12 +1,15 @@
 """Command-line pipeline: preprocess, bin-gaze, train, run, ablate, gridsearch, report.
 
-Every command resolves its options from a flat key-value config file plus
-command-line overrides (overrides win), then writes a manifest into the
-output directory before producing any other file. The manifest records the
-command, the resolved options, the seed, sha256 digests of every input
-file, and the package version, so a finished directory is self-describing.
-Reruns into a directory that already holds a manifest are refused unless
---force is given.
+``main`` runs the steps every command shares, driven by the ``COMMANDS``
+table (handler, help, required and optional input keys): it resolves the
+options from a flat key-value config file plus command-line overrides
+(overrides win) and the seed, resolves and checks every input, and writes
+a manifest into the output directory before any other file. The manifest
+records the command, the resolved options, the seed, sha256 digests of
+every input file, and the package version, so a finished directory is
+self-describing. Reruns into a directory that already holds a manifest are
+refused unless --force is given. With --dry-run it stops there; otherwise
+it calls the handler with (options, seed, paths, out_dir, jobs).
 
 At any --jobs, run, ablate and gridsearch run every cell, list each failed
 cell in failures.txt and on stderr, and exit 1 if any failed. run still
@@ -72,12 +75,11 @@ MANIFEST_NAME = "manifest.json"
 
 CORPUS_CACHE_FORMAT = "gazescore-corpus 1"
 
-# config keys naming input files, resolved against $GAZESCORE_DATA when relative
-PATH_KEYS = (
-    "essays", "set_metadata", "embeddings", "gaze_csv", "reader_metadata",
-    "corpus_cache", "records_clean", "embeddings_cache", "folds_dir",
-    "run_a", "run_b",
-)
+# input keys naming directories, which their commands check themselves
+DIRECTORY_KEYS = ("folds_dir", "run_a", "run_b")
+
+# optional input keys of train, run, ablate and gridsearch
+EXPERIMENT_INPUTS = ("records_clean", "embeddings_cache", "reader_metadata", "folds_dir")
 
 MODEL_KEYS = {
     "embedding_dim": int,
@@ -213,12 +215,15 @@ def typed_params(options, table):
     return params
 
 
-def check_input_file(path):
-    path = Path(path)
-    if not path.is_file():
-        raise CliError(f"cannot read input file: {path}")
-    if path.stat().st_size == 0:
-        raise CliError(f"empty input file: {path}")
+def check_inputs(paths):
+    """Each given input file must exist and, but for a gaze CSV, be non-empty."""
+    for key, path in paths.items():
+        if path is None or key in DIRECTORY_KEYS:
+            continue
+        if not path.is_file():
+            raise CliError(f"cannot read input file: {path}")
+        if key != "gaze_csv" and path.stat().st_size == 0:
+            raise CliError(f"empty input file: {path}")
 
 
 # ----------------------------------------------------------- manifest
@@ -246,7 +251,7 @@ def digest_inputs(paths):
     return digests
 
 
-def start_run(args, command, options, overrides, seed, input_paths):
+def start_run(args, options, overrides, seed, input_paths):
     """Create the output directory and write manifest + resolved config.
 
     The manifest always lands before any command output; a directory that
@@ -260,7 +265,7 @@ def start_run(args, command, options, overrides, seed, input_paths):
             f"(found {MANIFEST_NAME}); pass --force to overwrite")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config_file": str(args.config) if args.config else None,
         "resolved_options": {k: options[k] for k in sorted(options)},
         "overrides": {k: overrides[k] for k in sorted(overrides)},
@@ -343,22 +348,10 @@ def load_corpus_cache(path):
 
 # ----------------------------------------------------------- commands
 
-def cmd_preprocess(args):
-    options, overrides = resolve_options(args)
-    seed = resolve_seed(args, options)
-    essays_path = opt_path(options, "essays", required=True)
-    metadata_path = opt_path(options, "set_metadata", required=True)
-    embeddings_path = opt_path(options, "embeddings")
-    for path in (essays_path, metadata_path, embeddings_path):
-        if path is not None:
-            check_input_file(path)
-
-    out_dir = start_run(args, "preprocess", options, overrides, seed,
-                        [essays_path, metadata_path, embeddings_path])
-    if args.dry_run:
-        return 0
-
-    sets = load_set_metadata(metadata_path)
+def cmd_preprocess(options, seed, paths, out_dir, jobs):
+    essays_path = paths["essays"]
+    embeddings_path = paths["embeddings"]
+    sets = load_set_metadata(paths["set_metadata"])
     essays, report = load_essays(essays_path, sets)
     if not essays:
         raise CliError(f"no essays loaded from {essays_path}")
@@ -416,27 +409,13 @@ def _write_records_csv(path, records):
             ])
 
 
-def cmd_bin_gaze(args):
-    options, overrides = resolve_options(args)
-    seed = resolve_seed(args, options)
-    gaze_path = opt_path(options, "gaze_csv", required=True)
-    cache_path = opt_path(options, "corpus_cache", required=True)
-    reader_path = opt_path(options, "reader_metadata")
-    if not Path(gaze_path).is_file():
-        raise CliError(f"cannot read input file: {gaze_path}")
-    check_input_file(cache_path)
-    if reader_path is not None:
-        check_input_file(reader_path)
-
-    out_dir = start_run(args, "bin-gaze", options, overrides, seed,
-                        [gaze_path, cache_path, reader_path])
-    if args.dry_run:
-        return 0
-
-    essays, _ = load_corpus_cache(cache_path)
+def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
+    gaze_path = paths["gaze_csv"]
+    reader_path = paths["reader_metadata"]
+    essays, _ = load_corpus_cache(paths["corpus_cache"])
     metadata = load_reader_metadata(reader_path) if reader_path else {}
 
-    if Path(gaze_path).stat().st_size == 0:
+    if gaze_path.stat().st_size == 0:
         records, rejected, total_rows = [], [], 0
     else:
         records, load_report = load_gaze_records(gaze_path)
@@ -495,26 +474,13 @@ def cmd_bin_gaze(args):
     return 0
 
 
-def _build_experiment_inputs(args, options, overrides, seed, command,
-                             require_system=True):
-    """Shared setup for run/train/ablate/gridsearch: data + config + out dir."""
-    cache_path = opt_path(options, "corpus_cache", required=True)
-    records_path = opt_path(options, "records_clean")
-    embeddings_path = opt_path(options, "embeddings_cache")
-    reader_path = opt_path(options, "reader_metadata")
-    folds_dir = opt_path(options, "folds_dir")
-    check_input_file(cache_path)
-    for path in (records_path, embeddings_path, reader_path):
-        if path is not None:
-            check_input_file(path)
-
-    out_dir = start_run(args, command, options, overrides, seed,
-                        [cache_path, records_path, embeddings_path,
-                         reader_path, folds_dir])
-    if args.dry_run:
-        return out_dir, None, None
-
-    essays, sets = load_corpus_cache(cache_path)
+def _build_experiment_inputs(options, seed, paths, out_dir):
+    """Shared setup for run/train/ablate/gridsearch: (config, data)."""
+    records_path = paths["records_clean"]
+    embeddings_path = paths["embeddings_cache"]
+    reader_path = paths["reader_metadata"]
+    folds_dir = paths["folds_dir"]
+    essays, sets = load_corpus_cache(paths["corpus_cache"])
 
     records = ()
     if records_path is not None:
@@ -530,7 +496,7 @@ def _build_experiment_inputs(args, options, overrides, seed, command,
             raise CliError(f"no embedding vectors found in {embeddings_path}")
 
     system = options.get("system")
-    if require_system and not system:
+    if not system:
         raise CliError("missing required option 'system'")
     target_sets = opt_int_list(options, "target_sets")
     if not target_sets and "set" in options:
@@ -579,7 +545,7 @@ def _build_experiment_inputs(args, options, overrides, seed, command,
         weights[attribute] = opt_float(
             options, f"gaze_weight_{attribute}", DEFAULT_GAZE_WEIGHTS.get(attribute, 0.0))
     config = ExperimentConfig(
-        system=system or "self_attention",
+        system=system,
         target_sets=target_sets,
         seed=seed,
         gaze_reader_filter=opt_reader_filter(options),
@@ -589,7 +555,7 @@ def _build_experiment_inputs(args, options, overrides, seed, command,
         model_params=typed_params(options, MODEL_KEYS),
         train_params=typed_params(options, TRAIN_KEYS),
     )
-    return out_dir, config, data
+    return config, data
 
 
 def _write_predictions_csv(path, report):
@@ -624,15 +590,10 @@ def _report_failures(out_dir, failures):
     return 1
 
 
-def cmd_run(args):
-    options, overrides = resolve_options(args)
-    seed = resolve_seed(args, options)
-    out_dir, config, data = _build_experiment_inputs(
-        args, options, overrides, seed, "run")
-    if args.dry_run:
-        return 0
+def cmd_run(options, seed, paths, out_dir, jobs):
+    config, data = _build_experiment_inputs(options, seed, paths, out_dir)
     results, failures = execute_cells(
-        run_fold, data, fold_cells(config, data), args.jobs, log=print)
+        run_fold, data, fold_cells(config, data), jobs, log=print)
     if results:
         report = assemble_report(config, results)
         _write_report_files(out_dir, report)
@@ -640,13 +601,10 @@ def cmd_run(args):
     return _report_failures(out_dir, failures)
 
 
-def cmd_train(args):
-    options, overrides = resolve_options(args)
-    seed = resolve_seed(args, options)
-    out_dir, config, data = _build_experiment_inputs(
-        args, options, overrides, seed, "train", require_system=False)
-    if args.dry_run:
-        return 0
+def cmd_train(options, seed, paths, out_dir, jobs):
+    # the one command with a default system
+    options = dict(options, system=options.get("system") or "self_attention")
+    config, data = _build_experiment_inputs(options, seed, paths, out_dir)
     if len(config.target_sets) != 1:
         raise CliError("train works on a single set; give set=<id>")
     set_id = config.target_sets[0]
@@ -679,18 +637,13 @@ def cmd_train(args):
     return 0
 
 
-def cmd_ablate(args):
-    options, overrides = resolve_options(args)
-    seed = resolve_seed(args, options)
-    out_dir, config, data = _build_experiment_inputs(
-        args, options, overrides, seed, "ablate")
-    if args.dry_run:
-        return 0
+def cmd_ablate(options, seed, paths, out_dir, jobs):
+    config, data = _build_experiment_inputs(options, seed, paths, out_dir)
     attribute = options.get("attribute")
     if not attribute:
         raise CliError("missing required option 'attribute'")
     cells = ablation_cells(config, data, attribute)
-    results, failures = execute_cells(run_fold, data, cells, args.jobs, log=print)
+    results, failures = execute_cells(run_fold, data, cells, jobs, log=print)
     if failures:
         return _report_failures(out_dir, failures)
     result = ablation_report(cells, results)
@@ -709,19 +662,14 @@ def cmd_ablate(args):
     return 0
 
 
-def cmd_gridsearch(args):
-    options, overrides = resolve_options(args)
-    seed = resolve_seed(args, options)
-    out_dir, config, data = _build_experiment_inputs(
-        args, options, overrides, seed, "gridsearch")
-    if args.dry_run:
-        return 0
+def cmd_gridsearch(options, seed, paths, out_dir, jobs):
+    config, data = _build_experiment_inputs(options, seed, paths, out_dir)
     if not config.uses_gaze:
         raise CliError(f"system {config.system!r} has no gaze loss to search over")
     grid = tuple(float(w) for w in opt_list(options, "grid", GAZE_WEIGHT_GRID))
     attributes = config.gaze_attributes
     cells = grid_cells(config, data, attributes, grid)
-    results, failures = execute_cells(grid_fold, data, cells, args.jobs, log=print)
+    results, failures = execute_cells(grid_fold, data, cells, jobs, log=print)
     if failures:
         return _report_failures(out_dir, failures)
     per_point = {}
@@ -792,19 +740,12 @@ def load_run_directory(run_dir):
     if not results:
         raise CliError(f"no fold results in {report_path}")
     return ExperimentReport(system=system, seed=seed,
-                            fold_results=tuple(sorted(results, key=lambda r: (r.set_id, r.fold_id))),
-                            config_echo={})
+                            fold_results=tuple(sorted(results, key=lambda r: (r.set_id, r.fold_id))))
 
 
-def cmd_report(args):
-    options, overrides = resolve_options(args)
-    seed = resolve_seed(args, options)
-    run_a = opt_path(options, "run_a", required=True)
-    run_b = opt_path(options, "run_b")
-    out_dir = start_run(args, "report", options, overrides, seed, [run_a, run_b])
-    if args.dry_run:
-        return 0
-    report_a = load_run_directory(run_a)
+def cmd_report(options, seed, paths, out_dir, jobs):
+    run_b = paths["run_b"]
+    report_a = load_run_directory(paths["run_a"])
     if run_b is None:
         text = format_report(report_a)
         with open(out_dir / "rendered_report.txt", "w", encoding="utf-8") as fh:
@@ -835,22 +776,33 @@ def cmd_report(args):
 
 # --------------------------------------------------------------- main
 
+# name -> (handler, help, required input keys, optional input keys); input
+# keys are config keys naming paths, resolved against $GAZESCORE_DATA when
+# relative
+COMMANDS = {
+    "preprocess": (cmd_preprocess, "Tokenize essays into a corpus cache",
+                   ("essays", "set_metadata"), ("embeddings",)),
+    "bin-gaze": (cmd_bin_gaze, "Validate and bin raw gaze records",
+                 ("gaze_csv", "corpus_cache"), ("reader_metadata",)),
+    "train": (cmd_train, "Train one fold and save checkpoints",
+              ("corpus_cache",), EXPERIMENT_INPUTS),
+    "run": (cmd_run, "Run a full cross-validated experiment",
+            ("corpus_cache",), EXPERIMENT_INPUTS),
+    "ablate": (cmd_ablate, "Measure one gaze attribute's contribution",
+               ("corpus_cache",), EXPERIMENT_INPUTS),
+    "gridsearch": (cmd_gridsearch, "Select gaze loss weights on dev data",
+                   ("corpus_cache",), EXPERIMENT_INPUTS),
+    "report": (cmd_report, "Render a saved run or compare two runs", ("run_a",), ("run_b",)),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gazescore",
         description="Essay grading pipeline with auxiliary gaze-behaviour losses.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "preprocess": (cmd_preprocess, "Tokenize essays into a corpus cache"),
-        "bin-gaze": (cmd_bin_gaze, "Validate and bin raw gaze records"),
-        "train": (cmd_train, "Train one fold and save checkpoints"),
-        "run": (cmd_run, "Run a full cross-validated experiment"),
-        "ablate": (cmd_ablate, "Measure one gaze attribute's contribution"),
-        "gridsearch": (cmd_gridsearch, "Select gaze loss weights on dev data"),
-        "report": (cmd_report, "Render a saved run or compare two runs"),
-    }
-    for name, (handler, help_text) in handlers.items():
+    for name, (_, help_text, _, _) in COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", default=None, help="flat key=value config file")
         sub.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -865,7 +817,6 @@ def build_parser():
                          help="write manifest and resolved config, do no work")
         sub.add_argument("--force", action="store_true",
                          help="allow rerunning into an existing output directory")
-        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -874,12 +825,18 @@ def main(argv=None):
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
+    handler, _, required, optional = COMMANDS[args.command]
     try:
-        return args.handler(args)
-    except CliError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, TrainingDiverged) as error:
+        options, overrides = resolve_options(args)
+        seed = resolve_seed(args, options)
+        paths = {key: opt_path(options, key, required=key in required)
+                 for key in required + optional}
+        check_inputs(paths)
+        out_dir = start_run(args, options, overrides, seed, paths.values())
+        if args.dry_run:
+            return 0
+        return handler(options, seed, paths, out_dir, args.jobs)
+    except (CliError, ValueError, OSError, TrainingDiverged) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

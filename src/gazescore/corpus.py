@@ -53,10 +53,6 @@ class EssaySet:
                 f"set {self.set_id}: score_min {self.score_min} must be below "
                 f"score_max {self.score_max}")
 
-    @property
-    def is_source_dependent(self):
-        return self.source_article is not None
-
 
 @dataclass
 class Essay:
@@ -78,10 +74,6 @@ class LoadReport:
     per_set_counts: dict = field(default_factory=dict)
     rejected: list = field(default_factory=list)  # (line_number, reason)
     total_rows: int = 0
-
-    @property
-    def n_loaded(self):
-        return sum(self.per_set_counts.values())
 
 
 def tokenize(text):
@@ -170,10 +162,10 @@ def load_set_metadata(path):
     return sets
 
 
-def load_essays(path, sets, has_header=None):
+def load_essays(path, sets):
     """Parse the essay TSV into (list of Essay, LoadReport).
 
-    ``has_header``: True/False, or None to sniff a leading header row.
+    A leading row whose first field is ``essay_id`` is taken as a header.
     Malformed rows and out-of-range scores are rejected with per-record
     diagnostics in the report rather than aborting the load.
     """
@@ -181,11 +173,7 @@ def load_essays(path, sets, has_header=None):
     report = LoadReport(per_set_counts={sid: 0 for sid in sets})
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    start = 0
-    if lines and has_header is None:
-        has_header = lines[0].split("\t")[0].strip().lower() == "essay_id"
-    if lines and has_header:
-        start = 1
+    start = 1 if lines and lines[0].split("\t")[0].strip().lower() == "essay_id" else 0
     for line_no, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
@@ -233,9 +221,8 @@ class Vocabulary:
     stages can assert that no test-partition essay leaked into the build.
     """
 
-    def __init__(self, token_to_index, max_size, provenance=frozenset()):
+    def __init__(self, token_to_index, provenance=frozenset()):
         self.token_to_index = dict(token_to_index)
-        self.max_size = max_size
         self.provenance = frozenset(provenance)
 
     def __len__(self):
@@ -246,10 +233,6 @@ class Vocabulary:
 
     def encode(self, tokens):
         return [self.index(t) for t in tokens]
-
-    @property
-    def tokens(self):
-        return list(self.token_to_index)
 
 
 def build_vocab(train_essays, max_size=4000):
@@ -271,11 +254,7 @@ def build_vocab(train_essays, max_size=4000):
     token_to_index = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
     for token in ranked:
         token_to_index[token] = len(token_to_index)
-    return Vocabulary(
-        token_to_index,
-        max_size=max_size,
-        provenance=frozenset(e.essay_id for e in train_essays),
-    )
+    return Vocabulary(token_to_index, provenance=frozenset(e.essay_id for e in train_essays))
 
 
 def parse_embedding_file(path, restrict_tokens=None):
@@ -308,12 +287,10 @@ def parse_embedding_file(path, restrict_tokens=None):
 def matrix_from_vectors(vectors, dimension, vocab, rng):
     """Embedding matrix for ``vocab``; absent tokens get seeded uniform rows.
 
-    The PAD row is all zeros. Returns (matrix, coverage) where coverage
-    counts only real tokens (PAD and UNK excluded from the denominator).
+    The PAD row is all zeros.
     """
     matrix = rng.uniform(-0.05, 0.05, size=(len(vocab), dimension))
     matrix[PAD_INDEX] = 0.0
-    matched = 0
     for token, index in vocab.token_to_index.items():
         if token in vectors:
             vector = np.asarray(vectors[token], dtype=np.float64)
@@ -322,10 +299,7 @@ def matrix_from_vectors(vectors, dimension, vocab, rng):
                     f"embedding for {token!r} has shape {vector.shape}, "
                     f"expected ({dimension},)")
             matrix[index] = vector
-            matched += 1
-    real_tokens = len(vocab) - 2
-    coverage = matched / real_tokens if real_tokens > 0 else 0.0
     if not np.all(np.isfinite(matrix)):
         raise ValueError("embedding table contains non-finite values")
-    return matrix, coverage
+    return matrix
 

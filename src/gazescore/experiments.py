@@ -270,7 +270,6 @@ class ExperimentReport:
     system: str
     seed: int
     fold_results: tuple               # FoldResult, ordered by (set_id, fold_id)
-    config_echo: dict
 
     def per_set(self):
         grouped = {}
@@ -372,7 +371,7 @@ def prepare_cell(config, data, set_id, fold):
 
     embedding_matrix = None
     if data.embedding_vectors is not None:
-        embedding_matrix, _ = matrix_from_vectors(
+        embedding_matrix = matrix_from_vectors(
             data.embedding_vectors, data.embedding_dim, vocab, rng)
 
     gaze_sequences = None
@@ -541,26 +540,10 @@ def run_experiment(config, data, log=None, jobs=1):
     return assemble_report(config, results)
 
 
-def config_echo(config):
-    return {
-        "system": config.system,
-        "target_sets": tuple(sorted(config.target_sets)),
-        "seed": config.seed,
-        "gaze_reader_filter": config.gaze_reader_filter,
-        "ablate_attribute": config.ablate_attribute,
-        "gaze_loss_weights": config.effective_gaze_weights() if config.uses_gaze else {},
-    }
-
-
 def assemble_report(config, fold_results):
     """Build an ExperimentReport from fold results run elsewhere (e.g. workers)."""
     ordered = tuple(sorted(fold_results, key=lambda r: (r.set_id, r.fold_id)))
-    return ExperimentReport(
-        system=config.system,
-        seed=config.seed,
-        fold_results=ordered,
-        config_echo=config_echo(config),
-    )
+    return ExperimentReport(system=config.system, seed=config.seed, fold_results=ordered)
 
 
 def validate_run(config, data):

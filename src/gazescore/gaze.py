@@ -12,7 +12,6 @@ serve as regression targets for sigmoid heads.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +97,6 @@ class BinnedGaze:
 class GazeLoadReport:
     rejected: list = field(default_factory=list)  # (line_number, reason)
     total_rows: int = 0
-    n_loaded: int = 0
 
 
 def load_gaze_records(path):
@@ -136,7 +134,6 @@ def load_gaze_records(path):
                 report.rejected.append((line_no, problem))
                 continue
             records.append(record)
-            report.n_loaded += 1
     return records, report
 
 
@@ -178,12 +175,8 @@ def filter_readers(records, reader_filter, reader_metadata):
     return [r for r in records if r.reader_id in allowed]
 
 
-def reader_stats(records, expected_readers=None):
-    """Per-reader population mean and std of DT and FFD over all records.
-
-    A reader named in ``expected_readers`` but absent from the records is
-    omitted from the result with a warning.
-    """
+def reader_stats(records):
+    """Per-reader population mean and std of DT and FFD over all records."""
     by_reader = {}
     for record in records:
         by_reader.setdefault(record.reader_id, []).append(record)
@@ -200,10 +193,6 @@ def reader_stats(records, expected_readers=None):
             n_records=len(recs),
             provenance=frozenset(r.essay_id for r in recs),
         )
-    if expected_readers is not None:
-        for reader_id in expected_readers:
-            if reader_id not in stats:
-                warnings.warn(f"reader {reader_id!r} has no gaze records; omitted")
     return stats
 
 

@@ -65,8 +65,6 @@ class ModelConfig:
 class ForwardOutput:
     predicted_score: Tensor  # shape (1, 1), value in (0, 1)
     gaze_predictions: dict  # attribute -> Tensor (n_tokens, 1)
-    n_tokens: int
-    degenerate_sentences: list
 
     @property
     def score_value(self):
@@ -176,16 +174,6 @@ class EssayScorer:
         if self.embedding.grad is not None:
             self.embedding.grad[0] = 0.0
 
-    def summary(self):
-        lines = [f"architecture: {self.config.architecture}"]
-        total = 0
-        for name, t in self._params.items():
-            count = t.data.size
-            total += count
-            lines.append(f"{name}  shape={t.data.shape}  params={count}")
-        lines.append(f"total parameters: {total}")
-        return "\n".join(lines)
-
     # -- forward pieces -----------------------------------------------------
 
     def _additive_attention(self, states, w, b, v):
@@ -225,23 +213,20 @@ class EssayScorer:
         return nm.concat(hidden_states, axis=0) if len(hidden_states) > 1 else hidden_states[0]
 
     def encode_essay(self, sentence_ids, training, rng):
-        """Run the shared tower; returns (conv outputs per sentence, H, essay vector,
-        sentence attention, indices of empty sentences)."""
+        """Run the shared tower; returns (conv outputs per sentence, None for an
+        empty one; H; essay vector; sentence attention)."""
         conv_outputs = []
         sentence_vectors = []
-        degenerate = []
-        for index, ids in enumerate(sentence_ids):
+        for ids in sentence_ids:
             conv, pooled, _ = self.encode_sentence(ids, training, rng)
             conv_outputs.append(conv)
             sentence_vectors.append(pooled)
-            if conv is None:
-                degenerate.append(index)
         stacked = (nm.concat(sentence_vectors, axis=0)
                    if len(sentence_vectors) > 1 else sentence_vectors[0])
         hidden = self._lstm(stacked)
         essay_vector, sent_alpha = self._additive_attention(
             hidden, self.sent_attn_w, self.sent_attn_b, self.sent_attn_v)
-        return conv_outputs, hidden, essay_vector, sent_alpha, degenerate
+        return conv_outputs, hidden, essay_vector, sent_alpha
 
     def encode_article(self, training=False, rng=None):
         """The article's LSTM hidden states (n, H) for co_attention, else None.
@@ -287,7 +272,7 @@ class EssayScorer:
         if not sentence_ids:
             raise ValueError("forward: essay has no sentences")
         self._check_rng(training, rng)
-        conv_outputs, essay_hidden, essay_vector, _, degenerate = \
+        conv_outputs, essay_hidden, essay_vector, _ = \
             self.encode_essay(sentence_ids, training, rng)
 
         if self.config.architecture == "co_attention":
@@ -316,10 +301,4 @@ class EssayScorer:
                 logits = nm.add(nm.matmul(all_tokens, self.gaze_w[attribute]),
                                 self.gaze_b[attribute])
                 gaze_predictions[attribute] = nm.sigmoid(logits)
-        n_tokens = sum(len(ids) for ids in sentence_ids)
-        return ForwardOutput(
-            predicted_score=score,
-            gaze_predictions=gaze_predictions,
-            n_tokens=n_tokens,
-            degenerate_sentences=degenerate,
-        )
+        return ForwardOutput(predicted_score=score, gaze_predictions=gaze_predictions)

@@ -53,49 +53,9 @@ class Tensor:
         self._grad_fn = None
         self._owns_grad = False  # grad is a buffer the running backward allocated
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ValueError(f"item: tensor has shape {self.data.shape}, expected a scalar")
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         label = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{label})"
-
-    # convenience operators; the named functions below are the real API
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(value):

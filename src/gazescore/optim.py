@@ -64,7 +64,3 @@ class RMSProp:
             buf += self.lr * g / np.sqrt(avg + self.eps)
             p.data -= buf
 
-    def zero_grad(self):
-        for p in self.parameters:
-            p.grad = None
-

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
@@ -48,7 +48,6 @@ class LossBreakdown:
     score_mse: float
     gaze_mse: dict  # attribute -> float
     weighted_total: float
-    gaze_token_count: int
     gaze_token_counts: dict = field(default_factory=dict)  # attribute -> int
 
 
@@ -169,7 +168,6 @@ def multitask_loss(outputs, examples, weights):
         score_mse=float(score_mse.data),
         gaze_mse=gaze_mse,
         weighted_total=weighted_total,
-        gaze_token_count=sum(gaze_counts.values()),
         gaze_token_counts=gaze_counts,
     )
     return loss, breakdown
@@ -214,9 +212,20 @@ def dev_qwk(model, examples, sets):
     return qwk(pairs, essay_set.score_min, essay_set.score_max)
 
 
+def _graph_free(output):
+    """``output`` with its score and gaze predictions cut from the graph."""
+    return replace(
+        output, predicted_score=Tensor(output.predicted_score.data),
+        gaze_predictions={a: Tensor(p.data) for a, p in output.gaze_predictions.items()})
+
+
 def evaluate_breakdown(model, examples, weights):
-    """Evaluation-mode LossBreakdown over a whole example list."""
-    outputs = list(model.forward_batch([ex.sentence_ids for ex in examples]))
+    """Evaluation-mode LossBreakdown over a whole example list.
+
+    Each essay's graph is freed as soon as its output is copied, so only
+    one essay's graph is alive at a time.
+    """
+    outputs = list(map(_graph_free, model.forward_batch([ex.sentence_ids for ex in examples])))
     _, breakdown = multitask_loss(outputs, examples, weights)
     return breakdown
 
@@ -244,7 +253,6 @@ def _aggregate_epoch(batch_breakdowns, batch_sizes, weights):
         score_mse=score_mse,
         gaze_mse=gaze_mse,
         weighted_total=weighted_total,
-        gaze_token_count=sum(gaze_counts.values()),
         gaze_token_counts=gaze_counts,
     )
 

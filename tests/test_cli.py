@@ -178,15 +178,43 @@ class TestManifest:
         assert str(data_dir / "essays.tsv") in digests
         assert all(v.startswith("sha256:") for v in digests.values())
 
-    def test_dry_run_writes_manifest_and_resolved_config_only(self, data_dir, tmp_path):
+    @pytest.mark.parametrize("command", ["preprocess", "bin-gaze", "train", "run",
+                                         "ablate", "gridsearch", "report"])
+    def test_dry_run_writes_manifest_and_resolved_config_only(
+            self, command, data_dir, prep_dir, pool_gaze_dir, tmp_path):
+        runs = tmp_path / "runs"
+        for name in ("a", "b"):
+            (runs / name).mkdir(parents=True)
+            (runs / name / "report.csv").write_text(name + "\n")
+        folds = tmp_path / "folds"
+        folds.mkdir()
+        (folds / "set_1.txt").write_text("fold\n")
+        cache = prep_dir / "corpus_cache.json"
+        inputs = {
+            "preprocess": {"essays": data_dir / "essays.tsv",
+                           "set_metadata": data_dir / "sets.cfg",
+                           "embeddings": data_dir / "embeddings.txt"},
+            "bin-gaze": {"gaze_csv": data_dir / "gaze_pool.csv", "corpus_cache": cache,
+                         "reader_metadata": data_dir / "readers.csv"},
+            "report": {"run_a": runs / "a", "run_b": runs / "b"},
+        }.get(command, {"corpus_cache": cache,
+                        "records_clean": pool_gaze_dir / "records_clean.csv",
+                        "embeddings_cache": data_dir / "embeddings.txt",
+                        "reader_metadata": data_dir / "readers.csv",
+                        "folds_dir": folds})
         out = tmp_path / "dry"
-        code = main(["preprocess", "--config", str(data_dir / "base.cfg"),
-                     "--out", str(out), "--dry-run"])
-        assert code == 0
+        args = [command, "--out", str(out), "--dry-run"]
+        for key, path in inputs.items():
+            args += ["--set", f"{key}={path}"]
+        assert main(args) == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == ["manifest.json", "resolved.cfg"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dry_run"] is True
+        assert manifest["command"] == command
+        files = [f for path in inputs.values()
+                 for f in ([path] if path.is_file() else sorted(path.iterdir()))]
+        assert sorted(manifest["input_digests"]) == sorted(str(f) for f in files)
 
     def test_rerun_refused_without_force(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -491,6 +519,21 @@ class TestTrain:
                      "--set", "set=1", "--set", "fold=9"])
         assert code == 1
         assert "out of range" in capsys.readouterr().err
+
+
+    def test_system_required_except_by_train(self, data_dir, prep_dir, tmp_path, capsys):
+        common = ["--config", str(data_dir / "base.cfg"),
+                  "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                  "--set", "target_sets=1"]
+        for command in ("run", "ablate", "gridsearch"):
+            assert main([command, "--out", str(tmp_path / command)] + common) == 1
+            assert "missing required option 'system'" in capsys.readouterr().err
+        assert main(["train", "--out", str(tmp_path / "default")] + common) == 0
+        assert main(["train", "--out", str(tmp_path / "explicit")] + common
+                    + ["--set", "system=self_attention"]) == 0
+        for name in ("checkpoint_final.txt", "history.log", "train_summary.txt"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "explicit" / name).read_bytes())
 
 
 # -------------------------------------------------------------- ablate

@@ -175,9 +175,8 @@ def test_load_set_metadata_matches_published_ranges(tmp_path):
     assert (sets[3].score_min, sets[3].score_max) == (0, 3)
     assert (sets[8].score_min, sets[8].score_max) == (0, 60)
     assert (sets[1].score_min, sets[1].score_max) == (2, 12)
-    assert sets[3].is_source_dependent
     assert "source article" in sets[3].source_article
-    assert not sets[1].is_source_dependent
+    assert sets[1].source_article is None
 
 
 def test_load_set_metadata_rejects_unknown_key(tmp_path):
@@ -219,7 +218,6 @@ def test_load_essays_counts_conserved(tmp_path):
     ]
     essays, report = load_essays(write_essays(tmp_path, rows), sets)
     assert len(essays) == 5
-    assert report.n_loaded == 5
     assert sum(report.per_set_counts.values()) == 5
     assert report.per_set_counts[3] == 2
     assert report.rejected == []
@@ -325,7 +323,7 @@ def write_embeddings(tmp_path, lines):
 
 
 def embedding_matrix(path, vocab, seed):
-    """Embedding matrix and coverage for ``vocab``, read the way a fold does."""
+    """Embedding matrix for ``vocab``, read the way a fold does."""
     vectors, dimension = parse_embedding_file(path)
     return matrix_from_vectors(vectors, dimension, vocab, np.random.default_rng(seed))
 
@@ -333,25 +331,23 @@ def embedding_matrix(path, vocab, seed):
 def test_load_embeddings_copies_matching_rows(tmp_path):
     vocab = build_vocab([make_essay(1, "apple banana")])
     path = write_embeddings(tmp_path, ["apple 0.1 0.2 0.3", "cherry 1 2 3"])
-    matrix, coverage = embedding_matrix(path, vocab, 0)
+    matrix = embedding_matrix(path, vocab, 0)
     assert matrix.shape == (len(vocab), 3)
     np.testing.assert_allclose(matrix[vocab.index("apple")], [0.1, 0.2, 0.3])
-    assert coverage == pytest.approx(0.5)
 
 
 def test_load_embeddings_fallback_rows_bounded(tmp_path):
     vocab = build_vocab([make_essay(1, "apple banana")])
     path = write_embeddings(tmp_path, ["apple 0.9 0.9"])
-    matrix, coverage = embedding_matrix(path, vocab, 0)
+    matrix = embedding_matrix(path, vocab, 0)
     missing_row = matrix[vocab.index("banana")]
     assert np.all(np.abs(missing_row) <= 0.05)
-    assert coverage < 1.0
 
 
 def test_load_embeddings_pad_row_zero(tmp_path):
     vocab = build_vocab([make_essay(1, "apple")])
     path = write_embeddings(tmp_path, ["apple 1 1"])
-    matrix, _ = embedding_matrix(path, vocab, 0)
+    matrix = embedding_matrix(path, vocab, 0)
     np.testing.assert_array_equal(matrix[PAD_INDEX], [0.0, 0.0])
 
 
@@ -369,6 +365,6 @@ def test_load_embeddings_rejects_ragged_dimensions(tmp_path):
 def test_load_embeddings_deterministic_given_seed(tmp_path):
     vocab = build_vocab([make_essay(1, "apple banana cherry")])
     path = write_embeddings(tmp_path, ["apple 1 2"])
-    m1, _ = embedding_matrix(path, vocab, 5)
-    m2, _ = embedding_matrix(path, vocab, 5)
+    m1 = embedding_matrix(path, vocab, 5)
+    m2 = embedding_matrix(path, vocab, 5)
     np.testing.assert_array_equal(m1, m2)

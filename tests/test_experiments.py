@@ -26,6 +26,7 @@ from gazescore.experiments import (
     _assert_no_vocab_leakage,
     _examples_for,
     ablate,
+    ablation_cells,
     assemble_report,
     compare,
     execute_cells,
@@ -393,7 +394,7 @@ class TestRunExperiment:
         assert config.uses_gaze
         for result in report.fold_results:
             assert result.n_augmented == 6
-        assert report.config_echo["gaze_loss_weights"] == DEFAULT_GAZE_WEIGHTS
+        assert config.effective_gaze_weights() == DEFAULT_GAZE_WEIGHTS
 
     def test_essays_gaze_without_records_rejected(self):
         data = make_data(pool_size=6, with_records=False)
@@ -683,10 +684,13 @@ class TestAblate:
             gaze_loss_weights={"DT": 0.05, "Skip": 0.1},
             model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN),
         )
-        report = ablate(config, data, "Skip")
-        assert report.ablated.config_echo["gaze_loss_weights"]["Skip"] == 0.0
-        assert report.ablated.config_echo["gaze_loss_weights"]["DT"] == 0.05
-        assert report.full.config_echo["gaze_loss_weights"]["Skip"] == 0.1
+        cells = ablation_cells(config, data, "Skip")
+        half = len(cells) // 2
+        assert half > 0 and len(cells) == 2 * half
+        for cell in cells[:half]:
+            assert cell.config.effective_gaze_weights() == {"DT": 0.05, "Skip": 0.1}
+        for cell in cells[half:]:
+            assert cell.config.effective_gaze_weights() == {"DT": 0.05, "Skip": 0.0}
 
     def test_ablate_rejects_gazeless_system(self):
         data = make_data()
@@ -730,8 +734,7 @@ def synthetic_report(system, errors_by_fold, qwk_value=0.5):
             squared_errors=dict(errors),
             n_train=6, n_augmented=0,
         ))
-    return ExperimentReport(system=system, seed=0,
-                            fold_results=tuple(results), config_echo={})
+    return ExperimentReport(system=system, seed=0, fold_results=tuple(results))
 
 
 class TestCompare:

@@ -240,7 +240,7 @@ def test_mse_gradients():
 def test_mse_scalar_value():
     pred = Tensor([1.0, 2.0, 3.0])
     target = Tensor([1.0, 0.0, 0.0])
-    assert nm.mse(pred, target).item() == pytest.approx((0.0 + 4.0 + 9.0) / 3.0)
+    assert float(nm.mse(pred, target).data) == pytest.approx((0.0 + 4.0 + 9.0) / 3.0)
 
 
 def test_gather_rows_gradients_with_repeats():

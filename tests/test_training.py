@@ -106,7 +106,7 @@ def test_loss_score_only_half_prediction():
     assert float(loss.data) == pytest.approx(0.25)
     assert breakdown.score_mse == pytest.approx(0.25)
     assert breakdown.weighted_total == pytest.approx(0.25)
-    assert breakdown.gaze_token_count == 0
+    assert sum(breakdown.gaze_token_counts.values()) == 0
 
 
 def test_loss_without_gaze_labels_equals_score_mse():
@@ -365,8 +365,7 @@ def test_format_epoch_line_is_key_value():
     stats = EpochStats(
         epoch=3,
         breakdown=LossBreakdown(score_mse=0.5, gaze_mse={"DT": 0.25},
-                                weighted_total=0.525, gaze_token_count=10,
-                                gaze_token_counts={"DT": 10}),
+                                weighted_total=0.525, gaze_token_counts={"DT": 10}),
         dev_qwk=0.75)
     line = format_epoch_line(stats)
     assert line == "epoch=3 score_mse=0.5 gaze_mse_DT=0.25 dev_qwk=0.75"
@@ -387,7 +386,8 @@ def test_evaluate_breakdown_runs_in_eval_mode():
     a = evaluate_breakdown(model, examples, {"DT": 0.5})
     b = evaluate_breakdown(model, examples, {"DT": 0.5})
     assert a.score_mse == b.score_mse  # no dropout noise
-    assert a.gaze_token_count == b.gaze_token_count > 0
+    assert a.gaze_token_counts == b.gaze_token_counts
+    assert sum(a.gaze_token_counts.values()) > 0
 
 
 def trained_co_attention_model():
@@ -464,6 +464,28 @@ def test_train_frees_each_batch_graph_before_the_next_forward(monkeypatch):
     train(model, make_examples(6, with_gaze=True), make_examples(2, seed=9, base=900),
           TrainConfig(batch_size=2, epochs=2, seed=0), SETS)
     assert len(losses) == 6
+
+
+def test_evaluate_breakdown_frees_each_essay_graph_before_the_next_forward():
+    # the node under each essay's predicted score is part of its graph only;
+    # it must be gone before the next essay is scored
+    model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture="co_attention")
+    examples = make_examples(4, with_gaze=True)
+    outputs = [model.forward(ex.sentence_ids) for ex in examples]
+    _, expected = multitask_loss(outputs, examples, {"DT": 0.5})
+    del outputs
+    nodes = []
+    forward = model.forward
+
+    def checking(*args, **kwargs):
+        assert all(ref() is None for ref in nodes), "an earlier essay's graph is alive"
+        out = forward(*args, **kwargs)
+        nodes.append(weakref.ref(out.predicted_score._parents[0].data))
+        return out
+
+    model.forward = checking
+    assert evaluate_breakdown(model, examples, {"DT": 0.5}) == expected
+    assert len(nodes) == 4
 
 
 # ---------------------------------------------------------------------------
