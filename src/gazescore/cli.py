@@ -98,6 +98,9 @@ TRAIN_KEYS = {
     "clip_norm": float,
 }
 
+# how option-type errors name each type
+TYPE_NAMES = {int: "an integer", float: "a number"}
+
 
 class CliError(Exception):
     """Expected failure reported to stderr with a nonzero exit."""
@@ -139,11 +142,7 @@ def resolve_options(args):
 
 
 def resolve_seed(args, options):
-    if args.seed is not None:
-        return args.seed
-    if "seed" in options:
-        return opt_int(options, "seed", 0)
-    return 0
+    return args.seed if args.seed is not None else opt(options, "seed", int, 0)
 
 
 def resolve_path(value):
@@ -164,38 +163,25 @@ def opt_path(options, key, required=False):
     return resolve_path(value)
 
 
-def opt_int(options, key, default):
-    value = options.get(key)
-    if value is None:
-        return default
+def _cast(key, value, cast):
     try:
-        return int(value)
+        return cast(value)
     except ValueError:
-        raise CliError(f"option {key!r} must be an integer, got {value!r}")
+        raise CliError(f"option {key!r} must be {TYPE_NAMES[cast]}, got {value!r}")
 
 
-def opt_float(options, key, default):
+def opt(options, key, cast, default=None):
+    """Option ``key`` cast to int or float; ``default`` when it is not given."""
     value = options.get(key)
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise CliError(f"option {key!r} must be a number, got {value!r}")
+    return default if value is None else _cast(key, value, cast)
 
 
-def opt_list(options, key, default=()):
+def opt_list(options, key, default=(), cast=str):
+    """Comma-separated option ``key``, each field cast; ``default`` when unset or empty."""
     value = options.get(key)
     if value is None or value == "":
         return tuple(default)
-    return tuple(field.strip() for field in value.split(",") if field.strip())
-
-
-def opt_int_list(options, key, default=()):
-    try:
-        return tuple(int(v) for v in opt_list(options, key, default))
-    except ValueError:
-        raise CliError(f"option {key!r} must be comma-separated integers")
+    return tuple(_cast(key, field.strip(), cast) for field in value.split(",") if field.strip())
 
 
 def opt_reader_filter(options):
@@ -205,14 +191,7 @@ def opt_reader_filter(options):
 
 
 def typed_params(options, table):
-    params = {}
-    for key, cast in table.items():
-        if key in options:
-            try:
-                params[key] = cast(options[key])
-            except ValueError:
-                raise CliError(f"option {key!r} must be {cast.__name__}")
-    return params
+    return {key: opt(options, key, cast) for key, cast in table.items() if key in options}
 
 
 def check_inputs(paths):
@@ -358,7 +337,7 @@ def cmd_preprocess(options, seed, paths, out_dir, jobs):
 
     write_corpus_cache(out_dir / "corpus_cache.json", essays, sets)
 
-    vocab = build_vocab(essays, max_size=opt_int(options, "vocab_size", 4000))
+    vocab = build_vocab(essays, max_size=opt(options, "vocab_size", int, 4000))
     index_to_token = sorted(vocab.token_to_index, key=vocab.token_to_index.get)
     with open(out_dir / "vocab.txt", "w", encoding="utf-8") as fh:
         for index, token in enumerate(index_to_token):
@@ -498,9 +477,9 @@ def _build_experiment_inputs(options, seed, paths, out_dir):
     system = options.get("system")
     if not system:
         raise CliError("missing required option 'system'")
-    target_sets = opt_int_list(options, "target_sets")
+    target_sets = opt_list(options, "target_sets", cast=int)
     if not target_sets and "set" in options:
-        target_sets = (opt_int(options, "set", 0),)
+        target_sets = (opt(options, "set", int),)
     if not target_sets:
         raise CliError("missing required option 'target_sets'")
 
@@ -524,7 +503,7 @@ def _build_experiment_inputs(options, seed, paths, out_dir):
         for set_id, fold_list in folds.items():
             save_folds(fold_out / f"set_{set_id}.txt", fold_list)
 
-    gaze_ids = frozenset(opt_int_list(options, "gaze_essay_ids"))
+    gaze_ids = frozenset(opt_list(options, "gaze_essay_ids", cast=int))
     if not gaze_ids and records:
         gaze_ids = frozenset(r.essay_id for r in records)
 
@@ -542,8 +521,8 @@ def _build_experiment_inputs(options, seed, paths, out_dir):
     attributes = opt_list(options, "gaze_attributes", GAZE_ATTRIBUTES)
     weights = {}
     for attribute in attributes:
-        weights[attribute] = opt_float(
-            options, f"gaze_weight_{attribute}", DEFAULT_GAZE_WEIGHTS.get(attribute, 0.0))
+        weights[attribute] = opt(
+            options, f"gaze_weight_{attribute}", float, DEFAULT_GAZE_WEIGHTS.get(attribute, 0.0))
     config = ExperimentConfig(
         system=system,
         target_sets=target_sets,
@@ -551,7 +530,7 @@ def _build_experiment_inputs(options, seed, paths, out_dir):
         gaze_reader_filter=opt_reader_filter(options),
         gaze_attributes=attributes,
         gaze_loss_weights=weights,
-        vocab_size=opt_int(options, "vocab_size", 4000),
+        vocab_size=opt(options, "vocab_size", int, 4000),
         model_params=typed_params(options, MODEL_KEYS),
         train_params=typed_params(options, TRAIN_KEYS),
     )
@@ -569,6 +548,13 @@ def _write_predictions_csv(path, report):
                 writer.writerow([result.set_id, result.fold_id, essay_id,
                                  predicted, actual,
                                  repr(result.squared_errors[essay_id])])
+
+
+def _publish(path, text):
+    """Write ``text`` to ``path``, then echo it to stdout."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(text, end="")
 
 
 def _write_report_files(out_dir, report, prefix=""):
@@ -608,12 +594,11 @@ def cmd_train(options, seed, paths, out_dir, jobs):
     if len(config.target_sets) != 1:
         raise CliError("train works on a single set; give set=<id>")
     set_id = config.target_sets[0]
-    fold_index = opt_int(options, "fold", 0)
-    fold_list = data.folds[set_id]
-    if not 0 <= fold_index < len(fold_list):
-        raise CliError(f"fold {fold_index} out of range; set {set_id} has "
-                       f"{len(fold_list)} folds")
-    fold = fold_list[fold_index]
+    fold_index = opt(options, "fold", int, 0)
+    n_folds = len(data.folds[set_id])
+    if not 0 <= fold_index < n_folds:
+        raise CliError(f"fold {fold_index} out of range; set {set_id} has {n_folds} folds")
+    cell = fold_cells(config, data)[fold_index]  # checks what run checks
 
     history_lines = []
 
@@ -621,7 +606,7 @@ def cmd_train(options, seed, paths, out_dir, jobs):
         history_lines.append(line)
         print(line)
 
-    _, result = train_cell(config, data, set_id, fold, log)
+    _, result = train_cell(cell.config, data, cell.set_id, cell.fold, log)
 
     save_checkpoint(out_dir / "checkpoint_best.txt", result.best_state)
     save_checkpoint(out_dir / "checkpoint_final.txt", result.final_state)
@@ -631,9 +616,7 @@ def cmd_train(options, seed, paths, out_dir, jobs):
     summary = (f"best_epoch={result.best_epoch} "
                f"best_dev_qwk={result.best_dev_qwk:.6g} "
                f"epochs={len(result.history)}")
-    with open(out_dir / "train_summary.txt", "w", encoding="utf-8") as fh:
-        fh.write(summary + "\n")
-    print(summary)
+    _publish(out_dir / "train_summary.txt", summary + "\n")
     return 0
 
 
@@ -655,10 +638,7 @@ def cmd_ablate(options, seed, paths, out_dir, jobs):
     lines.append(f"grand delta qwk: {result.delta_grand():.6g}")
     lines.append(f"full grand mean qwk: {result.full.grand_mean_qwk():.6g}")
     lines.append(f"ablated grand mean qwk: {result.ablated.grand_mean_qwk():.6g}")
-    text = "\n".join(lines) + "\n"
-    with open(out_dir / "ablation.txt", "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
+    _publish(out_dir / "ablation.txt", "\n".join(lines) + "\n")
     return 0
 
 
@@ -666,7 +646,7 @@ def cmd_gridsearch(options, seed, paths, out_dir, jobs):
     config, data = _build_experiment_inputs(options, seed, paths, out_dir)
     if not config.uses_gaze:
         raise CliError(f"system {config.system!r} has no gaze loss to search over")
-    grid = tuple(float(w) for w in opt_list(options, "grid", GAZE_WEIGHT_GRID))
+    grid = opt_list(options, "grid", GAZE_WEIGHT_GRID, cast=float)
     attributes = config.gaze_attributes
     cells = grid_cells(config, data, attributes, grid)
     results, failures = execute_cells(grid_fold, data, cells, jobs, log=print)
@@ -685,9 +665,7 @@ def cmd_gridsearch(options, seed, paths, out_dir, jobs):
             lines.append(f"{attribute} weight={weight:g} "
                          f"dev_gaze_mse={table[attribute][weight]:.6g}{marker}")
         lines.append(f"best {attribute}: {best[attribute]:g}")
-    text = "\n".join(lines) + "\n"
-    with open(out_dir / "gridsearch.txt", "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _publish(out_dir / "gridsearch.txt", "\n".join(lines) + "\n")
     with open(out_dir / "gridsearch.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["attribute", "weight", "dev_gaze_mse", "best"])
@@ -696,7 +674,6 @@ def cmd_gridsearch(options, seed, paths, out_dir, jobs):
                 writer.writerow([attribute, repr(weight),
                                  repr(table[attribute][weight]),
                                  int(weight == best[attribute])])
-    print(text, end="")
     return 0
 
 
@@ -747,10 +724,7 @@ def cmd_report(options, seed, paths, out_dir, jobs):
     run_b = paths["run_b"]
     report_a = load_run_directory(paths["run_a"])
     if run_b is None:
-        text = format_report(report_a)
-        with open(out_dir / "rendered_report.txt", "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(text, end="")
+        _publish(out_dir / "rendered_report.txt", format_report(report_a))
         return 0
     report_b = load_run_directory(run_b)
     comparison = compare(report_a, report_b)
@@ -767,10 +741,7 @@ def cmd_report(options, seed, paths, out_dir, jobs):
         else:
             lines.append(f"set {set_id}: t={result.t_statistic:.6g} "
                          f"p={result.p_value:.6g} n={result.n_pairs}")
-    text = "\n".join(lines) + "\n"
-    with open(out_dir / "comparison.txt", "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
+    _publish(out_dir / "comparison.txt", "\n".join(lines) + "\n")
     return 0
 
 

@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -293,12 +292,7 @@ def _article_sentence_ids(essay_set, vocab):
     if essay_set.source_article is None:
         raise ValueError(
             f"set {essay_set.set_id} has no source article but the system attends over one")
-    sentences = text_to_sentences(essay_set.source_article)
-    return [
-        np.array(vocab.encode(sentence), dtype=np.int64) if sentence else
-        np.array([], dtype=np.int64)
-        for sentence in sentences
-    ]
+    return [vocab.encode(s) for s in text_to_sentences(essay_set.source_article)]
 
 
 def _assert_no_vocab_leakage(vocab, held_out_ids):
@@ -458,9 +452,9 @@ def run_fold(config, data, set_id, fold, log=None):
     pairs = []
     predictions = {}
     squared_errors = {}
-    scores = map(attrgetter("score_value"),
-                 setup.model.forward_batch([ex.sentence_ids for ex in setup.test_examples]))
-    for example, predicted in zip(setup.test_examples, scores):
+    outputs = setup.model.forward_batch([ex.sentence_ids for ex in setup.test_examples])
+    for example, output in zip(setup.test_examples, outputs):
+        predicted = output.score_value
         raw = denormalize_score(predicted, setup.essay_set)
         predictions[example.essay_id] = (raw, example.raw_score)
         squared_errors[example.essay_id] = float((predicted - example.score_target) ** 2)

@@ -13,6 +13,8 @@ modeling layer (dense tanh) and the scalar sigmoid output. The article's
 hidden states come from :meth:`EssayScorer.encode_article`, once per list
 of essays scored through :meth:`EssayScorer.forward_batch`: per mini-batch in
 training (one graph, one dropout mask, one backward), per evaluation pass.
+In evaluation mode ``forward_batch`` cuts each essay's outputs from the graph
+before the next essay runs, so callers may hold every output it returns.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
@@ -71,6 +73,13 @@ class ForwardOutput:
         return float(self.predicted_score.data[0, 0])
 
 
+def _graph_free(output):
+    """``output`` with its score and gaze predictions cut from the graph."""
+    return ForwardOutput(
+        Tensor(output.predicted_score.data),
+        {a: Tensor(p.data) for a, p in output.gaze_predictions.items()})
+
+
 class EssayScorer:
     """One scoring model instance; owns its parameters.
 
@@ -86,20 +95,20 @@ class EssayScorer:
         if config.architecture == "co_attention":
             if not article_sentence_ids or all(len(s) == 0 for s in article_sentence_ids):
                 raise ValueError("co_attention architecture requires a source article")
-            self.article_sentence_ids = [list(s) for s in article_sentence_ids]
+            self.article_sentence_ids = article_sentence_ids
         else:
             self.article_sentence_ids = None
         self._params = {}
 
+        def param(name, data):
+            self._params[name] = Tensor(data, requires_grad=True, name=name)
+            return self._params[name]
+
         def uniform(name, shape):
-            t = nm.uniform_param(shape, rng, scale=0.05, name=name)
-            self._params[name] = t
-            return t
+            return param(name, rng.uniform(-0.05, 0.05, size=shape))
 
         def zeros(name, shape):
-            t = nm.zeros_param(shape, name=name)
-            self._params[name] = t
-            return t
+            return param(name, np.zeros(shape))
 
         d, f, h = config.embedding_dim, config.conv_filters, config.lstm_hidden
         if embedding_matrix is not None:
@@ -108,8 +117,7 @@ class EssayScorer:
                 raise ValueError(
                     f"embedding matrix shape {matrix.shape} does not match "
                     f"(vocab_size, embedding_dim) = ({config.vocab_size}, {d})")
-            self.embedding = Tensor(matrix, requires_grad=True, name="embedding")
-            self._params["embedding"] = self.embedding
+            self.embedding = param("embedding", matrix)
         else:
             self.embedding = uniform("embedding", (config.vocab_size, d))
             self.embedding.data[0] = 0.0  # PAD row starts and stays at zero
@@ -253,15 +261,16 @@ class EssayScorer:
         return essay2article, article2essay
 
     def forward_batch(self, batch_sentence_ids, training=False, rng=None):
-        """Yield one :class:`ForwardOutput` per essay, encoding the article once.
+        """One :class:`ForwardOutput` per essay, in a list; the article is encoded once.
 
-        The essays share the article's graph and dropout mask. An output bound
-        to a loop variable keeps its graph alive through the next forward, so
-        callers that need only scores ``map`` the outputs to them.
+        In training the essays share the article's graph and dropout mask. In
+        evaluation each output is cut from the graph before the next essay
+        runs, so one essay's graph is alive at a time.
         """
         article = self.encode_article(training, rng)
-        for sentence_ids in batch_sentence_ids:
-            yield self.forward(sentence_ids, training, rng, article=article)
+        keep = (lambda out: out) if training else _graph_free
+        return [keep(self.forward(sentence_ids, training, rng, article=article))
+                for sentence_ids in batch_sentence_ids]
 
     def forward(self, sentence_ids, training=False, rng=None, article=None):
         """Score one essay given its vocabulary-encoded sentences.

@@ -493,16 +493,3 @@ OP_KINDS = {
     "sum": tensor_sum,
     "transpose": transpose,
 }
-
-
-# ---------------------------------------------------------------------------
-# parameter construction
-# ---------------------------------------------------------------------------
-
-def uniform_param(shape, rng, scale=0.05, name=None):
-    """Weight matrix initialised uniformly in [-scale, scale]."""
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True, name=name)
-
-
-def zeros_param(shape, name=None):
-    return Tensor(np.zeros(shape), requires_grad=True, name=name)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,29 +204,16 @@ def dev_qwk(model, examples, sets):
     if len(set_ids) != 1:
         raise ValueError(f"dev set spans multiple essay sets: {sorted(set_ids)}")
     essay_set = sets[next(iter(set_ids))]
-    scores = map(attrgetter("score_value"),
-                 model.forward_batch([ex.sentence_ids for ex in examples]))
-    pairs = [(denormalize_score(score, essay_set), ex.raw_score)
-             for score, ex in zip(scores, examples)]
+    outputs = model.forward_batch([ex.sentence_ids for ex in examples])
+    pairs = [(denormalize_score(out.score_value, essay_set), ex.raw_score)
+             for out, ex in zip(outputs, examples)]
     return qwk(pairs, essay_set.score_min, essay_set.score_max)
 
 
-def _graph_free(output):
-    """``output`` with its score and gaze predictions cut from the graph."""
-    return replace(
-        output, predicted_score=Tensor(output.predicted_score.data),
-        gaze_predictions={a: Tensor(p.data) for a, p in output.gaze_predictions.items()})
-
-
 def evaluate_breakdown(model, examples, weights):
-    """Evaluation-mode LossBreakdown over a whole example list.
-
-    Each essay's graph is freed as soon as its output is copied, so only
-    one essay's graph is alive at a time.
-    """
-    outputs = list(map(_graph_free, model.forward_batch([ex.sentence_ids for ex in examples])))
-    _, breakdown = multitask_loss(outputs, examples, weights)
-    return breakdown
+    """Evaluation-mode LossBreakdown over a whole example list."""
+    return multitask_loss(model.forward_batch([ex.sentence_ids for ex in examples]),
+                          examples, weights)[1]
 
 
 def _aggregate_epoch(batch_breakdowns, batch_sizes, weights):
@@ -262,8 +248,7 @@ def _train_step(model, optimizer, batch, weights, clip_norm, rng, epoch, batch_i
 
     Only this frame holds the batch's graph, so it is freed on return.
     """
-    outputs = list(model.forward_batch([ex.sentence_ids for ex in batch],
-                                       training=True, rng=rng))
+    outputs = model.forward_batch([ex.sentence_ids for ex in batch], training=True, rng=rng)
     loss, breakdown = multitask_loss(outputs, batch, weights)
     if not math.isfinite(float(loss.data)):
         norms = {name: float(np.linalg.norm(t.data))

@@ -520,6 +520,22 @@ class TestTrain:
         assert code == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("system, target_set, message", [
+        ("extra_essays", "1", "needs a gaze essay pool to augment with"),
+        ("co_attention", "3", "needs a source article but set 3 has none"),
+        ("essays_gaze", "1", "needs gaze records"),
+    ], ids=["no_pool", "no_article", "no_records"])
+    def test_train_checks_what_run_checks(self, system, target_set, message, data_dir,
+                                          prep_dir, tmp_path, capsys):
+        args = run_args(data_dir, prep_dir, tmp_path / "run", system,
+                        "target_sets=" + target_set)
+        assert main(args) == 1
+        run_err = capsys.readouterr().err
+        assert message in run_err
+        args[0], args[4] = "train", str(tmp_path / "train")
+        assert main(args) == 1
+        assert capsys.readouterr().err == run_err
+        assert not (tmp_path / "train" / "checkpoint_final.txt").exists()
 
     def test_system_required_except_by_train(self, data_dir, prep_dir, tmp_path, capsys):
         common = ["--config", str(data_dir / "base.cfg"),
@@ -766,12 +782,22 @@ class TestFailurePolicy:
 
 
 class TestExitCodes:
-    def test_unknown_option_type(self, data_dir, prep_dir, tmp_path, capsys):
-        out = tmp_path / "run"
-        code = main(run_args(data_dir, prep_dir, out, "self_attention",
-                             "epochs=abc"))
-        assert code == 1
-        assert "epochs" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, pair, kind, value", [
+        ("run", "epochs=abc", "an integer", "abc"),
+        ("run", "dropout=x", "a number", "x"),
+        ("run", "gaze_weight_DT=x", "a number", "x"),
+        ("train", "fold=x", "an integer", "x"),
+        ("run", "target_sets=1,x", "an integer", "x"),
+        ("gridsearch", "grid=0.1,abc", "a number", "abc"),
+    ], ids=["epochs", "dropout", "gaze_weight", "fold", "target_sets", "grid"])
+    def test_bad_option_value_names_option_and_value(self, command, pair, kind, value,
+                                                     data_dir, prep_dir, tmp_path, capsys):
+        args = run_args(data_dir, prep_dir, tmp_path / "out", "co_attention_gaze", pair)
+        args[0] = command
+        assert main(args) == 1
+        key = pair.partition("=")[0]
+        assert capsys.readouterr().err == \
+            f"error: option '{key}' must be {kind}, got '{value}'\n"
 
     def test_bad_jobs_value(self, data_dir, tmp_path, capsys):
         code = main(["preprocess", "--out", str(tmp_path / "o"), "--jobs", "0",

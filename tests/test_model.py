@@ -134,6 +134,23 @@ def test_forward_score_in_open_unit_interval():
         assert 0.0 < out.score_value < 1.0
 
 
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_forward_batch_outputs_leave_the_graph_in_evaluation_only(architecture):
+    model = tiny_model(architecture, gaze=("DT", "Skip"), dropout=0.5)
+    essays = [ESSAY, [[3, 4]], ESSAY[:2]]
+    evaluated = model.forward_batch(essays)
+    assert isinstance(evaluated, list) and len(evaluated) == len(essays)
+    for out, essay in zip(evaluated, essays):
+        assert out.score_value == model.forward(essay).score_value
+        tensors = [out.predicted_score, *out.gaze_predictions.values()]
+        assert len(tensors) == 3 and all(not t._parents for t in tensors)
+    trained = model.forward_batch(essays, training=True, rng=np.random.default_rng(0))
+    assert isinstance(trained, list) and len(trained) == len(essays)
+    for out in trained:
+        tensors = [out.predicted_score, *out.gaze_predictions.values()]
+        assert len(tensors) == 3 and all(t._parents for t in tensors)
+
+
 def test_forward_without_dropout_is_deterministic():
     model = tiny_model()
     a = model.forward(ESSAY)
@@ -294,6 +311,20 @@ def test_load_state_dict_validates_names_and_shapes():
     bad["conv.w"] = np.zeros((1, 1))
     with pytest.raises(ValueError, match="shape"):
         model.load_state_dict(bad)
+
+
+def test_parameter_initialisers():
+    params = tiny_model("co_attention", gaze=("DT", "FFD"), seed=32).named_parameters()
+    assert all(t.requires_grad for t in params.values())
+    biases = {name for name in params if name.endswith(".b")}
+    assert {"conv.b", "lstm.b", "coattn.e2a.b", "output.b", "gaze.DT.b"} <= biases
+    for name, tensor in params.items():
+        if name in biases:
+            np.testing.assert_array_equal(tensor.data, np.zeros(tensor.data.shape))
+        else:
+            assert np.all(np.abs(tensor.data) <= 0.05), name
+            assert np.any(tensor.data != 0.0), name
+    np.testing.assert_array_equal(params["embedding"].data[0], np.zeros(4))
 
 
 def test_pad_embedding_row_zero_and_pinnable():

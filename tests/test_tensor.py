@@ -511,13 +511,3 @@ def test_sigmoid_range_and_symmetry(x):
     hi = nm.sigmoid(Tensor([-x])).data[0]
     assert 0.0 <= lo <= 1.0
     assert lo + hi == pytest.approx(1.0, abs=1e-12)
-
-
-def test_parameter_initialisers():
-    rng = np.random.default_rng(32)
-    w = nm.uniform_param((4, 5), rng, scale=0.05, name="w")
-    assert w.requires_grad and w.data.shape == (4, 5)
-    assert np.all(np.abs(w.data) <= 0.05)
-    b = nm.zeros_param((5,), name="b")
-    assert b.requires_grad
-    np.testing.assert_array_equal(b.data, np.zeros(5))
