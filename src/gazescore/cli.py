@@ -594,11 +594,11 @@ def cmd_train(options, seed, paths, out_dir, jobs):
     if len(config.target_sets) != 1:
         raise CliError("train works on a single set; give set=<id>")
     set_id = config.target_sets[0]
-    fold_index = opt(options, "fold", int, 0)
-    n_folds = len(data.folds[set_id])
-    if not 0 <= fold_index < n_folds:
-        raise CliError(f"fold {fold_index} out of range; set {set_id} has {n_folds} folds")
-    cell = fold_cells(config, data)[fold_index]  # checks what run checks
+    fold_id = opt(options, "fold", int, 0)
+    fold_ids = [fold.fold_id for fold in data.folds[set_id]]
+    if fold_id not in fold_ids:
+        raise CliError(f"fold {fold_id} out of range; set {set_id} has fold ids {fold_ids}")
+    cell = fold_cells(config, data)[fold_ids.index(fold_id)]  # checks what run checks
 
     history_lines = []
 
@@ -629,7 +629,7 @@ def cmd_ablate(options, seed, paths, out_dir, jobs):
     results, failures = execute_cells(run_fold, data, cells, jobs, log=print)
     if failures:
         return _report_failures(out_dir, failures)
-    result = ablation_report(cells, results)
+    result = ablation_report(attribute, cells, results)
     _write_report_files(out_dir, result.full, prefix="full_")
     _write_report_files(out_dir, result.ablated, prefix="ablated_")
     lines = [f"ablated attribute: {attribute}"]

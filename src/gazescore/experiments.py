@@ -165,7 +165,6 @@ class ExperimentConfig:
     gaze_reader_filter: object = "all"
     gaze_attributes: tuple = GAZE_ATTRIBUTES
     gaze_loss_weights: dict = field(default_factory=lambda: dict(DEFAULT_GAZE_WEIGHTS))
-    ablate_attribute: str = None
     vocab_size: int = 4000
     model_params: dict = field(default_factory=dict)
     train_params: dict = field(default_factory=dict)
@@ -189,13 +188,6 @@ class ExperimentConfig:
             missing = [a for a in self.gaze_attributes if a not in self.gaze_loss_weights]
             if missing:
                 raise ValueError(f"no loss weight configured for {missing}")
-        if self.ablate_attribute is not None:
-            if self.ablate_attribute not in self.gaze_attributes:
-                raise ValueError(
-                    f"cannot ablate {self.ablate_attribute!r}: "
-                    f"not among configured attributes {self.gaze_attributes}")
-            if not self.uses_gaze:
-                raise ValueError(f"system {self.system!r} has no gaze loss to ablate")
 
     @property
     def uses_article(self):
@@ -212,13 +204,6 @@ class ExperimentConfig:
     @property
     def architecture(self):
         return "co_attention" if self.uses_article else "self_attention"
-
-    def effective_gaze_weights(self):
-        """Loss weights after applying any ablation (ablated weight is 0)."""
-        weights = {a: float(self.gaze_loss_weights[a]) for a in self.gaze_attributes}
-        if self.ablate_attribute is not None:
-            weights[self.ablate_attribute] = 0.0
-        return weights
 
 
 @dataclass
@@ -329,19 +314,20 @@ class CellSetup:
     """Everything needed to train and evaluate one (set, fold) cell."""
 
     model: EssayScorer
-    vocab: object
     train_examples: list
     dev_examples: list
     test_examples: list
     train_config: TrainConfig
     essay_set: object
     n_augmented: int
-    reader_statistics: dict       # fold-local, train-side only
-    usable_records: list          # after reader filter, before held-out cut
 
 
 def prepare_cell(config, data, set_id, fold):
-    """Build the model, vocabulary and examples for one fold, leakage-checked."""
+    """Build the model, vocabulary and examples for one fold, leakage-checked.
+
+    Dev examples carry gaze targets binned with the train-side reader
+    statistics (training reads only their scores); test examples carry none.
+    """
     essay_set = data.sets[set_id]
     held_out = set(fold.dev) | set(fold.test)
 
@@ -368,11 +354,9 @@ def prepare_cell(config, data, set_id, fold):
         embedding_matrix = matrix_from_vectors(
             data.embedding_vectors, data.embedding_dim, vocab, rng)
 
-    gaze_sequences = None
+    gaze_sequences = dev_sequences = None
     weights = {}
     attributes = ()
-    stats = {}
-    usable_records = []
     if config.uses_gaze:
         usable_records = filter_readers(
             data.gaze_records, config.gaze_reader_filter, data.reader_metadata)
@@ -384,7 +368,10 @@ def prepare_cell(config, data, set_id, fold):
         stats = reader_stats(train_side)
         _assert_no_stats_leakage(stats, held_out)
         gaze_sequences, _ = bin_all(train_side, stats, data.essays)
-        weights = config.effective_gaze_weights()
+        dev_ids = set(fold.dev)
+        dev_sequences, _ = bin_all([r for r in usable_records if r.essay_id in dev_ids],
+                                   stats, data.essays)
+        weights = {a: float(config.gaze_loss_weights[a]) for a in config.gaze_attributes}
         attributes = tuple(config.gaze_attributes)
 
     article_ids = None
@@ -408,7 +395,7 @@ def prepare_cell(config, data, set_id, fold):
     )
 
     train_examples = _examples_for(train_ids, data.essays, vocab, gaze_sequences)
-    dev_examples = _examples_for(fold.dev, data.essays, vocab, None)
+    dev_examples = _examples_for(fold.dev, data.essays, vocab, dev_sequences)
     test_examples = _examples_for(fold.test, data.essays, vocab, None)
 
     train_id_set = {ex.essay_id for ex in train_examples}
@@ -422,15 +409,12 @@ def prepare_cell(config, data, set_id, fold):
 
     return CellSetup(
         model=model,
-        vocab=vocab,
         train_examples=train_examples,
         dev_examples=dev_examples,
         test_examples=test_examples,
         train_config=train_config,
         essay_set=essay_set,
         n_augmented=len(augmented_ids),
-        reader_statistics=stats,
-        usable_records=usable_records,
     )
 
 
@@ -564,25 +548,19 @@ def grid_cells(config, data, attributes, weights):
             for weight in sorted(set(weights))
             for cell in fold_cells(
                 replace(config, gaze_attributes=(attribute,),
-                        gaze_loss_weights={attribute: float(weight)}, ablate_attribute=None),
+                        gaze_loss_weights={attribute: float(weight)}),
                 data, f"grid attribute={attribute} weight={weight}")]
 
 
 def grid_fold(config, data, set_id, fold, log=None):
     """Train a single-attribute cell; its (dev gaze MSE, dev labeled-token count).
 
-    Dev gaze labels are binned with the fold's train-side reader
-    statistics; a dev partition without gaze records gives a zero count.
+    A dev partition without gaze records gives a zero count.
     """
     setup, _ = train_cell(config, data, set_id, fold, log)
     (attribute,) = config.gaze_attributes
-    dev_ids = set(fold.dev)
-    dev_records = [r for r in setup.usable_records if r.essay_id in dev_ids]
-    dev_examples = setup.dev_examples
-    if dev_records:
-        sequences, _ = bin_all(dev_records, setup.reader_statistics, data.essays)
-        dev_examples = _examples_for(fold.dev, data.essays, setup.vocab, sequences)
-    breakdown = evaluate_breakdown(setup.model, dev_examples, config.effective_gaze_weights())
+    breakdown = evaluate_breakdown(setup.model, setup.dev_examples,
+                                   setup.model.config.gaze_loss_weights)
     return (breakdown.gaze_mse.get(attribute, 0.0),
             breakdown.gaze_token_counts.get(attribute, 0))
 
@@ -605,31 +583,23 @@ class AblationReport:
 
 
 def ablation_cells(config, data, attribute):
-    """The cells of ``config``, then those of ``config`` with ``attribute`` ablated."""
-    if config.ablate_attribute is not None:
-        raise ValueError("config already carries an ablation")
-    ablated = replace(config, ablate_attribute=attribute)  # validates the attribute
+    """The cells of ``config``, then those of ``config`` with ``attribute``'s weight at 0."""
+    if attribute not in config.gaze_attributes:
+        raise ValueError(f"cannot ablate {attribute!r}: "
+                         f"not among configured attributes {config.gaze_attributes}")
+    if not config.uses_gaze:
+        raise ValueError(f"system {config.system!r} has no gaze loss to ablate")
+    ablated = replace(config, gaze_loss_weights={**config.gaze_loss_weights, attribute: 0.0})
     return (fold_cells(config, data)
             + fold_cells(ablated, data, f"system={config.system} ablate={attribute}"))
 
 
-def ablation_report(cells, results):
+def ablation_report(attribute, cells, results):
     """The AblationReport of the complete results of :func:`ablation_cells`."""
     half = len(cells) // 2
     full, ablated = cells[0].config, cells[-1].config
-    return AblationReport(ablated.ablate_attribute, assemble_report(full, results[:half]),
+    return AblationReport(attribute, assemble_report(full, results[:half]),
                           assemble_report(ablated, results[half:]))
-
-
-def ablate(config, data, attribute, log=None):
-    """Measure the QWK contribution of one gaze attribute.
-
-    Runs the configured system twice, once as given and once with the
-    attribute's loss weight forced to zero, and reports the QWK drop.
-    """
-    cells = ablation_cells(config, data, attribute)
-    results, _ = execute_cells(run_fold, data, cells, log=log, fail_fast=True)
-    return ablation_report(cells, results)
 
 
 @dataclass(frozen=True)

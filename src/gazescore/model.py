@@ -13,8 +13,9 @@ modeling layer (dense tanh) and the scalar sigmoid output. The article's
 hidden states come from :meth:`EssayScorer.encode_article`, once per list
 of essays scored through :meth:`EssayScorer.forward_batch`: per mini-batch in
 training (one graph, one dropout mask, one backward), per evaluation pass.
-In evaluation mode ``forward_batch`` cuts each essay's outputs from the graph
-before the next essay runs, so callers may hold every output it returns.
+An rng means training: it draws the dropout masks. Without an rng
+``forward_batch`` cuts each essay's outputs from the graph before the next
+essay runs, so callers may hold every output it returns.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
@@ -191,13 +192,13 @@ class EssayScorer:
         alpha = nm.softmax(scores, axis=-1)
         return nm.matmul(alpha, states), alpha
 
-    def encode_sentence(self, token_ids, training, rng):
+    def encode_sentence(self, token_ids, rng):
         """(conv outputs (T, F) or None, sentence vector (1, F), word attention)."""
         if len(token_ids) == 0:
             zero = Tensor(np.zeros((1, self.config.conv_filters)))
             return None, zero, None
         embedded = nm.gather_rows(self.embedding, np.asarray(token_ids, dtype=np.int64))
-        if training and self.config.dropout > 0.0:
+        if rng is not None:
             embedded = nm.dropout(embedded, self.config.dropout, rng)
         conv = nm.tanh(nm.add(nm.conv1d(embedded, self.conv_w), self.conv_b))
         pooled, alpha = self._additive_attention(
@@ -218,38 +219,31 @@ class EssayScorer:
             h = nm.narrow(hc, 1, 0, h_size)
             c = nm.narrow(hc, 1, h_size, 2 * h_size)
             hidden_states.append(h)
-        return nm.concat(hidden_states, axis=0) if len(hidden_states) > 1 else hidden_states[0]
+        return nm.concat(hidden_states, axis=0)
 
-    def encode_essay(self, sentence_ids, training, rng):
+    def encode_essay(self, sentence_ids, rng):
         """Run the shared tower; returns (conv outputs per sentence, None for an
         empty one; H; essay vector; sentence attention)."""
         conv_outputs = []
         sentence_vectors = []
         for ids in sentence_ids:
-            conv, pooled, _ = self.encode_sentence(ids, training, rng)
+            conv, pooled, _ = self.encode_sentence(ids, rng)
             conv_outputs.append(conv)
             sentence_vectors.append(pooled)
-        stacked = (nm.concat(sentence_vectors, axis=0)
-                   if len(sentence_vectors) > 1 else sentence_vectors[0])
-        hidden = self._lstm(stacked)
+        hidden = self._lstm(nm.concat(sentence_vectors, axis=0))
         essay_vector, sent_alpha = self._additive_attention(
             hidden, self.sent_attn_w, self.sent_attn_b, self.sent_attn_v)
         return conv_outputs, hidden, essay_vector, sent_alpha
 
-    def encode_article(self, training=False, rng=None):
+    def encode_article(self, rng=None):
         """The article's LSTM hidden states (n, H) for co_attention, else None.
 
         Every essay scored with the same parameters and dropout mask can
         share the result through ``forward``'s ``article`` argument.
         """
-        self._check_rng(training, rng)
         if self.article_sentence_ids is None:
             return None
-        return self.encode_essay(self.article_sentence_ids, training, rng)[1]
-
-    def _check_rng(self, training, rng):
-        if training and self.config.dropout > 0.0 and rng is None:
-            raise ValueError("training mode with dropout needs an rng")
+        return self.encode_essay(self.article_sentence_ids, rng)[1]
 
     def coattend(self, essay_hidden, article_hidden):
         """(essay2article, article2essay) mixtures from the affinity matrix."""
@@ -260,19 +254,19 @@ class EssayScorer:
                                   essay_hidden)
         return essay2article, article2essay
 
-    def forward_batch(self, batch_sentence_ids, training=False, rng=None):
+    def forward_batch(self, batch_sentence_ids, rng=None):
         """One :class:`ForwardOutput` per essay, in a list; the article is encoded once.
 
-        In training the essays share the article's graph and dropout mask. In
-        evaluation each output is cut from the graph before the next essay
-        runs, so one essay's graph is alive at a time.
+        With an rng (training) the essays share the article's graph and
+        dropout mask. Without one (evaluation) each output is cut from the
+        graph before the next essay runs, so one essay's graph is alive at a time.
         """
-        article = self.encode_article(training, rng)
-        keep = (lambda out: out) if training else _graph_free
-        return [keep(self.forward(sentence_ids, training, rng, article=article))
+        article = self.encode_article(rng)
+        keep = _graph_free if rng is None else (lambda out: out)
+        return [keep(self.forward(sentence_ids, rng, article=article))
                 for sentence_ids in batch_sentence_ids]
 
-    def forward(self, sentence_ids, training=False, rng=None, article=None):
+    def forward(self, sentence_ids, rng=None, article=None):
         """Score one essay given its vocabulary-encoded sentences.
 
         ``article`` is :meth:`encode_article`'s result for this parameter
@@ -280,13 +274,11 @@ class EssayScorer:
         """
         if not sentence_ids:
             raise ValueError("forward: essay has no sentences")
-        self._check_rng(training, rng)
-        conv_outputs, essay_hidden, essay_vector, _ = \
-            self.encode_essay(sentence_ids, training, rng)
+        conv_outputs, essay_hidden, essay_vector, _ = self.encode_essay(sentence_ids, rng)
 
         if self.config.architecture == "co_attention":
             if article is None:
-                article = self.encode_article(training, rng)
+                article = self.encode_article(rng)
             essay2article, article2essay = self.coattend(essay_hidden, article)
             e2a_pooled, _ = self._additive_attention(
                 essay2article, self.e2a_attn_w, self.e2a_attn_b, self.e2a_attn_v)
@@ -296,7 +288,7 @@ class EssayScorer:
         else:
             modeling_in = essay_vector
 
-        if training and self.config.dropout > 0.0:
+        if rng is not None:
             modeling_in = nm.dropout(modeling_in, self.config.dropout, rng)
         modeled = nm.tanh(nm.add(nm.matmul(modeling_in, self.modeling_w), self.modeling_b))
         score = nm.sigmoid(nm.add(nm.matmul(modeled, self.output_w), self.output_b))
@@ -304,8 +296,7 @@ class EssayScorer:
         real_convs = [c for c in conv_outputs if c is not None]
         gaze_predictions = {}
         if self.config.gaze_attributes and real_convs:
-            all_tokens = (nm.concat(real_convs, axis=0)
-                          if len(real_convs) > 1 else real_convs[0])
+            all_tokens = nm.concat(real_convs, axis=0)
             for attribute in self.config.gaze_attributes:
                 logits = nm.add(nm.matmul(all_tokens, self.gaze_w[attribute]),
                                 self.gaze_b[attribute])

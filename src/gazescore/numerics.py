@@ -212,7 +212,7 @@ def neg(a):
 
 
 def concat(tensors, axis=0):
-    """Concatenate tensors of matching rank along ``axis``."""
+    """Concatenate tensors of matching rank along ``axis``; one tensor comes back as is."""
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat: need at least one tensor")
@@ -221,6 +221,8 @@ def concat(tensors, axis=0):
         s = t.data.shape
         if len(s) != len(ref) or any(s[i] != ref[i] for i in range(len(ref)) if i != axis):
             raise ShapeError(f"concat: incompatible shapes {ref} and {s} along axis {axis}")
+    if len(tensors) == 1:
+        return tensors[0]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)

@@ -120,8 +120,7 @@ def multitask_loss(outputs, examples, weights):
         raise ValueError("multitask_loss: empty batch")
     if len(outputs) != len(examples):
         raise ValueError("multitask_loss: outputs and examples differ in length")
-    scores = nm.concat([out.predicted_score for out in outputs], axis=0) \
-        if len(outputs) > 1 else outputs[0].predicted_score
+    scores = nm.concat([out.predicted_score for out in outputs], axis=0)
     score_targets = Tensor(
         np.array([[ex.score_target] for ex in examples], dtype=np.float64))
     score_mse = nm.mse(scores, score_targets)
@@ -148,8 +147,7 @@ def multitask_loss(outputs, examples, weights):
         gaze_counts[attribute] = count
         if count == 0:
             continue
-        stacked = nm.concat(prediction_parts, axis=0) \
-            if len(prediction_parts) > 1 else prediction_parts[0]
+        stacked = nm.concat(prediction_parts, axis=0)
         targets = Tensor(np.concatenate(target_parts).reshape(-1, 1))
         gaze_mse_tensors[attribute] = nm.mse(stacked, targets)
 
@@ -248,7 +246,7 @@ def _train_step(model, optimizer, batch, weights, clip_norm, rng, epoch, batch_i
 
     Only this frame holds the batch's graph, so it is freed on return.
     """
-    outputs = model.forward_batch([ex.sentence_ids for ex in batch], training=True, rng=rng)
+    outputs = model.forward_batch([ex.sentence_ids for ex in batch], rng)
     loss, breakdown = multitask_loss(outputs, batch, weights)
     if not math.isfinite(float(loss.data)):
         norms = {name: float(np.linalg.norm(t.data))

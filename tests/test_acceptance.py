@@ -296,7 +296,7 @@ def _model_loss_case(rng):
         gaze_cases[attribute] = (idx, rng.random((k, 1)))
 
     def loss():
-        out = model.forward(sentences, training=False)
+        out = model.forward(sentences)
         value = nm.mse(out.predicted_score, Tensor(np.array([[target]])))
         for attribute, (idx, values) in gaze_cases.items():
             picked = nm.gather_rows(out.gaze_predictions[attribute], idx)

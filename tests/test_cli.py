@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from gazescore import __version__
 from gazescore.checkpoint import load_checkpoint
 from gazescore.cli import main, parse_config_file
+from gazescore.experiments import make_folds, save_folds
 from gazescore.gaze import load_gaze_records
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue",
@@ -519,6 +521,29 @@ class TestTrain:
                      "--set", "set=1", "--set", "fold=9"])
         assert code == 1
         assert "out of range" in capsys.readouterr().err
+
+    def test_fold_names_a_fold_id_not_a_position(self, data_dir, prep_dir, tmp_path, capsys):
+        folds = make_folds(range(100, 110), seed=0)
+        one_based, alone = tmp_path / "one_based", tmp_path / "alone"
+        one_based.mkdir()
+        alone.mkdir()
+        save_folds(one_based / "set_1.txt", [replace(f, fold_id=f.fold_id + 1) for f in folds])
+        save_folds(alone / "set_1.txt", [replace(folds[0], fold_id=1)])
+
+        def train(folds_dir, fold, out):
+            return main(["train", "--config", str(data_dir / "base.cfg"),
+                         "--out", str(tmp_path / out),
+                         "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                         "--set", "folds_dir=" + str(folds_dir),
+                         "--set", "set=1", "--set", "fold=" + fold])
+
+        assert train(one_based, "1", "a") == 0
+        assert train(alone, "1", "b") == 0
+        assert (tmp_path / "a" / "checkpoint_final.txt").read_bytes() == \
+               (tmp_path / "b" / "checkpoint_final.txt").read_bytes()
+        assert train(one_based, "0", "c") == 1
+        err = capsys.readouterr().err
+        assert "fold 0 out of range; set 1 has fold ids [1, 2, 3, 4, 5]" in err
 
     @pytest.mark.parametrize("system, target_set, message", [
         ("extra_essays", "1", "needs a gaze essay pool to augment with"),

@@ -25,8 +25,8 @@ from gazescore.experiments import (
     _assert_no_stats_leakage,
     _assert_no_vocab_leakage,
     _examples_for,
-    ablate,
     ablation_cells,
+    ablation_report,
     assemble_report,
     compare,
     execute_cells,
@@ -36,6 +36,7 @@ from gazescore.experiments import (
     grid_fold,
     load_folds,
     make_folds,
+    prepare_cell,
     report_rows,
     run_experiment,
     run_fold,
@@ -265,25 +266,6 @@ class TestExperimentConfig:
             ExperimentConfig(system="essays_gaze", target_sets=(1,),
                              gaze_attributes=("DT",), gaze_loss_weights={})
 
-    def test_ablate_unconfigured_attribute_rejected(self):
-        with pytest.raises(ValueError, match="not among configured"):
-            ExperimentConfig(system="essays_gaze", target_sets=(1,),
-                             gaze_attributes=("DT",),
-                             gaze_loss_weights={"DT": 0.05},
-                             ablate_attribute="Skip")
-
-    def test_ablate_on_gazeless_system_rejected(self):
-        with pytest.raises(ValueError, match="no gaze loss"):
-            ExperimentConfig(system="self_attention", target_sets=(1,),
-                             ablate_attribute="DT")
-
-    def test_effective_weights_zero_ablated_attribute(self):
-        config = ExperimentConfig(system="essays_gaze", target_sets=(1,),
-                                  ablate_attribute="FFD")
-        weights = config.effective_gaze_weights()
-        assert weights["FFD"] == 0.0
-        assert weights["DT"] == DEFAULT_GAZE_WEIGHTS["DT"]
-
     def test_architecture_per_system(self):
         for system, expected in [
             ("self_attention", "self_attention"),
@@ -394,7 +376,7 @@ class TestRunExperiment:
         assert config.uses_gaze
         for result in report.fold_results:
             assert result.n_augmented == 6
-        assert config.effective_gaze_weights() == DEFAULT_GAZE_WEIGHTS
+        assert config.gaze_loss_weights == DEFAULT_GAZE_WEIGHTS
 
     def test_essays_gaze_without_records_rejected(self):
         data = make_data(pool_size=6, with_records=False)
@@ -422,7 +404,7 @@ class TestRunExperiment:
         predictions, squared_errors = {}, {}
         model = setup.model
         for example in setup.test_examples:
-            article = model.encode_essay(model.article_sentence_ids, False, None)[1]
+            article = model.encode_essay(model.article_sentence_ids, None)[1]
             score = model.forward(example.sentence_ids, article=article).score_value
             predictions[example.essay_id] = (denormalize_score(score, setup.essay_set),
                                              example.raw_score)
@@ -668,7 +650,9 @@ class TestAblate:
             gaze_attributes=("DT",), gaze_loss_weights={"DT": 0.0},
             model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN),
         )
-        report = ablate(config, data, "DT")
+        cells = ablation_cells(config, data, "DT")
+        results, _ = execute_cells(run_fold, data, cells, fail_fast=True)
+        report = ablation_report("DT", cells, results)
         assert isinstance(report, AblationReport)
         assert report.delta_grand() == 0.0
         assert report.delta_per_set() == {1: 0.0}
@@ -688,9 +672,11 @@ class TestAblate:
         half = len(cells) // 2
         assert half > 0 and len(cells) == 2 * half
         for cell in cells[:half]:
-            assert cell.config.effective_gaze_weights() == {"DT": 0.05, "Skip": 0.1}
+            assert cell.config.gaze_loss_weights == {"DT": 0.05, "Skip": 0.1}
         for cell in cells[half:]:
-            assert cell.config.effective_gaze_weights() == {"DT": 0.05, "Skip": 0.0}
+            assert cell.config.gaze_loss_weights == {"DT": 0.05, "Skip": 0.0}
+        model = prepare_cell(cells[-1].config, data, 1, cells[-1].fold).model
+        assert model.config.gaze_loss_weights == {"DT": 0.05, "Skip": 0.0}
 
     def test_ablate_rejects_gazeless_system(self):
         data = make_data()
@@ -698,7 +684,7 @@ class TestAblate:
                                   model_params=dict(TINY_MODEL),
                                   train_params=dict(TINY_TRAIN))
         with pytest.raises(ValueError, match="no gaze loss"):
-            ablate(config, data, "DT")
+            ablation_cells(config, data, "DT")
 
     def test_ablate_rejects_unconfigured_attribute(self):
         data = make_data(pool_size=6, with_records=True)
@@ -708,17 +694,7 @@ class TestAblate:
             model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN),
         )
         with pytest.raises(ValueError, match="not among configured"):
-            ablate(config, data, "IR")
-
-    def test_ablate_rejects_preablated_config(self):
-        data = make_data(pool_size=6, with_records=True)
-        config = ExperimentConfig(
-            system="essays_gaze", target_sets=(1,),
-            ablate_attribute="DT",
-            model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN),
-        )
-        with pytest.raises(ValueError, match="already carries"):
-            ablate(config, data, "DT")
+            ablation_cells(config, data, "IR")
 
 
 # ---------------------------------------------------------- comparison
@@ -839,6 +815,27 @@ class TestGridCell:
         _, results = self.run_grid(config, data, ("DT",), (0.05,))
         assert len(results) == 5
         assert all(count == 0 for _, count in results)
+
+    def test_dev_examples_carry_gaze_binned_with_train_side_statistics(self):
+        data = make_data(article="The sun rose. Birds sang.", target_records=True)
+        # dwell times vary by essay, so statistics that saw the dev records would differ
+        data.gaze_records = tuple(replace(r, dwell_time_ms=r.dwell_time_ms * (r.essay_id % 5 + 1))
+                                  for r in data.gaze_records)
+        fold = data.folds[1][0]
+        setup = prepare_cell(self.base_config(), data, 1, fold)
+        held_out = set(fold.dev) | set(fold.test)
+        stats = reader_stats([r for r in data.gaze_records if r.essay_id not in held_out])
+        sequences, _ = bin_all([r for r in data.gaze_records if r.essay_id in fold.dev],
+                               stats, data.essays)
+        vocab = build_vocab([data.essays[i] for i in fold.train])
+        expected = _examples_for(fold.dev, data.essays, vocab, sequences)
+        assert [ex.essay_id for ex in setup.dev_examples] == list(fold.dev)
+        for example, reference in zip(setup.dev_examples, expected):
+            assert example.gaze_targets.keys() == reference.gaze_targets.keys() != set()
+            for attribute, (positions, values) in reference.gaze_targets.items():
+                np.testing.assert_array_equal(example.gaze_targets[attribute][0], positions)
+                np.testing.assert_array_equal(example.gaze_targets[attribute][1], values)
+        assert all(ex.gaze_targets == {} for ex in setup.test_examples)
 
     def test_feeds_grid_search_selection(self):
         from gazescore.training import grid_search_gaze_weights

@@ -69,30 +69,30 @@ def test_coattention_requires_article():
 
 def test_sentence_vector_shape_is_filter_count():
     model = tiny_model()
-    conv, pooled, alpha = model.encode_sentence([2, 3, 4, 5], training=False, rng=None)
+    conv, pooled, alpha = model.encode_sentence([2, 3, 4, 5], rng=None)
     assert conv.data.shape == (4, TINY["conv_filters"])
     assert pooled.data.shape == (1, TINY["conv_filters"])
 
 
 def test_single_token_attention_is_one():
     model = tiny_model()
-    _, _, alpha = model.encode_sentence([7], training=False, rng=None)
+    _, _, alpha = model.encode_sentence([7], rng=None)
     np.testing.assert_array_equal(alpha.data, [[1.0]])
 
 
 def test_word_attention_sums_to_one():
     model = tiny_model()
-    _, _, alpha = model.encode_sentence([2, 3, 4, 5, 6], training=False, rng=None)
+    _, _, alpha = model.encode_sentence([2, 3, 4, 5, 6], rng=None)
     assert alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(alpha.data >= 0)
 
 
 def test_empty_sentence_gives_flagged_zero_vector():
     model = tiny_model()
-    conv, pooled, alpha = model.encode_sentence([], training=False, rng=None)
+    conv, pooled, alpha = model.encode_sentence([], rng=None)
     assert conv is None and alpha is None
     np.testing.assert_array_equal(pooled.data, np.zeros((1, TINY["conv_filters"])))
-    conv_outputs = model.encode_essay([[2, 3], []], training=False, rng=None)[0]
+    conv_outputs = model.encode_essay([[2, 3], []], rng=None)[0]
     assert conv_outputs[0] is not None and conv_outputs[1] is None
 
 
@@ -100,15 +100,14 @@ def test_permuting_identical_tokens_is_noop():
     model = tiny_model()
     ids = [2, 5, 2]
     swapped = [ids[2], ids[1], ids[0]]
-    _, pooled_a, _ = model.encode_sentence(ids, training=False, rng=None)
-    _, pooled_b, _ = model.encode_sentence(swapped, training=False, rng=None)
+    _, pooled_a, _ = model.encode_sentence(ids, rng=None)
+    _, pooled_b, _ = model.encode_sentence(swapped, rng=None)
     np.testing.assert_array_equal(pooled_a.data, pooled_b.data)
 
 
 def test_essay_hidden_states_shape():
     model = tiny_model()
-    _, hidden, essay_vector, sent_alpha = model.encode_essay(
-        ESSAY, training=False, rng=None)
+    _, hidden, essay_vector, sent_alpha = model.encode_essay(ESSAY, rng=None)
     assert hidden.data.shape == (len(ESSAY), TINY["lstm_hidden"])
     assert essay_vector.data.shape == (1, TINY["lstm_hidden"])
     assert sent_alpha.data.shape == (1, len(ESSAY))
@@ -117,8 +116,7 @@ def test_essay_hidden_states_shape():
 
 def test_one_sentence_essay_pooled_vector_is_its_hidden_state():
     model = tiny_model()
-    _, hidden, essay_vector, sent_alpha = model.encode_essay(
-        [[2, 3, 4]], training=False, rng=None)
+    _, hidden, essay_vector, sent_alpha = model.encode_essay([[2, 3, 4]], rng=None)
     np.testing.assert_array_equal(sent_alpha.data, [[1.0]])
     np.testing.assert_allclose(essay_vector.data, hidden.data, atol=1e-15)
 
@@ -144,11 +142,24 @@ def test_forward_batch_outputs_leave_the_graph_in_evaluation_only(architecture):
         assert out.score_value == model.forward(essay).score_value
         tensors = [out.predicted_score, *out.gaze_predictions.values()]
         assert len(tensors) == 3 and all(not t._parents for t in tensors)
-    trained = model.forward_batch(essays, training=True, rng=np.random.default_rng(0))
+    trained = model.forward_batch(essays, rng=np.random.default_rng(0))
     assert isinstance(trained, list) and len(trained) == len(essays)
     for out in trained:
         tensors = [out.predicted_score, *out.gaze_predictions.values()]
         assert len(tensors) == 3 and all(t._parents for t in tensors)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_rng_at_zero_dropout_changes_nothing(architecture):
+    # an rng means training, and at dropout 0 training draws nothing
+    model = tiny_model(architecture, gaze=("DT",))
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    trained, evaluated = model.forward(ESSAY, rng=rng), model.forward(ESSAY)
+    assert rng.bit_generator.state == state
+    assert trained.predicted_score.data.tobytes() == evaluated.predicted_score.data.tobytes()
+    assert (trained.gaze_predictions["DT"].data.tobytes()
+            == evaluated.gaze_predictions["DT"].data.tobytes())
 
 
 def test_forward_without_dropout_is_deterministic():
@@ -165,9 +176,7 @@ def test_forward_rejects_empty_essay():
 
 def test_training_mode_needs_rng_when_dropout_active():
     model = tiny_model(dropout=0.5)
-    with pytest.raises(ValueError, match="rng"):
-        model.forward(ESSAY, training=True)
-    out = model.forward(ESSAY, training=True, rng=np.random.default_rng(0))
+    out = model.forward(ESSAY, rng=np.random.default_rng(0))
     assert 0.0 < out.score_value < 1.0
 
 
@@ -188,12 +197,7 @@ def test_self_attention_ignores_articles_entirely():
 
 def test_encode_article_needs_rng_like_forward():
     model = tiny_model("co_attention", dropout=0.5)
-    with pytest.raises(ValueError) as from_article:
-        model.encode_article(training=True)
-    with pytest.raises(ValueError) as from_forward:
-        model.forward(ESSAY, training=True)
-    assert str(from_article.value) == str(from_forward.value)
-    hidden = model.encode_article(training=True, rng=np.random.default_rng(0))
+    hidden = model.encode_article(rng=np.random.default_rng(0))
     assert hidden.data.shape == (len(ARTICLE), TINY["lstm_hidden"])
 
 
@@ -446,7 +450,7 @@ def test_fused_lstm_gradients_match_per_gate_reference_bitwise(architecture):
     scores, grads = [], []
     for model in reference_pair(architecture):
         rng = np.random.default_rng(4)
-        outputs = [model.forward(ex.sentence_ids, training=True, rng=rng) for ex in examples]
+        outputs = [model.forward(ex.sentence_ids, rng=rng) for ex in examples]
         loss, _ = multitask_loss(outputs, examples, dict(model.config.gaze_loss_weights))
         backward(loss, parameters=model.parameters())
         scores.append([out.predicted_score.data for out in outputs])
@@ -475,7 +479,7 @@ def own_article(model, rng):
     """A fresh training-mode encoding of the article; None for self_attention."""
     if model.article_sentence_ids is None:
         return None
-    return model.encode_essay(model.article_sentence_ids, True, rng)[1]
+    return model.encode_essay(model.article_sentence_ids, rng)[1]
 
 
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
@@ -490,12 +494,11 @@ def test_shared_article_gradients_match_per_essay_encoding(architecture):
         model = EssayScorer(config, np.random.default_rng(3), article_sentence_ids=article)
         rng = np.random.default_rng(4)
         if shared:
-            hidden = model.encode_article(training=True, rng=rng)
-            outputs = [model.forward(ex.sentence_ids, training=True, rng=rng, article=hidden)
+            hidden = model.encode_article(rng=rng)
+            outputs = [model.forward(ex.sentence_ids, rng=rng, article=hidden)
                        for ex in examples]
         else:  # the reference: every essay encodes its own copy of the article
-            outputs = [model.forward(ex.sentence_ids, training=True, rng=rng,
-                                     article=own_article(model, rng))
+            outputs = [model.forward(ex.sentence_ids, rng=rng, article=own_article(model, rng))
                        for ex in examples]
         loss, _ = multitask_loss(outputs, examples, weights)
         backward(loss, parameters=model.parameters())

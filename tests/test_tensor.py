@@ -492,6 +492,13 @@ def test_concat_shape_mismatch():
         nm.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
 
 
+def test_concat_of_one_tensor_is_that_tensor():
+    t = Tensor(np.ones((2, 3)), requires_grad=True)
+    assert nm.concat([t], axis=1) is t
+    with pytest.raises(ValueError, match="at least one"):
+        nm.concat([])
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------

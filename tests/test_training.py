@@ -401,7 +401,7 @@ def trained_co_attention_model():
 
 def per_essay_forward(model, sentence_ids):
     """Evaluation-mode forward with the article encoded again for this essay alone."""
-    article = model.encode_essay(model.article_sentence_ids, False, None)[1]
+    article = model.encode_essay(model.article_sentence_ids, None)[1]
     return model.forward(sentence_ids, article=article)
 
 
@@ -430,9 +430,9 @@ def test_train_encodes_the_article_once_per_batch_and_per_evaluation_pass():
     encode_article = model.encode_article
     modes = []
 
-    def counting(training=False, rng=None):
-        modes.append(training)
-        return encode_article(training, rng)
+    def counting(rng=None):
+        modes.append(rng is not None)
+        return encode_article(rng)
 
     model.encode_article = counting
     train(model, make_examples(4), make_examples(2, seed=9, base=900),
@@ -455,9 +455,9 @@ def test_train_frees_each_batch_graph_before_the_next_forward(monkeypatch):
 
     encode_article = model.encode_article
 
-    def checking(training=False, rng=None):
+    def checking(rng=None):
         assert all(ref() is None for ref in losses), "an earlier batch's graph is alive"
-        return encode_article(training, rng)
+        return encode_article(rng)
 
     monkeypatch.setattr(training_module, "multitask_loss", recording_loss)
     model.encode_article = checking
