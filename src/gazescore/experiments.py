@@ -174,6 +174,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown system {self.system!r}; expected one of {tuple(SYSTEMS)}")
         if not self.target_sets:
             raise ValueError("target_sets must not be empty")
+        for name in ("target_sets", "gaze_attributes"):
+            values = tuple(getattr(self, name))
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} lists {repeated} more than once")
         if isinstance(self.gaze_reader_filter, str):
             if self.gaze_reader_filter not in READER_FILTERS:
                 raise ValueError(
@@ -227,6 +232,11 @@ class ExperimentData:
                     raise ValueError(
                         f"set {set_id} fold {fold.fold_id} references unknown "
                         f"essays {sorted(unknown)}")
+                foreign = sorted(i for i in fold.all_ids if self.essays[i].set_id != set_id)
+                if foreign:
+                    raise ValueError(
+                        f"set {set_id} fold {fold.fold_id} lists essays {foreign} "
+                        "of another set")
         missing = self.gaze_essay_ids - set(self.essays)
         if missing:
             raise ValueError(f"gaze pool references unknown essays {sorted(missing)}")

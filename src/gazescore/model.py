@@ -58,6 +58,9 @@ class ModelConfig:
         unknown = set(self.gaze_attributes) - set(GAZE_ATTRIBUTES)
         if unknown:
             raise ValueError(f"unknown gaze attributes: {sorted(unknown)}")
+        repeated = sorted({a for a in self.gaze_attributes if self.gaze_attributes.count(a) > 1})
+        if repeated:
+            raise ValueError(f"gaze_attributes lists {repeated} more than once")
         extra = set(self.gaze_loss_weights) - set(self.gaze_attributes)
         if extra:
             raise ValueError(
@@ -207,19 +210,7 @@ class EssayScorer:
 
     def _lstm(self, inputs):
         """Forward LSTM over (n, F) rows; returns hidden states (n, H)."""
-        h_size = self.config.lstm_hidden
-        h = Tensor(np.zeros((1, h_size)))
-        c = Tensor(np.zeros((1, h_size)))
-        hidden_states = []
-        for t in range(inputs.data.shape[0]):
-            x_t = nm.narrow(inputs, 0, t, t + 1)
-            z = nm.add(nm.add(nm.matmul(x_t, self.lstm_wx), nm.matmul(h, self.lstm_wh)),
-                       self.lstm_b)
-            hc = nm.lstm_cell(z, c)
-            h = nm.narrow(hc, 1, 0, h_size)
-            c = nm.narrow(hc, 1, h_size, 2 * h_size)
-            hidden_states.append(h)
-        return nm.concat(hidden_states, axis=0)
+        return nm.lstm(inputs, self.lstm_wx, self.lstm_wh, self.lstm_b)
 
     def encode_essay(self, sentence_ids, rng):
         """Run the shared tower; returns (conv outputs per sentence, None for an

@@ -2,9 +2,8 @@
 
 The engine is deliberately small: it supports exactly the operations the
 essay-scoring models need (dense matmul, broadcast arithmetic, 1-d
-convolution, attention softmaxes, gated-recurrence building blocks,
-dropout, row selection, and mean-squared-error reduction). Data lives in
-float64 numpy arrays.
+convolution, attention softmaxes, a forward LSTM, dropout, row selection,
+and mean-squared-error reduction). Data lives in float64 numpy arrays.
 
 Every operation returns a new ``Tensor`` that records its inputs and a
 closure computing input gradients from the output gradient. ``backward``
@@ -26,10 +25,10 @@ caller and is copied before it is written.
 distinct rows it read, each row's terms in the order ``np.add.at`` on a
 dense table would add them, and adds only those rows into the table's
 gradient; rows it never read are left untouched rather than given + 0.0.
-``lstm_cell`` fuses one LSTM cell update (gates, cell and hidden state)
-into a single node that evaluates the same elementwise expressions, in
-the same order, as the composition of ``narrow``, ``sigmoid``, ``tanh``,
-``mul`` and ``add`` it replaces.
+``lstm`` runs a whole forward LSTM as one node, its time loop inside the
+op as ``conv1d`` keeps its kernel loop; forward and backward evaluate the
+same expressions, in the same order, as the per-step composition of
+``narrow``, ``matmul``, ``add``, ``sigmoid``, ``tanh`` and ``mul``.
 """
 
 from __future__ import annotations
@@ -413,43 +412,52 @@ def narrow(x, axis, start, stop):
     return _make_output(out_data, (x,), grad_fn)
 
 
-def lstm_cell(z, c):
-    """One LSTM cell update: z (n, 4H) gate pre-activations, c (n, H) -> [h | c'] (n, 2H).
+def lstm(x, wx, wh, b):
+    """Forward LSTM over the rows of x (n, F) from a zero state -> hidden states (n, H).
 
-    Gates are laid out i, f, g, o along z's columns; c' = f*c + i*g and
-    h = o*tanh(c'). Forward and backward evaluate the same expressions, in
-    the same order, as the per-gate composition of ``narrow``, ``sigmoid``,
-    ``tanh``, ``mul`` and ``add``, so results match it bit for bit.
+    wx (F, 4H), wh (H, 4H) and b (4H,) lay the gates out i, f, g, o; step t takes
+    z = (x_t @ wx + h @ wh) + b, c' = f*c + i*g and h' = o*tanh(c'). The backward
+    runs through time, last step first, adding into b, wx and wh once per step, so
+    results match the per-step composition of ``narrow``, ``matmul``, ``add``,
+    ``sigmoid``, ``tanh`` and ``mul`` bit for bit.
     """
-    z, c = _as_tensor(z), _as_tensor(c)
-    if (z.data.ndim != 2 or c.data.ndim != 2 or z.data.shape[0] != c.data.shape[0]
-            or z.data.shape[1] != 4 * c.data.shape[1]):
-        raise ShapeError(f"lstm_cell: expected z (n, 4H) and c (n, H), got "
-                         f"{z.data.shape} and {c.data.shape}")
-    h_size = c.data.shape[1]
-    zd, c_prev = z.data, c.data
-    i = _sigmoid(zd[:, :h_size])
-    f = _sigmoid(zd[:, h_size:2 * h_size])
-    g = np.tanh(zd[:, 2 * h_size:3 * h_size])
-    o = _sigmoid(zd[:, 3 * h_size:])
-    c_next = f * c_prev + i * g
-    tc = np.tanh(c_next)
-    out_data = np.concatenate([o * tc, c_next], axis=1)
+    x, wx, wh, b = (_as_tensor(t) for t in (x, wx, wh, b))
+    h_size = b.data.size // 4
+    if (x.data.ndim != 2 or len(x.data) == 0 or wx.data.shape != (x.data.shape[1], 4 * h_size)
+            or wh.data.shape != (h_size, 4 * h_size) or b.data.shape != (4 * h_size,)):
+        raise ShapeError(f"lstm: expected x (n, F), wx (F, 4H), wh (H, 4H) and b (4H,), got "
+                         f"{x.data.shape}, {wx.data.shape}, {wh.data.shape} and {b.data.shape}")
+    n, h, c = len(x.data), np.zeros((1, h_size)), np.zeros((1, h_size))
+    steps = []
+    for t in range(n):
+        z = (x.data[t:t + 1] @ wx.data + h @ wh.data) + b.data
+        i, f = _sigmoid(z[:, :h_size]), _sigmoid(z[:, h_size:2 * h_size])
+        g, o = np.tanh(z[:, 2 * h_size:3 * h_size]), _sigmoid(z[:, 3 * h_size:])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        steps.append((h_prev, c_prev, i, f, g, o, tc, h))
+    out_data = np.concatenate([step[-1] for step in steps], axis=0)
 
     def grad_fn(grad):
-        dh, dc_next = grad[:, :h_size], grad[:, h_size:]
-        dc = dc_next + (dh * o) * (1.0 - tc * tc)
-        if z.requires_grad:
-            _accumulate(z, np.concatenate([
-                ((dc * g) * i) * (1.0 - i),
-                ((dc * c_prev) * f) * (1.0 - f),
-                (dc * i) * (1.0 - g * g),
-                ((dh * tc) * o) * (1.0 - o),
-            ], axis=1))
-        if c.requires_grad:
-            _accumulate(c, dc * f)
+        dx, dc, dz = [None] * n, np.zeros((1, h_size)), None
+        for t in reversed(range(n)):
+            h_prev, c_prev, i, f, g, o, tc, _ = steps[t]
+            dh = grad[t:t + 1] if dz is None else grad[t:t + 1] + dz @ wh.data.T
+            dc = dc + (dh * o) * (1.0 - tc * tc)
+            dz = np.concatenate([((dc * g) * i) * (1.0 - i),
+                                 ((dc * c_prev) * f) * (1.0 - f),
+                                 (dc * i) * (1.0 - g * g),
+                                 ((dh * tc) * o) * (1.0 - o)], axis=1)
+            _accumulate(b, _unbroadcast(dz, b.data.shape))
+            _accumulate(wx, x.data[t:t + 1].T @ dz)
+            _accumulate(wh, h_prev.T @ dz)
+            dx[t] = dz @ wx.data.T
+            dc = dc * f
+        _accumulate(x, np.concatenate(dx, axis=0))
 
-    return _make_output(out_data, (z, c), grad_fn)
+    return _make_output(out_data, (x, wx, wh, b), grad_fn)
 
 
 def tensor_sum(x, axis=None, keepdims=False):
@@ -491,7 +499,7 @@ OP_KINDS = {
     "mse": mse,
     "gather_rows": gather_rows,
     "narrow": narrow,
-    "lstm_cell": lstm_cell,
+    "lstm": lstm,
     "sum": tensor_sum,
     "transpose": transpose,
 }

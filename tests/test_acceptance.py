@@ -223,10 +223,11 @@ def _inst_narrow(rng):
     return [rng.standard_normal(shape)], lambda ts: nm.narrow(ts[0], axis, start, stop)
 
 
-def _inst_lstm_cell(rng):
-    n, h = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    return [rng.standard_normal((n, 4 * h)), rng.standard_normal((n, h))], \
-        lambda ts: nm.lstm_cell(ts[0], ts[1])
+def _inst_lstm(rng):
+    n, f, h = (int(rng.integers(1, 4)) for _ in range(3))
+    return [rng.standard_normal((n, f)), rng.standard_normal((f, 4 * h)),
+            rng.standard_normal((h, 4 * h)), rng.standard_normal(4 * h)], \
+        lambda ts: nm.lstm(*ts)
 
 
 def _inst_sum(rng):
@@ -257,7 +258,7 @@ OP_INSTANCES = {
     "mse": _inst_mse,
     "gather_rows": _inst_gather_rows,
     "narrow": _inst_narrow,
-    "lstm_cell": _inst_lstm_cell,
+    "lstm": _inst_lstm,
     "sum": _inst_sum,
     "transpose": _inst_transpose,
 }

@@ -437,6 +437,13 @@ class TestRun:
         assert not (out / "report.csv").exists()
         assert (out / "manifest.json").is_file()
 
+    def test_duplicate_target_set_exits_one(self, data_dir, prep_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(run_args(data_dir, prep_dir, out, "self_attention", "target_sets=3,3"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: target_sets lists [3] more than once\n"
+        assert not (out / "report.csv").exists()
+
     def test_essays_gaze_augments_with_pool(self, data_dir, prep_dir,
                                             pool_gaze_dir, tmp_path):
         out = tmp_path / "run"

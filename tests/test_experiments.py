@@ -278,6 +278,15 @@ class TestExperimentConfig:
             config = ExperimentConfig(system=system, target_sets=(1,))
             assert config.architecture == expected
 
+    @pytest.mark.parametrize("field, values, message", [
+        ("target_sets", (3, 4, 3), r"target_sets lists \[3\] more than once"),
+        ("gaze_attributes", ("DT", "IR", "DT"), r"gaze_attributes lists \['DT'\] more than once"),
+    ], ids=["target_sets", "gaze_attributes"])
+    def test_duplicates_rejected(self, field, values, message):
+        config = dict(system="essays_gaze", target_sets=(3,), gaze_attributes=("DT", "IR"))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{**config, field: values})
+
     def test_default_weights_match_published_values(self):
         assert DEFAULT_GAZE_WEIGHTS == {
             "DT": 0.05, "FFD": 0.05, "IR": 0.01, "RC": 0.01, "Skip": 0.1}
@@ -288,6 +297,13 @@ class TestExperimentData:
         data = make_data()
         bad_folds = {1: [FoldSpec(0, train=(100, 101), dev=(102,), test=(5555,))]}
         with pytest.raises(ValueError, match="unknown essays"):
+            ExperimentData(essays=data.essays, sets=data.sets, folds=bad_folds)
+
+    def test_fold_listing_another_sets_essay_rejected(self):
+        data = make_data(pool_size=2)
+        bad_folds = {1: [FoldSpec(4, train=(100, 101), dev=(102,), test=(103, 901))]}
+        with pytest.raises(ValueError,
+                           match=r"set 1 fold 4 lists essays \[901\] of another set"):
             ExperimentData(essays=data.essays, sets=data.sets, folds=bad_folds)
 
     def test_unknown_pool_essay_rejected(self):

@@ -55,6 +55,11 @@ def test_config_validation():
         ModelConfig(gaze_attributes=("DT",), gaze_loss_weights={"FFD": 0.1})
 
 
+def test_config_rejects_duplicate_gaze_attributes():
+    with pytest.raises(ValueError, match=r"gaze_attributes lists \['DT'\] more than once"):
+        ModelConfig(gaze_attributes=("DT", "Skip", "DT"))
+
+
 def test_coattention_requires_article():
     config = ModelConfig(architecture="co_attention", **TINY)
     with pytest.raises(ValueError, match="source article"):
@@ -112,6 +117,15 @@ def test_essay_hidden_states_shape():
     assert essay_vector.data.shape == (1, TINY["lstm_hidden"])
     assert sent_alpha.data.shape == (1, len(ESSAY))
     assert sent_alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lstm_is_one_graph_node():
+    model = tiny_model()
+    inputs = Tensor(np.random.default_rng(1).standard_normal((4, TINY["conv_filters"])),
+                    requires_grad=True)
+    hidden = model._lstm(inputs)
+    assert hidden.data.shape == (4, TINY["lstm_hidden"])
+    assert hidden._parents == (inputs, model.lstm_wx, model.lstm_wh, model.lstm_b)
 
 
 def test_one_sentence_essay_pooled_vector_is_its_hidden_state():

@@ -313,47 +313,61 @@ def test_transpose_gradients():
     check_gradients(nm.transpose, [param(rng, 3, 5)])
 
 
-def reference_lstm_cell(z, c):
-    """The per-gate composition lstm_cell replaces: (h, c')."""
-    h_size = c.data.shape[1]
-    i = nm.sigmoid(nm.narrow(z, 1, 0, h_size))
-    f = nm.sigmoid(nm.narrow(z, 1, h_size, 2 * h_size))
-    g = nm.tanh(nm.narrow(z, 1, 2 * h_size, 3 * h_size))
-    o = nm.sigmoid(nm.narrow(z, 1, 3 * h_size, 4 * h_size))
-    c_next = nm.add(nm.mul(f, c), nm.mul(i, g))
-    return nm.mul(o, nm.tanh(c_next)), c_next
+def reference_lstm(x, wx, wh, b):
+    """The per-step composition nm.lstm replaces: hidden states (n, H)."""
+    h_size = wh.data.shape[0]
+    h = Tensor(np.zeros((1, h_size)))
+    c = Tensor(np.zeros((1, h_size)))
+    hidden_states = []
+    for t in range(x.data.shape[0]):
+        z = nm.add(nm.add(nm.matmul(nm.narrow(x, 0, t, t + 1), wx), nm.matmul(h, wh)), b)
+        i = nm.sigmoid(nm.narrow(z, 1, 0, h_size))
+        f = nm.sigmoid(nm.narrow(z, 1, h_size, 2 * h_size))
+        g = nm.tanh(nm.narrow(z, 1, 2 * h_size, 3 * h_size))
+        o = nm.sigmoid(nm.narrow(z, 1, 3 * h_size, 4 * h_size))
+        c = nm.add(nm.mul(f, c), nm.mul(i, g))
+        h = nm.mul(o, nm.tanh(c))
+        hidden_states.append(h)
+    return nm.concat(hidden_states, axis=0)
 
 
-def test_lstm_cell_gradients():
+def test_lstm_gradients():
     rng = np.random.default_rng(34)
-    check_gradients(nm.lstm_cell, [param(rng, 2, 12), param(rng, 2, 3)])
+    check_gradients(nm.lstm, [param(rng, 3, 2), param(rng, 2, 12), param(rng, 3, 12),
+                              param(rng, 12)])
 
 
-@pytest.mark.parametrize("c_requires_grad", [True, False])
-def test_lstm_cell_matches_per_gate_composition_bitwise(c_requires_grad):
+@pytest.mark.parametrize("x_requires_grad", [True, False])
+def test_lstm_matches_per_gate_composition_bitwise(x_requires_grad):
+    """Two sequences share the weights, so each weight gradient sums many steps."""
     rng = np.random.default_rng(35)
-    n, h_size = 3, 5
-    z_data = 2.0 * rng.standard_normal((n, 4 * h_size))
-    z_data[0, :3] = [40.0, -40.0, 0.0]  # saturated and zero pre-activations
-    c_data = rng.standard_normal((n, h_size))
-    wh, wc = rng.standard_normal((n, h_size)), rng.standard_normal((n, h_size))
+    f_size, h_size = 4, 5
+    xs_data = [rng.standard_normal((n, f_size)) for n in (3, 6)]
+    weights_data = [rng.standard_normal((f_size, 4 * h_size)),
+                    rng.standard_normal((h_size, 4 * h_size)),
+                    2.0 * rng.standard_normal(4 * h_size)]
+    weights_data[2][:3] = [40.0, -40.0, 0.0]  # saturated and zero pre-activations
+    projections = [Tensor(rng.standard_normal((len(x), h_size))) for x in xs_data]
 
-    z, c = Tensor(z_data, requires_grad=True), Tensor(c_data, requires_grad=c_requires_grad)
-    hc = nm.lstm_cell(z, c)
-    backward(nm.tensor_sum(nm.mul(hc, Tensor(np.concatenate([wh, wc], axis=1)))))
+    runs = []
+    for lstm in (nm.lstm, reference_lstm):
+        xs = [Tensor(x, requires_grad=x_requires_grad) for x in xs_data]
+        weights = [Tensor(w, requires_grad=True) for w in weights_data]
+        outs = [lstm(x, *weights) for x in xs]
+        backward(nm.add(*[nm.tensor_sum(nm.mul(out, proj))
+                          for out, proj in zip(outs, projections)]))
+        runs.append((outs, xs, weights))
+    (outs, xs, weights), (ref_outs, ref_xs, ref_weights) = runs
 
-    z_ref, c_ref = Tensor(z_data, requires_grad=True), \
-        Tensor(c_data, requires_grad=c_requires_grad)
-    h, c_next = reference_lstm_cell(z_ref, c_ref)
-    backward(nm.add(nm.tensor_sum(nm.mul(h, Tensor(wh))),
-                    nm.tensor_sum(nm.mul(c_next, Tensor(wc)))))
-
-    assert np.array_equal(hc.data, np.concatenate([h.data, c_next.data], axis=1))
-    assert np.array_equal(z.grad, z_ref.grad)
-    if c_requires_grad:
-        assert np.array_equal(c.grad, c_ref.grad)
-    else:
-        assert c.grad is None and c_ref.grad is None
+    for out, ref in zip(outs, ref_outs):
+        assert np.array_equal(out.data, ref.data)
+    for w, ref in zip(weights, ref_weights):
+        assert np.array_equal(w.grad, ref.grad)
+    for x, ref in zip(xs, ref_xs):
+        if x_requires_grad:
+            assert np.array_equal(x.grad, ref.grad)
+        else:
+            assert x.grad is None and ref.grad is None
 
 
 def test_composite_expression_gradients():
@@ -473,8 +487,12 @@ def test_no_grad_tracking_without_requires_grad():
         (nm.conv1d, (Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3, 2))))),
         (nm.conv1d, (Tensor(np.ones((5, 3))), Tensor(np.ones((3, 2, 2))))),
         (nm.transpose, (Tensor(np.ones(3)),)),
-        (nm.lstm_cell, (Tensor(np.ones((2, 8))), Tensor(np.ones((2, 3))))),
-        (nm.lstm_cell, (Tensor(np.ones((2, 8))), Tensor(np.ones((1, 2))))),
+        (nm.lstm, (Tensor(np.ones((2, 3))), Tensor(np.ones((3, 8))), Tensor(np.ones((2, 4))),
+                   Tensor(np.ones(8)))),
+        (nm.lstm, (Tensor(np.ones((2, 3))), Tensor(np.ones((2, 8))), Tensor(np.ones((2, 8))),
+                   Tensor(np.ones(8)))),
+        (nm.lstm, (Tensor(np.ones((0, 3))), Tensor(np.ones((3, 8))), Tensor(np.ones((2, 8))),
+                   Tensor(np.ones(8)))),
     ],
 )
 def test_shape_errors(fn, args):
