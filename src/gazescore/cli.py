@@ -497,11 +497,6 @@ def _build_experiment_inputs(options, seed, paths, out_dir):
             set_ids = sorted(e.essay_id for e in essays.values() if e.set_id == set_id)
             folds[set_id] = make_folds(set_ids, seed=seed)
             generated = True
-    if generated:
-        fold_out = out_dir / "folds"
-        fold_out.mkdir(exist_ok=True)
-        for set_id, fold_list in folds.items():
-            save_folds(fold_out / f"set_{set_id}.txt", fold_list)
 
     gaze_ids = frozenset(opt_list(options, "gaze_essay_ids", cast=int))
     if not gaze_ids and records:
@@ -534,6 +529,11 @@ def _build_experiment_inputs(options, seed, paths, out_dir):
         model_params=typed_params(options, MODEL_KEYS),
         train_params=typed_params(options, TRAIN_KEYS),
     )
+    if generated:  # only once config and data are accepted
+        fold_out = out_dir / "folds"
+        fold_out.mkdir(exist_ok=True)
+        for set_id, fold_list in folds.items():
+            save_folds(fold_out / f"set_{set_id}.txt", fold_list)
     return config, data
 
 

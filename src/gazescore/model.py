@@ -14,8 +14,8 @@ hidden states come from :meth:`EssayScorer.encode_article`, once per list
 of essays scored through :meth:`EssayScorer.forward_batch`: per mini-batch in
 training (one graph, one dropout mask, one backward), per evaluation pass.
 An rng means training: it draws the dropout masks. Without an rng
-``forward_batch`` cuts each essay's outputs from the graph before the next
-essay runs, so callers may hold every output it returns.
+(evaluation) ``forward_batch`` runs under ``numerics.no_grad``, so no graph
+is built and callers may hold every output it returns.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
@@ -24,6 +24,7 @@ configured attribute.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,13 +76,6 @@ class ForwardOutput:
     @property
     def score_value(self):
         return float(self.predicted_score.data[0, 0])
-
-
-def _graph_free(output):
-    """``output`` with its score and gaze predictions cut from the graph."""
-    return ForwardOutput(
-        Tensor(output.predicted_score.data),
-        {a: Tensor(p.data) for a, p in output.gaze_predictions.items()})
 
 
 class EssayScorer:
@@ -249,13 +243,13 @@ class EssayScorer:
         """One :class:`ForwardOutput` per essay, in a list; the article is encoded once.
 
         With an rng (training) the essays share the article's graph and
-        dropout mask. Without one (evaluation) each output is cut from the
-        graph before the next essay runs, so one essay's graph is alive at a time.
+        dropout mask. Without one (evaluation) no graph is built: the
+        outputs carry their values only.
         """
-        article = self.encode_article(rng)
-        keep = _graph_free if rng is None else (lambda out: out)
-        return [keep(self.forward(sentence_ids, rng, article=article))
-                for sentence_ids in batch_sentence_ids]
+        with nm.no_grad() if rng is None else nullcontext():
+            article = self.encode_article(rng)
+            return [self.forward(sentence_ids, rng, article=article)
+                    for sentence_ids in batch_sentence_ids]
 
     def forward(self, sentence_ids, rng=None, article=None):
         """Score one essay given its vocabulary-encoded sentences.

@@ -11,6 +11,7 @@ tests rely on.
 
 from __future__ import annotations
 
+import gc
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -244,21 +245,28 @@ def _aggregate_epoch(batch_breakdowns, batch_sizes, weights):
 def _train_step(model, optimizer, batch, weights, clip_norm, rng, epoch, batch_index):
     """One optimizer step on one batch; returns its LossBreakdown.
 
-    Only this frame holds the batch's graph, so it is freed on return.
+    Only this frame holds the batch's graph, so it is freed on return; it is
+    acyclic, so the cyclic collector, which would only walk it, is paused.
     """
-    outputs = model.forward_batch([ex.sentence_ids for ex in batch], rng)
-    loss, breakdown = multitask_loss(outputs, batch, weights)
-    if not math.isfinite(float(loss.data)):
-        norms = {name: float(np.linalg.norm(t.data))
-                 for name, t in model.named_parameters().items()}
-        raise TrainingDiverged(epoch, batch_index, norms)
-    params = optimizer.parameters
-    zero_grads(params)
-    backward(loss, parameters=params)
-    model.pin_pad_embedding()
-    clip_global_norm(params, clip_norm)
-    optimizer.step()
-    return breakdown
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        outputs = model.forward_batch([ex.sentence_ids for ex in batch], rng)
+        loss, breakdown = multitask_loss(outputs, batch, weights)
+        if not math.isfinite(float(loss.data)):
+            norms = {name: float(np.linalg.norm(t.data))
+                     for name, t in model.named_parameters().items()}
+            raise TrainingDiverged(epoch, batch_index, norms)
+        params = optimizer.parameters
+        zero_grads(params)
+        backward(loss, parameters=params)
+        model.pin_pad_embedding()
+        clip_global_norm(params, clip_norm)
+        optimizer.step()
+        return breakdown
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def train(model, train_examples, dev_examples, config, sets, log=None):

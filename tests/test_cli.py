@@ -444,6 +444,12 @@ class TestRun:
         assert capsys.readouterr().err == "error: target_sets lists [3] more than once\n"
         assert not (out / "report.csv").exists()
 
+    def test_rejected_run_leaves_only_its_manifest(self, data_dir, prep_dir, tmp_path):
+        # generated folds are written only once the run's config and data are accepted
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, prep_dir, out, "self_attention", "target_sets=3,3")) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
     def test_essays_gaze_augments_with_pool(self, data_dir, prep_dir,
                                             pool_gaze_dir, tmp_path):
         out = tmp_path / "run"

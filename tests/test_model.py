@@ -153,7 +153,9 @@ def test_forward_batch_outputs_leave_the_graph_in_evaluation_only(architecture):
     evaluated = model.forward_batch(essays)
     assert isinstance(evaluated, list) and len(evaluated) == len(essays)
     for out, essay in zip(evaluated, essays):
-        assert out.score_value == model.forward(essay).score_value
+        direct = model.forward(essay)  # outside forward_batch, as a checkpoint check runs
+        assert out.score_value == direct.score_value
+        assert direct.predicted_score._parents and direct.predicted_score._grad_fn is not None
         tensors = [out.predicted_score, *out.gaze_predictions.values()]
         assert len(tensors) == 3 and all(not t._parents for t in tensors)
     trained = model.forward_batch(essays, rng=np.random.default_rng(0))

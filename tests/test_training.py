@@ -1,5 +1,6 @@
 """Training-loop tests: loss algebra, determinism, selection, equivalences."""
 
+import gc
 import math
 import pickle
 import weakref
@@ -13,6 +14,7 @@ from gazescore.gaze import BinnedGaze
 from gazescore.metrics import qwk
 from gazescore.model import EssayScorer, ModelConfig
 from gazescore.numerics import backward, zero_grads
+from gazescore.optim import RMSProp
 from gazescore.training import (
     GAZE_WEIGHT_GRID,
     EpochStats,
@@ -466,26 +468,104 @@ def test_train_frees_each_batch_graph_before_the_next_forward(monkeypatch):
     assert len(losses) == 6
 
 
-def test_evaluate_breakdown_frees_each_essay_graph_before_the_next_forward():
-    # the node under each essay's predicted score is part of its graph only;
-    # it must be gone before the next essay is scored
-    model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture="co_attention")
-    examples = make_examples(4, with_gaze=True)
-    outputs = [model.forward(ex.sentence_ids) for ex in examples]
-    _, expected = multitask_loss(outputs, examples, {"DT": 0.5})
-    del outputs
-    nodes = []
-    forward = model.forward
+def test_evaluate_breakdown_scores_without_a_graph():
+    # evaluation records no graph at all: every output forward_batch returns
+    # without an rng is a leaf, and the breakdown still equals the loss over
+    # per-essay outputs
+    for architecture in ("self_attention", "co_attention"):
+        model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture=architecture)
+        examples = make_examples(4, with_gaze=True)
+        _, expected = multitask_loss([model.forward(ex.sentence_ids) for ex in examples],
+                                     examples, {"DT": 0.5})
+        returned = []
+        forward_batch = model.forward_batch
 
-    def checking(*args, **kwargs):
-        assert all(ref() is None for ref in nodes), "an earlier essay's graph is alive"
-        out = forward(*args, **kwargs)
-        nodes.append(weakref.ref(out.predicted_score._parents[0].data))
-        return out
+        def recording(batch_sentence_ids, rng=None):
+            outputs = forward_batch(batch_sentence_ids, rng)
+            returned.extend(outputs)
+            return outputs
 
-    model.forward = checking
-    assert evaluate_breakdown(model, examples, {"DT": 0.5}) == expected
-    assert len(nodes) == 4
+        model.forward_batch = recording
+        assert evaluate_breakdown(model, examples, {"DT": 0.5}) == expected
+        tensors = [t for out in returned for t in (out.predicted_score,
+                                                   *out.gaze_predictions.values())]
+        assert len(tensors) == 8
+        assert all(t._parents == () and t._grad_fn is None and not t.requires_grad
+                   for t in tensors)
+
+
+@pytest.mark.parametrize("architecture", ["self_attention", "co_attention"])
+def test_training_forward_after_an_evaluation_pass_records_every_gradient(architecture):
+    # a dev pass runs without a graph; the next training forward must record
+    # one, and backward must give every parameter the gradient it gets without
+    # the dev pass
+    def gradients(evaluate_first):
+        model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture=architecture,
+                           dropout=0.5)
+        examples = make_examples(4, with_gaze=True)
+        if evaluate_first:
+            dev_qwk(model, make_examples(2, seed=9, base=900), SETS)
+        outputs = model.forward_batch([ex.sentence_ids for ex in examples],
+                                      np.random.default_rng(0))
+        loss, _ = multitask_loss(outputs, examples, {"DT": 0.5})
+        assert loss._grad_fn is not None
+        zero_grads(model.parameters())
+        backward(loss)
+        assert all(p.grad is not None for p in model.parameters())
+        return {name: p.grad for name, p in model.named_parameters().items()}
+
+    after_eval, fresh = gradients(True), gradients(False)
+    assert list(after_eval) == list(fresh)
+    assert all(np.array_equal(after_eval[name], fresh[name]) for name in fresh)
+
+
+@pytest.mark.parametrize("architecture", ["self_attention", "co_attention"])
+def test_train_leaves_no_cyclic_garbage(architecture):
+    # reference counting alone frees every graph, which is what makes pausing
+    # the collector per step safe: an op whose closure captured its own output
+    # would leave a cycle here. The collector stays off for the whole run so
+    # no automatic pass can clear such a cycle before the check.
+    model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture=architecture,
+                       dropout=0.5)
+    train_examples = make_examples(6, with_gaze=True)
+    dev_examples = make_examples(2, seed=9, base=900)
+    gc.collect()
+    gc.disable()
+    try:
+        train(model, train_examples, dev_examples, TrainConfig(batch_size=2, epochs=2, seed=0),
+              SETS)
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_train_step_pauses_the_collector_and_restores_its_state(monkeypatch, enabled):
+    model = tiny_model()
+    optimizer = RMSProp(model.parameters(), lr=0.001, decay=0.9, momentum=0.9, eps=1e-6)
+    batch = make_examples(2)
+    during = []
+
+    def recording_loss(*args):
+        during.append(gc.isenabled())
+        return multitask_loss(*args)
+
+    monkeypatch.setattr(training_module, "multitask_loss", recording_loss)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        training_module._train_step(model, optimizer, batch, {}, 10.0,
+                                    np.random.default_rng(0), 1, 0)
+        assert gc.isenabled() is enabled
+        model.output_b.data[:] = np.nan
+        with pytest.raises(TrainingDiverged):
+            training_module._train_step(model, optimizer, batch, {}, 10.0,
+                                        np.random.default_rng(0), 1, 1)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False, False]
 
 
 # ---------------------------------------------------------------------------
