@@ -453,8 +453,11 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
     return 0
 
 
-def _build_experiment_inputs(options, seed, paths, out_dir):
-    """Shared setup for run/train/ablate/gridsearch: (config, data)."""
+def _build_experiment_inputs(options, seed, paths, out_dir, cells_of=fold_cells):
+    """Shared setup for run/train/ablate/gridsearch: (config, data, cells).
+
+    Generated folds are written only once ``cells_of`` has built and checked the cells.
+    """
     records_path = paths["records_clean"]
     embeddings_path = paths["embeddings_cache"]
     reader_path = paths["reader_metadata"]
@@ -484,10 +487,7 @@ def _build_experiment_inputs(options, seed, paths, out_dir):
         raise CliError("missing required option 'target_sets'")
 
     folds = {}
-    generated = False
-    for set_id in target_sets:
-        if set_id not in sets:
-            raise CliError(f"unknown target set {set_id}")
+    for set_id in (s for s in target_sets if s in sets):  # validate_run names unknown sets
         if folds_dir is not None:
             fold_file = Path(folds_dir) / f"set_{set_id}.txt"
             if not fold_file.is_file():
@@ -496,7 +496,6 @@ def _build_experiment_inputs(options, seed, paths, out_dir):
         else:
             set_ids = sorted(e.essay_id for e in essays.values() if e.set_id == set_id)
             folds[set_id] = make_folds(set_ids, seed=seed)
-            generated = True
 
     gaze_ids = frozenset(opt_list(options, "gaze_essay_ids", cast=int))
     if not gaze_ids and records:
@@ -529,12 +528,13 @@ def _build_experiment_inputs(options, seed, paths, out_dir):
         model_params=typed_params(options, MODEL_KEYS),
         train_params=typed_params(options, TRAIN_KEYS),
     )
-    if generated:  # only once config and data are accepted
+    cells = cells_of(config, data)
+    if folds_dir is None:
         fold_out = out_dir / "folds"
         fold_out.mkdir(exist_ok=True)
         for set_id, fold_list in folds.items():
             save_folds(fold_out / f"set_{set_id}.txt", fold_list)
-    return config, data
+    return config, data, cells
 
 
 def _write_predictions_csv(path, report):
@@ -577,9 +577,8 @@ def _report_failures(out_dir, failures):
 
 
 def cmd_run(options, seed, paths, out_dir, jobs):
-    config, data = _build_experiment_inputs(options, seed, paths, out_dir)
-    results, failures = execute_cells(
-        run_fold, data, fold_cells(config, data), jobs, log=print)
+    config, data, cells = _build_experiment_inputs(options, seed, paths, out_dir)
+    results, failures = execute_cells(run_fold, data, cells, jobs, log=print)
     if results:
         report = assemble_report(config, results)
         _write_report_files(out_dir, report)
@@ -590,15 +589,19 @@ def cmd_run(options, seed, paths, out_dir, jobs):
 def cmd_train(options, seed, paths, out_dir, jobs):
     # the one command with a default system
     options = dict(options, system=options.get("system") or "self_attention")
-    config, data = _build_experiment_inputs(options, seed, paths, out_dir)
-    if len(config.target_sets) != 1:
-        raise CliError("train works on a single set; give set=<id>")
-    set_id = config.target_sets[0]
     fold_id = opt(options, "fold", int, 0)
-    fold_ids = [fold.fold_id for fold in data.folds[set_id]]
-    if fold_id not in fold_ids:
-        raise CliError(f"fold {fold_id} out of range; set {set_id} has fold ids {fold_ids}")
-    cell = fold_cells(config, data)[fold_ids.index(fold_id)]  # checks what run checks
+
+    def pick_fold(config, data):
+        if len(config.target_sets) != 1:
+            raise CliError("train works on a single set; give set=<id>")
+        cells = fold_cells(config, data)  # checks what run checks
+        fold_ids = [cell.fold.fold_id for cell in cells]
+        if fold_id not in fold_ids:
+            raise CliError(f"fold {fold_id} out of range; set {config.target_sets[0]} "
+                           f"has fold ids {fold_ids}")
+        return [cells[fold_ids.index(fold_id)]]
+
+    _, data, (cell,) = _build_experiment_inputs(options, seed, paths, out_dir, pick_fold)
 
     history_lines = []
 
@@ -621,11 +624,14 @@ def cmd_train(options, seed, paths, out_dir, jobs):
 
 
 def cmd_ablate(options, seed, paths, out_dir, jobs):
-    config, data = _build_experiment_inputs(options, seed, paths, out_dir)
     attribute = options.get("attribute")
-    if not attribute:
-        raise CliError("missing required option 'attribute'")
-    cells = ablation_cells(config, data, attribute)
+
+    def cells_of(config, data):
+        if not attribute:
+            raise CliError("missing required option 'attribute'")
+        return ablation_cells(config, data, attribute)
+
+    _, data, cells = _build_experiment_inputs(options, seed, paths, out_dir, cells_of)
     results, failures = execute_cells(run_fold, data, cells, jobs, log=print)
     if failures:
         return _report_failures(out_dir, failures)
@@ -643,12 +649,11 @@ def cmd_ablate(options, seed, paths, out_dir, jobs):
 
 
 def cmd_gridsearch(options, seed, paths, out_dir, jobs):
-    config, data = _build_experiment_inputs(options, seed, paths, out_dir)
-    if not config.uses_gaze:
-        raise CliError(f"system {config.system!r} has no gaze loss to search over")
     grid = opt_list(options, "grid", GAZE_WEIGHT_GRID, cast=float)
+    config, data, cells = _build_experiment_inputs(
+        options, seed, paths, out_dir,
+        lambda config, data: grid_cells(config, data, config.gaze_attributes, grid))
     attributes = config.gaze_attributes
-    cells = grid_cells(config, data, attributes, grid)
     results, failures = execute_cells(grid_fold, data, cells, jobs, log=print)
     if failures:
         return _report_failures(out_dir, failures)

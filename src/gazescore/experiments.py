@@ -283,13 +283,6 @@ class ExperimentReport:
         return sum(means.values()) / len(means)
 
 
-def _article_sentence_ids(essay_set, vocab):
-    if essay_set.source_article is None:
-        raise ValueError(
-            f"set {essay_set.set_id} has no source article but the system attends over one")
-    return [vocab.encode(s) for s in text_to_sentences(essay_set.source_article)]
-
-
 def _assert_no_vocab_leakage(vocab, held_out_ids):
     leaked = vocab.provenance & held_out_ids
     if leaked:
@@ -317,6 +310,17 @@ def _examples_for(essay_ids, essays, vocab, gaze_sequences):
         per_essay.setdefault(essay_id, {})[reader_id] = sequence
     return [prepare_example(replace(essays[essay_id], gaze=per_essay.get(essay_id)), vocab)
             for essay_id in essay_ids]
+
+
+def cell_configs(config, vocab_size, seed):
+    """(ModelConfig, TrainConfig) of a cell of ``config``, which differ only in these two."""
+    if "vocab_size" in config.model_params:
+        raise ValueError("vocab_size is derived from the fold's training vocabulary")
+    attributes = tuple(config.gaze_attributes) if config.uses_gaze else ()
+    weights = {a: float(config.gaze_loss_weights[a]) for a in attributes}
+    return (ModelConfig(architecture=config.architecture, gaze_attributes=attributes,
+                        gaze_loss_weights=weights, vocab_size=vocab_size, **config.model_params),
+            TrainConfig(**{**config.train_params, "seed": seed}))
 
 
 @dataclass
@@ -365,8 +369,6 @@ def prepare_cell(config, data, set_id, fold):
             data.embedding_vectors, data.embedding_dim, vocab, rng)
 
     gaze_sequences = dev_sequences = None
-    weights = {}
-    attributes = ()
     if config.uses_gaze:
         usable_records = filter_readers(
             data.gaze_records, config.gaze_reader_filter, data.reader_metadata)
@@ -381,23 +383,12 @@ def prepare_cell(config, data, set_id, fold):
         dev_ids = set(fold.dev)
         dev_sequences, _ = bin_all([r for r in usable_records if r.essay_id in dev_ids],
                                    stats, data.essays)
-        weights = {a: float(config.gaze_loss_weights[a]) for a in config.gaze_attributes}
-        attributes = tuple(config.gaze_attributes)
 
     article_ids = None
     if config.uses_article:
-        article_ids = _article_sentence_ids(essay_set, vocab)
+        article_ids = [vocab.encode(s) for s in text_to_sentences(essay_set.source_article)]
 
-    model_kwargs = dict(config.model_params)
-    if "vocab_size" in model_kwargs:
-        raise ValueError("vocab_size is derived from the fold's training vocabulary")
-    model_kwargs["vocab_size"] = len(vocab)
-    model_config = ModelConfig(
-        architecture=config.architecture,
-        gaze_attributes=attributes,
-        gaze_loss_weights=weights,
-        **model_kwargs,
-    )
+    model_config, train_config = cell_configs(config, len(vocab), cell_seed)
     model = EssayScorer(
         model_config, np.random.default_rng(cell_seed),
         embedding_matrix=embedding_matrix,
@@ -412,10 +403,6 @@ def prepare_cell(config, data, set_id, fold):
     leaked = train_id_set & set(fold.test)
     if leaked:
         raise LeakageError(f"test essays {sorted(leaked)} found in training examples")
-
-    train_kwargs = dict(config.train_params)
-    train_kwargs["seed"] = cell_seed
-    train_config = TrainConfig(**train_kwargs)
 
     return CellSetup(
         model=model,
@@ -535,7 +522,11 @@ def assemble_report(config, fold_results):
 
 
 def validate_run(config, data):
-    """All preconditions checked before any training starts."""
+    """Raise ValueError, before any cell exists, if the run cannot work at all.
+
+    It checks the target sets, the article and gaze inputs the system
+    needs, and the options every cell's ModelConfig and TrainConfig take.
+    """
     for set_id in config.target_sets:
         if set_id not in data.sets:
             raise ValueError(f"unknown target set {set_id}")
@@ -549,10 +540,15 @@ def validate_run(config, data):
         raise ValueError(f"system {config.system!r} needs gaze records")
     if config.augments_train and not data.gaze_essay_ids:
         raise ValueError(f"system {config.system!r} needs a gaze essay pool to augment with")
+    cell_configs(config, config.vocab_size, config.seed)
 
 
 def grid_cells(config, data, attributes, weights):
     """One cell per (attribute, weight, set, fold), the attribute alone at that weight."""
+    if not config.uses_gaze:
+        raise ValueError(f"system {config.system!r} has no gaze loss to search over")
+    if not (attributes and weights):  # no cells would leave the run unchecked
+        raise ValueError("a grid search needs at least one attribute and one weight")
     return [cell
             for attribute in attributes
             for weight in sorted(set(weights))

@@ -5,8 +5,9 @@ dwell time (DT) and first fixation duration (FFD) in milliseconds, the
 binary is-regression flag (IR), the run count (RC), and the binary skip
 flag. Fixation durations are binned per reader against that reader's own
 mean and population standard deviation, which normalizes idiosyncratic
-reading speed across readers. Bins are rescaled to [0, 1] so they can
-serve as regression targets for sigmoid heads.
+reading speed across readers. Training divides each bin by the
+attribute's ``GAZE_MAX_BIN`` so it can serve as a [0, 1] regression target
+for a sigmoid head.
 """
 
 from __future__ import annotations
@@ -76,21 +77,13 @@ class ReaderStats:
 
 @dataclass(frozen=True)
 class BinnedGaze:
+    """One token's bins, fields in GAZE_ATTRIBUTES order."""
+
     dt_bin: int
     ffd_bin: int
     ir_bin: int
     rc_bin: int
     skip_bin: int
-
-    def unit_target(self, attribute):
-        bin_value = {
-            "DT": self.dt_bin, "FFD": self.ffd_bin, "IR": self.ir_bin,
-            "RC": self.rc_bin, "Skip": self.skip_bin,
-        }[attribute]
-        return bin_value / GAZE_MAX_BIN[attribute]
-
-    def unit_targets(self):
-        return {a: self.unit_target(a) for a in GAZE_ATTRIBUTES}
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: it supports exactly the operations the
-essay-scoring models need (dense matmul, broadcast arithmetic, 1-d
-convolution, attention softmaxes, a forward LSTM, dropout, row selection,
-and mean-squared-error reduction). Data lives in float64 numpy arrays.
+The engine is deliberately small: the essay-scoring models use dense matmul,
+broadcast arithmetic, 1-d convolution, attention softmaxes, a forward LSTM,
+dropout, row selection and mean-squared-error reduction; ``neg``,
+``masked_softmax``, ``tensor_sum`` and ``narrow`` serve the tests' reference
+compositions and the planned per-essay sentence tower. Data is float64.
 
 Every operation returns a new ``Tensor`` that records its inputs and a
 closure computing input gradients from the output gradient. ``backward``
@@ -295,8 +296,8 @@ def conv1d(x, w):
 
 
 def _sigmoid(d):
-    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x):

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import denormalize_score
+from .gaze import GAZE_ATTRIBUTES, GAZE_MAX_BIN
 from .metrics import qwk
 from .numerics import Tensor, backward, zero_grads
 from .optim import RMSProp, clip_global_norm
@@ -59,8 +60,9 @@ class TrainExample:
     sentence_ids: list
     score_target: float
     raw_score: int
-    # attribute -> (token index array, unit target array); indices repeat
-    # when several readers labeled the same token
+    # attribute -> (token index array, unit target array); every attribute
+    # shares one read-only index array, whose indices repeat when several
+    # readers labeled the same token
     gaze_targets: dict = field(default_factory=dict)
 
 
@@ -83,23 +85,18 @@ class TrainingDiverged(RuntimeError):
 def prepare_example(essay, vocab):
     """Encode an essay's sentences and collect its per-token gaze targets."""
     sentence_ids = [vocab.encode(s) for s in essay.sentences]
+    gaze = essay.gaze or {}
+    labeled = [(position, binned) for reader_id in sorted(gaze)
+               for position, binned in enumerate(gaze[reader_id]) if binned is not None]
     gaze_targets = {}
-    if essay.gaze:
-        per_attribute = {}
-        for reader_id in sorted(essay.gaze):
-            sequence = essay.gaze[reader_id]
-            for position, binned in enumerate(sequence):
-                if binned is None:
-                    continue
-                for attribute, value in binned.unit_targets().items():
-                    per_attribute.setdefault(attribute, ([], []))
-                    per_attribute[attribute][0].append(position)
-                    per_attribute[attribute][1].append(value)
-        for attribute, (positions, values) in per_attribute.items():
-            gaze_targets[attribute] = (
-                np.asarray(positions, dtype=np.int64),
-                np.asarray(values, dtype=np.float64),
-            )
+    if labeled:
+        positions = np.array([position for position, _ in labeled], dtype=np.int64)
+        positions.flags.writeable = False
+        # one column per attribute, in GAZE_ATTRIBUTES order
+        bins = np.array([(b.dt_bin, b.ffd_bin, b.ir_bin, b.rc_bin, b.skip_bin)
+                         for _, b in labeled], dtype=np.int64)
+        gaze_targets = {attribute: (positions, bins[:, k] / GAZE_MAX_BIN[attribute])
+                        for k, attribute in enumerate(GAZE_ATTRIBUTES)}
     return TrainExample(
         essay_id=essay.essay_id,
         set_id=essay.set_id,

@@ -444,11 +444,33 @@ class TestRun:
         assert capsys.readouterr().err == "error: target_sets lists [3] more than once\n"
         assert not (out / "report.csv").exists()
 
-    def test_rejected_run_leaves_only_its_manifest(self, data_dir, prep_dir, tmp_path):
-        # generated folds are written only once the run's config and data are accepted
-        out = tmp_path / "run"
-        assert main(run_args(data_dir, prep_dir, out, "self_attention", "target_sets=3,3")) == 1
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+    def test_rejected_run_leaves_only_its_manifest(self, data_dir, prep_dir, pool_gaze_dir,
+                                                   tmp_path, capsys):
+        # every run-wide check precedes the first cell and the generated fold files
+        records = "records_clean=" + str(pool_gaze_dir / "records_clean.csv")
+        cases = [
+            ("run", "self_attention", "target_sets=3,3"),
+            ("run", "self_attention", "dropout=1.5"),
+            ("run", "self_attention", "conv_kernel=4"),
+            ("run", "self_attention", "epochs=-1"),
+            ("run", "self_attention", "target_sets=9"),
+            ("run", "co_attention", "target_sets=3"),
+            ("run", "essays_gaze"),
+            ("ablate", "essays_gaze", records, "attribute=XX"),
+            ("gridsearch", "self_attention"),
+            ("gridsearch", "essays_gaze", records, "dropout=1.5"),
+            ("train", "self_attention", "fold=9"),
+        ]
+        for k, (command, system, *extra) in enumerate(cases):
+            out = tmp_path / str(k)
+            args = run_args(data_dir, prep_dir, out, system, *extra)
+            args[0] = command
+            assert main(args) == 1, (command, system, extra)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ")
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
     def test_essays_gaze_augments_with_pool(self, data_dir, prep_dir,
                                             pool_gaze_dir, tmp_path):

@@ -465,6 +465,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="vocab_size"):
             run_tiny("self_attention", data, model_params=params)
 
+    @pytest.mark.parametrize("model_params, train_params, message", [
+        (dict(TINY_MODEL, dropout=1.5), TINY_TRAIN, "dropout"),
+        (dict(TINY_MODEL, conv_kernel=4), TINY_TRAIN, "conv_kernel"),
+        (dict(TINY_MODEL, vocab_size=100), TINY_TRAIN, "vocab_size"),
+        (TINY_MODEL, dict(TINY_TRAIN, epochs=-1), "epochs"),
+        (TINY_MODEL, dict(TINY_TRAIN, batch_size=0), "batch_size"),
+    ], ids=["dropout", "conv_kernel", "vocab_size", "epochs", "batch_size"])
+    def test_fold_cells_rejects_a_bad_cell_option(self, model_params, train_params,
+                                                  message):
+        # checked once for the run, while building its cells, not in each cell
+        config = ExperimentConfig(system="self_attention", target_sets=(1,),
+                                  model_params=dict(model_params),
+                                  train_params=dict(train_params))
+        with pytest.raises(ValueError, match=message):
+            fold_cells(config, make_data())
+
 
 def _cell_task(config, data, set_id, fold, log=None):
     """Picklable stand-in for run_fold: fold 2 fails, the rest echo their inputs."""
@@ -865,6 +881,19 @@ class TestGridCell:
         assert best["DT"] in (0.05, 0.1)
         assert set(table["DT"]) == {0.05, 0.1}
         assert table["DT"][best["DT"]] == min(table["DT"].values())
+
+    def test_rejects_gazeless_system(self):
+        data = make_data(article="The sun rose. Birds sang.", target_records=True)
+        config = replace(self.base_config(), system="co_attention")
+        with pytest.raises(ValueError, match="no gaze loss to search over"):
+            grid_cells(config, data, ("DT",), (0.05,))
+
+    def test_rejects_an_empty_grid(self):
+        # no cells would mean no validate_run: set 2 does not exist
+        config = replace(self.base_config(), target_sets=(2,))
+        for attributes, weights in ((), (0.05,)), (("DT",), ()):
+            with pytest.raises(ValueError, match="at least one attribute and one weight"):
+                grid_cells(config, make_data(), attributes, weights)
 
     def test_assemble_report_orders_folds(self):
         config = ExperimentConfig(system="self_attention", target_sets=(1,))

@@ -1,11 +1,13 @@
 """Gaze binning, reader statistics, and alignment tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazescore.corpus import Essay
+from gazescore.corpus import Essay, build_vocab
 from gazescore.gaze import (
     GAZE_ATTRIBUTES,
     GAZE_MAX_BIN,
@@ -20,6 +22,7 @@ from gazescore.gaze import (
     load_reader_metadata,
     reader_stats,
 )
+from gazescore.training import prepare_example
 
 
 def record(essay_id=1, reader="r1", ia=0, dt=100.0, ffd=80.0, ir=0, rc=1, skip=0):
@@ -247,24 +250,35 @@ def test_bin_record_skip_chain():
     assert binned.rc_bin == 0
 
 
+def training_targets(gaze):
+    """prepare_example's gaze targets for a one-sentence essay read as ``gaze``."""
+    n_tokens = max(len(sequence) for sequence in gaze.values())
+    essay = replace(essay_with_tokens(1, n_tokens), gaze=gaze)
+    return prepare_example(essay, build_vocab([essay])).gaze_targets
+
+
 def test_bin_record_regression_unit_target():
     stats = reader_stats([record(ir=1)])["r1"]
     binned = bin_record(record(ir=1), stats)
     assert binned.ir_bin == 1
-    assert binned.unit_target("IR") == 1.0
+    positions, values = training_targets({"r1": [binned]})["IR"]
+    assert positions.tolist() == [0]
+    assert values.tolist() == [1.0]
 
 
 def test_unit_target_is_bin_over_max():
-    binned = BinnedGaze(dt_bin=3, ffd_bin=5, ir_bin=0, rc_bin=2, skip_bin=1)
-    assert binned.unit_target("DT") == pytest.approx(0.6)
-    assert binned.unit_target("FFD") == 1.0
-    assert binned.unit_target("RC") == pytest.approx(0.4)
-    targets = binned.unit_targets()
-    assert set(targets) == set(GAZE_ATTRIBUTES)
-    for attribute, value in targets.items():
-        assert 0.0 <= value <= 1.0
-        steps = GAZE_MAX_BIN[attribute]
-        assert value * steps == pytest.approx(round(value * steps))
+    first = BinnedGaze(dt_bin=3, ffd_bin=5, ir_bin=0, rc_bin=2, skip_bin=1)
+    second = BinnedGaze(dt_bin=1, ffd_bin=0, ir_bin=1, rc_bin=5, skip_bin=0)
+    # readers in sorted order, then positions; unlabeled tokens give no target
+    targets = training_targets({"r2": [None, second], "r1": [first, None, second]})
+    assert tuple(targets) == GAZE_ATTRIBUTES
+    (positions,) = {id(p): p for p, _ in targets.values()}.values()
+    assert positions.tolist() == [0, 2, 1] and not positions.flags.writeable
+    bins = {"DT": [3, 1, 1], "FFD": [5, 0, 0], "IR": [0, 1, 1], "RC": [2, 5, 5],
+            "Skip": [1, 0, 0]}
+    for attribute, (_, values) in targets.items():
+        assert values.dtype == np.float64
+        assert values.tolist() == [b / GAZE_MAX_BIN[attribute] for b in bins[attribute]]
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,17 @@ def test_sigmoid_extreme_inputs_stable():
     np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
 
 
+def test_sigmoid_matches_three_exp_form_bitwise():
+    """exp(-|d|) is computed once; every output keeps its bits, nan and zeros included."""
+    rng = np.random.default_rng(16)
+    d = np.concatenate([
+        [np.inf, -np.inf, 745.0, -745.0, 0.0, -0.0, np.nan, 1e-300, -1e-300],
+        rng.uniform(-150.0, 150.0, 10000), rng.standard_normal(10000)])
+    reference = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                         np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    assert nm._sigmoid(d).tobytes() == reference.tobytes()
+
+
 def test_tanh_gradients():
     rng = np.random.default_rng(15)
     check_gradients(nm.tanh, [param(rng, 5)])
