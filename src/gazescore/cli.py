@@ -11,10 +11,10 @@ self-describing. Reruns into a directory that already holds a manifest are
 refused unless --force is given. With --dry-run it stops there; otherwise
 it calls the handler with (options, seed, paths, out_dir, jobs).
 
-At any --jobs, run, ablate and gridsearch run every cell, list each failed
-cell in failures.txt and on stderr, and exit 1 if any failed. run still
-reports the cells that finished; ablate and gridsearch write results only
-when every cell succeeded.
+At any --jobs, train, run, ablate and gridsearch run every cell, list each
+failed cell in failures.txt and on stderr, and exit 1 if any failed. run
+reports the cells that finished; the others write results only when every
+cell succeeded. Each cell prints its label, and at --jobs 1 its epoch lines.
 """
 
 import argparse
@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -67,7 +68,7 @@ from .gaze import (
     load_reader_metadata,
     reader_stats,
 )
-from .training import GAZE_WEIGHT_GRID, TrainingDiverged, grid_search_gaze_weights
+from .training import GAZE_WEIGHT_GRID, format_epoch_line, grid_search_gaze_weights
 
 DATA_DIR_ENV = "GAZESCORE_DATA"
 
@@ -269,6 +270,15 @@ def start_run(args, options, overrides, seed, input_paths):
 
 # ------------------------------------------------------- corpus cache
 
+@contextmanager
+def _fields_of(path):
+    """Report a KeyError raised in the block as ``path`` missing that field."""
+    try:
+        yield
+    except KeyError as error:
+        raise CliError(f"{path}: missing field {error.args[0]!r}") from None
+
+
 def write_corpus_cache(path, essays, sets):
     payload = {
         "format": CORPUS_CACHE_FORMAT,
@@ -298,30 +308,30 @@ def write_corpus_cache(path, essays, sets):
 
 
 def load_corpus_cache(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _fields_of(path):
         payload = json.load(fh)
-    if payload.get("format") != CORPUS_CACHE_FORMAT:
-        raise CliError(f"{path}: not a corpus cache (format {payload.get('format')!r})")
-    sets = {
-        int(set_id): EssaySet(
-            set_id=int(set_id),
-            score_min=entry["score_min"],
-            score_max=entry["score_max"],
-            source_article=entry["article"],
-        )
-        for set_id, entry in payload["sets"].items()
-    }
-    essays = {}
-    for entry in payload["essays"]:
-        essay = Essay(
-            essay_id=entry["essay_id"],
-            set_id=entry["set_id"],
-            sentences=entry["sentences"],
-            raw_score=entry["raw_score"],
-            normalized_score=entry["normalized_score"],
-            degenerate=entry["degenerate"],
-        )
-        essays[essay.essay_id] = essay
+        if payload.get("format") != CORPUS_CACHE_FORMAT:
+            raise CliError(f"{path}: not a corpus cache (format {payload.get('format')!r})")
+        sets = {
+            int(set_id): EssaySet(
+                set_id=int(set_id),
+                score_min=entry["score_min"],
+                score_max=entry["score_max"],
+                source_article=entry["article"],
+            )
+            for set_id, entry in payload["sets"].items()
+        }
+        essays = {}
+        for entry in payload["essays"]:
+            essay = Essay(
+                essay_id=entry["essay_id"],
+                set_id=entry["set_id"],
+                sentences=entry["sentences"],
+                raw_score=entry["raw_score"],
+                normalized_score=entry["normalized_score"],
+                degenerate=entry["degenerate"],
+            )
+            essays[essay.essay_id] = essay
     return essays, sets
 
 
@@ -453,10 +463,12 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
     return 0
 
 
-def _build_experiment_inputs(options, seed, paths, out_dir, cells_of=fold_cells):
-    """Shared setup for run/train/ablate/gridsearch: (config, data, cells).
+def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
+    """Build the cells of train/run/ablate/gridsearch and run ``task`` on each.
 
-    Generated folds are written only once ``cells_of`` has built and checked the cells.
+    Returns (config, cells, results, failures) as ``execute_cells`` gives
+    them. Generated folds are written only once ``cells_of`` has built and
+    checked the cells.
     """
     records_path = paths["records_clean"]
     embeddings_path = paths["embeddings_cache"]
@@ -534,7 +546,8 @@ def _build_experiment_inputs(options, seed, paths, out_dir, cells_of=fold_cells)
         fold_out.mkdir(exist_ok=True)
         for set_id, fold_list in folds.items():
             save_folds(fold_out / f"set_{set_id}.txt", fold_list)
-    return config, data, cells
+    results, failures = execute_cells(task, data, cells, jobs, log=print)
+    return config, cells, results, failures
 
 
 def _write_predictions_csv(path, report):
@@ -577,8 +590,7 @@ def _report_failures(out_dir, failures):
 
 
 def cmd_run(options, seed, paths, out_dir, jobs):
-    config, data, cells = _build_experiment_inputs(options, seed, paths, out_dir)
-    results, failures = execute_cells(run_fold, data, cells, jobs, log=print)
+    config, _, results, failures = _run_cells(options, seed, paths, out_dir, jobs, run_fold)
     if results:
         report = assemble_report(config, results)
         _write_report_files(out_dir, report)
@@ -601,21 +613,14 @@ def cmd_train(options, seed, paths, out_dir, jobs):
                            f"has fold ids {fold_ids}")
         return [cells[fold_ids.index(fold_id)]]
 
-    _, data, (cell,) = _build_experiment_inputs(options, seed, paths, out_dir, pick_fold)
-
-    history_lines = []
-
-    def log(line):
-        history_lines.append(line)
-        print(line)
-
-    _, result = train_cell(cell.config, data, cell.set_id, cell.fold, log)
-
+    *_, results, failures = _run_cells(options, seed, paths, out_dir, jobs, train_cell, pick_fold)
+    if failures:
+        return _report_failures(out_dir, failures)
+    ((_, result),) = results
     save_checkpoint(out_dir / "checkpoint_best.txt", result.best_state)
     save_checkpoint(out_dir / "checkpoint_final.txt", result.final_state)
     with open(out_dir / "history.log", "w", encoding="utf-8") as fh:
-        for line in history_lines:
-            fh.write(line + "\n")
+        fh.writelines(format_epoch_line(stats) + "\n" for stats in result.history)
     summary = (f"best_epoch={result.best_epoch} "
                f"best_dev_qwk={result.best_dev_qwk:.6g} "
                f"epochs={len(result.history)}")
@@ -631,8 +636,8 @@ def cmd_ablate(options, seed, paths, out_dir, jobs):
             raise CliError("missing required option 'attribute'")
         return ablation_cells(config, data, attribute)
 
-    _, data, cells = _build_experiment_inputs(options, seed, paths, out_dir, cells_of)
-    results, failures = execute_cells(run_fold, data, cells, jobs, log=print)
+    _, cells, results, failures = _run_cells(options, seed, paths, out_dir, jobs, run_fold,
+                                             cells_of)
     if failures:
         return _report_failures(out_dir, failures)
     result = ablation_report(attribute, cells, results)
@@ -650,11 +655,10 @@ def cmd_ablate(options, seed, paths, out_dir, jobs):
 
 def cmd_gridsearch(options, seed, paths, out_dir, jobs):
     grid = opt_list(options, "grid", GAZE_WEIGHT_GRID, cast=float)
-    config, data, cells = _build_experiment_inputs(
-        options, seed, paths, out_dir,
+    config, cells, results, failures = _run_cells(
+        options, seed, paths, out_dir, jobs, grid_fold,
         lambda config, data: grid_cells(config, data, config.gaze_attributes, grid))
     attributes = config.gaze_attributes
-    results, failures = execute_cells(grid_fold, data, cells, jobs, log=print)
     if failures:
         return _report_failures(out_dir, failures)
     per_point = {}
@@ -691,11 +695,11 @@ def load_run_directory(run_dir):
     for path in (report_path, predictions_path, manifest_path):
         if not path.is_file():
             raise CliError(f"cannot read run file: {path}")
-    with open(manifest_path, encoding="utf-8") as fh:
+    with open(manifest_path, encoding="utf-8") as fh, _fields_of(manifest_path):
         seed = json.load(fh)["seed"]
     predictions = {}
     errors = {}
-    with open(predictions_path, newline="", encoding="utf-8") as fh:
+    with open(predictions_path, newline="", encoding="utf-8") as fh, _fields_of(predictions_path):
         for row in csv.DictReader(fh):
             key = (int(row["set_id"]), int(row["fold_id"]))
             essay_id = int(row["essay_id"])
@@ -704,7 +708,7 @@ def load_run_directory(run_dir):
             errors.setdefault(key, {})[essay_id] = float(row["squared_error"])
     results = []
     system = None
-    with open(report_path, newline="", encoding="utf-8") as fh:
+    with open(report_path, newline="", encoding="utf-8") as fh, _fields_of(report_path):
         for row in csv.DictReader(fh):
             system = row["system"]
             key = (int(row["set_id"]), int(row["fold_id"]))
@@ -787,8 +791,8 @@ def build_parser():
                          help="master seed (overrides config)")
         sub.add_argument("--out", required=True, help="output directory")
         sub.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the cells of run, ablate "
-                              "and gridsearch")
+                         help="worker processes for train, run, ablate and gridsearch "
+                              "cells (above 1, no epoch lines on stdout)")
         sub.add_argument("--dry-run", action="store_true",
                          help="write manifest and resolved config, do no work")
         sub.add_argument("--force", action="store_true",
@@ -812,7 +816,7 @@ def main(argv=None):
         if args.dry_run:
             return 0
         return handler(options, seed, paths, out_dir, args.jobs)
-    except (CliError, ValueError, OSError, TrainingDiverged) as error:
+    except (CliError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -190,6 +190,8 @@ class ExperimentConfig:
             if attribute not in GAZE_ATTRIBUTES:
                 raise ValueError(f"unknown gaze attribute {attribute!r}")
         if self.uses_gaze:
+            if not self.gaze_attributes:
+                raise ValueError(f"system {self.system!r} needs at least one gaze attribute")
             missing = [a for a in self.gaze_attributes if a not in self.gaze_loss_weights]
             if missing:
                 raise ValueError(f"no loss weight configured for {missing}")

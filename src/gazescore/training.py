@@ -48,7 +48,6 @@ class TrainConfig:
 class LossBreakdown:
     score_mse: float
     gaze_mse: dict  # attribute -> float
-    weighted_total: float
     gaze_token_counts: dict = field(default_factory=dict)  # attribute -> int
 
 
@@ -157,12 +156,9 @@ def multitask_loss(outputs, examples, weights):
 
     gaze_mse = {a: (float(gaze_mse_tensors[a].data) if a in gaze_mse_tensors else 0.0)
                 for a in attributes}
-    weighted_total = float(score_mse.data) + sum(
-        weights.get(a, 0.0) * gaze_mse[a] for a in attributes)
     breakdown = LossBreakdown(
         score_mse=float(score_mse.data),
         gaze_mse=gaze_mse,
-        weighted_total=weighted_total,
         gaze_token_counts=gaze_counts,
     )
     return loss, breakdown
@@ -212,7 +208,7 @@ def evaluate_breakdown(model, examples, weights):
                           examples, weights)[1]
 
 
-def _aggregate_epoch(batch_breakdowns, batch_sizes, weights):
+def _aggregate_epoch(batch_breakdowns, batch_sizes):
     """Token- and essay-weighted mean of per-batch breakdowns."""
     total_essays = sum(batch_sizes)
     score_mse = sum(b.score_mse * n for b, n in zip(batch_breakdowns, batch_sizes))
@@ -229,12 +225,9 @@ def _aggregate_epoch(batch_breakdowns, batch_sizes, weights):
             gaze_mse[attribute] = sum(
                 b.gaze_mse.get(attribute, 0.0) * b.gaze_token_counts.get(attribute, 0)
                 for b in batch_breakdowns) / count
-    weighted_total = score_mse + sum(
-        weights.get(a, 0.0) * gaze_mse[a] for a in attributes)
     return LossBreakdown(
         score_mse=score_mse,
         gaze_mse=gaze_mse,
-        weighted_total=weighted_total,
         gaze_token_counts=gaze_counts,
     )
 
@@ -307,7 +300,7 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
             batch_breakdowns.append(_train_step(model, optimizer, batch, weights,
                                                 config.clip_norm, rng, epoch, batch_index))
             batch_sizes.append(len(batch))
-        epoch_breakdown = _aggregate_epoch(batch_breakdowns, batch_sizes, weights)
+        epoch_breakdown = _aggregate_epoch(batch_breakdowns, batch_sizes)
         epoch_qwk = dev_qwk(model, dev_examples, sets)
         stats = EpochStats(epoch=epoch, breakdown=epoch_breakdown, dev_qwk=epoch_qwk)
         history.append(stats)

@@ -637,10 +637,8 @@ def test_07_zero_weight_equivalence():
     result_zero = train(model_zero, examples, [], schedule, {3: SET_0_3})
     result_none = train(model_none, examples, [], schedule, {3: SET_0_3})
 
-    history_zero = [(s.breakdown.score_mse, s.breakdown.weighted_total)
-                    for s in result_zero.history]
-    history_none = [(s.breakdown.score_mse, s.breakdown.weighted_total)
-                    for s in result_none.history]
+    history_zero = [s.breakdown.score_mse for s in result_zero.history]
+    history_none = [s.breakdown.score_mse for s in result_none.history]
     histories_identical = history_zero == history_none
 
     shared_keys = set(result_zero.final_state) & set(result_none.final_state)

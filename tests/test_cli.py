@@ -448,6 +448,10 @@ class TestRun:
                                                    tmp_path, capsys):
         # every run-wide check precedes the first cell and the generated fold files
         records = "records_clean=" + str(pool_gaze_dir / "records_clean.csv")
+        cache = json.loads((prep_dir / "corpus_cache.json").read_text())
+        del cache["essays"][0]["raw_score"]
+        no_score = tmp_path / "no_score.json"
+        no_score.write_text(json.dumps(cache))
         cases = [
             ("run", "self_attention", "target_sets=3,3"),
             ("run", "self_attention", "dropout=1.5"),
@@ -456,6 +460,8 @@ class TestRun:
             ("run", "self_attention", "target_sets=9"),
             ("run", "co_attention", "target_sets=3"),
             ("run", "essays_gaze"),
+            ("run", "essays_gaze", records, "gaze_attributes=,"),
+            ("run", "self_attention", "corpus_cache=" + str(no_score)),
             ("ablate", "essays_gaze", records, "attribute=XX"),
             ("gridsearch", "self_attention"),
             ("gridsearch", "essays_gaze", records, "dropout=1.5"),
@@ -533,13 +539,15 @@ class TestRun:
 
 class TestTrain:
     def test_single_fold_training(self, data_dir, prep_dir, tmp_path, capsys):
-        out = tmp_path / "train"
-        code = main(["train", "--config", str(data_dir / "base.cfg"),
-                     "--out", str(out),
-                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
-                     "--set", "set=1", "--set", "fold=0",
-                     "--set", "epochs=2"])
-        assert code == 0
+        outs = {jobs: tmp_path / f"train{jobs}" for jobs in ("1", "2")}
+        for jobs, out in outs.items():
+            code = main(["train", "--config", str(data_dir / "base.cfg"),
+                         "--out", str(out), "--jobs", jobs,
+                         "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                         "--set", "set=1", "--set", "fold=0",
+                         "--set", "epochs=2"])
+            assert code == 0
+        out = outs["1"]
         state = load_checkpoint(out / "checkpoint_best.txt")
         assert "embedding" in state
         assert load_checkpoint(out / "checkpoint_final.txt").keys() == state.keys()
@@ -547,6 +555,9 @@ class TestTrain:
         assert len(history) == 2
         assert history[0].startswith("epoch=1 ")
         assert "best_epoch=" in (out / "train_summary.txt").read_text()
+        for name in ("checkpoint_best.txt", "checkpoint_final.txt", "history.log",
+                     "train_summary.txt"):
+            assert (outs["2"] / name).read_bytes() == (out / name).read_bytes()
 
     def test_fold_out_of_range(self, data_dir, prep_dir, tmp_path, capsys):
         out = tmp_path / "train"
@@ -739,17 +750,35 @@ class TestReport:
         assert code == 0
         assert "seed: 5" in capsys.readouterr().out
 
-    def test_missing_manifest(self, two_runs, tmp_path, capsys):
+    @pytest.mark.parametrize("name, field, message", [
+        ("manifest.json", None, "cannot read run file: {}"),
+        ("manifest.json", "seed", "{}: missing field 'seed'"),
+        ("report.csv", "test_qwk", "{}: missing field 'test_qwk'"),
+        ("predictions.csv", "squared_error", "{}: missing field 'squared_error'"),
+    ], ids=["no_file", "no_seed", "no_report_column", "no_predictions_column"])
+    def test_missing_manifest(self, name, field, message, two_runs, tmp_path, capsys):
         first, _ = two_runs
         copy = tmp_path / "copy"
         copy.mkdir()
-        for name in ("report.csv", "predictions.csv"):
-            (copy / name).write_bytes((first / name).read_bytes())
+        for kept in ("report.csv", "predictions.csv", "manifest.json"):
+            (copy / kept).write_bytes((first / kept).read_bytes())
+        path = copy / name
+        if field is None:
+            path.unlink()
+        elif name == "manifest.json":
+            manifest = json.loads(path.read_text())
+            del manifest[field]
+            path.write_text(json.dumps(manifest))
+        else:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            column = rows[0].index(field)
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(row[:column] + row[column + 1:] for row in rows)
         code = main(["report", "--out", str(tmp_path / "report"),
                      "--set", "run_a=" + str(copy)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "cannot read run file" in err and "manifest.json" in err
+        assert capsys.readouterr().err == "error: " + message.format(path) + "\n"
 
     def test_compare_two_runs(self, two_runs, tmp_path, capsys):
         first, second = two_runs
@@ -784,10 +813,11 @@ class TestReport:
 
 
 class TestFailurePolicy:
-    """run, ablate and gridsearch treat failed cells alike at any --jobs."""
+    """train, run, ablate and gridsearch treat failed cells alike at any --jobs."""
 
-    COMMANDS = {"run": [], "ablate": ["attribute=DT"], "gridsearch": ["grid=0.05"]}
-    RESULT_FILES = ("report.csv", "ablation.txt", "gridsearch.csv")
+    COMMANDS = {"train": ["fold=2"], "run": [], "ablate": ["attribute=DT"],
+                "gridsearch": ["grid=0.05"]}
+    RESULT_FILES = ("checkpoint_final.txt", "report.csv", "ablation.txt", "gridsearch.csv")
 
     def run_both(self, command, cause, data_dir, prep_dir, pool_gaze_dir, tmp_path,
                  capsys):
@@ -818,7 +848,8 @@ class TestFailurePolicy:
                                 tmp_path, capsys):
         outs, text = self.run_both(command, "reader_filter=nobody", data_dir, prep_dir,
                                    pool_gaze_dir, tmp_path, capsys)
-        assert text.count("ValueError: ") == {"run": 5, "ablate": 10, "gridsearch": 5}[command]
+        assert text.count("ValueError: ") == \
+            {"train": 1, "run": 5, "ablate": 10, "gridsearch": 5}[command]
         assert "none remain after filtering" in text
         for out in outs:
             assert not any((out / name).exists() for name in self.RESULT_FILES)
@@ -829,7 +860,8 @@ class TestFailurePolicy:
         # target essay 100 in the gaze pool is held out in two of the five folds
         outs, text = self.run_both(command, "gaze_essay_ids=900,901,902,903,904,905,100",
                                    data_dir, prep_dir, pool_gaze_dir, tmp_path, capsys)
-        assert text.count("LeakageError: ") == {"run": 2, "ablate": 4, "gridsearch": 2}[command]
+        assert text.count("LeakageError: ") == \
+            {"train": 1, "run": 2, "ablate": 4, "gridsearch": 2}[command]
         assert text.count("\n") == text.count("LeakageError: ")
         if command == "run":
             with open(outs[0] / "report.csv", newline="") as fh:

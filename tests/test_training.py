@@ -107,7 +107,6 @@ def test_loss_score_only_half_prediction():
     loss, breakdown = multitask_loss(outputs, [example], {})
     assert float(loss.data) == pytest.approx(0.25)
     assert breakdown.score_mse == pytest.approx(0.25)
-    assert breakdown.weighted_total == pytest.approx(0.25)
     assert sum(breakdown.gaze_token_counts.values()) == 0
 
 
@@ -115,8 +114,8 @@ def test_loss_without_gaze_labels_equals_score_mse():
     model = tiny_model(gaze=("DT",), weights={"DT": 0.5})
     examples = make_examples(3)  # no gaze targets attached
     outputs = [model.forward(ex.sentence_ids) for ex in examples]
-    _, breakdown = multitask_loss(outputs, examples, {"DT": 0.5})
-    assert breakdown.weighted_total == pytest.approx(breakdown.score_mse)
+    loss, breakdown = multitask_loss(outputs, examples, {"DT": 0.5})
+    assert float(loss.data) == pytest.approx(breakdown.score_mse)
     assert breakdown.gaze_mse["DT"] == 0.0
 
 
@@ -127,10 +126,10 @@ def test_loss_perfect_predictions_vanish():
     example.score_target = out.score_value
     idx = example.gaze_targets["DT"][0]
     example.gaze_targets["DT"] = (idx, out.gaze_predictions["DT"].data[idx, 0].copy())
-    _, breakdown = multitask_loss([out], [example], {"DT": 0.5})
+    loss, breakdown = multitask_loss([out], [example], {"DT": 0.5})
     assert breakdown.score_mse == pytest.approx(0.0, abs=1e-18)
     assert breakdown.gaze_mse["DT"] == pytest.approx(0.0, abs=1e-18)
-    assert breakdown.weighted_total == pytest.approx(0.0, abs=1e-18)
+    assert float(loss.data) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_loss_weighted_total_identity():
@@ -139,9 +138,8 @@ def test_loss_weighted_total_identity():
     outputs = [model.forward(ex.sentence_ids) for ex in examples]
     weights = {"DT": 0.05}
     loss, breakdown = multitask_loss(outputs, examples, weights)
-    assert breakdown.weighted_total == pytest.approx(
+    assert float(loss.data) == pytest.approx(
         breakdown.score_mse + 0.05 * breakdown.gaze_mse["DT"])
-    assert float(loss.data) == pytest.approx(breakdown.weighted_total)
 
 
 def test_loss_rejects_empty_batch():
@@ -367,7 +365,7 @@ def test_format_epoch_line_is_key_value():
     stats = EpochStats(
         epoch=3,
         breakdown=LossBreakdown(score_mse=0.5, gaze_mse={"DT": 0.25},
-                                weighted_total=0.525, gaze_token_counts={"DT": 10}),
+                                gaze_token_counts={"DT": 10}),
         dev_qwk=0.75)
     line = format_epoch_line(stats)
     assert line == "epoch=3 score_mse=0.5 gaze_mse_DT=0.25 dev_qwk=0.75"
