@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -55,20 +56,22 @@ from .experiments import (
     make_folds,
     run_fold,
     save_folds,
-    train_cell,
+    train_fold,
     write_report_csv,
 )
 from .gaze import (
     GAZE_ATTRIBUTES,
     GAZE_CSV_COLUMNS,
     READER_FILTERS,
+    BinnedGaze,
     bin_all,
     filter_readers,
     load_gaze_records,
     load_reader_metadata,
     reader_stats,
 )
-from .training import GAZE_WEIGHT_GRID, format_epoch_line, grid_search_gaze_weights
+from .model import ModelConfig
+from .training import GAZE_WEIGHT_GRID, TrainConfig, format_epoch_line, grid_search_gaze_weights
 
 DATA_DIR_ENV = "GAZESCORE_DATA"
 
@@ -82,22 +85,19 @@ DIRECTORY_KEYS = ("folds_dir", "run_a", "run_b")
 # optional input keys of train, run, ablate and gridsearch
 EXPERIMENT_INPUTS = ("records_clean", "embeddings_cache", "reader_metadata", "folds_dir")
 
-MODEL_KEYS = {
-    "embedding_dim": int,
-    "conv_kernel": int,
-    "conv_filters": int,
-    "lstm_hidden": int,
-    "modeling_hidden": int,
-    "dropout": float,
-}
 
-TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "momentum": float,
-    "clip_norm": float,
-}
+def _numeric_options(config_cls):
+    """Option key -> int or float, one per numeric field of ``config_cls``.
+
+    vocab_size and seed are options of their own, resolved apart.
+    """
+    return {f.name: type(f.default) for f in fields(config_cls)
+            if type(f.default) in (int, float) and f.name not in ("vocab_size", "seed")}
+
+
+MODEL_KEYS = _numeric_options(ModelConfig)
+
+TRAIN_KEYS = _numeric_options(TrainConfig)
 
 # how option-type errors name each type
 TYPE_NAMES = {int: "an integer", float: "a number"}
@@ -390,12 +390,7 @@ def _write_records_csv(path, records):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GAZE_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.essay_id, r.reader_id, r.ia_index, r.token,
-                repr(r.dwell_time_ms), repr(r.first_fixation_ms),
-                r.is_regression, r.run_count, r.skip,
-            ])
+        writer.writerows(records)
 
 
 def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
@@ -427,16 +422,10 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
     _write_records_csv(out_dir / "records_clean.csv", records)
     with open(out_dir / "binned_labels.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["essay_id", "reader_id", "ia_index",
-                         "dt_bin", "ffd_bin", "ir_bin", "rc_bin", "skip_bin"])
-        for (essay_id, reader_id) in sorted(sequences):
-            sequence = sequences[(essay_id, reader_id)]
-            for position, binned in enumerate(sequence):
-                if binned is None:
-                    continue
-                writer.writerow([essay_id, reader_id, position, binned.dt_bin,
-                                 binned.ffd_bin, binned.ir_bin, binned.rc_bin,
-                                 binned.skip_bin])
+        writer.writerow(["essay_id", "reader_id", "ia_index", *BinnedGaze._fields])
+        writer.writerows([essay_id, reader_id, position, *binned]
+                         for (essay_id, reader_id), sequence in sorted(sequences.items())
+                         for position, binned in enumerate(sequence) if binned is not None)
     with open(out_dir / "reader_stats.txt", "w", encoding="utf-8") as fh:
         fh.write("reader_id dt_mean dt_std ffd_mean ffd_std n_records\n")
         for reader_id in sorted(stats):
@@ -613,10 +602,10 @@ def cmd_train(options, seed, paths, out_dir, jobs):
                            f"has fold ids {fold_ids}")
         return [cells[fold_ids.index(fold_id)]]
 
-    *_, results, failures = _run_cells(options, seed, paths, out_dir, jobs, train_cell, pick_fold)
+    *_, results, failures = _run_cells(options, seed, paths, out_dir, jobs, train_fold, pick_fold)
     if failures:
         return _report_failures(out_dir, failures)
-    ((_, result),) = results
+    (result,) = results
     save_checkpoint(out_dir / "checkpoint_best.txt", result.best_state)
     save_checkpoint(out_dir / "checkpoint_final.txt", result.final_state)
     with open(out_dir / "history.log", "w", encoding="utf-8") as fh:

@@ -370,10 +370,12 @@ def prepare_cell(config, data, set_id, fold):
         embedding_matrix = matrix_from_vectors(
             data.embedding_vectors, data.embedding_dim, vocab, rng)
 
-    gaze_sequences = dev_sequences = None
+    gaze_sequences = None
     if config.uses_gaze:
-        usable_records = filter_readers(
-            data.gaze_records, config.gaze_reader_filter, data.reader_metadata)
+        test_ids = set(fold.test)
+        usable_records = [r for r in filter_readers(data.gaze_records, config.gaze_reader_filter,
+                                                    data.reader_metadata)
+                          if r.essay_id not in test_ids]
         train_side = [r for r in usable_records if r.essay_id not in held_out]
         if not train_side:
             raise ValueError(
@@ -381,10 +383,9 @@ def prepare_cell(config, data, set_id, fold):
                 f"after filtering")
         stats = reader_stats(train_side)
         _assert_no_stats_leakage(stats, held_out)
-        gaze_sequences, _ = bin_all(train_side, stats, data.essays)
-        dev_ids = set(fold.dev)
-        dev_sequences, _ = bin_all([r for r in usable_records if r.essay_id in dev_ids],
-                                   stats, data.essays)
+        # a token's bins depend only on its record and its reader's statistics,
+        # so one pass bins the train and the dev side
+        gaze_sequences, _ = bin_all(usable_records, stats, data.essays)
 
     article_ids = None
     if config.uses_article:
@@ -398,7 +399,7 @@ def prepare_cell(config, data, set_id, fold):
     )
 
     train_examples = _examples_for(train_ids, data.essays, vocab, gaze_sequences)
-    dev_examples = _examples_for(fold.dev, data.essays, vocab, dev_sequences)
+    dev_examples = _examples_for(fold.dev, data.essays, vocab, gaze_sequences)
     test_examples = _examples_for(fold.test, data.essays, vocab, None)
 
     train_id_set = {ex.essay_id for ex in train_examples}
@@ -427,6 +428,11 @@ def train_cell(config, data, set_id, fold, log=None):
                    setup.train_config, {set_id: setup.essay_set}, log=log)
     setup.model.load_state_dict(result.best_state)
     return setup, result
+
+
+def train_fold(config, data, set_id, fold, log=None):
+    """Train one cell; its TrainResult alone, so a worker sends back no model."""
+    return train_cell(config, data, set_id, fold, log)[1]
 
 
 def run_fold(config, data, set_id, fold, log=None):
@@ -567,8 +573,7 @@ def grid_fold(config, data, set_id, fold, log=None):
     """
     setup, _ = train_cell(config, data, set_id, fold, log)
     (attribute,) = config.gaze_attributes
-    breakdown = evaluate_breakdown(setup.model, setup.dev_examples,
-                                   setup.model.config.gaze_loss_weights)
+    breakdown = evaluate_breakdown(setup.model, setup.dev_examples)
     return (breakdown.gaze_mse.get(attribute, 0.0),
             breakdown.gaze_token_counts.get(attribute, 0))
 

@@ -8,12 +8,18 @@ mean and population standard deviation, which normalizes idiosyncratic
 reading speed across readers. Training divides each bin by the
 attribute's ``GAZE_MAX_BIN`` so it can serve as a [0, 1] regression target
 for a sigmoid head.
+
+A ``GazeRecord`` (one row of the gaze CSV) and a ``BinnedGaze`` (one
+token's bins) are named tuples: each declares its own column order, which
+the CSV files, the loader and the training targets all read from it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -23,14 +29,10 @@ GAZE_MAX_BIN = {"DT": 5, "FFD": 5, "IR": 1, "RC": 5, "Skip": 1}
 # named reader filters; any other filter is an explicit collection of reader ids
 READER_FILTERS = ("all", "native_only")
 
-GAZE_CSV_COLUMNS = (
-    "essay_id", "reader_id", "ia_index", "token",
-    "dwell_time_ms", "first_fixation_ms", "is_regression", "run_count", "skip",
-)
 
+class GazeRecord(NamedTuple):
+    """One gaze CSV row; the fields are the CSV's columns, in order."""
 
-@dataclass(frozen=True)
-class GazeRecord:
     essay_id: int
     reader_id: str
     ia_index: int
@@ -47,6 +49,8 @@ class GazeRecord:
             return f"ia_index {self.ia_index} is negative"
         if self.dwell_time_ms < 0 or self.first_fixation_ms < 0:
             return "negative fixation duration"
+        if not (math.isfinite(self.dwell_time_ms) and math.isfinite(self.first_fixation_ms)):
+            return "non-finite fixation duration"
         if self.run_count < 0:
             return f"run_count {self.run_count} is negative"
         if self.is_regression not in (0, 1):
@@ -64,6 +68,12 @@ class GazeRecord:
         return None
 
 
+GAZE_CSV_COLUMNS = GazeRecord._fields
+
+# how each column's text becomes its field: by the field's type, reader ids stripped
+_COLUMN_PARSERS = {**get_type_hints(GazeRecord), "reader_id": str.strip}
+
+
 @dataclass(frozen=True)
 class ReaderStats:
     reader_id: str
@@ -75,8 +85,7 @@ class ReaderStats:
     provenance: frozenset = frozenset()  # essay ids the stats were computed over
 
 
-@dataclass(frozen=True)
-class BinnedGaze:
+class BinnedGaze(NamedTuple):
     """One token's bins, fields in GAZE_ATTRIBUTES order."""
 
     dt_bin: int
@@ -108,17 +117,8 @@ def load_gaze_records(path):
         for line_no, row in enumerate(reader, start=2):
             report.total_rows += 1
             try:
-                record = GazeRecord(
-                    essay_id=int(row["essay_id"]),
-                    reader_id=row["reader_id"].strip(),
-                    ia_index=int(row["ia_index"]),
-                    token=row["token"],
-                    dwell_time_ms=float(row["dwell_time_ms"]),
-                    first_fixation_ms=float(row["first_fixation_ms"]),
-                    is_regression=int(row["is_regression"]),
-                    run_count=int(row["run_count"]),
-                    skip=int(row["skip"]),
-                )
+                record = GazeRecord(*[parse(row[column])
+                                      for column, parse in _COLUMN_PARSERS.items()])
             except (ValueError, TypeError) as exc:
                 report.rejected.append((line_no, f"malformed field: {exc}"))
                 continue

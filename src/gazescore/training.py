@@ -92,8 +92,7 @@ def prepare_example(essay, vocab):
         positions = np.array([position for position, _ in labeled], dtype=np.int64)
         positions.flags.writeable = False
         # one column per attribute, in GAZE_ATTRIBUTES order
-        bins = np.array([(b.dt_bin, b.ffd_bin, b.ir_bin, b.rc_bin, b.skip_bin)
-                         for _, b in labeled], dtype=np.int64)
+        bins = np.array([tuple(b) for _, b in labeled], dtype=np.int64)
         gaze_targets = {attribute: (positions, bins[:, k] / GAZE_MAX_BIN[attribute])
                         for k, attribute in enumerate(GAZE_ATTRIBUTES)}
     return TrainExample(
@@ -202,10 +201,10 @@ def dev_qwk(model, examples, sets):
     return qwk(pairs, essay_set.score_min, essay_set.score_max)
 
 
-def evaluate_breakdown(model, examples, weights):
+def evaluate_breakdown(model, examples):
     """Evaluation-mode LossBreakdown over a whole example list."""
     return multitask_loss(model.forward_batch([ex.sentence_ids for ex in examples]),
-                          examples, weights)[1]
+                          examples, {})[1]
 
 
 def _aggregate_epoch(batch_breakdowns, batch_sizes):

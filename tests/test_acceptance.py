@@ -544,7 +544,7 @@ def test_05_overfit_smoke():
     result = train(model, examples, [],
                    TrainConfig(batch_size=1, epochs=200, seed=7), {3: SET_0_3})
     model.load_state_dict(result.final_state)
-    mse = evaluate_breakdown(model, examples, {}).score_mse
+    mse = evaluate_breakdown(model, examples).score_mse
     train_qwk = dev_qwk(model, examples, {3: SET_0_3})
     elapsed = time.monotonic() - start
 
@@ -600,12 +600,12 @@ def test_06_multitask_signal():
                          gaze_attributes=tuple(PRODUCTION_WEIGHTS),
                          gaze_loss_weights=dict(PRODUCTION_WEIGHTS))
     model = EssayScorer(config, np.random.default_rng(1))
-    initial = evaluate_breakdown(model, examples, PRODUCTION_WEIGHTS)
+    initial = evaluate_breakdown(model, examples)
     result = train(model, examples, [],
                    TrainConfig(batch_size=1, epochs=100, learning_rate=0.003, seed=7),
                    {3: SET_0_3})
     model.load_state_dict(result.final_state)
-    final = evaluate_breakdown(model, examples, PRODUCTION_WEIGHTS)
+    final = evaluate_breakdown(model, examples)
 
     ratios = {a: final.gaze_mse[a] / initial.gaze_mse[a]
               for a in sorted(PRODUCTION_WEIGHTS)}

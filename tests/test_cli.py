@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gazescore import __version__
+from gazescore import __version__, cli
 from gazescore.checkpoint import load_checkpoint
-from gazescore.cli import main, parse_config_file
+from gazescore.cli import _write_records_csv, main, parse_config_file
 from gazescore.experiments import make_folds, save_folds
-from gazescore.gaze import load_gaze_records
+from gazescore.gaze import GazeLoadReport, GazeRecord, load_gaze_records
+from gazescore.training import TrainResult
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue",
          "tree", "bird", "sky", "sun", "moon", "hill"]
@@ -168,6 +169,12 @@ class TestConfigFile:
         assert manifest["seed"] == 17
         resolved = (out / "resolved.cfg").read_text()
         assert "seed = 17" in resolved
+
+    def test_model_and_train_options_are_the_numeric_config_fields(self):
+        assert cli.MODEL_KEYS == {"embedding_dim": int, "conv_kernel": int, "conv_filters": int,
+                                  "lstm_hidden": int, "modeling_hidden": int, "dropout": float}
+        assert cli.TRAIN_KEYS == {"batch_size": int, "epochs": int, "learning_rate": float,
+                                  "momentum": float, "clip_norm": float}
 
 
 class TestManifest:
@@ -327,6 +334,13 @@ class TestBinGaze:
         records, report = load_gaze_records(pool_gaze_dir / "records_clean.csv")
         assert len(records) == 96
         assert not report.rejected
+
+    def test_written_records_load_back_equal(self, tmp_path):
+        records = [GazeRecord(7, "r1", 0, "the", 0.1 + 0.2, 1 / 7, 1, 2, 0),
+                   GazeRecord(7, "r2", 3, "a,b", 1e-320, 0.0, 0, 1, 0),
+                   GazeRecord(8, "r1", 1, "cat", 0.0, 0.0, 0, 0, 1)]
+        _write_records_csv(tmp_path / "records.csv", records)
+        assert load_gaze_records(tmp_path / "records.csv") == (records, GazeLoadReport([], 3))
 
     def test_empty_gaze_file_warns_and_exits_zero(self, prep_dir, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -558,6 +572,26 @@ class TestTrain:
         for name in ("checkpoint_best.txt", "checkpoint_final.txt", "history.log",
                      "train_summary.txt"):
             assert (outs["2"] / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cell_returns_only_its_train_result(self, jobs, data_dir, prep_dir, tmp_path,
+                                                 monkeypatch):
+        # a worker sends back what train writes out, not the model and examples
+        returned = []
+
+        def recording(task, *args, **kwargs):
+            results, failures = execute_cells(task, *args, **kwargs)
+            returned.extend(results)
+            return results, failures
+
+        execute_cells = cli.execute_cells
+        monkeypatch.setattr(cli, "execute_cells", recording)
+        code = main(["train", "--config", str(data_dir / "base.cfg"),
+                     "--out", str(tmp_path / "train"), "--jobs", jobs,
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                     "--set", "set=1", "--set", "fold=0"])
+        assert code == 0
+        assert [type(result) for result in returned] == [TrainResult]
 
     def test_fold_out_of_range(self, data_dir, prep_dir, tmp_path, capsys):
         out = tmp_path / "train"

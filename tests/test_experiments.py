@@ -851,7 +851,7 @@ class TestGridCell:
     def test_dev_examples_carry_gaze_binned_with_train_side_statistics(self):
         data = make_data(article="The sun rose. Birds sang.", target_records=True)
         # dwell times vary by essay, so statistics that saw the dev records would differ
-        data.gaze_records = tuple(replace(r, dwell_time_ms=r.dwell_time_ms * (r.essay_id % 5 + 1))
+        data.gaze_records = tuple(r._replace(dwell_time_ms=r.dwell_time_ms * (r.essay_id % 5 + 1))
                                   for r in data.gaze_records)
         fold = data.folds[1][0]
         setup = prepare_cell(self.base_config(), data, 1, fold)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gazescore.corpus import Essay, build_vocab
 from gazescore.gaze import (
     GAZE_ATTRIBUTES,
+    GAZE_CSV_COLUMNS,
     GAZE_MAX_BIN,
     BinnedGaze,
     GazeRecord,
@@ -80,14 +81,26 @@ def test_load_gaze_records_round_trip(tmp_path):
 
 def test_load_gaze_records_rejects_invalid_rows(tmp_path):
     path = write_gaze_csv(tmp_path, [
-        "1,r1,0,the,50,120,0,1,0",  # FFD > DT
-        "1,r1,1,cat,abc,0,0,0,1",   # malformed number
-        "1,r1,2,dog,100,50,0,1,0",  # fine
+        "1,r1,0,the,50,120,0,1,0",   # FFD > DT
+        "1,r1,1,cat,abc,0,0,0,1",    # malformed number
+        "1,r1,2,dog,100,50,0,1,0",   # fine
+        "1,r1,3,big,nan,0,0,1,0",    # non-finite dwell time
+        "1,r1,4,red,inf,50,0,1,0",   # non-finite dwell time
+        "1,r1,5,hat,100,nan,0,1,0",  # non-finite first fixation
+        "1",                         # no reader id or later fields
     ])
     records, report = load_gaze_records(path)
     assert len(records) == 1
-    assert len(report.rejected) == 2
+    assert len(report.rejected) == 6
     assert report.rejected[0][0] == 2  # line number of the first bad row
+    assert report.rejected[2:5] == [(line, "non-finite fixation duration") for line in (5, 6, 7)]
+    assert report.rejected[5][0] == 8 and report.rejected[5][1].startswith("malformed field")
+
+
+def test_records_and_bins_declare_their_columns():
+    assert GAZE_CSV_COLUMNS == GazeRecord._fields
+    assert [name.removesuffix("_bin") for name in BinnedGaze._fields] == [
+        attribute.lower() for attribute in GAZE_ATTRIBUTES]
 
 
 def test_load_gaze_records_requires_columns(tmp_path):

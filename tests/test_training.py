@@ -258,7 +258,7 @@ def test_gaze_mse_halves_on_deterministic_bins():
     # must cut the configured attribute's MSE by at least half
     model = tiny_model(gaze=("DT",), weights={"DT": 0.5})
     examples = make_examples(8, with_gaze=True)
-    initial = evaluate_breakdown(model, examples, {"DT": 0.5})
+    initial = evaluate_breakdown(model, examples)
     result = train(model, examples, [], TrainConfig(batch_size=2, epochs=100, seed=7), SETS)
     assert initial.gaze_mse["DT"] > 0
     assert result.history[-1].breakdown.gaze_mse["DT"] <= 0.5 * initial.gaze_mse["DT"]
@@ -383,8 +383,8 @@ def test_dev_qwk_denormalizes_predictions():
 def test_evaluate_breakdown_runs_in_eval_mode():
     model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, dropout=0.5)
     examples = make_examples(3, with_gaze=True)
-    a = evaluate_breakdown(model, examples, {"DT": 0.5})
-    b = evaluate_breakdown(model, examples, {"DT": 0.5})
+    a = evaluate_breakdown(model, examples)
+    b = evaluate_breakdown(model, examples)
     assert a.score_mse == b.score_mse  # no dropout noise
     assert a.gaze_token_counts == b.gaze_token_counts
     assert sum(a.gaze_token_counts.values()) > 0
@@ -422,7 +422,7 @@ def test_evaluate_breakdown_matches_per_essay_forward_on_co_attention():
     weights = {"DT": 0.5}
     _, reference = multitask_loss([per_essay_forward(model, ex.sentence_ids) for ex in examples],
                                   examples, weights)
-    assert evaluate_breakdown(model, examples, weights) == reference  # every field, exactly
+    assert evaluate_breakdown(model, examples) == reference  # every field, exactly
 
 
 def test_train_encodes_the_article_once_per_batch_and_per_evaluation_pass():
@@ -484,7 +484,7 @@ def test_evaluate_breakdown_scores_without_a_graph():
             return outputs
 
         model.forward_batch = recording
-        assert evaluate_breakdown(model, examples, {"DT": 0.5}) == expected
+        assert evaluate_breakdown(model, examples) == expected
         tensors = [t for out in returned for t in (out.predicted_score,
                                                    *out.gaze_predictions.values())]
         assert len(tensors) == 8
