@@ -11,6 +11,9 @@ self-describing. Reruns into a directory that already holds a manifest are
 refused unless --force is given. With --dry-run it stops there; otherwise
 it calls the handler with (options, seed, paths, out_dir, jobs).
 
+Every command given gaze records keeps the readers ``reader_filter`` selects
+as they load (``load_selected_records``), so a run's cells see only those.
+
 At any --jobs, train, run, ablate and gridsearch run every cell, list each
 failed cell in failures.txt and on stderr, and exit 1 if any failed. run
 reports the cells that finished; the others write results only when every
@@ -183,12 +186,6 @@ def opt_list(options, key, default=(), cast=str):
     if value is None or value == "":
         return tuple(default)
     return tuple(_cast(key, field.strip(), cast) for field in value.split(",") if field.strip())
-
-
-def opt_reader_filter(options):
-    """``reader_filter``: a named filter, or the tuple of its comma-separated reader ids."""
-    value = options.get("reader_filter", "all")
-    return value if value in READER_FILTERS else opt_list(options, "reader_filter")
 
 
 def typed_params(options, table):
@@ -393,27 +390,25 @@ def _write_records_csv(path, records):
         writer.writerows(records)
 
 
+def load_selected_records(options, path, metadata_path):
+    """Load gaze CSV ``path``: (the records of the readers that option
+    ``reader_filter`` selects, the GazeLoadReport, the ids of every essay
+    with a valid record, whichever its readers)."""
+    metadata = load_reader_metadata(metadata_path) if metadata_path else {}
+    records, report = load_gaze_records(path)
+    name = options.get("reader_filter", "all")
+    reader_filter = name if name in READER_FILTERS else opt_list(options, "reader_filter")
+    return (tuple(filter_readers(records, reader_filter, metadata)), report,
+            frozenset(r.essay_id for r in records))
+
+
 def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
     gaze_path = paths["gaze_csv"]
-    reader_path = paths["reader_metadata"]
     essays, _ = load_corpus_cache(paths["corpus_cache"])
-    metadata = load_reader_metadata(reader_path) if reader_path else {}
+    records, report, _ = load_selected_records(options, gaze_path, paths["reader_metadata"])
 
-    if gaze_path.stat().st_size == 0:
-        records, rejected, total_rows = [], [], 0
-    else:
-        records, load_report = load_gaze_records(gaze_path)
-        rejected = list(load_report.rejected)
-        total_rows = load_report.total_rows
-
-    records = filter_readers(records, opt_reader_filter(options), metadata)
-
-    diagnostics = []
-    sequences = {}
-    stats = {}
-    if records:
-        stats = reader_stats(records)
-        sequences, diagnostics = bin_all(records, stats, essays)
+    stats = reader_stats(records)
+    sequences, diagnostics = bin_all(records, stats, essays)
 
     placed = sum(
         sum(1 for binned in sequence if binned is not None)
@@ -433,20 +428,20 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
             fh.write(f"{reader_id} {s.dt_mean:.17g} {s.dt_std:.17g} "
                      f"{s.ffd_mean:.17g} {s.ffd_std:.17g} {s.n_records}\n")
     with open(out_dir / "alignment_errors.log", "w", encoding="utf-8") as fh:
-        for line_no, reason in rejected:
+        for line_no, reason in report.rejected:
             fh.write(f"line {line_no}: {reason}\n")
         for reason in diagnostics:
             fh.write(f"{reason}\n")
 
-    summary = (f"rows: {total_rows}, kept records: {len(records)}, "
+    summary = (f"rows: {report.total_rows}, kept records: {len(records)}, "
                f"binned tokens: {placed}, readers: {len(stats)}")
     print(summary)
-    if total_rows == 0:
+    if report.total_rows == 0:
         print(f"warning: no gaze rows in {gaze_path}", file=sys.stderr)
         return 0
-    failures = len(rejected) + len(diagnostics)
-    if placed == 0 and failures >= total_rows:
-        print(f"error: all {total_rows} gaze rows failed; see "
+    failures = len(report.rejected) + len(diagnostics)
+    if placed == 0 and failures >= report.total_rows:
+        print(f"error: all {report.total_rows} gaze rows failed; see "
               f"{out_dir / 'alignment_errors.log'}", file=sys.stderr)
         return 1
     return 0
@@ -461,15 +456,13 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
     """
     records_path = paths["records_clean"]
     embeddings_path = paths["embeddings_cache"]
-    reader_path = paths["reader_metadata"]
     folds_dir = paths["folds_dir"]
     essays, sets = load_corpus_cache(paths["corpus_cache"])
 
-    records = ()
+    records, gaze_essays = (), frozenset()
     if records_path is not None:
-        records, _ = load_gaze_records(records_path)
-        records = tuple(records)
-    metadata = load_reader_metadata(reader_path) if reader_path else {}
+        records, _, gaze_essays = load_selected_records(options, records_path,
+                                                        paths["reader_metadata"])
 
     vectors = None
     dimension = None
@@ -498,9 +491,7 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
             set_ids = sorted(e.essay_id for e in essays.values() if e.set_id == set_id)
             folds[set_id] = make_folds(set_ids, seed=seed)
 
-    gaze_ids = frozenset(opt_list(options, "gaze_essay_ids", cast=int))
-    if not gaze_ids and records:
-        gaze_ids = frozenset(r.essay_id for r in records)
+    gaze_ids = frozenset(opt_list(options, "gaze_essay_ids", cast=int)) or gaze_essays
 
     data = ExperimentData(
         essays=essays,
@@ -508,7 +499,6 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
         folds=folds,
         gaze_essay_ids=gaze_ids,
         gaze_records=records,
-        reader_metadata=metadata,
         embedding_vectors=vectors,
         embedding_dim=dimension,
     )
@@ -522,7 +512,6 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
         system=system,
         target_sets=target_sets,
         seed=seed,
-        gaze_reader_filter=opt_reader_filter(options),
         gaze_attributes=attributes,
         gaze_loss_weights=weights,
         vocab_size=opt(options, "vocab_size", int, 4000),

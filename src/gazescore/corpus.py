@@ -262,7 +262,8 @@ def parse_embedding_file(path, restrict_tokens=None):
 
     ``restrict_tokens``, when given, keeps only those tokens (bounds memory
     when the file is much larger than the corpus vocabulary). Dimension is
-    taken from the first line; later lines must agree.
+    taken from the first line; later lines must agree. A kept vector must
+    be finite.
     """
     vectors = {}
     dimension = None
@@ -280,7 +281,10 @@ def parse_embedding_file(path, restrict_tokens=None):
                 raise ValueError(
                     f"{path}:{line_no}: expected {dimension} values, got {len(values)}")
             if restrict_tokens is None or token in restrict_tokens:
-                vectors[token] = np.array([float(v) for v in values], dtype=np.float64)
+                vector = np.array([float(v) for v in values], dtype=np.float64)
+                if not np.all(np.isfinite(vector)):
+                    raise ValueError(f"{path}:{line_no}: non-finite value in {token!r}'s vector")
+                vectors[token] = vector
     return vectors, dimension
 
 

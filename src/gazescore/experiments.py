@@ -12,6 +12,10 @@ configuration on one (set, fold)) that :func:`execute_cells` runs, here or in
 worker processes. The library entry points stop at the first failed cell and
 raise its own exception; the CLI runs every cell and lists every failure.
 
+``ExperimentData.gaze_records`` hold only the readers a run learns from:
+callers choose the readers as the records load, once per run, and no cell
+filters readers again.
+
 Data that could leak evaluation information is guarded by runtime provenance
 assertions: the vocabulary must be built only from training essays, and
 reader gaze statistics must never include records from dev or test essays of
@@ -29,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .corpus import build_vocab, denormalize_score, matrix_from_vectors, text_to_sentences
-from .gaze import GAZE_ATTRIBUTES, READER_FILTERS, bin_all, filter_readers, reader_stats
+from .gaze import GAZE_ATTRIBUTES, bin_all, reader_stats
 from .metrics import SignificanceResult, paired_t_test, qwk
 from .model import EssayScorer, ModelConfig
 from .training import TrainConfig, evaluate_breakdown, prepare_example, train
@@ -162,7 +166,6 @@ class ExperimentConfig:
     system: str
     target_sets: tuple
     seed: int = 0
-    gaze_reader_filter: object = "all"
     gaze_attributes: tuple = GAZE_ATTRIBUTES
     gaze_loss_weights: dict = field(default_factory=lambda: dict(DEFAULT_GAZE_WEIGHTS))
     vocab_size: int = 4000
@@ -179,13 +182,6 @@ class ExperimentConfig:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{name} lists {repeated} more than once")
-        if isinstance(self.gaze_reader_filter, str):
-            if self.gaze_reader_filter not in READER_FILTERS:
-                raise ValueError(
-                    f"gaze_reader_filter must be one of {READER_FILTERS} "
-                    "or an explicit reader id collection")
-        else:
-            object.__setattr__(self, "gaze_reader_filter", tuple(self.gaze_reader_filter))
         for attribute in self.gaze_attributes:
             if attribute not in GAZE_ATTRIBUTES:
                 raise ValueError(f"unknown gaze attribute {attribute!r}")
@@ -222,7 +218,6 @@ class ExperimentData:
     folds: dict                       # set_id -> [FoldSpec] * 5
     gaze_essay_ids: frozenset = frozenset()   # external gaze-annotated pool
     gaze_records: tuple = ()
-    reader_metadata: dict = field(default_factory=dict)  # reader_id -> info dict
     embedding_vectors: dict = None    # token -> vector, or None for random init
     embedding_dim: int = None
 
@@ -373,14 +368,12 @@ def prepare_cell(config, data, set_id, fold):
     gaze_sequences = None
     if config.uses_gaze:
         test_ids = set(fold.test)
-        usable_records = [r for r in filter_readers(data.gaze_records, config.gaze_reader_filter,
-                                                    data.reader_metadata)
-                          if r.essay_id not in test_ids]
+        usable_records = [r for r in data.gaze_records if r.essay_id not in test_ids]
         train_side = [r for r in usable_records if r.essay_id not in held_out]
         if not train_side:
             raise ValueError(
-                f"system {config.system!r} needs gaze records but none remain "
-                f"after filtering")
+                f"system {config.system!r} needs gaze records but all of them are on "
+                f"essays held out in set {set_id} fold {fold.fold_id}")
         stats = reader_stats(train_side)
         _assert_no_stats_leakage(stats, held_out)
         # a token's bins depend only on its record and its reader's statistics,
@@ -540,10 +533,11 @@ def validate_run(config, data):
             raise ValueError(f"unknown target set {set_id}")
         if set_id not in data.folds:
             raise ValueError(f"no folds for set {set_id}")
-        if config.uses_article and data.sets[set_id].source_article is None:
+        if config.uses_article and not any(
+                text_to_sentences(data.sets[set_id].source_article or "")):
             raise ValueError(
                 f"system {config.system!r} needs a source article but set "
-                f"{set_id} has none")
+                f"{set_id} has none with any tokens")
     if config.uses_gaze and not data.gaze_records:
         raise ValueError(f"system {config.system!r} needs gaze records")
     if config.augments_train and not data.gaze_essay_ids:

@@ -105,13 +105,16 @@ def load_gaze_records(path):
     """Parse the gaze CSV into (records, GazeLoadReport).
 
     Rows violating the record invariants are rejected with per-row
-    diagnostics; the rest of the file still loads.
+    diagnostics; the rest of the file still loads. A file without a header
+    line holds no rows.
     """
     records = []
     report = GazeLoadReport()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in GAZE_CSV_COLUMNS if c not in (reader.fieldnames or [])]
+        if reader.fieldnames is None:
+            return records, report
+        missing = [c for c in GAZE_CSV_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing gaze CSV columns: {', '.join(missing)}")
         for line_no, row in enumerate(reader, start=2):
@@ -154,7 +157,7 @@ def filter_readers(records, reader_filter, reader_metadata):
 
     ``reader_filter`` is ``"all"``, ``"native_only"`` (the readers that
     ``reader_metadata`` marks native; an error when it marks none) or a
-    collection of reader ids.
+    non-string collection of reader ids.
     """
     if reader_filter == "all":
         return list(records)
@@ -163,6 +166,9 @@ def filter_readers(records, reader_filter, reader_metadata):
         if not allowed:
             raise ValueError("reader_filter native_only needs reader metadata "
                              "with at least one native reader")
+    elif isinstance(reader_filter, str):
+        raise ValueError(f"reader_filter must be one of {READER_FILTERS} "
+                         f"or a collection of reader ids, got {reader_filter!r}")
     else:
         allowed = set(reader_filter)
     return [r for r in records if r.reader_id in allowed]

@@ -463,6 +463,9 @@ class TestRun:
         # every run-wide check precedes the first cell and the generated fold files
         records = "records_clean=" + str(pool_gaze_dir / "records_clean.csv")
         cache = json.loads((prep_dir / "corpus_cache.json").read_text())
+        cache["sets"]["1"]["article"] = " \n\t"
+        tokenless = tmp_path / "tokenless_article.json"
+        tokenless.write_text(json.dumps(cache))
         del cache["essays"][0]["raw_score"]
         no_score = tmp_path / "no_score.json"
         no_score.write_text(json.dumps(cache))
@@ -480,17 +483,24 @@ class TestRun:
             ("gridsearch", "self_attention"),
             ("gridsearch", "essays_gaze", records, "dropout=1.5"),
             ("train", "self_attention", "fold=9"),
+            # readers are selected once, as the records load, not in each cell
+            *[(command, "essays_gaze", records, "reader_filter=nobody", "attribute=DT")
+              for command in ("train", "run", "ablate", "gridsearch")],
+            ("run", "essays_gaze", records, "reader_filter=native_only"),
+            ("run", "co_attention", "corpus_cache=" + str(tokenless)),
         ]
         for k, (command, system, *extra) in enumerate(cases):
-            out = tmp_path / str(k)
-            args = run_args(data_dir, prep_dir, out, system, *extra)
-            args[0] = command
-            assert main(args) == 1, (command, system, extra)
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert len(captured.err.splitlines()) == 1
-            assert captured.err.startswith("error: ")
-            assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{k}-{jobs}"
+                args = run_args(data_dir, prep_dir, out, system, *extra) + ["--jobs", jobs]
+                args[0] = command
+                assert main(args) == 1, (command, system, extra)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert len(captured.err.splitlines()) == 1
+                assert captured.err.startswith("error: ")
+                assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                                  "resolved.cfg"]
 
     def test_essays_gaze_augments_with_pool(self, data_dir, prep_dir,
                                             pool_gaze_dir, tmp_path):
@@ -503,6 +513,33 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert all(int(r["n_augmented"]) == 6 for r in rows)
         assert all(int(r["n_train"]) == 12 for r in rows)
+
+    def test_reader_filter_matches_records_filtered_by_bin_gaze(self, data_dir, prep_dir,
+                                                                tmp_path):
+        # reader r2 reads each pool essay back to front, so its bins differ from r1's
+        rows = [line.split(",") for line in (data_dir / "gaze_pool.csv").read_text().split()]
+        for row in rows:
+            if row[1] == "r2":
+                row[2] = str(7 - int(row[2]))
+        gaze_csv = tmp_path / "gaze.csv"
+        gaze_csv.write_text("".join(",".join(row) + "\n" for row in rows))
+
+        def records(name, *extra):
+            args = ["bin-gaze", "--out", str(tmp_path / name),
+                    "--set", "gaze_csv=" + str(gaze_csv),
+                    "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json")]
+            assert main(args + [arg for pair in extra for arg in ("--set", pair)]) == 0
+            return "records_clean=" + str(tmp_path / name / "records_clean.csv")
+
+        def run(name, *extra):
+            out = tmp_path / name
+            assert main(run_args(data_dir, prep_dir, out, "essays_gaze", *extra)) == 0
+            return [(out / file).read_bytes() for file in ("report.csv", "predictions.csv")]
+
+        both, only_r1 = records("both"), records("only_r1", "reader_filter=r1")
+        selected = run("selected", both, "reader_filter=r1")
+        assert selected == run("filtered", only_r1)
+        assert selected != run("unfiltered", both)
 
     def test_shared_folds_dir_reused(self, data_dir, prep_dir, tmp_path):
         first = tmp_path / "first"
@@ -880,11 +917,15 @@ class TestFailurePolicy:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_cell_failing(self, command, data_dir, prep_dir, pool_gaze_dir,
                                 tmp_path, capsys):
-        outs, text = self.run_both(command, "reader_filter=nobody", data_dir, prep_dir,
-                                   pool_gaze_dir, tmp_path, capsys)
-        assert text.count("ValueError: ") == \
+        # a target essay of fold chunks 0, 2 and 4 in the gaze pool: every fold,
+        # which holds out chunks k and k+1, holds out one of them
+        folds = make_folds(range(100, 110), seed=0)
+        pool = ",".join(str(folds[k].test[0]) for k in (0, 2, 4))
+        outs, text = self.run_both(command, "gaze_essay_ids=900," + pool, data_dir,
+                                   prep_dir, pool_gaze_dir, tmp_path, capsys)
+        assert text.count("LeakageError: ") == \
             {"train": 1, "run": 5, "ablate": 10, "gridsearch": 5}[command]
-        assert "none remain after filtering" in text
+        assert text.count("\n") == text.count("LeakageError: ")
         for out in outs:
             assert not any((out / name).exists() for name in self.RESULT_FILES)
 

@@ -362,6 +362,16 @@ def test_load_embeddings_rejects_ragged_dimensions(tmp_path):
         parse_embedding_file(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_embeddings_rejects_non_finite_values_it_keeps(value, tmp_path):
+    path = write_embeddings(tmp_path, ["apple 1 2", f"banana 3 {value}", f"cherry {value} 4"])
+    with pytest.raises(ValueError, match=r"vectors\.txt:2: non-finite"):
+        parse_embedding_file(path)
+    # a skipped vector is never read into the table
+    vectors, _ = parse_embedding_file(path, restrict_tokens={"apple"})
+    assert list(vectors) == ["apple"]
+
+
 def test_load_embeddings_deterministic_given_seed(tmp_path):
     vocab = build_vocab([make_essay(1, "apple banana cherry")])
     path = write_embeddings(tmp_path, ["apple 1 2"])

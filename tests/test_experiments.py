@@ -246,16 +246,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="target_sets"):
             ExperimentConfig(system="self_attention", target_sets=())
 
-    def test_bad_reader_filter_rejected(self):
-        with pytest.raises(ValueError, match="gaze_reader_filter"):
-            ExperimentConfig(system="self_attention", target_sets=(1,),
-                             gaze_reader_filter="everyone")
-
-    def test_explicit_reader_list_kept(self):
-        config = ExperimentConfig(system="self_attention", target_sets=(1,),
-                                  gaze_reader_filter=["r1", "r2"])
-        assert config.gaze_reader_filter == ("r1", "r2")
-
     def test_unknown_gaze_attribute_rejected(self):
         with pytest.raises(ValueError, match="unknown gaze attribute"):
             ExperimentConfig(system="essays_gaze", target_sets=(1,),
@@ -400,9 +390,11 @@ class TestRunExperiment:
             run_tiny("essays_gaze", data)
 
     def test_co_attention_needs_article(self):
-        data = make_data(article=None)
-        with pytest.raises(ValueError, match="source article"):
-            run_tiny("co_attention", data)
+        # an article without tokens is no article; the run is rejected before any cell
+        for article in (None, "", " \n\t"):
+            data = make_data(article=article)
+            with pytest.raises(ValueError, match="needs a source article"):
+                run_tiny("co_attention", data)
 
     def test_co_attention_runs_with_article(self):
         data = make_data(article="The sun rose early. Birds sang on the mat.")
@@ -618,6 +610,17 @@ class TestLeakage:
         _, report = run_tiny("co_attention_gaze", data)
         assert len(report.fold_results) == 5
 
+    def test_cell_whose_gaze_records_are_all_held_out_fails(self):
+        data = make_data(article="The sun rose. Birds sang.", target_records=True)
+        fold = data.folds[1][0]
+        held_out = set(fold.dev) | set(fold.test)
+        data.gaze_records = tuple(r for r in data.gaze_records if r.essay_id in held_out)
+        config = ExperimentConfig(system="co_attention_gaze", target_sets=(1,),
+                                  model_params=dict(TINY_MODEL))
+        fold_cells(config, data)  # the run as a whole has gaze records
+        with pytest.raises(ValueError, match="all of them are on essays held out in set 1 fold 0"):
+            prepare_cell(config, data, 1, fold)
+
     def test_leakage_error_is_assertion_error(self):
         assert issubclass(LeakageError, AssertionError)
 
@@ -645,6 +648,11 @@ class TestReaderFilters:
     def test_explicit_list_filters(self):
         kept = filter_readers(self.records_two_readers(), ("r2",), {})
         assert {r.reader_id for r in kept} == {"r2"}
+
+    def test_bad_reader_filter_rejected(self):
+        # a string is a named filter, never the set of its characters
+        with pytest.raises(ValueError, match="reader_filter must be one of"):
+            filter_readers(self.records_two_readers(), "everyone", {})
 
 
 class TestExamplesFor:

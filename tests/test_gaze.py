@@ -13,6 +13,7 @@ from gazescore.gaze import (
     GAZE_CSV_COLUMNS,
     GAZE_MAX_BIN,
     BinnedGaze,
+    GazeLoadReport,
     GazeRecord,
     bin_all,
     bin_fixation,
@@ -108,6 +109,12 @@ def test_load_gaze_records_requires_columns(tmp_path):
     path.write_text("essay_id,reader_id\n1,r1\n")
     with pytest.raises(ValueError, match="missing gaze CSV columns"):
         load_gaze_records(path)
+
+
+def test_load_gaze_records_without_header_holds_no_rows(tmp_path):
+    path = tmp_path / "gaze.csv"
+    path.write_text("")
+    assert load_gaze_records(path) == ([], GazeLoadReport())
 
 
 def test_load_reader_metadata(tmp_path):
