@@ -14,6 +14,10 @@ it calls the handler with (options, seed, paths, out_dir, jobs).
 Every command given gaze records keeps the readers ``reader_filter`` selects
 as they load (``load_selected_records``), so a run's cells see only those.
 
+Each file written and read back is declared once: ``report.csv`` by
+``FoldResult``'s scalar fields, ``predictions.csv`` by ``PREDICTION_COLUMNS``,
+a corpus cache by ``Essay``'s fields. ``_write_csv`` writes every CSV file.
+
 At any --jobs, train, run, ablate and gridsearch run every cell, list each
 failed cell in failures.txt and on stderr, and exit 1 if any failed. run
 reports the cells that finished; the others write results only when every
@@ -29,6 +33,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .checkpoint import save_checkpoint
@@ -60,7 +65,6 @@ from .experiments import (
     run_fold,
     save_folds,
     train_fold,
-    write_report_csv,
 )
 from .gaze import (
     GAZE_ATTRIBUTES,
@@ -81,6 +85,18 @@ DATA_DIR_ENV = "GAZESCORE_DATA"
 MANIFEST_NAME = "manifest.json"
 
 CORPUS_CACHE_FORMAT = "gazescore-corpus 1"
+
+# the Essay fields a corpus cache keeps: all but the gaze that binning attaches
+CACHED_ESSAY_FIELDS = tuple(f.name for f in fields(Essay) if f.name != "gaze")
+
+# report.csv: the run's system, then how each of FoldResult's scalar fields parses
+_REPORT_PARSERS = {name: parse for name, parse in get_type_hints(FoldResult).items()
+                   if parse is not dict}
+REPORT_COLUMNS = ("system", *_REPORT_PARSERS)
+
+# predictions.csv: one row per test essay, every column an int but the last
+PREDICTION_COLUMNS = ("set_id", "fold_id", "essay_id", "predicted_raw", "actual_raw",
+                      "squared_error")
 
 # input keys naming directories, which their commands check themselves
 DIRECTORY_KEYS = ("folds_dir", "run_a", "run_b")
@@ -287,17 +303,8 @@ def write_corpus_cache(path, essays, sets):
             }
             for set_id, essay_set in sets.items()
         },
-        "essays": [
-            {
-                "essay_id": essay.essay_id,
-                "set_id": essay.set_id,
-                "raw_score": essay.raw_score,
-                "normalized_score": essay.normalized_score,
-                "degenerate": essay.degenerate,
-                "sentences": essay.sentences,
-            }
-            for essay in essays
-        ],
+        "essays": [{name: getattr(essay, name) for name in CACHED_ESSAY_FIELDS}
+                   for essay in essays],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
@@ -318,18 +325,9 @@ def load_corpus_cache(path):
             )
             for set_id, entry in payload["sets"].items()
         }
-        essays = {}
-        for entry in payload["essays"]:
-            essay = Essay(
-                essay_id=entry["essay_id"],
-                set_id=entry["set_id"],
-                sentences=entry["sentences"],
-                raw_score=entry["raw_score"],
-                normalized_score=entry["normalized_score"],
-                degenerate=entry["degenerate"],
-            )
-            essays[essay.essay_id] = essay
-    return essays, sets
+        essays = [Essay(**{name: entry[name] for name in CACHED_ESSAY_FIELDS})
+                  for entry in payload["essays"]]
+    return {essay.essay_id: essay for essay in essays}, sets
 
 
 # ----------------------------------------------------------- commands
@@ -383,11 +381,16 @@ def cmd_preprocess(options, seed, paths, out_dir, jobs):
     return 0
 
 
-def _write_records_csv(path, records):
+def _write_csv(path, header, rows):
+    """A header line, then one line per row; a float is written as its repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(GAZE_CSV_COLUMNS)
-        writer.writerows(records)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_records_csv(path, records):
+    _write_csv(path, GAZE_CSV_COLUMNS, records)
 
 
 def load_selected_records(options, path, metadata_path):
@@ -406,6 +409,10 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
     gaze_path = paths["gaze_csv"]
     essays, _ = load_corpus_cache(paths["corpus_cache"])
     records, report, _ = load_selected_records(options, gaze_path, paths["reader_metadata"])
+    valid_rows = report.total_rows - len(report.rejected)
+    if valid_rows and not records:
+        raise CliError(f"reader_filter {options.get('reader_filter')!r} keeps no reader of the "
+                       f"{valid_rows} valid gaze rows in {gaze_path}")
 
     stats = reader_stats(records)
     sequences, diagnostics = bin_all(records, stats, essays)
@@ -415,12 +422,11 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
         for sequence in sequences.values())
 
     _write_records_csv(out_dir / "records_clean.csv", records)
-    with open(out_dir / "binned_labels.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["essay_id", "reader_id", "ia_index", *BinnedGaze._fields])
-        writer.writerows([essay_id, reader_id, position, *binned]
-                         for (essay_id, reader_id), sequence in sorted(sequences.items())
-                         for position, binned in enumerate(sequence) if binned is not None)
+    _write_csv(out_dir / "binned_labels.csv", ("essay_id", "reader_id", "ia_index",
+                                               *BinnedGaze._fields),
+               ([essay_id, reader_id, position, *binned]
+                for (essay_id, reader_id), sequence in sorted(sequences.items())
+                for position, binned in enumerate(sequence) if binned is not None))
     with open(out_dir / "reader_stats.txt", "w", encoding="utf-8") as fh:
         fh.write("reader_id dt_mean dt_std ffd_mean ffd_std n_records\n")
         for reader_id in sorted(stats):
@@ -528,19 +534,6 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
     return config, cells, results, failures
 
 
-def _write_predictions_csv(path, report):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["set_id", "fold_id", "essay_id",
-                         "predicted_raw", "actual_raw", "squared_error"])
-        for result in report.fold_results:
-            for essay_id in sorted(result.test_predictions):
-                predicted, actual = result.test_predictions[essay_id]
-                writer.writerow([result.set_id, result.fold_id, essay_id,
-                                 predicted, actual,
-                                 repr(result.squared_errors[essay_id])])
-
-
 def _publish(path, text):
     """Write ``text`` to ``path``, then echo it to stdout."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -551,8 +544,14 @@ def _publish(path, text):
 def _write_report_files(out_dir, report, prefix=""):
     with open(out_dir / f"{prefix}report.txt", "w", encoding="utf-8") as fh:
         fh.write(format_report(report))
-    write_report_csv(out_dir / f"{prefix}report.csv", report)
-    _write_predictions_csv(out_dir / f"{prefix}predictions.csv", report)
+    _write_csv(out_dir / f"{prefix}report.csv", REPORT_COLUMNS,
+               ([report.system, *(getattr(result, name) for name in _REPORT_PARSERS)]
+                for result in report.fold_results))
+    _write_csv(out_dir / f"{prefix}predictions.csv", PREDICTION_COLUMNS,
+               ([result.set_id, result.fold_id, essay_id, *result.test_predictions[essay_id],
+                 result.squared_errors[essay_id]]
+                for result in report.fold_results
+                for essay_id in sorted(result.test_predictions)))
 
 
 def _report_failures(out_dir, failures):
@@ -653,14 +652,9 @@ def cmd_gridsearch(options, seed, paths, out_dir, jobs):
                          f"dev_gaze_mse={table[attribute][weight]:.6g}{marker}")
         lines.append(f"best {attribute}: {best[attribute]:g}")
     _publish(out_dir / "gridsearch.txt", "\n".join(lines) + "\n")
-    with open(out_dir / "gridsearch.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute", "weight", "dev_gaze_mse", "best"])
-        for attribute in attributes:
-            for weight in sorted(table[attribute]):
-                writer.writerow([attribute, repr(weight),
-                                 repr(table[attribute][weight]),
-                                 int(weight == best[attribute])])
+    _write_csv(out_dir / "gridsearch.csv", ("attribute", "weight", "dev_gaze_mse", "best"),
+               ([attribute, weight, table[attribute][weight], int(weight == best[attribute])]
+                for attribute in attributes for weight in sorted(table[attribute])))
     return 0
 
 
@@ -679,28 +673,19 @@ def load_run_directory(run_dir):
     errors = {}
     with open(predictions_path, newline="", encoding="utf-8") as fh, _fields_of(predictions_path):
         for row in csv.DictReader(fh):
-            key = (int(row["set_id"]), int(row["fold_id"]))
-            essay_id = int(row["essay_id"])
-            predictions.setdefault(key, {})[essay_id] = (
-                int(row["predicted_raw"]), int(row["actual_raw"]))
-            errors.setdefault(key, {})[essay_id] = float(row["squared_error"])
+            *ids, error = (row[column] for column in PREDICTION_COLUMNS)
+            set_id, fold_id, essay_id, predicted, actual = map(int, ids)
+            predictions.setdefault((set_id, fold_id), {})[essay_id] = (predicted, actual)
+            errors.setdefault((set_id, fold_id), {})[essay_id] = float(error)
     results = []
     system = None
     with open(report_path, newline="", encoding="utf-8") as fh, _fields_of(report_path):
         for row in csv.DictReader(fh):
             system = row["system"]
-            key = (int(row["set_id"]), int(row["fold_id"]))
-            results.append(FoldResult(
-                set_id=key[0],
-                fold_id=key[1],
-                test_qwk=float(row["test_qwk"]),
-                best_epoch=int(row["best_epoch"]),
-                best_dev_qwk=float(row["best_dev_qwk"]),
-                test_predictions=predictions.get(key, {}),
-                squared_errors=errors.get(key, {}),
-                n_train=int(row["n_train"]),
-                n_augmented=int(row["n_augmented"]),
-            ))
+            scalars = {name: parse(row[name]) for name, parse in _REPORT_PARSERS.items()}
+            key = (scalars["set_id"], scalars["fold_id"])
+            results.append(FoldResult(**scalars, test_predictions=predictions.get(key, {}),
+                                      squared_errors=errors.get(key, {})))
     if not results:
         raise CliError(f"no fold results in {report_path}")
     return ExperimentReport(system=system, seed=seed,

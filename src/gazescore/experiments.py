@@ -11,6 +11,7 @@ Runs, ablations and the gaze-weight grid search are lists of cells (one
 configuration on one (set, fold)) that :func:`execute_cells` runs, here or in
 worker processes. The library entry points stop at the first failed cell and
 raise its own exception; the CLI runs every cell and lists every failure.
+Results are FoldResults in an ExperimentReport; the CLI writes their files.
 
 ``ExperimentData.gaze_records`` hold only the readers a run learns from:
 callers choose the readers as the records load, once per run, and no cell
@@ -22,7 +23,6 @@ reader gaze statistics must never include records from dev or test essays of
 the fold being run.
 """
 
-import csv
 import math
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -241,17 +241,17 @@ class ExperimentData:
 
 @dataclass(frozen=True)
 class FoldResult:
-    """Outcome of training and testing one fold."""
+    """One fold's outcome; its scalar fields, in order, are report.csv's columns after system."""
 
     set_id: int
     fold_id: int
     test_qwk: float
-    best_epoch: int
     best_dev_qwk: float
-    test_predictions: dict            # essay_id -> (predicted_raw, actual_raw)
-    squared_errors: dict              # essay_id -> squared normalized error
+    best_epoch: int
     n_train: int
     n_augmented: int
+    test_predictions: dict            # essay_id -> (predicted_raw, actual_raw)
+    squared_errors: dict              # essay_id -> squared normalized error
 
 
 @dataclass(frozen=True)
@@ -447,12 +447,12 @@ def run_fold(config, data, set_id, fold, log=None):
         set_id=set_id,
         fold_id=fold.fold_id,
         test_qwk=test_qwk,
-        best_epoch=result.best_epoch,
         best_dev_qwk=result.best_dev_qwk,
-        test_predictions=predictions,
-        squared_errors=squared_errors,
+        best_epoch=result.best_epoch,
         n_train=len(setup.train_examples),
         n_augmented=setup.n_augmented,
+        test_predictions=predictions,
+        squared_errors=squared_errors,
     )
 
 
@@ -551,13 +551,19 @@ def grid_cells(config, data, attributes, weights):
         raise ValueError(f"system {config.system!r} has no gaze loss to search over")
     if not (attributes and weights):  # no cells would leave the run unchecked
         raise ValueError("a grid search needs at least one attribute and one weight")
-    return [cell
-            for attribute in attributes
-            for weight in sorted(set(weights))
-            for cell in fold_cells(
-                replace(config, gaze_attributes=(attribute,),
-                        gaze_loss_weights={attribute: float(weight)}),
-                data, f"grid attribute={attribute} weight={weight}")]
+    cells = [cell
+             for attribute in attributes
+             for weight in sorted(set(weights))
+             for cell in fold_cells(
+                 replace(config, gaze_attributes=(attribute,),
+                         gaze_loss_weights={attribute: float(weight)}),
+                 data, f"grid attribute={attribute} weight={weight}")]
+    # grid points are scored on dev gaze, so a run without any cannot score one
+    dev_ids = {essay_id for cell in cells for essay_id in cell.fold.dev}
+    if not any(record.essay_id in dev_ids for record in data.gaze_records):
+        raise ValueError(f"a grid search scores dev gaze, but no dev essay of target sets "
+                         f"{list(config.target_sets)} has a gaze record")
+    return cells
 
 
 def grid_fold(config, data, set_id, fold, log=None):
@@ -684,27 +690,3 @@ def format_report(report):
     lines.append(f"grand mean qwk: {report.grand_mean_qwk():.4f}")
     return "\n".join(lines) + "\n"
 
-
-def report_rows(report):
-    """Machine-readable rows (dicts) for delimited output."""
-    rows = []
-    for result in report.fold_results:
-        rows.append({
-            "system": report.system,
-            "set_id": result.set_id,
-            "fold_id": result.fold_id,
-            "test_qwk": repr(result.test_qwk),
-            "best_dev_qwk": repr(result.best_dev_qwk),
-            "best_epoch": result.best_epoch,
-            "n_train": result.n_train,
-            "n_augmented": result.n_augmented,
-        })
-    return rows
-
-
-def write_report_csv(path, report):
-    rows = report_rows(report)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)

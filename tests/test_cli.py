@@ -2,15 +2,24 @@
 
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from gazescore import __version__, cli
 from gazescore.checkpoint import load_checkpoint
-from gazescore.cli import _write_records_csv, main, parse_config_file
-from gazescore.experiments import make_folds, save_folds
+from gazescore.cli import (
+    _write_records_csv,
+    _write_report_files,
+    load_corpus_cache,
+    load_run_directory,
+    main,
+    parse_config_file,
+    write_corpus_cache,
+)
+from gazescore.corpus import Essay, EssaySet
+from gazescore.experiments import ExperimentReport, FoldResult, make_folds, save_folds
 from gazescore.gaze import GazeLoadReport, GazeRecord, load_gaze_records
 from gazescore.training import TrainResult
 
@@ -267,13 +276,23 @@ class TestPreprocess:
         assert "total essays: 16" in report
 
     def test_corpus_cache_round_trips(self, prep_dir):
-        from gazescore.cli import load_corpus_cache
         essays, sets = load_corpus_cache(prep_dir / "corpus_cache.json")
         assert len(essays) == 16
         assert sets[1].score_max == 3
         assert sets[1].source_article is not None
         assert sets[3].source_article is None
         assert essays[100].set_id == 1
+
+    def test_corpus_cache_keeps_every_essay_field_but_gaze_and_every_set_field(self, tmp_path):
+        sets = {1: EssaySet(1, 0, 3, source_article="Line one.\nLine, two \u00e9."),
+                4: EssaySet(4, -2, 60)}
+        essays = [Essay(7, 1, [["a", ","], ["\u00e9t\u00e9"]], 2, 0.1 + 0.2, False),
+                  Essay(3, 4, [], -2, 5e-324, True, gaze={"r1": [None]})]
+        write_corpus_cache(tmp_path / "cache.json", essays, sets)
+        loaded_essays, loaded_sets = load_corpus_cache(tmp_path / "cache.json")
+        assert loaded_sets == sets
+        assert loaded_essays == {7: essays[0], 3: replace(essays[1], gaze=None)}
+        assert [type(e.degenerate) for e in loaded_essays.values()] == [bool, bool]
 
     def test_empty_essays_file_exits_nonzero_naming_it(self, data_dir, tmp_path,
                                                        capsys):
@@ -397,6 +416,21 @@ class TestBinGaze:
         assert len(rows) == 48
         assert {row["reader_id"] for row in rows} == {"r1"}
 
+    @pytest.mark.parametrize("name", ["R1", "nobody"])  # R1: a typo for r1
+    def test_filter_keeping_no_reader_exits_nonzero(self, name, data_dir, prep_dir, tmp_path,
+                                                    capsys):
+        out = tmp_path / "out"
+        code = main(["bin-gaze", "--out", str(out),
+                     "--set", "gaze_csv=" + str(data_dir / "gaze_pool.csv"),
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                     "--set", "reader_filter=" + name])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: reader_filter {name!r} keeps no reader of the 96 "
+                                f"valid gaze rows in {data_dir / 'gaze_pool.csv'}\n")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
     def test_native_only_without_metadata_fails(self, data_dir, prep_dir,
                                                 tmp_path, capsys):
         out = tmp_path / "out"
@@ -482,6 +516,8 @@ class TestRun:
             ("ablate", "essays_gaze", records, "attribute=XX"),
             ("gridsearch", "self_attention"),
             ("gridsearch", "essays_gaze", records, "dropout=1.5"),
+            # the grid is scored on dev gaze, and set 1's dev essays have none
+            ("gridsearch", "essays_gaze", records, "gaze_attributes=DT", "grid=0.05,0.5"),
             ("train", "self_attention", "fold=9"),
             # readers are selected once, as the records load, not in each cell
             *[(command, "essays_gaze", records, "reader_filter=nobody", "attribute=DT")
@@ -875,6 +911,23 @@ class TestReport:
         assert code == 1
         assert "share fold files" in capsys.readouterr().err
 
+    def test_run_directory_round_trips_every_fold_result_field(self, tmp_path):
+        results = tuple(FoldResult(
+            set_id=set_id, fold_id=fold_id, test_qwk=0.1 + 0.2 * fold_id,
+            best_dev_qwk=float("nan") if fold_id else -0.0, best_epoch=fold_id + 3,
+            n_train=60 + set_id, n_augmented=fold_id,
+            test_predictions={10 * fold_id + k: (k, 5 - k) for k in range(2)},
+            squared_errors={10 * fold_id: 1 / 3, 10 * fold_id + 1: 5e-324},
+        ) for set_id in (1, 4) for fold_id in range(3))
+        _write_report_files(tmp_path, ExperimentReport("essays_gaze", 11, results))
+        (tmp_path / "manifest.json").write_text(json.dumps({"seed": 11}))
+        loaded = load_run_directory(tmp_path)
+        assert (loaded.system, loaded.seed) == ("essays_gaze", 11)
+        assert len(loaded.fold_results) == len(results)
+        for got, wrote in zip(loaded.fold_results, results):
+            for field in fields(FoldResult):  # repr tells every float's bits apart, nan too
+                assert repr(getattr(got, field.name)) == repr(getattr(wrote, field.name))
+
     def test_missing_run_files(self, tmp_path, capsys):
         out = tmp_path / "report"
         code = main(["report", "--out", str(out),
@@ -893,6 +946,11 @@ class TestFailurePolicy:
     def run_both(self, command, cause, data_dir, prep_dir, pool_gaze_dir, tmp_path,
                  capsys):
         """failures.txt of the command at --jobs 1 and 2, checking exit and stderr."""
+        records = pool_gaze_dir / "records_clean.csv"
+        if command == "gridsearch":  # a grid search needs gaze on the target set's dev essays
+            records = tmp_path / "pool_and_set1.csv"
+            records.write_text((pool_gaze_dir / "records_clean.csv").read_text()
+                               + (data_dir / "gaze_set1.csv").read_text().split("\n", 1)[1])
         listed = []
         for jobs in ("1", "2"):
             out = tmp_path / f"{command}{jobs}"
@@ -900,7 +958,7 @@ class TestFailurePolicy:
                     "--jobs", jobs]
             for pair in [
                 "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
-                "records_clean=" + str(pool_gaze_dir / "records_clean.csv"),
+                "records_clean=" + str(records),
                 "system=essays_gaze", "target_sets=1", "gaze_attributes=DT", cause,
                 *self.COMMANDS[command],
             ]:

@@ -1,6 +1,5 @@
 """Folding, systems, leakage guards, ablation and significance comparison."""
 
-import csv
 import math
 import time
 from dataclasses import replace
@@ -37,12 +36,10 @@ from gazescore.experiments import (
     load_folds,
     make_folds,
     prepare_cell,
-    report_rows,
     run_experiment,
     run_fold,
     save_folds,
     train_cell,
-    write_report_csv,
 )
 from gazescore.gaze import GazeRecord, bin_all, filter_readers, reader_stats
 from gazescore.metrics import paired_t_test
@@ -540,22 +537,6 @@ class TestReportArithmetic:
         assert "set 1 mean qwk" in text
         assert text.count("\n") >= 7
 
-    def test_report_rows_one_per_fold(self):
-        _, report = run_tiny("self_attention", make_data())
-        rows = report_rows(report)
-        assert len(rows) == 5
-        assert rows[0]["system"] == "self_attention"
-        assert float(rows[0]["test_qwk"]) == report.fold_results[0].test_qwk
-
-    def test_csv_round_trip(self, tmp_path):
-        _, report = run_tiny("self_attention", make_data())
-        path = tmp_path / "report.csv"
-        write_report_csv(path, report)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 5
-        assert float(rows[2]["test_qwk"]) == report.fold_results[2].test_qwk
-
 
 # ------------------------------------------------------------- leakage
 
@@ -846,15 +827,26 @@ class TestGridCell:
             assert mse >= 0.0
 
     def test_unlabeled_dev_partitions_report_zero_counts(self):
-        # unseen-prompt setting: the target set's dev essays carry no gaze
+        # unseen-prompt setting: the target set's dev essays carry no gaze;
+        # grid_cells rejects such a run, so its cells are built directly
         data = make_data(pool_size=6, with_records=True)
         config = ExperimentConfig(
-            system="essays_gaze", target_sets=(1,), seed=0,
+            system="essays_gaze", target_sets=(1,), seed=0, gaze_attributes=("DT",),
             model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN),
         )
-        _, results = self.run_grid(config, data, ("DT",), (0.05,))
+        results, _ = execute_cells(grid_fold, data, fold_cells(config, data), fail_fast=True)
         assert len(results) == 5
         assert all(count == 0 for _, count in results)
+
+    def test_rejects_a_run_without_dev_gaze(self):
+        data = make_data(pool_size=6, with_records=True)
+        config = replace(self.base_config(), system="essays_gaze")
+        with pytest.raises(ValueError, match=r"no dev essay of target sets \[1\] has a gaze"):
+            grid_cells(config, data, ("DT",), (0.05, 0.5))
+        # one target-set dev record is enough
+        dev_essay = data.essays[data.folds[1][0].dev[0]]
+        data.gaze_records += tuple(make_records(dev_essay))
+        assert len(grid_cells(config, data, ("DT",), (0.05, 0.5))) == 10
 
     def test_dev_examples_carry_gaze_binned_with_train_side_statistics(self):
         data = make_data(article="The sun rose. Birds sang.", target_records=True)
