@@ -8,11 +8,13 @@ Format (one file, UTF-8):
     param <name> ...
     ...
 
-%.17g round-trips float64 exactly, so save followed by load is bit-exact.
-Parameter names must not contain whitespace.
+A parameter is its ``param`` line and every value line up to the next one;
+blank lines are ignored. %.17g round-trips float64 exactly, so save followed
+by load is bit-exact. Parameter names must not contain whitespace.
 """
 
-from __future__ import annotations
+import math
+from array import array
 
 import numpy as np
 
@@ -45,7 +47,7 @@ def save_checkpoint(path, named_arrays):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint file back into a dict of name -> numpy array."""
+    """Read a checkpoint file back into a dict of name -> numpy array, in file order."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != FORMAT_NAME:
@@ -53,44 +55,27 @@ def load_checkpoint(path):
         if int(header[1]) != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported version {header[1]}, expected {FORMAT_VERSION}")
-        arrays = {}
-        name = None
-        dtype = None
-        shape = None
-        values = []
-        expected = 0
-
-        def finish():
-            if name is None:
-                return
-            if len(values) != expected:
-                raise CheckpointError(
-                    f"{path}: parameter {name!r} has {len(values)} values, expected {expected}")
-            arrays[name] = np.array(values, dtype=dtype).reshape(shape)
-
+        blocks = []  # (parameter line, its fields, the values after it as doubles)
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("param "):
-                finish()
-                fields = line.split()
-                if len(fields) < 4:
-                    raise CheckpointError(f"{path}: malformed parameter header: {line!r}")
-                name = fields[1]
-                dtype = np.dtype(fields[2])
-                ndim = int(fields[3])
-                dims = [int(d) for d in fields[4:]]
-                if len(dims) != ndim:
-                    raise CheckpointError(f"{path}: dimension count mismatch in: {line!r}")
-                shape = tuple(dims)
-                expected = int(np.prod(shape)) if shape else 1
-                values = []
-                if name in arrays:
-                    raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-            else:
-                if name is None:
-                    raise CheckpointError(f"{path}: values before any parameter header")
-                values.extend(float(v) for v in line.split())
-        finish()
+                blocks.append((line, line.split(), array("d")))
+            elif blocks:
+                blocks[-1][2].fromlist([float(v) for v in line.split()])
+            elif line:
+                raise CheckpointError(f"{path}: values before any parameter header")
+    arrays = {}  # every value was parsed as read; the blocks are checked in file order
+    for line, fields, values in blocks:
+        if len(fields) < 4:
+            raise CheckpointError(f"{path}: malformed parameter header: {line!r}")
+        name, dtype, ndim = fields[1], np.dtype(fields[2]), int(fields[3])
+        shape = tuple(int(d) for d in fields[4:])
+        if len(shape) != ndim:
+            raise CheckpointError(f"{path}: dimension count mismatch in: {line!r}")
+        if name in arrays:
+            raise CheckpointError(f"{path}: duplicate parameter {name!r}")
+        if len(values) != math.prod(shape):
+            raise CheckpointError(f"{path}: parameter {name!r} has {len(values)} values, "
+                                  f"expected {math.prod(shape)}")
+        arrays[name] = np.fromiter(values, dtype=dtype).reshape(shape)
     return arrays

@@ -5,7 +5,8 @@ splits the set 60/20/20 into train/dev/test. Six named systems cover the
 prompt-specific architectures (with and without co-attention over the source
 article, with and without auxiliary gaze losses) and the unseen-prompt
 setting (training on a different pool of gaze-annotated essays, optionally
-augmented into the target set's own training partition).
+augmented into the target set's own training partition). Each system is one
+row of ``SYSTEMS``, which every cell reads.
 
 Runs, ablations and the gaze-weight grid search are lists of cells (one
 configuration on one (set, fold)) that :func:`execute_cells` runs, here or in
@@ -15,7 +16,8 @@ Results are FoldResults in an ExperimentReport; the CLI writes their files.
 
 ``ExperimentData.gaze_records`` hold only the readers a run learns from:
 callers choose the readers as the records load, once per run, and no cell
-filters readers again.
+filters readers again. A run with embeddings takes its model's
+``embedding_dim`` from them.
 
 Data that could leak evaluation information is guarded by runtime provenance
 assertions: the vocabulary must be built only from training essays, and
@@ -38,18 +40,18 @@ from .metrics import SignificanceResult, paired_t_test, qwk
 from .model import EssayScorer, ModelConfig
 from .training import TrainConfig, evaluate_breakdown, prepare_example, train
 
-# A system attends over the prompt's source article, adds the gaze terms to
-# its loss, and/or trains on the external gaze-annotated pool as well.
-System = namedtuple("System", "uses_article uses_gaze augments_train")
+# A system's model architecture (co_attention attends over the source article),
+# whether its loss adds the gaze terms, and whether it trains on the gaze pool too.
+System = namedtuple("System", "architecture uses_gaze augments_train")
 
 # only_prompt's row equals self_attention's: one system under two names.
 SYSTEMS = {
-    "self_attention": System(False, False, False),
-    "co_attention": System(True, False, False),
-    "co_attention_gaze": System(True, True, False),
-    "only_prompt": System(False, False, False),
-    "extra_essays": System(False, False, True),
-    "essays_gaze": System(False, True, True),
+    "self_attention": System("self_attention", False, False),
+    "co_attention": System("co_attention", False, False),
+    "co_attention_gaze": System("co_attention", True, False),
+    "only_prompt": System("self_attention", False, False),
+    "extra_essays": System("self_attention", False, True),
+    "essays_gaze": System("self_attention", True, True),
 }
 
 # Per-attribute auxiliary loss weights used by the fixed-weight systems.
@@ -185,28 +187,12 @@ class ExperimentConfig:
         for attribute in self.gaze_attributes:
             if attribute not in GAZE_ATTRIBUTES:
                 raise ValueError(f"unknown gaze attribute {attribute!r}")
-        if self.uses_gaze:
+        if SYSTEMS[self.system].uses_gaze:
             if not self.gaze_attributes:
                 raise ValueError(f"system {self.system!r} needs at least one gaze attribute")
             missing = [a for a in self.gaze_attributes if a not in self.gaze_loss_weights]
             if missing:
                 raise ValueError(f"no loss weight configured for {missing}")
-
-    @property
-    def uses_article(self):
-        return SYSTEMS[self.system].uses_article
-
-    @property
-    def uses_gaze(self):
-        return SYSTEMS[self.system].uses_gaze
-
-    @property
-    def augments_train(self):
-        return SYSTEMS[self.system].augments_train
-
-    @property
-    def architecture(self):
-        return "co_attention" if self.uses_article else "self_attention"
 
 
 @dataclass
@@ -309,14 +295,25 @@ def _examples_for(essay_ids, essays, vocab, gaze_sequences):
             for essay_id in essay_ids]
 
 
-def cell_configs(config, vocab_size, seed):
-    """(ModelConfig, TrainConfig) of a cell of ``config``, which differ only in these two."""
+def cell_configs(config, data, vocab_size, seed):
+    """(ModelConfig, TrainConfig) of a cell of ``config``, which differ only in these two.
+
+    With embeddings in ``data``, ``embedding_dim`` is their size; a model
+    option naming another size is rejected.
+    """
     if "vocab_size" in config.model_params:
         raise ValueError("vocab_size is derived from the fold's training vocabulary")
-    attributes = tuple(config.gaze_attributes) if config.uses_gaze else ()
+    model_params = dict(config.model_params)
+    if data.embedding_dim is not None:
+        given = model_params.setdefault("embedding_dim", data.embedding_dim)
+        if given != data.embedding_dim:
+            raise ValueError(f"embedding_dim {given} does not match the "
+                             f"{data.embedding_dim}-dimensional embeddings")
+    system = SYSTEMS[config.system]
+    attributes = tuple(config.gaze_attributes) if system.uses_gaze else ()
     weights = {a: float(config.gaze_loss_weights[a]) for a in attributes}
-    return (ModelConfig(architecture=config.architecture, gaze_attributes=attributes,
-                        gaze_loss_weights=weights, vocab_size=vocab_size, **config.model_params),
+    return (ModelConfig(architecture=system.architecture, gaze_attributes=attributes,
+                        gaze_loss_weights=weights, vocab_size=vocab_size, **model_params),
             TrainConfig(**{**config.train_params, "seed": seed}))
 
 
@@ -339,12 +336,13 @@ def prepare_cell(config, data, set_id, fold):
     Dev examples carry gaze targets binned with the train-side reader
     statistics (training reads only their scores); test examples carry none.
     """
+    system = SYSTEMS[config.system]
     essay_set = data.sets[set_id]
     held_out = set(fold.dev) | set(fold.test)
 
     train_ids = list(fold.train)
     augmented_ids = []
-    if config.augments_train:
+    if system.augments_train:
         augmented_ids = sorted(data.gaze_essay_ids - set(train_ids))
         overlap = data.gaze_essay_ids & held_out
         if overlap:
@@ -366,7 +364,7 @@ def prepare_cell(config, data, set_id, fold):
             data.embedding_vectors, data.embedding_dim, vocab, rng)
 
     gaze_sequences = None
-    if config.uses_gaze:
+    if system.uses_gaze:
         test_ids = set(fold.test)
         usable_records = [r for r in data.gaze_records if r.essay_id not in test_ids]
         train_side = [r for r in usable_records if r.essay_id not in held_out]
@@ -381,10 +379,10 @@ def prepare_cell(config, data, set_id, fold):
         gaze_sequences, _ = bin_all(usable_records, stats, data.essays)
 
     article_ids = None
-    if config.uses_article:
+    if system.architecture == "co_attention":
         article_ids = [vocab.encode(s) for s in text_to_sentences(essay_set.source_article)]
 
-    model_config, train_config = cell_configs(config, len(vocab), cell_seed)
+    model_config, train_config = cell_configs(config, data, len(vocab), cell_seed)
     model = EssayScorer(
         model_config, np.random.default_rng(cell_seed),
         embedding_matrix=embedding_matrix,
@@ -528,26 +526,27 @@ def validate_run(config, data):
     It checks the target sets, the article and gaze inputs the system
     needs, and the options every cell's ModelConfig and TrainConfig take.
     """
+    system = SYSTEMS[config.system]
     for set_id in config.target_sets:
         if set_id not in data.sets:
             raise ValueError(f"unknown target set {set_id}")
         if set_id not in data.folds:
             raise ValueError(f"no folds for set {set_id}")
-        if config.uses_article and not any(
+        if system.architecture == "co_attention" and not any(
                 text_to_sentences(data.sets[set_id].source_article or "")):
             raise ValueError(
                 f"system {config.system!r} needs a source article but set "
                 f"{set_id} has none with any tokens")
-    if config.uses_gaze and not data.gaze_records:
+    if system.uses_gaze and not data.gaze_records:
         raise ValueError(f"system {config.system!r} needs gaze records")
-    if config.augments_train and not data.gaze_essay_ids:
+    if system.augments_train and not data.gaze_essay_ids:
         raise ValueError(f"system {config.system!r} needs a gaze essay pool to augment with")
-    cell_configs(config, config.vocab_size, config.seed)
+    cell_configs(config, data, config.vocab_size, config.seed)
 
 
 def grid_cells(config, data, attributes, weights):
     """One cell per (attribute, weight, set, fold), the attribute alone at that weight."""
-    if not config.uses_gaze:
+    if not SYSTEMS[config.system].uses_gaze:
         raise ValueError(f"system {config.system!r} has no gaze loss to search over")
     if not (attributes and weights):  # no cells would leave the run unchecked
         raise ValueError("a grid search needs at least one attribute and one weight")
@@ -558,11 +557,13 @@ def grid_cells(config, data, attributes, weights):
                  replace(config, gaze_attributes=(attribute,),
                          gaze_loss_weights={attribute: float(weight)}),
                  data, f"grid attribute={attribute} weight={weight}")]
-    # grid points are scored on dev gaze, so a run without any cannot score one
+    # grid points are scored on dev gaze bin_all can place, so a run without any fails
     dev_ids = {essay_id for cell in cells for essay_id in cell.fold.dev}
-    if not any(record.essay_id in dev_ids for record in data.gaze_records):
+    if not any(record.essay_id in dev_ids
+               and record.ia_index < len(data.essays[record.essay_id].tokens)
+               for record in data.gaze_records):
         raise ValueError(f"a grid search scores dev gaze, but no dev essay of target sets "
-                         f"{list(config.target_sets)} has a gaze record")
+                         f"{list(config.target_sets)} has a gaze record within its tokens")
     return cells
 
 
@@ -600,7 +601,7 @@ def ablation_cells(config, data, attribute):
     if attribute not in config.gaze_attributes:
         raise ValueError(f"cannot ablate {attribute!r}: "
                          f"not among configured attributes {config.gaze_attributes}")
-    if not config.uses_gaze:
+    if not SYSTEMS[config.system].uses_gaze:
         raise ValueError(f"system {config.system!r} has no gaze loss to ablate")
     ablated = replace(config, gaze_loss_weights={**config.gaze_loss_weights, attribute: 0.0})
     return (fold_cells(config, data)

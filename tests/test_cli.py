@@ -3,6 +3,7 @@
 import csv
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,6 +514,9 @@ class TestRun:
             ("run", "essays_gaze"),
             ("run", "essays_gaze", records, "gaze_attributes=,"),
             ("run", "self_attention", "corpus_cache=" + str(no_score)),
+            # the fixture embeddings are 6-d
+            ("run", "self_attention", "embeddings_cache=" + str(data_dir / "embeddings.txt"),
+             "embedding_dim=5"),
             ("ablate", "essays_gaze", records, "attribute=XX"),
             ("gridsearch", "self_attention"),
             ("gridsearch", "essays_gaze", records, "dropout=1.5"),
@@ -612,6 +616,25 @@ class TestRun:
             data_dir, prep_dir, out, "self_attention",
             "embeddings_cache=" + str(emb_out / "embeddings_cache.txt")))
         assert code == 0
+
+    def test_embedding_dim_defaults_to_the_embeddings_size(self, data_dir, prep_dir, tmp_path):
+        # the fixture embeddings are 6-d, the embedding_dim that base.cfg names
+        base = data_dir / "base.cfg"
+        unsized = tmp_path / "unsized.cfg"
+        unsized.write_text("".join(line for line in base.read_text().splitlines(keepends=True)
+                                   if not line.startswith("embedding_dim")))
+        outputs = []
+        for config in (base, unsized):
+            out = tmp_path / config.stem
+            args = run_args(data_dir, prep_dir, out, "self_attention",
+                            "embeddings_cache=" + str(data_dir / "embeddings.txt"))
+            args[2] = str(config)
+            assert main(args) == 0
+            outputs.append({path.relative_to(out): path.read_bytes()
+                            for path in sorted(out.rglob("*")) if path.is_file()
+                            and path.name not in ("manifest.json", "resolved.cfg")})
+        assert Path("report.csv") in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_dry_run_does_no_training(self, data_dir, prep_dir, tmp_path):
         out = tmp_path / "run"

@@ -262,8 +262,7 @@ class TestExperimentConfig:
             ("extra_essays", "self_attention"),
             ("essays_gaze", "self_attention"),
         ]:
-            config = ExperimentConfig(system=system, target_sets=(1,))
-            assert config.architecture == expected
+            assert SYSTEMS[system].architecture == expected
 
     @pytest.mark.parametrize("field, values, message", [
         ("target_sets", (3, 4, 3), r"target_sets lists \[3\] more than once"),
@@ -376,7 +375,7 @@ class TestRunExperiment:
     def test_essays_gaze_trains_with_gaze_records(self):
         data = make_data(pool_size=6, with_records=True)
         config, report = run_tiny("essays_gaze", data)
-        assert config.uses_gaze
+        assert SYSTEMS[config.system].uses_gaze
         for result in report.fold_results:
             assert result.n_augmented == 6
         assert config.gaze_loss_weights == DEFAULT_GAZE_WEIGHTS
@@ -392,6 +391,23 @@ class TestRunExperiment:
             data = make_data(article=article)
             with pytest.raises(ValueError, match="needs a source article"):
                 run_tiny("co_attention", data)
+
+    def test_embedding_dim_is_the_embeddings_size(self):
+        data = make_data()
+        data.embedding_vectors = {token: np.full(3, 0.01) for token in TOKENS}
+        data.embedding_dim = 3
+        config = ExperimentConfig(system="self_attention", target_sets=(1,),
+                                  model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN))
+        # an explicit size that differs is rejected once, before any cell exists
+        with pytest.raises(ValueError,
+                           match="embedding_dim 6 does not match the 3-dimensional embeddings"):
+            fold_cells(config, data)
+        unsized = replace(config, model_params={
+            key: value for key, value in TINY_MODEL.items() if key != "embedding_dim"})
+        sized = replace(config, model_params={**TINY_MODEL, "embedding_dim": 3})
+        assert prepare_cell(unsized, data, 1, data.folds[1][0]).model.config.embedding_dim == 3
+        assert [r.squared_errors for r in run_experiment(unsized, data).fold_results] == \
+               [r.squared_errors for r in run_experiment(sized, data).fold_results]
 
     def test_co_attention_runs_with_article(self):
         data = make_data(article="The sun rose early. Birds sang on the mat.")
@@ -843,8 +859,12 @@ class TestGridCell:
         config = replace(self.base_config(), system="essays_gaze")
         with pytest.raises(ValueError, match=r"no dev essay of target sets \[1\] has a gaze"):
             grid_cells(config, data, ("DT",), (0.05, 0.5))
-        # one target-set dev record is enough
+        # a dev record that bin_all cannot place (ia_index out of range) is no dev gaze
         dev_essay = data.essays[data.folds[1][0].dev[0]]
+        data.gaze_records += (make_records(dev_essay)[0]._replace(ia_index=999),)
+        with pytest.raises(ValueError, match=r"no dev essay of target sets \[1\] has a gaze"):
+            grid_cells(config, data, ("DT",), (0.05, 0.5))
+        # one target-set dev record is enough
         data.gaze_records += tuple(make_records(dev_essay))
         assert len(grid_cells(config, data, ("DT",), (0.05, 0.5))) == 10
 
