@@ -15,8 +15,9 @@ Every command given gaze records keeps the readers ``reader_filter`` selects
 as they load (``load_selected_records``), so a run's cells see only those.
 
 Each file written and read back is declared once: ``report.csv`` by
-``FoldResult``'s scalar fields, ``predictions.csv`` by ``PREDICTION_COLUMNS``,
-a corpus cache by ``Essay``'s fields. ``_write_csv`` writes every CSV file.
+``FoldResult``'s scalar fields, ``predictions.csv`` by ``Prediction``'s
+fields, a corpus cache by ``Essay``'s fields. ``_write_csv`` writes every
+CSV file. The results the files hold are assembled in ``experiments``.
 
 At any --jobs, train, run, ablate and gridsearch run every cell, list each
 failed cell in failures.txt and on stderr, and exit 1 if any failed. run
@@ -47,10 +48,12 @@ from .corpus import (
 )
 from .experiments import (
     DEFAULT_GAZE_WEIGHTS,
+    GAZE_WEIGHT_GRID,
     ExperimentConfig,
     ExperimentData,
     ExperimentReport,
     FoldResult,
+    Prediction,
     ablation_cells,
     ablation_report,
     assemble_report,
@@ -60,6 +63,7 @@ from .experiments import (
     format_report,
     grid_cells,
     grid_fold,
+    grid_report,
     load_folds,
     make_folds,
     run_fold,
@@ -78,7 +82,7 @@ from .gaze import (
     reader_stats,
 )
 from .model import ModelConfig
-from .training import GAZE_WEIGHT_GRID, TrainConfig, format_epoch_line, grid_search_gaze_weights
+from .training import TrainConfig, format_epoch_line
 
 DATA_DIR_ENV = "GAZESCORE_DATA"
 
@@ -94,9 +98,9 @@ _REPORT_PARSERS = {name: parse for name, parse in get_type_hints(FoldResult).ite
                    if parse is not dict}
 REPORT_COLUMNS = ("system", *_REPORT_PARSERS)
 
-# predictions.csv: one row per test essay, every column an int but the last
-PREDICTION_COLUMNS = ("set_id", "fold_id", "essay_id", "predicted_raw", "actual_raw",
-                      "squared_error")
+# predictions.csv: one row per test essay, its ids, then how each of Prediction's fields parses
+_PREDICTION_PARSERS = get_type_hints(Prediction)
+PREDICTION_COLUMNS = ("set_id", "fold_id", "essay_id", *_PREDICTION_PARSERS)
 
 # input keys naming directories, which their commands check themselves
 DIRECTORY_KEYS = ("folds_dir", "run_a", "run_b")
@@ -153,9 +157,9 @@ def resolve_options(args):
         options.update(parse_config_file(args.config))
     overrides = {}
     for pair in args.set or []:
-        if "=" not in pair:
-            raise CliError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
+        if "=" not in pair or not key.strip():
+            raise CliError(f"--set expects key=value, got {pair!r}")
         overrides[key.strip()] = value.strip()
     options.update(overrides)
     return options, overrides
@@ -340,21 +344,14 @@ def cmd_preprocess(options, seed, paths, out_dir, jobs):
     if not essays:
         raise CliError(f"no essays loaded from {essays_path}")
 
-    write_corpus_cache(out_dir / "corpus_cache.json", essays, sets)
-
     vocab = build_vocab(essays, max_size=opt(options, "vocab_size", int, 4000))
-    index_to_token = sorted(vocab.token_to_index, key=vocab.token_to_index.get)
-    with open(out_dir / "vocab.txt", "w", encoding="utf-8") as fh:
-        for index, token in enumerate(index_to_token):
-            fh.write(f"{index}\t{token}\n")
-
     coverage_line = "embedding coverage: not computed (no embeddings given)"
     if embeddings_path is not None:
         corpus_tokens = {t for e in essays for t in e.tokens}
         vectors, dimension = parse_embedding_file(
             embeddings_path, restrict_tokens=corpus_tokens)
-        if dimension is None:
-            raise CliError(f"no embedding vectors found in {embeddings_path}")
+        if not vectors:
+            raise CliError(f"no embedding vector in {embeddings_path} is for a corpus token")
         with open(out_dir / "embeddings_cache.txt", "w", encoding="utf-8") as fh:
             for token in sorted(vectors):
                 values = " ".join(f"{v:.17g}" for v in vectors[token])
@@ -365,6 +362,13 @@ def cmd_preprocess(options, seed, paths, out_dir, jobs):
         coverage_line = (
             f"embedding coverage: {matched}/{len(real)} vocab tokens "
             f"({coverage:.4f}), dimension {dimension}")
+
+    # written once the embeddings are accepted, so a rejected run leaves no cache
+    write_corpus_cache(out_dir / "corpus_cache.json", essays, sets)
+    index_to_token = sorted(vocab.token_to_index, key=vocab.token_to_index.get)
+    with open(out_dir / "vocab.txt", "w", encoding="utf-8") as fh:
+        for index, token in enumerate(index_to_token):
+            fh.write(f"{index}\t{token}\n")
 
     lines = []
     for set_id in sorted(report.per_set_counts):
@@ -471,10 +475,9 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
                                                         paths["reader_metadata"])
 
     vectors = None
-    dimension = None
     if embeddings_path is not None:
-        vectors, dimension = parse_embedding_file(embeddings_path)
-        if dimension is None:
+        vectors, _ = parse_embedding_file(embeddings_path)
+        if not vectors:
             raise CliError(f"no embedding vectors found in {embeddings_path}")
 
     system = options.get("system")
@@ -506,7 +509,6 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
         gaze_essay_ids=gaze_ids,
         gaze_records=records,
         embedding_vectors=vectors,
-        embedding_dim=dimension,
     )
 
     attributes = opt_list(options, "gaze_attributes", GAZE_ATTRIBUTES)
@@ -548,8 +550,7 @@ def _write_report_files(out_dir, report, prefix=""):
                ([report.system, *(getattr(result, name) for name in _REPORT_PARSERS)]
                 for result in report.fold_results))
     _write_csv(out_dir / f"{prefix}predictions.csv", PREDICTION_COLUMNS,
-               ([result.set_id, result.fold_id, essay_id, *result.test_predictions[essay_id],
-                 result.squared_errors[essay_id]]
+               ([result.set_id, result.fold_id, essay_id, *result.test_predictions[essay_id]]
                 for result in report.fold_results
                 for essay_id in sorted(result.test_predictions)))
 
@@ -632,29 +633,23 @@ def cmd_ablate(options, seed, paths, out_dir, jobs):
 
 def cmd_gridsearch(options, seed, paths, out_dir, jobs):
     grid = opt_list(options, "grid", GAZE_WEIGHT_GRID, cast=float)
-    config, cells, results, failures = _run_cells(
+    _, cells, results, failures = _run_cells(
         options, seed, paths, out_dir, jobs, grid_fold,
         lambda config, data: grid_cells(config, data, config.gaze_attributes, grid))
-    attributes = config.gaze_attributes
     if failures:
         return _report_failures(out_dir, failures)
-    per_point = {}
-    for cell, result in zip(cells, results):
-        (point,) = cell.config.gaze_loss_weights.items()
-        per_point.setdefault(point, []).append(result)
-    best, table = grid_search_gaze_weights(per_point, grid, attributes)
+    best, table = grid_report(cells, results)
 
     lines = []
-    for attribute in attributes:
-        for weight in sorted(table[attribute]):
+    for attribute, means in table.items():
+        for weight, mean in means.items():
             marker = " *" if weight == best[attribute] else ""
-            lines.append(f"{attribute} weight={weight:g} "
-                         f"dev_gaze_mse={table[attribute][weight]:.6g}{marker}")
+            lines.append(f"{attribute} weight={weight:g} dev_gaze_mse={mean:.6g}{marker}")
         lines.append(f"best {attribute}: {best[attribute]:g}")
     _publish(out_dir / "gridsearch.txt", "\n".join(lines) + "\n")
     _write_csv(out_dir / "gridsearch.csv", ("attribute", "weight", "dev_gaze_mse", "best"),
-               ([attribute, weight, table[attribute][weight], int(weight == best[attribute])]
-                for attribute in attributes for weight in sorted(table[attribute])))
+               ([attribute, weight, mean, int(weight == best[attribute])]
+                for attribute, means in table.items() for weight, mean in means.items()))
     return 0
 
 
@@ -670,13 +665,11 @@ def load_run_directory(run_dir):
     with open(manifest_path, encoding="utf-8") as fh, _fields_of(manifest_path):
         seed = json.load(fh)["seed"]
     predictions = {}
-    errors = {}
     with open(predictions_path, newline="", encoding="utf-8") as fh, _fields_of(predictions_path):
         for row in csv.DictReader(fh):
-            *ids, error = (row[column] for column in PREDICTION_COLUMNS)
-            set_id, fold_id, essay_id, predicted, actual = map(int, ids)
-            predictions.setdefault((set_id, fold_id), {})[essay_id] = (predicted, actual)
-            errors.setdefault((set_id, fold_id), {})[essay_id] = float(error)
+            set_id, fold_id, essay_id = (int(row[name]) for name in PREDICTION_COLUMNS[:3])
+            predictions.setdefault((set_id, fold_id), {})[essay_id] = Prediction(
+                **{name: parse(row[name]) for name, parse in _PREDICTION_PARSERS.items()})
     results = []
     system = None
     with open(report_path, newline="", encoding="utf-8") as fh, _fields_of(report_path):
@@ -684,8 +677,7 @@ def load_run_directory(run_dir):
             system = row["system"]
             scalars = {name: parse(row[name]) for name, parse in _REPORT_PARSERS.items()}
             key = (scalars["set_id"], scalars["fold_id"])
-            results.append(FoldResult(**scalars, test_predictions=predictions.get(key, {}),
-                                      squared_errors=errors.get(key, {})))
+            results.append(FoldResult(**scalars, test_predictions=predictions.get(key, {})))
     if not results:
         raise CliError(f"no fold results in {report_path}")
     return ExperimentReport(system=system, seed=seed,

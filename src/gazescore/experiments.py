@@ -12,12 +12,14 @@ Runs, ablations and the gaze-weight grid search are lists of cells (one
 configuration on one (set, fold)) that :func:`execute_cells` runs, here or in
 worker processes. The library entry points stop at the first failed cell and
 raise its own exception; the CLI runs every cell and lists every failure.
-Results are FoldResults in an ExperimentReport; the CLI writes their files.
+Beside each kind of cell list is what assembles its results into the
+command's result (:func:`assemble_report`, :func:`ablation_report`,
+:func:`grid_report`); the CLI only writes their files.
 
 ``ExperimentData.gaze_records`` hold only the readers a run learns from:
 callers choose the readers as the records load, once per run, and no cell
 filters readers again. A run with embeddings takes its model's
-``embedding_dim`` from them.
+``embedding_dim`` from the vectors' size.
 
 Data that could leak evaluation information is guarded by runtime provenance
 assertions: the vocabulary must be built only from training essays, and
@@ -31,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +59,9 @@ SYSTEMS = {
 
 # Per-attribute auxiliary loss weights used by the fixed-weight systems.
 DEFAULT_GAZE_WEIGHTS = {"DT": 0.05, "FFD": 0.05, "IR": 0.01, "RC": 0.01, "Skip": 0.1}
+
+# The weights a grid search tries for each attribute unless given others.
+GAZE_WEIGHT_GRID = (0.5, 0.1, 0.05, 0.01, 0.001)
 
 N_FOLDS = 5
 
@@ -205,7 +211,6 @@ class ExperimentData:
     gaze_essay_ids: frozenset = frozenset()   # external gaze-annotated pool
     gaze_records: tuple = ()
     embedding_vectors: dict = None    # token -> vector, or None for random init
-    embedding_dim: int = None
 
     def __post_init__(self):
         for set_id, folds in self.folds.items():
@@ -225,6 +230,14 @@ class ExperimentData:
             raise ValueError(f"gaze pool references unknown essays {sorted(missing)}")
 
 
+class Prediction(NamedTuple):
+    """One test essay's outcome; its fields are predictions.csv's columns after the ids."""
+
+    predicted_raw: int
+    actual_raw: int
+    squared_error: float              # on normalized scores
+
+
 @dataclass(frozen=True)
 class FoldResult:
     """One fold's outcome; its scalar fields, in order, are report.csv's columns after system."""
@@ -236,8 +249,7 @@ class FoldResult:
     best_epoch: int
     n_train: int
     n_augmented: int
-    test_predictions: dict            # essay_id -> (predicted_raw, actual_raw)
-    squared_errors: dict              # essay_id -> squared normalized error
+    test_predictions: dict            # essay_id -> Prediction
 
 
 @dataclass(frozen=True)
@@ -298,17 +310,18 @@ def _examples_for(essay_ids, essays, vocab, gaze_sequences):
 def cell_configs(config, data, vocab_size, seed):
     """(ModelConfig, TrainConfig) of a cell of ``config``, which differ only in these two.
 
-    With embeddings in ``data``, ``embedding_dim`` is their size; a model
-    option naming another size is rejected.
+    With embedding vectors in ``data``, ``embedding_dim`` is their size; a
+    model option naming another size is rejected.
     """
     if "vocab_size" in config.model_params:
         raise ValueError("vocab_size is derived from the fold's training vocabulary")
     model_params = dict(config.model_params)
-    if data.embedding_dim is not None:
-        given = model_params.setdefault("embedding_dim", data.embedding_dim)
-        if given != data.embedding_dim:
+    if data.embedding_vectors:
+        size = len(next(iter(data.embedding_vectors.values())))
+        given = model_params.setdefault("embedding_dim", size)
+        if given != size:
             raise ValueError(f"embedding_dim {given} does not match the "
-                             f"{data.embedding_dim}-dimensional embeddings")
+                             f"{size}-dimensional embeddings")
     system = SYSTEMS[config.system]
     attributes = tuple(config.gaze_attributes) if system.uses_gaze else ()
     weights = {a: float(config.gaze_loss_weights[a]) for a in attributes}
@@ -356,12 +369,12 @@ def prepare_cell(config, data, set_id, fold):
     _assert_no_vocab_leakage(vocab, held_out)
 
     cell_seed = _fold_seed(config.seed, set_id, fold.fold_id)
-    rng = np.random.default_rng(cell_seed)
+    model_config, train_config = cell_configs(config, data, len(vocab), cell_seed)
 
     embedding_matrix = None
     if data.embedding_vectors is not None:
-        embedding_matrix = matrix_from_vectors(
-            data.embedding_vectors, data.embedding_dim, vocab, rng)
+        embedding_matrix = matrix_from_vectors(data.embedding_vectors, model_config.embedding_dim,
+                                               vocab, np.random.default_rng(cell_seed))
 
     gaze_sequences = None
     if system.uses_gaze:
@@ -382,7 +395,6 @@ def prepare_cell(config, data, set_id, fold):
     if system.architecture == "co_attention":
         article_ids = [vocab.encode(s) for s in text_to_sentences(essay_set.source_article)]
 
-    model_config, train_config = cell_configs(config, data, len(vocab), cell_seed)
     model = EssayScorer(
         model_config, np.random.default_rng(cell_seed),
         embedding_matrix=embedding_matrix,
@@ -431,13 +443,12 @@ def run_fold(config, data, set_id, fold, log=None):
     setup, result = train_cell(config, data, set_id, fold, log)
     pairs = []
     predictions = {}
-    squared_errors = {}
     outputs = setup.model.forward_batch([ex.sentence_ids for ex in setup.test_examples])
     for example, output in zip(setup.test_examples, outputs):
         predicted = output.score_value
         raw = denormalize_score(predicted, setup.essay_set)
-        predictions[example.essay_id] = (raw, example.raw_score)
-        squared_errors[example.essay_id] = float((predicted - example.score_target) ** 2)
+        predictions[example.essay_id] = Prediction(
+            raw, example.raw_score, float((predicted - example.score_target) ** 2))
         pairs.append((int(example.raw_score), raw))
     test_qwk = qwk(pairs, setup.essay_set.score_min, setup.essay_set.score_max)
 
@@ -450,7 +461,6 @@ def run_fold(config, data, set_id, fold, log=None):
         n_train=len(setup.train_examples),
         n_augmented=setup.n_augmented,
         test_predictions=predictions,
-        squared_errors=squared_errors,
     )
 
 
@@ -579,6 +589,31 @@ def grid_fold(config, data, set_id, fold, log=None):
             breakdown.gaze_token_counts.get(attribute, 0))
 
 
+def grid_report(cells, results):
+    """Per-attribute weight selection from the complete results of :func:`grid_cells`.
+
+    A grid point's folds combine as the token-weighted mean of their dev
+    gaze MSE; the lowest mean wins, and ties break toward the smaller
+    weight. Returns ({attribute: best weight}, {attribute: {weight: mean
+    mse}}), both in cell order: :func:`grid_cells` gives attributes in
+    their configured order and each one's weights ascending.
+    """
+    folds_of = {}
+    for cell, result in zip(cells, results):
+        (point,) = cell.config.gaze_loss_weights.items()
+        folds_of.setdefault(point, []).append(result)
+    table = {}
+    for (attribute, weight), folds in folds_of.items():
+        total_tokens = sum(count for _, count in folds)
+        if total_tokens == 0:
+            raise ValueError(f"grid search: no labeled tokens for {attribute}")
+        table.setdefault(attribute, {})[weight] = (
+            sum(mse * count for mse, count in folds) / total_tokens)
+    best = {attribute: min(means, key=lambda w: (means[w], w))
+            for attribute, means in table.items()}
+    return best, table
+
+
 @dataclass(frozen=True)
 class AblationReport:
     """Full-system vs single-attribute-disabled comparison."""
@@ -639,15 +674,15 @@ def _matched_errors(report_a, report_b):
     per_set = {}
     for key in sorted(keyed_a):
         result_a, result_b = keyed_a[key], keyed_b[key]
-        if set(result_a.squared_errors) != set(result_b.squared_errors):
+        if set(result_a.test_predictions) != set(result_b.test_predictions):
             raise ValueError(
                 f"set {key[0]} fold {key[1]}: test essays differ between reports; "
                 "runs must share fold files")
         set_id = key[0]
         bucket = per_set.setdefault(set_id, ([], []))
-        for essay_id in sorted(result_a.squared_errors):
-            bucket[0].append(result_a.squared_errors[essay_id])
-            bucket[1].append(result_b.squared_errors[essay_id])
+        for essay_id in sorted(result_a.test_predictions):
+            bucket[0].append(result_a.test_predictions[essay_id].squared_error)
+            bucket[1].append(result_b.test_predictions[essay_id].squared_error)
     return per_set
 
 

@@ -25,8 +25,6 @@ from .metrics import qwk
 from .numerics import Tensor, backward, zero_grads
 from .optim import RMSProp, clip_global_norm
 
-GAZE_WEIGHT_GRID = (0.5, 0.1, 0.05, 0.01, 0.001)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -317,31 +315,3 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
         final_state=model.state_dict(),
         history=history,
     )
-
-
-def grid_search_gaze_weights(results, grid, attributes):
-    """Per-attribute weight selection by lowest dev gaze MSE.
-
-    ``results`` maps (attribute, weight) to the (dev_gaze_mse,
-    labeled_token_count) pairs of the folds trained with the attribute
-    alone at that weight. Fold results combine as a token-weighted mean;
-    ties break toward the smaller weight. Returns ({attribute: best
-    weight}, {attribute: {weight: mean mse}}).
-    """
-    grid = sorted(set(grid))
-    if not grid:
-        raise ValueError("grid_search_gaze_weights: empty grid")
-    best = {}
-    table = {}
-    for attribute in attributes:
-        table[attribute] = {}
-        for weight in grid:
-            cells = results[(attribute, weight)]
-            total_tokens = sum(count for _, count in cells)
-            if total_tokens == 0:
-                raise ValueError(
-                    f"grid_search_gaze_weights: no labeled tokens for {attribute}")
-            mean_mse = sum(mse * count for mse, count in cells) / total_tokens
-            table[attribute][weight] = mean_mse
-        best[attribute] = min(grid, key=lambda w: (table[attribute][w], w))
-    return best, table

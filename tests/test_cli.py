@@ -20,7 +20,7 @@ from gazescore.cli import (
     write_corpus_cache,
 )
 from gazescore.corpus import Essay, EssaySet
-from gazescore.experiments import ExperimentReport, FoldResult, make_folds, save_folds
+from gazescore.experiments import ExperimentReport, FoldResult, Prediction, make_folds, save_folds
 from gazescore.gaze import GazeLoadReport, GazeRecord, load_gaze_records
 from gazescore.training import TrainResult
 
@@ -169,6 +169,14 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["resolved_options"]["vocab_size"] == "123"
         assert manifest["overrides"] == {"vocab_size": "123"}
+
+    def test_override_with_an_empty_key_rejected(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["preprocess", "--config", str(data_dir / "base.cfg"),
+                     "--out", str(out), "--dry-run", "--set", " =3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --set expects key=value, got ' =3'\n"
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -335,6 +343,17 @@ class TestPreprocess:
         report = (out / "preprocess_report.txt").read_text()
         assert "embedding coverage" in report
         assert "dimension 6" in report
+
+    def test_embeddings_without_a_corpus_token_rejected(self, data_dir, tmp_path, capsys):
+        embeddings = tmp_path / "foreign.txt"
+        embeddings.write_text("zebra 0.1 0.2\nquartz 0.3 0.4\n")
+        out = tmp_path / "out"
+        code = main(["preprocess", "--config", str(data_dir / "base.cfg"),
+                     "--out", str(out), "--set", "embeddings=" + str(embeddings)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: no embedding vector in {embeddings} is for a corpus token\n")
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
 
 # ------------------------------------------------------------ bin-gaze
@@ -939,8 +958,8 @@ class TestReport:
             set_id=set_id, fold_id=fold_id, test_qwk=0.1 + 0.2 * fold_id,
             best_dev_qwk=float("nan") if fold_id else -0.0, best_epoch=fold_id + 3,
             n_train=60 + set_id, n_augmented=fold_id,
-            test_predictions={10 * fold_id + k: (k, 5 - k) for k in range(2)},
-            squared_errors={10 * fold_id: 1 / 3, 10 * fold_id + 1: 5e-324},
+            test_predictions={10 * fold_id + k: Prediction(k, 5 - k, (1 / 3, 5e-324)[k])
+                              for k in range(2)},
         ) for set_id in (1, 4) for fold_id in range(3))
         _write_report_files(tmp_path, ExperimentReport("essays_gaze", 11, results))
         (tmp_path / "manifest.json").write_text(json.dumps({"seed": 11}))

@@ -11,6 +11,7 @@ import pytest
 from gazescore.corpus import Essay, EssaySet, build_vocab, denormalize_score, normalize_score
 from gazescore.experiments import (
     DEFAULT_GAZE_WEIGHTS,
+    GAZE_WEIGHT_GRID,
     AblationReport,
     Cell,
     ComparisonReport,
@@ -20,6 +21,7 @@ from gazescore.experiments import (
     FoldResult,
     FoldSpec,
     LeakageError,
+    Prediction,
     SYSTEMS,
     _assert_no_stats_leakage,
     _assert_no_vocab_leakage,
@@ -33,6 +35,7 @@ from gazescore.experiments import (
     format_report,
     grid_cells,
     grid_fold,
+    grid_report,
     load_folds,
     make_folds,
     prepare_cell,
@@ -276,6 +279,7 @@ class TestExperimentConfig:
     def test_default_weights_match_published_values(self):
         assert DEFAULT_GAZE_WEIGHTS == {
             "DT": 0.05, "FFD": 0.05, "IR": 0.01, "RC": 0.01, "Skip": 0.1}
+        assert GAZE_WEIGHT_GRID == (0.5, 0.1, 0.05, 0.01, 0.001)
 
 
 class TestExperimentData:
@@ -330,13 +334,12 @@ class TestRunExperiment:
         for result in report.fold_results:
             fold = data.folds[1][result.fold_id]
             assert set(result.test_predictions) == set(fold.test)
-            assert set(result.squared_errors) == set(fold.test)
 
     def test_predictions_are_raw_scale_integers_in_range(self):
         data = make_data()
         _, report = run_tiny("self_attention", data)
         for result in report.fold_results:
-            for predicted, actual in result.test_predictions.values():
+            for predicted, actual, _ in result.test_predictions.values():
                 assert 0 <= predicted <= 3
                 assert isinstance(predicted, int)
                 assert 0 <= actual <= 3
@@ -346,14 +349,14 @@ class TestRunExperiment:
         report_b = run_tiny("self_attention", make_data())[1]
         assert [r.test_qwk for r in report_a.fold_results] == \
                [r.test_qwk for r in report_b.fold_results]
-        assert [r.squared_errors for r in report_a.fold_results] == \
-               [r.squared_errors for r in report_b.fold_results]
+        assert [r.test_predictions for r in report_a.fold_results] == \
+               [r.test_predictions for r in report_b.fold_results]
 
     def test_seed_changes_results(self):
         base = run_tiny("self_attention", make_data())[1]
         other = run_tiny("self_attention", make_data(), seed=99)[1]
-        assert [r.squared_errors for r in base.fold_results] != \
-               [r.squared_errors for r in other.fold_results]
+        assert [r.test_predictions for r in base.fold_results] != \
+               [r.test_predictions for r in other.fold_results]
 
     def test_only_prompt_is_plain_self_attention_run(self):
         data = make_data()
@@ -395,7 +398,6 @@ class TestRunExperiment:
     def test_embedding_dim_is_the_embeddings_size(self):
         data = make_data()
         data.embedding_vectors = {token: np.full(3, 0.01) for token in TOKENS}
-        data.embedding_dim = 3
         config = ExperimentConfig(system="self_attention", target_sets=(1,),
                                   model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN))
         # an explicit size that differs is rejected once, before any cell exists
@@ -406,8 +408,8 @@ class TestRunExperiment:
             key: value for key, value in TINY_MODEL.items() if key != "embedding_dim"})
         sized = replace(config, model_params={**TINY_MODEL, "embedding_dim": 3})
         assert prepare_cell(unsized, data, 1, data.folds[1][0]).model.config.embedding_dim == 3
-        assert [r.squared_errors for r in run_experiment(unsized, data).fold_results] == \
-               [r.squared_errors for r in run_experiment(sized, data).fold_results]
+        assert [r.test_predictions for r in run_experiment(unsized, data).fold_results] == \
+               [r.test_predictions for r in run_experiment(sized, data).fold_results]
 
     def test_co_attention_runs_with_article(self):
         data = make_data(article="The sun rose early. Birds sang on the mat.")
@@ -422,18 +424,15 @@ class TestRunExperiment:
         fold = data.folds[1][0]
         result = run_fold(config, data, 1, fold)
         setup, _ = train_cell(config, data, 1, fold)  # same seed, same best state
-        predictions, squared_errors = {}, {}
+        predictions = {}
         model = setup.model
         for example in setup.test_examples:
             article = model.encode_essay(model.article_sentence_ids, None)[1]
             score = model.forward(example.sentence_ids, article=article).score_value
-            predictions[example.essay_id] = (denormalize_score(score, setup.essay_set),
-                                             example.raw_score)
-            squared_errors[example.essay_id] = (score - example.score_target) ** 2
+            predictions[example.essay_id] = Prediction(
+                denormalize_score(score, setup.essay_set), example.raw_score,
+                (score - example.score_target) ** 2)
         assert result.test_predictions == predictions
-        assert result.squared_errors.keys() == squared_errors.keys()
-        for essay_id, error in squared_errors.items():
-            assert np.array_equal(result.squared_errors[essay_id], error), essay_id
 
     def test_co_attention_gaze_on_prompt_specific_set(self):
         data = make_data(article="The sun rose early. Birds sang.",
@@ -743,8 +742,7 @@ def synthetic_report(system, errors_by_fold, qwk_value=0.5):
         results.append(FoldResult(
             set_id=1, fold_id=fold_id, test_qwk=qwk_value,
             best_epoch=0, best_dev_qwk=float("nan"),
-            test_predictions={eid: (1, 1) for eid in errors},
-            squared_errors=dict(errors),
+            test_predictions={eid: Prediction(1, 1, error) for eid, error in errors.items()},
             n_train=6, n_augmented=0,
         ))
     return ExperimentReport(system=system, seed=0, fold_results=tuple(results))
@@ -890,14 +888,8 @@ class TestGridCell:
         assert all(ex.gaze_targets == {} for ex in setup.test_examples)
 
     def test_feeds_grid_search_selection(self):
-        from gazescore.training import grid_search_gaze_weights
         data = make_data(article="The sun rose. Birds sang.", target_records=True)
-        cells, results = self.run_grid(self.base_config(), data, ("DT",), (0.05, 0.1))
-        per_point = {}
-        for cell, result in zip(cells, results):
-            (point,) = cell.config.gaze_loss_weights.items()
-            per_point.setdefault(point, []).append(result)
-        best, table = grid_search_gaze_weights(per_point, (0.05, 0.1), ("DT",))
+        best, table = grid_report(*self.run_grid(self.base_config(), data, ("DT",), (0.05, 0.1)))
         assert best["DT"] in (0.05, 0.1)
         assert set(table["DT"]) == {0.05, 0.1}
         assert table["DT"][best["DT"]] == min(table["DT"].values())
@@ -919,10 +911,50 @@ class TestGridCell:
         config = ExperimentConfig(system="self_attention", target_sets=(1,))
         results = [
             FoldResult(set_id=1, fold_id=k, test_qwk=0.5, best_epoch=0,
-                       best_dev_qwk=0.5, test_predictions={}, squared_errors={},
+                       best_dev_qwk=0.5, test_predictions={},
                        n_train=6, n_augmented=0)
             for k in (3, 0, 4, 1, 2)
         ]
         report = assemble_report(config, results)
         assert [r.fold_id for r in report.fold_results] == [0, 1, 2, 3, 4]
         assert report.system == "self_attention"
+
+
+class TestGridReport:
+    def report(self, folds_of_point):
+        """grid_report of one cell per (dev gaze MSE, token count) of each (attribute, weight)."""
+        config = ExperimentConfig(system="co_attention_gaze", target_sets=(1,))
+        cells, results = [], []
+        for (attribute, weight), folds in folds_of_point.items():
+            point = replace(config, gaze_attributes=(attribute,),
+                            gaze_loss_weights={attribute: weight})
+            for fold_id, result in enumerate(folds):
+                cells.append(Cell(point, 1, None, f"{attribute} {weight} fold={fold_id}"))
+                results.append(result)
+        return grid_report(cells, results)
+
+    def test_single_value_grid(self):
+        best, table = self.report({("DT", 0.05): [(0.3, 10)]})
+        assert best == {"DT": 0.05}
+        assert table["DT"][0.05] == pytest.approx(0.3)
+
+    def test_picks_minimum_mse(self):
+        mse = {0.5: 0.30, 0.1: 0.20, 0.05: 0.10, 0.01: 0.15, 0.001: 0.25}
+        best, _ = self.report({("FFD", weight): [(mse[weight], 100)]
+                               for weight in sorted(GAZE_WEIGHT_GRID)})
+        assert best == {"FFD": 0.05}
+
+    def test_token_weighted_fold_mean(self):
+        best, table = self.report({("DT", 0.01): [(0.25, 2), (0.25, 2)],  # mean 0.25
+                                   ("DT", 0.1): [(0.0, 1), (0.4, 3)]})    # mean 0.3
+        assert table["DT"][0.1] == pytest.approx(0.3)
+        assert table["DT"][0.01] == pytest.approx(0.25)
+        assert best == {"DT": 0.01}
+
+    def test_tie_breaks_to_smaller_weight(self):
+        best, _ = self.report({("Skip", w): [(0.2, 5)] for w in (0.5, 0.001, 0.05)})
+        assert best == {"Skip": 0.001}
+
+    def test_rejects_unlabeled_attribute(self):
+        with pytest.raises(ValueError, match="no labeled tokens for DT"):
+            self.report({("DT", 0.1): [(0.0, 0)]})

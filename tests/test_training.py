@@ -16,7 +16,6 @@ from gazescore.model import EssayScorer, ModelConfig
 from gazescore.numerics import backward, zero_grads
 from gazescore.optim import RMSProp
 from gazescore.training import (
-    GAZE_WEIGHT_GRID,
     EpochStats,
     LossBreakdown,
     TrainConfig,
@@ -25,7 +24,6 @@ from gazescore.training import (
     dev_qwk,
     evaluate_breakdown,
     format_epoch_line,
-    grid_search_gaze_weights,
     multitask_loss,
     prepare_example,
     train,
@@ -84,7 +82,6 @@ def test_train_config_defaults_match_published_values():
     assert config.epochs == 100
     assert config.learning_rate == 0.001
     assert config.momentum == 0.9
-    assert GAZE_WEIGHT_GRID == (0.5, 0.1, 0.05, 0.01, 0.001)
 
 
 def test_train_config_validation():
@@ -564,46 +561,3 @@ def test_train_step_pauses_the_collector_and_restores_its_state(monkeypatch, ena
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert during == [False, False]
-
-
-# ---------------------------------------------------------------------------
-# grid search
-# ---------------------------------------------------------------------------
-
-def test_grid_search_single_value_grid():
-    best, table = grid_search_gaze_weights({("DT", 0.05): [(0.3, 10)]}, [0.05], ["DT"])
-    assert best == {"DT": 0.05}
-    assert table["DT"][0.05] == pytest.approx(0.3)
-
-
-def test_grid_search_picks_minimum_mse():
-    mse = {0.5: 0.30, 0.1: 0.20, 0.05: 0.10, 0.01: 0.15, 0.001: 0.25}
-    results = {("FFD", weight): [(value, 100)] for weight, value in mse.items()}
-    best, _ = grid_search_gaze_weights(results, GAZE_WEIGHT_GRID, ["FFD"])
-    assert best == {"FFD": 0.05}
-
-
-def test_grid_search_token_weighted_fold_mean():
-    results = {("DT", 0.1): [(0.0, 1), (0.4, 3)],     # mean 0.3
-               ("DT", 0.01): [(0.25, 2), (0.25, 2)]}  # mean 0.25
-    best, table = grid_search_gaze_weights(results, [0.1, 0.01], ["DT"])
-    assert table["DT"][0.1] == pytest.approx(0.3)
-    assert table["DT"][0.01] == pytest.approx(0.25)
-    assert best == {"DT": 0.01}
-
-
-def test_grid_search_tie_breaks_to_smaller_weight():
-    grid = [0.5, 0.001, 0.05]
-    best, _ = grid_search_gaze_weights({("Skip", w): [(0.2, 5)] for w in grid}, grid,
-                                       ["Skip"])
-    assert best == {"Skip": 0.001}
-
-
-def test_grid_search_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        grid_search_gaze_weights({}, [], ["DT"])
-
-
-def test_grid_search_rejects_unlabeled_attribute():
-    with pytest.raises(ValueError, match="no labeled tokens"):
-        grid_search_gaze_weights({("DT", 0.1): [(0.0, 0)]}, [0.1], ["DT"])
