@@ -199,6 +199,11 @@ class ExperimentConfig:
             missing = [a for a in self.gaze_attributes if a not in self.gaze_loss_weights]
             if missing:
                 raise ValueError(f"no loss weight configured for {missing}")
+        # grid_cells' weights come through here too, one replace per grid point
+        for attribute, weight in self.gaze_loss_weights.items():
+            if not math.isfinite(weight):
+                raise ValueError(f"gaze loss weight for {attribute} must be finite, "
+                                 f"got {weight}")
 
 
 @dataclass
@@ -481,23 +486,39 @@ def fold_cells(config, data, name=None):
             for fold in data.folds[set_id]]
 
 
+# ``data`` as a worker process of :func:`execute_cells` received it at start
+_worker_data = None
+
+
+def _keep_worker_data(data):
+    global _worker_data
+    _worker_data = data
+
+
+def _run_on_worker_data(task, config, set_id, fold):
+    return task(config, _worker_data, set_id, fold)
+
+
 def execute_cells(task, data, cells, jobs=1, log=None, fail_fast=False):
     """Run ``task(config, data, set_id, fold, log)`` for every cell.
 
     One job runs the cells here, in order, and ``log`` gets each label and
     then the task's lines; more run them in a pool of ``jobs`` worker
-    processes and ``log`` gets the labels only. Returns (results, failures):
-    the finished cells' results in cell order and a (cell, exception) pair
-    for each cell that raised. With ``fail_fast`` the first failed cell's
-    exception propagates instead, and cells still waiting to start are
-    dropped.
+    processes and ``log`` gets the labels only. Each worker receives
+    ``data`` once, as it starts, and a cell sends only its own arguments.
+    Returns (results, failures): the finished cells' results in cell order
+    and a (cell, exception) pair for each cell that raised. With
+    ``fail_fast`` the first failed cell's exception propagates instead, and
+    cells still waiting to start are dropped.
     """
     results, failures = [], []
     with ExitStack() as stack:
         if jobs > 1:
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            pool = ProcessPoolExecutor(max_workers=jobs, initializer=_keep_worker_data,
+                                       initargs=(data,))
             stack.callback(pool.shutdown, cancel_futures=True)
-            outcomes = [pool.submit(task, c.config, data, c.set_id, c.fold).result
+            outcomes = [pool.submit(_run_on_worker_data, task, c.config, c.set_id,
+                                    c.fold).result
                         for c in cells]
         else:
             outcomes = [partial(task, c.config, data, c.set_id, c.fold, log) for c in cells]

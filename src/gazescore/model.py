@@ -13,9 +13,18 @@ modeling layer (dense tanh) and the scalar sigmoid output. The article's
 hidden states come from :meth:`EssayScorer.encode_article`, once per list
 of essays scored through :meth:`EssayScorer.forward_batch`: per mini-batch in
 training (one graph, one dropout mask, one backward), per evaluation pass.
-An rng means training: it draws the dropout masks. Without an rng
-(evaluation) ``forward_batch`` runs under ``numerics.no_grad``, so no graph
-is built and callers may hold every output it returns.
+
+An rng means training: it draws the dropout masks, and each essay gets a
+graph through :meth:`EssayScorer.forward`. Without an rng (evaluation),
+``forward_batch`` scores in plain numpy on the parameters' values. An
+essay's sentences form one padded token block (one gather, ``conv_kernel``
+stacked matmuls, a masked word attention); up to ``EVAL_SLICE`` essays form
+one padded sentence block, which one LSTM time loop advances, each step over
+the essays that still have a sentence (arXiv:1604.01946), before the masked
+attentions and the output layers. Scores equal ``forward``'s up to the
+grouping of floating-point sums: padding regroups a softmax's sum, and a
+block row runs as a GEMM where ``forward``'s one-row matmul is a GEMV. At
+the paper's dimensions the conv outputs, so the gaze heads, are bit-identical.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
@@ -24,7 +33,6 @@ configured attribute.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +42,13 @@ from .gaze import GAZE_ATTRIBUTES
 from .numerics import Tensor
 
 ARCHITECTURES = ("self_attention", "co_attention")
+
+# Evaluation scores at most this many essays per sentence block, so its peak
+# memory does not grow with the number of essays it scores. Scoring 1,400
+# 12-sentence essays at the paper's dimensions raised peak RSS by 23 MB in
+# slices and by 131 MB in one block, at the same essays/s (2-core Xeon,
+# OpenBLAS); the LSTM's (B, L, 4H) input projection dominates a block.
+EVAL_SLICE = 100
 
 
 @dataclass(frozen=True)
@@ -76,6 +91,27 @@ class ForwardOutput:
     @property
     def score_value(self):
         return float(self.predicted_score.data[0, 0])
+
+
+def _softmax(scores, mask):
+    """Softmax of plain arrays over the last axis's positions where ``mask``
+    holds, in ``numerics.softmax``'s order of operations; a row with none is zero."""
+    scores = np.where(mask, scores, -np.inf)
+    top = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - np.where(np.isfinite(top), top, 0.0))
+    total = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
+
+
+def _attend(states, mask, w, b, v):
+    """Additive attention with parameters w, b, v over the masked rows of
+    (B, L, D) states -> (B, D).
+
+    It pools with ``alpha @ states``, as ``forward`` does; an elementwise sum
+    over padded rows would regroup the terms further.
+    """
+    alpha = _softmax((np.tanh(states @ w.data + b.data) @ v.data)[..., 0], mask)
+    return (alpha[:, None] @ states)[:, 0]
 
 
 class EssayScorer:
@@ -243,13 +279,96 @@ class EssayScorer:
         """One :class:`ForwardOutput` per essay, in a list; the article is encoded once.
 
         With an rng (training) the essays share the article's graph and
-        dropout mask. Without one (evaluation) no graph is built: the
-        outputs carry their values only.
+        dropout mask. Without one (evaluation) they are scored in padded
+        blocks of up to ``EVAL_SLICE`` essays (see the module docstring),
+        and the outputs carry their values only.
         """
-        with nm.no_grad() if rng is None else nullcontext():
-            article = self.encode_article(rng)
+        article = self.encode_article(rng)
+        if rng is not None:
             return [self.forward(sentence_ids, rng, article=article)
                     for sentence_ids in batch_sentence_ids]
+        if not all(batch_sentence_ids):
+            raise ValueError("forward: essay has no sentences")
+        article = None if article is None else article.data
+        order = sorted(range(len(batch_sentence_ids)),
+                       key=lambda i: -len(batch_sentence_ids[i]))
+        outputs = [None] * len(order)
+        for start in range(0, len(order), EVAL_SLICE):
+            chosen = order[start:start + EVAL_SLICE]
+            scored = self._score_block([batch_sentence_ids[i] for i in chosen], article)
+            for i, output in zip(chosen, scored):
+                outputs[i] = output
+        return outputs
+
+    # -- evaluation on parameter values, no graph ----------------------------
+
+    def _encode_words(self, sentence_ids):
+        """One essay's sentence vectors (S, F), an empty sentence's zero, and
+        its gaze predictions, from one padded token block."""
+        k, w = self.config.conv_kernel, self.conv_w.data
+        lengths = np.array([len(ids) for ids in sentence_ids])
+        width = max(lengths.max(), 1)
+        mask = np.arange(width) < lengths[:, None]
+        # PAD's embedding row is pinned at zero, as conv1d pads each sentence
+        ids = np.zeros((len(sentence_ids), width + k - 1), dtype=np.int64)
+        ids[:, k // 2:k // 2 + width][mask] = [i for sentence in sentence_ids for i in sentence]
+        embedded = self.embedding.data[ids]
+        conv = np.zeros((len(sentence_ids), width, w.shape[2]))
+        for j in range(k):
+            conv += embedded[:, j:j + width] @ w[j]
+        # forward's one-token sentence is a one-row matmul, a GEMV: keep it one
+        single = lengths == 1
+        if width > 1 and single.any():
+            conv[single, 0] = (embedded[single, k // 2][:, None] @ w[k // 2])[:, 0]
+        conv = np.tanh(conv + self.conv_b.data)
+        vectors = _attend(conv, mask, self.word_attn_w, self.word_attn_b, self.word_attn_v)
+        gaze = {}
+        if self.config.gaze_attributes and mask.any():
+            tokens = conv[mask]  # forward's row order: sentence by sentence
+            gaze = {a: Tensor(nm._sigmoid(tokens @ self.gaze_w[a].data + self.gaze_b[a].data))
+                    for a in self.config.gaze_attributes}
+        return vectors, gaze
+
+    def _lstm_block(self, inputs, counts):
+        """Hidden states (B, L, H) over (B, L, F) inputs whose essay b has
+        ``counts[b]`` sentences, counts descending; each essay's later rows stay zero."""
+        wh, b = self.lstm_wh.data, self.lstm_b.data
+        h_size = len(wh)
+        projected = inputs @ self.lstm_wx.data
+        hidden = np.zeros(inputs.shape[:2] + (h_size,))
+        h = c = np.zeros((len(inputs), h_size))
+        for t in range(inputs.shape[1]):
+            n = np.count_nonzero(counts > t)
+            z = (projected[:n, t] + h[:n] @ wh) + b
+            i, f = nm._sigmoid(z[:, :h_size]), nm._sigmoid(z[:, h_size:2 * h_size])
+            g, o = np.tanh(z[:, 2 * h_size:3 * h_size]), nm._sigmoid(z[:, 3 * h_size:])
+            c = f * c[:n] + i * g
+            h = o * np.tanh(c)
+            hidden[:n, t] = h
+        return hidden
+
+    def _score_block(self, essays, article):
+        """Evaluation outputs of essays given in descending sentence count."""
+        words = [self._encode_words(sentence_ids) for sentence_ids in essays]
+        counts = np.array([len(sentence_ids) for sentence_ids in essays])
+        mask = np.arange(counts[0]) < counts[:, None]
+        inputs = np.zeros((len(essays), counts[0], self.config.conv_filters))
+        inputs[mask] = np.concatenate([vectors for vectors, _ in words])
+        hidden = self._lstm_block(inputs, counts)
+        summary = _attend(hidden, mask, self.sent_attn_w, self.sent_attn_b, self.sent_attn_v)
+        if article is not None:
+            affinity = hidden @ self.affinity.data @ article.T  # (B, L, article rows)
+            essay2article = _softmax(affinity, True) @ article
+            article2essay = _softmax(affinity.transpose(0, 2, 1), mask[:, None]) @ hidden
+            summary = np.concatenate([
+                summary,
+                _attend(essay2article, mask, self.e2a_attn_w, self.e2a_attn_b, self.e2a_attn_v),
+                _attend(article2essay, True, self.a2e_attn_w, self.a2e_attn_b, self.a2e_attn_v),
+            ], axis=1)
+        modeled = np.tanh(summary @ self.modeling_w.data + self.modeling_b.data)
+        scores = nm._sigmoid(modeled @ self.output_w.data + self.output_b.data)
+        return [ForwardOutput(Tensor(score[None]), gaze)
+                for score, (_, gaze) in zip(scores, words)]
 
     def forward(self, sentence_ids, rng=None, article=None):
         """Score one essay given its vocabulary-encoded sentences.

@@ -30,15 +30,9 @@ gradient; rows it never read are left untouched rather than given + 0.0.
 op as ``conv1d`` keeps its kernel loop; forward and backward evaluate the
 same expressions, in the same order, as the per-step composition of
 ``narrow``, ``matmul``, ``add``, ``sigmoid``, ``tanh`` and ``mul``.
-
-Inside ``with no_grad():`` a thread's ops record nothing, as ``torch.no_grad``
-does: outputs get the same data but no parents, closure or ``requires_grad``.
 """
 
 from __future__ import annotations
-
-import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -70,26 +64,9 @@ def _as_tensor(value):
     return Tensor(value)
 
 
-class _GradMode(threading.local):
-    recording = True  # False inside ``no_grad``
-
-
-_grad_mode = _GradMode()
-
-
-@contextmanager
-def no_grad():
-    """Run the body without recording a graph; the previous mode comes back on exit."""
-    previous, _grad_mode.recording = _grad_mode.recording, False
-    try:
-        yield
-    finally:
-        _grad_mode.recording = previous
-
-
 def _make_output(data, parents, grad_fn):
     out = Tensor(data)
-    if _grad_mode.recording and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn

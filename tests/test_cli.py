@@ -561,6 +561,23 @@ class TestRun:
                 assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
                                                                   "resolved.cfg"]
 
+    @pytest.mark.parametrize("command, pair, value", [("run", "gaze_weight_DT=nan", "nan"),
+                                                      ("train", "gaze_weight_DT=inf", "inf"),
+                                                      ("gridsearch", "grid=0.05,nan", "nan")])
+    def test_non_finite_gaze_weight_rejected_before_any_cell(self, command, pair, value,
+                                                              data_dir, prep_dir, set1_gaze_dir,
+                                                              tmp_path, capsys):
+        records = "records_clean=" + str(set1_gaze_dir / "records_clean.csv")
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            args = run_args(data_dir, prep_dir, out, "co_attention_gaze", records,
+                            "gaze_attributes=DT", pair) + ["--jobs", jobs]
+            args[0] = command
+            assert main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: gaze loss weight for DT must be finite, got {value}\n"
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
     def test_essays_gaze_augments_with_pool(self, data_dir, prep_dir,
                                             pool_gaze_dir, tmp_path):
         out = tmp_path / "run"

@@ -44,9 +44,11 @@ from gazescore.experiments import (
     save_folds,
     train_cell,
 )
+from gazescore import experiments
 from gazescore.gaze import GazeRecord, bin_all, filter_readers, reader_stats
 from gazescore.metrics import paired_t_test
-from gazescore.training import prepare_example
+from gazescore.model import EssayScorer
+from gazescore.training import dev_qwk, evaluate_breakdown, prepare_example
 
 TOKENS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue"]
 
@@ -275,6 +277,13 @@ class TestExperimentConfig:
         config = dict(system="essays_gaze", target_sets=(3,), gaze_attributes=("DT", "IR"))
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{**config, field: values})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        # such a weight would let every cell train, then fail with TrainingDiverged
+        with pytest.raises(ValueError, match=r"gaze loss weight for DT must be finite"):
+            ExperimentConfig(system="essays_gaze", target_sets=(1,), gaze_attributes=("DT",),
+                             gaze_loss_weights={"DT": weight})
 
     def test_default_weights_match_published_values(self):
         assert DEFAULT_GAZE_WEIGHTS == {
@@ -533,6 +542,28 @@ class TestExecuteCells:
         assert marked == 0 if jobs == 1 else marked < len(cells) - 1
 
 
+    def test_workers_receive_data_once_and_cells_only_their_arguments(self, monkeypatch):
+        made, submitted = [], []
+
+        class Recording(experiments.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                made.append(kwargs)
+                super().__init__(**kwargs)
+
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+        data = {"offset": 10}
+        cells = fold_cells(ExperimentConfig(system="self_attention", target_sets=(1,)),
+                           make_data())
+        results, _ = execute_cells(_cell_task, data, cells, jobs=2)
+        assert [r[-1] for r in results] == [10, 11, 13, 14]
+        assert len(made) == 1 and made[0]["initargs"] == (data,)
+        assert submitted == [(_cell_task, c.config, c.set_id, c.fold) for c in cells]
+
+
 class TestReportArithmetic:
     def test_set_mean_is_mean_of_fold_qwks(self):
         _, report = run_tiny("self_attention", make_data())
@@ -619,6 +650,34 @@ class TestLeakage:
 
     def test_leakage_error_is_assertion_error(self):
         assert issubclass(LeakageError, AssertionError)
+
+
+@pytest.mark.parametrize("system", ["self_attention", "co_attention_gaze"])
+def test_evaluation_never_calls_forward(system, monkeypatch):
+    # dev QWK, loss breakdowns and test scoring all run on the batched evaluation
+    # path; only training, which passes an rng, builds graphs through forward
+    train_forward = EssayScorer.forward
+
+    def training_only(self, sentence_ids, rng=None, article=None):
+        if rng is None:
+            raise AssertionError("evaluation called EssayScorer.forward")
+        return train_forward(self, sentence_ids, rng, article)
+
+    monkeypatch.setattr(EssayScorer, "forward", training_only)
+    data = make_data(article="The sun rose early. Birds sang on the mat.",
+                     target_records=True)
+    config = ExperimentConfig(system=system, target_sets=(1,), seed=0,
+                              model_params=dict(TINY_MODEL, dropout=0.5),
+                              train_params=dict(TINY_TRAIN, epochs=2))
+    fold = data.folds[1][0]
+    result = run_fold(config, data, 1, fold)  # a dev pass per epoch, then the test set
+    assert len(result.test_predictions) == len(fold.test)
+    setup = prepare_cell(config, data, 1, fold)
+    assert -1.0 <= dev_qwk(setup.model, setup.dev_examples, data.sets) <= 1.0
+    breakdown = evaluate_breakdown(setup.model, setup.dev_examples)
+    assert math.isfinite(breakdown.score_mse)
+    if system == "co_attention_gaze":
+        assert breakdown.gaze_token_counts["DT"] > 0
 
 
 class TestReaderFilters:
@@ -851,6 +910,11 @@ class TestGridCell:
         results, _ = execute_cells(grid_fold, data, fold_cells(config, data), fail_fast=True)
         assert len(results) == 5
         assert all(count == 0 for _, count in results)
+
+    def test_rejects_a_non_finite_weight(self):
+        data = make_data(article="The sun rose. Birds sang.", target_records=True)
+        with pytest.raises(ValueError, match="gaze loss weight for DT must be finite, got nan"):
+            grid_cells(self.base_config(), data, ("DT",), (0.05, math.nan))
 
     def test_rejects_a_run_without_dev_gaze(self):
         data = make_data(pool_size=6, with_records=True)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gazescore import numerics as nm
-from gazescore.model import ARCHITECTURES, EssayScorer, ForwardOutput, ModelConfig
+from gazescore.model import (ARCHITECTURES, EVAL_SLICE, EssayScorer, ForwardOutput,
+                             ModelConfig)
 from gazescore.corpus import EssaySet
 from gazescore.numerics import Tensor, backward, zero_grads
 from gazescore.training import TrainConfig, TrainExample, multitask_loss, train
@@ -528,3 +529,56 @@ def test_shared_article_gradients_match_per_essay_encoding(architecture):
         1e-12 * np.sqrt(sum(np.sum(g ** 2) for g in reference.values()))
     for name in reference:
         assert np.max(np.abs(shared[name] - reference[name])) <= bound, name
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+# ---------------------------------------------------------------------------
+
+def parity_essays():
+    """Essays of every shape evaluation pads: empty and one-token sentences,
+    one-sentence essays, uneven lengths, and more than one slice of them."""
+    rng = np.random.default_rng(11)
+    essays = [[[5]], [[3, 4], [], [7]], [[], [2, 9]], [[]], [[4], [6], [8]],
+              [list(range(2, 12)), [3]]]
+    while len(essays) <= EVAL_SLICE + 20:
+        essays.append([[int(t) for t in rng.integers(1, TINY["vocab_size"],
+                                                      size=rng.choice([0, 1, 2, 5, 9]))]
+                       for _ in range(rng.integers(1, 8))])
+    return essays
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_batched_evaluation_matches_per_essay_forward(architecture):
+    model = tiny_model(architecture, gaze=("DT", "Skip"), dropout=0.5)
+    # unit-scale weights spread the scores over (0, 1); PAD's row stays zero
+    rng = np.random.default_rng(12)
+    state = {name: rng.normal(scale=2.0, size=value.shape)
+             for name, value in model.state_dict().items()}
+    state["embedding"][0] = 0.0
+    model.load_state_dict(state)
+    essays = parity_essays()
+    evaluated = model.forward_batch(essays)
+    assert len(essays) > EVAL_SLICE and len(evaluated) == len(essays)
+    largest = 0.0
+    for essay, out in zip(essays, evaluated):
+        reference = model.forward(essay)
+        largest = max(largest, abs(out.score_value - reference.score_value))
+        assert out.predicted_score.data.shape == (1, 1)
+        assert list(out.gaze_predictions) == list(reference.gaze_predictions)
+        for attribute, expected in reference.gaze_predictions.items():
+            got = out.gaze_predictions[attribute].data
+            assert got.shape == expected.data.shape
+            np.testing.assert_allclose(got, expected.data, rtol=0, atol=1e-10)
+        assert all(not t._parents for t in (out.predicted_score,
+                                            *out.gaze_predictions.values()))
+    spread = [out.score_value for out in evaluated]
+    assert max(spread) - min(spread) > 0.1
+    print(f"\n[eval parity] {architecture}: largest batched-vs-forward score difference "
+          f"{largest:.3g} over {len(essays)} essays")
+    assert largest <= 1e-10
+
+
+def test_batched_evaluation_rejects_an_empty_essay():
+    with pytest.raises(ValueError, match="no sentences"):
+        tiny_model().forward_batch([ESSAY, []])

@@ -6,8 +6,6 @@ with rtol 1e-4, which corresponds to a relative error well below 1e-4 for
 gradients of order one.
 """
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -483,53 +481,6 @@ def test_no_grad_tracking_without_requires_grad():
     out = nm.add(a, b)
     assert not out.requires_grad
     assert out._grad_fn is None
-
-
-def records(t):
-    return t.requires_grad and t._grad_fn is not None and bool(t._parents)
-
-
-def is_leaf(t):
-    return not t.requires_grad and t._grad_fn is None and t._parents == ()
-
-
-def test_no_grad_records_nothing_and_nests():
-    x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
-    with nm.no_grad():
-        out = nm.tanh(nm.matmul(x, x))
-        with nm.no_grad():
-            inner = nm.add(x, x)
-        after_inner = nm.mul(x, x)  # leaving the inner block keeps the outer one's mode
-    assert all(is_leaf(t) for t in (out, inner, after_inner))
-    recorded = nm.tanh(nm.matmul(x, x))
-    assert records(recorded)
-    np.testing.assert_array_equal(out.data, recorded.data)
-
-
-def test_no_grad_restores_the_previous_mode_when_the_body_raises():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
-    with pytest.raises(ShapeError):
-        with nm.no_grad():
-            nm.matmul(x, Tensor(np.ones((3, 1))))
-    assert records(nm.add(x, x))
-    with nm.no_grad():
-        with pytest.raises(ShapeError):
-            with nm.no_grad():
-                nm.matmul(x, Tensor(np.ones((3, 1))))
-        assert is_leaf(nm.add(x, x))
-    assert records(nm.add(x, x))
-
-
-def test_no_grad_is_per_thread():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
-    elsewhere = []
-    with nm.no_grad():
-        worker = threading.Thread(target=lambda: elsewhere.append(nm.add(x, x)))
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert is_leaf(nm.add(x, x))
-    assert len(elsewhere) == 1 and records(elsewhere[0])
 
 
 # ---------------------------------------------------------------------------
