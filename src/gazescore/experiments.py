@@ -24,7 +24,11 @@ filters readers again. A run with embeddings takes its model's
 Data that could leak evaluation information is guarded by runtime provenance
 assertions: the vocabulary must be built only from training essays, and
 reader gaze statistics must never include records from dev or test essays of
-the fold being run.
+the fold being run. Those statistics, and the gaze targets binned with them,
+depend only on which gaze essays a cell holds out, so they are computed once
+per distinct such set: cells that hold out the same ones (every cell of an
+unseen-prompt run) reuse the result kept on their process's
+``ExperimentData``, and each cell still runs the statistics assertion.
 """
 
 import math
@@ -41,7 +45,7 @@ from .corpus import build_vocab, denormalize_score, matrix_from_vectors, text_to
 from .gaze import GAZE_ATTRIBUTES, bin_all, reader_stats
 from .metrics import SignificanceResult, paired_t_test, qwk
 from .model import EssayScorer, ModelConfig
-from .training import TrainConfig, evaluate_breakdown, prepare_example, train
+from .training import TrainConfig, evaluate_breakdown, gaze_targets, prepare_example, train
 
 # A system's model architecture (co_attention attends over the source article),
 # whether its loss adds the gaze terms, and whether it trains on the gaze pool too.
@@ -216,6 +220,8 @@ class ExperimentData:
     gaze_essay_ids: frozenset = frozenset()   # external gaze-annotated pool
     gaze_records: tuple = ()
     embedding_vectors: dict = None    # token -> vector, or None for random init
+    # the last cell's gaze targets, for cells that hold out the same gaze essays
+    _gaze_memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for set_id, folds in self.folds.items():
@@ -304,12 +310,48 @@ def _fold_seed(base_seed, set_id, fold_id):
     return base_seed * 100000 + set_id * 1000 + fold_id
 
 
-def _examples_for(essay_ids, essays, vocab, gaze_sequences):
+def _targets_by_essay(sequences):
+    """{essay_id: gaze targets} of :func:`bin_all`'s {(essay_id, reader_id): sequence}."""
     per_essay = {}
-    for (essay_id, reader_id), sequence in (gaze_sequences or {}).items():
+    for (essay_id, reader_id), sequence in sequences.items():
         per_essay.setdefault(essay_id, {})[reader_id] = sequence
-    return [prepare_example(replace(essays[essay_id], gaze=per_essay.get(essay_id)), vocab)
+    return {essay_id: gaze_targets(gaze) for essay_id, gaze in per_essay.items()}
+
+
+def _examples_for(essay_ids, essays, vocab, targets):
+    return [prepare_example(essays[essay_id], vocab, targets.get(essay_id, {}))
             for essay_id in essay_ids]
+
+
+def _fold_gaze_targets(data, fold, system_name, set_id):
+    """{essay_id: gaze targets} of every gaze essay outside the fold's test partition.
+
+    The reader statistics come from train-side records only, and bin the
+    dev records too. Both depend on nothing but which gaze essays the fold
+    holds out, so ``data`` keeps the last such result for the next cell
+    that holds out the same ones; the leakage assertion runs every time.
+    """
+    test_ids = set(fold.test)
+    held_out = set(fold.dev) | test_ids
+    record_ids = {r.essay_id for r in data.gaze_records}
+    if record_ids <= held_out:
+        raise ValueError(
+            f"system {system_name!r} needs gaze records but all of them are on "
+            f"essays held out in set {set_id} fold {fold.fold_id}")
+    key = (frozenset(record_ids & held_out), frozenset(record_ids & test_ids))
+    memo = data._gaze_memo
+    if (memo is None or memo[0] is not data.gaze_records or memo[1] is not data.essays
+            or memo[2] != key):
+        usable_records = [r for r in data.gaze_records if r.essay_id not in test_ids]
+        stats = reader_stats([r for r in usable_records if r.essay_id not in held_out])
+        # a token's bins depend only on its record and its reader's statistics,
+        # so one pass bins the train and the dev side
+        sequences, _ = bin_all(usable_records, stats, data.essays)
+        memo = data._gaze_memo = (data.gaze_records, data.essays, key, stats,
+                                  _targets_by_essay(sequences))
+    stats, targets = memo[3:]
+    _assert_no_stats_leakage(stats, held_out)
+    return targets
 
 
 def cell_configs(config, data, vocab_size, seed):
@@ -381,20 +423,9 @@ def prepare_cell(config, data, set_id, fold):
         embedding_matrix = matrix_from_vectors(data.embedding_vectors, model_config.embedding_dim,
                                                vocab, np.random.default_rng(cell_seed))
 
-    gaze_sequences = None
+    targets = {}
     if system.uses_gaze:
-        test_ids = set(fold.test)
-        usable_records = [r for r in data.gaze_records if r.essay_id not in test_ids]
-        train_side = [r for r in usable_records if r.essay_id not in held_out]
-        if not train_side:
-            raise ValueError(
-                f"system {config.system!r} needs gaze records but all of them are on "
-                f"essays held out in set {set_id} fold {fold.fold_id}")
-        stats = reader_stats(train_side)
-        _assert_no_stats_leakage(stats, held_out)
-        # a token's bins depend only on its record and its reader's statistics,
-        # so one pass bins the train and the dev side
-        gaze_sequences, _ = bin_all(usable_records, stats, data.essays)
+        targets = _fold_gaze_targets(data, fold, config.system, set_id)
 
     article_ids = None
     if system.architecture == "co_attention":
@@ -406,9 +437,9 @@ def prepare_cell(config, data, set_id, fold):
         article_sentence_ids=article_ids,
     )
 
-    train_examples = _examples_for(train_ids, data.essays, vocab, gaze_sequences)
-    dev_examples = _examples_for(fold.dev, data.essays, vocab, gaze_sequences)
-    test_examples = _examples_for(fold.test, data.essays, vocab, None)
+    train_examples = _examples_for(train_ids, data.essays, vocab, targets)
+    dev_examples = _examples_for(fold.dev, data.essays, vocab, targets)
+    test_examples = _examples_for(fold.test, data.essays, vocab, {})
 
     train_id_set = {ex.essay_id for ex in train_examples}
     leaked = train_id_set & set(fold.test)

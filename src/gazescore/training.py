@@ -57,9 +57,9 @@ class TrainExample:
     sentence_ids: list
     score_target: float
     raw_score: int
-    # attribute -> (token index array, unit target array); every attribute
-    # shares one read-only index array, whose indices repeat when several
-    # readers labeled the same token
+    # attribute -> (token index array, unit target array), read-only, as other
+    # cells' examples may share them; every attribute shares one index array,
+    # whose indices repeat when several readers labeled the same token
     gaze_targets: dict = field(default_factory=dict)
 
 
@@ -79,27 +79,41 @@ class TrainingDiverged(RuntimeError):
         return type(self), (self.epoch, self.batch_index, self.param_norms)
 
 
-def prepare_example(essay, vocab):
-    """Encode an essay's sentences and collect its per-token gaze targets."""
-    sentence_ids = [vocab.encode(s) for s in essay.sentences]
-    gaze = essay.gaze or {}
+def gaze_targets(gaze):
+    """An essay's per-token gaze targets, from {reader_id: [BinnedGaze or None per token]}.
+
+    Returns {attribute: (token index array, unit target array)}, empty when
+    no token is labeled. The arrays depend on no vocabulary, so examples of
+    several cells may share them; all of them are read-only.
+    """
     labeled = [(position, binned) for reader_id in sorted(gaze)
                for position, binned in enumerate(gaze[reader_id]) if binned is not None]
-    gaze_targets = {}
-    if labeled:
-        positions = np.array([position for position, _ in labeled], dtype=np.int64)
-        positions.flags.writeable = False
-        # one column per attribute, in GAZE_ATTRIBUTES order
-        bins = np.array([tuple(b) for _, b in labeled], dtype=np.int64)
-        gaze_targets = {attribute: (positions, bins[:, k] / GAZE_MAX_BIN[attribute])
-                        for k, attribute in enumerate(GAZE_ATTRIBUTES)}
+    if not labeled:
+        return {}
+    positions = np.array([position for position, _ in labeled], dtype=np.int64)
+    positions.flags.writeable = False
+    # one column per attribute, in GAZE_ATTRIBUTES order
+    bins = np.array([tuple(b) for _, b in labeled], dtype=np.int64)
+    targets = {}
+    for k, attribute in enumerate(GAZE_ATTRIBUTES):
+        values = bins[:, k] / GAZE_MAX_BIN[attribute]
+        values.flags.writeable = False
+        targets[attribute] = (positions, values)
+    return targets
+
+
+def prepare_example(essay, vocab, targets=None):
+    """Encode an essay's sentences; its gaze targets are ``targets``, else those of ``essay.gaze``."""
+    sentence_ids = [vocab.encode(s) for s in essay.sentences]
+    if targets is None:
+        targets = gaze_targets(essay.gaze or {})
     return TrainExample(
         essay_id=essay.essay_id,
         set_id=essay.set_id,
         sentence_ids=sentence_ids,
         score_target=essay.normalized_score,
         raw_score=essay.raw_score,
-        gaze_targets=gaze_targets,
+        gaze_targets=targets,
     )
 
 

@@ -26,6 +26,7 @@ from gazescore.experiments import (
     _assert_no_stats_leakage,
     _assert_no_vocab_leakage,
     _examples_for,
+    _targets_by_essay,
     ablation_cells,
     ablation_report,
     assemble_report,
@@ -720,7 +721,7 @@ class TestExamplesFor:
                    + make_records(essays[8], "r1"))
         sequences, _ = bin_all(records, reader_stats(records), essays)
         vocab = build_vocab(essays.values())
-        examples = _examples_for([9, 8, 7], essays, vocab, sequences)
+        examples = _examples_for([9, 8, 7], essays, vocab, _targets_by_essay(sequences))
         assert [ex.essay_id for ex in examples] == [9, 8, 7]
         assert examples[0].gaze_targets == {}
         for example, readers in ((examples[1], ("r1",)), (examples[2], ("r1", "r2"))):
@@ -731,6 +732,120 @@ class TestExamplesFor:
                 np.testing.assert_array_equal(example.gaze_targets[attribute][0], positions)
                 np.testing.assert_array_equal(example.gaze_targets[attribute][1], values)
         assert all(essay.gaze is None for essay in essays.values())
+
+
+def assert_same_gaze_targets(examples, reference):
+    assert [ex.essay_id for ex in examples] == [ex.essay_id for ex in reference]
+    for example, expected in zip(examples, reference):
+        assert example.gaze_targets.keys() == expected.gaze_targets.keys()
+        for attribute, (positions, values) in expected.gaze_targets.items():
+            np.testing.assert_array_equal(example.gaze_targets[attribute][0], positions)
+            np.testing.assert_array_equal(example.gaze_targets[attribute][1], values)
+
+
+class TestGazeMemo:
+    """A run bins its gaze once per distinct set of held-out gaze essays."""
+
+    @pytest.fixture
+    def gaze_passes(self, monkeypatch):
+        calls = {"bin_all": 0, "reader_stats": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(experiments, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(experiments, name, counted)
+        return calls
+
+    def essays_gaze(self):
+        return ExperimentConfig(system="essays_gaze", target_sets=(1,), seed=0,
+                                model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN))
+
+    def test_unseen_prompt_run_bins_once(self, gaze_passes):
+        run_experiment(self.essays_gaze(), make_data(pool_size=6, with_records=True))
+        assert gaze_passes == {"bin_all": 1, "reader_stats": 1}
+
+    def test_ablation_bins_once(self, gaze_passes):
+        data = make_data(pool_size=6, with_records=True)
+        cells = ablation_cells(self.essays_gaze(), data, "DT")
+        results, _ = execute_cells(run_fold, data, cells, fail_fast=True)
+        assert len(results) == 10
+        assert gaze_passes == {"bin_all": 1, "reader_stats": 1}
+
+    def test_prompt_specific_gaze_bins_once_per_fold(self, gaze_passes):
+        # every fold holds out other gaze essays, so none can reuse another's bins
+        _, report = run_tiny("co_attention_gaze",
+                             make_data(article="The sun rose. Birds sang.", target_records=True))
+        assert len(report.fold_results) == 5
+        assert gaze_passes == {"bin_all": 5, "reader_stats": 5}
+
+    def test_cells_sharing_held_out_gaze_share_target_arrays(self):
+        data = make_data(pool_size=6, with_records=True)
+        first, second = (prepare_cell(self.essays_gaze(), data, 1, fold)
+                         for fold in data.folds[1][:2])
+        pool = {ex.essay_id: ex for ex in first.train_examples if ex.gaze_targets}
+        assert set(pool) == data.gaze_essay_ids
+        for example in second.train_examples:
+            if example.essay_id in pool:
+                assert example.gaze_targets is pool[example.essay_id].gaze_targets
+
+    # essays_gaze on pool records reuses fold 0's entry; on target-set records
+    # co_attention_gaze holds out other gaze essays in fold 1 and replaces it
+    @pytest.mark.parametrize("system", ["essays_gaze", "co_attention_gaze"])
+    def test_a_memo_of_another_fold_changes_no_example(self, system):
+        def fresh():
+            return make_data(pool_size=6, with_records=system == "essays_gaze",
+                             target_records=system == "co_attention_gaze",
+                             article="The sun rose. Birds sang.")
+
+        config = replace(self.essays_gaze(), system=system)
+        data = fresh()
+        folds = data.folds[1]
+        prepare_cell(config, data, 1, folds[0])
+        reused = prepare_cell(config, data, 1, folds[1])
+        reference = prepare_cell(config, fresh(), 1, folds[1])
+        for role in ("train_examples", "dev_examples", "test_examples"):
+            assert_same_gaze_targets(getattr(reused, role), getattr(reference, role))
+        assert any(ex.gaze_targets for ex in reused.train_examples)
+        assert any(ex.gaze_targets for ex in reused.dev_examples) == (system != "essays_gaze")
+        assert all(ex.gaze_targets == {} for ex in reused.test_examples)
+
+    # E, the only target-set essay with gaze, is fold 0's dev essay: fold 4 trains
+    # on it (statistics must be redone) and fold 1 tests on it (bins must be redone)
+    @pytest.mark.parametrize("earlier_fold", [4, 1])
+    def test_the_key_holds_the_held_out_and_the_test_gaze_essays(self, earlier_fold):
+        def fresh():
+            data = make_data(pool_size=6, with_records=True)
+            dev_essay = data.essays[data.folds[1][0].dev[0]]
+            data.gaze_records += tuple(make_records(dev_essay))
+            return data
+
+        config = self.essays_gaze()
+        data = fresh()
+        folds = data.folds[1]
+        assert folds[0].dev[0] in folds[1].test
+        prepare_cell(config, data, 1, folds[earlier_fold])
+        reused = prepare_cell(config, data, 1, folds[0])
+        reference = prepare_cell(config, fresh(), 1, folds[0])
+        assert reference.dev_examples[0].gaze_targets
+        for role in ("train_examples", "dev_examples"):
+            assert_same_gaze_targets(getattr(reused, role), getattr(reference, role))
+
+    def test_replaced_records_are_binned_again(self, gaze_passes):
+        data = make_data(article="The sun rose. Birds sang.", target_records=True)
+        config = replace(self.essays_gaze(), system="co_attention_gaze")
+        fold = data.folds[1][0]
+        before = prepare_cell(config, data, 1, fold)
+        data.gaze_records = tuple(r._replace(dwell_time_ms=r.dwell_time_ms * (r.essay_id % 5 + 1))
+                                  for r in data.gaze_records)
+        after = prepare_cell(config, data, 1, fold)
+        assert gaze_passes == {"bin_all": 2, "reader_stats": 2}
+        reference = make_data(article="The sun rose. Birds sang.", target_records=True)
+        reference.gaze_records = data.gaze_records
+        expected = prepare_cell(config, reference, 1, fold)
+        for role in ("train_examples", "dev_examples"):
+            assert_same_gaze_targets(getattr(after, role), getattr(expected, role))
+        assert any(not np.array_equal(old.gaze_targets["DT"][1], new.gaze_targets["DT"][1])
+                   for old, new in zip(before.train_examples, after.train_examples))
 
 
 # ------------------------------------------------------------ ablation
@@ -942,7 +1057,7 @@ class TestGridCell:
         sequences, _ = bin_all([r for r in data.gaze_records if r.essay_id in fold.dev],
                                stats, data.essays)
         vocab = build_vocab([data.essays[i] for i in fold.train])
-        expected = _examples_for(fold.dev, data.essays, vocab, sequences)
+        expected = _examples_for(fold.dev, data.essays, vocab, _targets_by_essay(sequences))
         assert [ex.essay_id for ex in setup.dev_examples] == list(fold.dev)
         for example, reference in zip(setup.dev_examples, expected):
             assert example.gaze_targets.keys() == reference.gaze_targets.keys() != set()

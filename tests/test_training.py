@@ -204,6 +204,20 @@ def test_prepare_example_encodes_and_collects_targets():
     np.testing.assert_allclose(values_rc, [0.4, 0.4])
 
 
+def test_gaze_target_arrays_are_read_only():
+    # examples of several cells share one essay's target arrays
+    essay = Essay(essay_id=7, set_id=3, sentences=[["alpha", "beta"]],
+                  raw_score=2, normalized_score=2 / 3)
+    binned = BinnedGaze(dt_bin=5, ffd_bin=0, ir_bin=1, rc_bin=2, skip_bin=0)
+    essay.gaze = {"r1": [binned, None], "r2": [None, binned]}
+    example = prepare_example(essay, build_vocab([essay]))
+    assert set(example.gaze_targets) == {"DT", "FFD", "IR", "RC", "Skip"}
+    for positions, values in example.gaze_targets.values():
+        for array in (positions, values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
 def test_prepare_example_without_gaze():
     essay = Essay(essay_id=7, set_id=3, sentences=[["alpha"]],
                   raw_score=0, normalized_score=0.0)
