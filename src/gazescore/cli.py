@@ -77,6 +77,7 @@ from .gaze import (
     BinnedGaze,
     bin_all,
     filter_readers,
+    labeled,
     load_gaze_records,
     load_reader_metadata,
     reader_stats,
@@ -420,17 +421,13 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
 
     stats = reader_stats(records)
     sequences, diagnostics = bin_all(records, stats, essays)
-
-    placed = sum(
-        sum(1 for binned in sequence if binned is not None)
-        for sequence in sequences.values())
+    placed = len(records) - len(diagnostics)
 
     _write_records_csv(out_dir / "records_clean.csv", records)
     _write_csv(out_dir / "binned_labels.csv", ("essay_id", "reader_id", "ia_index",
                                                *BinnedGaze._fields),
-               ([essay_id, reader_id, position, *binned]
-                for (essay_id, reader_id), sequence in sorted(sequences.items())
-                for position, binned in enumerate(sequence) if binned is not None))
+               ([essay_id, reader_id, position, *binned] for essay_id in sorted(sequences)
+                for reader_id, position, binned in labeled(sequences[essay_id])))
     with open(out_dir / "reader_stats.txt", "w", encoding="utf-8") as fh:
         fh.write("reader_id dt_mean dt_std ffd_mean ffd_std n_records\n")
         for reader_id in sorted(stats):

@@ -62,7 +62,7 @@ class Essay:
     raw_score: int
     normalized_score: float
     degenerate: bool = False
-    gaze: dict | None = None  # reader_id -> per-token binned gaze, attached later
+    gaze: dict | None = None  # {reader_id: [BinnedGaze or None per token]}, as bin_all gives
 
     @property
     def tokens(self):
@@ -166,10 +166,12 @@ def load_essays(path, sets):
     """Parse the essay TSV into (list of Essay, LoadReport).
 
     A leading row whose first field is ``essay_id`` is taken as a header.
-    Malformed rows and out-of-range scores are rejected with per-record
-    diagnostics in the report rather than aborting the load.
+    Malformed rows, out-of-range scores and repeats of an essay id already
+    loaded are rejected with per-record diagnostics in the report rather
+    than aborting the load.
     """
     essays = []
+    first_lines = {}  # essay_id -> line of the row that loaded it
     report = LoadReport(per_set_counts={sid: 0 for sid in sets})
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -189,6 +191,10 @@ def load_essays(path, sets):
             raw_score = int(columns[3])
         except ValueError as exc:
             report.rejected.append((line_no, f"malformed field: {exc}"))
+            continue
+        if essay_id in first_lines:
+            report.rejected.append(
+                (line_no, f"essay {essay_id}: already loaded from line {first_lines[essay_id]}"))
             continue
         if set_id not in sets:
             report.rejected.append((line_no, f"unknown essay set {set_id}"))
@@ -211,6 +217,7 @@ def load_essays(path, sets):
             degenerate=degenerate,
         ))
         report.per_set_counts[set_id] += 1
+        first_lines[essay_id] = line_no
     return essays, report
 
 

@@ -42,10 +42,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import build_vocab, denormalize_score, matrix_from_vectors, text_to_sentences
-from .gaze import GAZE_ATTRIBUTES, bin_all, reader_stats
+from .gaze import GAZE_ATTRIBUTES, bin_all, gaze_targets, reader_stats
 from .metrics import SignificanceResult, paired_t_test, qwk
 from .model import EssayScorer, ModelConfig
-from .training import TrainConfig, evaluate_breakdown, gaze_targets, prepare_example, train
+from .training import TrainConfig, evaluate_breakdown, prepare_example, train
 
 # A system's model architecture (co_attention attends over the source article),
 # whether its loss adds the gaze terms, and whether it trains on the gaze pool too.
@@ -310,14 +310,6 @@ def _fold_seed(base_seed, set_id, fold_id):
     return base_seed * 100000 + set_id * 1000 + fold_id
 
 
-def _targets_by_essay(sequences):
-    """{essay_id: gaze targets} of :func:`bin_all`'s {(essay_id, reader_id): sequence}."""
-    per_essay = {}
-    for (essay_id, reader_id), sequence in sequences.items():
-        per_essay.setdefault(essay_id, {})[reader_id] = sequence
-    return {essay_id: gaze_targets(gaze) for essay_id, gaze in per_essay.items()}
-
-
 def _examples_for(essay_ids, essays, vocab, targets):
     return [prepare_example(essays[essay_id], vocab, targets.get(essay_id, {}))
             for essay_id in essay_ids]
@@ -347,8 +339,8 @@ def _fold_gaze_targets(data, fold, system_name, set_id):
         # a token's bins depend only on its record and its reader's statistics,
         # so one pass bins the train and the dev side
         sequences, _ = bin_all(usable_records, stats, data.essays)
-        memo = data._gaze_memo = (data.gaze_records, data.essays, key, stats,
-                                  _targets_by_essay(sequences))
+        targets = {essay_id: gaze_targets(gaze) for essay_id, gaze in sequences.items()}
+        memo = data._gaze_memo = (data.gaze_records, data.essays, key, stats, targets)
     stats, targets = memo[3:]
     _assert_no_stats_leakage(stats, held_out)
     return targets

@@ -254,11 +254,11 @@ def bin_all(records, stats, essays):
     """Binned gaze sequences aligned to essay tokens.
 
     ``essays`` maps essay_id to an Essay (token counts come from there).
-    Returns ({(essay_id, reader_id): [BinnedGaze or None per token]},
+    Returns ({essay_id: {reader_id: [BinnedGaze or None per token]}},
     diagnostics). Tokens with no record for a reader stay None and are
     excluded from the gaze loss mask downstream. Records addressing a
     missing essay, an out-of-range token, an unknown reader, or a position
-    already filled are rejected with diagnostics.
+    already filled get one diagnostic each; every other record is placed.
     """
     sequences = {}
     diagnostics = []
@@ -281,10 +281,10 @@ def bin_all(records, stats, essays):
                 f"essay {record.essay_id}, reader {record.reader_id}: ia_index "
                 f"{record.ia_index} out of range for {n_tokens} tokens")
             continue
-        key = (record.essay_id, record.reader_id)
-        seq = sequences.get(key)
+        gaze = sequences.setdefault(record.essay_id, {})
+        seq = gaze.get(record.reader_id)
         if seq is None:
-            seq = sequences[key] = [None] * n_tokens
+            seq = gaze[record.reader_id] = [None] * n_tokens
         if seq[record.ia_index] is not None:
             diagnostics.append(
                 f"essay {record.essay_id}, reader {record.reader_id}: duplicate "
@@ -293,3 +293,31 @@ def bin_all(records, stats, essays):
         seq[record.ia_index] = bin_record(record, stats[record.reader_id])
     return sequences, diagnostics
 
+
+def labeled(gaze):
+    """(reader_id, position, BinnedGaze) of every labeled token of an essay's
+    {reader_id: [BinnedGaze or None per token]}: readers sorted, then positions."""
+    return [(reader_id, position, binned) for reader_id in sorted(gaze)
+            for position, binned in enumerate(gaze[reader_id]) if binned is not None]
+
+
+def gaze_targets(gaze):
+    """An essay's per-token gaze targets, from {reader_id: [BinnedGaze or None per token]}.
+
+    Returns {attribute: (token index array, unit target array)}, empty when
+    no token is labeled. The arrays depend on no vocabulary, so examples of
+    several cells may share them; all of them are read-only.
+    """
+    tokens = labeled(gaze)
+    if not tokens:
+        return {}
+    positions = np.array([token[1] for token in tokens], dtype=np.int64)
+    positions.flags.writeable = False
+    # one column per attribute, in GAZE_ATTRIBUTES order
+    bins = np.array([tuple(token[2]) for token in tokens], dtype=np.int64)
+    targets = {}
+    for k, attribute in enumerate(GAZE_ATTRIBUTES):
+        values = bins[:, k] / GAZE_MAX_BIN[attribute]
+        values.flags.writeable = False
+        targets[attribute] = (positions, values)
+    return targets

@@ -2,9 +2,9 @@
 
 The engine is deliberately small: the essay-scoring models use dense matmul,
 broadcast arithmetic, 1-d convolution, attention softmaxes, a forward LSTM,
-dropout, row selection and mean-squared-error reduction; ``neg``,
-``masked_softmax``, ``tensor_sum`` and ``narrow`` serve the tests' reference
-compositions and the planned per-essay sentence tower. Data is float64.
+dropout, row selection and mean-squared-error reduction; ``tensor_sum``
+and ``narrow`` serve the tests' reference compositions. ``OP_KINDS`` names
+every op, for the gradient oracle to check each one. Data is float64.
 
 Every operation returns a new ``Tensor`` that records its inputs and a
 closure computing input gradients from the output gradient. ``backward``
@@ -202,15 +202,6 @@ def mul(a, b):
     return _make_output(out_data, (a, b), grad_fn)
 
 
-def neg(a):
-    a = _as_tensor(a)
-
-    def grad_fn(g):
-        _accumulate(a, -g)
-
-    return _make_output(-a.data, (a,), grad_fn)
-
-
 def concat(tensors, axis=0):
     """Concatenate tensors of matching rank along ``axis``; one tensor comes back as is."""
     tensors = [_as_tensor(t) for t in tensors]
@@ -303,31 +294,6 @@ def softmax(x, axis=-1):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(x, out_data * (g - inner))
-
-    return _make_output(out_data, (x,), grad_fn)
-
-
-def masked_softmax(x, mask, axis=-1):
-    """Softmax over the positions where ``mask`` is nonzero.
-
-    ``mask`` is a plain array of x's shape (not differentiated). Masked
-    positions get probability 0; a slice with no unmasked entries yields
-    all zeros rather than NaN.
-    """
-    x = _as_tensor(x)
-    m = np.asarray(mask) != 0
-    if m.shape != x.data.shape:
-        raise ShapeError(f"masked_softmax: mask shape {m.shape} does not match input shape {x.data.shape}")
-    neg_inf = np.full_like(x.data, -np.inf)
-    row_max = np.where(m, x.data, neg_inf).max(axis=axis, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    e = np.exp(x.data - row_max) * m
-    s = e.sum(axis=axis, keepdims=True)
-    out_data = np.divide(e, s, out=np.zeros_like(e), where=s > 0)
 
     def grad_fn(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
@@ -489,13 +455,11 @@ OP_KINDS = {
     "matmul": matmul,
     "add": add,
     "multiply": mul,
-    "negate": neg,
     "concat": concat,
     "conv1d": conv1d,
     "sigmoid": sigmoid,
     "tanh": tanh,
     "softmax": softmax,
-    "masked_softmax": masked_softmax,
     "dropout": dropout,
     "mse": mse,
     "gather_rows": gather_rows,

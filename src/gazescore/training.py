@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import denormalize_score
-from .gaze import GAZE_ATTRIBUTES, GAZE_MAX_BIN
+from .gaze import gaze_targets
 from .metrics import qwk
 from .numerics import Tensor, backward, zero_grads
 from .optim import RMSProp, clip_global_norm
@@ -77,29 +77,6 @@ class TrainingDiverged(RuntimeError):
     def __reduce__(self):
         # rebuilt from its fields, so a worker process can return it
         return type(self), (self.epoch, self.batch_index, self.param_norms)
-
-
-def gaze_targets(gaze):
-    """An essay's per-token gaze targets, from {reader_id: [BinnedGaze or None per token]}.
-
-    Returns {attribute: (token index array, unit target array)}, empty when
-    no token is labeled. The arrays depend on no vocabulary, so examples of
-    several cells may share them; all of them are read-only.
-    """
-    labeled = [(position, binned) for reader_id in sorted(gaze)
-               for position, binned in enumerate(gaze[reader_id]) if binned is not None]
-    if not labeled:
-        return {}
-    positions = np.array([position for position, _ in labeled], dtype=np.int64)
-    positions.flags.writeable = False
-    # one column per attribute, in GAZE_ATTRIBUTES order
-    bins = np.array([tuple(b) for _, b in labeled], dtype=np.int64)
-    targets = {}
-    for k, attribute in enumerate(GAZE_ATTRIBUTES):
-        values = bins[:, k] / GAZE_MAX_BIN[attribute]
-        values.flags.writeable = False
-        targets[attribute] = (positions, values)
-    return targets
 
 
 def prepare_example(essay, vocab, targets=None):

@@ -148,11 +148,6 @@ def _inst_multiply(rng):
     return _broadcast_pair(rng), lambda ts: nm.mul(ts[0], ts[1])
 
 
-def _inst_negate(rng):
-    shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-    return [rng.standard_normal(shape)], lambda ts: nm.neg(ts[0])
-
-
 def _inst_concat(rng):
     axis = int(rng.integers(0, 2))
     other = int(rng.integers(1, 4))
@@ -184,14 +179,6 @@ def _inst_softmax(rng):
     shape = (int(rng.integers(1, 5)), int(rng.integers(2, 5)))
     axis = int(rng.choice([0, 1, -1]))
     return [rng.standard_normal(shape)], lambda ts: nm.softmax(ts[0], axis=axis)
-
-
-def _inst_masked_softmax(rng):
-    shape = (int(rng.integers(1, 5)), int(rng.integers(2, 5)))
-    mask = (rng.random(shape) < 0.7).astype(np.float64)
-    axis = int(rng.choice([0, 1]))
-    return [rng.standard_normal(shape)], \
-        lambda ts: nm.masked_softmax(ts[0], mask, axis=axis)
 
 
 def _inst_dropout(rng):
@@ -247,13 +234,11 @@ OP_INSTANCES = {
     "matmul": _inst_matmul,
     "add": _inst_add,
     "multiply": _inst_multiply,
-    "negate": _inst_negate,
     "concat": _inst_concat,
     "conv1d": _inst_conv1d,
     "sigmoid": _inst_sigmoid,
     "tanh": _inst_tanh,
     "softmax": _inst_softmax,
-    "masked_softmax": _inst_masked_softmax,
     "dropout": _inst_dropout,
     "mse": _inst_mse,
     "gather_rows": _inst_gather_rows,

@@ -21,7 +21,18 @@ from gazescore.cli import (
 )
 from gazescore.corpus import Essay, EssaySet
 from gazescore.experiments import ExperimentReport, FoldResult, Prediction, make_folds, save_folds
-from gazescore.gaze import GazeLoadReport, GazeRecord, load_gaze_records
+from gazescore.gaze import (
+    GAZE_ATTRIBUTES,
+    GAZE_CSV_COLUMNS,
+    GAZE_MAX_BIN,
+    BinnedGaze,
+    GazeLoadReport,
+    GazeRecord,
+    bin_all,
+    gaze_targets,
+    load_gaze_records,
+    reader_stats,
+)
 from gazescore.training import TrainResult
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue",
@@ -332,6 +343,23 @@ class TestPreprocess:
         for name in ("corpus_cache.json", "vocab.txt", "preprocess_report.txt"):
             assert (out / name).read_bytes() == (prep_dir / name).read_bytes()
 
+    def test_repeated_essay_id_rejected_naming_the_first_line(self, data_dir, tmp_path):
+        essays = tmp_path / "essays.tsv"
+        essays.write_text("essay_id\tset_id\ttext\tscore\n"
+                          "1\t3\tThe cat sat.\t2\n"
+                          "1\t3\tThe dog ran.\t1\n"
+                          "2\t3\tA bird sang.\t0\n")
+        out = tmp_path / "out"
+        code = main(["preprocess", "--out", str(out), "--set", "essays=" + str(essays),
+                     "--set", "set_metadata=" + str(data_dir / "sets.cfg")])
+        assert code == 0
+        report = (out / "preprocess_report.txt").read_text().splitlines()
+        assert "total essays: 2" in report
+        assert "rejected rows: 1" in report
+        assert report[-1] == "rejected line 3: essay 1: already loaded from line 2"
+        loaded, _ = load_corpus_cache(out / "corpus_cache.json")
+        assert {essay_id: e.raw_score for essay_id, e in loaded.items()} == {1: 2, 2: 0}
+
     def test_embeddings_cache_and_coverage(self, data_dir, tmp_path):
         out = tmp_path / "out"
         code = main(["preprocess", "--config", str(data_dir / "base.cfg"),
@@ -368,6 +396,38 @@ class TestBinGaze:
         stats = (pool_gaze_dir / "reader_stats.txt").read_text().splitlines()
         assert len(stats) == 3  # header + two readers
         assert (pool_gaze_dir / "alignment_errors.log").read_text() == ""
+
+    def test_binned_labels_sorted_and_equal_to_the_training_targets(self, data_dir, prep_dir,
+                                                                    tmp_path, capsys):
+        # records arrive shuffled, from readers whose first appearance is not their sort order
+        rows = (gaze_rows(901, 8, "r2") + gaze_rows(900, 6, "r1") + gaze_rows(901, 5, "r1")
+                + gaze_rows(900, 8, "r2"))
+        rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+        gaze_csv = tmp_path / "gaze.csv"
+        gaze_csv.write_text(",".join(GAZE_CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code = main(["bin-gaze", "--out", str(out), "--set", "gaze_csv=" + str(gaze_csv),
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json")])
+        assert code == 0
+        assert "binned tokens: 27," in capsys.readouterr().out
+        with open(out / "binned_labels.csv", newline="") as fh:
+            labels = list(csv.DictReader(fh))
+        keys = [(int(row["essay_id"]), row["reader_id"], int(row["ia_index"])) for row in labels]
+        assert len(keys) == 27 and keys == sorted(keys)
+
+        records, _ = load_gaze_records(gaze_csv)
+        essays, _ = load_corpus_cache(prep_dir / "corpus_cache.json")
+        sequences, _ = bin_all(records, reader_stats(records), essays)
+        assert sorted(sequences) == [900, 901]
+        for essay_id, gaze in sequences.items():
+            essay_rows = [row for row in labels if int(row["essay_id"]) == essay_id]
+            expected = gaze_targets(gaze)
+            assert tuple(expected) == GAZE_ATTRIBUTES
+            for attribute, field in zip(GAZE_ATTRIBUTES, BinnedGaze._fields):
+                positions, values = expected[attribute]
+                assert [int(row["ia_index"]) for row in essay_rows] == positions.tolist()
+                assert [int(row[field]) / GAZE_MAX_BIN[attribute]
+                        for row in essay_rows] == values.tolist()
 
     def test_clean_records_round_trip(self, pool_gaze_dir):
         records, report = load_gaze_records(pool_gaze_dir / "records_clean.csv")

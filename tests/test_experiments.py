@@ -26,7 +26,6 @@ from gazescore.experiments import (
     _assert_no_stats_leakage,
     _assert_no_vocab_leakage,
     _examples_for,
-    _targets_by_essay,
     ablation_cells,
     ablation_report,
     assemble_report,
@@ -46,7 +45,7 @@ from gazescore.experiments import (
     train_cell,
 )
 from gazescore import experiments
-from gazescore.gaze import GazeRecord, bin_all, filter_readers, reader_stats
+from gazescore.gaze import GazeRecord, bin_all, filter_readers, gaze_targets, reader_stats
 from gazescore.metrics import paired_t_test
 from gazescore.model import EssayScorer
 from gazescore.training import dev_qwk, evaluate_breakdown, prepare_example
@@ -721,11 +720,12 @@ class TestExamplesFor:
                    + make_records(essays[8], "r1"))
         sequences, _ = bin_all(records, reader_stats(records), essays)
         vocab = build_vocab(essays.values())
-        examples = _examples_for([9, 8, 7], essays, vocab, _targets_by_essay(sequences))
+        targets = {essay_id: gaze_targets(gaze) for essay_id, gaze in sequences.items()}
+        examples = _examples_for([9, 8, 7], essays, vocab, targets)
         assert [ex.essay_id for ex in examples] == [9, 8, 7]
         assert examples[0].gaze_targets == {}
         for example, readers in ((examples[1], ("r1",)), (examples[2], ("r1", "r2"))):
-            gaze = {rid: sequences[(example.essay_id, rid)] for rid in readers}
+            gaze = {rid: sequences[example.essay_id][rid] for rid in readers}
             expected = prepare_example(replace(essays[example.essay_id], gaze=gaze), vocab)
             assert example.gaze_targets.keys() == expected.gaze_targets.keys()
             for attribute, (positions, values) in expected.gaze_targets.items():
@@ -1057,7 +1057,8 @@ class TestGridCell:
         sequences, _ = bin_all([r for r in data.gaze_records if r.essay_id in fold.dev],
                                stats, data.essays)
         vocab = build_vocab([data.essays[i] for i in fold.train])
-        expected = _examples_for(fold.dev, data.essays, vocab, _targets_by_essay(sequences))
+        targets = {essay_id: gaze_targets(gaze) for essay_id, gaze in sequences.items()}
+        expected = _examples_for(fold.dev, data.essays, vocab, targets)
         assert [ex.essay_id for ex in setup.dev_examples] == list(fold.dev)
         for example, reference in zip(setup.dev_examples, expected):
             assert example.gaze_targets.keys() == reference.gaze_targets.keys() != set()

@@ -311,7 +311,7 @@ def test_bin_all_aligns_and_masks():
     stats = reader_stats(recs)
     sequences, diagnostics = bin_all(recs, stats, essays)
     assert diagnostics == []
-    seq = sequences[(1, "r1")]
+    seq = sequences[1]["r1"]
     assert len(seq) == 4
     assert seq[0] is not None and seq[2] is not None
     assert seq[1] is None and seq[3] is None
@@ -332,7 +332,7 @@ def test_bin_all_rejects_duplicates_and_unknowns():
     assert len(diagnostics) == 2
     assert any("duplicate" in d for d in diagnostics)
     assert any("no such essay" in d for d in diagnostics)
-    assert sequences[(1, "r1")][0] is not None
+    assert sequences[1]["r1"][0] is not None
 
 
 def test_bin_all_per_reader_isolation():
@@ -344,6 +344,6 @@ def test_bin_all_per_reader_isolation():
     other_v2 = [record(reader="b", ia=0, dt=5000, ffd=4000, rc=4)]
     seq1, _ = bin_all(mine + other_v1, reader_stats(mine + other_v1), essays)
     seq2, _ = bin_all(mine + other_v2, reader_stats(mine + other_v2), essays)
-    assert seq1[(1, "a")] == seq2[(1, "a")]
-    assert seq1[(1, "b")] != seq2[(1, "b")]
+    assert seq1[1]["a"] == seq2[1]["a"]
+    assert seq1[1]["b"] != seq2[1]["b"]
 

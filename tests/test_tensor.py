@@ -6,6 +6,8 @@ with rtol 1e-4, which corresponds to a relative error well below 1e-4 for
 gradients of order one.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,16 @@ def param(rng, *shape):
 # per-op gradient checks
 # ---------------------------------------------------------------------------
 
+def test_op_kinds_names_every_public_op():
+    # acceptance 1 checks each OP_KINDS entry, so an op numerics defines but
+    # OP_KINDS leaves out would escape it; backward and zero_grads run a
+    # finished graph rather than add a node to one
+    defined = {name for name, value in vars(nm).items()
+               if inspect.isfunction(value) and value.__module__ == nm.__name__
+               and not name.startswith("_") and name not in ("backward", "zero_grads")}
+    assert defined == {op.__name__ for op in nm.OP_KINDS.values()}
+
+
 def test_matmul_gradients():
     rng = np.random.default_rng(1)
     a, b = param(rng, 4, 3), param(rng, 3, 5)
@@ -103,11 +115,6 @@ def test_mul_gradients_broadcast():
 def test_mul_gradients_scalar_operand():
     rng = np.random.default_rng(6)
     check_gradients(nm.mul, [param(rng, 3, 3), param(rng)])
-
-
-def test_neg_gradients():
-    rng = np.random.default_rng(7)
-    check_gradients(nm.neg, [param(rng, 4)])
 
 
 def test_concat_gradients_axis0():
@@ -192,28 +199,6 @@ def test_softmax_rows_sum_to_one_with_large_logits():
     x = Tensor(np.array([[1000.0, 1000.0, 999.0], [-1000.0, -1000.0, -1000.0]]))
     out = nm.softmax(x, axis=-1).data
     np.testing.assert_allclose(out.sum(axis=-1), [1.0, 1.0], atol=1e-12)
-
-
-def test_masked_softmax_gradients():
-    rng = np.random.default_rng(18)
-    mask = np.array([[1, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 1]])
-    check_gradients(lambda x: nm.masked_softmax(x, mask, axis=-1), [param(rng, 3, 4)])
-
-
-def test_masked_softmax_masked_positions_zero():
-    rng = np.random.default_rng(19)
-    mask = np.array([[1, 0, 1], [0, 0, 0]])
-    out = nm.masked_softmax(param(rng, 2, 3), mask, axis=-1).data
-    assert out[0, 1] == 0.0
-    np.testing.assert_allclose(out[0].sum(), 1.0, atol=1e-12)
-    # a fully masked row yields zeros, not NaN
-    np.testing.assert_array_equal(out[1], np.zeros(3))
-
-
-def test_masked_softmax_fully_masked_row_gradients():
-    rng = np.random.default_rng(20)
-    mask = np.array([[1, 1, 1], [0, 0, 0]])
-    check_gradients(lambda x: nm.masked_softmax(x, mask, axis=-1), [param(rng, 2, 3)])
 
 
 def test_dropout_gradients_fixed_mask():
