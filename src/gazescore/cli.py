@@ -75,6 +75,7 @@ from .gaze import (
     GAZE_CSV_COLUMNS,
     READER_FILTERS,
     BinnedGaze,
+    GazeTable,
     bin_all,
     filter_readers,
     labeled,
@@ -395,7 +396,7 @@ def _write_csv(path, header, rows):
 
 
 def _write_records_csv(path, records):
-    _write_csv(path, GAZE_CSV_COLUMNS, records)
+    _write_csv(path, GAZE_CSV_COLUMNS, records.rows())
 
 
 def load_selected_records(options, path, metadata_path):
@@ -406,8 +407,8 @@ def load_selected_records(options, path, metadata_path):
     records, report = load_gaze_records(path)
     name = options.get("reader_filter", "all")
     reader_filter = name if name in READER_FILTERS else opt_list(options, "reader_filter")
-    return (tuple(filter_readers(records, reader_filter, metadata)), report,
-            frozenset(r.essay_id for r in records))
+    return (filter_readers(records, reader_filter, metadata), report,
+            frozenset(records.essay_id.tolist()))
 
 
 def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
@@ -446,9 +447,8 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
     if report.total_rows == 0:
         print(f"warning: no gaze rows in {gaze_path}", file=sys.stderr)
         return 0
-    failures = len(report.rejected) + len(diagnostics)
-    if placed == 0 and failures >= report.total_rows:
-        print(f"error: all {report.total_rows} gaze rows failed; see "
+    if placed == 0:  # every row was rejected, or kept by the reader filter and not placed
+        print(f"error: all {len(report.rejected) + len(records)} gaze rows failed; see "
               f"{out_dir / 'alignment_errors.log'}", file=sys.stderr)
         return 1
     return 0
@@ -466,7 +466,7 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
     folds_dir = paths["folds_dir"]
     essays, sets = load_corpus_cache(paths["corpus_cache"])
 
-    records, gaze_essays = (), frozenset()
+    records, gaze_essays = GazeTable.from_records(), frozenset()
     if records_path is not None:
         records, _, gaze_essays = load_selected_records(options, records_path,
                                                         paths["reader_metadata"])

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import build_vocab, denormalize_score, matrix_from_vectors, text_to_sentences
-from .gaze import GAZE_ATTRIBUTES, bin_all, gaze_targets, reader_stats
+from .gaze import GAZE_ATTRIBUTES, GazeTable, bin_all, gaze_targets, reader_stats
 from .metrics import SignificanceResult, paired_t_test, qwk
 from .model import EssayScorer, ModelConfig
 from .training import TrainConfig, evaluate_breakdown, prepare_example, train
@@ -218,7 +218,7 @@ class ExperimentData:
     sets: dict                        # set_id -> EssaySet
     folds: dict                       # set_id -> [FoldSpec] * 5
     gaze_essay_ids: frozenset = frozenset()   # external gaze-annotated pool
-    gaze_records: tuple = ()
+    gaze_records: GazeTable = field(default_factory=GazeTable.from_records)
     embedding_vectors: dict = None    # token -> vector, or None for random init
     # the last cell's gaze targets, for cells that hold out the same gaze essays
     _gaze_memo: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -325,22 +325,23 @@ def _fold_gaze_targets(data, fold, system_name, set_id):
     """
     test_ids = set(fold.test)
     held_out = set(fold.dev) | test_ids
-    record_ids = {r.essay_id for r in data.gaze_records}
+    records = data.gaze_records
+    record_ids = set(np.unique(records.essay_id).tolist())
     if record_ids <= held_out:
         raise ValueError(
             f"system {system_name!r} needs gaze records but all of them are on "
             f"essays held out in set {set_id} fold {fold.fold_id}")
     key = (frozenset(record_ids & held_out), frozenset(record_ids & test_ids))
     memo = data._gaze_memo
-    if (memo is None or memo[0] is not data.gaze_records or memo[1] is not data.essays
+    if (memo is None or memo[0] is not records or memo[1] is not data.essays
             or memo[2] != key):
-        usable_records = [r for r in data.gaze_records if r.essay_id not in test_ids]
-        stats = reader_stats([r for r in usable_records if r.essay_id not in held_out])
+        usable = records.take(~np.isin(records.essay_id, list(test_ids)))
+        stats = reader_stats(usable.take(~np.isin(usable.essay_id, list(held_out))))
         # a token's bins depend only on its record and its reader's statistics,
         # so one pass bins the train and the dev side
-        sequences, _ = bin_all(usable_records, stats, data.essays)
+        sequences, _ = bin_all(usable, stats, data.essays)
         targets = {essay_id: gaze_targets(gaze) for essay_id, gaze in sequences.items()}
-        memo = data._gaze_memo = (data.gaze_records, data.essays, key, stats, targets)
+        memo = data._gaze_memo = (records, data.essays, key, stats, targets)
     stats, targets = memo[3:]
     _assert_no_stats_leakage(stats, held_out)
     return targets
@@ -612,10 +613,10 @@ def grid_cells(config, data, attributes, weights):
                          gaze_loss_weights={attribute: float(weight)}),
                  data, f"grid attribute={attribute} weight={weight}")]
     # grid points are scored on dev gaze bin_all can place, so a run without any fails
-    dev_ids = {essay_id for cell in cells for essay_id in cell.fold.dev}
-    if not any(record.essay_id in dev_ids
-               and record.ia_index < len(data.essays[record.essay_id].tokens)
-               for record in data.gaze_records):
+    records = data.gaze_records
+    dev = np.isin(records.essay_id, list({i for cell in cells for i in cell.fold.dev}))
+    if not any(ia_index < len(data.essays[essay_id].tokens) for essay_id, ia_index
+               in zip(records.essay_id[dev].tolist(), records.ia_index[dev].tolist())):
         raise ValueError(f"a grid search scores dev gaze, but no dev essay of target sets "
                          f"{list(config.target_sets)} has a gaze record within its tokens")
     return cells

@@ -11,14 +11,20 @@ for a sigmoid head.
 
 A ``GazeRecord`` (one row of the gaze CSV) and a ``BinnedGaze`` (one
 token's bins) are named tuples: each declares its own column order, which
-the CSV files, the loader and the training targets all read from it.
+the CSV files, the loader and the training targets all read from it. A
+``GazeTable`` holds many gaze rows as one numpy column per ``GazeRecord``
+field; loading, reader filters, statistics and binning all work on whole
+columns.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -28,6 +34,23 @@ GAZE_MAX_BIN = {"DT": 5, "FFD": 5, "IR": 1, "RC": 5, "Skip": 1}
 
 # named reader filters; any other filter is an explicit collection of reader ids
 READER_FILTERS = ("all", "native_only")
+
+# rows parsed at a time: a chunk's cells live as Python objects only until
+# its columns are built, which bounds the loader's peak memory
+CHUNK_ROWS = 4096
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for a block that makes many acyclic
+    objects, which a collection would only walk."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class GazeRecord(NamedTuple):
@@ -43,35 +66,54 @@ class GazeRecord(NamedTuple):
     run_count: int
     skip: int
 
-    def validate(self):
-        """Return a diagnostic string for the first violated invariant, else None."""
-        if self.ia_index < 0:
-            return f"ia_index {self.ia_index} is negative"
-        if self.dwell_time_ms < 0 or self.first_fixation_ms < 0:
-            return "negative fixation duration"
-        if not (math.isfinite(self.dwell_time_ms) and math.isfinite(self.first_fixation_ms)):
-            return "non-finite fixation duration"
-        if self.run_count < 0:
-            return f"run_count {self.run_count} is negative"
-        if self.is_regression not in (0, 1):
-            return f"is_regression must be 0 or 1, got {self.is_regression}"
-        if self.skip not in (0, 1):
-            return f"skip must be 0 or 1, got {self.skip}"
-        if self.first_fixation_ms > self.dwell_time_ms:
-            return (f"first fixation {self.first_fixation_ms} exceeds "
-                    f"dwell time {self.dwell_time_ms}")
-        if self.skip == 1 and (self.dwell_time_ms != 0 or self.first_fixation_ms != 0
-                               or self.run_count != 0):
-            return "skipped token has nonzero fixation data"
-        if self.run_count >= 1 and self.skip != 0:
-            return "positive run count on a skipped token"
-        return None
-
 
 GAZE_CSV_COLUMNS = GazeRecord._fields
 
 # how each column's text becomes its field: by the field's type, reader ids stripped
 _COLUMN_PARSERS = {**get_type_hints(GazeRecord), "reader_id": str.strip}
+_COLUMN_DTYPES = {name: {int: np.int64, float: np.float64, str: object}[kind]
+                  for name, kind in get_type_hints(GazeRecord).items()}
+_INT64 = np.iinfo(np.int64)
+
+
+class GazeTable:
+    """Gaze rows as numpy columns, one attribute per ``GazeRecord`` field.
+
+    Its length is its row count.
+    """
+
+    __slots__ = GAZE_CSV_COLUMNS
+
+    def __init__(self, *columns):
+        for name, column in zip(GAZE_CSV_COLUMNS, columns, strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def from_records(cls, records=()):
+        """The table of ``records``, tuples in ``GazeRecord`` field order."""
+        records = list(records)
+        return cls(*(np.array([record[k] for record in records], dtype=_COLUMN_DTYPES[name])
+                     for k, name in enumerate(GAZE_CSV_COLUMNS)))
+
+    @classmethod
+    def concat(cls, tables):
+        return cls(*map(np.concatenate, zip(*(table.columns() for table in tables))))
+
+    def columns(self):
+        return tuple(getattr(self, name) for name in GAZE_CSV_COLUMNS)
+
+    def take(self, rows):
+        """The table of ``rows``, a boolean mask or an index array."""
+        return GazeTable(*(column[rows] for column in self.columns()))
+
+    def __len__(self):
+        return len(self.essay_id)
+
+    def rows(self):
+        """Each row as a tuple of Python values in field order."""
+        for start in range(0, len(self), CHUNK_ROWS):
+            yield from zip(*(column[start:start + CHUNK_ROWS].tolist()
+                             for column in self.columns()))
 
 
 @dataclass(frozen=True)
@@ -101,36 +143,103 @@ class GazeLoadReport:
     total_rows: int = 0
 
 
+@collector_paused()
 def load_gaze_records(path):
-    """Parse the gaze CSV into (records, GazeLoadReport).
+    """Parse the gaze CSV into (GazeTable, GazeLoadReport).
 
     Rows violating the record invariants are rejected with per-row
-    diagnostics; the rest of the file still loads. A file without a header
-    line holds no rows.
+    diagnostics, the first violated one per row; the rest of the file still
+    loads. Blank lines are skipped and not counted: the report numbers row
+    k (from 1) as line k + 1. Where a column is named twice, its last copy
+    is read, and a row too short for a column reads no text there. A file
+    without a header line holds no rows.
     """
-    records = []
+    tables = [GazeTable.from_records()]
     report = GazeLoadReport()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return records, report
-        missing = [c for c in GAZE_CSV_COLUMNS if c not in reader.fieldnames]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return tables[0], report
+        missing = [c for c in GAZE_CSV_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing gaze CSV columns: {', '.join(missing)}")
-        for line_no, row in enumerate(reader, start=2):
-            report.total_rows += 1
-            try:
-                record = GazeRecord(*[parse(row[column])
-                                      for column, parse in _COLUMN_PARSERS.items()])
-            except (ValueError, TypeError) as exc:
-                report.rejected.append((line_no, f"malformed field: {exc}"))
+        position = {column: index for index, column in enumerate(header)}
+        indices = [position[column] for column in GAZE_CSV_COLUMNS]
+        width = max(indices) + 1
+        cells_of = itemgetter(*indices)
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            rows = list(filter(None, chunk))
+            if not rows:
                 continue
-            problem = record.validate()
-            if problem is not None:
-                report.rejected.append((line_no, problem))
-                continue
-            records.append(record)
-    return records, report
+            if min(map(len, rows)) < width:
+                rows = [row + [None] * (width - len(row)) for row in rows]
+            first_line = report.total_rows + 2
+            report.total_rows += len(rows)
+            tables.append(_parse_rows(zip(*map(cells_of, rows)), len(rows), first_line,
+                                      report.rejected))
+    return GazeTable.concat(tables), report
+
+
+def _parse_rows(cells_by_column, n_rows, first_line, rejected):
+    """The table of the valid rows among ``n_rows`` rows, given as one tuple of
+    cells per column in field order; appends the others to ``rejected``."""
+    columns, problems = [], {}
+    for name, cells in zip(GAZE_CSV_COLUMNS, cells_by_column):
+        values, malformed = _parse_column(name, cells, n_rows)
+        columns.append(values)
+        for row, reason in malformed.items():
+            problems.setdefault(row, f"malformed field: {reason}")
+    table = GazeTable(*columns)
+    _find_violations(table, problems)
+    rejected.extend((first_line + row, problems[row]) for row in sorted(problems))
+    keep = np.ones(n_rows, dtype=bool)
+    keep[list(problems)] = False
+    return table.take(keep)
+
+
+def _parse_column(name, cells, n_rows):
+    """(the column's array, {row: reason} of its cells that do not parse)."""
+    parse, dtype = _COLUMN_PARSERS[name], _COLUMN_DTYPES[name]
+    try:
+        return np.fromiter(map(parse, cells), dtype, n_rows), {}
+    except (ValueError, TypeError, OverflowError):
+        pass
+    values, malformed = [], {}
+    for row, cell in enumerate(cells):
+        try:
+            value = parse(cell)
+        except (ValueError, TypeError) as exc:
+            malformed[row], value = str(exc), parse("0")
+        else:
+            if dtype is np.int64 and not _INT64.min <= value <= _INT64.max:
+                malformed[row], value = f"{name} {value} is outside the int64 range", 0
+        values.append(value)
+    return np.array(values, dtype), malformed
+
+
+def _find_violations(t, problems):
+    """Add to ``problems`` each other row of table ``t`` that breaks a record
+    invariant, with the first invariant it breaks."""
+    dt, ffd, ir, rc, skip = (t.dwell_time_ms, t.first_fixation_ms, t.is_regression,
+                             t.run_count, t.skip)
+    invariants = (
+        (t.ia_index < 0, lambda i: f"ia_index {t.ia_index[i]} is negative"),
+        ((dt < 0) | (ffd < 0), lambda i: "negative fixation duration"),
+        (~(np.isfinite(dt) & np.isfinite(ffd)), lambda i: "non-finite fixation duration"),
+        (rc < 0, lambda i: f"run_count {rc[i]} is negative"),
+        ((ir != 0) & (ir != 1), lambda i: f"is_regression must be 0 or 1, got {ir[i]}"),
+        ((skip != 0) & (skip != 1), lambda i: f"skip must be 0 or 1, got {skip[i]}"),
+        (ffd > dt, lambda i: f"first fixation {ffd[i].item()} exceeds dwell time {dt[i].item()}"),
+        ((skip == 1) & ((dt != 0) | (ffd != 0) | (rc != 0)),
+         lambda i: "skipped token has nonzero fixation data"),
+    )
+    unchecked = np.ones(len(t), dtype=bool)
+    unchecked[list(problems)] = False
+    for broken, reason in invariants:
+        for row in np.flatnonzero(broken & unchecked).tolist():
+            problems[row] = reason(row)
+        unchecked &= ~broken
 
 
 def load_reader_metadata(path):
@@ -153,14 +262,14 @@ def load_reader_metadata(path):
 
 
 def filter_readers(records, reader_filter, reader_metadata):
-    """The records of the readers ``reader_filter`` selects.
+    """The GazeTable of the rows of ``records`` whose readers ``reader_filter`` selects.
 
     ``reader_filter`` is ``"all"``, ``"native_only"`` (the readers that
     ``reader_metadata`` marks native; an error when it marks none) or a
     non-string collection of reader ids.
     """
     if reader_filter == "all":
-        return list(records)
+        return records
     if reader_filter == "native_only":
         allowed = {rid for rid, info in reader_metadata.items() if info.get("native")}
         if not allowed:
@@ -171,26 +280,43 @@ def filter_readers(records, reader_filter, reader_metadata):
                          f"or a collection of reader ids, got {reader_filter!r}")
     else:
         allowed = set(reader_filter)
-    return [r for r in records if r.reader_id in allowed]
+    reader_ids, reader_of = _groups(records.reader_id)
+    return records.take(np.array([rid in allowed for rid in reader_ids], dtype=bool)[reader_of])
+
+
+def _groups(column):
+    """(the distinct values of ``column`` in order of first appearance, each
+    row's index into them)."""
+    values = column.tolist()
+    index = {value: k for k, value in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+def _runs(keys):
+    """Row indices sorted stably by the nonnegative ``keys``, and the (start,
+    stop) of each run of equal keys in them, runs in key order."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
+    return order, list(zip(starts, [*starts[1:], len(order)]))
 
 
 def reader_stats(records):
-    """Per-reader population mean and std of DT and FFD over all records."""
-    by_reader = {}
-    for record in records:
-        by_reader.setdefault(record.reader_id, []).append(record)
+    """Per-reader population mean and std of DT and FFD over a GazeTable's rows."""
+    reader_ids, reader_of = _groups(records.reader_id)
+    order, spans = _runs(reader_of)
     stats = {}
-    for reader_id, recs in by_reader.items():
-        dt = np.array([r.dwell_time_ms for r in recs], dtype=np.float64)
-        ffd = np.array([r.first_fixation_ms for r in recs], dtype=np.float64)
+    for reader_id, (start, stop) in zip(reader_ids, spans):
+        rows = order[start:stop]  # in table order, so each sum adds in the same order
+        dt = records.dwell_time_ms[rows]
+        ffd = records.first_fixation_ms[rows]
         stats[reader_id] = ReaderStats(
             reader_id=reader_id,
             dt_mean=float(dt.mean()),
             dt_std=float(dt.std()),
             ffd_mean=float(ffd.mean()),
             ffd_std=float(ffd.std()),
-            n_records=len(recs),
-            provenance=frozenset(r.essay_id for r in recs),
+            n_records=len(rows),
+            provenance=frozenset(records.essay_id[rows].tolist()),
         )
     return stats
 
@@ -207,90 +333,99 @@ def bin_fixation(fv, mu, sigma):
 
     With sigma = 0 the middle intervals collapse; the value at exactly mu
     stays in the central bin, anything below lands in bin 1 and anything
-    above in bin 5.
+    above in bin 5. The arguments are scalars, giving an int, or arrays,
+    giving an int64 array of their broadcast shape.
     """
-    if fv < 0:
-        raise ValueError(f"fixation value must be nonnegative, got {fv}")
-    if sigma < 0:
-        raise ValueError(f"standard deviation must be nonnegative, got {sigma}")
-    if fv == 0:
-        return 0
-    if sigma == 0:
-        if fv < mu:
-            return 1
-        if fv == mu:
-            return 3
-        return 5
-    if fv <= mu - sigma:
-        return 1
-    if fv <= mu - 0.5 * sigma:
-        return 2
-    if fv <= mu + 0.5 * sigma:
-        return 3
-    if fv <= mu + sigma:
-        return 4
-    return 5
+    fv, mu, sigma = (np.asarray(a, dtype=np.float64) for a in (fv, mu, sigma))
+    if (fv < 0).any():
+        raise ValueError(f"fixation value must be nonnegative, got {fv[fv < 0].flat[0]}")
+    if (sigma < 0).any():
+        raise ValueError(f"standard deviation must be nonnegative, got {sigma[sigma < 0].flat[0]}")
+    flat = sigma == 0
+    with np.errstate(all="ignore"):  # overflow and inf - inf behave as for Python floats
+        bins = np.select(
+            [fv == 0, flat & (fv < mu), flat & (fv == mu), flat,
+             fv <= mu - sigma, fv <= mu - 0.5 * sigma, fv <= mu + 0.5 * sigma, fv <= mu + sigma],
+            [0, 1, 3, 5, 1, 2, 3, 4], 5)
+    return bins if bins.ndim else int(bins)
 
 
 def bin_run_count(rc):
-    """Run-count bins 0 through 4 are the count itself; 5 collects the rest."""
-    if rc < 0:
-        raise ValueError(f"run count must be nonnegative, got {rc}")
-    return min(int(rc), 5)
+    """Run-count bins 0 through 4 are the count itself; 5 collects the rest.
+
+    ``rc`` is an integer, giving an int, or an integer array, giving an
+    int64 array.
+    """
+    rc = np.asarray(rc, dtype=np.int64)
+    if (rc < 0).any():
+        raise ValueError(f"run count must be nonnegative, got {rc[rc < 0].flat[0]}")
+    bins = np.minimum(rc, 5)
+    return bins if bins.ndim else int(bins)
 
 
-def bin_record(record, stats):
-    """BinnedGaze for one record using its reader's statistics."""
-    return BinnedGaze(
-        dt_bin=bin_fixation(record.dwell_time_ms, stats.dt_mean, stats.dt_std),
-        ffd_bin=bin_fixation(record.first_fixation_ms, stats.ffd_mean, stats.ffd_std),
-        ir_bin=int(record.is_regression),
-        rc_bin=bin_run_count(record.run_count),
-        skip_bin=int(record.skip),
-    )
-
-
+@collector_paused()
 def bin_all(records, stats, essays):
-    """Binned gaze sequences aligned to essay tokens.
+    """Binned gaze sequences aligned to essay tokens, from a GazeTable's rows.
 
     ``essays`` maps essay_id to an Essay (token counts come from there).
     Returns ({essay_id: {reader_id: [BinnedGaze or None per token]}},
     diagnostics). Tokens with no record for a reader stay None and are
     excluded from the gaze loss mask downstream. Records addressing a
     missing essay, an out-of-range token, an unknown reader, or a position
-    already filled get one diagnostic each; every other record is placed.
+    an earlier record filled get one diagnostic each, in table order; every
+    other record is placed.
     """
-    sequences = {}
+    essay_ids, essay_of = np.unique(records.essay_id, return_inverse=True)
+    essay_ids = essay_ids.tolist()
+    reader_ids, reader_of = _groups(records.reader_id)
+    n_tokens = np.array([len(essays[e].tokens) if e in essays else -1 for e in essay_ids],
+                        dtype=np.int64)
+    row_tokens = n_tokens[essay_of]
+    ia_index = records.ia_index
+    no_essay = row_tokens < 0
+    no_stats = ~no_essay & ~np.array([r in stats for r in reader_ids], dtype=bool)[reader_of]
+    out_of_range = ~(no_essay | no_stats) & (ia_index >= row_tokens)
+    # a position's first record is placed, and each later one is a duplicate
+    group = essay_of * len(reader_ids) + reader_of
+    candidates = np.flatnonzero(~(no_essay | no_stats | out_of_range))
+    _, first = np.unique(group[candidates] * (int(n_tokens.max(initial=0)) + 1)
+                         + ia_index[candidates], return_index=True)
+    placed = np.zeros(len(records), dtype=bool)
+    placed[candidates[first]] = True
+
     diagnostics = []
-    token_counts = {}
-    for record in records:
-        essay = essays.get(record.essay_id)
-        if essay is None:
-            diagnostics.append(
-                f"essay {record.essay_id}: no such essay for reader {record.reader_id}")
-            continue
-        if record.reader_id not in stats:
-            diagnostics.append(
-                f"essay {record.essay_id}: no statistics for reader {record.reader_id}")
-            continue
-        n_tokens = token_counts.get(record.essay_id)
-        if n_tokens is None:
-            n_tokens = token_counts[record.essay_id] = len(essay.tokens)
-        if record.ia_index >= n_tokens:
-            diagnostics.append(
-                f"essay {record.essay_id}, reader {record.reader_id}: ia_index "
-                f"{record.ia_index} out of range for {n_tokens} tokens")
-            continue
-        gaze = sequences.setdefault(record.essay_id, {})
-        seq = gaze.get(record.reader_id)
-        if seq is None:
-            seq = gaze[record.reader_id] = [None] * n_tokens
-        if seq[record.ia_index] is not None:
-            diagnostics.append(
-                f"essay {record.essay_id}, reader {record.reader_id}: duplicate "
-                f"record for token {record.ia_index}")
-            continue
-        seq[record.ia_index] = bin_record(record, stats[record.reader_id])
+    for i in np.flatnonzero(~placed).tolist():
+        essay_id, reader_id = essay_ids[essay_of[i]], reader_ids[reader_of[i]]
+        if no_essay[i]:
+            diagnostics.append(f"essay {essay_id}: no such essay for reader {reader_id}")
+        elif no_stats[i]:
+            diagnostics.append(f"essay {essay_id}: no statistics for reader {reader_id}")
+        elif out_of_range[i]:
+            diagnostics.append(f"essay {essay_id}, reader {reader_id}: ia_index "
+                               f"{ia_index[i]} out of range for {row_tokens[i]} tokens")
+        else:
+            diagnostics.append(f"essay {essay_id}, reader {reader_id}: duplicate "
+                               f"record for token {ia_index[i]}")
+
+    rows = np.flatnonzero(placed)
+    order, spans = _runs(group[rows])
+    rows = rows[order]
+    sequences = {}
+    # each (essay, reader) run in the order of its first record, as entries were first made
+    for start, stop in sorted(spans, key=lambda span: rows[span[0]]):
+        run, i = rows[start:stop], rows[start]
+        reader_id = reader_ids[reader_of[i]]
+        s = stats[reader_id]
+        sequence = [None] * int(row_tokens[i])
+        for position, token_bins in zip(ia_index[run].tolist(), map(
+                BinnedGaze,
+                bin_fixation(records.dwell_time_ms[run], s.dt_mean, s.dt_std).tolist(),
+                bin_fixation(records.first_fixation_ms[run], s.ffd_mean, s.ffd_std).tolist(),
+                records.is_regression[run].tolist(),
+                bin_run_count(records.run_count[run]).tolist(),
+                records.skip[run].tolist())):
+            sequence[position] = token_bins
+        sequences.setdefault(essay_ids[essay_of[i]], {})[reader_id] = sequence
     return sequences, diagnostics
 
 

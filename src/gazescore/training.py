@@ -11,7 +11,6 @@ tests rely on.
 
 from __future__ import annotations
 
-import gc
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import denormalize_score
-from .gaze import gaze_targets
+from .gaze import collector_paused, gaze_targets
 from .metrics import qwk
 from .numerics import Tensor, backward, zero_grads
 from .optim import RMSProp, clip_global_norm
@@ -220,31 +219,26 @@ def _aggregate_epoch(batch_breakdowns, batch_sizes):
     )
 
 
+@collector_paused()
 def _train_step(model, optimizer, batch, weights, clip_norm, rng, epoch, batch_index):
     """One optimizer step on one batch; returns its LossBreakdown.
 
     Only this frame holds the batch's graph, so it is freed on return; it is
     acyclic, so the cyclic collector, which would only walk it, is paused.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        outputs = model.forward_batch([ex.sentence_ids for ex in batch], rng)
-        loss, breakdown = multitask_loss(outputs, batch, weights)
-        if not math.isfinite(float(loss.data)):
-            norms = {name: float(np.linalg.norm(t.data))
-                     for name, t in model.named_parameters().items()}
-            raise TrainingDiverged(epoch, batch_index, norms)
-        params = optimizer.parameters
-        zero_grads(params)
-        backward(loss, parameters=params)
-        model.pin_pad_embedding()
-        clip_global_norm(params, clip_norm)
-        optimizer.step()
-        return breakdown
-    finally:
-        if collecting:
-            gc.enable()
+    outputs = model.forward_batch([ex.sentence_ids for ex in batch], rng)
+    loss, breakdown = multitask_loss(outputs, batch, weights)
+    if not math.isfinite(float(loss.data)):
+        norms = {name: float(np.linalg.norm(t.data))
+                 for name, t in model.named_parameters().items()}
+        raise TrainingDiverged(epoch, batch_index, norms)
+    params = optimizer.parameters
+    zero_grads(params)
+    backward(loss, parameters=params)
+    model.pin_pad_embedding()
+    clip_global_norm(params, clip_norm)
+    optimizer.step()
+    return breakdown
 
 
 def train(model, train_examples, dev_examples, config, sets, log=None):

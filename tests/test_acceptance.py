@@ -41,6 +41,7 @@ from gazescore.experiments import (
 from gazescore.gaze import (
     GAZE_ATTRIBUTES,
     GazeRecord,
+    GazeTable,
     bin_fixation,
     bin_run_count,
     load_gaze_records,
@@ -689,7 +690,7 @@ def test_08_harness_integrity():
     data = ExperimentData(
         essays=essays, sets={1: set1, 3: set3, 8: set8},
         folds={1: make_folds(set1_ids, seed=13), 3: make_folds(set3_ids, seed=13)},
-        gaze_essay_ids=frozenset(pool_ids), gaze_records=tuple(records))
+        gaze_essay_ids=frozenset(pool_ids), gaze_records=GazeTable.from_records(records))
 
     folds_exact = True
     for set_id, ids in ((1, set1_ids), (3, set3_ids)):
@@ -769,10 +770,10 @@ def test_09_full_data_reproduction():
     for essay in usable.values():
         by_set.setdefault(essay.set_id, []).append(essay.essay_id)
     folds = {s: make_folds(sorted(by_set[s]), seed=seed) for s in target_sets}
-    gaze_ids = frozenset(r.essay_id for r in records) & set(usable)
+    gaze_ids = frozenset(records.essay_id.tolist()) & set(usable)
 
     data = ExperimentData(essays=usable, sets=sets, folds=folds,
-                          gaze_essay_ids=gaze_ids, gaze_records=tuple(records))
+                          gaze_essay_ids=gaze_ids, gaze_records=records)
 
     systems = ("only_prompt", "self_attention", "co_attention",
                "co_attention_gaze", "extra_essays", "essays_gaze")

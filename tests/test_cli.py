@@ -28,6 +28,7 @@ from gazescore.gaze import (
     BinnedGaze,
     GazeLoadReport,
     GazeRecord,
+    GazeTable,
     bin_all,
     gaze_targets,
     load_gaze_records,
@@ -438,8 +439,9 @@ class TestBinGaze:
         records = [GazeRecord(7, "r1", 0, "the", 0.1 + 0.2, 1 / 7, 1, 2, 0),
                    GazeRecord(7, "r2", 3, "a,b", 1e-320, 0.0, 0, 1, 0),
                    GazeRecord(8, "r1", 1, "cat", 0.0, 0.0, 0, 0, 1)]
-        _write_records_csv(tmp_path / "records.csv", records)
-        assert load_gaze_records(tmp_path / "records.csv") == (records, GazeLoadReport([], 3))
+        _write_records_csv(tmp_path / "records.csv", GazeTable.from_records(records))
+        loaded, report = load_gaze_records(tmp_path / "records.csv")
+        assert (list(loaded.rows()), report) == (records, GazeLoadReport([], 3))
 
     def test_empty_gaze_file_warns_and_exits_zero(self, prep_dir, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -465,6 +467,23 @@ class TestBinGaze:
                      "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json")])
         assert code == 1
         assert "all 2 gaze rows failed" in capsys.readouterr().err
+
+    def test_all_rows_the_filter_keeps_failing_exits_nonzero(self, prep_dir, tmp_path, capsys):
+        # the r2 row would bin, but the filter drops it, so no row the command considers bins
+        gaze_csv = tmp_path / "gaze.csv"
+        gaze_csv.write_text(",".join(GAZE_CSV_COLUMNS) + "\n"
+                            "100,r1,999,w,100.0,80.0,0,1,0\n"
+                            "100,r1,998,w,100.0,80.0,0,1,0\n"
+                            "100,r2,0,w,100.0,80.0,0,1,0\n")
+        out = tmp_path / "out"
+        code = main(["bin-gaze", "--out", str(out), "--set", "gaze_csv=" + str(gaze_csv),
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                     "--set", "reader_filter=r1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "rows: 3, kept records: 2, binned tokens: 0, readers: 1\n"
+        assert captured.err == (f"error: all 2 gaze rows failed; see "
+                                f"{out / 'alignment_errors.log'}\n")
 
     def test_partial_failures_logged_but_exit_zero(self, data_dir, prep_dir,
                                                    tmp_path):

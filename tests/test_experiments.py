@@ -45,7 +45,14 @@ from gazescore.experiments import (
     train_cell,
 )
 from gazescore import experiments
-from gazescore.gaze import GazeRecord, bin_all, filter_readers, gaze_targets, reader_stats
+from gazescore.gaze import (
+    GazeRecord,
+    GazeTable,
+    bin_all,
+    filter_readers,
+    gaze_targets,
+    reader_stats,
+)
 from gazescore.metrics import paired_t_test
 from gazescore.model import EssayScorer
 from gazescore.training import dev_qwk, evaluate_breakdown, prepare_example
@@ -96,6 +103,18 @@ def make_records(essay, reader_id="r1"):
     return records
 
 
+def with_records(table, records):
+    """``table`` with ``records`` appended."""
+    return GazeTable.concat([table, GazeTable.from_records(records)])
+
+
+def dwell_times_scaled_by_essay(table):
+    """``table`` with each dwell time scaled by a factor of its essay."""
+    return GazeTable.from_records(
+        r._replace(dwell_time_ms=r.dwell_time_ms * (r.essay_id % 5 + 1))
+        for r in map(GazeRecord._make, table.rows()))
+
+
 def make_data(n_target=10, pool_size=0, with_records=False,
               article=None, target_set_id=1, seed=0,
               target_records=False):
@@ -130,7 +149,7 @@ def make_data(n_target=10, pool_size=0, with_records=False,
         sets=sets,
         folds=folds,
         gaze_essay_ids=frozenset(pool_ids),
-        gaze_records=tuple(records),
+        gaze_records=GazeTable.from_records(records),
     )
 
 
@@ -624,7 +643,7 @@ class TestLeakage:
     def test_stats_leakage_assertion_fires(self):
         essay_set = EssaySet(3, 0, 3)
         essay = make_essay(7, essay_set, np.random.default_rng(0))
-        stats = reader_stats(make_records(essay))
+        stats = reader_stats(GazeTable.from_records(make_records(essay)))
         with pytest.raises(LeakageError, match="held-out"):
             _assert_no_stats_leakage(stats, {7})
         _assert_no_stats_leakage(stats, {8})
@@ -641,7 +660,8 @@ class TestLeakage:
         data = make_data(article="The sun rose. Birds sang.", target_records=True)
         fold = data.folds[1][0]
         held_out = set(fold.dev) | set(fold.test)
-        data.gaze_records = tuple(r for r in data.gaze_records if r.essay_id in held_out)
+        data.gaze_records = data.gaze_records.take(
+            np.isin(data.gaze_records.essay_id, list(held_out)))
         config = ExperimentConfig(system="co_attention_gaze", target_sets=(1,),
                                   model_params=dict(TINY_MODEL))
         fold_cells(config, data)  # the run as a whole has gaze records
@@ -684,17 +704,17 @@ class TestReaderFilters:
     def records_two_readers(self):
         essay_set = EssaySet(3, 0, 3)
         essay = make_essay(7, essay_set, np.random.default_rng(0))
-        return make_records(essay, "r1") + make_records(essay, "r2")
+        return GazeTable.from_records(make_records(essay, "r1") + make_records(essay, "r2"))
 
     def test_all_keeps_everything(self):
         records = self.records_two_readers()
-        assert filter_readers(records, "all", {}) == records
+        assert list(filter_readers(records, "all", {}).rows()) == list(records.rows())
 
     def test_native_only_uses_metadata(self):
         records = self.records_two_readers()
         metadata = {"r1": {"native": True}, "r2": {"native": False}}
         kept = filter_readers(records, "native_only", metadata)
-        assert {r.reader_id for r in kept} == {"r1"}
+        assert set(kept.reader_id.tolist()) == {"r1"}
 
     def test_native_only_without_metadata_rejected(self):
         with pytest.raises(ValueError, match="native"):
@@ -702,7 +722,7 @@ class TestReaderFilters:
 
     def test_explicit_list_filters(self):
         kept = filter_readers(self.records_two_readers(), ("r2",), {})
-        assert {r.reader_id for r in kept} == {"r2"}
+        assert set(kept.reader_id.tolist()) == {"r2"}
 
     def test_bad_reader_filter_rejected(self):
         # a string is a named filter, never the set of its characters
@@ -716,8 +736,9 @@ class TestExamplesFor:
         essay_set = EssaySet(3, 0, 3)
         rng = np.random.default_rng(0)
         essays = {i: make_essay(i, essay_set, rng) for i in (7, 8, 9)}
-        records = (make_records(essays[7], "r1") + make_records(essays[7], "r2")
-                   + make_records(essays[8], "r1"))
+        records = GazeTable.from_records(
+            make_records(essays[7], "r1") + make_records(essays[7], "r2")
+            + make_records(essays[8], "r1"))
         sequences, _ = bin_all(records, reader_stats(records), essays)
         vocab = build_vocab(essays.values())
         targets = {essay_id: gaze_targets(gaze) for essay_id, gaze in sequences.items()}
@@ -816,7 +837,7 @@ class TestGazeMemo:
         def fresh():
             data = make_data(pool_size=6, with_records=True)
             dev_essay = data.essays[data.folds[1][0].dev[0]]
-            data.gaze_records += tuple(make_records(dev_essay))
+            data.gaze_records = with_records(data.gaze_records, make_records(dev_essay))
             return data
 
         config = self.essays_gaze()
@@ -835,8 +856,7 @@ class TestGazeMemo:
         config = replace(self.essays_gaze(), system="co_attention_gaze")
         fold = data.folds[1][0]
         before = prepare_cell(config, data, 1, fold)
-        data.gaze_records = tuple(r._replace(dwell_time_ms=r.dwell_time_ms * (r.essay_id % 5 + 1))
-                                  for r in data.gaze_records)
+        data.gaze_records = dwell_times_scaled_by_essay(data.gaze_records)
         after = prepare_cell(config, data, 1, fold)
         assert gaze_passes == {"bin_all": 2, "reader_stats": 2}
         reference = make_data(article="The sun rose. Birds sang.", target_records=True)
@@ -1038,23 +1058,24 @@ class TestGridCell:
             grid_cells(config, data, ("DT",), (0.05, 0.5))
         # a dev record that bin_all cannot place (ia_index out of range) is no dev gaze
         dev_essay = data.essays[data.folds[1][0].dev[0]]
-        data.gaze_records += (make_records(dev_essay)[0]._replace(ia_index=999),)
+        data.gaze_records = with_records(data.gaze_records,
+                                         [make_records(dev_essay)[0]._replace(ia_index=999)])
         with pytest.raises(ValueError, match=r"no dev essay of target sets \[1\] has a gaze"):
             grid_cells(config, data, ("DT",), (0.05, 0.5))
         # one target-set dev record is enough
-        data.gaze_records += tuple(make_records(dev_essay))
+        data.gaze_records = with_records(data.gaze_records, make_records(dev_essay))
         assert len(grid_cells(config, data, ("DT",), (0.05, 0.5))) == 10
 
     def test_dev_examples_carry_gaze_binned_with_train_side_statistics(self):
         data = make_data(article="The sun rose. Birds sang.", target_records=True)
         # dwell times vary by essay, so statistics that saw the dev records would differ
-        data.gaze_records = tuple(r._replace(dwell_time_ms=r.dwell_time_ms * (r.essay_id % 5 + 1))
-                                  for r in data.gaze_records)
+        data.gaze_records = dwell_times_scaled_by_essay(data.gaze_records)
         fold = data.folds[1][0]
         setup = prepare_cell(self.base_config(), data, 1, fold)
         held_out = set(fold.dev) | set(fold.test)
-        stats = reader_stats([r for r in data.gaze_records if r.essay_id not in held_out])
-        sequences, _ = bin_all([r for r in data.gaze_records if r.essay_id in fold.dev],
+        records = data.gaze_records
+        stats = reader_stats(records.take(~np.isin(records.essay_id, list(held_out))))
+        sequences, _ = bin_all(records.take(np.isin(records.essay_id, list(fold.dev))),
                                stats, data.essays)
         vocab = build_vocab([data.essays[i] for i in fold.train])
         targets = {essay_id: gaze_targets(gaze) for essay_id, gaze in sequences.items()}

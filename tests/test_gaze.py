@@ -1,23 +1,29 @@
 """Gaze binning, reader statistics, and alignment tests."""
 
+import csv
+import io
+import math
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gazescore import gaze
 from gazescore.corpus import Essay, build_vocab
 from gazescore.gaze import (
     GAZE_ATTRIBUTES,
     GAZE_CSV_COLUMNS,
     GAZE_MAX_BIN,
+    CHUNK_ROWS,
     BinnedGaze,
     GazeLoadReport,
     GazeRecord,
+    GazeTable,
     bin_all,
     bin_fixation,
-    bin_record,
     bin_run_count,
     filter_readers,
     load_gaze_records,
@@ -38,6 +44,14 @@ def skip_record(essay_id=1, reader="r1", ia=0):
     return record(essay_id, reader, ia, dt=0.0, ffd=0.0, ir=0, rc=0, skip=1)
 
 
+def table(records):
+    return GazeTable.from_records(records)
+
+
+def records_of(gaze_table):
+    return [GazeRecord._make(row) for row in gaze_table.rows()]
+
+
 def essay_with_tokens(essay_id, n_tokens):
     return Essay(
         essay_id=essay_id, set_id=3,
@@ -49,22 +63,33 @@ def essay_with_tokens(essay_id, n_tokens):
 # record invariants and loading
 # ---------------------------------------------------------------------------
 
-def test_record_validation_catches_violations():
-    assert record().validate() is None
-    assert skip_record().validate() is None
-    assert "exceeds" in record(dt=50.0, ffd=80.0).validate()
-    assert "skipped" in record(dt=10.0, ffd=5.0, rc=0, skip=1).validate()
-    assert "skipped" in record(dt=0.0, ffd=0.0, rc=2, skip=1).validate()
-    assert "negative" in record(dt=-1.0, ffd=-1.0).validate()
-    assert record(ir=2).validate() is not None
-    assert record(ia=-1).validate() is not None
-
-
 def write_gaze_csv(tmp_path, rows):
     header = "essay_id,reader_id,ia_index,token,dwell_time_ms,first_fixation_ms,is_regression,run_count,skip"
     path = tmp_path / "gaze.csv"
     path.write_text("\n".join([header] + rows) + "\n")
     return path
+
+
+def test_record_validation_catches_violations(tmp_path):
+    cases = [
+        (record(), None),
+        (skip_record(), None),
+        (record(dt=50.0, ffd=80.0), "exceeds"),
+        (record(dt=10.0, ffd=5.0, rc=0, skip=1), "skipped"),
+        (record(dt=0.0, ffd=0.0, rc=2, skip=1), "skipped"),
+        (record(dt=-1.0, ffd=-1.0), "negative"),
+        (record(ir=2), "is_regression"),
+        (record(ia=-1), "ia_index"),
+    ]
+    path = write_gaze_csv(tmp_path, [",".join(map(str, case)) for case, _ in cases])
+    records, report = load_gaze_records(path)
+    assert records_of(records) == [case for case, problem in cases if problem is None]
+    reasons = dict(report.rejected)
+    for line, (_, problem) in enumerate(cases, start=2):
+        if problem is None:
+            assert line not in reasons
+        else:
+            assert problem in reasons[line]
 
 
 def test_load_gaze_records_round_trip(tmp_path):
@@ -75,9 +100,9 @@ def test_load_gaze_records_round_trip(tmp_path):
     ])
     records, report = load_gaze_records(path)
     assert len(records) == 3 and report.rejected == []
-    assert records[0].dwell_time_ms == 250.0
-    assert records[1].skip == 1
-    assert records[2].is_regression == 1
+    assert records.dwell_time_ms[0] == 250.0
+    assert records.skip[1] == 1
+    assert records.is_regression[2] == 1
 
 
 def test_load_gaze_records_rejects_invalid_rows(tmp_path):
@@ -114,7 +139,8 @@ def test_load_gaze_records_requires_columns(tmp_path):
 def test_load_gaze_records_without_header_holds_no_rows(tmp_path):
     path = tmp_path / "gaze.csv"
     path.write_text("")
-    assert load_gaze_records(path) == ([], GazeLoadReport())
+    records, report = load_gaze_records(path)
+    assert len(records) == 0 and report == GazeLoadReport()
 
 
 def test_load_reader_metadata(tmp_path):
@@ -125,9 +151,9 @@ def test_load_reader_metadata(tmp_path):
     assert readers["r2"]["native"] is False
     assert readers["r3"]["native"] is True
     assert readers["r1"]["age"] == "30"
-    records = [record(reader=rid) for rid in ("r1", "r2", "r3")]
+    records = table([record(reader=rid) for rid in ("r1", "r2", "r3")])
     kept = filter_readers(records, "native_only", readers)
-    assert [r.reader_id for r in kept] == ["r1", "r3"]
+    assert kept.reader_id.tolist() == ["r1", "r3"]
 
 
 def test_load_reader_metadata_missing_column(tmp_path):
@@ -142,7 +168,7 @@ def test_load_reader_metadata_missing_column(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_reader_stats_constant_series():
-    stats = reader_stats([record(dt=100, ffd=100, ia=i, rc=1) for i in range(3)])
+    stats = reader_stats(table([record(dt=100, ffd=100, ia=i, rc=1) for i in range(3)]))
     assert stats["r1"].dt_mean == 100.0
     assert stats["r1"].dt_std == 0.0
     assert stats["r1"].n_records == 3
@@ -151,7 +177,7 @@ def test_reader_stats_constant_series():
 def test_reader_stats_population_deviation():
     # DT = [0, 200]: population sigma is 100, not the sample value 141.4
     recs = [record(dt=0.0, ffd=0.0, rc=0, ia=0), record(dt=200.0, ffd=150.0, ia=1)]
-    stats = reader_stats(recs)
+    stats = reader_stats(table(recs))
     assert stats["r1"].dt_mean == 100.0
     assert stats["r1"].dt_std == 100.0
     assert stats["r1"].ffd_mean == 75.0
@@ -159,7 +185,7 @@ def test_reader_stats_population_deviation():
 
 def test_reader_stats_partition_by_reader():
     recs = [record(reader="a", dt=10, ffd=10), record(reader="b", dt=1000, ffd=900)]
-    stats = reader_stats(recs)
+    stats = reader_stats(table(recs))
     assert set(stats) == {"a", "b"}
     assert stats["a"].dt_mean == 10.0
     assert stats["b"].dt_mean == 1000.0
@@ -167,7 +193,7 @@ def test_reader_stats_partition_by_reader():
 
 def test_reader_stats_provenance_tracks_essays():
     recs = [record(essay_id=5), record(essay_id=9, ia=1)]
-    assert reader_stats(recs)["r1"].provenance == frozenset({5, 9})
+    assert reader_stats(table(recs))["r1"].provenance == frozenset({5, 9})
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +287,10 @@ def test_bin_run_count_values():
         bin_run_count(-1)
 
 
-def test_bin_record_skip_chain():
-    stats = reader_stats([record(dt=100, ffd=80), skip_record(ia=1)])["r1"]
-    binned = bin_record(skip_record(), stats)
+def test_bin_all_skip_chain():
+    records = table([record(dt=100, ffd=80), skip_record(ia=1)])
+    sequences, _ = bin_all(records, reader_stats(records), {1: essay_with_tokens(1, 2)})
+    binned = sequences[1]["r1"][1]
     assert binned.skip_bin == 1
     assert binned.dt_bin == 0
     assert binned.ffd_bin == 0
@@ -277,9 +304,10 @@ def training_targets(gaze):
     return prepare_example(essay, build_vocab([essay])).gaze_targets
 
 
-def test_bin_record_regression_unit_target():
-    stats = reader_stats([record(ir=1)])["r1"]
-    binned = bin_record(record(ir=1), stats)
+def test_bin_all_regression_unit_target():
+    records = table([record(ir=1)])
+    sequences, _ = bin_all(records, reader_stats(records), {1: essay_with_tokens(1, 1)})
+    (binned,) = sequences[1]["r1"]
     assert binned.ir_bin == 1
     positions, values = training_targets({"r1": [binned]})["IR"]
     assert positions.tolist() == [0]
@@ -308,8 +336,8 @@ def test_unit_target_is_bin_over_max():
 def test_bin_all_aligns_and_masks():
     essays = {1: essay_with_tokens(1, 4)}
     recs = [record(ia=0, dt=100, ffd=90), record(ia=2, dt=300, ffd=200, rc=2)]
-    stats = reader_stats(recs)
-    sequences, diagnostics = bin_all(recs, stats, essays)
+    stats = reader_stats(table(recs))
+    sequences, diagnostics = bin_all(table(recs), stats, essays)
     assert diagnostics == []
     seq = sequences[1]["r1"]
     assert len(seq) == 4
@@ -319,7 +347,7 @@ def test_bin_all_aligns_and_masks():
 
 def test_bin_all_rejects_out_of_range_index():
     essays = {1: essay_with_tokens(1, 2)}
-    recs = [record(ia=5)]
+    recs = table([record(ia=5)])
     sequences, diagnostics = bin_all(recs, reader_stats(recs), essays)
     assert sequences == {}
     assert "out of range" in diagnostics[0]
@@ -327,7 +355,7 @@ def test_bin_all_rejects_out_of_range_index():
 
 def test_bin_all_rejects_duplicates_and_unknowns():
     essays = {1: essay_with_tokens(1, 3)}
-    recs = [record(ia=0), record(ia=0), record(essay_id=9, ia=0)]
+    recs = table([record(ia=0), record(ia=0), record(essay_id=9, ia=0)])
     sequences, diagnostics = bin_all(recs, reader_stats(recs), essays)
     assert len(diagnostics) == 2
     assert any("duplicate" in d for d in diagnostics)
@@ -342,8 +370,267 @@ def test_bin_all_per_reader_isolation():
             record(reader="a", ia=1, dt=300, ffd=250, rc=3)]
     other_v1 = [record(reader="b", ia=0, dt=10, ffd=10)]
     other_v2 = [record(reader="b", ia=0, dt=5000, ffd=4000, rc=4)]
-    seq1, _ = bin_all(mine + other_v1, reader_stats(mine + other_v1), essays)
-    seq2, _ = bin_all(mine + other_v2, reader_stats(mine + other_v2), essays)
+    first, second = table(mine + other_v1), table(mine + other_v2)
+    seq1, _ = bin_all(first, reader_stats(first), essays)
+    seq2, _ = bin_all(second, reader_stats(second), essays)
     assert seq1[1]["a"] == seq2[1]["a"]
     assert seq1[1]["b"] != seq2[1]["b"]
+
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the column code against the row-at-a-time code it replaced
+# ---------------------------------------------------------------------------
+
+_REFERENCE_PARSERS = {**get_type_hints(GazeRecord), "reader_id": str.strip}
+_INT64_RANGE = range(-2**63, 2**63)
+
+
+def reference_parse(column, text):
+    value = _REFERENCE_PARSERS[column](text)
+    # integers that do not fit in int64 are malformed, where the old loader kept them
+    if _REFERENCE_PARSERS[column] is int and value not in _INT64_RANGE:
+        raise ValueError(f"{column} {value} is outside the int64 range")
+    return value
+
+
+def reference_problem(r):
+    """The per-record validation the loader's ordered masks replaced."""
+    if r.ia_index < 0:
+        return f"ia_index {r.ia_index} is negative"
+    if r.dwell_time_ms < 0 or r.first_fixation_ms < 0:
+        return "negative fixation duration"
+    if not (math.isfinite(r.dwell_time_ms) and math.isfinite(r.first_fixation_ms)):
+        return "non-finite fixation duration"
+    if r.run_count < 0:
+        return f"run_count {r.run_count} is negative"
+    if r.is_regression not in (0, 1):
+        return f"is_regression must be 0 or 1, got {r.is_regression}"
+    if r.skip not in (0, 1):
+        return f"skip must be 0 or 1, got {r.skip}"
+    if r.first_fixation_ms > r.dwell_time_ms:
+        return f"first fixation {r.first_fixation_ms} exceeds dwell time {r.dwell_time_ms}"
+    if r.skip == 1 and (r.dwell_time_ms != 0 or r.first_fixation_ms != 0 or r.run_count != 0):
+        return "skipped token has nonzero fixation data"
+    if r.run_count >= 1 and r.skip != 0:
+        return "positive run count on a skipped token"
+    return None
+
+
+def reference_load(path):
+    """The csv.DictReader loader: a parse per field, then a validation, per row."""
+    records = []
+    report = GazeLoadReport()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            return records, report
+        missing = [c for c in GAZE_CSV_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path}: missing gaze CSV columns: {', '.join(missing)}")
+        for line_no, row in enumerate(reader, start=2):
+            report.total_rows += 1
+            try:
+                record = GazeRecord(*[reference_parse(column, row[column])
+                                      for column in GAZE_CSV_COLUMNS])
+            except (ValueError, TypeError) as exc:
+                report.rejected.append((line_no, f"malformed field: {exc}"))
+                continue
+            problem = reference_problem(record)
+            if problem is not None:
+                report.rejected.append((line_no, problem))
+                continue
+            records.append(record)
+    return records, report
+
+
+def _outcome(load, path):
+    """(repr of the kept rows as plain tuples, the report), or the ValueError's text."""
+    try:
+        records, report = load(path)
+    except ValueError as error:
+        return str(error)
+    rows = records.rows() if isinstance(records, GazeTable) else map(tuple, records)
+    return repr(list(rows)), report
+
+
+_WILD_INTS = st.sampled_from(
+    ["-3", "2", "1_000", " 7 ", "+2", "1.0", "", "x", "9223372036854775807",
+     "9223372036854775808", "-9223372036854775809", "100000000000000000000"])
+_WILD_FLOATS = st.sampled_from(
+    ["-1.5", "-0.0", "nan", "inf", "-inf", "1e308", "abc", "", " 5 ", "1_0.5"])
+_TEXT = st.one_of(st.sampled_from(["r1", " r2 ", "the", "", "a,b", 'say "hi"', "two\nlines",
+                                   "cr\rhere", " lead"]),
+                  st.text(alphabet=',"\n ab', max_size=4))
+_WILD = {"essay_id": _WILD_INTS, "ia_index": _WILD_INTS, "is_regression": _WILD_INTS,
+         "run_count": _WILD_INTS, "skip": _WILD_INTS, "dwell_time_ms": _WILD_FLOATS,
+         "first_fixation_ms": _WILD_FLOATS}
+
+
+@st.composite
+def gaze_cells(draw):
+    """{column: cell text} of a valid record, a cell or two sometimes made wild."""
+    skip = draw(st.integers(0, 4)) == 0
+    ffd = 0.0 if skip else draw(st.floats(0, 300))
+    dt = 0.0 if skip else ffd + draw(st.sampled_from([0.0, 0.5, 120.0, 1 / 3]))
+    cells = {"essay_id": str(draw(st.integers(0, 3))), "reader_id": draw(_TEXT),
+             "ia_index": draw(st.sampled_from(["0", "1", " 2", "+3", "4_0"])),
+             "token": draw(_TEXT), "dwell_time_ms": draw(st.sampled_from([repr(dt), f"{dt:g}"])),
+             "first_fixation_ms": repr(ffd), "is_regression": str(draw(st.integers(0, 1))),
+             "run_count": "0" if skip else str(draw(st.integers(0, 7))),
+             "skip": str(int(skip))}
+    if draw(st.integers(0, 2)) == 0:
+        column = draw(st.sampled_from(GAZE_CSV_COLUMNS))
+        cells[column] = draw(_WILD.get(column, _TEXT))
+    return cells
+
+
+@st.composite
+def gaze_csv_texts(draw):
+    extras = draw(st.lists(st.sampled_from(["notes", "", *GAZE_CSV_COLUMNS]), max_size=3))
+    columns = list(GAZE_CSV_COLUMNS)
+    if draw(st.integers(0, 9)) == 0:
+        columns.remove(draw(st.sampled_from(GAZE_CSV_COLUMNS)))
+    header = draw(st.permutations(columns + extras))
+    last = {column: index for index, column in enumerate(header) if column in GAZE_CSV_COLUMNS}
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 6)) == 0:
+            rows.append([])  # a blank line
+            continue
+        cells = draw(gaze_cells())
+        # the loaders read a repeated column's last copy; the others hold any text
+        row = [cells[column] if last.get(column) == index else draw(_TEXT)
+               for index, column in enumerate(header)]
+        if draw(st.integers(0, 5)) == 0:
+            row = row[:draw(st.integers(0, len(row)))]  # too short: the missing cells are no text
+        elif draw(st.integers(0, 5)) == 0:
+            row += ["spare"]
+        rows.append(row)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    blank_first_line = draw(st.integers(0, 9)) == 0  # read as an empty header
+    return ("\n" if blank_first_line else "") + buffer.getvalue()
+
+
+@given(text=gaze_csv_texts(), chunk_rows=st.sampled_from([1, 2, 3, CHUNK_ROWS]))
+@settings(max_examples=300, deadline=None)
+def test_load_gaze_records_matches_the_row_loader(tmp_path_factory, text, chunk_rows):
+    path = tmp_path_factory.getbasetemp() / "differential_gaze.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gaze, "CHUNK_ROWS", chunk_rows)
+        assert _outcome(load_gaze_records, path) == _outcome(reference_load, path)
+
+
+def test_load_gaze_records_rejects_integers_outside_int64(tmp_path):
+    path = write_gaze_csv(tmp_path, [
+        "100000000000000000000,r1,0,the,250,120,0,2,0",
+        "1,r1,100000000000000000000,the,250,120,0,2,0",
+        "1,r1,0,the,250,120,0,100000000000000000000,0",
+        "1,r1,0,the,250,120,0,-9223372036854775809,0",
+        "9223372036854775807,r1,9223372036854775807,the,250,120,0,9223372036854775807,0",
+    ])
+    records, report = load_gaze_records(path)
+    assert report.rejected == [
+        (2, "malformed field: essay_id 100000000000000000000 is outside the int64 range"),
+        (3, "malformed field: ia_index 100000000000000000000 is outside the int64 range"),
+        (4, "malformed field: run_count 100000000000000000000 is outside the int64 range"),
+        (5, "malformed field: run_count -9223372036854775809 is outside the int64 range"),
+    ]
+    assert records.essay_id.dtype == records.run_count.dtype == np.int64
+    assert records.run_count.tolist() == [2**63 - 1]
+
+
+def reference_bin_fixation(fv, mu, sigma):
+    """The scalar six-case binning that bin_fixation generalised to arrays."""
+    if fv == 0:
+        return 0
+    if sigma == 0:
+        return 1 if fv < mu else 3 if fv == mu else 5
+    if fv <= mu - sigma:
+        return 1
+    if fv <= mu - 0.5 * sigma:
+        return 2
+    if fv <= mu + 0.5 * sigma:
+        return 3
+    if fv <= mu + sigma:
+        return 4
+    return 5
+
+
+def reference_reader_stats(records):
+    by_reader = {}
+    for r in records:
+        by_reader.setdefault(r.reader_id, []).append(r)
+    return {reader_id: gaze.ReaderStats(
+        reader_id=reader_id,
+        dt_mean=float(np.array([r.dwell_time_ms for r in recs]).mean()),
+        dt_std=float(np.array([r.dwell_time_ms for r in recs]).std()),
+        ffd_mean=float(np.array([r.first_fixation_ms for r in recs]).mean()),
+        ffd_std=float(np.array([r.first_fixation_ms for r in recs]).std()),
+        n_records=len(recs),
+        provenance=frozenset(r.essay_id for r in recs)) for reader_id, recs in by_reader.items()}
+
+
+def reference_bin_record(r, stats):
+    return BinnedGaze(
+        dt_bin=reference_bin_fixation(r.dwell_time_ms, stats.dt_mean, stats.dt_std),
+        ffd_bin=reference_bin_fixation(r.first_fixation_ms, stats.ffd_mean, stats.ffd_std),
+        ir_bin=int(r.is_regression), rc_bin=min(int(r.run_count), 5), skip_bin=int(r.skip))
+
+
+def reference_bin_all(records, stats, essays):
+    """The per-record binning loop that bin_all's column code replaced."""
+    sequences, diagnostics = {}, []
+    for r in records:
+        essay = essays.get(r.essay_id)
+        if essay is None:
+            diagnostics.append(f"essay {r.essay_id}: no such essay for reader {r.reader_id}")
+            continue
+        if r.reader_id not in stats:
+            diagnostics.append(f"essay {r.essay_id}: no statistics for reader {r.reader_id}")
+            continue
+        n_tokens = len(essay.tokens)
+        if r.ia_index >= n_tokens:
+            diagnostics.append(f"essay {r.essay_id}, reader {r.reader_id}: ia_index "
+                               f"{r.ia_index} out of range for {n_tokens} tokens")
+            continue
+        seq = sequences.setdefault(r.essay_id, {}).setdefault(r.reader_id, [None] * n_tokens)
+        if seq[r.ia_index] is not None:
+            diagnostics.append(f"essay {r.essay_id}, reader {r.reader_id}: duplicate "
+                               f"record for token {r.ia_index}")
+            continue
+        seq[r.ia_index] = reference_bin_record(r, stats[r.reader_id])
+    return sequences, diagnostics
+
+
+_BIN_ESSAYS = {1: essay_with_tokens(1, 3), 2: essay_with_tokens(2, 6), 3: essay_with_tokens(3, 0)}
+
+_BIN_RECORDS = st.lists(st.builds(
+    record,
+    essay_id=st.sampled_from([1, 2, 3, 9]),  # 3 has no tokens, 9 is no essay
+    reader=st.sampled_from(["a", "b", "c"]),
+    ia=st.integers(0, 7),
+    dt=st.sampled_from([0.0, 60.0, 100.0, 100.0, 140.0, 0.1 + 0.2, 1e6]),
+    ffd=st.sampled_from([0.0, 60.0, 80.0, 1 / 3]),
+    ir=st.integers(0, 1), rc=st.integers(0, 9), skip=st.integers(0, 1)), max_size=40)
+
+
+@given(records=_BIN_RECORDS, stats_readers=st.sets(st.sampled_from(["a", "b", "c"])))
+@settings(max_examples=300, deadline=None)
+def test_bin_all_matches_the_per_record_loop(records, stats_readers):
+    # readers outside stats_readers have no statistics; one-record or constant
+    # readers have sigma 0
+    stats = reader_stats(table(records))
+    assert stats == reference_reader_stats(records)
+    stats = {reader_id: s for reader_id, s in stats.items() if reader_id in stats_readers}
+    sequences, diagnostics = bin_all(table(records), stats, _BIN_ESSAYS)
+    expected_sequences, expected_diagnostics = reference_bin_all(records, stats, _BIN_ESSAYS)
+    assert diagnostics == expected_diagnostics
+    # same entries, in the same order, holding the same Python ints
+    assert repr([(e, list(g.items())) for e, g in sequences.items()]) == repr(
+        [(e, list(g.items())) for e, g in expected_sequences.items()])
 
