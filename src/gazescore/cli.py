@@ -19,10 +19,12 @@ Each file written and read back is declared once: ``report.csv`` by
 fields, a corpus cache by ``Essay``'s fields. ``_write_csv`` writes every
 CSV file. The results the files hold are assembled in ``experiments``.
 
-At any --jobs, train, run, ablate and gridsearch run every cell, list each
-failed cell in failures.txt and on stderr, and exit 1 if any failed. run
-reports the cells that finished; the others write results only when every
-cell succeeded. Each cell prints its label, and at --jobs 1 its epoch lines.
+train, run, ablate and gridsearch run their cells in --jobs worker
+processes, by default one per usable CPU. At any --jobs they run every
+cell, list each failed cell in failures.txt and on stderr, and exit 1 if
+any failed. run reports the cells that finished; the others write results
+only when every cell succeeded. Each cell prints its label and then its
+epoch lines, in cell order, so stdout is the same at any --jobs.
 """
 
 import argparse
@@ -497,7 +499,12 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
             set_ids = sorted(e.essay_id for e in essays.values() if e.set_id == set_id)
             folds[set_id] = make_folds(set_ids, seed=seed)
 
-    gaze_ids = frozenset(opt_list(options, "gaze_essay_ids", cast=int)) or gaze_essays
+    gaze_ids = frozenset(opt_list(options, "gaze_essay_ids", cast=int))
+    if not gaze_ids:  # the default pool: every gaze essay the corpus holds
+        gaze_ids = gaze_essays.intersection(essays)
+        if gaze_ids != gaze_essays:
+            print(f"warning: gaze pool leaves out essays missing from the corpus "
+                  f"{sorted(gaze_essays - gaze_ids)}", file=sys.stderr)
 
     data = ExperimentData(
         essays=essays,
@@ -728,7 +735,15 @@ COMMANDS = {
 }
 
 
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser():
+    cpus = usable_cpus()
     parser = argparse.ArgumentParser(
         prog="gazescore",
         description="Essay grading pipeline with auxiliary gaze-behaviour losses.",
@@ -742,9 +757,9 @@ def build_parser():
         sub.add_argument("--seed", type=int, default=None,
                          help="master seed (overrides config)")
         sub.add_argument("--out", required=True, help="output directory")
-        sub.add_argument("--jobs", type=int, default=1,
+        sub.add_argument("--jobs", type=int, default=cpus,
                          help="worker processes for train, run, ablate and gridsearch "
-                              "cells (above 1, no epoch lines on stdout)")
+                              f"cells (default: the {cpus} usable CPUs)")
         sub.add_argument("--dry-run", action="store_true",
                          help="write manifest and resolved config, do no work")
         sub.add_argument("--force", action="store_true",

@@ -510,39 +510,65 @@ def fold_cells(config, data, name=None):
             for fold in data.folds[set_id]]
 
 
-# ``data`` as a worker process of :func:`execute_cells` received it at start
-_worker_data = None
+# What a worker process of :func:`execute_cells` received at start: (data, task)
+_worker = None
 
 
-def _keep_worker_data(data):
-    global _worker_data
-    _worker_data = data
+def _start_worker(data, task):
+    global _worker
+    _worker = (data, task)
 
 
-def _run_on_worker_data(task, config, set_id, fold):
-    return task(config, _worker_data, set_id, fold)
+def _run_worker_cell(config, set_id, fold):
+    """(result, logged lines) of one cell on the worker's data; a failing
+    cell's lines travel on its exception as ``cell_lines``."""
+    data, task = _worker
+    lines = []
+    try:
+        return task(config, data, set_id, fold, lines.append), lines
+    except Exception as error:
+        error.cell_lines = lines
+        raise
+
+
+def _worker_result(future, log):
+    """A worker cell's result, or its exception, once ``log`` has its lines."""
+    lines = ()
+    try:
+        result, lines = future.result()
+        return result
+    except Exception as error:
+        lines = vars(error).pop("cell_lines", ())
+        raise
+    finally:
+        if log is not None:
+            for line in lines:
+                log(line)
 
 
 def execute_cells(task, data, cells, jobs=1, log=None, fail_fast=False):
     """Run ``task(config, data, set_id, fold, log)`` for every cell.
 
-    One job runs the cells here, in order, and ``log`` gets each label and
-    then the task's lines; more run them in a pool of ``jobs`` worker
-    processes and ``log`` gets the labels only. Each worker receives
-    ``data`` once, as it starts, and a cell sends only its own arguments.
+    ``log`` gets each cell's label and then the lines the task logged, in
+    cell order, so it gets the same lines at any ``jobs``. One job, or one
+    cell, runs here and logs as it goes; otherwise a pool of
+    ``min(jobs, len(cells))`` worker processes gets ``data`` and ``task``
+    once, as each starts, a cell sends only its own arguments, and a cell's
+    lines, also those of a cell that failed, are logged as its turn comes.
     Returns (results, failures): the finished cells' results in cell order
     and a (cell, exception) pair for each cell that raised. With
     ``fail_fast`` the first failed cell's exception propagates instead, and
     cells still waiting to start are dropped.
     """
     results, failures = [], []
+    workers = min(jobs, len(cells))
     with ExitStack() as stack:
-        if jobs > 1:
-            pool = ProcessPoolExecutor(max_workers=jobs, initializer=_keep_worker_data,
-                                       initargs=(data,))
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                       initargs=(data, task))
             stack.callback(pool.shutdown, cancel_futures=True)
-            outcomes = [pool.submit(_run_on_worker_data, task, c.config, c.set_id,
-                                    c.fold).result
+            outcomes = [partial(_worker_result,
+                                pool.submit(_run_worker_cell, c.config, c.set_id, c.fold), log)
                         for c in cells]
         else:
             outcomes = [partial(task, c.config, data, c.set_id, c.fold, log) for c in cells]

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import os
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gazescore import __version__, cli
+from gazescore import __version__, cli, experiments
 from gazescore.checkpoint import load_checkpoint
 from gazescore.cli import (
     _write_records_csv,
@@ -254,6 +255,13 @@ class TestManifest:
         files = [f for path in inputs.values()
                  for f in ([path] if path.is_file() else sorted(path.iterdir()))]
         assert sorted(manifest["input_digests"]) == sorted(str(f) for f in files)
+
+    def test_jobs_defaults_to_the_usable_cpus(self, data_dir, prep_dir, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, prep_dir, out, "self_attention") + ["--dry-run"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["jobs"] == 3
 
     def test_rerun_refused_without_force(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -696,6 +704,24 @@ class TestRun:
         assert selected == run("filtered", only_r1)
         assert selected != run("unfiltered", both)
 
+    def test_default_gaze_pool_leaves_out_essays_missing_from_the_corpus(
+            self, data_dir, prep_dir, pool_gaze_dir, tmp_path, capsys):
+        records = tmp_path / "records_clean.csv"
+        records.write_text((pool_gaze_dir / "records_clean.csv").read_text()
+                           + "".join(row + "\n" for row in gaze_rows(5555, 8, "r1")))
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, prep_dir, out, "essays_gaze",
+                             "records_clean=" + str(records))) == 0
+        assert capsys.readouterr().err == (
+            "warning: gaze pool leaves out essays missing from the corpus [5555]\n")
+        with open(out / "report.csv", newline="") as fh:
+            assert all(int(r["n_augmented"]) == 6 for r in csv.DictReader(fh))
+        # a pool named explicitly must hold only corpus essays
+        assert main(run_args(data_dir, prep_dir, tmp_path / "named", "essays_gaze",
+                             "records_clean=" + str(records),
+                             "gaze_essay_ids=900,901,902,903,904,905,5555")) == 1
+        assert capsys.readouterr().err == "error: gaze pool references unknown essays [5555]\n"
+
     def test_shared_folds_dir_reused(self, data_dir, prep_dir, tmp_path):
         first = tmp_path / "first"
         assert main(run_args(data_dir, prep_dir, first, "self_attention")) == 0
@@ -713,7 +739,7 @@ class TestRun:
     def test_jobs_two_matches_sequential(self, data_dir, prep_dir, tmp_path):
         seq = tmp_path / "seq"
         par = tmp_path / "par"
-        assert main(run_args(data_dir, prep_dir, seq, "self_attention")) == 0
+        assert main(run_args(data_dir, prep_dir, seq, "self_attention") + ["--jobs", "1"]) == 0
         code = main(run_args(data_dir, prep_dir, par, "self_attention")
                     + ["--jobs", "2"])
         assert code == 0
@@ -787,7 +813,8 @@ class TestTrain:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_cell_returns_only_its_train_result(self, jobs, data_dir, prep_dir, tmp_path,
                                                  monkeypatch):
-        # a worker sends back what train writes out, not the model and examples
+        # a worker would send back what train writes out, not the model and
+        # examples; train has one cell, which runs in this process at any --jobs
         returned = []
 
         def recording(task, *args, **kwargs):
@@ -946,7 +973,7 @@ class TestGridsearch:
         seq = tmp_path / "seq"
         par = tmp_path / "par"
         assert main(self.gridsearch_args(
-            data_dir, prep_dir, set1_gaze_dir, seq)) == 0
+            data_dir, prep_dir, set1_gaze_dir, seq) + ["--jobs", "1"]) == 0
         assert main(self.gridsearch_args(
             data_dir, prep_dir, set1_gaze_dir, par) + ["--jobs", "2"]) == 0
         assert (par / "gridsearch.csv").read_bytes() == \
@@ -1142,6 +1169,75 @@ class TestFailurePolicy:
         else:
             for out in outs:
                 assert not any((out / name).exists() for name in self.RESULT_FILES)
+
+
+class TestJobs:
+    """train, run, ablate and gridsearch give the same output at any --jobs."""
+
+    def command_args(self, command, out, data_dir, prep_dir, pool_gaze_dir, set1_gaze_dir):
+        if command == "gridsearch":  # a grid search scores dev gaze, which set 1 has
+            extra = ["system=co_attention_gaze", "grid=0.05,0.1",
+                     "records_clean=" + str(set1_gaze_dir / "records_clean.csv")]
+        else:
+            extra = ["system=essays_gaze", "fold=2", "attribute=DT",
+                     "records_clean=" + str(pool_gaze_dir / "records_clean.csv")]
+        args = [command, "--config", str(data_dir / "base.cfg"), "--out", str(out)]
+        for pair in ["corpus_cache=" + str(prep_dir / "corpus_cache.json"), "target_sets=1",
+                     "gaze_attributes=DT", "epochs=2", *extra]:
+            args += ["--set", pair]
+        return args
+
+    @pytest.mark.parametrize("command", ["train", "run", "ablate", "gridsearch"])
+    def test_same_output_at_any_jobs(self, command, data_dir, prep_dir, pool_gaze_dir,
+                                     set1_gaze_dir, tmp_path, capsys):
+        outputs = []
+        for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+            out = tmp_path / "".join(jobs or ["default"])
+            code = main(self.command_args(command, out, data_dir, prep_dir, pool_gaze_dir,
+                                          set1_gaze_dir) + jobs)
+            captured = capsys.readouterr()
+            files = {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
+                     if path.is_file() and path.name != "manifest.json"}
+            outputs.append((code, captured.out, captured.err, files))
+        code, stdout, _, files = outputs[0]
+        assert code == 0 and "\nepoch=2 " in stdout and Path("resolved.cfg") in files
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_failed_cell_prints_its_epoch_lines_at_any_jobs(
+            self, data_dir, prep_dir, pool_gaze_dir, set1_gaze_dir, tmp_path, capsys,
+            monkeypatch):
+        run_fold = cli.run_fold
+
+        def failing_after_training(config, data, set_id, fold, log=None):
+            result = run_fold(config, data, set_id, fold, log)
+            if fold.fold_id == 2:
+                raise RuntimeError("fails after training")
+            return result
+
+        monkeypatch.setattr(cli, "run_fold", failing_after_training)
+        outputs = []
+        for jobs in ("1", "2"):
+            code = main(self.command_args("run", tmp_path / jobs, data_dir, prep_dir,
+                                          pool_gaze_dir, set1_gaze_dir) + ["--jobs", jobs])
+            assert code == 1
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == ("failed: system=essays_gaze set=1 fold=2: "
+                                  "RuntimeError: fails after training\n")
+        lines = outputs[0].out.splitlines()
+        start = lines.index("system=essays_gaze set=1 fold=2")
+        assert [line.split()[0] for line in lines[start + 1:start + 4]] == [
+            "epoch=1", "epoch=2", "system=essays_gaze"]
+
+    def test_one_cell_makes_no_pool(self, data_dir, prep_dir, pool_gaze_dir, set1_gaze_dir,
+                                    tmp_path, monkeypatch):
+        def no_pool(**kwargs):
+            raise AssertionError("a pool for one cell")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        assert main(self.command_args("train", tmp_path / "train", data_dir, prep_dir,
+                                      pool_gaze_dir, set1_gaze_dir) + ["--jobs", "2"]) == 0
 
 
 class TestExitCodes:

@@ -521,6 +521,15 @@ def _cell_task(config, data, set_id, fold, log=None):
     return (config.seed, set_id, fold.fold_id, data["offset"] + fold.fold_id)
 
 
+def _logging_task(config, data, set_id, fold, log=None):
+    """Picklable task that logs two lines per cell; fold 2 fails after its first."""
+    log(f"start {fold.fold_id}")
+    if fold.fold_id == 2:
+        raise LeakageError(f"fold {fold.fold_id} leaks")
+    log(f"end {fold.fold_id}")
+    return fold.fold_id
+
+
 def _marking_task(config, data, set_id, fold, log=None):
     """Picklable task: cell 0 fails at once, the others mark ``data`` after a pause."""
     if set_id == 0:
@@ -551,6 +560,31 @@ class TestExecuteCells:
                       log=lines.append)
         assert lines == [f"probe set=1 fold={k}" for k in range(5)]
 
+    def test_log_gets_each_cells_lines_after_its_label_at_any_jobs(self):
+        cells = fold_cells(ExperimentConfig(system="self_attention", target_sets=(1,)),
+                           make_data(), "probe")
+        expected = []
+        for k in range(5):
+            expected += [f"probe set=1 fold={k}", f"start {k}"] + ([f"end {k}"] * (k != 2))
+        for jobs in (1, 2, 3):
+            lines = []
+            results, failures = execute_cells(_logging_task, None, cells, jobs=jobs,
+                                              log=lines.append)
+            assert lines == expected
+            assert results == [0, 1, 3, 4]
+            assert [cell for cell, _ in failures] == [cells[2]]
+            assert not hasattr(failures[0][1], "cell_lines")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_logs_the_failed_cells_lines(self, jobs):
+        cells = fold_cells(ExperimentConfig(system="self_attention", target_sets=(1,)),
+                           make_data(), "probe")
+        lines = []
+        with pytest.raises(LeakageError, match="fold 2 leaks"):
+            execute_cells(_logging_task, None, cells, jobs=jobs, log=lines.append,
+                          fail_fast=True)
+        assert lines[-2:] == ["probe set=1 fold=2", "start 2"]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_raises_before_the_remaining_cells(self, jobs, tmp_path):
         cells = [Cell(None, k, None, f"cell {k}") for k in range(12)]
@@ -577,10 +611,11 @@ class TestExecuteCells:
         data = {"offset": 10}
         cells = fold_cells(ExperimentConfig(system="self_attention", target_sets=(1,)),
                            make_data())
-        results, _ = execute_cells(_cell_task, data, cells, jobs=2)
+        results, _ = execute_cells(_cell_task, data, cells, jobs=8)
         assert [r[-1] for r in results] == [10, 11, 13, 14]
-        assert len(made) == 1 and made[0]["initargs"] == (data,)
-        assert submitted == [(_cell_task, c.config, c.set_id, c.fold) for c in cells]
+        assert len(made) == 1 and made[0]["initargs"] == (data, _cell_task)
+        assert made[0]["max_workers"] == len(cells)
+        assert submitted == [(c.config, c.set_id, c.fold) for c in cells]
 
 
 class TestReportArithmetic:
