@@ -75,7 +75,6 @@ from .experiments import (
 from .gaze import (
     GAZE_ATTRIBUTES,
     GAZE_CSV_COLUMNS,
-    READER_FILTERS,
     BinnedGaze,
     GazeTable,
     bin_all,
@@ -405,12 +404,18 @@ def load_selected_records(options, path, metadata_path):
     """Load gaze CSV ``path``: (the records of the readers that option
     ``reader_filter`` selects, the GazeLoadReport, the ids of every essay
     with a valid record, whichever its readers)."""
-    metadata = load_reader_metadata(metadata_path) if metadata_path else {}
+    native = load_reader_metadata(metadata_path) if metadata_path else frozenset()
     records, report = load_gaze_records(path)
+    essay_ids = frozenset(records.essay_id.tolist())
     name = options.get("reader_filter", "all")
-    reader_filter = name if name in READER_FILTERS else opt_list(options, "reader_filter")
-    return (filter_readers(records, reader_filter, metadata), report,
-            frozenset(records.essay_id.tolist()))
+    if name == "native_only":
+        if not native:
+            raise ValueError("reader_filter native_only needs reader metadata "
+                             "with at least one native reader")
+        records = filter_readers(records, native)
+    elif name != "all":  # any other value lists reader ids
+        records = filter_readers(records, frozenset(opt_list(options, "reader_filter")))
+    return records, report, essay_ids
 
 
 def cmd_bin_gaze(options, seed, paths, out_dir, jobs):

@@ -10,8 +10,9 @@ row of ``SYSTEMS``, which every cell reads.
 
 Runs, ablations and the gaze-weight grid search are lists of cells (one
 configuration on one (set, fold)) that :func:`execute_cells` runs, here or in
-worker processes. The library entry points stop at the first failed cell and
-raise its own exception; the CLI runs every cell and lists every failure.
+worker processes; a cell's outcome, with a worker's logged lines, is a value.
+The library entry points stop at the first failed cell and raise its own
+exception; the CLI runs every cell and lists every failure.
 Beside each kind of cell list is what assembles its results into the
 command's result (:func:`assemble_report`, :func:`ablation_report`,
 :func:`grid_report`); the CLI only writes their files.
@@ -34,9 +35,7 @@ unseen-prompt run) reuse the result kept on their process's
 import math
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -519,31 +518,19 @@ def _start_worker(data, task):
     _worker = (data, task)
 
 
+def _run_cell(task, data, config, set_id, fold, log):
+    """(result, None) of one cell, or (None, error) if it raised."""
+    try:
+        return task(config, data, set_id, fold, log), None
+    except Exception as error:
+        return None, error
+
+
 def _run_worker_cell(config, set_id, fold):
-    """(result, logged lines) of one cell on the worker's data; a failing
-    cell's lines travel on its exception as ``cell_lines``."""
+    """(result, error, logged lines) of one cell on the worker's data."""
     data, task = _worker
     lines = []
-    try:
-        return task(config, data, set_id, fold, lines.append), lines
-    except Exception as error:
-        error.cell_lines = lines
-        raise
-
-
-def _worker_result(future, log):
-    """A worker cell's result, or its exception, once ``log`` has its lines."""
-    lines = ()
-    try:
-        result, lines = future.result()
-        return result
-    except Exception as error:
-        lines = vars(error).pop("cell_lines", ())
-        raise
-    finally:
-        if log is not None:
-            for line in lines:
-                log(line)
+    return (*_run_cell(task, data, config, set_id, fold, lines.append), lines)
 
 
 def execute_cells(task, data, cells, jobs=1, log=None, fail_fast=False):
@@ -553,8 +540,9 @@ def execute_cells(task, data, cells, jobs=1, log=None, fail_fast=False):
     cell order, so it gets the same lines at any ``jobs``. One job, or one
     cell, runs here and logs as it goes; otherwise a pool of
     ``min(jobs, len(cells))`` worker processes gets ``data`` and ``task``
-    once, as each starts, a cell sends only its own arguments, and a cell's
-    lines, also those of a cell that failed, are logged as its turn comes.
+    once, as each starts, a cell sends only its own arguments, and its
+    outcome comes back as (result, error, lines), logged as its turn comes;
+    a cell whose outcome cannot come back (its worker died) fails with no lines.
     Returns (results, failures): the finished cells' results in cell order
     and a (cell, exception) pair for each cell that raised. With
     ``fail_fast`` the first failed cell's exception propagates instead, and
@@ -562,25 +550,33 @@ def execute_cells(task, data, cells, jobs=1, log=None, fail_fast=False):
     """
     results, failures = [], []
     workers = min(jobs, len(cells))
-    with ExitStack() as stack:
-        if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                       initargs=(data, task))
-            stack.callback(pool.shutdown, cancel_futures=True)
-            outcomes = [partial(_worker_result,
-                                pool.submit(_run_worker_cell, c.config, c.set_id, c.fold), log)
-                        for c in cells]
-        else:
-            outcomes = [partial(task, c.config, data, c.set_id, c.fold, log) for c in cells]
-        for cell, outcome in zip(cells, outcomes):
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                               initargs=(data, task)) if workers > 1 else None
+    try:
+        futures = [pool.submit(_run_worker_cell, c.config, c.set_id, c.fold) if pool else None
+                   for c in cells]
+        for cell, future in zip(cells, futures):
             if log is not None:
                 log(cell.label)
-            try:
-                results.append(outcome())
-            except Exception as error:
-                if fail_fast:
-                    raise
+            if future is None:
+                result, error = _run_cell(task, data, cell.config, cell.set_id, cell.fold, log)
+            else:
+                try:
+                    result, error, lines = future.result()
+                except Exception as lost:  # a dead worker or an unpicklable outcome
+                    result, error, lines = None, lost, ()
+                if log is not None:
+                    for line in lines:
+                        log(line)
+            if error is None:
+                results.append(result)
+            elif fail_fast:
+                raise error
+            else:
                 failures.append((cell, error))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return results, failures
 
 

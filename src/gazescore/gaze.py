@@ -32,8 +32,9 @@ import numpy as np
 GAZE_ATTRIBUTES = ("DT", "FFD", "IR", "RC", "Skip")
 GAZE_MAX_BIN = {"DT": 5, "FFD": 5, "IR": 1, "RC": 5, "Skip": 1}
 
-# named reader filters; any other filter is an explicit collection of reader ids
-READER_FILTERS = ("all", "native_only")
+# a longer dwell time or first fixation on one token is a recording fault, and
+# one such row would overflow its reader's deviation
+MAX_FIXATION_MS = 3_600_000.0  # one hour
 
 # rows parsed at a time: a chunk's cells live as Python objects only until
 # its columns are built, which bounds the loader's peak memory
@@ -227,6 +228,8 @@ def _find_violations(t, problems):
         (t.ia_index < 0, lambda i: f"ia_index {t.ia_index[i]} is negative"),
         ((dt < 0) | (ffd < 0), lambda i: "negative fixation duration"),
         (~(np.isfinite(dt) & np.isfinite(ffd)), lambda i: "non-finite fixation duration"),
+        ((dt > MAX_FIXATION_MS) | (ffd > MAX_FIXATION_MS),
+         lambda i: "fixation duration above one hour"),
         (rc < 0, lambda i: f"run_count {rc[i]} is negative"),
         ((ir != 0) & (ir != 1), lambda i: f"is_regression must be 0 or 1, got {ir[i]}"),
         ((skip != 0) & (skip != 1), lambda i: f"skip must be 0 or 1, got {skip[i]}"),
@@ -243,45 +246,24 @@ def _find_violations(t, problems):
 
 
 def load_reader_metadata(path):
-    """Reader metadata CSV with at least (reader_id, native) columns.
+    """The frozenset of the ids of the native readers of a reader metadata CSV.
 
-    Returns {reader_id: {"native": bool, ...extra columns as strings}}.
+    The CSV has at least the columns reader_id and native; native is true
+    when it reads 1, true or yes, in any case.
     """
-    readers = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for required in ("reader_id", "native"):
             if required not in (reader.fieldnames or []):
                 raise ValueError(f"{path}: missing column {required!r}")
-        for row in reader:
-            rid = row["reader_id"].strip()
-            info = {k: v for k, v in row.items() if k not in ("reader_id", "native")}
-            info["native"] = row["native"].strip().lower() in ("1", "true", "yes")
-            readers[rid] = info
-    return readers
+        return frozenset(row["reader_id"].strip() for row in reader
+                         if row["native"].strip().lower() in ("1", "true", "yes"))
 
 
-def filter_readers(records, reader_filter, reader_metadata):
-    """The GazeTable of the rows of ``records`` whose readers ``reader_filter`` selects.
-
-    ``reader_filter`` is ``"all"``, ``"native_only"`` (the readers that
-    ``reader_metadata`` marks native; an error when it marks none) or a
-    non-string collection of reader ids.
-    """
-    if reader_filter == "all":
-        return records
-    if reader_filter == "native_only":
-        allowed = {rid for rid, info in reader_metadata.items() if info.get("native")}
-        if not allowed:
-            raise ValueError("reader_filter native_only needs reader metadata "
-                             "with at least one native reader")
-    elif isinstance(reader_filter, str):
-        raise ValueError(f"reader_filter must be one of {READER_FILTERS} "
-                         f"or a collection of reader ids, got {reader_filter!r}")
-    else:
-        allowed = set(reader_filter)
+def filter_readers(records, readers):
+    """The GazeTable of the rows of ``records`` whose reader id is in set ``readers``."""
     reader_ids, reader_of = _groups(records.reader_id)
-    return records.take(np.array([rid in allowed for rid in reader_ids], dtype=bool)[reader_of])
+    return records.take(np.array([rid in readers for rid in reader_ids], dtype=bool)[reader_of])
 
 
 def _groups(column):

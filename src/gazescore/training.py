@@ -63,15 +63,19 @@ class TrainExample:
 
 
 class TrainingDiverged(RuntimeError):
+    """A batch's loss, or with ``batch_index`` None a dev prediction, is not finite."""
+
     def __init__(self, epoch, batch_index, param_norms):
         self.epoch = epoch
         self.batch_index = batch_index
         self.param_norms = param_norms
         worst = sorted(param_norms.items(), key=lambda kv: -kv[1])[:3]
         summary = ", ".join(f"{name}={norm:.3g}" for name, norm in worst)
-        super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch_index}; "
-            f"largest parameter norms: {summary}")
+        if batch_index is None:
+            where = f"prediction at epoch {epoch}, dev pass"
+        else:
+            where = f"loss at epoch {epoch}, batch {batch_index}"
+        super().__init__(f"non-finite {where}; largest parameter norms: {summary}")
 
     def __reduce__(self):
         # rebuilt from its fields, so a worker process can return it
@@ -175,17 +179,24 @@ def format_epoch_line(stats):
     return " ".join(fields)
 
 
-def dev_qwk(model, examples, sets):
-    """QWK of denormalized predictions against raw scores; nan when empty."""
+def _param_norms(model):
+    return {name: float(np.linalg.norm(t.data)) for name, t in model.named_parameters().items()}
+
+
+def dev_qwk(model, examples, sets, epoch=None):
+    """QWK of denormalized predictions against raw scores; nan when empty. A
+    non-finite prediction raises TrainingDiverged for ``epoch``'s dev pass."""
     if not examples:
         return float("nan")
     set_ids = {ex.set_id for ex in examples}
     if len(set_ids) != 1:
         raise ValueError(f"dev set spans multiple essay sets: {sorted(set_ids)}")
     essay_set = sets[next(iter(set_ids))]
-    outputs = model.forward_batch([ex.sentence_ids for ex in examples])
-    pairs = [(denormalize_score(out.score_value, essay_set), ex.raw_score)
-             for out, ex in zip(outputs, examples)]
+    scores = [out.score_value for out in model.forward_batch([ex.sentence_ids for ex in examples])]
+    if not all(map(math.isfinite, scores)):
+        raise TrainingDiverged(epoch, None, _param_norms(model))
+    pairs = [(denormalize_score(score, essay_set), ex.raw_score)
+             for score, ex in zip(scores, examples)]
     return qwk(pairs, essay_set.score_min, essay_set.score_max)
 
 
@@ -229,9 +240,7 @@ def _train_step(model, optimizer, batch, weights, clip_norm, rng, epoch, batch_i
     outputs = model.forward_batch([ex.sentence_ids for ex in batch], rng)
     loss, breakdown = multitask_loss(outputs, batch, weights)
     if not math.isfinite(float(loss.data)):
-        norms = {name: float(np.linalg.norm(t.data))
-                 for name, t in model.named_parameters().items()}
-        raise TrainingDiverged(epoch, batch_index, norms)
+        raise TrainingDiverged(epoch, batch_index, _param_norms(model))
     params = optimizer.parameters
     zero_grads(params)
     backward(loss, parameters=params)
@@ -246,7 +255,8 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
 
     Returns a TrainResult. The per-epoch breakdown aggregates training-mode
     batch losses; dev QWK is computed after each epoch in evaluation mode.
-    An empty dev set yields nan QWK and the final epoch's checkpoint. A
+    An empty dev set yields nan QWK and the final epoch's checkpoint; a
+    non-finite batch loss or dev prediction raises TrainingDiverged. A
     batch's essays share one article encoding, so one article dropout mask.
     Training starts at once: no evaluation pass precedes the first epoch.
     """
@@ -283,7 +293,7 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
                                                 config.clip_norm, rng, epoch, batch_index))
             batch_sizes.append(len(batch))
         epoch_breakdown = _aggregate_epoch(batch_breakdowns, batch_sizes)
-        epoch_qwk = dev_qwk(model, dev_examples, sets)
+        epoch_qwk = dev_qwk(model, dev_examples, sets, epoch)
         stats = EpochStats(epoch=epoch, breakdown=epoch_breakdown, dev_qwk=epoch_qwk)
         history.append(stats)
         if log is not None:

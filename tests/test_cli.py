@@ -35,7 +35,7 @@ from gazescore.gaze import (
     load_gaze_records,
     reader_stats,
 )
-from gazescore.training import TrainResult
+from gazescore.training import TrainingDiverged, TrainResult
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue",
          "tree", "bird", "sky", "sun", "moon", "hill"]
@@ -1229,6 +1229,36 @@ class TestJobs:
         start = lines.index("system=essays_gaze set=1 fold=2")
         assert [line.split()[0] for line in lines[start + 1:start + 4]] == [
             "epoch=1", "epoch=2", "system=essays_gaze"]
+
+    def test_diverged_cell_prints_its_epoch_line_at_any_jobs(
+            self, data_dir, prep_dir, pool_gaze_dir, set1_gaze_dir, tmp_path, capsys,
+            monkeypatch):
+        train = experiments.train
+
+        def diverging_in_fold_1(model, train_examples, dev_examples, config, sets, log=None):
+            if config.seed % 1000 != 1:  # a cell's seed ends in its fold id
+                return train(model, train_examples, dev_examples, config, sets, log)
+            log("epoch=1 score_mse=inf")
+            raise TrainingDiverged(1, 0, {"w": float("inf")})
+
+        # the pool forks after this, so its workers run the patched train too
+        monkeypatch.setattr(experiments, "train", diverging_in_fold_1)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            code = main(self.command_args("run", out, data_dir, prep_dir,
+                                          pool_gaze_dir, set1_gaze_dir) + ["--jobs", jobs])
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err, (out / "failures.txt").read_text()))
+        assert outputs[1] == outputs[0]
+        code, stdout, stderr, failures = outputs[0]
+        assert code == 1 and stderr == "failed: " + failures
+        assert failures == ("system=essays_gaze set=1 fold=1: TrainingDiverged: "
+                            f"{TrainingDiverged(1, 0, {'w': float('inf')})}\n")
+        lines = stdout.splitlines()
+        start = lines.index("system=essays_gaze set=1 fold=1")
+        assert lines[start + 1:start + 3] == ["epoch=1 score_mse=inf",
+                                              "system=essays_gaze set=1 fold=2"]
 
     def test_one_cell_makes_no_pool(self, data_dir, prep_dir, pool_gaze_dir, set1_gaze_dir,
                                     tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 """Folding, systems, leakage guards, ablation and significance comparison."""
 
 import math
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +47,7 @@ from gazescore.experiments import (
     train_cell,
 )
 from gazescore import experiments
+from gazescore.cli import _write_records_csv, load_selected_records
 from gazescore.gaze import (
     GazeRecord,
     GazeTable,
@@ -55,7 +58,7 @@ from gazescore.gaze import (
 )
 from gazescore.metrics import paired_t_test
 from gazescore.model import EssayScorer
-from gazescore.training import dev_qwk, evaluate_breakdown, prepare_example
+from gazescore.training import TrainingDiverged, dev_qwk, evaluate_breakdown, prepare_example
 
 TOKENS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue"]
 
@@ -521,12 +524,26 @@ def _cell_task(config, data, set_id, fold, log=None):
     return (config.seed, set_id, fold.fold_id, data["offset"] + fold.fold_id)
 
 
+def _fold_2_error(kind):
+    """The exception ``_logging_task`` raises in fold 2 when its data is ``kind``."""
+    if kind == "diverged":  # rebuilt from its fields when pickled, not from its __dict__
+        return TrainingDiverged(1, 0, {"w": float("inf")})
+    return LeakageError("fold 2 leaks")
+
+
 def _logging_task(config, data, set_id, fold, log=None):
     """Picklable task that logs two lines per cell; fold 2 fails after its first."""
     log(f"start {fold.fold_id}")
     if fold.fold_id == 2:
-        raise LeakageError(f"fold {fold.fold_id} leaks")
+        raise _fold_2_error(data)
     log(f"end {fold.fold_id}")
+    return fold.fold_id
+
+
+def _exiting_task(config, data, set_id, fold, log=None):
+    """Picklable task whose process dies in fold ``data``."""
+    if fold.fold_id == data:
+        os._exit(1)
     return fold.fold_id
 
 
@@ -566,14 +583,27 @@ class TestExecuteCells:
         expected = []
         for k in range(5):
             expected += [f"probe set=1 fold={k}", f"start {k}"] + ([f"end {k}"] * (k != 2))
-        for jobs in (1, 2, 3):
-            lines = []
-            results, failures = execute_cells(_logging_task, None, cells, jobs=jobs,
-                                              log=lines.append)
-            assert lines == expected
-            assert results == [0, 1, 3, 4]
-            assert [cell for cell, _ in failures] == [cells[2]]
-            assert not hasattr(failures[0][1], "cell_lines")
+        for kind in ("leakage", "diverged"):
+            error = _fold_2_error(kind)
+            for jobs in (1, 2, 3):
+                lines = []
+                results, failures = execute_cells(_logging_task, kind, cells, jobs=jobs,
+                                                  log=lines.append)
+                assert lines == expected
+                assert results == [0, 1, 3, 4]
+                assert [(c, type(e), str(e)) for c, e in failures] == [
+                    (cells[2], type(error), str(error))]
+
+    def test_a_dead_worker_fails_its_cell(self):
+        cells = fold_cells(ExperimentConfig(system="self_attention", target_sets=(1,)),
+                           make_data(), "probe")
+        lines = []
+        results, failures = execute_cells(_exiting_task, 1, cells, jobs=2, log=lines.append)
+        assert lines == [cell.label for cell in cells]
+        failed = [cell for cell, _ in failures]
+        assert cells[1] in failed
+        assert all(isinstance(error, BrokenProcessPool) for _, error in failures)
+        assert results == [c.fold.fold_id for c in cells if c not in failed]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_logs_the_failed_cells_lines(self, jobs):
@@ -581,7 +611,7 @@ class TestExecuteCells:
                            make_data(), "probe")
         lines = []
         with pytest.raises(LeakageError, match="fold 2 leaks"):
-            execute_cells(_logging_task, None, cells, jobs=jobs, log=lines.append,
+            execute_cells(_logging_task, "leakage", cells, jobs=jobs, log=lines.append,
                           fail_fast=True)
         assert lines[-2:] == ["probe set=1 fold=2", "start 2"]
 
@@ -736,33 +766,38 @@ def test_evaluation_never_calls_forward(system, monkeypatch):
 
 
 class TestReaderFilters:
-    def records_two_readers(self):
-        essay_set = EssaySet(3, 0, 3)
-        essay = make_essay(7, essay_set, np.random.default_rng(0))
-        return GazeTable.from_records(make_records(essay, "r1") + make_records(essay, "r2"))
+    """``reader_filter`` resolves once, as the records load, to every reader or a set of ids."""
 
-    def test_all_keeps_everything(self):
-        records = self.records_two_readers()
-        assert list(filter_readers(records, "all", {}).rows()) == list(records.rows())
+    def load(self, tmp_path, reader_filter, metadata=None):
+        essay = make_essay(7, EssaySet(3, 0, 3), np.random.default_rng(0))
+        records = GazeTable.from_records(make_records(essay, "r1") + make_records(essay, "r2"))
+        _write_records_csv(tmp_path / "gaze.csv", records)
+        metadata_path = None
+        if metadata is not None:
+            metadata_path = tmp_path / "readers.csv"
+            metadata_path.write_text(metadata)
+        kept, _, essay_ids = load_selected_records(
+            {"reader_filter": reader_filter}, tmp_path / "gaze.csv", metadata_path)
+        assert essay_ids == {7}
+        return records, kept
 
-    def test_native_only_uses_metadata(self):
-        records = self.records_two_readers()
-        metadata = {"r1": {"native": True}, "r2": {"native": False}}
-        kept = filter_readers(records, "native_only", metadata)
+    def test_all_keeps_everything(self, tmp_path):
+        records, kept = self.load(tmp_path, "all", "reader_id,native\nr1,0\n")
+        assert list(kept.rows()) == list(records.rows())
+
+    def test_native_only_uses_metadata(self, tmp_path):
+        _, kept = self.load(tmp_path, "native_only", "reader_id,native\nr1,1\nr2,0\n")
         assert set(kept.reader_id.tolist()) == {"r1"}
 
-    def test_native_only_without_metadata_rejected(self):
-        with pytest.raises(ValueError, match="native"):
-            filter_readers(self.records_two_readers(), "native_only", {})
+    def test_native_only_without_metadata_rejected(self, tmp_path):
+        for metadata in (None, "reader_id,native\nr1,no\n"):
+            with pytest.raises(ValueError, match="native"):
+                self.load(tmp_path, "native_only", metadata)
 
-    def test_explicit_list_filters(self):
-        kept = filter_readers(self.records_two_readers(), ("r2",), {})
+    def test_explicit_list_filters(self, tmp_path):
+        _, kept = self.load(tmp_path, "r2")
         assert set(kept.reader_id.tolist()) == {"r2"}
-
-    def test_bad_reader_filter_rejected(self):
-        # a string is a named filter, never the set of its characters
-        with pytest.raises(ValueError, match="reader_filter must be one of"):
-            filter_readers(self.records_two_readers(), "everyone", {})
+        assert filter_readers(kept, frozenset({"r1"})).reader_id.tolist() == []
 
 
 class TestExamplesFor:

@@ -123,6 +123,23 @@ def test_load_gaze_records_rejects_invalid_rows(tmp_path):
     assert report.rejected[5][0] == 8 and report.rejected[5][1].startswith("malformed field")
 
 
+def test_load_gaze_records_rejects_fixations_above_one_hour(tmp_path):
+    rows = ["1,r1,0,the,250,120,0,2,0", "1,r1,1,cat,0,0,0,0,1", "2,r1,0,dog,90,90,1,1,0"]
+    path = write_gaze_csv(tmp_path, [*rows[:2], "1,r1,2,big,1e300,10,0,1,0",
+                                     "1,r1,3,red,3600001,3600001,0,1,0",
+                                     "1,r1,4,hat,3600000,3600000,0,1,0", rows[2]])
+    records, report = load_gaze_records(path)
+    assert report.rejected == [(4, "fixation duration above one hour"),
+                               (5, "fixation duration above one hour")]
+    assert records.dwell_time_ms.tolist() == [250.0, 0.0, 3600000.0, 90.0]
+    stats = reader_stats(records)["r1"]
+    assert all(map(math.isfinite, (stats.dt_mean, stats.dt_std, stats.ffd_mean, stats.ffd_std)))
+    (tmp_path / "clean").mkdir()
+    clean = write_gaze_csv(tmp_path / "clean", [*rows[:2], "1,r1,4,hat,3600000,3600000,0,1,0",
+                                                rows[2]])
+    assert reader_stats(load_gaze_records(clean)[0]) == {"r1": stats}
+
+
 def test_records_and_bins_declare_their_columns():
     assert GAZE_CSV_COLUMNS == GazeRecord._fields
     assert [name.removesuffix("_bin") for name in BinnedGaze._fields] == [
@@ -145,14 +162,11 @@ def test_load_gaze_records_without_header_holds_no_rows(tmp_path):
 
 def test_load_reader_metadata(tmp_path):
     path = tmp_path / "readers.csv"
-    path.write_text("reader_id,native,age\nr1,1,30\nr2,0,24\nr3,true,41\n")
+    path.write_text("reader_id,native,age\nr1,1,30\nr2,0,24\nr3,true,41\n r4 ,YES,19\n")
     readers = load_reader_metadata(path)
-    assert readers["r1"]["native"] is True
-    assert readers["r2"]["native"] is False
-    assert readers["r3"]["native"] is True
-    assert readers["r1"]["age"] == "30"
+    assert readers == frozenset({"r1", "r3", "r4"})
     records = table([record(reader=rid) for rid in ("r1", "r2", "r3")])
-    kept = filter_readers(records, "native_only", readers)
+    kept = filter_readers(records, readers)
     assert kept.reader_id.tolist() == ["r1", "r3"]
 
 
@@ -402,6 +416,8 @@ def reference_problem(r):
         return "negative fixation duration"
     if not (math.isfinite(r.dwell_time_ms) and math.isfinite(r.first_fixation_ms)):
         return "non-finite fixation duration"
+    if r.dwell_time_ms > 3_600_000 or r.first_fixation_ms > 3_600_000:
+        return "fixation duration above one hour"
     if r.run_count < 0:
         return f"run_count {r.run_count} is negative"
     if r.is_regression not in (0, 1):

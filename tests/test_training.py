@@ -287,12 +287,30 @@ def test_divergence_aborts_with_diagnostics():
     assert "epoch 1" in str(excinfo.value)
 
 
+def test_divergence_in_the_dev_pass_aborts_with_diagnostics():
+    # the epoch's only step throws the parameters far enough out that the dev
+    # pass predicts nan, although every batch loss was finite
+    config = TrainConfig(batch_size=4, epochs=1, seed=0, learning_rate=1e200)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDiverged) as excinfo:
+        train(tiny_model(), make_examples(4), make_examples(3, base=900), config, SETS)
+    assert (excinfo.value.epoch, excinfo.value.batch_index) == (1, None)
+    assert "embedding" in excinfo.value.param_norms
+    assert str(excinfo.value).startswith("non-finite prediction at epoch 1, dev pass; ")
+    # without a dev set nothing is scored, so the same step ends in a nan QWK
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = train(tiny_model(), make_examples(4), [], config, SETS)
+    assert math.isnan(result.best_dev_qwk)
+
+
 def test_divergence_survives_pickling():
     # a worker process hands the exception back to the parent by pickle
-    error = TrainingDiverged(3, 1, {"embedding": 2.5, "conv": 1.0})
-    copy = pickle.loads(pickle.dumps(error))
-    assert (copy.epoch, copy.batch_index, copy.param_norms) == (3, 1, error.param_norms)
-    assert str(copy) == str(error)
+    for batch_index in (1, None):
+        error = TrainingDiverged(3, batch_index, {"embedding": 2.5, "conv": 1.0})
+        copy = pickle.loads(pickle.dumps(error))
+        assert (copy.epoch, copy.batch_index, copy.param_norms) == (3, batch_index,
+                                                                     error.param_norms)
+        assert str(copy) == str(error)
 
 
 def test_train_rejects_overlapping_dev():
