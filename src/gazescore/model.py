@@ -29,6 +29,13 @@ the paper's dimensions the conv outputs, so the gaze heads, are bit-identical.
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
 configured attribute.
+
+In training, each sentence's embedding, dropout, convolution and tanh are
+one graph node (``numerics.encode_tokens``), each attention pool is one
+(``numerics.additive_attention``), and so are the modeling layer, the
+output layer and each gaze head (``numerics.dense``): a 12-sentence essay
+with five gaze heads takes about 43 nodes, loss included, and results equal
+the single ops' bit for bit.
 """
 
 from __future__ import annotations
@@ -220,20 +227,15 @@ class EssayScorer:
 
     def _additive_attention(self, states, w, b, v):
         """Pool (n, d) states into (1, d) with a_i = softmax(v' tanh(W h_i + b))."""
-        u = nm.tanh(nm.add(nm.matmul(states, w), b))
-        scores = nm.transpose(nm.matmul(u, v))  # (1, n)
-        alpha = nm.softmax(scores, axis=-1)
-        return nm.matmul(alpha, states), alpha
+        return nm.additive_attention(states, w, b, v)
 
     def encode_sentence(self, token_ids, rng):
         """(conv outputs (T, F) or None, sentence vector (1, F), word attention)."""
         if len(token_ids) == 0:
             zero = Tensor(np.zeros((1, self.config.conv_filters)))
             return None, zero, None
-        embedded = nm.gather_rows(self.embedding, np.asarray(token_ids, dtype=np.int64))
-        if rng is not None:
-            embedded = nm.dropout(embedded, self.config.dropout, rng)
-        conv = nm.tanh(nm.add(nm.conv1d(embedded, self.conv_w), self.conv_b))
+        conv = nm.encode_tokens(self.embedding, token_ids, self.conv_w, self.conv_b,
+                                self.config.dropout, rng)
         pooled, alpha = self._additive_attention(
             conv, self.word_attn_w, self.word_attn_b, self.word_attn_v)
         return conv, pooled, alpha
@@ -394,15 +396,14 @@ class EssayScorer:
 
         if rng is not None:
             modeling_in = nm.dropout(modeling_in, self.config.dropout, rng)
-        modeled = nm.tanh(nm.add(nm.matmul(modeling_in, self.modeling_w), self.modeling_b))
-        score = nm.sigmoid(nm.add(nm.matmul(modeled, self.output_w), self.output_b))
+        modeled = nm.dense(modeling_in, self.modeling_w, self.modeling_b, "tanh")
+        score = nm.dense(modeled, self.output_w, self.output_b, "sigmoid")
 
         real_convs = [c for c in conv_outputs if c is not None]
         gaze_predictions = {}
         if self.config.gaze_attributes and real_convs:
             all_tokens = nm.concat(real_convs, axis=0)
             for attribute in self.config.gaze_attributes:
-                logits = nm.add(nm.matmul(all_tokens, self.gaze_w[attribute]),
-                                self.gaze_b[attribute])
-                gaze_predictions[attribute] = nm.sigmoid(logits)
+                gaze_predictions[attribute] = nm.dense(
+                    all_tokens, self.gaze_w[attribute], self.gaze_b[attribute], "sigmoid")
         return ForwardOutput(predicted_score=score, gaze_predictions=gaze_predictions)

@@ -30,6 +30,17 @@ gradient; rows it never read are left untouched rather than given + 0.0.
 op as ``conv1d`` keeps its kernel loop; forward and backward evaluate the
 same expressions, in the same order, as the per-step composition of
 ``narrow``, ``matmul``, ``add``, ``sigmoid``, ``tanh`` and ``mul``.
+
+Three fused ops run a chain of single ops as one node, keeping only the
+arrays their backward reads: ``encode_tokens`` (gather, dropout, conv1d,
+bias, tanh), ``additive_attention`` (matmul, bias, tanh, matmul,
+transpose, softmax, matmul) and ``dense`` (matmul, bias, tanh or sigmoid).
+Each chain's intermediates have a single consumer, inside the chain, so in
+reverse topological order its nodes replay as one contiguous run, and the
+fused node's parents are listed so that the rest of the graph keeps its
+order. A fused backward that runs its members' gradient formulas (the
+private helpers the single ops use) in that run's order therefore adds the
+same terms into each input in the same order: results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -151,14 +162,131 @@ def zero_grads(parameters):
 
 
 # ---------------------------------------------------------------------------
+# formulas shared by the single ops and the fused ones
+# ---------------------------------------------------------------------------
+
+def _check_matmul(op, a, b):
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+
+
+def _add_bias(op, z, b):
+    """z (n, m) + b (m,)."""
+    if b.shape != z.shape[1:]:
+        raise ShapeError(f"{op}: bias of shape {b.shape} does not fit shape {z.shape}")
+    return z + b
+
+
+def _check_conv(op, x_shape, w_shape):
+    if len(x_shape) != 2 or len(w_shape) != 3:
+        raise ShapeError(f"{op}: expected x (T, Cin) and w (k, Cin, Cout), got {x_shape} and {w_shape}")
+    if w_shape[0] % 2 == 0:
+        raise ShapeError(f"{op}: kernel size must be odd, got {w_shape[0]}")
+    if x_shape[1] != w_shape[1]:
+        raise ShapeError(f"{op}: incompatible shapes {x_shape} and {w_shape}")
+
+
+def _conv_forward(x, w):
+    """(x zero-padded by (k-1)/2 rows a side, the sum over k windows of xp @ w[j])."""
+    k, t = len(w), len(x)
+    pad = (k - 1) // 2
+    xp = np.zeros((t + 2 * pad, x.shape[1]), dtype=x.dtype)
+    xp[pad:pad + t] = x
+    out = np.zeros((t, w.shape[2]), dtype=np.result_type(x, w))
+    for j in range(k):
+        out += xp[j:j + t] @ w[j]
+    return xp, out
+
+
+def _conv_weight_grad(xp, w, g):
+    gw = np.empty_like(w)
+    for j in range(len(w)):
+        gw[j] = xp[j:j + len(g)].T @ g
+    return gw
+
+
+def _conv_input_grad(xp, w, g):
+    t, pad = len(g), (len(w) - 1) // 2
+    gxp = np.zeros_like(xp)
+    for j in range(len(w)):
+        gxp[j:j + t] += g @ w[j].T
+    return gxp[pad:pad + t]
+
+
+def _sigmoid(d):
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _sigmoid_grad(g, out):
+    return g * out * (1.0 - out)
+
+
+def _tanh_grad(g, out):
+    return g * (1.0 - out * out)
+
+
+_ACTIVATIONS = {"tanh": (np.tanh, _tanh_grad), "sigmoid": (_sigmoid, _sigmoid_grad)}
+
+
+def _softmax(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g, out, axis):
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - inner)
+
+
+def _dropout(op, x, p, rng):
+    """(output, keep mask, scale) of inverted dropout on array x; p = 0 draws
+    nothing and gives (x, None, None)."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"{op}: probability must be in [0, 1), got {p}")
+    if p == 0.0:
+        return x, None, None
+    keep = (rng.random(x.shape) >= p).astype(x.dtype)
+    scale = 1.0 / (1.0 - p)
+    return x * keep * scale, keep, scale
+
+
+def _gather_ids(op, table, ids):
+    if table.ndim != 2:
+        raise ShapeError(f"{op}: table must be 2-d, got shape {table.shape}")
+    idx = np.asarray(ids, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ShapeError(f"{op}: ids must be 1-d, got shape {idx.shape}")
+    n = table.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"{op}: index out of range for table with {n} rows")
+    return idx
+
+
+def _gather_grad(table, idx, g):
+    """Add row i of g into row idx[i] of table's gradient, each row's terms
+    summed in the order ``np.add.at`` on a dense table would add them."""
+    order = np.argsort(idx, kind="stable")
+    rows = idx[order]
+    if (rows[1:] != rows[:-1]).all():
+        # distinct rows: + 0.0 turns -0.0 into +0.0, as add.at into zeros does
+        _owned_grad(table)[rows] += g[order] + 0.0
+        return
+    rows, inverse = np.unique(idx, return_inverse=True)
+    summed = np.zeros((rows.size, g.shape[1]), dtype=g.dtype)
+    np.add.at(summed, inverse, g)
+    _owned_grad(table)[rows] += summed
+
+
+# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
     """Strict 2-d matrix product: (n,k) @ (k,m) -> (n,m)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
+    _check_matmul("matmul", a.data, b.data)
     out_data = a.data @ b.data
 
     def grad_fn(g):
@@ -233,39 +361,16 @@ def conv1d(x, w):
     position-for-position with the input tokens; k must be odd.
     """
     x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim != 2 or w.data.ndim != 3:
-        raise ShapeError(f"conv1d: expected x (T, Cin) and w (k, Cin, Cout), got {x.data.shape} and {w.data.shape}")
-    k, cin, cout = w.data.shape
-    if k % 2 == 0:
-        raise ShapeError(f"conv1d: kernel size must be odd, got {k}")
-    if x.data.shape[1] != cin:
-        raise ShapeError(f"conv1d: incompatible shapes {x.data.shape} and {w.data.shape}")
-    t = x.data.shape[0]
-    pad = (k - 1) // 2
-    xp = np.zeros((t + 2 * pad, cin), dtype=x.data.dtype)
-    xp[pad:pad + t] = x.data
-    out_data = np.zeros((t, cout), dtype=np.result_type(x.data, w.data))
-    for j in range(k):
-        out_data += xp[j:j + t] @ w.data[j]
+    _check_conv("conv1d", x.data.shape, w.data.shape)
+    xp, out_data = _conv_forward(x.data, w.data)
 
     def grad_fn(g):
         if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for j in range(k):
-                gw[j] = xp[j:j + t].T @ g
-            _accumulate(w, gw)
+            _accumulate(w, _conv_weight_grad(xp, w.data, g))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[j:j + t] += g @ w.data[j].T
-            _accumulate(x, gxp[pad:pad + t])
+            _accumulate(x, _conv_input_grad(xp, w.data, g))
 
     return _make_output(out_data, (x, w), grad_fn)
-
-
-def _sigmoid(d):
-    e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x):
@@ -273,7 +378,7 @@ def sigmoid(x):
     out_data = _sigmoid(x.data)
 
     def grad_fn(g):
-        _accumulate(x, g * out_data * (1.0 - out_data))
+        _accumulate(x, _sigmoid_grad(g, out_data))
 
     return _make_output(out_data, (x,), grad_fn)
 
@@ -283,7 +388,7 @@ def tanh(x):
     out_data = np.tanh(x.data)
 
     def grad_fn(g):
-        _accumulate(x, g * (1.0 - out_data * out_data))
+        _accumulate(x, _tanh_grad(g, out_data))
 
     return _make_output(out_data, (x,), grad_fn)
 
@@ -291,13 +396,10 @@ def tanh(x):
 def softmax(x, axis=-1):
     """Numerically stable softmax along ``axis``; rows sum to 1."""
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(x.data, axis)
 
     def grad_fn(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(x, out_data * (g - inner))
+        _accumulate(x, _softmax_grad(g, out_data, axis))
 
     return _make_output(out_data, (x,), grad_fn)
 
@@ -309,13 +411,9 @@ def dropout(x, p, rng):
     evaluation path the identity without rescaling.
     """
     x = _as_tensor(x)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout: probability must be in [0, 1), got {p}")
-    if p == 0.0:
+    out_data, keep, scale = _dropout("dropout", x.data, p, rng)
+    if keep is None:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
-    scale = 1.0 / (1.0 - p)
-    out_data = x.data * keep * scale
 
     def grad_fn(g):
         _accumulate(x, g * keep * scale)
@@ -343,21 +441,11 @@ def mse(pred, target):
 def gather_rows(table, ids):
     """Select rows of a 2-d tensor by integer index (embedding lookup)."""
     table = _as_tensor(table)
-    if table.data.ndim != 2:
-        raise ShapeError(f"gather_rows: table must be 2-d, got shape {table.data.shape}")
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows: ids must be 1-d, got shape {idx.shape}")
-    n = table.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"gather_rows: index out of range for table with {n} rows")
+    idx = _gather_ids("gather_rows", table.data, ids)
     out_data = table.data[idx]
 
     def grad_fn(g):
-        rows, inverse = np.unique(idx, return_inverse=True)
-        summed = np.zeros((rows.size, g.shape[1]), dtype=g.dtype)
-        np.add.at(summed, inverse, g)
-        _owned_grad(table)[rows] += summed
+        _gather_grad(table, idx, g)
 
     return _make_output(out_data, (table,), grad_fn)
 
@@ -451,6 +539,97 @@ def transpose(x):
     return _make_output(x.data.T, (x,), grad_fn)
 
 
+# ---------------------------------------------------------------------------
+# fused ops: one node for a chain of the ops above
+# ---------------------------------------------------------------------------
+
+def encode_tokens(table, ids, conv_w, conv_b, p, rng):
+    """tanh(conv1d(dropout(gather_rows(table, ids), p, rng), conv_w) + conv_b) as one node.
+
+    Without an rng there is no dropout, as in evaluation. The token encodings
+    (T, Cout) equal the chain's bit for bit, dropout draws the same mask at the
+    same point, and the backward adds into conv_b, conv_w and the table's rows
+    in the chain's order.
+    """
+    table, conv_w, conv_b = _as_tensor(table), _as_tensor(conv_w), _as_tensor(conv_b)
+    idx = _gather_ids("encode_tokens", table.data, ids)
+    embedded, keep, scale = table.data[idx], None, None
+    if rng is not None:
+        embedded, keep, scale = _dropout("encode_tokens", embedded, p, rng)
+    _check_conv("encode_tokens", embedded.shape, conv_w.data.shape)
+    xp, conv = _conv_forward(embedded, conv_w.data)
+    out_data = np.tanh(_add_bias("encode_tokens", conv, conv_b.data))
+
+    def grad_fn(g):
+        g = _tanh_grad(g, out_data)
+        _accumulate(conv_b, _unbroadcast(g, conv_b.data.shape))
+        if conv_w.requires_grad:
+            _accumulate(conv_w, _conv_weight_grad(xp, conv_w.data, g))
+        if table.requires_grad:
+            g = _conv_input_grad(xp, conv_w.data, g)
+            _gather_grad(table, idx, g if keep is None else g * keep * scale)
+
+    return _make_output(out_data, (table, conv_w, conv_b), grad_fn)
+
+
+def additive_attention(states, w, b, v):
+    """Pool states (n, d) into (1, d) as one node: (pooled, alpha), where
+    alpha = softmax(transpose(tanh(states @ w + b) @ v)) and pooled = alpha @ states.
+
+    alpha (1, n) holds values only, outside the graph. The backward adds into
+    states (twice), v, b and w in the chain's order, so results equal the
+    chain's bit for bit.
+    """
+    states, w, b, v = (_as_tensor(t) for t in (states, w, b, v))
+    _check_matmul("additive_attention", states.data, w.data)
+    u = np.tanh(_add_bias("additive_attention", states.data @ w.data, b.data))
+    _check_matmul("additive_attention", u, v.data)
+    alpha = _softmax((u @ v.data).T, -1)
+    out_data = alpha @ states.data
+
+    def grad_fn(g):
+        g_alpha = g @ states.data.T
+        if states.requires_grad:
+            _accumulate(states, alpha.T @ g)
+        g_scores = _softmax_grad(g_alpha, alpha, -1).T
+        g_u = g_scores @ v.data.T
+        if v.requires_grad:
+            _accumulate(v, u.T @ g_scores)
+        g_z = _tanh_grad(g_u, u)
+        _accumulate(b, _unbroadcast(g_z, b.data.shape))
+        if states.requires_grad:
+            _accumulate(states, g_z @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, states.data.T @ g_z)
+
+    # parents in the order that gives the chain's topological order
+    return _make_output(out_data, (w, b, v, states), grad_fn), Tensor(alpha)
+
+
+def dense(x, w, b, activation):
+    """activation(x @ w + b) as one node; activation is "tanh" or "sigmoid".
+
+    The backward adds into b, x and w in the chain's order, so results equal
+    the chain's bit for bit.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"dense: unknown activation {activation!r}")
+    forward, gradient = _ACTIVATIONS[activation]
+    _check_matmul("dense", x.data, w.data)
+    out_data = forward(_add_bias("dense", x.data @ w.data, b.data))
+
+    def grad_fn(g):
+        g = gradient(g, out_data)
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+
+    return _make_output(out_data, (x, w, b), grad_fn)
+
+
 OP_KINDS = {
     "matmul": matmul,
     "add": add,
@@ -467,4 +646,7 @@ OP_KINDS = {
     "lstm": lstm,
     "sum": tensor_sum,
     "transpose": transpose,
+    "encode_tokens": encode_tokens,
+    "additive_attention": additive_attention,
+    "dense": dense,
 }

@@ -179,8 +179,19 @@ def format_epoch_line(stats):
     return " ".join(fields)
 
 
+def _norm(array):
+    """Euclidean norm as max|x| * ||x / max|x|||, finite wherever the norm is;
+    inf when an entry is not finite."""
+    top = float(np.max(np.abs(array), initial=0.0))
+    if not math.isfinite(top):
+        return math.inf
+    if top == 0.0:
+        return 0.0
+    return top * math.sqrt(float(np.sum((array / top) ** 2)))
+
+
 def _param_norms(model):
-    return {name: float(np.linalg.norm(t.data)) for name, t in model.named_parameters().items()}
+    return {name: _norm(t.data) for name, t in model.named_parameters().items()}
 
 
 def dev_qwk(model, examples, sets, epoch=None):

@@ -231,6 +231,31 @@ def _inst_transpose(rng):
     return [rng.standard_normal(shape)], lambda ts: nm.transpose(ts[0])
 
 
+def _inst_encode_tokens(rng):
+    n, d, cout = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    k = int(rng.choice([1, 3, 5]))
+    ids = rng.integers(0, n, size=int(rng.integers(1, 7)))  # repeats accumulate
+    p = float(rng.choice([0.0, 0.5]))
+    seed = int(rng.integers(1 << 31))
+    return [rng.standard_normal((n, d)), rng.standard_normal((k, d, cout)),
+            rng.standard_normal(cout)], \
+        lambda ts: nm.encode_tokens(ts[0], ids, ts[1], ts[2], p, np.random.default_rng(seed))
+
+
+def _inst_additive_attention(rng):
+    n, d, a = (int(rng.integers(1, 5)) for _ in range(3))
+    return [rng.standard_normal((n, d)), rng.standard_normal((d, a)), rng.standard_normal(a),
+            rng.standard_normal((a, 1))], \
+        lambda ts: nm.additive_attention(*ts)[0]
+
+
+def _inst_dense(rng):
+    n, k, m = (int(rng.integers(1, 5)) for _ in range(3))
+    activation = str(rng.choice(["tanh", "sigmoid"]))
+    return [rng.standard_normal((n, k)), rng.standard_normal((k, m)), rng.standard_normal(m)], \
+        lambda ts: nm.dense(ts[0], ts[1], ts[2], activation)
+
+
 OP_INSTANCES = {
     "matmul": _inst_matmul,
     "add": _inst_add,
@@ -247,6 +272,9 @@ OP_INSTANCES = {
     "lstm": _inst_lstm,
     "sum": _inst_sum,
     "transpose": _inst_transpose,
+    "encode_tokens": _inst_encode_tokens,
+    "additive_attention": _inst_additive_attention,
+    "dense": _inst_dense,
 }
 
 

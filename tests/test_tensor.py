@@ -272,6 +272,35 @@ def test_gather_rows_gradient_matches_dense_reference_bitwise():
     assert np.array_equal(table.grad, dense[0] + dense[1])
 
 
+# signed zeros: np.add.at into a zero buffer turns a -0.0 term into +0.0
+GRAD_VALUES = st.sampled_from([0.0, -0.0, -0.0, 1.0, -2.5, 1e-300]) | st.floats(-10, 10)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_gather_rows_backward_matches_the_unique_add_at_reference(data):
+    n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    ids = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=8)), dtype=np.int64)
+
+    def array(shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(GRAD_VALUES, min_size=size, max_size=size)),
+                        dtype=np.float64).reshape(shape)
+
+    g = array((ids.size, d))
+    held = data.draw(st.booleans())
+    table = Tensor(np.zeros((n, d)), requires_grad=True)
+    expected = array((n, d)) if held else np.zeros((n, d))
+    if held:  # a gradient left from an earlier backward
+        table.grad = expected.copy()
+    backward(nm.tensor_sum(nm.mul(nm.gather_rows(table, ids), Tensor(g))))
+    rows, inverse = np.unique(ids, return_inverse=True)
+    summed = np.zeros((rows.size, d))
+    np.add.at(summed, inverse.reshape(-1), g)
+    expected[rows] += summed
+    assert table.grad.tobytes() == expected.tobytes()
+
+
 def test_gather_rows_bounds_checked():
     table = Tensor(np.zeros((4, 2)))
     with pytest.raises(IndexError):

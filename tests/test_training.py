@@ -3,6 +3,7 @@
 import gc
 import math
 import pickle
+import warnings
 import weakref
 
 import numpy as np
@@ -311,6 +312,27 @@ def test_divergence_survives_pickling():
         assert (copy.epoch, copy.batch_index, copy.param_norms) == (3, batch_index,
                                                                      error.param_norms)
         assert str(copy) == str(error)
+
+
+def test_divergence_names_the_parameter_that_blew_up():
+    # a norm that squares its entries overflows above about 1e154, so every
+    # norm read inf and the message named the first three parameters
+    model = tiny_model()
+    model.conv_w.data[:] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = training_module._param_norms(model)
+        message = str(TrainingDiverged(1, 0, norms))
+    assert math.isfinite(norms["conv.w"]) and norms["conv.w"] > 1e200
+    assert message.split("largest parameter norms: ")[1].startswith("conv.w=")
+    for name, tensor in model.named_parameters().items():
+        if name != "conv.w":
+            assert norms[name] == pytest.approx(np.linalg.norm(tensor.data), rel=1e-12), name
+    assert norms["conv.b"] == 0.0
+    model.conv_b.data[1] = np.nan
+    model.lstm_b.data[0] = -np.inf
+    norms = training_module._param_norms(model)
+    assert norms["conv.b"] == norms["lstm.b"] == math.inf
 
 
 def test_train_rejects_overlapping_dev():
