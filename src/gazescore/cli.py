@@ -24,7 +24,7 @@ processes, by default one per usable CPU. At any --jobs they run every
 cell, list each failed cell in failures.txt and on stderr, and exit 1 if
 any failed. run reports the cells that finished; the others write results
 only when every cell succeeded. Each cell prints its label and then its
-epoch lines, in cell order, so stdout is the same at any --jobs.
+epoch lines, in cell order, so stdout and stderr are the same at any --jobs.
 """
 
 import argparse
@@ -34,7 +34,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -55,6 +55,7 @@ from .experiments import (
     ExperimentData,
     ExperimentReport,
     FoldResult,
+    LeakageError,
     Prediction,
     ablation_cells,
     ablation_report,
@@ -70,7 +71,7 @@ from .experiments import (
     make_folds,
     run_fold,
     save_folds,
-    train_fold,
+    train_cell,
 )
 from .gaze import (
     GAZE_ATTRIBUTES,
@@ -593,17 +594,20 @@ def cmd_train(options, seed, paths, out_dir, jobs):
     def pick_fold(config, data):
         if len(config.target_sets) != 1:
             raise CliError("train works on a single set; give set=<id>")
-        cells = fold_cells(config, data)  # checks what run checks
-        fold_ids = [cell.fold.fold_id for cell in cells]
-        if fold_id not in fold_ids:
-            raise CliError(f"fold {fold_id} out of range; set {config.target_sets[0]} "
-                           f"has fold ids {fold_ids}")
-        return [cells[fold_ids.index(fold_id)]]
+        (set_id,) = config.target_sets
+        folds = data.folds.get(set_id, [])
+        chosen = [fold for fold in folds if fold.fold_id == fold_id]
+        # checks what run checks, on the one fold it trains
+        cells = fold_cells(config, replace(data, folds={set_id: chosen}) if chosen else data)
+        if not chosen:
+            raise CliError(f"fold {fold_id} out of range; set {set_id} "
+                           f"has fold ids {[fold.fold_id for fold in folds]}")
+        return cells
 
-    *_, results, failures = _run_cells(options, seed, paths, out_dir, jobs, train_fold, pick_fold)
+    *_, results, failures = _run_cells(options, seed, paths, out_dir, jobs, train_cell, pick_fold)
     if failures:
         return _report_failures(out_dir, failures)
-    (result,) = results
+    ((_, result),) = results
     save_checkpoint(out_dir / "checkpoint_best.txt", result.best_state)
     save_checkpoint(out_dir / "checkpoint_final.txt", result.final_state)
     with open(out_dir / "history.log", "w", encoding="utf-8") as fh:
@@ -788,7 +792,7 @@ def main(argv=None):
         if args.dry_run:
             return 0
         return handler(options, seed, paths, out_dir, args.jobs)
-    except (CliError, ValueError, OSError) as error:
+    except (CliError, LeakageError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,8 @@ filters readers again. A run with embeddings takes its model's
 Data that could leak evaluation information is guarded by runtime provenance
 assertions: the vocabulary must be built only from training essays, and
 reader gaze statistics must never include records from dev or test essays of
-the fold being run. Those statistics, and the gaze targets binned with them,
+the fold being run. A gaze pool that holds such an essay is rejected before
+any cell runs. Those statistics, and the gaze targets binned with them,
 depend only on which gaze essays a cell holds out, so they are computed once
 per distinct such set: cells that hold out the same ones (every cell of an
 unseen-prompt run) reuse the result kept on their process's
@@ -392,16 +393,9 @@ def prepare_cell(config, data, set_id, fold):
     essay_set = data.sets[set_id]
     held_out = set(fold.dev) | set(fold.test)
 
-    train_ids = list(fold.train)
-    augmented_ids = []
-    if system.augments_train:
-        augmented_ids = sorted(data.gaze_essay_ids - set(train_ids))
-        overlap = data.gaze_essay_ids & held_out
-        if overlap:
-            raise LeakageError(
-                f"gaze pool essays {sorted(overlap)} are held out in set {set_id} "
-                f"fold {fold.fold_id}")
-        train_ids = train_ids + augmented_ids
+    # validate_run keeps held-out essays out of the pool
+    augmented_ids = sorted(data.gaze_essay_ids - set(fold.train)) if system.augments_train else []
+    train_ids = list(fold.train) + augmented_ids
 
     train_essays = [data.essays[i] for i in train_ids]
     vocab = build_vocab(train_essays, max_size=config.vocab_size)
@@ -461,11 +455,6 @@ def train_cell(config, data, set_id, fold, log=None):
     return setup, result
 
 
-def train_fold(config, data, set_id, fold, log=None):
-    """Train one cell; its TrainResult alone, so a worker sends back no model."""
-    return train_cell(config, data, set_id, fold, log)[1]
-
-
 def run_fold(config, data, set_id, fold, log=None):
     """Train one cell and score its test partition."""
     setup, result = train_cell(config, data, set_id, fold, log)
@@ -519,9 +508,11 @@ def _start_worker(data, task):
 
 
 def _run_cell(task, data, config, set_id, fold, log):
-    """(result, None) of one cell, or (None, error) if it raised."""
+    """(result, None) of one cell, or (None, error) if it raised; numpy does not warn
+    in a cell, since a warning prints once per process, so once per worker."""
     try:
-        return task(config, data, set_id, fold, log), None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return task(config, data, set_id, fold, log), None
     except Exception as error:
         return None, error
 
@@ -601,7 +592,8 @@ def validate_run(config, data):
     """Raise ValueError, before any cell exists, if the run cannot work at all.
 
     It checks the target sets, the article and gaze inputs the system
-    needs, and the options every cell's ModelConfig and TrainConfig take.
+    needs, and the options every cell's ModelConfig and TrainConfig take; a
+    gaze pool holding a dev or test essay of ``data.folds`` raises LeakageError.
     """
     system = SYSTEMS[config.system]
     for set_id in config.target_sets:
@@ -618,6 +610,10 @@ def validate_run(config, data):
         raise ValueError(f"system {config.system!r} needs gaze records")
     if system.augments_train and not data.gaze_essay_ids:
         raise ValueError(f"system {config.system!r} needs a gaze essay pool to augment with")
+    leaked = data.gaze_essay_ids & {i for set_id in config.target_sets
+                                    for fold in data.folds[set_id] for i in fold.dev + fold.test}
+    if system.augments_train and leaked:
+        raise LeakageError(f"gaze pool essays {sorted(leaked)} are held out in the run's folds")
     cell_configs(config, data, config.vocab_size, config.seed)
 
 

@@ -21,10 +21,11 @@ essay's sentences form one padded token block (one gather, ``conv_kernel``
 stacked matmuls, a masked word attention); up to ``EVAL_SLICE`` essays form
 one padded sentence block, which one LSTM time loop advances, each step over
 the essays that still have a sentence (arXiv:1604.01946), before the masked
-attentions and the output layers. Scores equal ``forward``'s up to the
-grouping of floating-point sums: padding regroups a softmax's sum, and a
-block row runs as a GEMM where ``forward``'s one-row matmul is a GEMV. At
-the paper's dimensions the conv outputs, so the gaze heads, are bit-identical.
+attentions (the graph's ``numerics._softmax``, masked) and the output layers.
+Scores equal ``forward``'s up to the grouping of floating-point sums: padding
+regroups a softmax's sum, and a block row runs as a GEMM where ``forward``'s
+one-row matmul is a GEMV. At the paper's dimensions the conv outputs, so the
+gaze heads, are bit-identical.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
@@ -100,16 +101,6 @@ class ForwardOutput:
         return float(self.predicted_score.data[0, 0])
 
 
-def _softmax(scores, mask):
-    """Softmax of plain arrays over the last axis's positions where ``mask``
-    holds, in ``numerics.softmax``'s order of operations; a row with none is zero."""
-    scores = np.where(mask, scores, -np.inf)
-    top = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - np.where(np.isfinite(top), top, 0.0))
-    total = e.sum(axis=-1, keepdims=True)
-    return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
-
-
 def _attend(states, mask, w, b, v):
     """Additive attention with parameters w, b, v over the masked rows of
     (B, L, D) states -> (B, D).
@@ -117,7 +108,7 @@ def _attend(states, mask, w, b, v):
     It pools with ``alpha @ states``, as ``forward`` does; an elementwise sum
     over padded rows would regroup the terms further.
     """
-    alpha = _softmax((np.tanh(states @ w.data + b.data) @ v.data)[..., 0], mask)
+    alpha = nm._softmax((np.tanh(states @ w.data + b.data) @ v.data)[..., 0], mask=mask)
     return (alpha[:, None] @ states)[:, 0]
 
 
@@ -360,8 +351,8 @@ class EssayScorer:
         summary = _attend(hidden, mask, self.sent_attn_w, self.sent_attn_b, self.sent_attn_v)
         if article is not None:
             affinity = hidden @ self.affinity.data @ article.T  # (B, L, article rows)
-            essay2article = _softmax(affinity, True) @ article
-            article2essay = _softmax(affinity.transpose(0, 2, 1), mask[:, None]) @ hidden
+            essay2article = nm._softmax(affinity) @ article
+            article2essay = nm._softmax(affinity.transpose(0, 2, 1), mask=mask[:, None]) @ hidden
             summary = np.concatenate([
                 summary,
                 _attend(essay2article, mask, self.e2a_attn_w, self.e2a_attn_b, self.e2a_attn_v),

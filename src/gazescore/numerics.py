@@ -41,6 +41,7 @@ fused node's parents are listed so that the rest of the graph keeps its
 order. A fused backward that runs its members' gradient formulas (the
 private helpers the single ops use) in that run's order therefore adds the
 same terms into each input in the same order: results stay bit-identical.
+``_softmax`` is also the model's block evaluator's softmax, masked over padding.
 """
 
 from __future__ import annotations
@@ -229,10 +230,17 @@ def _tanh_grad(g, out):
 _ACTIVATIONS = {"tanh": (np.tanh, _tanh_grad), "sigmoid": (_sigmoid, _sigmoid_grad)}
 
 
-def _softmax(x, axis):
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(x, axis=-1, mask=True):
+    """Softmax along ``axis`` over the entries where ``mask`` holds, the others
+    counting as -inf: a row with no entry is all zeros, a row holding nan is nan."""
+    if mask is not True:
+        x = np.where(mask, x, -np.inf)
+    top = x.max(axis=axis, keepdims=True)
+    top[top == -np.inf] = 0.0  # -inf - -inf would be nan
+    e = np.exp(x - top)
+    total = e.sum(axis=axis, keepdims=True)
+    total[total == 0] = 1.0  # only where every e is 0
+    return e / total
 
 
 def _softmax_grad(g, out, axis):
@@ -394,7 +402,7 @@ def tanh(x):
 
 
 def softmax(x, axis=-1):
-    """Numerically stable softmax along ``axis``; rows sum to 1."""
+    """Numerically stable softmax along ``axis``; finite rows sum to 1."""
     x = _as_tensor(x)
     out_data = _softmax(x.data, axis)
 
@@ -584,7 +592,7 @@ def additive_attention(states, w, b, v):
     _check_matmul("additive_attention", states.data, w.data)
     u = np.tanh(_add_bias("additive_attention", states.data @ w.data, b.data))
     _check_matmul("additive_attention", u, v.data)
-    alpha = _softmax((u @ v.data).T, -1)
+    alpha = _softmax((u @ v.data).T)
     out_data = alpha @ states.data
 
     def grad_fn(g):

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from gazescore.gaze import (
     load_gaze_records,
     reader_stats,
 )
-from gazescore.training import TrainingDiverged, TrainResult
+from gazescore.training import TrainingDiverged
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue",
          "tree", "bird", "sky", "sun", "moon", "hill"]
@@ -810,27 +812,6 @@ class TestTrain:
                      "train_summary.txt"):
             assert (outs["2"] / name).read_bytes() == (out / name).read_bytes()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_cell_returns_only_its_train_result(self, jobs, data_dir, prep_dir, tmp_path,
-                                                 monkeypatch):
-        # a worker would send back what train writes out, not the model and
-        # examples; train has one cell, which runs in this process at any --jobs
-        returned = []
-
-        def recording(task, *args, **kwargs):
-            results, failures = execute_cells(task, *args, **kwargs)
-            returned.extend(results)
-            return results, failures
-
-        execute_cells = cli.execute_cells
-        monkeypatch.setattr(cli, "execute_cells", recording)
-        code = main(["train", "--config", str(data_dir / "base.cfg"),
-                     "--out", str(tmp_path / "train"), "--jobs", jobs,
-                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
-                     "--set", "set=1", "--set", "fold=0"])
-        assert code == 0
-        assert [type(result) for result in returned] == [TrainResult]
-
     def test_fold_out_of_range(self, data_dir, prep_dir, tmp_path, capsys):
         out = tmp_path / "train"
         code = main(["train", "--config", str(data_dir / "base.cfg"),
@@ -1107,68 +1088,111 @@ class TestFailurePolicy:
     COMMANDS = {"train": ["fold=2"], "run": [], "ablate": ["attribute=DT"],
                 "gridsearch": ["grid=0.05"]}
     RESULT_FILES = ("checkpoint_final.txt", "report.csv", "ablation.txt", "gridsearch.csv")
+    POOL = "gaze_essay_ids=900,901,902,903,904,905"
 
-    def run_both(self, command, cause, data_dir, prep_dir, pool_gaze_dir, tmp_path,
-                 capsys):
+    def args(self, command, out, jobs, prep_dir, data_dir, *pairs):
+        args = [command, "--config", str(data_dir / "base.cfg"), "--out", str(out),
+                "--jobs", jobs]
+        for pair in ["corpus_cache=" + str(prep_dir / "corpus_cache.json"), "target_sets=1",
+                     "gaze_attributes=DT", *pairs, *self.COMMANDS[command]]:
+            args += ["--set", pair]
+        return args
+
+    def run_both(self, command, pairs, data_dir, prep_dir, tmp_path, capsys):
         """failures.txt of the command at --jobs 1 and 2, checking exit and stderr."""
+        listed = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{command}{jobs}"
+            assert main(self.args(command, out, jobs, prep_dir, data_dir, *pairs)) == 1
+            err = capsys.readouterr().err
+            text = (out / "failures.txt").read_text()
+            assert err == "".join("failed: " + line for line in text.splitlines(True))
+            listed.append((out, text))
+        assert listed[0][1] == listed[1][1]
+        return [out for out, _ in listed], listed[0][1]
+
+    @staticmethod
+    def records(path, source, essay_ids=None):
+        """A gaze CSV of ``source``'s rows, those on ``essay_ids`` if given."""
+        header, *rows = source.read_text().splitlines(True)
+        path.write_text(header + "".join(
+            row for row in rows if essay_ids is None or int(row.split(",")[0]) in essay_ids))
+        return path
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_cell_failing(self, command, data_dir, prep_dir, pool_gaze_dir,
+                                tmp_path, capsys):
+        # every cell's first update overflows its parameters
         records = pool_gaze_dir / "records_clean.csv"
         if command == "gridsearch":  # a grid search needs gaze on the target set's dev essays
             records = tmp_path / "pool_and_set1.csv"
             records.write_text((pool_gaze_dir / "records_clean.csv").read_text()
                                + (data_dir / "gaze_set1.csv").read_text().split("\n", 1)[1])
-        listed = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"{command}{jobs}"
-            args = [command, "--config", str(data_dir / "base.cfg"), "--out", str(out),
-                    "--jobs", jobs]
-            for pair in [
-                "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
-                "records_clean=" + str(records),
-                "system=essays_gaze", "target_sets=1", "gaze_attributes=DT", cause,
-                *self.COMMANDS[command],
-            ]:
-                args += ["--set", pair]
-            assert main(args) == 1
-            err = capsys.readouterr().err
-            assert "Traceback" not in err
-            text = (out / "failures.txt").read_text()
-            assert err.count("failed: ") == text.count("\n")
-            listed.append((out, text))
-        assert listed[0][1] == listed[1][1]
-        return [out for out, _ in listed], listed[0][1]
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_every_cell_failing(self, command, data_dir, prep_dir, pool_gaze_dir,
-                                tmp_path, capsys):
-        # a target essay of fold chunks 0, 2 and 4 in the gaze pool: every fold,
-        # which holds out chunks k and k+1, holds out one of them
-        folds = make_folds(range(100, 110), seed=0)
-        pool = ",".join(str(folds[k].test[0]) for k in (0, 2, 4))
-        outs, text = self.run_both(command, "gaze_essay_ids=900," + pool, data_dir,
-                                   prep_dir, pool_gaze_dir, tmp_path, capsys)
-        assert text.count("LeakageError: ") == \
+        outs, text = self.run_both(
+            command, ["records_clean=" + str(records), "system=essays_gaze", self.POOL,
+                      "learning_rate=1e200"], data_dir, prep_dir, tmp_path, capsys)
+        assert text.count("TrainingDiverged: ") == \
             {"train": 1, "run": 5, "ablate": 10, "gridsearch": 5}[command]
-        assert text.count("\n") == text.count("LeakageError: ")
+        assert text.count("\n") == text.count("TrainingDiverged: ")
         for out in outs:
             assert not any((out / name).exists() for name in self.RESULT_FILES)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_leakage_in_some_cells(self, command, data_dir, prep_dir, pool_gaze_dir,
-                                   tmp_path, capsys):
-        # target essay 100 in the gaze pool is held out in two of the five folds
-        outs, text = self.run_both(command, "gaze_essay_ids=900,901,902,903,904,905,100",
-                                   data_dir, prep_dir, pool_gaze_dir, tmp_path, capsys)
-        assert text.count("LeakageError: ") == \
-            {"train": 1, "run": 2, "ablate": 4, "gridsearch": 2}[command]
-        assert text.count("\n") == text.count("LeakageError: ")
+    def test_leakage_in_some_cells(self, command, data_dir, prep_dir, tmp_path, capsys):
+        # target-set gaze only on fold 2's dev and test essays: fold 2 would
+        # learn gaze from held-out essays alone, so its cells fail
+        fold = make_folds(range(100, 110), seed=0)[2]
+        records = self.records(tmp_path / "fold2_held_out.csv", data_dir / "gaze_set1.csv",
+                               set(fold.dev) | set(fold.test))
+        outs, text = self.run_both(
+            command, ["records_clean=" + str(records), "system=co_attention_gaze"],
+            data_dir, prep_dir, tmp_path, capsys)
+        assert text.count("all of them are on essays held out in set 1 fold 2") == \
+            {"train": 1, "run": 1, "ablate": 2, "gridsearch": 1}[command]
+        assert text.count("\n") == text.count(" fold=2: ValueError: ")
         if command == "run":
             with open(outs[0] / "report.csv", newline="") as fh:
-                assert len(list(csv.DictReader(fh))) == 3
+                assert len(list(csv.DictReader(fh))) == 4
             for name in ("report.csv", "predictions.csv"):
                 assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
         else:
             for out in outs:
                 assert not any((out / name).exists() for name in self.RESULT_FILES)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("pool", ["default", "named"])
+    def test_leaking_pool_is_rejected_before_any_cell(self, command, pool, data_dir, prep_dir,
+                                                      pool_gaze_dir, tmp_path, capsys):
+        # the default pool, every essay with gaze, holds all of set 1; a named
+        # one holds essay 100, a dev or test essay of two folds
+        records = self.records(tmp_path / "pool_and_set1.csv", data_dir / "gaze_set1.csv")
+        records.write_text((pool_gaze_dir / "records_clean.csv").read_text()
+                           + records.read_text().split("\n", 1)[1])
+        pairs = ["records_clean=" + str(records), "system=essays_gaze"]
+        if pool == "named":
+            pairs.append(self.POOL + ",100")
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{command}{jobs}"
+            assert main(self.args(command, out, jobs, prep_dir, data_dir, *pairs)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: gaze pool essays [100")
+            assert "are held out" in captured.err and captured.err.count("\n") == 1
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
+    def test_train_checks_the_pool_on_its_own_fold(self, data_dir, prep_dir, pool_gaze_dir,
+                                                   tmp_path, capsys):
+        # the pool's set 1 essay is a dev or test essay of folds 0 and 1 only
+        essay_id = make_folds(range(100, 110), seed=0)[1].test[0]
+        for fold, code in (("2", 0), ("1", 1)):
+            out = tmp_path / fold
+            args = self.args("train", out, "1", prep_dir, data_dir,
+                             "records_clean=" + str(pool_gaze_dir / "records_clean.csv"),
+                             "system=extra_essays", f"{self.POOL},{essay_id}")
+            assert main(args + ["--set", "fold=" + fold]) == code
+            assert (out / "checkpoint_final.txt").exists() == (code == 0)
+        assert capsys.readouterr().err == (f"error: gaze pool essays [{essay_id}] are held out "
+                                           "in the run's folds\n")
 
 
 class TestJobs:
@@ -1259,6 +1283,27 @@ class TestJobs:
         start = lines.index("system=essays_gaze set=1 fold=1")
         assert lines[start + 1:start + 3] == ["epoch=1 score_mse=inf",
                                               "system=essays_gaze set=1 fold=2"]
+
+    def test_diverging_run_prints_the_same_stderr_at_any_jobs(
+            self, data_dir, prep_dir, pool_gaze_dir, set1_gaze_dir, tmp_path):
+        # with numpy's warnings shown, as from the console script, a warning
+        # would print once per process that runs a diverging cell
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            args = self.command_args("run", out, data_dir, prep_dir, pool_gaze_dir,
+                                     set1_gaze_dir) + ["--set", "learning_rate=1e200",
+                                                       "--jobs", jobs]
+            done = subprocess.run([sys.executable, "-W", "default", "-m", "gazescore.cli", *args],
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+            outputs.append((done.returncode, done.stdout, done.stderr,
+                            (out / "failures.txt").read_text()))
+        assert outputs[1] == outputs[0]
+        code, _, stderr, failures = outputs[0]
+        assert code == 1 and stderr == "".join("failed: " + line
+                                               for line in failures.splitlines(True))
+        assert failures.count("TrainingDiverged: ") == 5
 
     def test_one_cell_makes_no_pool(self, data_dir, prep_dir, pool_gaze_dir, set1_gaze_dir,
                                     tmp_path, monkeypatch):

@@ -680,17 +680,41 @@ class TestLeakage:
         with pytest.raises(LeakageError, match="held out"):
             run_tiny("extra_essays", bad)
 
-    def test_worker_cells_raise_their_own_exception(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_leaking_pool_is_rejected_before_any_cell(self, jobs, monkeypatch):
         data = make_data(pool_size=6)
-        fold0 = data.folds[1][0]
-        poisoned = frozenset(data.gaze_essay_ids | {fold0.test[0]})
-        bad = ExperimentData(essays=data.essays, sets=data.sets, folds=data.folds,
-                             gaze_essay_ids=poisoned)
+        essay_id = data.folds[1][3].dev[0]
+        bad = replace(data, gaze_essay_ids=data.gaze_essay_ids | {essay_id})
         config = ExperimentConfig(system="extra_essays", target_sets=(1,),
                                   model_params=dict(TINY_MODEL),
                                   train_params=dict(TINY_TRAIN))
-        with pytest.raises(LeakageError, match="held out"):
-            run_experiment(config, bad, jobs=2)
+        monkeypatch.setattr(experiments, "prepare_cell", None)  # no cell may start
+        lines = []
+        with pytest.raises(LeakageError, match=rf"gaze pool essays \[{essay_id}\] are held out"):
+            run_experiment(config, bad, log=lines.append, jobs=jobs)
+        assert lines == []
+
+    def test_worker_cells_raise_their_own_exception(self):
+        # fold 0's gaze records are all on its own dev and test essays
+        data = make_data(article="The sun rose. Birds sang.", target_records=True)
+        fold = data.folds[1][0]
+        data.gaze_records = data.gaze_records.take(
+            np.isin(data.gaze_records.essay_id, list(set(fold.dev) | set(fold.test))))
+        config = ExperimentConfig(system="co_attention_gaze", target_sets=(1,),
+                                  gaze_attributes=("DT",), model_params=dict(TINY_MODEL),
+                                  train_params=dict(TINY_TRAIN))
+        with pytest.raises(ValueError, match="all of them are on essays held out in set 1 fold 0"):
+            run_experiment(config, data, jobs=2)
+
+    def test_prepare_cell_still_rejects_a_leaking_pool(self):
+        # called directly, without validate_run, the vocabulary check catches it
+        data = make_data(pool_size=6)
+        fold = data.folds[1][0]
+        bad = replace(data, gaze_essay_ids=data.gaze_essay_ids | {fold.test[0]})
+        config = ExperimentConfig(system="extra_essays", target_sets=(1,),
+                                  model_params=dict(TINY_MODEL))
+        with pytest.raises(LeakageError, match="vocabulary built from held-out essays"):
+            prepare_cell(config, bad, 1, fold)
 
     def test_vocab_leakage_assertion_fires(self):
         data = make_data()

@@ -554,6 +554,68 @@ def test_softmax_is_distribution(xs):
     assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def _graph_softmax(x, axis):
+    """The graph engine's softmax before it took a mask."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _evaluator_softmax(scores, mask):
+    """The block evaluator's own masked softmax, over the last axis, before it used numerics'."""
+    scores = np.where(mask, scores, -np.inf)
+    top = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - np.where(np.isfinite(top), top, 0.0))
+    total = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
+
+
+SCORES = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, 700.0, -745.0])
+
+
+@st.composite
+def score_arrays(draw, max_dims=4):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_dims)))
+    values = draw(st.lists(SCORES, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@given(score_arrays(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_softmax_equals_the_graph_formula_bit_for_bit(x, data):
+    axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
+    assert nm._softmax(x, axis).tobytes() == _graph_softmax(x, axis).tobytes()
+    assert nm.softmax(Tensor(x), axis).data.tobytes() == _graph_softmax(x, axis).tobytes()
+
+
+@given(score_arrays(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_masked_softmax_equals_the_evaluator_formula_bit_for_bit(x, data):
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)),
+                    dtype=bool).reshape(x.shape)
+    for m in (mask, mask[..., :1], True):  # as given, broadcast along the row, none
+        assert nm._softmax(x, mask=m).tobytes() == _evaluator_softmax(x, m).tobytes()
+
+
+def test_masked_softmax_rows_without_entries_are_zero_and_nan_rows_stay_nan():
+    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [1.0, np.nan, 2.0], [np.nan, 0.0, 1.0]])
+    mask = np.array([[True, False, True], [False, False, False],
+                     [True, True, False], [False, True, True]])
+    out = nm._softmax(x, mask=mask)
+    a, b = _graph_softmax(np.array([1.0, 3.0]), -1)
+    assert out[0].tolist() == [a, 0.0, b]
+    assert out[1].tolist() == [0.0, 0.0, 0.0]
+    assert np.isnan(out[2]).all()
+    c, d = _graph_softmax(np.array([0.0, 1.0]), -1)
+    assert out[3].tolist() == [0.0, c, d]  # a nan outside the mask is no score
+    # the graph op keeps a nan row nan too; the evaluator's own formula gave zeros
+    assert np.isnan(nm.softmax(Tensor(x[2:3]), -1).data).all()
+    assert _evaluator_softmax(x[2:3], mask[2:3]).tolist() == [[0.0, 0.0, 0.0]]
+    with np.errstate(invalid="ignore"):  # only a row that is all -inf goes unshifted
+        rows = np.array([[np.inf, 0.0], [np.inf, np.inf], [-np.inf, 0.0]])
+        assert nm._softmax(rows).tobytes() == _graph_softmax(rows, -1).tobytes()
+
+
 @given(st.floats(-30, 30))
 @settings(max_examples=50, deadline=None)
 def test_sigmoid_range_and_symmetry(x):
