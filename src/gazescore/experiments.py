@@ -608,6 +608,13 @@ def validate_run(config, data):
                 f"{set_id} has none with any tokens")
     if system.uses_gaze and not data.gaze_records:
         raise ValueError(f"system {config.system!r} needs gaze records")
+    # a system that does not augment learns gaze only from its target sets' essays
+    if system.uses_gaze and not system.augments_train and not _gaze_within_tokens(
+            data, {i for set_id in config.target_sets for fold in data.folds[set_id]
+                   for i in fold.all_ids}):
+        raise ValueError(f"system {config.system!r} learns gaze from its target sets' essays, "
+                         f"but no essay of target sets {list(config.target_sets)} has a "
+                         f"gaze record within its tokens")
     if system.augments_train and not data.gaze_essay_ids:
         raise ValueError(f"system {config.system!r} needs a gaze essay pool to augment with")
     leaked = data.gaze_essay_ids & {i for set_id in config.target_sets
@@ -615,6 +622,14 @@ def validate_run(config, data):
     if system.augments_train and leaked:
         raise LeakageError(f"gaze pool essays {sorted(leaked)} are held out in the run's folds")
     cell_configs(config, data, config.vocab_size, config.seed)
+
+
+def _gaze_within_tokens(data, essay_ids):
+    """Whether a gaze record on one of ``essay_ids`` falls within its essay's tokens."""
+    records = data.gaze_records
+    on = np.isin(records.essay_id, list(essay_ids))
+    return any(ia_index < len(data.essays[essay_id].tokens) for essay_id, ia_index
+               in zip(records.essay_id[on].tolist(), records.ia_index[on].tolist()))
 
 
 def grid_cells(config, data, attributes, weights):
@@ -631,10 +646,7 @@ def grid_cells(config, data, attributes, weights):
                          gaze_loss_weights={attribute: float(weight)}),
                  data, f"grid attribute={attribute} weight={weight}")]
     # grid points are scored on dev gaze bin_all can place, so a run without any fails
-    records = data.gaze_records
-    dev = np.isin(records.essay_id, list({i for cell in cells for i in cell.fold.dev}))
-    if not any(ia_index < len(data.essays[essay_id].tokens) for essay_id, ia_index
-               in zip(records.essay_id[dev].tolist(), records.ia_index[dev].tolist())):
+    if not _gaze_within_tokens(data, {i for cell in cells for i in cell.fold.dev}):
         raise ValueError(f"a grid search scores dev gaze, but no dev essay of target sets "
                          f"{list(config.target_sets)} has a gaze record within its tokens")
     return cells

@@ -22,6 +22,15 @@ the same IEEE addition per element as ``a + b``. Ownership lasts for one
 ``backward`` call: a gradient left from an earlier call may be held by the
 caller and is copied before it is written.
 
+``backward`` releases the graph as it replays it. Once a node's gradient
+has reached its parents, the node drops its closure (the arrays it saved
+for backward), its parents and its gradient, so the batch's saved arrays
+are freed as the replay passes them rather than when the caller lets go of
+the loss. Leaves (tensors no op produced) keep ``.grad``; every interior
+tensor ends with ``.grad`` None. A released graph cannot be replayed: a
+second ``backward`` through it, or through an op fed one of its interior
+tensors, raises. Dropout masks are kept as bool arrays, 1 byte an entry.
+
 ``gather_rows`` (the embedding lookup) sums its output gradient into the
 distinct rows it read, each row's terms in the order ``np.add.at`` on a
 dense table would add them, and adds only those rows into the table's
@@ -29,7 +38,10 @@ gradient; rows it never read are left untouched rather than given + 0.0.
 ``lstm`` runs a whole forward LSTM as one node, its time loop inside the
 op as ``conv1d`` keeps its kernel loop; forward and backward evaluate the
 same expressions, in the same order, as the per-step composition of
-``narrow``, ``matmul``, ``add``, ``sigmoid``, ``tanh`` and ``mul``.
+``narrow``, ``matmul``, ``add``, ``sigmoid``, ``tanh`` and ``mul``. Its
+backward writes each step's ``wx`` and ``wh`` terms, the K=1 matmuls of the
+composition, as outer products into one scratch array and adds them into
+the weights' gradient buffers in place.
 
 Three fused ops run a chain of single ops as one node, keeping only the
 arrays their backward reads: ``encode_tokens`` (gather, dropout, conv1d,
@@ -135,12 +147,23 @@ def _topological_order(root):
     return order
 
 
+def _released(g):
+    raise RuntimeError("backward: the graph was released by an earlier backward through it; "
+                       "run the forward again to rebuild it")
+
+
 def backward(loss, parameters=None):
-    """Populate ``grad`` on every tensor the scalar ``loss`` depends on.
+    """Populate ``grad`` on every leaf tensor the scalar ``loss`` depends on.
 
     ``parameters``, when given, is an iterable of tensors that must end up
     with a gradient even if the loss does not reach them; those receive
     zeros. Gradients accumulate, so call ``zero_grads`` between steps.
+
+    The graph is released as it replays: once a node has passed its
+    gradient to its parents it drops its saved arrays, its parents and its
+    ``.grad``, so interior tensors end with ``.grad`` None and only leaves
+    keep theirs. A released node raises if a later backward reaches it,
+    through ``loss`` again or through an op that was fed it.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
@@ -148,9 +171,13 @@ def backward(loss, parameters=None):
     for node in order:
         node._owns_grad = False
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._grad_fn is not None and node.grad is not None:
+    while order:
+        node = order.pop()  # the order list no longer holds it
+        if node._grad_fn is None:
+            continue
+        if node.grad is not None:
             node._grad_fn(node.grad)
+        node._grad_fn, node._parents, node.grad = _released, (), None
     if parameters is not None:
         for p in parameters:
             if p.requires_grad and p.grad is None:
@@ -255,7 +282,7 @@ def _dropout(op, x, p, rng):
         raise ValueError(f"{op}: probability must be in [0, 1), got {p}")
     if p == 0.0:
         return x, None, None
-    keep = (rng.random(x.shape) >= p).astype(x.dtype)
+    keep = rng.random(x.shape) >= p  # bool: x * keep gives the bits x * 1.0 or x * 0.0 does
     scale = 1.0 / (1.0 - p)
     return x * keep * scale, keep, scale
 
@@ -505,6 +532,12 @@ def lstm(x, wx, wh, b):
 
     def grad_fn(grad):
         dx, dc, dz = [None] * n, np.zeros((1, h_size)), None
+        # a step's x_t.T @ dz and h.T @ dz are K=1 products: one rounded multiply
+        # per entry, which einsum computes as the matmul does (a -0.0 product
+        # comes out +0.0), so adding them into owned buffers keeps every sum
+        gwx = _owned_grad(wx) if wx.requires_grad else None
+        gwh = _owned_grad(wh) if wh.requires_grad else None
+        term = np.empty((max(len(wx.data), h_size), 4 * h_size))
         for t in reversed(range(n)):
             h_prev, c_prev, i, f, g, o, tc, _ = steps[t]
             dh = grad[t:t + 1] if dz is None else grad[t:t + 1] + dz @ wh.data.T
@@ -514,8 +547,9 @@ def lstm(x, wx, wh, b):
                                  (dc * i) * (1.0 - g * g),
                                  ((dh * tc) * o) * (1.0 - o)], axis=1)
             _accumulate(b, _unbroadcast(dz, b.data.shape))
-            _accumulate(wx, x.data[t:t + 1].T @ dz)
-            _accumulate(wh, h_prev.T @ dz)
+            for buffer, rows in ((gwx, x.data[t]), (gwh, h_prev[0])):
+                if buffer is not None:
+                    buffer += np.einsum("i,j->ij", rows, dz[0], out=term[:len(rows)])
             dx[t] = dz @ wx.data.T
             dc = dc * f
         _accumulate(x, np.concatenate(dx, axis=0))

@@ -245,8 +245,9 @@ def _aggregate_epoch(batch_breakdowns, batch_sizes):
 def _train_step(model, optimizer, batch, weights, clip_norm, rng, epoch, batch_index):
     """One optimizer step on one batch; returns its LossBreakdown.
 
-    Only this frame holds the batch's graph, so it is freed on return; it is
-    acyclic, so the cyclic collector, which would only walk it, is paused.
+    Only this frame holds the batch's graph; backward frees it as it replays
+    it, and the outputs and loss left go on return. It is acyclic, so the
+    cyclic collector, which would only walk it, is paused.
     """
     outputs = model.forward_batch([ex.sentence_ids for ex in batch], rng)
     loss, breakdown = multitask_loss(outputs, batch, weights)

@@ -1180,6 +1180,23 @@ class TestFailurePolicy:
             assert "are held out" in captured.err and captured.err.count("\n") == 1
             assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_gaze_system_without_target_set_gaze_is_rejected_before_any_cell(
+            self, command, data_dir, prep_dir, pool_gaze_dir, tmp_path, capsys):
+        # the pool's gaze is all on set 3, and co_attention_gaze, which does
+        # not augment, learns gaze from set 1's essays alone
+        pairs = ["records_clean=" + str(pool_gaze_dir / "records_clean.csv"),
+                 "system=co_attention_gaze"]
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{command}{jobs}"
+            assert main(self.args(command, out, jobs, prep_dir, data_dir, *pairs)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: system 'co_attention_gaze' learns gaze from its "
+                                    "target sets' essays, but no essay of target sets [1] "
+                                    "has a gaze record within its tokens\n")
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
     def test_train_checks_the_pool_on_its_own_fold(self, data_dir, prep_dir, pool_gaze_dir,
                                                    tmp_path, capsys):
         # the pool's set 1 essay is a dev or test essay of folds 0 and 1 only

@@ -1,9 +1,10 @@
 """Fused ops against the op chains they replace, bit for bit.
 
 ``encode_tokens``, ``additive_attention`` and ``dense`` each run a chain of
-single ops as one graph node. Their forward values and every input's
-gradient must equal the chain's to the last bit, alone and inside the
-model's training loop.
+single ops as one graph node, and ``lstm`` runs the per-gate composition of
+every time step as one. Their forward values and every input's gradient
+must equal the chain's to the last bit, alone and inside the model's
+training loop.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from gazescore.gaze import GAZE_ATTRIBUTES
 from gazescore.model import ARCHITECTURES, EssayScorer, ForwardOutput, ModelConfig
 from gazescore.numerics import Tensor, backward
 from gazescore.training import TrainConfig, TrainExample, format_epoch_line, multitask_loss, train
+from test_tensor import reference_lstm
 
 
 def chain_encode_tokens(table, ids, conv_w, conv_b, p, rng):
@@ -41,18 +43,22 @@ def chain_dense(x, w, b, activation):
 PRIORS = ("none", "held", "shared")
 
 
-def run(build, arrays, prior, seed=0):
+def run(build, arrays, prior, seed=0, frozen=()):
     """(output, alpha or None, each leaf's gradient) of sum(out * W) through build.
 
     ``prior`` "held" starts every leaf with a gradient left from an earlier
-    backward; "shared" feeds build tanh(leaf) nodes that the loss also reads,
-    so each input already holds a gradient when the op's node replays.
+    backward, which the caller still holds, so it must not be written;
+    "shared" feeds build tanh(leaf) nodes that the loss also reads, so each
+    input already holds a gradient when the op's node replays. The leaves
+    at the indices in ``frozen`` do not require a gradient.
     """
     rng = np.random.default_rng(seed)
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    leaves = [Tensor(a.copy(), requires_grad=k not in frozen) for k, a in enumerate(arrays)]
+    held = []
     if prior == "held":
         for leaf in leaves:
             leaf.grad = rng.standard_normal(leaf.data.shape)
+            held.append((leaf.grad, leaf.grad.copy()))
     inputs = [nm.tanh(leaf) for leaf in leaves] if prior == "shared" else leaves
     result = build(inputs)
     out, alpha = result if isinstance(result, tuple) else (result, None)
@@ -61,6 +67,8 @@ def run(build, arrays, prior, seed=0):
         for t in inputs:
             loss = nm.add(loss, nm.tensor_sum(nm.mul(t, Tensor(rng.standard_normal(t.data.shape)))))
     backward(loss)
+    for array, copy in held:
+        assert array.tobytes() == copy.tobytes()
     return out.data, alpha, [leaf.grad for leaf in leaves]
 
 
@@ -70,7 +78,7 @@ def assert_same(fused, chain):
     if ref_alpha is not None:
         assert alpha.data.tobytes() == ref_alpha.data.tobytes()
     for grad, ref_grad in zip(grads, ref_grads):
-        assert grad.tobytes() == ref_grad.tobytes()
+        assert (grad is None and ref_grad is None) or grad.tobytes() == ref_grad.tobytes()
 
 
 @pytest.mark.parametrize("ids", [[3], [1, 4, 1, 2, 4, 1], [0, 2, 5, 3]])
@@ -119,6 +127,18 @@ def test_dense_equals_its_chain(activation, rows, prior):
     arrays = [rng.standard_normal((rows, 3)), rng.standard_normal((3, 2)), rng.standard_normal(2)]
     assert_same(*(run(lambda ts: op(ts[0], ts[1], ts[2], activation), arrays, prior)
                   for op in (nm.dense, chain_dense)))
+
+
+@pytest.mark.parametrize("frozen", [(), (0,), (1,), (2,), (1, 2)])
+@pytest.mark.parametrize("prior", PRIORS)
+def test_lstm_equals_the_per_gate_composition(prior, frozen):
+    # the backward adds each step's wx and wh terms into _owned_grad buffers
+    rng = np.random.default_rng(5)
+    arrays = [rng.standard_normal((4, 3)), rng.standard_normal((3, 8)),
+              rng.standard_normal((2, 8)), rng.standard_normal(8)]
+    arrays[0][1] = 0.0  # zero inputs, as the first step's hidden state, give signed zero terms
+    assert_same(*(run(lambda ts: op(*ts), arrays, prior, frozen=frozen)
+                  for op in (nm.lstm, reference_lstm)))
 
 
 def test_fused_ops_reject_bad_shapes():

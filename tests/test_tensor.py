@@ -453,16 +453,17 @@ def test_backward_accumulates_across_calls():
 
 
 def test_add_shares_its_gradient_and_a_later_contribution_leaves_it_alone():
-    # add hands one array to both inputs; b's path into a replays after y's,
-    # so a's second contribution must not be added into the shared array
+    # the inner add hands one array to both leaves; a's path through mul
+    # replays after it, so a's second contribution must not be added into
+    # the array c still holds
     a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    b = nm.mul(a, Tensor(np.array([3.0, 5.0, 7.0])))
-    y = nm.add(a, b)
+    c = Tensor(np.array([0.5, 0.0, -1.0]), requires_grad=True)
+    k = np.array([3.0, 5.0, 7.0])
     w = np.array([2.0, -1.0, 4.0])
+    y = nm.add(nm.add(a, c), nm.mul(a, Tensor(k)))
     backward(nm.tensor_sum(nm.mul(y, Tensor(w))))
-    np.testing.assert_array_equal(b.grad, w)
-    np.testing.assert_array_equal(y.grad, w)
-    np.testing.assert_array_equal(a.grad, w + w * [3.0, 5.0, 7.0])
+    np.testing.assert_array_equal(c.grad, w)
+    np.testing.assert_array_equal(a.grad, w + w * k)
 
 
 def test_gradient_held_from_an_earlier_backward_is_not_written():
@@ -478,6 +479,25 @@ def test_gradient_held_from_an_earlier_backward_is_not_written():
     backward(loss())
     np.testing.assert_array_equal(held, first)
     np.testing.assert_array_equal(x.grad, 2 * first)
+
+
+def test_second_backward_through_a_released_graph_raises_and_keeps_leaf_gradients():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+    loss = nm.tensor_sum(nm.mul(nm.tanh(x), w))
+    backward(loss)
+    before = [x.grad.copy(), w.grad.copy()]
+    with pytest.raises(RuntimeError, match="released"):
+        backward(loss)
+    assert [x.grad.tobytes(), w.grad.tobytes()] == [g.tobytes() for g in before]
+
+
+def test_op_fed_a_released_tensor_raises_on_backward():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    hidden = nm.tanh(x)
+    backward(nm.tensor_sum(hidden))
+    with pytest.raises(RuntimeError, match="released"):
+        backward(nm.tensor_sum(nm.mul(hidden, hidden)))
 
 
 def test_deep_chain_does_not_overflow_recursion():

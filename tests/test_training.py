@@ -1,19 +1,25 @@
 """Training-loop tests: loss algebra, determinism, selection, equivalences."""
 
 import gc
+import importlib.util
 import math
 import pickle
+import sys
+import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gazescore import numerics
 from gazescore import training as training_module
 from gazescore.corpus import Essay, EssaySet, Vocabulary, build_vocab, denormalize_score
-from gazescore.gaze import BinnedGaze
+from gazescore.experiments import DEFAULT_GAZE_WEIGHTS
+from gazescore.gaze import GAZE_ATTRIBUTES, BinnedGaze
 from gazescore.metrics import qwk
-from gazescore.model import EssayScorer, ModelConfig
+from gazescore.model import ARCHITECTURES, EssayScorer, ModelConfig
 from gazescore.numerics import backward, zero_grads
 from gazescore.optim import RMSProp
 from gazescore.training import (
@@ -615,3 +621,59 @@ def test_train_step_pauses_the_collector_and_restores_its_state(monkeypatch, ena
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert during == [False, False]
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_backward_releases_the_batch_graph_and_parameters_keep_their_gradients(architecture):
+    model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture=architecture,
+                       dropout=0.5)
+    examples = make_examples(4, with_gaze=True)
+    outputs = model.forward_batch([ex.sentence_ids for ex in examples], np.random.default_rng(0))
+    loss, _ = multitask_loss(outputs, examples, {"DT": 0.5})
+    interior = [node for node in numerics._topological_order(loss) if node._grad_fn is not None]
+    assert len(interior) > 10
+    backward(loss, parameters=model.parameters())
+    assert all(node._parents == () and node.grad is None for node in interior)
+    assert all(p.grad is not None for p in model.parameters())
+
+
+@pytest.fixture(scope="module")
+def benchmark_batch():
+    """(vocabulary, the benchmark's first 10 train examples, its article's ids)."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(inputs)
+        data = inputs.make_train_inputs(1)
+    finally:
+        del sys.modules[spec.name]
+    vocab = build_vocab(data.train_essays, max_size=inputs.VOCAB_SIZE)
+    return (vocab, [prepare_example(e, vocab) for e in data.train_essays[:10]],
+            [vocab.encode(s) for s in data.article_sentences])
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchmark_batch):
+    # held: the model and the batch's graph after forward and loss. Backward
+    # frees each node's saved arrays as it passes them, so its peak adds little
+    # more than the parameters' gradients (about 1.18x and 1.12x here); keeping
+    # every saved array and interior gradient to the end read about 1.56x
+    vocab, batch, article = benchmark_batch
+    config = ModelConfig(architecture=architecture, vocab_size=len(vocab),
+                         gaze_attributes=tuple(GAZE_ATTRIBUTES),
+                         gaze_loss_weights=dict(DEFAULT_GAZE_WEIGHTS))
+    tracemalloc.start()
+    try:
+        model = EssayScorer(config, np.random.default_rng(1), article_sentence_ids=article)
+        outputs = model.forward_batch([ex.sentence_ids for ex in batch], np.random.default_rng(1))
+        loss = multitask_loss(outputs, batch, config.gaze_loss_weights)[0]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        zero_grads(model.parameters())
+        backward(loss, parameters=model.parameters())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * held, f"held {held / 1e6:.1f} MB, backward peak {peak / 1e6:.1f} MB"
