@@ -29,7 +29,10 @@ gaze heads, are bit-identical.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
-configured attribute.
+configured attribute. When heads are configured, ``forward`` (the graph path)
+allocates one (n_tokens, F) token block per essay: each sentence's encoder
+writes its outputs into its own rows, and the heads read the block, with no
+concatenated copy.
 
 In training, each sentence's embedding, dropout, convolution and tanh are
 one graph node (``numerics.encode_tokens``), each attention pool is one
@@ -220,13 +223,14 @@ class EssayScorer:
         """Pool (n, d) states into (1, d) with a_i = softmax(v' tanh(W h_i + b))."""
         return nm.additive_attention(states, w, b, v)
 
-    def encode_sentence(self, token_ids, rng):
-        """(conv outputs (T, F) or None, sentence vector (1, F), word attention)."""
+    def encode_sentence(self, token_ids, rng, out=None):
+        """(conv outputs (T, F) or None, sentence vector (1, F), word attention);
+        ``out``, when given, is the (T, F) array the conv outputs are written into."""
         if len(token_ids) == 0:
             zero = Tensor(np.zeros((1, self.config.conv_filters)))
             return None, zero, None
         conv = nm.encode_tokens(self.embedding, token_ids, self.conv_w, self.conv_b,
-                                self.config.dropout, rng)
+                                self.config.dropout, rng, out=out)
         pooled, alpha = self._additive_attention(
             conv, self.word_attn_w, self.word_attn_b, self.word_attn_v)
         return conv, pooled, alpha
@@ -235,13 +239,19 @@ class EssayScorer:
         """Forward LSTM over (n, F) rows; returns hidden states (n, H)."""
         return nm.lstm(inputs, self.lstm_wx, self.lstm_wh, self.lstm_b)
 
-    def encode_essay(self, sentence_ids, rng):
+    def encode_essay(self, sentence_ids, rng, tokens=None):
         """Run the shared tower; returns (conv outputs per sentence, None for an
-        empty one; H; essay vector; sentence attention)."""
+        empty one; H; essay vector; sentence attention). ``tokens``, when given,
+        is the (n_tokens, F) array the sentences' conv outputs fill in order."""
         conv_outputs = []
         sentence_vectors = []
+        start = 0
         for ids in sentence_ids:
-            conv, pooled, _ = self.encode_sentence(ids, rng)
+            if tokens is None:
+                conv, pooled, _ = self.encode_sentence(ids, rng)
+            else:
+                conv, pooled, _ = self.encode_sentence(ids, rng, tokens[start:start + len(ids)])
+                start += len(ids)
             conv_outputs.append(conv)
             sentence_vectors.append(pooled)
         hidden = self._lstm(nm.concat(sentence_vectors, axis=0))
@@ -371,7 +381,11 @@ class EssayScorer:
         """
         if not sentence_ids:
             raise ValueError("forward: essay has no sentences")
-        conv_outputs, essay_hidden, essay_vector, _ = self.encode_essay(sentence_ids, rng)
+        tokens = None  # the gaze heads' input, which the sentences' encoders write
+        if self.config.gaze_attributes:
+            tokens = np.empty((sum(len(ids) for ids in sentence_ids), self.config.conv_filters))
+        conv_outputs, essay_hidden, essay_vector, _ = self.encode_essay(
+            sentence_ids, rng, tokens)
 
         if self.config.architecture == "co_attention":
             if article is None:
@@ -393,7 +407,7 @@ class EssayScorer:
         real_convs = [c for c in conv_outputs if c is not None]
         gaze_predictions = {}
         if self.config.gaze_attributes and real_convs:
-            all_tokens = nm.concat(real_convs, axis=0)
+            all_tokens = nm.concat(real_convs, axis=0, out=tokens)
             for attribute in self.config.gaze_attributes:
                 gaze_predictions[attribute] = nm.dense(
                     all_tokens, self.gaze_w[attribute], self.gaze_b[attribute], "sigmoid")

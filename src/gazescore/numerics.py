@@ -17,7 +17,10 @@ change where a sum is stored but never the order of its terms.
 The first contribution is stored as given. It may be an array another
 node still holds (``add`` hands one array to both inputs, ``transpose`` a
 view), so the second contribution goes into a fresh buffer the engine
-owns, and later ones are added into that buffer in place. ``+=`` performs
+owns, and later ones are added into that buffer in place. A first
+contribution its op has just computed and holds nowhere else (``dense``'s
+and ``additive_attention``'s gradients into their inputs) is owned from the
+start, so the second is added into it without a third array. ``+=`` performs
 the same IEEE addition per element as ``a + b``. Ownership lasts for one
 ``backward`` call: a gradient left from an earlier call may be held by the
 caller and is copied before it is written.
@@ -31,10 +34,17 @@ tensor ends with ``.grad`` None. A released graph cannot be replayed: a
 second ``backward`` through it, or through an op fed one of its interior
 tensors, raises. Dropout masks are kept as bool arrays, 1 byte an entry.
 
-``gather_rows`` (the embedding lookup) sums its output gradient into the
-distinct rows it read, each row's terms in the order ``np.add.at`` on a
-dense table would add them, and adds only those rows into the table's
-gradient; rows it never read are left untouched rather than given + 0.0.
+Row gradients into a leaf (``gather_rows`` or ``encode_tokens`` on the
+embedding) wait in a queue on the leaf. ``backward`` scatters the queue
+when it pops the leaf, after every node that reads the leaf is released, so
+the dense table gradient is allocated once most of the graph is freed. A
+dense contribution to the same leaf scatters the queue first, and a
+backward that raises scatters what is queued before it returns: no queue
+outlives a backward. Each call's rows are summed into the distinct rows it
+read, each row's terms from 0 in the order ``np.add.at`` on a dense table
+would add them, and the calls' sums are added in replay order; rows no call
+read are left untouched rather than given + 0.0. An interior table's rows
+are written at once.
 ``lstm`` runs a whole forward LSTM as one node, its time loop inside the
 op as ``conv1d`` keeps its kernel loop; forward and backward evaluate the
 same expressions, in the same order, as the per-step composition of
@@ -44,9 +54,16 @@ composition, as outer products into one scratch array and adds them into
 the weights' gradient buffers in place.
 
 Three fused ops run a chain of single ops as one node, keeping only the
-arrays their backward reads: ``encode_tokens`` (gather, dropout, conv1d,
-bias, tanh), ``additive_attention`` (matmul, bias, tanh, matmul,
-transpose, softmax, matmul) and ``dense`` (matmul, bias, tanh or sigmoid).
+arrays their backward reads besides their inputs:
+- ``encode_tokens`` (gather, dropout, conv1d, bias, tanh) keeps the ids, the
+  dropout mask and its output. Its backward rebuilds the zero-padded conv
+  input from the table, which does not change between forward and backward.
+  It can write its output into a given array, as ``concat`` can: the model's
+  sentence encoders fill one token block per essay, which the gaze heads
+  read through a ``concat`` that copies nothing;
+- ``additive_attention`` (matmul, bias, tanh, matmul, transpose, softmax,
+  matmul) keeps tanh(states @ w + b) and the attention weights;
+- ``dense`` (matmul, bias, tanh or sigmoid) keeps its output.
 Each chain's intermediates have a single consumer, inside the chain, so in
 reverse topological order its nodes replay as one contiguous run, and the
 fused node's parents are listed so that the rest of the graph keeps its
@@ -66,7 +83,7 @@ class ShapeError(ValueError):
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_grad_fn",
-                 "_owns_grad")
+                 "_owns_grad", "_rows")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -76,6 +93,7 @@ class Tensor:
         self._parents = ()
         self._grad_fn = None
         self._owns_grad = False  # grad is a buffer the running backward allocated
+        self._rows = None  # a leaf's queued (ids, row gradients), see _gather_grad
 
     def __repr__(self):
         label = f" name={self.name!r}" if self.name else ""
@@ -97,11 +115,15 @@ def _make_output(data, parents, grad_fn):
     return out
 
 
-def _accumulate(tensor, grad):
+def _accumulate(tensor, grad, fresh=False):
+    """Add grad into ``tensor.grad``; ``fresh`` says grad is a new array no
+    other tensor holds, which later contributions may then add into in place."""
     if not tensor.requires_grad:
         return
+    _apply_rows(tensor)
     if tensor.grad is None:
         tensor.grad = grad
+        tensor._owns_grad = fresh
     elif tensor._owns_grad:
         tensor.grad += grad
     else:
@@ -111,6 +133,7 @@ def _accumulate(tensor, grad):
 
 def _owned_grad(tensor):
     """``tensor.grad`` as a buffer of this backward, safe to write in place."""
+    _apply_rows(tensor)
     if not tensor._owns_grad:
         tensor.grad = (np.zeros_like(tensor.data) if tensor.grad is None
                        else tensor.grad.copy())
@@ -171,13 +194,18 @@ def backward(loss, parameters=None):
     for node in order:
         node._owns_grad = False
     loss.grad = np.ones_like(loss.data)
-    while order:
-        node = order.pop()  # the order list no longer holds it
-        if node._grad_fn is None:
-            continue
-        if node.grad is not None:
-            node._grad_fn(node.grad)
-        node._grad_fn, node._parents, node.grad = _released, (), None
+    try:
+        while order:
+            node = order.pop()  # the order list no longer holds it
+            if node._grad_fn is None:
+                _apply_rows(node)  # every node that reads the leaf is released
+                continue
+            if node.grad is not None:
+                node._grad_fn(node.grad)
+            node._grad_fn, node._parents, node.grad = _released, (), None
+    finally:  # a raise leaves no row queued, each leaf's grad as if applied at once
+        for node in order:
+            _apply_rows(node)
     if parameters is not None:
         for p in parameters:
             if p.requires_grad and p.grad is None:
@@ -214,16 +242,21 @@ def _check_conv(op, x_shape, w_shape):
         raise ShapeError(f"{op}: incompatible shapes {x_shape} and {w_shape}")
 
 
-def _conv_forward(x, w):
-    """(x zero-padded by (k-1)/2 rows a side, the sum over k windows of xp @ w[j])."""
-    k, t = len(w), len(x)
+def _pad_rows(x, k):
+    """x with (k-1)/2 zero rows added on each side, the input of a width-k window."""
     pad = (k - 1) // 2
-    xp = np.zeros((t + 2 * pad, x.shape[1]), dtype=x.dtype)
-    xp[pad:pad + t] = x
-    out = np.zeros((t, w.shape[2]), dtype=np.result_type(x, w))
-    for j in range(k):
+    xp = np.zeros((len(x) + 2 * pad, x.shape[1]), dtype=x.dtype)
+    xp[pad:pad + len(x)] = x
+    return xp
+
+
+def _conv_forward(xp, w):
+    """The sum over the k windows of padded xp of window j @ w[j]."""
+    t = len(xp) - len(w) + 1
+    out = np.zeros((t, w.shape[2]), dtype=np.result_type(xp, w))
+    for j in range(len(w)):
         out += xp[j:j + t] @ w[j]
-    return xp, out
+    return out
 
 
 def _conv_weight_grad(xp, w, g):
@@ -233,9 +266,9 @@ def _conv_weight_grad(xp, w, g):
     return gw
 
 
-def _conv_input_grad(xp, w, g):
+def _conv_input_grad(padded_shape, w, g):
     t, pad = len(g), (len(w) - 1) // 2
-    gxp = np.zeros_like(xp)
+    gxp = np.zeros(padded_shape, dtype=g.dtype)
     for j in range(len(w)):
         gxp[j:j + t] += g @ w[j].T
     return gxp[pad:pad + t]
@@ -300,18 +333,44 @@ def _gather_ids(op, table, ids):
 
 
 def _gather_grad(table, idx, g):
-    """Add row i of g into row idx[i] of table's gradient, each row's terms
-    summed in the order ``np.add.at`` on a dense table would add them."""
+    """Add row i of g into row idx[i] of table's gradient (see _scatter_rows).
+
+    A leaf queues the rows: ``backward`` scatters its queue once every node
+    that reads the leaf is released, and a dense contribution scatters it
+    first. An interior table, whose own node reads its gradient next, is
+    written at once.
+    """
+    if table._grad_fn is not None:
+        _scatter_rows(table, idx, g)
+        return
+    if table._rows is None:
+        table._rows = []
+    table._rows.append((idx, g))
+
+
+def _apply_rows(tensor):
+    """Scatter a leaf's queued rows into its gradient, in the order they were queued."""
+    if tensor._rows:
+        queued, tensor._rows = tensor._rows, None
+        for idx, g in queued:
+            _scatter_rows(tensor, idx, g)
+
+
+def _scatter_rows(tensor, idx, g):
+    """Sum g's rows into the distinct rows idx names, each row's terms in the
+    order ``np.add.at`` on a dense table of zeros would add them, and add those
+    sums into tensor's gradient; a row idx does not name is left untouched
+    rather than given + 0.0."""
     order = np.argsort(idx, kind="stable")
     rows = idx[order]
     if (rows[1:] != rows[:-1]).all():
         # distinct rows: + 0.0 turns -0.0 into +0.0, as add.at into zeros does
-        _owned_grad(table)[rows] += g[order] + 0.0
+        _owned_grad(tensor)[rows] += g[order] + 0.0
         return
     rows, inverse = np.unique(idx, return_inverse=True)
     summed = np.zeros((rows.size, g.shape[1]), dtype=g.dtype)
     np.add.at(summed, inverse, g)
-    _owned_grad(table)[rows] += summed
+    _owned_grad(tensor)[rows] += summed
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +424,12 @@ def mul(a, b):
     return _make_output(out_data, (a, b), grad_fn)
 
 
-def concat(tensors, axis=0):
-    """Concatenate tensors of matching rank along ``axis``; one tensor comes back as is."""
+def concat(tensors, axis=0, out=None):
+    """Concatenate tensors of matching rank along ``axis``; one tensor comes back as is.
+
+    ``out`` receives the result, as in ``np.concatenate``, which copies no
+    tensor whose data already is its slice of ``out``.
+    """
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat: need at least one tensor")
@@ -377,7 +440,7 @@ def concat(tensors, axis=0):
             raise ShapeError(f"concat: incompatible shapes {ref} and {s} along axis {axis}")
     if len(tensors) == 1:
         return tensors[0]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    out_data = np.concatenate([t.data for t in tensors], axis=axis, out=out)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -397,13 +460,14 @@ def conv1d(x, w):
     """
     x, w = _as_tensor(x), _as_tensor(w)
     _check_conv("conv1d", x.data.shape, w.data.shape)
-    xp, out_data = _conv_forward(x.data, w.data)
+    xp = _pad_rows(x.data, len(w.data))
+    out_data = _conv_forward(xp, w.data)
 
     def grad_fn(g):
         if w.requires_grad:
             _accumulate(w, _conv_weight_grad(xp, w.data, g))
         if x.requires_grad:
-            _accumulate(x, _conv_input_grad(xp, w.data, g))
+            _accumulate(x, _conv_input_grad(xp.shape, w.data, g))
 
     return _make_output(out_data, (x, w), grad_fn)
 
@@ -585,30 +649,40 @@ def transpose(x):
 # fused ops: one node for a chain of the ops above
 # ---------------------------------------------------------------------------
 
-def encode_tokens(table, ids, conv_w, conv_b, p, rng):
+def encode_tokens(table, ids, conv_w, conv_b, p, rng, out=None):
     """tanh(conv1d(dropout(gather_rows(table, ids), p, rng), conv_w) + conv_b) as one node.
 
     Without an rng there is no dropout, as in evaluation. The token encodings
     (T, Cout) equal the chain's bit for bit, dropout draws the same mask at the
     same point, and the backward adds into conv_b, conv_w and the table's rows
-    in the chain's order.
+    in the chain's order. ``out``, when given, is the (T, Cout) array the
+    encodings are written into and which holds them.
+
+    The node saves the ids, the dropout mask and its output. Its backward
+    rebuilds the padded conv input from the table's values, so those must not
+    change between forward and backward (training steps after backward).
     """
     table, conv_w, conv_b = _as_tensor(table), _as_tensor(conv_w), _as_tensor(conv_b)
     idx = _gather_ids("encode_tokens", table.data, ids)
-    embedded, keep, scale = table.data[idx], None, None
+    values, k = table.data, len(conv_w.data)
+    embedded, keep, scale = values[idx], None, None
     if rng is not None:
         embedded, keep, scale = _dropout("encode_tokens", embedded, p, rng)
     _check_conv("encode_tokens", embedded.shape, conv_w.data.shape)
-    xp, conv = _conv_forward(embedded, conv_w.data)
-    out_data = np.tanh(_add_bias("encode_tokens", conv, conv_b.data))
+    conv = _add_bias("encode_tokens", _conv_forward(_pad_rows(embedded, k), conv_w.data),
+                     conv_b.data)
+    out_data = np.tanh(conv, out=out)
+    padded_shape = (len(idx) + k - 1, values.shape[1])
 
     def grad_fn(g):
         g = _tanh_grad(g, out_data)
         _accumulate(conv_b, _unbroadcast(g, conv_b.data.shape))
         if conv_w.requires_grad:
-            _accumulate(conv_w, _conv_weight_grad(xp, conv_w.data, g))
+            # forward's padded input, bit for bit: the same rows, mask and scale
+            x = values[idx] if keep is None else values[idx] * keep * scale
+            _accumulate(conv_w, _conv_weight_grad(_pad_rows(x, k), conv_w.data, g))
         if table.requires_grad:
-            g = _conv_input_grad(xp, conv_w.data, g)
+            g = _conv_input_grad(padded_shape, conv_w.data, g)
             _gather_grad(table, idx, g if keep is None else g * keep * scale)
 
     return _make_output(out_data, (table, conv_w, conv_b), grad_fn)
@@ -632,7 +706,7 @@ def additive_attention(states, w, b, v):
     def grad_fn(g):
         g_alpha = g @ states.data.T
         if states.requires_grad:
-            _accumulate(states, alpha.T @ g)
+            _accumulate(states, alpha.T @ g, fresh=True)
         g_scores = _softmax_grad(g_alpha, alpha, -1).T
         g_u = g_scores @ v.data.T
         if v.requires_grad:
@@ -665,7 +739,7 @@ def dense(x, w, b, activation):
         g = gradient(g, out_data)
         _accumulate(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
+            _accumulate(x, g @ w.data.T, fresh=True)
         if w.requires_grad:
             _accumulate(w, x.data.T @ g)
 

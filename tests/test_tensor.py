@@ -301,6 +301,94 @@ def test_gather_rows_backward_matches_the_unique_add_at_reference(data):
     assert table.grad.tobytes() == expected.tobytes()
 
 
+def test_queued_rows_keep_the_order_of_every_row_sum_bitwise():
+    # A leaf's row gradients wait in a queue until backward scatters them. The
+    # terms, in replay order: a dense mul, an interior table (its gather is
+    # written at once, and its mul passes the sum on densely), two row calls, a
+    # dense mul that must scatter the queue first, and a last row call that
+    # backward scatters when it pops the leaf. Each sum must keep its terms and
+    # their order: the reference adds each call's np.add.at sums in turn.
+    rng = np.random.default_rng(41)
+    n, d = 7, 3
+    table = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    scale = rng.standard_normal((n, d))
+    calls = [np.array([1, 4, 1, 0, 1]), np.array([4, 2, 4, 1]), np.array([3, 1, 3])]
+    interior_ids = np.array([5, 2, 5])
+    w_before, w_after = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    row_grads = [rng.standard_normal((ids.size, d)) for ids in calls]
+    interior_grad = rng.standard_normal((interior_ids.size, d))
+    # signed zeros: row 0 holds -0.0 when call 0 adds its sum of one -0.0
+    # term, which starts from +0.0; row 6, which no call reads, stays -0.0
+    w_before[[0, 6]] = w_after[[0, 6]] = -0.0
+    scale[[0, 6]] = -1.0
+    row_grads[0][3] = -0.0
+    # row 4 gets one tiny term from each of calls 0 and 1 on top of 1.0: added
+    # one call after the other each rounds away, summed first they would not
+    w_before[4], w_after[4], row_grads[0][1] = 1.0, 0.0, 2.0 ** -53
+    row_grads[1][0], row_grads[1][2] = 2.0 ** -54, 0.0
+
+    def rows(ids, g):
+        return nm.tensor_sum(nm.mul(nm.gather_rows(table, ids), Tensor(g)))
+
+    def dense(w):
+        return nm.tensor_sum(nm.mul(table, Tensor(w)))
+
+    terms = [dense(w_before),
+             nm.tensor_sum(nm.mul(nm.gather_rows(nm.mul(table, Tensor(scale)), interior_ids),
+                                  Tensor(interior_grad))),
+             rows(calls[0], row_grads[0]), rows(calls[1], row_grads[1]),
+             dense(w_after), rows(calls[2], row_grads[2])]
+    loss = terms[0]
+    for term in terms[1:]:  # a left fold of adds replays its terms first to last
+        loss = nm.add(loss, term)
+    backward(loss)
+
+    def row_sums(ids, g):
+        summed = np.zeros((n, d))
+        np.add.at(summed, ids, g)
+        return np.unique(ids), summed
+
+    expected = w_before.copy()
+    interior = np.zeros((n, d))
+    np.add.at(interior, interior_ids, interior_grad)
+    expected = expected + interior * scale
+    for k in range(3):
+        if k == 2:
+            expected = expected + w_after
+        read, summed = row_sums(calls[k], row_grads[k])
+        expected[read] += summed[read]
+    assert not np.signbit(expected[0]).any() and np.signbit(expected[6]).all()
+    assert (expected[4] == 1.0).all()
+    assert table.grad.tobytes() == expected.tobytes()
+    assert not table._rows
+
+
+@pytest.mark.parametrize("failure", ["released tensor", "grad_fn error"])
+def test_a_backward_that_raises_leaves_no_row_queued(failure):
+    # rows reach the table before the raise, while the table is still ahead
+    # in the replay (the failing branch also reads it); they must land in
+    # table.grad as if written at once, and no queue may outlive the backward
+    table = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    if failure == "released tensor":
+        bad = nm.tanh(x)
+        backward(nm.tensor_sum(bad))
+    else:
+        def fail(g):
+            raise FloatingPointError("grad_fn failed")
+        bad = nm._make_output(np.tanh(x.data), (x,), fail)
+    x.grad = None
+    ids, g = np.array([2, 0, 2]), np.array([[1.0, -0.0], [0.5, 2.0], [0.25, 3.0]])
+    reached = nm.tensor_sum(nm.mul(nm.gather_rows(table, ids), Tensor(g)))
+    failing = nm.tensor_sum(nm.mul(bad, nm.tensor_sum(nm.gather_rows(table, [1]))))
+    with pytest.raises((RuntimeError, FloatingPointError)):
+        backward(nm.add(reached, failing))
+    expected = np.zeros((4, 2))
+    np.add.at(expected, ids, g)
+    assert table.grad.tobytes() == expected.tobytes()
+    assert not table._rows and not x._rows and x.grad is None
+
+
 def test_gather_rows_bounds_checked():
     table = Tensor(np.zeros((4, 2)))
     with pytest.raises(IndexError):

@@ -658,8 +658,12 @@ def benchmark_batch():
 def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchmark_batch):
     # held: the model and the batch's graph after forward and loss. Backward
     # frees each node's saved arrays as it passes them, so its peak adds little
-    # more than the parameters' gradients (about 1.18x and 1.12x here); keeping
-    # every saved array and interior gradient to the end read about 1.56x
+    # more than the parameters' gradients (about 1.16x and 1.13x here, of 9.9
+    # and 12.1 MB held); keeping every saved array and interior gradient to the
+    # end read about 1.56x, building the dense embedding gradient before the
+    # graph is freed rather than from the queued rows after it 1.27x, and
+    # copying the first gaze head's and attention's input gradients into a
+    # new sum rather than adding into them in place 1.18x
     vocab, batch, article = benchmark_batch
     config = ModelConfig(architecture=architecture, vocab_size=len(vocab),
                          gaze_attributes=tuple(GAZE_ATTRIBUTES),
@@ -677,3 +681,51 @@ def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchma
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * held, f"held {held / 1e6:.1f} MB, backward peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("architecture, bound_mb", [("self_attention", 9.0),
+                                                    ("co_attention", 11.0)])
+def test_training_batch_graph_holds_one_copy_of_its_token_encodings(
+        architecture, bound_mb, benchmark_batch):
+    # the graph alone, the model excluded, after forward and loss: 10.5 and
+    # 12.7 MB while each sentence's encoder saved its padded embeddings and the
+    # gaze heads read a concatenated copy of the token encodings, 7.2 and 9.1
+    # MB with the padding rebuilt in backward and one token block per essay
+    vocab, batch, article = benchmark_batch
+    config = ModelConfig(architecture=architecture, vocab_size=len(vocab),
+                         gaze_attributes=tuple(GAZE_ATTRIBUTES),
+                         gaze_loss_weights=dict(DEFAULT_GAZE_WEIGHTS))
+    tracemalloc.start()
+    try:
+        model = EssayScorer(config, np.random.default_rng(1), article_sentence_ids=article)
+        before = tracemalloc.get_traced_memory()[0]
+        outputs = model.forward_batch([ex.sentence_ids for ex in batch], np.random.default_rng(1))
+        loss = multitask_loss(outputs, batch, config.gaze_loss_weights)[0]
+        graph = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad and graph <= bound_mb * 1e6, f"the graph holds {graph / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_gaze_heads_read_the_token_encodings_where_the_encoders_wrote_them(architecture):
+    # each essay gets one (n_tokens, F) block; every non-empty sentence's
+    # encoder writes its rows of it, in order, and the heads read the block
+    model = tiny_model(gaze=("DT", "FFD"), weights={"DT": 0.5, "FFD": 0.2},
+                       architecture=architecture, dropout=0.5)
+    essays = [[[2, 3, 4], [], [5], [6, 7]], [[8]], [[], [9, 10], [11, 2, 3, 3]]]
+    outputs = model.forward_batch(essays, np.random.default_rng(0))
+    width = model.config.conv_filters
+    for sentences, output in zip(essays, outputs):
+        inputs = {id(p._parents[0]): p._parents[0] for p in output.gaze_predictions.values()}
+        assert len(inputs) == 1
+        tokens = next(iter(inputs.values())).data
+        assert tokens.shape == (sum(len(ids) for ids in sentences), width)
+        encoders = [node for node in numerics._topological_order(output.predicted_score)
+                    if model.embedding in node._parents
+                    and np.shares_memory(node.data, tokens)]
+        start = tokens.__array_interface__["data"][0]
+        placed = sorted(((e.data.__array_interface__["data"][0] - start) // (8 * width),
+                         len(e.data)) for e in encoders)
+        offsets = np.cumsum([0] + [len(ids) for ids in sentences])
+        assert placed == [(offsets[i], len(ids)) for i, ids in enumerate(sentences) if ids]
