@@ -300,6 +300,13 @@ def _fields_of(path):
         raise CliError(f"{path}: missing field {error.args[0]!r}") from None
 
 
+def _json_object(path, value, what):
+    """``value``, which ``what`` in the JSON file ``path`` names, if it is an object."""
+    if not isinstance(value, dict):
+        raise CliError(f"{path}: {what} is not a JSON object")
+    return value
+
+
 def write_corpus_cache(path, essays, sets):
     payload = {
         "format": CORPUS_CACHE_FORMAT,
@@ -321,20 +328,21 @@ def write_corpus_cache(path, essays, sets):
 
 def load_corpus_cache(path):
     with open(path, "r", encoding="utf-8") as fh, _fields_of(path):
-        payload = json.load(fh)
+        payload = _json_object(path, json.load(fh), "the top level")
         if payload.get("format") != CORPUS_CACHE_FORMAT:
             raise CliError(f"{path}: not a corpus cache (format {payload.get('format')!r})")
-        sets = {
-            int(set_id): EssaySet(
-                set_id=int(set_id),
-                score_min=entry["score_min"],
-                score_max=entry["score_max"],
-                source_article=entry["article"],
-            )
-            for set_id, entry in payload["sets"].items()
-        }
-        essays = [Essay(**{name: entry[name] for name in CACHED_ESSAY_FIELDS})
-                  for entry in payload["essays"]]
+        sets = {}
+        for set_id, entry in _json_object(path, payload["sets"], "'sets'").items():
+            entry = _json_object(path, entry, f"set {set_id}")
+            sets[int(set_id)] = EssaySet(set_id=int(set_id), score_min=entry["score_min"],
+                                         score_max=entry["score_max"],
+                                         source_article=entry["article"])
+        if not isinstance(payload["essays"], list):
+            raise CliError(f"{path}: 'essays' is not a JSON array")
+        essays = []
+        for n, entry in enumerate(payload["essays"]):
+            entry = _json_object(path, entry, f"essay entry {n}")
+            essays.append(Essay(**{name: entry[name] for name in CACHED_ESSAY_FIELDS}))
     return {essay.essay_id: essay for essay in essays}, sets
 
 
@@ -676,7 +684,7 @@ def load_run_directory(run_dir):
         if not path.is_file():
             raise CliError(f"cannot read run file: {path}")
     with open(manifest_path, encoding="utf-8") as fh, _fields_of(manifest_path):
-        seed = json.load(fh)["seed"]
+        seed = _json_object(manifest_path, json.load(fh), "the top level")["seed"]
     predictions = {}
     with open(predictions_path, newline="", encoding="utf-8") as fh, _fields_of(predictions_path):
         for row in csv.DictReader(fh):

@@ -247,6 +247,8 @@ def build_vocab(train_essays, max_size=4000):
     train_essays = list(train_essays)
     if not train_essays:
         raise ValueError("build_vocab: training set is empty")
+    if max_size < 1:
+        raise ValueError(f"build_vocab: max_size must be >= 1, got {max_size}")
     counts = {}
     first_seen = {}
     position = 0

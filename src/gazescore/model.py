@@ -16,16 +16,16 @@ training (one graph, one dropout mask, one backward), per evaluation pass.
 
 An rng means training: it draws the dropout masks, and each essay gets a
 graph through :meth:`EssayScorer.forward`. Without an rng (evaluation),
-``forward_batch`` scores in plain numpy on the parameters' values. An
-essay's sentences form one padded token block (one gather, ``conv_kernel``
-stacked matmuls, a masked word attention); up to ``EVAL_SLICE`` essays form
-one padded sentence block, which one LSTM time loop advances, each step over
-the essays that still have a sentence (arXiv:1604.01946), before the masked
-attentions (the graph's ``numerics._softmax``, masked) and the output layers.
-Scores equal ``forward``'s up to the grouping of floating-point sums: padding
-regroups a softmax's sum, and a block row runs as a GEMM where ``forward``'s
-one-row matmul is a GEMV. At the paper's dimensions the conv outputs, so the
-gaze heads, are bit-identical.
+``forward_batch`` scores in plain numpy on the parameters' values, with the
+graph ops' own formulas. An essay's sentences form one token block padded with
+zero rows, so the PAD row is never read (one gather of the real tokens,
+``conv_kernel`` stacked matmuls, a masked word attention); up to ``EVAL_SLICE``
+essays form one padded sentence block, which one LSTM time loop advances, each
+step over the essays that still have a sentence (arXiv:1604.01946), before the
+masked attentions and the output layers. Scores equal ``forward``'s up to the
+grouping of floating-point sums: padding regroups a softmax's sum, and a block
+row runs as a GEMM where ``forward``'s one-row matmul is a GEMV. At the paper's
+dimensions the conv outputs, so the gaze heads, are bit-identical.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
@@ -78,6 +78,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
+        for name in ("embedding_dim", "conv_kernel", "conv_filters", "lstm_hidden",
+                     "modeling_hidden", "vocab_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.conv_kernel % 2 == 0:
             raise ValueError(f"conv_kernel must be odd, got {self.conv_kernel}")
         if not 0.0 <= self.dropout < 1.0:
@@ -105,14 +109,8 @@ class ForwardOutput:
 
 
 def _attend(states, mask, w, b, v):
-    """Additive attention with parameters w, b, v over the masked rows of
-    (B, L, D) states -> (B, D).
-
-    It pools with ``alpha @ states``, as ``forward`` does; an elementwise sum
-    over padded rows would regroup the terms further.
-    """
-    alpha = nm._softmax((np.tanh(states @ w.data + b.data) @ v.data)[..., 0], mask=mask)
-    return (alpha[:, None] @ states)[:, 0]
+    """Additive attention (w, b, v) over the masked rows of (B, L, D) states -> (B, D)."""
+    return nm._attend(states, w.data, b.data, v.data, mask)[2][:, 0]
 
 
 class EssayScorer:
@@ -312,18 +310,16 @@ class EssayScorer:
         lengths = np.array([len(ids) for ids in sentence_ids])
         width = max(lengths.max(), 1)
         mask = np.arange(width) < lengths[:, None]
-        # PAD's embedding row is pinned at zero, as conv1d pads each sentence
-        ids = np.zeros((len(sentence_ids), width + k - 1), dtype=np.int64)
-        ids[:, k // 2:k // 2 + width][mask] = [i for sentence in sentence_ids for i in sentence]
-        embedded = self.embedding.data[ids]
-        conv = np.zeros((len(sentence_ids), width, w.shape[2]))
-        for j in range(k):
-            conv += embedded[:, j:j + width] @ w[j]
-        # forward's one-token sentence is a one-row matmul, a GEMV: keep it one
+        # zero rows around and after each sentence's tokens, as encode_tokens pads
+        embedded = np.zeros((len(sentence_ids), width + k - 1, w.shape[1]))
+        embedded[:, k // 2:k // 2 + width][mask] = self.embedding.data[
+            [i for sentence in sentence_ids for i in sentence]]
+        conv = nm._conv_forward(embedded, w)
+        # forward's one-token sentence is one-row matmuls, GEMVs: keep them so
         single = lengths == 1
         if width > 1 and single.any():
-            conv[single, 0] = (embedded[single, k // 2][:, None] @ w[k // 2])[:, 0]
-        conv = np.tanh(conv + self.conv_b.data)
+            conv[single, :1] = nm._conv_forward(embedded[single, :k], w)
+        conv = np.tanh(nm._add_bias("forward_batch", conv, self.conv_b.data))
         vectors = _attend(conv, mask, self.word_attn_w, self.word_attn_b, self.word_attn_v)
         gaze = {}
         if self.config.gaze_attributes and mask.any():
@@ -335,18 +331,13 @@ class EssayScorer:
     def _lstm_block(self, inputs, counts):
         """Hidden states (B, L, H) over (B, L, F) inputs whose essay b has
         ``counts[b]`` sentences, counts descending; each essay's later rows stay zero."""
-        wh, b = self.lstm_wh.data, self.lstm_b.data
-        h_size = len(wh)
+        wh = self.lstm_wh.data
         projected = inputs @ self.lstm_wx.data
-        hidden = np.zeros(inputs.shape[:2] + (h_size,))
-        h = c = np.zeros((len(inputs), h_size))
+        hidden = np.zeros(inputs.shape[:2] + (len(wh),))
+        h = c = np.zeros((len(inputs), len(wh)))
         for t in range(inputs.shape[1]):
             n = np.count_nonzero(counts > t)
-            z = (projected[:n, t] + h[:n] @ wh) + b
-            i, f = nm._sigmoid(z[:, :h_size]), nm._sigmoid(z[:, h_size:2 * h_size])
-            g, o = np.tanh(z[:, 2 * h_size:3 * h_size]), nm._sigmoid(z[:, 3 * h_size:])
-            c = f * c[:n] + i * g
-            h = o * np.tanh(c)
+            *_, c, h = nm._lstm_step(projected[:n, t], h[:n], c[:n], wh, self.lstm_b.data)
             hidden[:n, t] = h
         return hidden
 

@@ -70,7 +70,9 @@ fused node's parents are listed so that the rest of the graph keeps its
 order. A fused backward that runs its members' gradient formulas (the
 private helpers the single ops use) in that run's order therefore adds the
 same terms into each input in the same order: results stay bit-identical.
-``_softmax`` is also the model's block evaluator's softmax, masked over padding.
+The model's block evaluator runs the ops' own forward formulas on arrays with
+leading batch axes: ``_conv_forward``, ``_add_bias``, ``_softmax`` (masked over
+padding), ``_attend`` (the attention pool) and ``_lstm_step`` (one LSTM step).
 """
 
 from __future__ import annotations
@@ -227,8 +229,8 @@ def _check_matmul(op, a, b):
 
 
 def _add_bias(op, z, b):
-    """z (n, m) + b (m,)."""
-    if b.shape != z.shape[1:]:
+    """z (..., m) + b (m,)."""
+    if b.shape != z.shape[-1:]:
         raise ShapeError(f"{op}: bias of shape {b.shape} does not fit shape {z.shape}")
     return z + b
 
@@ -251,11 +253,11 @@ def _pad_rows(x, k):
 
 
 def _conv_forward(xp, w):
-    """The sum over the k windows of padded xp of window j @ w[j]."""
-    t = len(xp) - len(w) + 1
-    out = np.zeros((t, w.shape[2]), dtype=np.result_type(xp, w))
+    """The sum over the k windows of padded xp (..., T + k - 1, Cin) of window j @ w[j]."""
+    t = xp.shape[-2] - len(w) + 1
+    out = np.zeros(xp.shape[:-2] + (t, w.shape[2]), dtype=np.result_type(xp, w))
     for j in range(len(w)):
-        out += xp[j:j + t] @ w[j]
+        out += xp[..., j:j + t, :] @ w[j]
     return out
 
 
@@ -301,6 +303,24 @@ def _softmax(x, axis=-1, mask=True):
     total = e.sum(axis=axis, keepdims=True)
     total[total == 0] = 1.0  # only where every e is 0
     return e / total
+
+
+def _attend(states, w, b, v, mask=True):
+    """(u, alpha, pooled) of additive attention over states (..., n, d): u = tanh(states @ w + b),
+    alpha = softmax(u @ v) (..., 1, n) over the rows where mask (..., n) holds, alpha @ states."""
+    u = np.tanh(_add_bias("additive_attention", states @ w, b))
+    alpha = _softmax(np.swapaxes(u @ v, -1, -2), mask=mask if mask is True else mask[..., None, :])
+    return u, alpha, alpha @ states
+
+
+def _lstm_step(xw, h, c, wh, b):
+    """One LSTM step from state (h, c) given xw = x_t @ wx: (i, f, g, o, tanh(c'), c', h')."""
+    z, size = (xw + h @ wh) + b, len(wh)
+    i, f = _sigmoid(z[:, :size]), _sigmoid(z[:, size:2 * size])
+    g, o = np.tanh(z[:, 2 * size:3 * size]), _sigmoid(z[:, 3 * size:])
+    c = f * c + i * g
+    tc = np.tanh(c)
+    return i, f, g, o, tc, c, o * tc
 
 
 def _softmax_grad(g, out, axis):
@@ -583,15 +603,9 @@ def lstm(x, wx, wh, b):
                          f"{x.data.shape}, {wx.data.shape}, {wh.data.shape} and {b.data.shape}")
     n, h, c = len(x.data), np.zeros((1, h_size)), np.zeros((1, h_size))
     steps = []
-    for t in range(n):
-        z = (x.data[t:t + 1] @ wx.data + h @ wh.data) + b.data
-        i, f = _sigmoid(z[:, :h_size]), _sigmoid(z[:, h_size:2 * h_size])
-        g, o = np.tanh(z[:, 2 * h_size:3 * h_size]), _sigmoid(z[:, 3 * h_size:])
-        c_prev, h_prev = c, h
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        steps.append((h_prev, c_prev, i, f, g, o, tc, h))
+    for t in range(n):  # each step: h, c, then _lstm_step's (i, f, g, o, tanh(c'), c', h')
+        steps.append((h, c) + _lstm_step(x.data[t:t + 1] @ wx.data, h, c, wh.data, b.data))
+        *_, c, h = steps[-1]
     out_data = np.concatenate([step[-1] for step in steps], axis=0)
 
     def grad_fn(grad):
@@ -603,7 +617,7 @@ def lstm(x, wx, wh, b):
         gwh = _owned_grad(wh) if wh.requires_grad else None
         term = np.empty((max(len(wx.data), h_size), 4 * h_size))
         for t in reversed(range(n)):
-            h_prev, c_prev, i, f, g, o, tc, _ = steps[t]
+            h_prev, c_prev, i, f, g, o, tc, _, _ = steps[t]
             dh = grad[t:t + 1] if dz is None else grad[t:t + 1] + dz @ wh.data.T
             dc = dc + (dh * o) * (1.0 - tc * tc)
             dz = np.concatenate([((dc * g) * i) * (1.0 - i),
@@ -698,10 +712,8 @@ def additive_attention(states, w, b, v):
     """
     states, w, b, v = (_as_tensor(t) for t in (states, w, b, v))
     _check_matmul("additive_attention", states.data, w.data)
-    u = np.tanh(_add_bias("additive_attention", states.data @ w.data, b.data))
-    _check_matmul("additive_attention", u, v.data)
-    alpha = _softmax((u @ v.data).T)
-    out_data = alpha @ states.data
+    _check_matmul("additive_attention", w.data, v.data)
+    u, alpha, out_data = _attend(states.data, w.data, b.data, v.data)
 
     def grad_fn(g):
         g_alpha = g @ states.data.T

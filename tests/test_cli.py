@@ -325,6 +325,36 @@ class TestPreprocess:
         assert loaded_essays == {7: essays[0], 3: replace(essays[1], gaze=None)}
         assert [type(e.degenerate) for e in loaded_essays.values()] == [bool, bool]
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_vocab_size_below_one_rejected(self, value, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["preprocess", "--config", str(data_dir / "base.cfg"), "--out", str(out),
+                     "--set", "vocab_size=" + value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: build_vocab: max_size must be >= 1, got {value}\n"
+        assert not (out / "corpus_cache.json").exists()
+
+    @pytest.mark.parametrize("edit, what", [
+        (lambda cache: list(cache.values()), "the top level is not a JSON object"),
+        (lambda cache: {**cache, "sets": [cache["sets"]]}, "'sets' is not a JSON object"),
+        (lambda cache: {**cache, "sets": {**cache["sets"], "1": 3}},
+         "set 1 is not a JSON object"),
+        (lambda cache: {**cache, "essays": 5}, "'essays' is not a JSON array"),
+        (lambda cache: {**cache, "essays": cache["essays"][:1] + ["essay"]},
+         "essay entry 1 is not a JSON object"),
+    ], ids=["top_level", "sets", "set_entry", "essays", "essay_entry"])
+    def test_corpus_cache_of_the_wrong_shape_exits_one_naming_it(self, edit, what, data_dir,
+                                                                 prep_dir, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps(edit(json.loads(
+            (prep_dir / "corpus_cache.json").read_text()))))
+        args = run_args(data_dir, prep_dir, tmp_path / "out", "self_attention",
+                        "corpus_cache=" + str(cache))
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cache}: {what}\n"
+
     def test_empty_essays_file_exits_nonzero_naming_it(self, data_dir, tmp_path,
                                                        capsys):
         empty = tmp_path / "empty.tsv"
@@ -617,6 +647,12 @@ class TestRun:
             ("run", "self_attention", "dropout=1.5"),
             ("run", "self_attention", "conv_kernel=4"),
             ("run", "self_attention", "epochs=-1"),
+            # sizes below 1: a zero dimension scores every essay 0.5, and a
+            # negative vocab_size would drop the rarest tokens
+            ("run", "self_attention", "conv_filters=0", "vocab_size=-1"),
+            ("run", "self_attention", "vocab_size=-1"),
+            ("train", "self_attention", "embedding_dim=0"),
+            ("run", "self_attention", "conv_kernel=-1"),
             ("run", "self_attention", "target_sets=9"),
             ("run", "co_attention", "target_sets=3"),
             ("run", "essays_gaze"),
@@ -1032,6 +1068,19 @@ class TestReport:
                      "--set", "run_a=" + str(copy)])
         assert code == 1
         assert capsys.readouterr().err == "error: " + message.format(path) + "\n"
+
+    def test_manifest_that_is_not_an_object_exits_one_naming_it(self, two_runs, tmp_path,
+                                                                capsys):
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for kept in ("report.csv", "predictions.csv"):
+            (copy / kept).write_bytes((two_runs[0] / kept).read_bytes())
+        (copy / "manifest.json").write_text(json.dumps([{"seed": 1}]))
+        code = main(["report", "--out", str(tmp_path / "report"),
+                     "--set", "run_a=" + str(copy)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {copy / 'manifest.json'}: the top level is not a JSON object\n"
 
     def test_compare_two_runs(self, two_runs, tmp_path, capsys):
         first, second = two_runs

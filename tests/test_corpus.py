@@ -295,6 +295,13 @@ def test_build_vocab_max_size_cap():
     assert len(vocab) == 10 + 2
 
 
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_build_vocab_rejects_max_size_below_one(max_size):
+    # a negative slice would silently drop the rarest tokens
+    with pytest.raises(ValueError, match=f"max_size must be >= 1, got {max_size}"):
+        build_vocab([make_essay(1, "alpha beta gamma")], max_size=max_size)
+
+
 def test_build_vocab_records_provenance():
     essays = [make_essay(1, "a b"), make_essay(7, "c d")]
     vocab = build_vocab(essays)

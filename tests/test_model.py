@@ -56,6 +56,14 @@ def test_config_validation():
         ModelConfig(gaze_attributes=("DT",), gaze_loss_weights={"FFD": 0.1})
 
 
+@pytest.mark.parametrize("name", ["embedding_dim", "conv_kernel", "conv_filters", "lstm_hidden",
+                                  "modeling_hidden", "vocab_size"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_sizes_below_one(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        ModelConfig(**{name: value})
+
+
 def test_config_rejects_duplicate_gaze_attributes():
     with pytest.raises(ValueError, match=r"gaze_attributes lists \['DT'\] more than once"):
         ModelConfig(gaze_attributes=("DT", "Skip", "DT"))
@@ -551,11 +559,12 @@ def parity_essays():
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
 def test_batched_evaluation_matches_per_essay_forward(architecture):
     model = tiny_model(architecture, gaze=("DT", "Skip"), dropout=0.5)
-    # unit-scale weights spread the scores over (0, 1); PAD's row stays zero
+    # unit-scale weights spread the scores over (0, 1); PAD's row is nonzero
+    # too, and neither path may read it for padding
     rng = np.random.default_rng(12)
     state = {name: rng.normal(scale=2.0, size=value.shape)
              for name, value in model.state_dict().items()}
-    state["embedding"][0] = 0.0
+    assert np.all(state["embedding"][0] != 0.0)
     model.load_state_dict(state)
     essays = parity_essays()
     evaluated = model.forward_batch(essays)
@@ -577,6 +586,26 @@ def test_batched_evaluation_matches_per_essay_forward(architecture):
     print(f"\n[eval parity] {architecture}: largest batched-vs-forward score difference "
           f"{largest:.3g} over {len(essays)} essays")
     assert largest <= 1e-10
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_batched_evaluation_gaze_predictions_equal_forward_bitwise_at_paper_dims(architecture):
+    # the conv rows of a padded block are forward's: one-token sentences stay
+    # one-row matmuls, and padding adds zero rows whatever PAD's embedding is
+    vocab = 40
+    config = ModelConfig(architecture=architecture, vocab_size=vocab, dropout=0.0,
+                         gaze_attributes=("DT", "FFD", "IR", "RC", "Skip"))
+    rng = np.random.default_rng(21)
+    model = EssayScorer(config, rng, embedding_matrix=rng.normal(size=(vocab, 50)),
+                        article_sentence_ids=[[2, 3, 4, 5], [6, 7]])
+    lengths = [[1], [0, 1, 3], [7, 0, 1, 1], [12, 30, 1], [1, 1], [0, 5], [25, 2, 0, 9, 1]]
+    essays = [[[int(t) for t in rng.integers(1, vocab, size=n)] for n in sizes]
+              for sizes in lengths * 3]
+    for essay, out in zip(essays, model.forward_batch(essays)):
+        reference = model.forward(essay).gaze_predictions
+        assert list(out.gaze_predictions) == list(reference)
+        for attribute, expected in reference.items():
+            np.testing.assert_array_equal(out.gaze_predictions[attribute].data, expected.data)
 
 
 def test_batched_evaluation_rejects_an_empty_essay():
