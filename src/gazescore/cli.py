@@ -36,7 +36,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .checkpoint import save_checkpoint
@@ -94,8 +94,15 @@ MANIFEST_NAME = "manifest.json"
 
 CORPUS_CACHE_FORMAT = "gazescore-corpus 1"
 
-# the Essay fields a corpus cache keeps: all but the gaze that binning attaches
-CACHED_ESSAY_FIELDS = tuple(f.name for f in fields(Essay) if f.name != "gaze")
+# the Essay fields a corpus cache keeps, all but the gaze that binning
+# attaches, and the types each must load as
+CACHED_ESSAY_FIELDS = {name: hint for name, hint in get_type_hints(Essay).items()
+                       if name != "gaze"}
+
+# a corpus cache's set entry: each key, the EssaySet field it holds, and its type
+CACHED_SET_FIELDS = {key: (name, get_type_hints(EssaySet)[name]) for key, name in
+                     (("score_min", "score_min"), ("score_max", "score_max"),
+                      ("article", "source_article"))}
 
 # report.csv: the run's system, then how each of FoldResult's scalar fields parses
 _REPORT_PARSERS = {name: parse for name, parse in get_type_hints(FoldResult).items()
@@ -155,7 +162,8 @@ def parse_config_file(path):
 
 
 def resolve_options(args):
-    """Config file options overlaid with --set pairs; overrides win."""
+    """Config file options overlaid with --set pairs; overrides win. Every key
+    must be in ``OPTION_KEYS``, so one config file can serve every command."""
     options = {}
     if args.config:
         options.update(parse_config_file(args.config))
@@ -166,6 +174,9 @@ def resolve_options(args):
             raise CliError(f"--set expects key=value, got {pair!r}")
         overrides[key.strip()] = value.strip()
     options.update(overrides)
+    for key in options:
+        if key not in OPTION_KEYS:
+            raise CliError(f"unknown option {key!r}")
     return options, overrides
 
 
@@ -307,15 +318,39 @@ def _json_object(path, value, what):
     return value
 
 
+def _json_types(hint):
+    """The types of the JSON values a scalar type or union such as ``str | None``
+    admits: an int for a float, but never a bool for an int or float."""
+    types = frozenset(get_args(hint) or (hint,))
+    return types | {int} if float in types else types
+
+
+def _is_json_of(value, hint):
+    """Whether a JSON value is of type ``hint``, a list type or as ``_json_types``."""
+    if get_origin(hint) is not list:
+        return type(value) in _json_types(hint)
+    (item,) = get_args(hint)
+    if get_origin(item) is list:
+        return type(value) is list and all(_is_json_of(v, item) for v in value)
+    return type(value) is list and {*map(type, value)} <= _json_types(item)
+
+
+def _typed(path, what, entry, key, hint):
+    """``entry[key]``, which ``what`` in the JSON file ``path`` names, if it is of type ``hint``."""
+    value = entry[key]
+    if not _is_json_of(value, hint):
+        expected = str(hint) if get_args(hint) else hint.__name__
+        raise CliError(f"{path}: {what}: field {key!r} must be {expected}, "
+                       f"not {type(value).__name__}")
+    return value
+
+
 def write_corpus_cache(path, essays, sets):
     payload = {
         "format": CORPUS_CACHE_FORMAT,
         "sets": {
-            str(set_id): {
-                "score_min": essay_set.score_min,
-                "score_max": essay_set.score_max,
-                "article": essay_set.source_article,
-            }
+            str(set_id): {key: getattr(essay_set, name)
+                          for key, (name, _) in CACHED_SET_FIELDS.items()}
             for set_id, essay_set in sets.items()
         },
         "essays": [{name: getattr(essay, name) for name in CACHED_ESSAY_FIELDS}
@@ -327,22 +362,34 @@ def write_corpus_cache(path, essays, sets):
 
 
 def load_corpus_cache(path):
+    """(essays by id, sets by id) from a corpus cache, each field of the type it declares."""
     with open(path, "r", encoding="utf-8") as fh, _fields_of(path):
-        payload = _json_object(path, json.load(fh), "the top level")
+        try:
+            payload = _json_object(path, json.load(fh), "the top level")
+        except ValueError as error:  # not UTF-8, or not JSON
+            raise CliError(f"{path}: not JSON ({error})") from None
         if payload.get("format") != CORPUS_CACHE_FORMAT:
             raise CliError(f"{path}: not a corpus cache (format {payload.get('format')!r})")
         sets = {}
-        for set_id, entry in _json_object(path, payload["sets"], "'sets'").items():
-            entry = _json_object(path, entry, f"set {set_id}")
-            sets[int(set_id)] = EssaySet(set_id=int(set_id), score_min=entry["score_min"],
-                                         score_max=entry["score_max"],
-                                         source_article=entry["article"])
+        for set_key, entry in _json_object(path, payload["sets"], "'sets'").items():
+            try:
+                set_id = int(set_key)
+            except ValueError:
+                raise CliError(f"{path}: set id {set_key!r} is not an integer") from None
+            entry = _json_object(path, entry, f"set {set_key}")
+            values = {name: _typed(path, f"set {set_key}", entry, key, hint)
+                      for key, (name, hint) in CACHED_SET_FIELDS.items()}
+            try:
+                sets[set_id] = EssaySet(set_id=set_id, **values)
+            except ValueError as error:  # an empty score range
+                raise CliError(f"{path}: {error}") from None
         if not isinstance(payload["essays"], list):
             raise CliError(f"{path}: 'essays' is not a JSON array")
         essays = []
         for n, entry in enumerate(payload["essays"]):
             entry = _json_object(path, entry, f"essay entry {n}")
-            essays.append(Essay(**{name: entry[name] for name in CACHED_ESSAY_FIELDS}))
+            essays.append(Essay(**{name: _typed(path, f"essay entry {n}", entry, name, hint)
+                                   for name, hint in CACHED_ESSAY_FIELDS.items()}))
     return {essay.essay_id: essay for essay in essays}, sets
 
 
@@ -750,6 +797,14 @@ COMMANDS = {
                    ("corpus_cache",), EXPERIMENT_INPUTS),
     "report": (cmd_report, "Render a saved run or compare two runs", ("run_a",), ("run_b",)),
 }
+
+# every key a config file or --set may give: an input key of some command, or
+# an option some command reads
+OPTION_KEYS = frozenset({
+    *(key for _, _, required, optional in COMMANDS.values() for key in required + optional),
+    "seed", "vocab_size", "system", "target_sets", "set", "fold", "attribute", "grid",
+    "reader_filter", "gaze_essay_ids", "gaze_attributes",
+    *(f"gaze_weight_{attribute}" for attribute in GAZE_ATTRIBUTES), *MODEL_KEYS, *TRAIN_KEYS})
 
 
 def usable_cpus():

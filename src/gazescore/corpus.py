@@ -58,7 +58,7 @@ class EssaySet:
 class Essay:
     essay_id: int
     set_id: int
-    sentences: list
+    sentences: list[list[str]]
     raw_score: int
     normalized_score: float
     degenerate: bool = False

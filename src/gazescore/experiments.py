@@ -608,19 +608,22 @@ def validate_run(config, data):
                 f"{set_id} has none with any tokens")
     if system.uses_gaze and not data.gaze_records:
         raise ValueError(f"system {config.system!r} needs gaze records")
-    # a system that does not augment learns gaze only from its target sets' essays
-    if system.uses_gaze and not system.augments_train and not _gaze_within_tokens(
-            data, {i for set_id in config.target_sets for fold in data.folds[set_id]
-                   for i in fold.all_ids}):
-        raise ValueError(f"system {config.system!r} learns gaze from its target sets' essays, "
-                         f"but no essay of target sets {list(config.target_sets)} has a "
-                         f"gaze record within its tokens")
     if system.augments_train and not data.gaze_essay_ids:
         raise ValueError(f"system {config.system!r} needs a gaze essay pool to augment with")
     leaked = data.gaze_essay_ids & {i for set_id in config.target_sets
                                     for fold in data.folds[set_id] for i in fold.dev + fold.test}
     if system.augments_train and leaked:
         raise LeakageError(f"gaze pool essays {sorted(leaked)} are held out in the run's folds")
+    # a system learns gaze from the essays it trains on: its target sets' essays,
+    # and the pool's if it augments
+    pool = data.gaze_essay_ids if system.augments_train else frozenset()
+    if system.uses_gaze and not _gaze_within_tokens(data, pool | {
+            i for set_id in config.target_sets for fold in data.folds[set_id]
+            for i in fold.all_ids}):
+        raise ValueError(f"system {config.system!r} learns gaze from its "
+                         f"{'gaze pool and ' if pool else ''}target sets' essays, but no "
+                         f"{'pool essay or ' if pool else ''}essay of target sets "
+                         f"{list(config.target_sets)} has a gaze record within its tokens")
     cell_configs(config, data, config.vocab_size, config.seed)
 
 
@@ -628,8 +631,9 @@ def _gaze_within_tokens(data, essay_ids):
     """Whether a gaze record on one of ``essay_ids`` falls within its essay's tokens."""
     records = data.gaze_records
     on = np.isin(records.essay_id, list(essay_ids))
-    return any(ia_index < len(data.essays[essay_id].tokens) for essay_id, ia_index
-               in zip(records.essay_id[on].tolist(), records.ia_index[on].tolist()))
+    on_ids = records.essay_id[on].tolist()
+    n_tokens = {i: sum(map(len, data.essays[i].sentences)) for i in set(on_ids)}
+    return bool(np.any(records.ia_index[on] < [n_tokens[i] for i in on_ids]))
 
 
 def grid_cells(config, data, attributes, weights):

@@ -312,8 +312,9 @@ class EssayScorer:
         mask = np.arange(width) < lengths[:, None]
         # zero rows around and after each sentence's tokens, as encode_tokens pads
         embedded = np.zeros((len(sentence_ids), width + k - 1, w.shape[1]))
-        embedded[:, k // 2:k // 2 + width][mask] = self.embedding.data[
-            [i for sentence in sentence_ids for i in sentence]]
+        table = self.embedding.data
+        embedded[:, k // 2:k // 2 + width][mask] = table[nm._gather_ids(
+            "forward_batch", table, [i for sentence in sentence_ids for i in sentence])]
         conv = nm._conv_forward(embedded, w)
         # forward's one-token sentence is one-row matmuls, GEMVs: keep them so
         single = lengths == 1

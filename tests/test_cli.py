@@ -193,6 +193,32 @@ class TestConfigFile:
         assert capsys.readouterr().err == "error: --set expects key=value, got ' =3'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["set", "config"])
+    def test_key_no_command_reads_rejected(self, where, data_dir, prep_dir, tmp_path, capsys):
+        # misspelled, they would leave the defaults in force and still be recorded
+        out = tmp_path / "out"
+        args = run_args(data_dir, prep_dir, out, "co_attention_gaze")
+        if where == "set":
+            args += ["--set", "learning_rte=5", "--set", "gaze_wieght_DT=3"]
+        else:
+            config = tmp_path / "typo.cfg"
+            config.write_text((data_dir / "base.cfg").read_text() + "learning_rte = 5\n")
+            args[args.index("--config") + 1] = str(config)
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: unknown option 'learning_rte'\n"
+        assert not out.exists()
+
+    def test_keys_other_commands_read_are_accepted(self, data_dir, tmp_path):
+        # one config file may serve every command: a key that only run reads
+        # is no error for preprocess
+        pairs = [f"{key}=1" for key in sorted(cli.OPTION_KEYS)
+                 if key not in ("essays", "set_metadata", "embeddings")]
+        args = ["preprocess", "--config", str(data_dir / "base.cfg"), "--out",
+                str(tmp_path / "out"), "--dry-run"]
+        assert main(args + [arg for pair in pairs for arg in ("--set", pair)]) == 0
+        assert {"fold", "attribute", "grid", "reader_filter", "gaze_weight_Skip", "run_b",
+                "learning_rate", "embedding_dim"} <= cli.OPTION_KEYS
+
     def test_seed_flag_overrides_config(self, data_dir, tmp_path):
         out = tmp_path / "out"
         code = main(["preprocess", "--config", str(data_dir / "base.cfg"),
@@ -343,17 +369,63 @@ class TestPreprocess:
         (lambda cache: {**cache, "essays": 5}, "'essays' is not a JSON array"),
         (lambda cache: {**cache, "essays": cache["essays"][:1] + ["essay"]},
          "essay entry 1 is not a JSON object"),
-    ], ids=["top_level", "sets", "set_entry", "essays", "essay_entry"])
+        (lambda cache: "not JSON", "not JSON (Expecting value: line 1 column 1 (char 0))"),
+        (lambda cache: {**cache, "sets": {**cache["sets"], "x": cache["sets"]["1"]}},
+         "set id 'x' is not an integer"),
+        (lambda cache: {**cache, "sets": {"1": {**cache["sets"]["1"], "score_max": 0}}},
+         "set 1: score_min 0 must be below score_max 0"),
+    ], ids=["top_level", "sets", "set_entry", "essays", "essay_entry", "not_json", "set_key",
+            "score_range"])
     def test_corpus_cache_of_the_wrong_shape_exits_one_naming_it(self, edit, what, data_dir,
                                                                  prep_dir, tmp_path, capsys):
         cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps(edit(json.loads(
-            (prep_dir / "corpus_cache.json").read_text()))))
+        edited = edit(json.loads((prep_dir / "corpus_cache.json").read_text()))
+        cache.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         args = run_args(data_dir, prep_dir, tmp_path / "out", "self_attention",
                         "corpus_cache=" + str(cache))
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {cache}: {what}\n"
+
+    @pytest.mark.parametrize("entry, key, value, what", [
+        ("essays", "sentences", 5, "field 'sentences' must be list[list[str]], not int"),
+        ("essays", "sentences", [["a"], "b c"],
+         "field 'sentences' must be list[list[str]], not list"),
+        ("essays", "sentences", [["a", 3]], "field 'sentences' must be list[list[str]], not list"),
+        ("essays", "essay_id", True, "field 'essay_id' must be int, not bool"),
+        ("essays", "raw_score", "2", "field 'raw_score' must be int, not str"),
+        ("essays", "normalized_score", None, "field 'normalized_score' must be float, not NoneType"),
+        ("essays", "degenerate", 0, "field 'degenerate' must be bool, not int"),
+        ("sets", "score_min", 0.0, "field 'score_min' must be int, not float"),
+        ("sets", "article", ["a"], "field 'article' must be str | None, not list"),
+    ], ids=["sentences", "sentence", "token", "essay_id", "raw_score", "normalized_score",
+            "degenerate", "score_min", "article"])
+    def test_corpus_cache_field_of_the_wrong_type_exits_one_before_any_cell(
+            self, entry, key, value, what, data_dir, prep_dir, tmp_path, capsys):
+        # each field is checked against the type Essay or EssaySet declares as
+        # the cache loads, rather than failing in every cell
+        cache = json.loads((prep_dir / "corpus_cache.json").read_text())
+        if entry == "essays":
+            cache["essays"][3][key], where = value, "essay entry 3"
+        else:
+            cache["sets"]["1"][key], where = value, "set 1"
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(cache))
+        out = tmp_path / "out"
+        args = run_args(data_dir, prep_dir, out, "self_attention", "corpus_cache=" + str(path))
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: {where}: {what}\n")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
+    def test_corpus_cache_takes_an_integral_score_as_a_float(self, tmp_path):
+        # JSON does not tell 1 from 1.0, so an int is a float; a bool is neither
+        sets = {3: EssaySet(3, 0, 3)}
+        write_corpus_cache(tmp_path / "cache.json", [Essay(7, 3, [["a"]], 3, 1.0)], sets)
+        cache = json.loads((tmp_path / "cache.json").read_text())
+        cache["essays"][0]["normalized_score"] = 1
+        (tmp_path / "cache.json").write_text(json.dumps(cache))
+        assert load_corpus_cache(tmp_path / "cache.json")[0][7].normalized_score == 1
 
     def test_empty_essays_file_exits_nonzero_naming_it(self, data_dir, tmp_path,
                                                        capsys):
@@ -1244,6 +1316,27 @@ class TestFailurePolicy:
             assert captured.err == ("error: system 'co_attention_gaze' learns gaze from its "
                                     "target sets' essays, but no essay of target sets [1] "
                                     "has a gaze record within its tokens\n")
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_augmenting_gaze_system_without_gaze_within_tokens_is_rejected_before_any_cell(
+            self, command, data_dir, prep_dir, pool_gaze_dir, tmp_path, capsys):
+        # every pool record sits past its essay's 8 tokens, and set 1 has no
+        # gaze, so essays_gaze would train its gaze heads on nothing
+        header, *rows = (pool_gaze_dir / "records_clean.csv").read_text().splitlines(True)
+        records = tmp_path / "past_the_tokens.csv"
+        records.write_text(header + "".join(
+            ",".join(fields[:2] + [str(int(fields[2]) + 8)] + fields[3:])
+            for fields in (row.split(",") for row in rows)))
+        pairs = ["records_clean=" + str(records), "system=essays_gaze", self.POOL]
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{command}{jobs}"
+            assert main(self.args(command, out, jobs, prep_dir, data_dir, *pairs)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: system 'essays_gaze' learns gaze from its gaze "
+                                    "pool and target sets' essays, but no pool essay or essay "
+                                    "of target sets [1] has a gaze record within its tokens\n")
             assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
     def test_train_checks_the_pool_on_its_own_fold(self, data_dir, prep_dir, pool_gaze_dir,

@@ -263,9 +263,13 @@ def graph_nodes_per_essay(model, examples):
     return nodes / len(examples)
 
 
-@pytest.mark.parametrize("architecture, bound", [("self_attention", 45), ("co_attention", 60)])
+# nodes per essay a training batch may take; before the fused ops each
+# essay took 12 nodes per sentence, about 183 with self-attention
+NODE_BOUNDS = [("self_attention", 45), ("co_attention", 60)]
+
+
+@pytest.mark.parametrize("architecture, bound", NODE_BOUNDS)
 def test_twelve_sentence_essays_train_on_a_few_dozen_nodes(architecture, bound):
-    # before the fused ops each essay took 12 nodes per sentence: about 183
     rng = np.random.default_rng(12)
     examples = []
     for i in range(10):
@@ -278,3 +282,16 @@ def test_twelve_sentence_essays_train_on_a_few_dozen_nodes(architecture, bound):
             gaze_targets={a: (idx, rng.random(idx.size)) for a in GAZE_ATTRIBUTES}))
     model = model_pair(architecture, gaze=GAZE_ATTRIBUTES)[0]
     assert graph_nodes_per_essay(model, examples) <= bound
+
+
+@pytest.mark.parametrize("architecture, bound", NODE_BOUNDS)
+def test_the_benchmark_batch_trains_on_a_few_dozen_nodes(architecture, bound, benchmark_batch):
+    # the benchmark's first 10 train essays, 12 sentences each, at paper
+    # defaults with all five gaze heads: 43.2 and 58.4 nodes per essay. The
+    # benchmark tracer's numerics.graph_nodes_per_essay counts only the
+    # single ops it wraps, so this count is the one that sees the fused ops
+    nodes = graph_nodes_per_essay(benchmark_batch.model(architecture),
+                                  benchmark_batch.train[:10])
+    line = f"[graph nodes] {architecture}: {nodes:.1f} per essay"
+    print("\n" + line)
+    assert nodes <= bound, line

@@ -1,5 +1,7 @@
 """Architecture tests: shapes, attention, head isolation, end-to-end gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -608,6 +610,39 @@ def test_batched_evaluation_gaze_predictions_equal_forward_bitwise_at_paper_dims
             np.testing.assert_array_equal(out.gaze_predictions[attribute].data, expected.data)
 
 
+def evaluation_digest(model, essays):
+    """sha256 over forward_batch's scores and sorted gaze predictions, essay by essay."""
+    digest = hashlib.sha256()
+    for out in model.forward_batch(essays):
+        digest.update(out.predicted_score.data.tobytes())
+        for attribute in sorted(out.gaze_predictions):
+            digest.update(out.gaze_predictions[attribute].data.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_evaluation_of_the_benchmark_essays_repeats_bit_for_bit(architecture, benchmark_batch):
+    # the benchmark's 50 eval essays at paper defaults with all five gaze
+    # heads, from seed-1 parameters. The bits depend on the BLAS build, so
+    # no digest is pinned; a change to evaluation's bits shows in the line
+    model = benchmark_batch.model(architecture)
+    digest = evaluation_digest(model, benchmark_batch.eval_essays)
+    print(f"\n[eval digest] {architecture}: {digest} over "
+          f"{len(benchmark_batch.eval_essays)} essays")
+    assert evaluation_digest(model, benchmark_batch.eval_essays) == digest
+
+
 def test_batched_evaluation_rejects_an_empty_essay():
     with pytest.raises(ValueError, match="no sentences"):
         tiny_model().forward_batch([ESSAY, []])
+
+
+@pytest.mark.parametrize("token_id", [-1, TINY["vocab_size"]])
+def test_batched_evaluation_rejects_a_token_id_outside_the_vocabulary(token_id):
+    # as the graph's encode_tokens does: -1 would otherwise read the last row
+    model = tiny_model()
+    essay = [[2, 3], [token_id, 2]]
+    with pytest.raises(IndexError, match="^encode_tokens: index out of range"):
+        model.forward(essay)
+    with pytest.raises(IndexError, match="^forward_batch: index out of range"):
+        model.forward_batch([ESSAY, essay])
