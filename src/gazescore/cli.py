@@ -35,6 +35,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -80,7 +81,6 @@ from .gaze import (
     GazeTable,
     bin_all,
     filter_readers,
-    labeled,
     load_gaze_records,
     load_reader_metadata,
     reader_stats,
@@ -385,12 +385,19 @@ def load_corpus_cache(path):
                 raise CliError(f"{path}: {error}") from None
         if not isinstance(payload["essays"], list):
             raise CliError(f"{path}: 'essays' is not a JSON array")
-        essays = []
+        essays = {}
         for n, entry in enumerate(payload["essays"]):
-            entry = _json_object(path, entry, f"essay entry {n}")
-            essays.append(Essay(**{name: _typed(path, f"essay entry {n}", entry, name, hint)
-                                   for name, hint in CACHED_ESSAY_FIELDS.items()}))
-    return {essay.essay_id: essay for essay in essays}, sets
+            what = f"essay entry {n}"
+            entry = _json_object(path, entry, what)
+            essay = Essay(**{name: _typed(path, what, entry, name, hint)
+                             for name, hint in CACHED_ESSAY_FIELDS.items()})
+            if essay.essay_id in essays:
+                raise CliError(f"{path}: {what}: essay_id {essay.essay_id} repeats an "
+                               "earlier entry")
+            if essay.set_id not in sets:
+                raise CliError(f"{path}: {what}: set_id {essay.set_id} has no entry in 'sets'")
+            essays[essay.essay_id] = essay
+    return essays, sets
 
 
 # ----------------------------------------------------------- commands
@@ -456,6 +463,15 @@ def _write_records_csv(path, records):
     _write_csv(path, GAZE_CSV_COLUMNS, records.rows())
 
 
+def _binned_label_rows(sequences):
+    """binned_labels.csv's rows from bin_all's {essay_id: EssayGaze}: essays by
+    id, then each essay's labeled tokens, readers sorted, then positions."""
+    for essay_id in sorted(sequences):
+        gaze = sequences[essay_id]
+        yield from zip(repeat(essay_id), gaze.reader_ids(), gaze.positions.tolist(),
+                       *gaze.bins.T.tolist())
+
+
 def load_selected_records(options, path, metadata_path):
     """Load gaze CSV ``path``: (the records of the readers that option
     ``reader_filter`` selects, the GazeLoadReport, the ids of every essay
@@ -490,8 +506,7 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
     _write_records_csv(out_dir / "records_clean.csv", records)
     _write_csv(out_dir / "binned_labels.csv", ("essay_id", "reader_id", "ia_index",
                                                *BinnedGaze._fields),
-               ([essay_id, reader_id, position, *binned] for essay_id in sorted(sequences)
-                for reader_id, position, binned in labeled(sequences[essay_id])))
+               _binned_label_rows(sequences))
     with open(out_dir / "reader_stats.txt", "w", encoding="utf-8") as fh:
         fh.write("reader_id dt_mean dt_std ffd_mean ffd_std n_records\n")
         for reader_id in sorted(stats):

@@ -62,7 +62,8 @@ class Essay:
     raw_score: int
     normalized_score: float
     degenerate: bool = False
-    gaze: dict | None = None  # {reader_id: [BinnedGaze or None per token]}, as bin_all gives
+    # {reader_id: [BinnedGaze or None per token]}, or bin_all's EssayGaze, which reads as one
+    gaze: dict | None = None
 
     @property
     def tokens(self):

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import gc
+import sys
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
@@ -203,7 +205,7 @@ def _parse_column(name, cells, n_rows):
     """(the column's array, {row: reason} of its cells that do not parse)."""
     parse, dtype = _COLUMN_PARSERS[name], _COLUMN_DTYPES[name]
     try:
-        return np.fromiter(map(parse, cells), dtype, n_rows), {}
+        return _column(map(parse, cells), dtype, n_rows), {}
     except (ValueError, TypeError, OverflowError):
         pass
     values, malformed = [], {}
@@ -216,7 +218,13 @@ def _parse_column(name, cells, n_rows):
             if dtype is np.int64 and not _INT64.min <= value <= _INT64.max:
                 malformed[row], value = f"{name} {value} is outside the int64 range", 0
         values.append(value)
-    return np.array(values, dtype), malformed
+    return _column(values, dtype, n_rows), malformed
+
+
+def _column(values, dtype, n_rows):
+    """The array of ``n_rows`` parsed values; of text, one str object per
+    distinct value rather than one per cell."""
+    return np.fromiter(map(sys.intern, values) if dtype is object else values, dtype, n_rows)
 
 
 def _find_violations(t, problems):
@@ -345,35 +353,118 @@ def bin_run_count(rc):
     return bins if bins.ndim else int(bins)
 
 
+class EssayGaze(Mapping):
+    """One essay's binned gaze, as ``bin_all`` gives it.
+
+    ``positions`` and ``bins`` (one column per attribute, in GAZE_ATTRIBUTES
+    order) hold its labeled tokens, readers sorted by id and then positions,
+    as ``labeled`` lists them; both are read-only views of arrays that the
+    essays of one ``bin_all`` call share. As a read-only Mapping it is the
+    list form {reader_id: [BinnedGaze or None per token]}, readers in the
+    order of their first record, each list built when it is read.
+    """
+
+    __slots__ = ("n_tokens", "positions", "bins", "_spans")
+
+    def __init__(self, n_tokens, spans, positions, bins):
+        # spans: {reader_id: (start, stop) of its rows in the arrays}
+        self.n_tokens, self._spans, self.positions, self.bins = n_tokens, spans, positions, bins
+
+    def __getitem__(self, reader_id):
+        start, stop = self._spans[reader_id]
+        sequence = [None] * self.n_tokens
+        for position, token_bins in zip(self.positions[start:stop].tolist(),
+                                        self.bins[start:stop].tolist()):
+            sequence[position] = BinnedGaze._make(token_bins)
+        return sequence
+
+    def __iter__(self):
+        return iter(self._spans)
+
+    def __len__(self):
+        return len(self._spans)
+
+    def reader_ids(self):
+        """The reader id of each row of the arrays."""
+        return [reader_id for reader_id in sorted(self._spans)
+                for _ in range(*self._spans[reader_id])]
+
+
 @collector_paused()
 def bin_all(records, stats, essays):
-    """Binned gaze sequences aligned to essay tokens, from a GazeTable's rows.
+    """Binned gaze aligned to essay tokens, from a GazeTable's rows.
 
     ``essays`` maps essay_id to an Essay (token counts come from there).
-    Returns ({essay_id: {reader_id: [BinnedGaze or None per token]}},
-    diagnostics). Tokens with no record for a reader stay None and are
-    excluded from the gaze loss mask downstream. Records addressing a
-    missing essay, an out-of-range token, an unknown reader, or a position
-    an earlier record filled get one diagnostic each, in table order; every
-    other record is placed.
+    Returns ({essay_id: EssayGaze}, diagnostics), essays in the order of
+    their first placed record. Tokens with no record for a reader stay
+    unlabeled and are excluded from the gaze loss mask downstream. Records
+    addressing a missing essay, an out-of-range token, an unknown reader, or
+    a position an earlier record filled get one diagnostic each, in table
+    order; every other record is placed.
     """
+    essay_ids, reader_ids, n_tokens, rows, groups, diagnostics = _place(records, stats, essays)
+    readers = groups % max(len(reader_ids), 1)  # with no reader, no row is placed
+    # each reader's DT mean and std, then FFD's
+    moments = np.array([[s.dt_mean, s.dt_std, s.ffd_mean, s.ffd_std] if (s := stats.get(r))
+                        else [0.0] * 4 for r in reader_ids], dtype=np.float64)
+    positions = records.ia_index[rows]
+    bins = np.empty((len(rows), len(GAZE_ATTRIBUTES)), dtype=np.int64)
+    # in slices, as bin_fixation's choices each take the length of its input
+    for start in range(0, len(rows), CHUNK_ROWS):
+        chunk = slice(start, start + CHUNK_ROWS)
+        dt_mean, dt_std, ffd_mean, ffd_std = moments[readers[chunk]].T
+        bins[chunk, 0] = bin_fixation(records.dwell_time_ms[rows[chunk]], dt_mean, dt_std)
+        bins[chunk, 1] = bin_fixation(records.first_fixation_ms[rows[chunk]], ffd_mean, ffd_std)
+    bins[:, 2] = records.is_regression[rows]
+    bins[:, 3] = bin_run_count(records.run_count[rows])
+    bins[:, 4] = records.skip[rows]
+    positions.flags.writeable = bins.flags.writeable = False
+
+    # each (essay, reader) run in the order of its first record, as the list form made them
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    bounds = [*starts.tolist(), len(rows)]
+    spans = {}
+    for _, start, stop in sorted(zip(np.minimum.reduceat(rows, starts).tolist(),
+                                     bounds, bounds[1:])):
+        essay, reader = divmod(int(groups[start]), len(reader_ids))
+        spans.setdefault(essay, {})[reader_ids[reader]] = start, stop
+    sequences = {}
+    for essay, runs in spans.items():
+        low = min(start for start, _ in runs.values())
+        high = max(stop for _, stop in runs.values())
+        runs = {reader_id: (start - low, stop - low) for reader_id, (start, stop) in runs.items()}
+        sequences[essay_ids[essay]] = EssayGaze(int(n_tokens[essay]), runs,
+                                                positions[low:high], bins[low:high])
+    return sequences, diagnostics
+
+
+def _place(records, stats, essays):
+    """Which rows of ``records`` bin_all places: (the distinct essay ids, the
+    distinct reader ids sorted, each essay's token count, the placed rows by
+    essay, then reader id, then position, each placed row's essay index times
+    the number of readers plus its reader index, the diagnostics)."""
     essay_ids, essay_of = np.unique(records.essay_id, return_inverse=True)
     essay_ids = essay_ids.tolist()
     reader_ids, reader_of = _groups(records.reader_id)
-    n_tokens = np.array([len(essays[e].tokens) if e in essays else -1 for e in essay_ids],
-                        dtype=np.int64)
+    # readers numbered in id order, as labeled sorts them
+    order = sorted(range(len(reader_ids)), key=reader_ids.__getitem__)
+    reader_ids, reader_of = [reader_ids[k] for k in order], np.argsort(order)[reader_of]
+    n_tokens = np.array([sum(map(len, essays[e].sentences)) if e in essays else -1
+                         for e in essay_ids], dtype=np.int64)
     row_tokens = n_tokens[essay_of]
     ia_index = records.ia_index
     no_essay = row_tokens < 0
     no_stats = ~no_essay & ~np.array([r in stats for r in reader_ids], dtype=bool)[reader_of]
     out_of_range = ~(no_essay | no_stats) & (ia_index >= row_tokens)
-    # a position's first record is placed, and each later one is a duplicate
-    group = essay_of * len(reader_ids) + reader_of
+    # a position's first record is placed, and each later one is a duplicate;
+    # the unique keys sort the placed rows
+    width = int(n_tokens.max(initial=0)) + 1
     candidates = np.flatnonzero(~(no_essay | no_stats | out_of_range))
-    _, first = np.unique(group[candidates] * (int(n_tokens.max(initial=0)) + 1)
-                         + ia_index[candidates], return_index=True)
+    keys, first = np.unique((essay_of[candidates] * len(reader_ids) + reader_of[candidates])
+                            * width + ia_index[candidates], return_index=True)
+    rows = candidates[first]
     placed = np.zeros(len(records), dtype=bool)
-    placed[candidates[first]] = True
+    placed[rows] = True
 
     diagnostics = []
     for i in np.flatnonzero(~placed).tolist():
@@ -388,27 +479,7 @@ def bin_all(records, stats, essays):
         else:
             diagnostics.append(f"essay {essay_id}, reader {reader_id}: duplicate "
                                f"record for token {ia_index[i]}")
-
-    rows = np.flatnonzero(placed)
-    order, spans = _runs(group[rows])
-    rows = rows[order]
-    sequences = {}
-    # each (essay, reader) run in the order of its first record, as entries were first made
-    for start, stop in sorted(spans, key=lambda span: rows[span[0]]):
-        run, i = rows[start:stop], rows[start]
-        reader_id = reader_ids[reader_of[i]]
-        s = stats[reader_id]
-        sequence = [None] * int(row_tokens[i])
-        for position, token_bins in zip(ia_index[run].tolist(), map(
-                BinnedGaze,
-                bin_fixation(records.dwell_time_ms[run], s.dt_mean, s.dt_std).tolist(),
-                bin_fixation(records.first_fixation_ms[run], s.ffd_mean, s.ffd_std).tolist(),
-                records.is_regression[run].tolist(),
-                bin_run_count(records.run_count[run]).tolist(),
-                records.skip[run].tolist())):
-            sequence[position] = token_bins
-        sequences.setdefault(essay_ids[essay_of[i]], {})[reader_id] = sequence
-    return sequences, diagnostics
+    return essay_ids, reader_ids, n_tokens, rows, keys // width, diagnostics
 
 
 def labeled(gaze):
@@ -419,19 +490,23 @@ def labeled(gaze):
 
 
 def gaze_targets(gaze):
-    """An essay's per-token gaze targets, from {reader_id: [BinnedGaze or None per token]}.
+    """An essay's per-token gaze targets, from its EssayGaze or
+    {reader_id: [BinnedGaze or None per token]}.
 
     Returns {attribute: (token index array, unit target array)}, empty when
     no token is labeled. The arrays depend on no vocabulary, so examples of
     several cells may share them; all of them are read-only.
     """
-    tokens = labeled(gaze)
-    if not tokens:
-        return {}
-    positions = np.array([token[1] for token in tokens], dtype=np.int64)
-    positions.flags.writeable = False
-    # one column per attribute, in GAZE_ATTRIBUTES order
-    bins = np.array([tuple(token[2]) for token in tokens], dtype=np.int64)
+    if isinstance(gaze, EssayGaze):
+        positions, bins = gaze.positions, gaze.bins
+    else:
+        tokens = labeled(gaze)
+        if not tokens:
+            return {}
+        positions = np.array([token[1] for token in tokens], dtype=np.int64)
+        positions.flags.writeable = False
+        # one column per attribute, in GAZE_ATTRIBUTES order
+        bins = np.array([tuple(token[2]) for token in tokens], dtype=np.int64)
     targets = {}
     for k, attribute in enumerate(GAZE_ATTRIBUTES):
         values = bins[:, k] / GAZE_MAX_BIN[attribute]

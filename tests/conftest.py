@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,17 +33,31 @@ class BenchmarkBatch:
         return EssayScorer(config, np.random.default_rng(1), article_sentence_ids=self.article)
 
 
-@pytest.fixture(scope="session")
-def benchmark_batch():
+@contextmanager
+def benchmark_inputs():
+    """The benchmark's input module, bench/inputs.py, loaded for the block."""
     spec = importlib.util.spec_from_file_location(
         "benchmark_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = inputs  # its dataclasses look their module up
     try:
         spec.loader.exec_module(inputs)
-        data = inputs.make_train_inputs(1)
+        yield inputs
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="session")
+def benchmark_cv_files(tmp_path_factory):
+    """The cv_run workload's input files at seed 1: its essays and its 48-essay gaze pool."""
+    with benchmark_inputs() as inputs:
+        return inputs.write_cv_inputs(1, tmp_path_factory.mktemp("benchmark_cv"))
+
+
+@pytest.fixture(scope="session")
+def benchmark_batch():
+    with benchmark_inputs() as inputs:
+        data = inputs.make_train_inputs(1)
     vocab = build_vocab(data.train_essays, max_size=inputs.VOCAB_SIZE)
     return BenchmarkBatch(
         vocab=vocab,

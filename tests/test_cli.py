@@ -387,6 +387,29 @@ class TestPreprocess:
         captured = capsys.readouterr()
         assert captured.err == f"error: {cache}: {what}\n"
 
+    @pytest.mark.parametrize("case", ["repeated_essay", "unknown_set"])
+    def test_corpus_cache_essay_the_corpus_cannot_hold_exits_one_before_any_cell(
+            self, case, data_dir, prep_dir, tmp_path, capsys):
+        # a second entry of one essay would replace the first, and an essay of
+        # a set with no entry has no score range
+        cache = json.loads((prep_dir / "corpus_cache.json").read_text())
+        essays = cache["essays"]
+        if case == "repeated_essay":
+            essays.append({**essays[0], "raw_score": essays[0]["raw_score"] + 1})
+            what = (f"essay entry {len(essays) - 1}: essay_id {essays[0]['essay_id']} "
+                    "repeats an earlier entry")
+        else:
+            essays[3]["set_id"] = 77
+            what = "essay entry 3: set_id 77 has no entry in 'sets'"
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(cache))
+        out = tmp_path / "out"
+        args = run_args(data_dir, prep_dir, out, "self_attention", "corpus_cache=" + str(path))
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: {what}\n")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
     @pytest.mark.parametrize("entry, key, value, what", [
         ("essays", "sentences", 5, "field 'sentences' must be list[list[str]], not int"),
         ("essays", "sentences", [["a"], "b c"],

@@ -1,8 +1,10 @@
 """Gaze binning, reader statistics, and alignment tests."""
 
 import csv
+import gc
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 from typing import get_type_hints
 
@@ -12,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazescore import gaze
-from gazescore.corpus import Essay, build_vocab
+from gazescore.corpus import Essay, build_vocab, load_essays, load_set_metadata
 from gazescore.gaze import (
     GAZE_ATTRIBUTES,
     GAZE_CSV_COLUMNS,
     GAZE_MAX_BIN,
     CHUNK_ROWS,
     BinnedGaze,
+    EssayGaze,
     GazeLoadReport,
     GazeRecord,
     GazeTable,
@@ -26,6 +29,8 @@ from gazescore.gaze import (
     bin_fixation,
     bin_run_count,
     filter_readers,
+    gaze_targets,
+    labeled,
     load_gaze_records,
     load_reader_metadata,
     reader_stats,
@@ -138,6 +143,28 @@ def test_load_gaze_records_rejects_fixations_above_one_hour(tmp_path):
     clean = write_gaze_csv(tmp_path / "clean", [*rows[:2], "1,r1,4,hat,3600000,3600000,0,1,0",
                                                 rows[2]])
     assert reader_stats(load_gaze_records(clean)[0]) == {"r1": stats}
+
+
+def test_load_gaze_records_keeps_one_object_per_distinct_reader_id_and_token(tmp_path):
+    # the csv module makes a str per cell; rows span several chunks
+    tokens = ["the", "cat", "the", "sat"] * (CHUNK_ROWS // 4 + 1)
+    path = write_gaze_csv(tmp_path, [f"{essay_id},{reader_id},{i},{token},100,80,0,1,0"
+                                     for essay_id in (1, 2) for reader_id in ("ra", "rb")
+                                     for i, token in enumerate(tokens)])
+    records, report = load_gaze_records(path)
+    assert len(records) == 4 * len(tokens) > CHUNK_ROWS and report.rejected == []
+    for column, values in ((records.reader_id, {"ra", "rb"}), (records.token, set(tokens))):
+        assert set(column.tolist()) == values
+        assert len({id(value) for value in column}) == len(values)
+
+
+def test_a_reader_id_with_spaces_around_it_loads_stripped(tmp_path):
+    path = write_gaze_csv(tmp_path, ["1, r1 ,0,the,100,80,0,1,0", "1,r1,1,cat,100,80,0,1,0",
+                                     "1,\tr2 ,0,dog,100,80,0,1,0"])
+    records, report = load_gaze_records(path)
+    assert report.rejected == []
+    assert records.reader_id.tolist() == ["r1", "r1", "r2"]
+    assert records.reader_id[0] is records.reader_id[1]
 
 
 def test_records_and_bins_declare_their_columns():
@@ -299,6 +326,15 @@ def test_bin_run_count_values():
     assert bin_run_count(7) == 5
     with pytest.raises(ValueError):
         bin_run_count(-1)
+
+
+@pytest.mark.parametrize("dt, ffd, value", [(-5.0, 80.0, -5.0), (100.0, -7.5, -7.5)])
+def test_bin_all_rejects_a_hand_built_table_with_a_negative_fixation(dt, ffd, value):
+    # the loader rejects such rows, but a GazeTable built by hand can hold them
+    records = table([record(essay_id=2, reader="r2"), record(), record(ia=1, dt=dt, ffd=ffd)])
+    stats = reader_stats(table([record(), record(reader="r2")]))
+    with pytest.raises(ValueError, match=f"^fixation value must be nonnegative, got {value}$"):
+        bin_all(records, stats, {1: essay_with_tokens(1, 2), 2: essay_with_tokens(2, 1)})
 
 
 def test_bin_all_skip_chain():
@@ -650,3 +686,58 @@ def test_bin_all_matches_the_per_record_loop(records, stats_readers):
     assert repr([(e, list(g.items())) for e, g in sequences.items()]) == repr(
         [(e, list(g.items())) for e, g in expected_sequences.items()])
 
+
+# ---------------------------------------------------------------------------
+# bin_all's arrays
+# ---------------------------------------------------------------------------
+
+def _binned_essays(records, stats_readers):
+    stats = {reader_id: s for reader_id, s in reader_stats(table(records)).items()
+             if reader_id in stats_readers}
+    sequences, _ = bin_all(table(records), stats, _BIN_ESSAYS)
+    assert all(isinstance(essay_gaze, EssayGaze) for essay_gaze in sequences.values())
+    return sequences
+
+
+@given(records=_BIN_RECORDS, stats_readers=st.sets(st.sampled_from(["a", "b", "c"])))
+@settings(max_examples=300, deadline=None)
+def test_bin_all_arrays_hold_the_labeled_tokens(records, stats_readers):
+    for essay_id, essay_gaze in _binned_essays(records, stats_readers).items():
+        tokens = labeled(dict(essay_gaze))
+        assert essay_gaze.reader_ids() == [reader_id for reader_id, _, _ in tokens]
+        assert essay_gaze.positions.tolist() == [position for _, position, _ in tokens]
+        assert essay_gaze.bins.tolist() == [list(binned) for _, _, binned in tokens]
+        assert labeled(essay_gaze) == tokens
+        assert essay_gaze.n_tokens == len(_BIN_ESSAYS[essay_id].tokens)
+
+
+@given(records=_BIN_RECORDS, stats_readers=st.sets(st.sampled_from(["a", "b", "c"])))
+@settings(max_examples=200, deadline=None)
+def test_gaze_targets_of_the_arrays_are_those_of_the_lists_bit_for_bit(records, stats_readers):
+    for essay_gaze in _binned_essays(records, stats_readers).values():
+        from_arrays, from_lists = gaze_targets(essay_gaze), gaze_targets(dict(essay_gaze))
+        assert tuple(from_arrays) == tuple(from_lists) == GAZE_ATTRIBUTES
+        for attribute in GAZE_ATTRIBUTES:
+            for got, expected in zip(from_arrays[attribute], from_lists[attribute], strict=True):
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    expected.dtype, expected.shape, expected.tobytes())
+                assert not got.flags.writeable
+
+
+def test_the_benchmark_gaze_pool_loads_and_bins_in_bounded_memory(benchmark_cv_files):
+    # cv_run's 48 essays x 8 readers; the list form of each token's bins and a
+    # str per cell peaked at 37.4 MB here
+    files = benchmark_cv_files
+    essays, _ = load_essays(files.essays, load_set_metadata(files.set_metadata))
+    essays = {essay.essay_id: essay for essay in essays}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        records, _ = load_gaze_records(files.gaze_csv)
+        sequences, diagnostics = bin_all(records, reader_stats(records), essays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diagnostics == [] and len(sequences) == 48
+    print(f"[gaze memory] {peak / 1e6:.1f} MB peak to load and bin {len(records)} gaze rows")
+    assert peak < 25e6
