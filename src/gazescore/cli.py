@@ -80,6 +80,8 @@ from .gaze import (
     BinnedGaze,
     GazeTable,
     bin_all,
+    collector_paused,
+    csv_rows,
     filter_readers,
     load_gaze_records,
     load_reader_metadata,
@@ -357,15 +359,33 @@ def write_corpus_cache(path, essays, sets):
                    for essay in essays],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        # json.dumps runs the C encoder, which json.dump never does; the bytes are the same
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 
+def _interned_sentences(entry):
+    """``json.load``'s object hook: an entry's ``sentences``, if a list of
+    lists of str, with each token interned, so the parse keeps one str per
+    distinct token and frees each essay's copies as the essay is decoded.
+    Any other value stays as it is, for ``_typed`` to name."""
+    sentences = entry.get("sentences")
+    if type(sentences) is list and all(type(sentence) is list for sentence in sentences):
+        try:
+            entry["sentences"] = [list(map(sys.intern, sentence)) for sentence in sentences]
+        except TypeError:  # a token that is not a str
+            pass
+    return entry
+
+
+@collector_paused()
 def load_corpus_cache(path):
-    """(essays by id, sets by id) from a corpus cache, each field of the type it declares."""
+    """(essays by id, sets by id) from a corpus cache, each field of the type
+    it declares; equal tokens are one str."""
     with open(path, "r", encoding="utf-8") as fh, _fields_of(path):
         try:
-            payload = _json_object(path, json.load(fh), "the top level")
+            payload = _json_object(path, json.load(fh, object_hook=_interned_sentences),
+                                   "the top level")
         except ValueError as error:  # not UTF-8, or not JSON
             raise CliError(f"{path}: not JSON ({error})") from None
         if payload.get("format") != CORPUS_CACHE_FORMAT:
@@ -612,6 +632,11 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
         fold_out.mkdir(exist_ok=True)
         for set_id, fold_list in folds.items():
             save_folds(fold_out / f"set_{set_id}.txt", fold_list)
+    # the checks have seen the whole corpus; the cells read only their folds'
+    # essays and the pool's, so the workers get those and the rest is freed
+    read = gaze_ids.union(*(fold.all_ids for fold_list in folds.values() for fold in fold_list))
+    data = replace(data, essays={i: essay for i, essay in essays.items() if i in read})
+    del essays
     results, failures = execute_cells(task, data, cells, jobs, log=print)
     return config, cells, results, failures
 
@@ -748,15 +773,15 @@ def load_run_directory(run_dir):
     with open(manifest_path, encoding="utf-8") as fh, _fields_of(manifest_path):
         seed = _json_object(manifest_path, json.load(fh), "the top level")["seed"]
     predictions = {}
-    with open(predictions_path, newline="", encoding="utf-8") as fh, _fields_of(predictions_path):
-        for row in csv.DictReader(fh):
+    with csv_rows(predictions_path, csv.DictReader) as rows, _fields_of(predictions_path):
+        for row in rows:
             set_id, fold_id, essay_id = (int(row[name]) for name in PREDICTION_COLUMNS[:3])
             predictions.setdefault((set_id, fold_id), {})[essay_id] = Prediction(
                 **{name: parse(row[name]) for name, parse in _PREDICTION_PARSERS.items()})
     results = []
     system = None
-    with open(report_path, newline="", encoding="utf-8") as fh, _fields_of(report_path):
-        for row in csv.DictReader(fh):
+    with csv_rows(report_path, csv.DictReader) as rows, _fields_of(report_path):
+        for row in rows:
             system = row["system"]
             scalars = {name: parse(row[name]) for name, parse in _REPORT_PARSERS.items()}
             key = (scalars["set_id"], scalars["fold_id"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,11 +93,10 @@ def split_sentences(text):
 
 
 def text_to_sentences(text):
-    """Tokenized, capped sentence structure for one essay text."""
-    sentences = []
-    for raw in split_sentences(text)[:MAX_SENTENCES_PER_ESSAY]:
-        sentences.append(tokenize(raw)[:MAX_TOKENS_PER_SENTENCE])
-    return sentences
+    """Tokenized, capped sentence structure for one essay text; equal tokens
+    are one interned str, so a corpus holds one per distinct token."""
+    return [list(map(sys.intern, tokenize(raw)[:MAX_TOKENS_PER_SENTENCE]))
+            for raw in split_sentences(text)[:MAX_SENTENCES_PER_ESSAY]]
 
 
 def normalize_score(raw, essay_set):

@@ -72,8 +72,17 @@ class GazeRecord(NamedTuple):
 
 GAZE_CSV_COLUMNS = GazeRecord._fields
 
-# how each column's text becomes its field: by the field's type, reader ids stripped
-_COLUMN_PARSERS = {**get_type_hints(GazeRecord), "reader_id": str.strip}
+
+def _token(cell):
+    """A token cell's text; a row too short to reach the cell has none."""
+    if cell is None:
+        raise TypeError("the row ends before its token")
+    return cell
+
+
+# how each column's text becomes its field: by the field's type, reader ids
+# stripped, and a missing token rejected as a missing reader id is
+_COLUMN_PARSERS = {**get_type_hints(GazeRecord), "reader_id": str.strip, "token": _token}
 _COLUMN_DTYPES = {name: {int: np.int64, float: np.float64, str: object}[kind]
                   for name, kind in get_type_hints(GazeRecord).items()}
 _INT64 = np.iinfo(np.int64)
@@ -146,6 +155,18 @@ class GazeLoadReport:
     total_rows: int = 0
 
 
+@contextmanager
+def csv_rows(path, reader=csv.reader):
+    """``reader`` over the rows of CSV file ``path`` for the block, which
+    raises a csv.Error (an unbalanced quote reads on to the field size
+    limit) as a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield reader(fh)
+        except csv.Error as error:
+            raise ValueError(f"{path}: malformed CSV ({error})") from None
+
+
 @collector_paused()
 def load_gaze_records(path):
     """Parse the gaze CSV into (GazeTable, GazeLoadReport).
@@ -159,8 +180,7 @@ def load_gaze_records(path):
     """
     tables = [GazeTable.from_records()]
     report = GazeLoadReport()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path) as reader:
         header = next(reader, None)
         if header is None:
             return tables[0], report
@@ -259,8 +279,7 @@ def load_reader_metadata(path):
     The CSV has at least the columns reader_id and native; native is true
     when it reads 1, true or yes, in any case.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with csv_rows(path, csv.DictReader) as reader:
         for required in ("reader_id", "native"):
             if required not in (reader.fieldnames or []):
                 raise ValueError(f"{path}: missing column {required!r}")

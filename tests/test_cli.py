@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests on a toy corpus."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -150,6 +151,20 @@ def set1_gaze_dir(data_dir, prep_dir, tmp_path_factory):
                  "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json")])
     assert code == 0
     return out
+
+
+def open_a_quote(path):
+    """Rewrite CSV file ``path`` with a quote opened in its first row's last
+    cell that no later line closes, and its rows repeated after it until the
+    reader runs past its field size limit; the error that names ``path``."""
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    *cells, last = first.split(",")
+    filler = "\n".join(rest or [first])
+    path.write_text("\n".join([header, ",".join([*cells, '"' + last]),
+                               *[filler] * (csv.field_size_limit() // len(filler) + 1)]) + "\n",
+                    encoding="utf-8")
+    limit = csv.field_size_limit()
+    return f"error: {path}: malformed CSV (field larger than field limit ({limit}))\n"
 
 
 def run_args(data_dir, prep_dir, out, system, *extra):
@@ -351,6 +366,52 @@ class TestPreprocess:
         assert loaded_essays == {7: essays[0], 3: replace(essays[1], gaze=None)}
         assert [type(e.degenerate) for e in loaded_essays.values()] == [bool, bool]
 
+    def test_corpus_cache_holds_the_bytes_json_dump_writes(self, tmp_path):
+        # json.dumps' C encoder writes what json.dump's Python encoder wrote for
+        # the same payload, escapes and non-ASCII text included
+        sets = {2: EssaySet(2, 1, 6, source_article='Caf\u00e9 "quoted"\n\ttab\u2028 \U0001f600.')}
+        essays = [Essay(5, 2, [["caf\u00e9", '"', "\\", "\x00", "\u2028"], ["\U0001f600", "/"]],
+                        3, 0.1 + 0.2, False),
+                  Essay(4, 2, [[]], 1, 0.0, True)]
+        path = tmp_path / "cache.json"
+        write_corpus_cache(path, essays, sets)
+        written = path.read_bytes()
+        expected = io.StringIO()
+        json.dump(json.loads(written), expected, sort_keys=True, separators=(",", ":"))
+        assert written == (expected.getvalue() + "\n").encode("ascii")
+        assert b"caf\\u00e9" in written and b"\\ud83d\\ude00" in written
+        assert load_corpus_cache(path) == ({5: essays[0], 4: essays[1]}, sets)
+
+    def test_corpus_cache_loads_one_str_per_distinct_token(self, tmp_path):
+        # the JSON parse makes a str per token occurrence; the load keeps one per token
+        sets = {1: EssaySet(1, 0, 3)}
+        sentences = [["river", "rose", "."], ["the", "river", "fell", "."]]
+        write_corpus_cache(tmp_path / "cache.json",
+                           [Essay(i, 1, sentences, 2, 2 / 3) for i in (7, 8)], sets)
+        essays, _ = load_corpus_cache(tmp_path / "cache.json")
+        tokens = [token for essay in essays.values() for token in essay.tokens]
+        assert tokens.count("river") == 4
+        assert len({id(token) for token in tokens}) == len(set(tokens))
+
+    def test_asap_shaped_corpus_cache_loads_in_bounded_memory(self, asap_corpus_cache):
+        # in a fresh interpreter, as a command loads it: the table of interned
+        # strings then grows by the same steps on every run, whatever ran
+        # earlier in this one; one str per token occurrence peaked at 37.4 MB here
+        code = ("import sys, tracemalloc\n"
+                "from gazescore.cli import load_corpus_cache\n"
+                "tracemalloc.start()\n"
+                "essays, _ = load_corpus_cache(sys.argv[1])\n"
+                "print(tracemalloc.get_traced_memory()[1], len(essays),\n"
+                "      sum(len(s) for essay in essays.values() for s in essay.sentences))\n")
+        done = subprocess.run([sys.executable, "-c", code, str(asap_corpus_cache)],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        peak, n_essays, n_tokens = map(int, done.stdout.split())
+        assert n_essays >= 2000
+        print(f"[corpus memory] {peak / 1e6:.1f} MB peak to load a corpus cache of "
+              f"{n_essays} ASAP-shaped essays, {n_tokens} tokens")
+        assert peak < 20e6
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_vocab_size_below_one_rejected(self, value, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -415,14 +476,17 @@ class TestPreprocess:
         ("essays", "sentences", [["a"], "b c"],
          "field 'sentences' must be list[list[str]], not list"),
         ("essays", "sentences", [["a", 3]], "field 'sentences' must be list[list[str]], not list"),
+        ("essays", "sentences", [["a"], 3], "field 'sentences' must be list[list[str]], not list"),
+        ("essays", "sentences", [["a"], {"b": "c"}],
+         "field 'sentences' must be list[list[str]], not list"),
         ("essays", "essay_id", True, "field 'essay_id' must be int, not bool"),
         ("essays", "raw_score", "2", "field 'raw_score' must be int, not str"),
         ("essays", "normalized_score", None, "field 'normalized_score' must be float, not NoneType"),
         ("essays", "degenerate", 0, "field 'degenerate' must be bool, not int"),
         ("sets", "score_min", 0.0, "field 'score_min' must be int, not float"),
         ("sets", "article", ["a"], "field 'article' must be str | None, not list"),
-    ], ids=["sentences", "sentence", "token", "essay_id", "raw_score", "normalized_score",
-            "degenerate", "score_min", "article"])
+    ], ids=["sentences", "sentence", "token", "sentence_number", "sentence_object", "essay_id",
+            "raw_score", "normalized_score", "degenerate", "score_min", "article"])
     def test_corpus_cache_field_of_the_wrong_type_exits_one_before_any_cell(
             self, entry, key, value, what, data_dir, prep_dir, tmp_path, capsys):
         # each field is checked against the type Essay or EssaySet declares as
@@ -637,6 +701,22 @@ class TestBinGaze:
         log = (out / "alignment_errors.log").read_text()
         assert "999" in log
 
+    @pytest.mark.parametrize("key, source", [("gaze_csv", "gaze_pool.csv"),
+                                             ("reader_metadata", "readers.csv")])
+    def test_an_unbalanced_quote_exits_one_naming_the_file(self, key, source, data_dir,
+                                                           prep_dir, tmp_path, capsys):
+        # the CSV reader raised its own error, which escaped main as a traceback
+        copy = tmp_path / source
+        copy.write_bytes((data_dir / source).read_bytes())
+        error = open_a_quote(copy)
+        paths = {"gaze_csv": data_dir / "gaze_pool.csv",
+                 "reader_metadata": data_dir / "readers.csv", key: copy}
+        code = main(["bin-gaze", "--out", str(tmp_path / "out"),
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                     *(f"--set={name}={path}" for name, path in paths.items())])
+        assert code == 1
+        assert capsys.readouterr()[:] == ("", error)
+
     def test_native_only_filter(self, data_dir, prep_dir, tmp_path):
         out = tmp_path / "out"
         code = main(["bin-gaze", "--out", str(out),
@@ -809,6 +889,28 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert all(int(r["n_augmented"]) == 6 for r in rows)
         assert all(int(r["n_train"]) == 12 for r in rows)
+
+    @pytest.mark.parametrize("system, pool", [("self_attention", []),
+                                              ("essays_gaze", [900, 901])])
+    def test_cells_get_only_their_target_sets_and_pool_essays(
+            self, system, pool, data_dir, prep_dir, pool_gaze_dir, tmp_path, monkeypatch):
+        # set 3's essays outside the pool are read by no cell, so no worker
+        # holds them; the cells' results are those they give on the whole corpus
+        corpus, _ = load_corpus_cache(prep_dir / "corpus_cache.json")
+        given = []
+
+        def execute_on_both(task, data, cells, jobs, log=None):
+            given.append(set(data.essays))
+            whole = experiments.execute_cells(task, replace(data, essays=corpus), cells, jobs)
+            outcome = experiments.execute_cells(task, data, cells, jobs, log)
+            assert repr(outcome) == repr(whole)
+            return outcome
+
+        monkeypatch.setattr(cli, "execute_cells", execute_on_both)
+        pairs = [f"gaze_essay_ids={','.join(map(str, pool))}",
+                 "records_clean=" + str(pool_gaze_dir / "records_clean.csv")] if pool else []
+        assert main(run_args(data_dir, prep_dir, tmp_path / "run", system, *pairs)) == 0
+        assert given == [set(range(100, 110)) | set(pool)]
 
     def test_reader_filter_matches_records_filtered_by_bin_gaze(self, data_dir, prep_dir,
                                                                 tmp_path):
@@ -1163,6 +1265,18 @@ class TestReport:
                      "--set", "run_a=" + str(copy)])
         assert code == 1
         assert capsys.readouterr().err == "error: " + message.format(path) + "\n"
+
+    @pytest.mark.parametrize("name", ["report.csv", "predictions.csv"])
+    def test_an_unbalanced_quote_exits_one_naming_the_file(self, name, two_runs, tmp_path,
+                                                           capsys):
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for kept in ("report.csv", "predictions.csv", "manifest.json"):
+            (copy / kept).write_bytes((two_runs[0] / kept).read_bytes())
+        error = open_a_quote(copy / name)
+        code = main(["report", "--out", str(tmp_path / "report"), "--set", "run_a=" + str(copy)])
+        assert code == 1
+        assert capsys.readouterr()[:] == ("", error)
 
     def test_manifest_that_is_not_an_object_exits_one_naming_it(self, two_runs, tmp_path,
                                                                 capsys):

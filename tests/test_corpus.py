@@ -270,6 +270,17 @@ def test_load_essays_empty_text_flagged_degenerate(tmp_path):
     assert essays[0].tokens == []
 
 
+def test_load_essays_keeps_one_str_per_distinct_token(tmp_path):
+    # tokenizing makes a new str per occurrence; a corpus keeps one per token
+    sets = load_set_metadata(write_metadata(tmp_path))
+    rows = ["1\t3\tThe river rose. The river fell, and rose again!\t2",
+            "2\t5\tRiver banks: the river rose.\t4"]
+    essays, _ = load_essays(write_essays(tmp_path, rows), sets)
+    tokens = [token for essay in essays for token in essay.tokens]
+    assert tokens.count("river") == 4
+    assert len({id(token) for token in tokens}) == len(set(tokens))
+
+
 # ---------------------------------------------------------------------------
 # vocabulary
 # ---------------------------------------------------------------------------

@@ -187,6 +187,18 @@ def test_load_gaze_records_without_header_holds_no_rows(tmp_path):
     assert len(records) == 0 and report == GazeLoadReport()
 
 
+def test_a_row_that_ends_before_its_token_is_rejected(tmp_path):
+    # with the token last, a row one cell short loaded with the token 'None'
+    path = tmp_path / "gaze.csv"
+    path.write_text("essay_id,reader_id,ia_index,dwell_time_ms,first_fixation_ms,"
+                    "is_regression,run_count,skip,token\n"
+                    "9000,r1,0,100,80,0,1,0\n9000,r1,1,100,80,0,1,0,cat\n9000,r1,2,100,80,0,1,0,\n")
+    records, report = load_gaze_records(path)
+    assert list(records.rows()) == [(9000, "r1", 1, "cat", 100.0, 80.0, 0, 1, 0),
+                                    (9000, "r1", 2, "", 100.0, 80.0, 0, 1, 0)]
+    assert report.rejected == [(2, "malformed field: the row ends before its token")]
+
+
 def test_load_reader_metadata(tmp_path):
     path = tmp_path / "readers.csv"
     path.write_text("reader_id,native,age\nr1,1,30\nr2,0,24\nr3,true,41\n r4 ,YES,19\n")
@@ -432,7 +444,15 @@ def test_bin_all_per_reader_isolation():
 # differential tests: the column code against the row-at-a-time code it replaced
 # ---------------------------------------------------------------------------
 
-_REFERENCE_PARSERS = {**get_type_hints(GazeRecord), "reader_id": str.strip}
+def reference_token(text):
+    """A token cell's text; a row too short to reach it is malformed."""
+    if text is None:
+        raise TypeError("the row ends before its token")
+    return text
+
+
+_REFERENCE_PARSERS = {**get_type_hints(GazeRecord), "reader_id": str.strip,
+                      "token": reference_token}
 _INT64_RANGE = range(-2**63, 2**63)
 
 
