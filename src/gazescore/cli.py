@@ -47,6 +47,7 @@ from .corpus import (
     build_vocab,
     load_essays,
     load_set_metadata,
+    open_text,
     parse_embedding_file,
 )
 from .experiments import (
@@ -148,7 +149,7 @@ class CliError(Exception):
 def parse_config_file(path):
     """Flat ``key = value`` lines; # comments and blank lines ignored."""
     options = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

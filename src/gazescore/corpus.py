@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +119,17 @@ def denormalize_score(pred, essay_set):
     return min(max(rounded, essay_set.score_min), essay_set.score_max)
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """UTF-8 text file ``path`` open for reading in the block, which raises a
+    UnicodeDecodeError as a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as error:
+            raise ValueError(f"{path}: not UTF-8 ({error})") from None
+
+
 def load_set_metadata(path):
     """Parse the flat key-value set metadata file into {set_id: EssaySet}.
 
@@ -128,7 +140,7 @@ def load_set_metadata(path):
     import os
 
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -152,7 +164,7 @@ def load_set_metadata(path):
         article = None
         if "article" in props:
             article_path = os.path.join(base, props["article"])
-            with open(article_path, "r", encoding="utf-8") as fh:
+            with open_text(article_path) as fh:
                 article = fh.read()
         sets[set_id] = EssaySet(
             set_id=set_id,
@@ -174,7 +186,7 @@ def load_essays(path, sets):
     essays = []
     first_lines = {}  # essay_id -> line of the row that loaded it
     report = LoadReport(per_set_counts={sid: 0 for sid in sets})
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     start = 1 if lines and lines[0].split("\t")[0].strip().lower() == "essay_id" else 0
     for line_no, line in enumerate(lines[start:], start=start + 1):
@@ -277,7 +289,7 @@ def parse_embedding_file(path, restrict_tokens=None):
     """
     vectors = {}
     dimension = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:

@@ -41,7 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import build_vocab, denormalize_score, matrix_from_vectors, text_to_sentences
+from .corpus import (build_vocab, denormalize_score, matrix_from_vectors, open_text,
+                     text_to_sentences)
 from .gaze import GAZE_ATTRIBUTES, GazeTable, bin_all, gaze_targets, reader_stats
 from .metrics import SignificanceResult, paired_t_test, qwk
 from .model import EssayScorer, ModelConfig
@@ -140,7 +141,7 @@ def save_folds(path, folds):
 def load_folds(path):
     """Read folds saved by :func:`save_folds`, preserving stored order."""
     groups = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -31,6 +31,8 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
+from .corpus import open_text
+
 GAZE_ATTRIBUTES = ("DT", "FFD", "IR", "RC", "Skip")
 GAZE_MAX_BIN = {"DT": 5, "FFD": 5, "IR": 1, "RC": 5, "Skip": 1}
 
@@ -159,8 +161,8 @@ class GazeLoadReport:
 def csv_rows(path, reader=csv.reader):
     """``reader`` over the rows of CSV file ``path`` for the block, which
     raises a csv.Error (an unbalanced quote reads on to the field size
-    limit) as a ValueError naming the file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    limit) or a byte that is not UTF-8 as a ValueError naming the file."""
+    with open_text(path, newline="") as fh:
         try:
             yield reader(fh)
         except csv.Error as error:
@@ -283,8 +285,14 @@ def load_reader_metadata(path):
         for required in ("reader_id", "native"):
             if required not in (reader.fieldnames or []):
                 raise ValueError(f"{path}: missing column {required!r}")
-        return frozenset(row["reader_id"].strip() for row in reader
-                         if row["native"].strip().lower() in ("1", "true", "yes"))
+        native = []
+        for row in reader:
+            for column in ("reader_id", "native"):
+                if row[column] is None:  # the row ends before the column
+                    raise ValueError(f"{path}: line {reader.line_num} has no {column} cell")
+            if row["native"].strip().lower() in ("1", "true", "yes"):
+                native.append(row["reader_id"].strip())
+        return frozenset(native)
 
 
 def filter_readers(records, readers):

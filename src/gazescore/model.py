@@ -110,7 +110,7 @@ class ForwardOutput:
 
 def _attend(states, mask, w, b, v):
     """Additive attention (w, b, v) over the masked rows of (B, L, D) states -> (B, D)."""
-    return nm._attend(states, w.data, b.data, v.data, mask)[2][:, 0]
+    return nm._attend(states, w.data, b.data, v.data, mask)[1][:, 0]
 
 
 class EssayScorer:
@@ -280,16 +280,24 @@ class EssayScorer:
         """One :class:`ForwardOutput` per essay, in a list; the article is encoded once.
 
         With an rng (training) the essays share the article's graph and
-        dropout mask. Without one (evaluation) they are scored in padded
+        dropout mask, and each essay's nodes carry its index in the list as
+        their essay mark (the article's carry the number of essays), so that
+        ``backward`` finishes one essay before it starts the next (see
+        :mod:`numerics`). Without one (evaluation) they are scored in padded
         blocks of up to ``EVAL_SLICE`` essays (see the module docstring),
         and the outputs carry their values only.
         """
-        article = self.encode_article(rng)
         if rng is not None:
-            return [self.forward(sentence_ids, rng, article=article)
-                    for sentence_ids in batch_sentence_ids]
+            with nm._building(len(batch_sentence_ids)):  # the article replays after every essay
+                article = self.encode_article(rng)
+            outputs = []
+            for essay, sentence_ids in enumerate(batch_sentence_ids):
+                with nm._building(essay):
+                    outputs.append(self.forward(sentence_ids, rng, article=article))
+            return outputs
         if not all(batch_sentence_ids):
             raise ValueError("forward: essay has no sentences")
+        article = self.encode_article()
         article = None if article is None else article.data
         order = sorted(range(len(batch_sentence_ids)),
                        key=lambda i: -len(batch_sentence_ids[i]))

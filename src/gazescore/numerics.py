@@ -8,11 +8,24 @@ every op, for the gradient oracle to check each one. Data is float64.
 
 Every operation returns a new ``Tensor`` that records its inputs and a
 closure computing input gradients from the output gradient. ``backward``
-replays that record in reverse topological order; a tensor consumed by
-several downstream ops receives the sum of their gradient contributions,
-added one at a time in replay order: ((g1 + g2) + g3) + .... Training
-results depend on that order to the last bit, so an optimisation may
-change where a sum is stored but never the order of its terms.
+replays that record so that each node runs after every op that consumes it;
+a tensor consumed by several downstream ops receives the sum of their
+gradient contributions, added one at a time in replay order:
+((g1 + g2) + g3) + .... Training results depend on that order to the last
+bit, so an optimisation may change where a sum is stored but never the
+order of its terms.
+
+The reference order is the reverse of a depth-first post-order from the
+loss (``_topological_order``). A node made while ``_building(essay)`` is in
+force carries that essay's mark, and ``backward`` regroups the reference
+order by mark (``_replay_order``): nodes no essay made (the loss terms) run
+first, then each essay's, lowest mark first, so an essay's saved arrays and
+gradients are freed before the next essay's replay starts. A node is moved
+behind a later essay's nodes when it must follow one of them: when one
+consumes it, or consumed one of its inputs before it in the reference
+order. So each tensor's consumers still run in the reference order, every
+sum keeps its terms in that order, and a graph with no marks replays in
+exactly the reference order.
 
 The first contribution is stored as given. It may be an array another
 node still holds (``add`` hands one array to both inputs, ``transpose`` a
@@ -62,10 +75,13 @@ arrays their backward reads besides their inputs:
   sentence encoders fill one token block per essay, which the gaze heads
   read through a ``concat`` that copies nothing;
 - ``additive_attention`` (matmul, bias, tanh, matmul, transpose, softmax,
-  matmul) keeps tanh(states @ w + b) and the attention weights;
+  matmul) keeps only the attention weights. Its backward recomputes
+  tanh(states @ w + b) with the forward's expression (``_attention_scores``)
+  from its inputs, which do not change between forward and backward, so the
+  scores come out with the forward's bits;
 - ``dense`` (matmul, bias, tanh or sigmoid) keeps its output.
 Each chain's intermediates have a single consumer, inside the chain, so in
-reverse topological order its nodes replay as one contiguous run, and the
+the reference order its nodes replay as one contiguous run, and the
 fused node's parents are listed so that the rest of the graph keeps its
 order. A fused backward that runs its members' gradient formulas (the
 private helpers the single ops use) in that run's order therefore adds the
@@ -77,7 +93,12 @@ padding), ``_attend`` (the attention pool) and ``_lstm_step`` (one LSTM step).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_current_essay = -1  # the essay mark new nodes take (-1: none), see _building
+
 
 class ShapeError(ValueError):
     """Raised when operands of an operation have incompatible shapes."""
@@ -85,7 +106,7 @@ class ShapeError(ValueError):
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_grad_fn",
-                 "_owns_grad", "_rows")
+                 "_owns_grad", "_rows", "_essay")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -96,6 +117,7 @@ class Tensor:
         self._grad_fn = None
         self._owns_grad = False  # grad is a buffer the running backward allocated
         self._rows = None  # a leaf's queued (ids, row gradients), see _gather_grad
+        self._essay = -1  # the essay whose nodes replay together (-1: none), see _replay_order
 
     def __repr__(self):
         label = f" name={self.name!r}" if self.name else ""
@@ -114,7 +136,20 @@ def _make_output(data, parents, grad_fn):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
+        out._essay = _current_essay
     return out
+
+
+@contextmanager
+def _building(essay):
+    """Mark the nodes made in the block as essay ``essay``'s (an int from 0), so
+    ``backward`` replays each essay's nodes together, lower marks first."""
+    global _current_essay
+    outer, _current_essay = _current_essay, essay
+    try:
+        yield
+    finally:
+        _current_essay = outer
 
 
 def _accumulate(tensor, grad, fresh=False):
@@ -172,6 +207,32 @@ def _topological_order(root):
     return order
 
 
+def _replay_order(root):
+    """The nodes under ``root`` in the order ``backward`` runs them, root first:
+    by mark, lowest first, and in the reference order within a mark (see the
+    module docstring). One pass over the edges in the reference order raises
+    each node's essay mark to those of the nodes it must follow: its
+    consumers, and its inputs' consumers that precede it."""
+    order = _topological_order(root)
+    order.reverse()
+    at = {id(node): i for i, node in enumerate(order)}
+    marks = [node._essay for node in order]
+    last = {}  # an input's position -> the position of its latest consumer so far
+    for i, node in enumerate(order):
+        inputs = [at[id(parent)] for parent in node._parents]
+        mark = marks[i]  # already raised to its consumers' marks
+        for j in inputs:
+            before = marks[last.get(j, i)]
+            if before > mark:
+                mark = before
+        marks[i] = mark
+        for j in inputs:
+            if marks[j] < mark:
+                marks[j] = mark
+            last[j] = i
+    return [order[i] for i in sorted(range(len(order)), key=marks.__getitem__)]  # stable
+
+
 def _released(g):
     raise RuntimeError("backward: the graph was released by an earlier backward through it; "
                        "run the forward again to rebuild it")
@@ -184,15 +245,18 @@ def backward(loss, parameters=None):
     with a gradient even if the loss does not reach them; those receive
     zeros. Gradients accumulate, so call ``zero_grads`` between steps.
 
-    The graph is released as it replays: once a node has passed its
-    gradient to its parents it drops its saved arrays, its parents and its
-    ``.grad``, so interior tensors end with ``.grad`` None and only leaves
-    keep theirs. A released node raises if a later backward reaches it,
-    through ``loss`` again or through an op that was fed it.
+    Nodes replay in ``_replay_order``: a batch's essays one after another,
+    every sum in the reference order. The graph is released as it replays:
+    once a node has passed its gradient to its parents it drops its saved
+    arrays, its parents and its ``.grad``, so interior tensors end with
+    ``.grad`` None and only leaves keep theirs. A released node raises if a
+    later backward reaches it, through ``loss`` again or through an op that
+    was fed it.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
-    order = _topological_order(loss)
+    order = _replay_order(loss)
+    order.reverse()
     for node in order:
         node._owns_grad = False
     loss.grad = np.ones_like(loss.data)
@@ -305,12 +369,17 @@ def _softmax(x, axis=-1, mask=True):
     return e / total
 
 
+def _attention_scores(states, w, b):
+    """u = tanh(states @ w + b) of additive attention over states (..., n, d)."""
+    return np.tanh(_add_bias("additive_attention", states @ w, b))
+
+
 def _attend(states, w, b, v, mask=True):
-    """(u, alpha, pooled) of additive attention over states (..., n, d): u = tanh(states @ w + b),
-    alpha = softmax(u @ v) (..., 1, n) over the rows where mask (..., n) holds, alpha @ states."""
-    u = np.tanh(_add_bias("additive_attention", states @ w, b))
+    """(alpha, pooled) of additive attention over states (..., n, d): alpha =
+    softmax(u @ v) (..., 1, n) over the rows where mask (..., n) holds, alpha @ states."""
+    u = _attention_scores(states, w, b)
     alpha = _softmax(np.swapaxes(u @ v, -1, -2), mask=mask if mask is True else mask[..., None, :])
-    return u, alpha, alpha @ states
+    return alpha, alpha @ states
 
 
 def _lstm_step(xw, h, c, wh, b):
@@ -566,7 +635,10 @@ def gather_rows(table, ids):
     def grad_fn(g):
         _gather_grad(table, idx, g)
 
-    return _make_output(out_data, (table,), grad_fn)
+    out = _make_output(out_data, (table,), grad_fn)
+    if out._essay < 0:  # a loss term's rows replay with the essay they read
+        out._essay = table._essay
+    return out
 
 
 def narrow(x, axis, start, stop):
@@ -713,7 +785,7 @@ def additive_attention(states, w, b, v):
     states, w, b, v = (_as_tensor(t) for t in (states, w, b, v))
     _check_matmul("additive_attention", states.data, w.data)
     _check_matmul("additive_attention", w.data, v.data)
-    u, alpha, out_data = _attend(states.data, w.data, b.data, v.data)
+    alpha, out_data = _attend(states.data, w.data, b.data, v.data)
 
     def grad_fn(g):
         g_alpha = g @ states.data.T
@@ -721,6 +793,7 @@ def additive_attention(states, w, b, v):
             _accumulate(states, alpha.T @ g, fresh=True)
         g_scores = _softmax_grad(g_alpha, alpha, -1).T
         g_u = g_scores @ v.data.T
+        u = _attention_scores(states.data, w.data, b.data)  # forward's, bit for bit
         if v.requires_grad:
             _accumulate(v, u.T @ g_scores)
         g_z = _tanh_grad(g_u, u)

@@ -717,6 +717,43 @@ class TestBinGaze:
         assert code == 1
         assert capsys.readouterr()[:] == ("", error)
 
+    def test_a_short_reader_metadata_row_exits_one_naming_the_file(self, data_dir, prep_dir,
+                                                                   tmp_path, capsys):
+        # the csv reader gives a cell past a row's end as None, whose .strip()
+        # escaped main as an AttributeError traceback
+        readers = tmp_path / "readers.csv"
+        readers.write_text("reader_id,native\nr1,yes\nr5\n", encoding="utf-8")
+        code = main(["bin-gaze", "--out", str(tmp_path / "out"),
+                     "--set", "gaze_csv=" + str(data_dir / "gaze_pool.csv"),
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                     "--set", "reader_metadata=" + str(readers)])
+        assert code == 1
+        assert capsys.readouterr()[:] == ("", f"error: {readers}: line 3 has no native cell\n")
+
+    @pytest.mark.parametrize("command, key, source, separator, text_column", [
+        ("bin-gaze", "gaze_csv", "gaze_pool.csv", b",", 3),
+        ("preprocess", "essays", "essays.tsv", b"\t", 2)], ids=["gaze_csv", "essays"])
+    def test_a_file_that_is_not_utf8_exits_one_naming_it(self, command, key, source, separator,
+                                                          text_column, data_dir, prep_dir,
+                                                          tmp_path, capsys):
+        # the decoder's error, which names no file, was printed as it was
+        copy = tmp_path / source
+        lines = (data_dir / source).read_bytes().split(b"\n")
+        cells = lines[1].split(separator)
+        cells[text_column] = b"\xff" + cells[text_column]  # a byte no UTF-8 text holds
+        lines[1] = separator.join(cells)
+        copy.write_bytes(b"\n".join(lines))
+        try:
+            copy.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as error:
+            reason = error
+        inputs = {"bin-gaze": ["--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json")],
+                  "preprocess": ["--set", "set_metadata=" + str(data_dir / "sets.cfg")]}
+        code = main([command, "--out", str(tmp_path / "out"), "--set", f"{key}={copy}",
+                     *inputs[command]])
+        assert code == 1
+        assert capsys.readouterr()[:] == ("", f"error: {copy}: not UTF-8 ({reason})\n")
+
     def test_native_only_filter(self, data_dir, prep_dir, tmp_path):
         out = tmp_path / "out"
         code = main(["bin-gaze", "--out", str(out),

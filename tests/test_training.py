@@ -637,14 +637,19 @@ def test_backward_releases_the_batch_graph_and_parameters_keep_their_gradients(a
 def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchmark_batch):
     # held: the model and the batch's graph after forward and loss. Backward
     # frees each node's saved arrays as it passes them, so its peak adds little
-    # more than the parameters' gradients (about 1.16x and 1.13x of 10.0 and
-    # 12.3 MB held on 10 essays, 1.10x and 1.02x of 75.3 and 84.8 MB on the
-    # benchmark's 100, where the peak sits in the loss's gaze terms); on 10
+    # more than the parameters' gradients (about 1.13x of 7.8 and 9.4 MB held
+    # on 10 essays, 1.02x of 53.1 and 59.6 MB on the benchmark's 100); on 10
     # essays, keeping every saved array and interior gradient to the end read
     # about 1.56x, building the dense embedding gradient before the graph is
     # freed rather than from the queued rows after it 1.27x, and copying the
     # first gaze head's and attention's input gradients into a new sum rather
-    # than adding into them in place 1.18x
+    # than adding into them in place 1.18x. The 100-essay peak is bounded too:
+    # 82.5 and 86.4 MB while attention kept tanh(states @ w + b) and backward
+    # replayed every essay's score path before any essay's sentence encoders,
+    # 54.3 and 60.8 MB with the scores recomputed and one essay finished
+    # before the next (the co-attention article's encoders come first among
+    # the embedding's and conv weights' users, so every essay's encoders wait
+    # for the article there)
     for size in (10, len(benchmark_batch.train)):
         batch = benchmark_batch.train[:size]
         # a full collection empties the interpreter's free lists, so the figures
@@ -669,16 +674,18 @@ def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchma
                 f"({peak / held:.2f}x)")
         print("\n" + line)
         assert peak <= 1.2 * held, line
+    assert peak <= {"self_attention": 62.0, "co_attention": 70.0}[architecture] * 1e6, line
 
 
-@pytest.mark.parametrize("architecture, bound_mb", [("self_attention", 9.0),
-                                                    ("co_attention", 11.0)])
+@pytest.mark.parametrize("architecture, bound_mb", [("self_attention", 5.5),
+                                                    ("co_attention", 7.0)])
 def test_training_batch_graph_holds_one_copy_of_its_token_encodings(
         architecture, bound_mb, benchmark_batch):
     # the graph alone, the model excluded, after forward and loss: 10.5 and
     # 12.7 MB while each sentence's encoder saved its padded embeddings and the
     # gaze heads read a concatenated copy of the token encodings, 7.2 and 9.1
-    # MB with the padding rebuilt in backward and one token block per essay
+    # MB with the padding rebuilt in backward and one token block per essay,
+    # 5.0 and 6.2 MB with each attention pool keeping its weights only
     batch = benchmark_batch.train[:10]
     tracemalloc.start()
     try:
