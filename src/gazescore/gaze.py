@@ -318,8 +318,18 @@ def _runs(keys):
 
 
 def reader_stats(records):
-    """Per-reader population mean and std of DT and FFD over a GazeTable's rows."""
+    """Per-reader population mean and std of DT and FFD over a GazeTable's rows.
+
+    A row repeating an earlier row's (essay, reader, ia_index), which
+    ``bin_all`` logs as a duplicate, is left out.
+    """
     reader_ids, reader_of = _groups(records.reader_id)
+    order = np.lexsort((records.ia_index, reader_of, records.essay_id))  # stable
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:]] = np.logical_and.reduce([
+        np.diff(column[order]) == 0 for column in (records.essay_id, reader_of, records.ia_index)])
+    if repeated.any():
+        records, reader_of = records.take(~repeated), reader_of[~repeated]
     order, spans = _runs(reader_of)
     stats = {}
     for reader_id, (start, stop) in zip(reader_ids, spans):

@@ -282,10 +282,13 @@ class EssayScorer:
         With an rng (training) the essays share the article's graph and
         dropout mask, and each essay's nodes carry its index in the list as
         their essay mark (the article's carry the number of essays), so that
-        ``backward`` finishes one essay before it starts the next (see
-        :mod:`numerics`). Without one (evaluation) they are scored in padded
-        blocks of up to ``EVAL_SLICE`` essays (see the module docstring),
-        and the outputs carry their values only.
+        ``backward`` over the batch's graph finishes one essay before it
+        starts the next (see :mod:`numerics`); training builds that graph for
+        co-attention only, and gives a self-attention model's essays the same
+        dropout draws through ``forward``, one essay at a time. Without one
+        (evaluation) they are scored in padded blocks of up to ``EVAL_SLICE``
+        essays (see the module docstring), and the outputs carry their values
+        only.
         """
         if rng is not None:
             with nm._building(len(batch_sentence_ids)):  # the article replays after every essay

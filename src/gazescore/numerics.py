@@ -27,6 +27,15 @@ order. So each tensor's consumers still run in the reference order, every
 sum keeps its terms in that order, and a graph with no marks replays in
 exactly the reference order.
 
+A caller that knows a loss's gradient into some tensors can also start a
+backward there, without the loss's graph: ``_seeded`` makes a node that hands
+each tensor its gradient, as the loss's own ops would (training seeds one
+essay's outputs with that essay's share of the batch loss's gradient). The
+readers of the leaves in ``backward``'s ``hold`` can wait: ``backward``
+returns them with their gradients, and ``_replay`` runs them later, so
+several graphs' contributions into those leaves can be put in the order one
+graph over all of them would give.
+
 The first contribution is stored as given. It may be an array another
 node still holds (``add`` hands one array to both inputs, ``transpose`` a
 view), so the second contribution goes into a fresh buffer the engine
@@ -36,7 +45,11 @@ and ``additive_attention``'s gradients into their inputs) is owned from the
 start, so the second is added into it without a third array. ``+=`` performs
 the same IEEE addition per element as ``a + b``. Ownership lasts for one
 ``backward`` call: a gradient left from an earlier call may be held by the
-caller and is copied before it is written.
+caller and is copied before it is written. A caller that holds none can pass
+``keep_owned``: the buffers then stay owned from ``zero_grads`` to the next,
+across the backward calls of one training step, so a step that runs one
+backward per essay adds into each parameter's gradient in place, as one
+backward over the batch would.
 
 ``backward`` releases the graph as it replays it. Once a node's gradient
 has reached its parents, the node drops its closure (the arrays it saved
@@ -210,13 +223,23 @@ def _topological_order(root):
 def _replay_order(root):
     """The nodes under ``root`` in the order ``backward`` runs them, root first:
     by mark, lowest first, and in the reference order within a mark (see the
-    module docstring). One pass over the edges in the reference order raises
-    each node's essay mark to those of the nodes it must follow: its
-    consumers, and its inputs' consumers that precede it."""
+    module docstring)."""
     order = _topological_order(root)
     order.reverse()
-    at = {id(node): i for i, node in enumerate(order)}
+    marks = _raised_marks(order)
+    if marks is None:  # nothing to regroup
+        return order
+    return [order[i] for i in sorted(range(len(order)), key=marks.__getitem__)]  # stable
+
+
+def _raised_marks(order):
+    """Each node's essay mark in the reference ``order``, raised to those of the
+    nodes it must follow: its consumers, and its inputs' consumers that
+    precede it; None when no node is marked. One pass over the edges."""
     marks = [node._essay for node in order]
+    if max(marks) < 0:
+        return None
+    at = {id(node): i for i, node in enumerate(order)}
     last = {}  # an input's position -> the position of its latest consumer so far
     for i, node in enumerate(order):
         inputs = [at[id(parent)] for parent in node._parents]
@@ -230,7 +253,24 @@ def _replay_order(root):
             if marks[j] < mark:
                 marks[j] = mark
             last[j] = i
-    return [order[i] for i in sorted(range(len(order)), key=marks.__getitem__)]  # stable
+    return marks
+
+
+def _split_held(order, hold):
+    """(the nodes of ``order`` that replay now, those held back), each in
+    ``order``'s order. A node is held when it is one of ``hold``, reads one
+    of them or an input of a held node, or is such an input (it must follow
+    the held node that reads it). So moving the held nodes behind the rest
+    keeps every tensor's consumers in order."""
+    pending = {id(t) for t in hold}  # held nodes' inputs and the hold leaves
+    now, held = [], []
+    for node in order:
+        if id(node) in pending or any(id(p) in pending for p in node._parents):
+            held.append(node)
+            pending.update(id(p) for p in node._parents)
+        else:
+            now.append(node)
+    return now, held
 
 
 def _released(g):
@@ -238,12 +278,15 @@ def _released(g):
                        "run the forward again to rebuild it")
 
 
-def backward(loss, parameters=None):
+def backward(loss, parameters=None, keep_owned=False, hold=()):
     """Populate ``grad`` on every leaf tensor the scalar ``loss`` depends on.
 
     ``parameters``, when given, is an iterable of tensors that must end up
     with a gradient even if the loss does not reach them; those receive
-    zeros. Gradients accumulate, so call ``zero_grads`` between steps.
+    zeros (``_fill_grads``). Gradients accumulate, so call ``zero_grads``
+    between steps. ``keep_owned`` says the caller holds no leaf's gradient
+    since ``zero_grads``, so buffers an earlier backward allocated are added
+    into in place rather than copied first.
 
     Nodes replay in ``_replay_order``: a batch's essays one after another,
     every sum in the reference order. The graph is released as it replays:
@@ -252,14 +295,30 @@ def backward(loss, parameters=None):
     ``.grad`` None and only leaves keep theirs. A released node raises if a
     later backward reaches it, through ``loss`` again or through an op that
     was fed it.
+
+    ``hold`` names leaves whose readers wait: the nodes ``_split_held``
+    holds back keep their gradients and come back, in replay order, for a
+    later ``_replay``; with ``hold`` empty the list is empty.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     order = _replay_order(loss)
-    order.reverse()
-    for node in order:
-        node._owns_grad = False
+    if not keep_owned:
+        for node in order:
+            node._owns_grad = False
+    order, held = _split_held(order, hold) if hold else (order, [])
     loss.grad = np.ones_like(loss.data)
+    _replay(order)
+    if parameters is not None:
+        _fill_grads(parameters)
+    return held
+
+
+def _replay(order):
+    """Run the backward of the nodes of list ``order``, given in replay order
+    with their gradients in place (``backward``'s held nodes), releasing
+    each; the list is emptied, so it holds no node that has run."""
+    order.reverse()
     try:
         while order:
             node = order.pop()  # the order list no longer holds it
@@ -272,15 +331,41 @@ def backward(loss, parameters=None):
     finally:  # a raise leaves no row queued, each leaf's grad as if applied at once
         for node in order:
             _apply_rows(node)
-    if parameters is not None:
-        for p in parameters:
-            if p.requires_grad and p.grad is None:
-                p.grad = np.zeros_like(p.data)
+
+
+def _fill_grads(parameters):
+    """Give zeros to each tensor of ``parameters`` that requires a gradient and has none."""
+    for p in parameters:
+        if p.requires_grad and p.grad is None:
+            p.grad = np.zeros_like(p.data)
 
 
 def zero_grads(parameters):
     for p in parameters:
         p.grad = None
+        p._owns_grad = False
+
+
+def _seeded(terms):
+    """A scalar node, valued 0, through which ``backward`` gives each of
+    ``terms``' tensors a known gradient, as a loss over them would.
+
+    ``terms`` lists (tensor, grad, rows). With ``rows`` None, ``grad`` is
+    added into the tensor's gradient as an op adds into its input's; else
+    it holds the gradients of the tensor's rows ``rows`` (valid int64 row
+    indices), added as ``gather_rows(tensor, rows)``'s backward adds them.
+    The node's parents are the tensors in order, which sets the order
+    ``backward`` replays their graph in.
+    """
+
+    def grad_fn(g):
+        for tensor, grad, rows in terms:
+            if rows is None:
+                _accumulate(tensor, grad)
+            else:
+                _gather_grad(tensor, rows, grad)
+
+    return _make_output(np.zeros(()), [tensor for tensor, _, _ in terms], grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +475,11 @@ def _lstm_step(xw, h, c, wh, b):
     c = f * c + i * g
     tc = np.tanh(c)
     return i, f, g, o, tc, c, o * tc
+
+
+def _mse_grad(g, coeff, diff):
+    """The gradient into mse's prediction: g times 2 / n times the differences."""
+    return g * coeff * diff
 
 
 def _softmax_grad(g, out, axis):
@@ -619,7 +709,7 @@ def mse(pred, target):
     coeff = 2.0 / diff.size
 
     def grad_fn(g):
-        scaled = g * coeff * diff
+        scaled = _mse_grad(g, coeff, diff)
         _accumulate(pred, scaled)
         _accumulate(target, -scaled)
 

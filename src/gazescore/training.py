@@ -7,6 +7,14 @@ readers weigh proportionally to their label count. Attributes whose weight
 is zero are reported but kept out of the loss graph entirely; that makes a
 zero-weight run bit-identical to a run with no gaze loss at all, which the
 tests rely on.
+
+A step computes the gradient of its batch's loss in one of two schedules,
+which give the same bits. A self-attention model builds one essay's graph at
+a time: each essay's backward runs as soon as its forward ends, seeded with
+that essay's share of the batch loss's gradient, and the loss itself comes
+from the outputs' values afterwards. A co-attention model's essays all read
+one article graph, whose gradient sums must follow every essay's, so it
+builds the batch's graph and replays it after the loss.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from . import numerics as nm
 from .corpus import denormalize_score
 from .gaze import collector_paused, gaze_targets
 from .metrics import qwk
+from .model import ForwardOutput
 from .numerics import Tensor, backward, zero_grads
 from .optim import RMSProp, clip_global_norm
 
@@ -39,6 +48,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.clip_norm > 0:  # nan too, which would switch clipping off
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
 
 @dataclass
@@ -241,21 +256,149 @@ def _aggregate_epoch(batch_breakdowns, batch_sizes):
     )
 
 
+def _essay_root(output, example, score_coeff, terms):
+    """(node, finite): ``_seeded``'s node that gives one essay's outputs its
+    share of the gradient ``multitask_loss`` over the batch gives them, and
+    whether every seed is finite.
+
+    Each seed is mse's input gradient: the score's with 2 / batch size, and
+    each weighted gaze term's, in ``terms``' (attribute, the loss's gradient
+    into its mse, 2 / rows) order, on the essay's labelled rows, which it
+    reaches as gather_rows' backward would.
+    """
+    target = np.array([[example.score_target]], dtype=np.float64)
+    seeds = [(output.predicted_score,
+              nm._mse_grad(1.0, score_coeff, output.predicted_score.data - target), None)]
+    for attribute, g, coeff in terms:
+        if attribute not in output.gaze_predictions or attribute not in example.gaze_targets:
+            continue
+        indices, values = example.gaze_targets[attribute]
+        if indices.size:
+            prediction = output.gaze_predictions[attribute]
+            rows = nm._gather_ids("gather_rows", prediction.data, indices)
+            diff = prediction.data[rows] - np.asarray(values, dtype=np.float64).reshape(-1, 1)
+            seeds.append((prediction, nm._mse_grad(g, coeff, diff), rows))
+    return nm._seeded(seeds), all(np.isfinite(grad).all() for _, grad, _ in seeds)
+
+
+class _EssayBackward:
+    """The backward of a batch's essays, one essay's graph at a time, with
+    every sum in the order the batch's graph gives it.
+
+    An essay's sentence encoders are the only nodes whose place in the
+    batch graph's reference order depends on the other essays. The first
+    loss term to reach them decides it: the last weighted gaze term the
+    essay has rows for, or else the score. The batch replays the encoders by
+    that term's rank (0 for the score, k for the k-th weighted gaze term),
+    then by essay. So each essay's backward runs at once but for its
+    encoders (the readers of the embedding and the conv weights), which
+    ``backward`` holds back until every essay before them in that order has
+    run; when every essay has the same rank, no encoder waits. Held back or
+    not, the encoders add the same terms in the same order: no other node
+    reads the embedding or the conv weights.
+    """
+
+    def __init__(self, model, ranks):
+        self._encoders = (model.embedding, model.conv_w, model.conv_b)
+        self._turns = sorted(range(len(ranks)), key=lambda essay: (ranks[essay], essay))
+        self._next = 0
+        self._held = {}  # essay -> its held encoder nodes
+        self._waiting = []  # (essay, root) left for finish
+
+    def add(self, essay, root, finite):
+        """Run the backward from essay ``essay``'s ``root`` now, unless a seed
+        of it or of an earlier essay is not finite: then leave it to ``finish``,
+        which the caller runs once the batch loss is known to be finite."""
+        if finite and not self._waiting:
+            self._run(essay, root)
+        else:
+            self._waiting.append((essay, root))
+
+    def finish(self):
+        for essay, root in self._waiting:
+            self._run(essay, root)
+
+    def _run(self, essay, root):
+        if self._turns[self._next] == essay:  # its encoders' turn has come
+            backward(root, keep_owned=True)
+            self._next += 1
+        else:
+            self._held[essay] = backward(root, keep_owned=True, hold=self._encoders)
+        while self._next < len(self._turns) and self._turns[self._next] in self._held:
+            nm._replay(self._held.pop(self._turns[self._next]))
+            self._next += 1
+
+
+def _forward_backward_by_essay(model, batch, weights, rng):
+    """Each essay's forward, then at once its backward from ``_essay_root``
+    through ``_EssayBackward``; returns (each essay's output values, the
+    ``_EssayBackward``, whose ``finish`` the caller runs after its loss check).
+
+    The essays take the dropout draws ``forward_batch`` gives them.
+    """
+    rows = {}  # labelled rows of each attribute over the essays forward predicts gaze for
+    labelled = [[attribute for attribute in model.config.gaze_attributes
+                 if any(ex.sentence_ids) and attribute in ex.gaze_targets
+                 and ex.gaze_targets[attribute][0].size] for ex in batch]
+    for ex, attributes in zip(batch, labelled):
+        for attribute in attributes:
+            rows[attribute] = rows.get(attribute, 0) + ex.gaze_targets[attribute][0].size
+    # the weighted gaze terms, in the order multitask_loss adds them; mul's
+    # backward gives each term's mse the loss's gradient, 1, times the weight
+    terms = [(attribute, 1.0 * np.float64(weights[attribute]), 2.0 / rows[attribute])
+             for attribute in model.config.gaze_attributes
+             if attribute in rows and weights.get(attribute, 0.0) != 0.0]
+    ranks = [max([k + 1 for k, (attribute, _, _) in enumerate(terms) if attribute in attributes],
+                 default=0) for attributes in labelled]
+    essays = _EssayBackward(model, ranks)
+    values = []
+    for essay, ex in enumerate(batch):
+        output = model.forward(ex.sentence_ids, rng)
+        essays.add(essay, *_essay_root(output, ex, 2.0 / len(batch), terms))
+        values.append(ForwardOutput(
+            Tensor(output.predicted_score.data),
+            {a: Tensor(p.data) for a, p in output.gaze_predictions.items()}))
+    return values, essays
+
+
+def _batch_gradients(model, params, batch, weights, rng, epoch, batch_index):
+    """The gradients of one batch's loss in the parameters' ``grad``; returns
+    its LossBreakdown, or raises TrainingDiverged if the loss is not finite.
+
+    A model without an article trains essay by essay: each essay's backward
+    runs as soon as its forward ends (``_forward_backward_by_essay``), and
+    ``multitask_loss`` over the outputs' values gives the loss. A
+    co-attention model's essays all read the article's graph, whose sums
+    must follow every essay's, so it builds the batch's graph
+    (``forward_batch``) and replays it essay by essay where the sums' order
+    allows (``numerics._replay_order``). Both give every gradient bit for bit.
+    """
+    zero_grads(params)
+    if model.article_sentence_ids is None:
+        outputs, essays = _forward_backward_by_essay(model, batch, weights, rng)
+    else:
+        outputs, essays = model.forward_batch([ex.sentence_ids for ex in batch], rng), None
+    loss, breakdown = multitask_loss(outputs, batch, weights)
+    if not math.isfinite(float(loss.data)):
+        raise TrainingDiverged(epoch, batch_index, _param_norms(model))
+    if essays is None:
+        backward(loss, keep_owned=True)
+    else:
+        essays.finish()
+    nm._fill_grads(params)
+    return breakdown
+
+
 @collector_paused()
 def _train_step(model, optimizer, batch, weights, clip_norm, rng, epoch, batch_index):
     """One optimizer step on one batch; returns its LossBreakdown.
 
-    Only this frame holds the batch's graph; backward frees it as it replays
-    it, and the outputs and loss left go on return. It is acyclic, so the
-    cyclic collector, which would only walk it, is paused.
+    Only this frame holds the batch's graphs; backward frees each as it
+    replays it. They are acyclic, so the cyclic collector, which would only
+    walk them, is paused.
     """
-    outputs = model.forward_batch([ex.sentence_ids for ex in batch], rng)
-    loss, breakdown = multitask_loss(outputs, batch, weights)
-    if not math.isfinite(float(loss.data)):
-        raise TrainingDiverged(epoch, batch_index, _param_norms(model))
     params = optimizer.parameters
-    zero_grads(params)
-    backward(loss, parameters=params)
+    breakdown = _batch_gradients(model, params, batch, weights, rng, epoch, batch_index)
     model.pin_pad_embedding()
     clip_global_norm(params, clip_norm)
     optimizer.step()

@@ -629,6 +629,25 @@ class TestBinGaze:
                 assert [int(row[field]) / GAZE_MAX_BIN[attribute]
                         for row in essay_rows] == values.tolist()
 
+    def test_a_duplicated_row_leaves_the_reader_statistics_and_bins_as_they_were(
+            self, data_dir, prep_dir, pool_gaze_dir, tmp_path):
+        # the repeated row has a dwell time away from its reader's mean, so
+        # counting it again would move that reader's statistics and bins
+        header, *rows = (data_dir / "gaze_pool.csv").read_text().splitlines()
+        dwell = GAZE_CSV_COLUMNS.index("dwell_time_ms")
+        times = [float(row.split(",")[dwell]) for row in rows]
+        repeated = max(range(len(rows)), key=lambda k: abs(times[k] - np.mean(times)))
+        gaze_csv = tmp_path / "gaze.csv"
+        gaze_csv.write_text("\n".join([header, *rows, rows[repeated]]) + "\n")
+        out = tmp_path / "out"
+        assert main(["bin-gaze", "--out", str(out), "--set", "gaze_csv=" + str(gaze_csv),
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json")]) == 0
+        for name in ("reader_stats.txt", "binned_labels.csv"):
+            assert (out / name).read_bytes() == (pool_gaze_dir / name).read_bytes(), name
+        essay_id, reader_id, ia_index = rows[repeated].split(",")[:3]
+        assert (out / "alignment_errors.log").read_text() == (
+            f"essay {essay_id}, reader {reader_id}: duplicate record for token {ia_index}\n")
+
     def test_clean_records_round_trip(self, pool_gaze_dir):
         records, report = load_gaze_records(pool_gaze_dir / "records_clean.csv")
         assert len(records) == 96
@@ -842,6 +861,19 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == "error: target_sets lists [3] more than once\n"
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("option", ["clip_norm=0", "clip_norm=nan", "learning_rate=nan",
+                                        "learning_rate=-0.01", "momentum=1"])
+    def test_a_bad_optimizer_option_exits_one_before_any_cell(self, option, data_dir, prep_dir,
+                                                               tmp_path, capsys):
+        # each once failed every cell, or trained with clipping off or by gradient ascent
+        out = tmp_path / "run"
+        assert main(run_args(data_dir, prep_dir, out, "self_attention", option)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option.split('=')[0]} must be ")
+        assert len(captured.err.splitlines()) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
     def test_rejected_run_leaves_only_its_manifest(self, data_dir, prep_dir, pool_gaze_dir,
                                                    tmp_path, capsys):

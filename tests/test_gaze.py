@@ -244,6 +244,16 @@ def test_reader_stats_partition_by_reader():
     assert stats["b"].dt_mean == 1000.0
 
 
+def test_reader_stats_read_the_first_row_of_each_token():
+    # a later row for the same (essay, reader, token) is a duplicate bin_all
+    # skips; the same token of another essay or reader is not
+    recs = [record(dt=0.0, ia=0), record(dt=200.0, ia=1), record(essay_id=2, dt=50.0, ia=1),
+            record(reader="r2", dt=80.0, ia=1)]
+    stats = reader_stats(table(recs + [record(dt=900.0, ffd=700.0, ia=1), recs[0]]))
+    assert stats == reader_stats(table(recs))
+    assert stats["r1"].n_records == 3 and stats["r1"].dt_mean == 250.0 / 3
+
+
 def test_reader_stats_provenance_tracks_essays():
     recs = [record(essay_id=5), record(essay_id=9, ia=1)]
     assert reader_stats(table(recs))["r1"].provenance == frozenset({5, 9})
@@ -634,9 +644,11 @@ def reference_bin_fixation(fv, mu, sigma):
 
 
 def reference_reader_stats(records):
-    by_reader = {}
+    by_reader, seen = {}, set()
     for r in records:
-        by_reader.setdefault(r.reader_id, []).append(r)
+        if (r.essay_id, r.reader_id, r.ia_index) not in seen:  # else a duplicate bin_all logs
+            seen.add((r.essay_id, r.reader_id, r.ia_index))
+            by_reader.setdefault(r.reader_id, []).append(r)
     return {reader_id: gaze.ReaderStats(
         reader_id=reader_id,
         dt_mean=float(np.array([r.dwell_time_ms for r in recs]).mean()),

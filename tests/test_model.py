@@ -201,7 +201,7 @@ def test_forward_rejects_empty_essay():
         tiny_model().forward([])
 
 
-def test_training_mode_needs_rng_when_dropout_active():
+def test_training_forward_with_dropout_scores_inside_the_unit_interval():
     model = tiny_model(dropout=0.5)
     out = model.forward(ESSAY, rng=np.random.default_rng(0))
     assert 0.0 < out.score_value < 1.0
@@ -222,7 +222,7 @@ def test_self_attention_ignores_articles_entirely():
     assert model.encode_article() is None
 
 
-def test_encode_article_needs_rng_like_forward():
+def test_encode_article_with_an_rng_gives_one_hidden_row_per_article_sentence():
     model = tiny_model("co_attention", dropout=0.5)
     hidden = model.encode_article(rng=np.random.default_rng(0))
     assert hidden.data.shape == (len(ARTICLE), TINY["lstm_hidden"])

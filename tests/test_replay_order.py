@@ -5,13 +5,15 @@ is the reverse of a depth-first post-order from the loss, the order backward
 ran every graph in before. Each tensor's consumers must still add into its
 gradient in the reference's order, so every gradient equals the reference's
 bit for bit, and a graph whose nodes carry no essay mark runs in exactly the
-reference order.
+reference order. A self-attention training step goes further and builds one
+essay's graph at a time; its gradients must equal the batch graph's.
 """
 
 import numpy as np
 import pytest
 
 from gazescore import numerics as nm
+from gazescore import training
 from gazescore.model import ARCHITECTURES
 from gazescore.numerics import Tensor
 from gazescore.training import multitask_loss
@@ -86,3 +88,70 @@ def test_the_single_op_chains_scored_without_marks_replay_in_the_reference_order
     reference = reference_order(loss)
     assert len(reference) > 100 and all(node._essay == -1 for node in reference)
     assert same_nodes(nm._replay_order(loss), reference)
+
+
+def partly_labelled(examples):
+    """``examples`` with every fourth one labelled for DT alone, so that the
+    essays' encoders are first reached by three different loss terms."""
+    for k, ex in enumerate(examples):
+        if k % 4 == 1 and ex.gaze_targets:
+            ex.gaze_targets = {"DT": ex.gaze_targets["DT"]}
+    return examples
+
+
+@pytest.mark.parametrize("partly", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_a_self_attention_step_gives_the_batch_graphs_gradients_bitwise(dropout, partly):
+    # one essay's graph at a time, seeded with its share of the loss's
+    # gradient, against backward(multitask_loss(forward_batch(...))); on
+    # essays with empty and one-token sentences, unlabelled ones among them,
+    # with FFD at weight 0, for the fused model and the single-op chains
+    weights = {"DT": 0.5, "FFD": 0.0, "Skip": 0.1}
+    for model in model_pair("self_attention", dropout=dropout):
+        examples = mixed_examples(np.random.default_rng(11), 9)
+        if partly:
+            examples = partly_labelled(examples)
+        params = model.parameters()
+        breakdown = training._batch_gradients(model, params, examples, weights,
+                                              np.random.default_rng(5), 1, 0)
+        by_essay = {name: p.grad for name, p in model.named_parameters().items()}
+        outputs = model.forward_batch([ex.sentence_ids for ex in examples],
+                                      np.random.default_rng(5))
+        loss, expected = multitask_loss(outputs, examples, weights)
+        nm.zero_grads(params)
+        nm.backward(loss, params)
+        assert breakdown == expected
+        for name, p in model.named_parameters().items():
+            assert np.array_equal(by_essay[name], p.grad), (type(model).__name__, name)
+            assert by_essay[name].tobytes() == p.grad.tobytes(), (type(model).__name__, name)
+
+
+def raised_nodes(model, examples):
+    """The interior nodes of a training batch's graph that ``_replay_order``
+    moves to another essay's group than the one that made them."""
+    outputs = model.forward_batch([ex.sentence_ids for ex in examples], np.random.default_rng(5))
+    loss, _ = multitask_loss(outputs, examples, model.config.gaze_loss_weights)
+    order = reference_order(loss)
+    return [node for node, mark in zip(order, nm._raised_marks(order))
+            if node._grad_fn is not None and mark != node._essay]
+
+
+def test_self_attentions_replay_raises_no_node_to_another_essay(benchmark_batch):
+    # every essay labelled by the same gaze terms: each essay's group
+    # replays its own nodes only, in the order its graph alone replays them
+    model = benchmark_batch.model("self_attention")
+    assert raised_nodes(model, benchmark_batch.train[:10]) == []
+    model = model_pair("self_attention")[0]
+    examples = [ex for ex in mixed_examples(np.random.default_rng(11), 12) if ex.gaze_targets]
+    assert raised_nodes(model, examples) == []
+
+
+def test_self_attentions_replay_raises_only_encoders_across_essays():
+    # with essays first reached by different loss terms, only the sentence
+    # encoders, which the training step holds back, move to a later essay
+    model = model_pair("self_attention")[0]
+    examples = partly_labelled(mixed_examples(np.random.default_rng(11), 9))
+    raised = raised_nodes(model, examples)
+    assert raised
+    encoder_inputs = {id(model.embedding), id(model.conv_w), id(model.conv_b)}
+    assert all({id(p) for p in node._parents} == encoder_inputs for node in raised)

@@ -92,6 +92,17 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
+    # a nan or negative learning rate, a momentum that never decays, a zero
+    # clip norm (which fails in every cell) or a nan one (which switches
+    # clipping off) are rejected before any cell runs
+    for bad in (dict(learning_rate=math.nan), dict(learning_rate=math.inf),
+                dict(learning_rate=-0.01), dict(learning_rate=0.0),
+                dict(momentum=1.0), dict(momentum=-0.1), dict(momentum=math.nan),
+                dict(clip_norm=0.0), dict(clip_norm=-1.0), dict(clip_norm=math.nan)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
+    # the divergence tests' huge learning rate, no momentum and no clipping stay valid
+    TrainConfig(learning_rate=1e200, momentum=0.0, clip_norm=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +630,30 @@ def test_train_step_pauses_the_collector_and_restores_its_state(monkeypatch, ena
     assert during == [False, False]
 
 
+def test_a_diverging_self_attention_step_runs_every_forward_and_no_non_finite_backward():
+    # the second essay reads a nan embedding row: its seeds, and the loss, are
+    # not finite. Every essay's forward still draws its dropout masks, the
+    # first essay's backward has run, and no backward runs from the second on
+    model = tiny_model(dropout=0.5)
+    model.embedding.data[4] = np.nan
+    batch = [TrainExample(essay_id=k, set_id=3, sentence_ids=sentences, score_target=0.5,
+                          raw_score=1) for k, sentences in enumerate([[[2, 3]], [[4, 5]], [[6, 7]]])]
+    optimizer = RMSProp(model.parameters(), lr=0.001, decay=0.9, momentum=0.9, eps=1e-6)
+    rng, reference = np.random.default_rng(0), np.random.default_rng(0)
+    before = model.state_dict()
+    with pytest.raises(TrainingDiverged) as excinfo:
+        training_module._train_step(model, optimizer, batch, {}, 10.0, rng, 2, 5)
+    assert (excinfo.value.epoch, excinfo.value.batch_index) == (2, 5)
+    model.forward_batch([ex.sentence_ids for ex in batch], reference)
+    assert rng.random() == reference.random()
+    grads = {name: p.grad for name, p in model.named_parameters().items()}
+    assert grads["conv.w"] is not None and grads["output.w"] is not None
+    assert all(np.isfinite(grad).all() for grad in grads.values() if grad is not None)
+    assert np.count_nonzero(grads["embedding"].any(axis=1)) == 2  # essay 0's tokens only
+    assert all(np.array_equal(before[name], p.data, equal_nan=True)
+               for name, p in model.named_parameters().items())
+
+
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
 def test_backward_releases_the_batch_graph_and_parameters_keep_their_gradients(architecture):
     model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture=architecture,
@@ -675,6 +710,32 @@ def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchma
         print("\n" + line)
         assert peak <= 1.2 * held, line
     assert peak <= {"self_attention": 62.0, "co_attention": 70.0}[architecture] * 1e6, line
+
+
+@pytest.mark.parametrize("architecture, bound_mb", [("self_attention", 20.0),
+                                                    ("co_attention", 75.0)])
+def test_a_training_step_on_the_benchmark_batch_peaks_in_bounded_memory(
+        architecture, bound_mb, benchmark_batch):
+    # the traced peak of one step on the benchmark's 100 essays, the model and
+    # the optimizer's state (8.1 and 9.3 MB) included: 59.7 MB with
+    # self-attention while its step built the batch's graph, 15.8 MB with one
+    # essay's graph at a time; co-attention still builds the batch's graph,
+    # whose article every essay reads (67.0 MB)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model = benchmark_batch.model(architecture)
+        optimizer = RMSProp(model.parameters(), lr=0.001, decay=0.9, momentum=0.9, eps=1e-6)
+        training_module._train_step(model, optimizer, benchmark_batch.train,
+                                    model.config.gaze_loss_weights, 10.0,
+                                    np.random.default_rng(1), 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    line = (f"[step memory] {architecture}, {len(benchmark_batch.train)} essays: "
+            f"{peak / 1e6:.1f} MB peak through one training step, model included")
+    print("\n" + line)
+    assert peak <= bound_mb * 1e6, line
 
 
 @pytest.mark.parametrize("architecture, bound_mb", [("self_attention", 5.5),
