@@ -520,7 +520,7 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
         raise CliError(f"reader_filter {options.get('reader_filter')!r} keeps no reader of the "
                        f"{valid_rows} valid gaze rows in {gaze_path}")
 
-    stats = reader_stats(records)
+    stats = reader_stats(records, essays)
     sequences, diagnostics = bin_all(records, stats, essays)
     placed = len(records) - len(diagnostics)
 

@@ -319,10 +319,11 @@ def _examples_for(essay_ids, essays, vocab, targets):
 def _fold_gaze_targets(data, fold, system_name, set_id):
     """{essay_id: gaze targets} of every gaze essay outside the fold's test partition.
 
-    The reader statistics come from train-side records only, and bin the
-    dev records too. Both depend on nothing but which gaze essays the fold
-    holds out, so ``data`` keeps the last such result for the next cell
-    that holds out the same ones; the leakage assertion runs every time.
+    The reader statistics come from the train-side records that ``bin_all``
+    can place, and bin the dev records too. Both depend on nothing but which
+    gaze essays the fold holds out, so ``data`` keeps the last such result
+    for the next cell that holds out the same ones; the leakage assertion
+    runs every time.
     """
     test_ids = set(fold.test)
     held_out = set(fold.dev) | test_ids
@@ -337,7 +338,8 @@ def _fold_gaze_targets(data, fold, system_name, set_id):
     if (memo is None or memo[0] is not records or memo[1] is not data.essays
             or memo[2] != key):
         usable = records.take(~np.isin(records.essay_id, list(test_ids)))
-        stats = reader_stats(usable.take(~np.isin(usable.essay_id, list(held_out))))
+        stats = reader_stats(usable.take(~np.isin(usable.essay_id, list(held_out))),
+                             data.essays)
         # a token's bins depend only on its record and its reader's statistics,
         # so one pass bins the train and the dev side
         sequences, _ = bin_all(usable, stats, data.essays)

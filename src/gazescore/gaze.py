@@ -317,23 +317,33 @@ def _runs(keys):
     return order, list(zip(starts, [*starts[1:], len(order)]))
 
 
-def reader_stats(records):
+def reader_stats(records, essays=None):
     """Per-reader population mean and std of DT and FFD over a GazeTable's rows.
 
     A row repeating an earlier row's (essay, reader, ia_index), which
-    ``bin_all`` logs as a duplicate, is left out.
+    ``bin_all`` logs as a duplicate, is left out. With ``essays`` (essay_id
+    -> Essay), so is a row that ``bin_all`` cannot place for want of its
+    essay or of its token in that essay. A reader left with no row counts
+    ``n_records`` 0, with every moment 0.0, and ``bin_all`` places none of
+    its rows.
     """
     reader_ids, reader_of = _groups(records.reader_id)
     order = np.lexsort((records.ia_index, reader_of, records.essay_id))  # stable
-    repeated = np.zeros(len(order), dtype=bool)
-    repeated[order[1:]] = np.logical_and.reduce([
+    left_out = np.zeros(len(order), dtype=bool)
+    left_out[order[1:]] = np.logical_and.reduce([
         np.diff(column[order]) == 0 for column in (records.essay_id, reader_of, records.ia_index)])
-    if repeated.any():
-        records, reader_of = records.take(~repeated), reader_of[~repeated]
+    if essays is not None:
+        left_out |= ~_placeable(records, essays)
+    if left_out.any():
+        records, reader_of = records.take(~left_out), reader_of[~left_out]
     order, spans = _runs(reader_of)
+    spans = {int(reader_of[order[start]]): (start, stop) for start, stop in spans}  # by reader
     stats = {}
-    for reader_id, (start, stop) in zip(reader_ids, spans):
-        rows = order[start:stop]  # in table order, so each sum adds in the same order
+    for k, reader_id in enumerate(reader_ids):
+        if k not in spans:
+            stats[reader_id] = ReaderStats(reader_id, 0.0, 0.0, 0.0, 0.0, 0)
+            continue
+        rows = order[slice(*spans[k])]  # in table order, so each sum adds in the same order
         dt = records.dwell_time_ms[rows]
         ffd = records.first_fixation_ms[rows]
         stats[reader_id] = ReaderStats(
@@ -480,19 +490,19 @@ def _place(records, stats, essays):
     distinct reader ids sorted, each essay's token count, the placed rows by
     essay, then reader id, then position, each placed row's essay index times
     the number of readers plus its reader index, the diagnostics)."""
-    essay_ids, essay_of = np.unique(records.essay_id, return_inverse=True)
-    essay_ids = essay_ids.tolist()
+    essay_ids, essay_of, n_tokens = _essay_tokens(records, essays)
     reader_ids, reader_of = _groups(records.reader_id)
     # readers numbered in id order, as labeled sorts them
     order = sorted(range(len(reader_ids)), key=reader_ids.__getitem__)
     reader_ids, reader_of = [reader_ids[k] for k in order], np.argsort(order)[reader_of]
-    n_tokens = np.array([sum(map(len, essays[e].sentences)) if e in essays else -1
-                         for e in essay_ids], dtype=np.int64)
     row_tokens = n_tokens[essay_of]
     ia_index = records.ia_index
     no_essay = row_tokens < 0
     no_stats = ~no_essay & ~np.array([r in stats for r in reader_ids], dtype=bool)[reader_of]
     out_of_range = ~(no_essay | no_stats) & (ia_index >= row_tokens)
+    empty = np.array([r in stats and stats[r].n_records == 0 for r in reader_ids], dtype=bool)
+    if empty.any():  # statistics over no row place nothing: such a row reads as one with none
+        no_stats |= ~(no_essay | out_of_range) & empty[reader_of]
     # a position's first record is placed, and each later one is a duplicate;
     # the unique keys sort the placed rows
     width = int(n_tokens.max(initial=0)) + 1
@@ -517,6 +527,24 @@ def _place(records, stats, essays):
             diagnostics.append(f"essay {essay_id}, reader {reader_id}: duplicate "
                                f"record for token {ia_index[i]}")
     return essay_ids, reader_ids, n_tokens, rows, keys // width, diagnostics
+
+
+def _essay_tokens(records, essays):
+    """(the distinct essay ids of ``records``, each row's index into them,
+    each essay's token count, -1 for one ``essays`` does not hold)."""
+    essay_ids, essay_of = np.unique(records.essay_id, return_inverse=True)
+    essay_ids = essay_ids.tolist()
+    n_tokens = np.array([sum(map(len, essays[e].sentences)) if e in essays else -1
+                         for e in essay_ids], dtype=np.int64)
+    return essay_ids, essay_of, n_tokens
+
+
+def _placeable(records, essays):
+    """Whether each row of ``records`` addresses an essay of ``essays`` and a
+    token inside it."""
+    _, essay_of, n_tokens = _essay_tokens(records, essays)
+    row_tokens = n_tokens[essay_of]
+    return (row_tokens >= 0) & (records.ia_index < row_tokens)
 
 
 def labeled(gaze):

@@ -10,9 +10,10 @@ article with the same tower, forms the affinity M = H_essay A H_article',
 mixes each side by the other's row-softmax, pools both mixtures with their
 own attention layers, and concatenates all three summaries before the
 modeling layer (dense tanh) and the scalar sigmoid output. The article's
-hidden states come from :meth:`EssayScorer.encode_article`, once per list
-of essays scored through :meth:`EssayScorer.forward_batch`: per mini-batch in
-training (one graph, one dropout mask, one backward), per evaluation pass.
+hidden states come from :meth:`EssayScorer.encode_article`, once per
+mini-batch in training (one graph, one dropout mask, one backward, which the
+training step runs after the last essay's) and once per list of essays
+scored through :meth:`EssayScorer.forward_batch`.
 
 An rng means training: it draws the dropout masks, and each essay gets a
 graph through :meth:`EssayScorer.forward`. Without an rng (evaluation),
@@ -283,9 +284,10 @@ class EssayScorer:
         dropout mask, and each essay's nodes carry its index in the list as
         their essay mark (the article's carry the number of essays), so that
         ``backward`` over the batch's graph finishes one essay before it
-        starts the next (see :mod:`numerics`); training builds that graph for
-        co-attention only, and gives a self-attention model's essays the same
-        dropout draws through ``forward``, one essay at a time. Without one
+        starts the next (see :mod:`numerics`). That graph is the reference a
+        training step's gradients are checked against: the step itself takes
+        the same dropout draws (the article's, then each essay's through
+        ``forward``) and builds one essay's graph at a time. Without one
         (evaluation) they are scored in padded blocks of up to ``EVAL_SLICE``
         essays (see the module docstring), and the outputs carry their values
         only.

@@ -34,7 +34,10 @@ essay's outputs with that essay's share of the batch loss's gradient). The
 readers of the leaves in ``backward``'s ``hold`` can wait: ``backward``
 returns them with their gradients, and ``_replay`` runs them later, so
 several graphs' contributions into those leaves can be put in the order one
-graph over all of them would give.
+graph over all of them would give. A held ``encode_tokens`` node whose
+consumers have all run waits compact (``_compact``): it keeps its gradient
+through tanh, the first step of its backward taken early, and not its
+output, so an essay's token block is freed while its encoders wait.
 
 The first contribution is stored as given. It may be an array another
 node still holds (``add`` hands one array to both inputs, ``transpose`` a
@@ -82,8 +85,9 @@ the weights' gradient buffers in place.
 Three fused ops run a chain of single ops as one node, keeping only the
 arrays their backward reads besides their inputs:
 - ``encode_tokens`` (gather, dropout, conv1d, bias, tanh) keeps the ids, the
-  dropout mask and its output. Its backward rebuilds the zero-padded conv
-  input from the table, which does not change between forward and backward.
+  dropout mask and its output (a compact held node, its gradient instead).
+  Its backward rebuilds the zero-padded conv input from the table, which
+  does not change between forward and backward.
   It can write its output into a given array, as ``concat`` can: the model's
   sentence encoders fill one token block per essay, which the gaze heads
   read through a ``concat`` that copies nothing;
@@ -134,6 +138,8 @@ class Tensor:
 
     def __repr__(self):
         label = f" name={self.name!r}" if self.name else ""
+        if self.data is None:  # a held node's dropped output, see _compact
+            return f"Tensor(data=None{label})"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{label})"
 
 
@@ -298,7 +304,9 @@ def backward(loss, parameters=None, keep_owned=False, hold=()):
 
     ``hold`` names leaves whose readers wait: the nodes ``_split_held``
     holds back keep their gradients and come back, in replay order, for a
-    later ``_replay``; with ``hold`` empty the list is empty.
+    later ``_replay``; with ``hold`` empty the list is empty. They come back
+    compact (``_compact``): a held ``encode_tokens`` node that no held node
+    reads keeps only its gradient through tanh, not its output.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
@@ -311,7 +319,24 @@ def backward(loss, parameters=None, keep_owned=False, hold=()):
     _replay(order)
     if parameters is not None:
         _fill_grads(parameters)
+    _compact(held)
     return held
+
+
+def _compact(held):
+    """Shrink the nodes of list ``held`` whose consumers have all run, those
+    no node of ``held`` reads: an ``encode_tokens`` node multiplies its
+    gradient g by 1 - out * out now, in a buffer it owns, which is the first
+    step of its backward (``_tanh_grad``), and drops its output (its
+    ``data`` becomes None), so the token block its output sits in can be
+    freed. Its backward then starts after that step. Each element takes the
+    same IEEE operations as in the full backward, only earlier."""
+    read = {id(parent) for node in held for parent in node._parents}
+    for node in held:
+        tokens = getattr(node._grad_fn, "__qualname__", None) == _TOKENS_BACKWARD
+        if tokens and id(node) not in read:
+            node._grad_fn(None if node.grad is None else _owned_grad(node), compact=True)
+            node.data = None
 
 
 def _replay(order):
@@ -434,8 +459,8 @@ def _sigmoid_grad(g, out):
     return g * out * (1.0 - out)
 
 
-def _tanh_grad(g, out):
-    return g * (1.0 - out * out)
+def _tanh_grad(g, out, into=None):
+    return np.multiply(g, 1.0 - out * out, out=into)
 
 
 _ACTIVATIONS = {"tanh": (np.tanh, _tanh_grad), "sigmoid": (_sigmoid, _sigmoid_grad)}
@@ -834,9 +859,10 @@ def encode_tokens(table, ids, conv_w, conv_b, p, rng, out=None):
     in the chain's order. ``out``, when given, is the (T, Cout) array the
     encodings are written into and which holds them.
 
-    The node saves the ids, the dropout mask and its output. Its backward
-    rebuilds the padded conv input from the table's values, so those must not
-    change between forward and backward (training steps after backward).
+    The node saves the ids, the dropout mask and its output; a held node
+    ``_compact`` shrinks drops the output. Its backward rebuilds the padded
+    conv input from the table's values, so those must not change between
+    forward and backward (training steps after backward).
     """
     table, conv_w, conv_b = _as_tensor(table), _as_tensor(conv_w), _as_tensor(conv_b)
     idx = _gather_ids("encode_tokens", table.data, ids)
@@ -850,8 +876,15 @@ def encode_tokens(table, ids, conv_w, conv_b, p, rng, out=None):
     out_data = np.tanh(conv, out=out)
     padded_shape = (len(idx) + k - 1, values.shape[1])
 
-    def grad_fn(g):
-        g = _tanh_grad(g, out_data)
+    def grad_fn(g, compact=False):
+        nonlocal out_data
+        if compact:  # see _compact: g, an owned buffer, goes through tanh now
+            if g is not None:
+                _tanh_grad(g, out_data, into=g)
+            out_data = None
+            return
+        if out_data is not None:  # else _compact has taken g through tanh
+            g = _tanh_grad(g, out_data)
         _accumulate(conv_b, _unbroadcast(g, conv_b.data.shape))
         if conv_w.requires_grad:
             # forward's padded input, bit for bit: the same rows, mask and scale
@@ -862,6 +895,9 @@ def encode_tokens(table, ids, conv_w, conv_b, p, rng, out=None):
             _gather_grad(table, idx, g if keep is None else g * keep * scale)
 
     return _make_output(out_data, (table, conv_w, conv_b), grad_fn)
+
+
+_TOKENS_BACKWARD = "encode_tokens.<locals>.grad_fn"  # the backward _compact shrinks
 
 
 def additive_attention(states, w, b, v):

@@ -8,13 +8,13 @@ is zero are reported but kept out of the loss graph entirely; that makes a
 zero-weight run bit-identical to a run with no gaze loss at all, which the
 tests rely on.
 
-A step computes the gradient of its batch's loss in one of two schedules,
-which give the same bits. A self-attention model builds one essay's graph at
-a time: each essay's backward runs as soon as its forward ends, seeded with
-that essay's share of the batch loss's gradient, and the loss itself comes
-from the outputs' values afterwards. A co-attention model's essays all read
-one article graph, whose gradient sums must follow every essay's, so it
-builds the batch's graph and replays it after the loss.
+A step builds one essay's graph at a time: each essay's backward runs as
+soon as its forward ends, seeded with that essay's share of the batch loss's
+gradient, and the loss itself comes from the outputs' values afterwards. A
+co-attention model's essays all read one article graph, encoded once per
+batch, whose backward runs after the last essay's; the nodes whose sums must
+follow it wait, and a waiting encoder keeps only its gradient. Every
+gradient equals the batch graph's bit for bit.
 """
 
 from __future__ import annotations
@@ -290,19 +290,39 @@ class _EssayBackward:
     loss term to reach them decides it: the last weighted gaze term the
     essay has rows for, or else the score. The batch replays the encoders by
     that term's rank (0 for the score, k for the k-th weighted gaze term),
-    then by essay. So each essay's backward runs at once but for its
-    encoders (the readers of the embedding and the conv weights), which
-    ``backward`` holds back until every essay before them in that order has
-    run; when every essay has the same rank, no encoder waits. Held back or
-    not, the encoders add the same terms in the same order: no other node
-    reads the embedding or the conv weights.
+    then by essay: those are the turns. So each essay's backward runs at once
+    but for its encoders (the readers of the embedding and the conv weights),
+    which ``backward`` holds back until every turn before theirs has run;
+    when every essay has the same rank, no encoder waits. Held back or not,
+    the encoders add the same terms in the same order: no other node of an
+    essay reads the embedding or the conv weights.
+
+    With a co-attention ``article`` (the article's LSTM states node, and the
+    stand-in leaf the essays read in its place), the batch's graph reaches
+    the article's graph from the last essay's score, just before that
+    essay's LSTM. So the article takes the turn (0, last - 1/2), after every
+    other essay the score reaches first, and every later turn waits for the
+    last essay. That essay holds back every reader of the parameters the
+    article reads, and what must follow those readers (``_split_held``; the
+    batch graph's ``numerics._raised_marks`` moves exactly these into the
+    article's group): its LSTM, word attentions, encoders and the concats
+    between them. What its score reaches replays at turn (0, last), right
+    after the article; what only its gaze heads reach (a labelled essay's
+    encoders, and their token concat or, with one sentence, the heads
+    themselves) takes the essay's own turn. Once the last essay has run, the
+    stand-in's gradient, which the essays' backwards added in batch order,
+    seeds the article's node.
     """
 
-    def __init__(self, model, ranks):
+    def __init__(self, model, ranks, article=None):
         self._encoders = (model.embedding, model.conv_w, model.conv_b)
-        self._turns = sorted(range(len(ranks)), key=lambda essay: (ranks[essay], essay))
+        self._ranks, self._last, self._article = ranks, len(ranks) - 1, article
+        turns = {(rank, essay) for essay, rank in enumerate(ranks)}
+        if article is not None:
+            turns |= {(0, self._last - 0.5), (0, self._last)}
+        self._turns = sorted(turns)
         self._next = 0
-        self._held = {}  # essay -> its held encoder nodes
+        self._held = {}  # turn -> the held nodes that replay at it
         self._waiting = []  # (essay, root) left for finish
 
     def add(self, essay, root, finite):
@@ -319,14 +339,33 @@ class _EssayBackward:
             self._run(essay, root)
 
     def _run(self, essay, root):
-        if self._turns[self._next] == essay:  # its encoders' turn has come
+        turn = (self._ranks[essay], essay)
+        if self._article is not None and essay == self._last:
+            self._run_last(root)
+        elif self._turns[self._next] == turn:
             backward(root, keep_owned=True)
             self._next += 1
         else:
-            self._held[essay] = backward(root, keep_owned=True, hold=self._encoders)
+            self._held[turn] = backward(root, keep_owned=True, hold=self._encoders)
         while self._next < len(self._turns) and self._turns[self._next] in self._held:
             nm._replay(self._held.pop(self._turns[self._next]))
             self._next += 1
+
+    def _run_last(self, root):
+        states, stand_in = self._article
+        article_order = nm._topological_order(states)
+        gaze = set()  # what the gaze heads, the root's parents after the score, reach
+        for head in root._parents[1:]:
+            gaze.update(map(id, nm._topological_order(head)))
+        held = backward(root, keep_owned=True,
+                        hold=[node for node in article_order if node._grad_fn is None])
+        self._held[(0, self._last)] = [node for node in held if id(node) not in gaze]
+        if self._ranks[self._last]:
+            self._held[(self._ranks[self._last], self._last)] = [
+                node for node in held if id(node) in gaze]
+        states.grad = stand_in.grad
+        article_order.reverse()
+        self._held[(0, self._last - 0.5)] = article_order
 
 
 def _forward_backward_by_essay(model, batch, weights, rng):
@@ -334,7 +373,10 @@ def _forward_backward_by_essay(model, batch, weights, rng):
     through ``_EssayBackward``; returns (each essay's output values, the
     ``_EssayBackward``, whose ``finish`` the caller runs after its loss check).
 
-    The essays take the dropout draws ``forward_batch`` gives them.
+    The article and the essays take the dropout draws ``forward_batch``
+    gives them: the article's first, then each essay's. Every essay reads
+    the article's states through one stand-in leaf, so its backward stops
+    there.
     """
     rows = {}  # labelled rows of each attribute over the essays forward predicts gaze for
     labelled = [[attribute for attribute in model.config.gaze_attributes
@@ -350,10 +392,12 @@ def _forward_backward_by_essay(model, batch, weights, rng):
              if attribute in rows and weights.get(attribute, 0.0) != 0.0]
     ranks = [max([k + 1 for k, (attribute, _, _) in enumerate(terms) if attribute in attributes],
                  default=0) for attributes in labelled]
-    essays = _EssayBackward(model, ranks)
+    states = model.encode_article(rng)
+    article = None if states is None else Tensor(states.data, requires_grad=True)
+    essays = _EssayBackward(model, ranks, None if states is None else (states, article))
     values = []
     for essay, ex in enumerate(batch):
-        output = model.forward(ex.sentence_ids, rng)
+        output = model.forward(ex.sentence_ids, rng, article=article)
         essays.add(essay, *_essay_root(output, ex, 2.0 / len(batch), terms))
         values.append(ForwardOutput(
             Tensor(output.predicted_score.data),
@@ -365,26 +409,19 @@ def _batch_gradients(model, params, batch, weights, rng, epoch, batch_index):
     """The gradients of one batch's loss in the parameters' ``grad``; returns
     its LossBreakdown, or raises TrainingDiverged if the loss is not finite.
 
-    A model without an article trains essay by essay: each essay's backward
-    runs as soon as its forward ends (``_forward_backward_by_essay``), and
-    ``multitask_loss`` over the outputs' values gives the loss. A
-    co-attention model's essays all read the article's graph, whose sums
-    must follow every essay's, so it builds the batch's graph
-    (``forward_batch``) and replays it essay by essay where the sums' order
-    allows (``numerics._replay_order``). Both give every gradient bit for bit.
+    The step trains essay by essay: each essay's backward runs as soon as
+    its forward ends (``_forward_backward_by_essay``), and ``multitask_loss``
+    over the outputs' values gives the loss. A co-attention model encodes
+    its article once, and the article's backward runs after the last
+    essay's. Every gradient equals, bit for bit, that of ``backward`` over
+    the batch's graph (``forward_batch`` and ``multitask_loss``).
     """
     zero_grads(params)
-    if model.article_sentence_ids is None:
-        outputs, essays = _forward_backward_by_essay(model, batch, weights, rng)
-    else:
-        outputs, essays = model.forward_batch([ex.sentence_ids for ex in batch], rng), None
+    outputs, essays = _forward_backward_by_essay(model, batch, weights, rng)
     loss, breakdown = multitask_loss(outputs, batch, weights)
     if not math.isfinite(float(loss.data)):
         raise TrainingDiverged(epoch, batch_index, _param_norms(model))
-    if essays is None:
-        backward(loss, keep_owned=True)
-    else:
-        essays.finish()
+    essays.finish()
     nm._fill_grads(params)
     return breakdown
 

@@ -648,6 +648,34 @@ class TestBinGaze:
         assert (out / "alignment_errors.log").read_text() == (
             f"essay {essay_id}, reader {reader_id}: duplicate record for token {ia_index}\n")
 
+    def test_unplaceable_rows_leave_the_reader_statistics_and_bins_as_they_were(
+            self, data_dir, prep_dir, pool_gaze_dir, tmp_path):
+        # one row beyond its essay's last token and one for an essay the corpus
+        # lacks, each with a dwell time far from its reader's mean: the
+        # statistics read only the rows bin-gaze places, and each bad row keeps
+        # its diagnostic
+        header, *rows = (data_dir / "gaze_pool.csv").read_text().splitlines()
+        essay_id, reader_id = rows[0].split(",")[:2]
+        cells = rows[0].split(",")
+        dwell, first = GAZE_CSV_COLUMNS.index("dwell_time_ms"), GAZE_CSV_COLUMNS.index(
+            "first_fixation_ms")
+        cells[dwell], cells[first] = "9000", "8000"
+        beyond = ",".join([essay_id, reader_id, "99999", *cells[3:]])
+        missing = ",".join(["424242", reader_id, *cells[2:]])
+        gaze_csv = tmp_path / "gaze.csv"
+        gaze_csv.write_text("\n".join([header, *rows, beyond, missing]) + "\n")
+        out = tmp_path / "out"
+        assert main(["bin-gaze", "--out", str(out), "--set", "gaze_csv=" + str(gaze_csv),
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json")]) == 0
+        for name in ("reader_stats.txt", "binned_labels.csv"):
+            assert (out / name).read_bytes() == (pool_gaze_dir / name).read_bytes(), name
+        essays, _ = load_corpus_cache(prep_dir / "corpus_cache.json")
+        n_tokens = len(essays[int(essay_id)].tokens)
+        assert (out / "alignment_errors.log").read_text() == (
+            f"essay {essay_id}, reader {reader_id}: ia_index 99999 out of range for "
+            f"{n_tokens} tokens\n"
+            f"essay 424242: no such essay for reader {reader_id}\n")
+
     def test_clean_records_round_trip(self, pool_gaze_dir):
         records, report = load_gaze_records(pool_gaze_dir / "records_clean.csv")
         assert len(records) == 96

@@ -254,6 +254,48 @@ def test_reader_stats_read_the_first_row_of_each_token():
     assert stats["r1"].n_records == 3 and stats["r1"].dt_mean == 250.0 / 3
 
 
+def test_reader_stats_read_only_the_rows_bin_all_can_place():
+    # given the essays, a row for a missing essay or for a token beyond its
+    # essay's end moves no statistic, and a reader left with none counts none
+    essays = {1: essay_with_tokens(1, 3), 2: essay_with_tokens(2, 2)}
+    recs = [record(dt=100.0, ffd=90.0, ia=0), record(dt=300.0, ffd=200.0, ia=2),
+            record(essay_id=2, dt=60.0, ffd=60.0, ia=1)]
+    unplaceable = [record(dt=5000.0, ffd=4000.0, ia=3), record(essay_id=9, dt=7.0, ffd=7.0),
+                   record(essay_id=2, dt=900.0, ffd=800.0, ia=2),
+                   record(reader="r2", ia=5), record(reader="r2", essay_id=9)]
+    stats = reader_stats(table(recs + unplaceable), essays)
+    assert stats["r1"] == reader_stats(table(recs))["r1"]
+    assert stats["r1"].n_records == 3 and stats["r1"].provenance == frozenset({1, 2})
+    assert stats["r2"] == gaze.ReaderStats("r2", 0.0, 0.0, 0.0, 0.0, 0)
+    assert list(reader_stats(table(unplaceable), essays)) == ["r1", "r2"]
+    # without the essays every row counts, as before
+    assert reader_stats(table(recs + unplaceable))["r1"].n_records == 6
+
+
+def test_an_unplaceable_row_leaves_the_bins_as_they_were():
+    essays = {1: essay_with_tokens(1, 3)}
+    clean = table([record(dt=100.0, ffd=90.0, ia=0), record(dt=300.0, ffd=200.0, ia=2),
+                   record(dt=140.0, ffd=100.0, ia=1)])
+    noisy = table(records_of(clean) + [record(dt=5000.0, ffd=4000.0, ia=7)])
+    expected, _ = bin_all(clean, reader_stats(clean, essays), essays)
+    binned, diagnostics = bin_all(noisy, reader_stats(noisy, essays), essays)
+    assert diagnostics == ["essay 1, reader r1: ia_index 7 out of range for 3 tokens"]
+    assert dict(binned[1]) == dict(expected[1])
+
+
+def test_statistics_over_no_row_place_no_row():
+    # a reader whose statistics count no record (every row it had, here on
+    # the train side, was unplaceable) places none of its rows elsewhere
+    essays = {1: essay_with_tokens(1, 3), 2: essay_with_tokens(2, 3)}
+    train, dev = table([record(ia=5)]), table([record(essay_id=2, ia=0), record(essay_id=2, ia=4)])
+    stats = reader_stats(train, essays)
+    assert stats["r1"].n_records == 0
+    sequences, diagnostics = bin_all(dev, stats, essays)
+    assert sequences == {}
+    assert diagnostics == ["essay 2: no statistics for reader r1",
+                           "essay 2, reader r1: ia_index 4 out of range for 3 tokens"]
+
+
 def test_reader_stats_provenance_tracks_essays():
     recs = [record(essay_id=5), record(essay_id=9, ia=1)]
     assert reader_stats(table(recs))["r1"].provenance == frozenset({5, 9})
@@ -643,13 +685,17 @@ def reference_bin_fixation(fv, mu, sigma):
     return 5
 
 
-def reference_reader_stats(records):
+def reference_reader_stats(records, essays):
     by_reader, seen = {}, set()
     for r in records:
+        recs = by_reader.setdefault(r.reader_id, [])
+        if r.essay_id not in essays or r.ia_index >= len(essays[r.essay_id].tokens):
+            continue  # a row bin_all cannot place
         if (r.essay_id, r.reader_id, r.ia_index) not in seen:  # else a duplicate bin_all logs
             seen.add((r.essay_id, r.reader_id, r.ia_index))
-            by_reader.setdefault(r.reader_id, []).append(r)
-    return {reader_id: gaze.ReaderStats(
+            recs.append(r)
+    return {reader_id: gaze.ReaderStats(reader_id, 0.0, 0.0, 0.0, 0.0, 0) if not recs
+            else gaze.ReaderStats(
         reader_id=reader_id,
         dt_mean=float(np.array([r.dwell_time_ms for r in recs]).mean()),
         dt_std=float(np.array([r.dwell_time_ms for r in recs]).std()),
@@ -708,8 +754,8 @@ _BIN_RECORDS = st.lists(st.builds(
 def test_bin_all_matches_the_per_record_loop(records, stats_readers):
     # readers outside stats_readers have no statistics; one-record or constant
     # readers have sigma 0
-    stats = reader_stats(table(records))
-    assert stats == reference_reader_stats(records)
+    stats = reader_stats(table(records), _BIN_ESSAYS)
+    assert stats == reference_reader_stats(records, _BIN_ESSAYS)
     stats = {reader_id: s for reader_id, s in stats.items() if reader_id in stats_readers}
     sequences, diagnostics = bin_all(table(records), stats, _BIN_ESSAYS)
     expected_sequences, expected_diagnostics = reference_bin_all(records, stats, _BIN_ESSAYS)

@@ -5,9 +5,12 @@ is the reverse of a depth-first post-order from the loss, the order backward
 ran every graph in before. Each tensor's consumers must still add into its
 gradient in the reference's order, so every gradient equals the reference's
 bit for bit, and a graph whose nodes carry no essay mark runs in exactly the
-reference order. A self-attention training step goes further and builds one
-essay's graph at a time; its gradients must equal the batch graph's.
+reference order. A training step goes further and builds one essay's graph
+at a time (a co-attention model's article once, before the essays); its
+gradients must equal the batch graph's.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -155,3 +158,101 @@ def test_self_attentions_replay_raises_only_encoders_across_essays():
     assert raised
     encoder_inputs = {id(model.embedding), id(model.conv_w), id(model.conv_b)}
     assert all({id(p) for p in node._parents} == encoder_inputs for node in raised)
+
+
+def assert_step_gives_the_batch_graphs_gradients(model, examples, weights):
+    params = model.parameters()
+    breakdown = training._batch_gradients(model, params, examples, weights,
+                                          np.random.default_rng(5), 1, 0)
+    by_essay = {name: p.grad for name, p in model.named_parameters().items()}
+    outputs = model.forward_batch([ex.sentence_ids for ex in examples], np.random.default_rng(5))
+    loss, expected = multitask_loss(outputs, examples, weights)
+    nm.zero_grads(params)
+    nm.backward(loss, params)
+    assert breakdown == expected
+    for name, p in model.named_parameters().items():
+        label = (type(model).__name__, len(examples), name)
+        assert np.array_equal(by_essay[name], p.grad), label
+        assert by_essay[name].tobytes() == p.grad.tobytes(), label
+
+
+@pytest.mark.parametrize("partly", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_a_co_attention_step_gives_the_batch_graphs_gradients_bitwise(dropout, partly):
+    # the article encoded once, each essay's graph on a stand-in for its
+    # states, the article's backward after the last essay's; batches whose
+    # last essay is labelled (1, 2 and 8 essays) or not (9), of essays with
+    # empty and one-token sentences, with FFD at weight 0, in shuffled order
+    # too, for the fused model and the single-op chains
+    weights = {"DT": 0.5, "FFD": 0.0, "Skip": 0.1}
+    for model in model_pair("co_attention", dropout=dropout):
+        examples = mixed_examples(np.random.default_rng(11), 9)
+        if partly:
+            examples = partly_labelled(examples)
+        for size in (1, 2, 8, 9):
+            assert_step_gives_the_batch_graphs_gradients(model, examples[:size], weights)
+        shuffled = [examples[k] for k in np.random.default_rng(3).permutation(9)]
+        assert_step_gives_the_batch_graphs_gradients(model, shuffled, weights)
+
+
+@pytest.mark.parametrize("size", [5, 8, 9])
+def test_co_attentions_replay_raises_the_encoders_and_the_last_lstm_into_the_articles_group(size):
+    # the nodes a co-attention step holds back until the article's backward:
+    # the encoders of every labelled essay and of the last one, and the last
+    # essay's LSTM, word attentions and the concats that feed them; when the
+    # last essay is labelled, its token block's concat, or with one sentence
+    # its gaze heads, which read its encoder after its word attention (essay
+    # 4 is labelled with four sentences, essay 7 with one, essay 8 not)
+    model = model_pair("co_attention")[0]
+    examples = partly_labelled(mixed_examples(np.random.default_rng(11), size))
+    outputs = model.forward_batch([ex.sentence_ids for ex in examples], np.random.default_rng(5))
+    loss, _ = multitask_loss(outputs, examples, model.config.gaze_loss_weights)
+    order = reference_order(loss)
+    raised = {id(node): mark for node, mark in zip(order, nm._raised_marks(order))
+              if node._grad_fn is not None and mark != node._essay}
+    assert set(raised.values()) == {size}  # the article's mark
+
+    last = size - 1
+
+    def made_by(essay, parameter):
+        return [node for node in order if node._essay == essay
+                and any(p is parameter for p in node._parents)]
+
+    labelled = [ex.gaze_targets and any(ex.sentence_ids) for ex in examples]
+    expected = [node for essay in range(size) if labelled[essay] or essay == last
+                for node in made_by(essay, model.embedding)]
+    [lstm] = made_by(last, model.lstm_wx)
+    expected += [lstm, lstm._parents[0], *made_by(last, model.word_attn_w)]
+    if labelled[last]:
+        tokens = outputs[last].gaze_predictions["DT"]._parents[0]
+        if model.embedding in tokens._parents:  # one sentence, read by the heads
+            expected += [head for w in model.gaze_w.values() for head in made_by(last, w)]
+        else:
+            expected.append(tokens)
+    expected = {id(node) for node in expected if node._grad_fn is not None}
+    assert set(raised) == expected
+    # an unlabelled essay before the last keeps its encoders in its own group
+    assert any(not labelled[essay] and made_by(essay, model.embedding) for essay in range(last))
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_an_essays_token_block_is_freed_once_its_backward_returns(architecture, monkeypatch):
+    # held encoders keep their gradient through tanh, not their output, so
+    # nothing holds a labelled essay's token block once its backward has run;
+    # the last co-attention essay's waits for the article's backward
+    model = model_pair(architecture)[0]
+    examples = partly_labelled(mixed_examples(np.random.default_rng(11), 9))
+    blocks = []
+    essay_root = training._essay_root
+
+    def recording_root(output, example, score_coeff, terms):
+        assert all(block() is None for block in blocks)  # the earlier essays' are gone
+        if example.gaze_targets and any(example.sentence_ids):
+            tokens = output.gaze_predictions["DT"]._parents[0].data
+            blocks.append(weakref.ref(tokens if tokens.base is None else tokens.base))
+        return essay_root(output, example, score_coeff, terms)
+
+    monkeypatch.setattr(training, "_essay_root", recording_root)
+    training._batch_gradients(model, model.parameters(), examples,
+                              model.config.gaze_loss_weights, np.random.default_rng(5), 1, 0)
+    assert len(blocks) == 5 and all(block() is None for block in blocks)
