@@ -317,23 +317,23 @@ def _runs(keys):
     return order, list(zip(starts, [*starts[1:], len(order)]))
 
 
-def reader_stats(records, essays=None):
-    """Per-reader population mean and std of DT and FFD over a GazeTable's rows.
+def reader_stats(records, essays):
+    """Per-reader population mean and std of DT and FFD over the rows of a
+    GazeTable that ``bin_all`` can place in ``essays`` (essay_id -> Essay).
 
-    A row repeating an earlier row's (essay, reader, ia_index), which
-    ``bin_all`` logs as a duplicate, is left out. With ``essays`` (essay_id
-    -> Essay), so is a row that ``bin_all`` cannot place for want of its
-    essay or of its token in that essay. A reader left with no row counts
-    ``n_records`` 0, with every moment 0.0, and ``bin_all`` places none of
-    its rows.
+    A row for an essay ``essays`` lacks, or for a token beyond its essay's
+    end, is left out, and so is one repeating an earlier row's (essay,
+    reader, ia_index), which ``bin_all`` logs as a duplicate. A reader left
+    with no row counts ``n_records`` 0, with every moment 0.0, and
+    ``bin_all`` places none of its rows.
     """
     reader_ids, reader_of = _groups(records.reader_id)
     order = np.lexsort((records.ia_index, reader_of, records.essay_id))  # stable
     left_out = np.zeros(len(order), dtype=bool)
     left_out[order[1:]] = np.logical_and.reduce([
         np.diff(column[order]) == 0 for column in (records.essay_id, reader_of, records.ia_index)])
-    if essays is not None:
-        left_out |= ~_placeable(records, essays)
+    _, essay_of, n_tokens = _essay_tokens(records, essays)
+    left_out |= records.ia_index >= n_tokens[essay_of]  # a missing essay counts -1 tokens
     if left_out.any():
         records, reader_of = records.take(~left_out), reader_of[~left_out]
     order, spans = _runs(reader_of)
@@ -537,14 +537,6 @@ def _essay_tokens(records, essays):
     n_tokens = np.array([sum(map(len, essays[e].sentences)) if e in essays else -1
                          for e in essay_ids], dtype=np.int64)
     return essay_ids, essay_of, n_tokens
-
-
-def _placeable(records, essays):
-    """Whether each row of ``records`` addresses an essay of ``essays`` and a
-    token inside it."""
-    _, essay_of, n_tokens = _essay_tokens(records, essays)
-    row_tokens = n_tokens[essay_of]
-    return (row_tokens >= 0) & (records.ia_index < row_tokens)
 
 
 def labeled(gaze):

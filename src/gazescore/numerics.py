@@ -7,13 +7,14 @@ and ``narrow`` serve the tests' reference compositions. ``OP_KINDS`` names
 every op, for the gradient oracle to check each one. Data is float64.
 
 Every operation returns a new ``Tensor`` that records its inputs and a
-closure computing input gradients from the output gradient. ``backward``
-replays that record so that each node runs after every op that consumes it;
-a tensor consumed by several downstream ops receives the sum of their
-gradient contributions, added one at a time in replay order:
-((g1 + g2) + g3) + .... Training results depend on that order to the last
-bit, so an optimisation may change where a sum is stored but never the
-order of its terms.
+function computing input gradients from the output gradient (a closure,
+or for ``encode_tokens`` a ``_TokensBackward``, which ``_compact`` can
+shrink). ``backward`` replays that record so that each node runs after
+every op that consumes it; a tensor consumed by several downstream ops
+receives the sum of their gradient contributions, added one at a time in
+replay order: ((g1 + g2) + g3) + .... Training results depend on that
+order to the last bit, so an optimisation may change where a sum is stored
+but never the order of its terms.
 
 The reference order is the reverse of a depth-first post-order from the
 loss (``_topological_order``). A node made while ``_building(essay)`` is in
@@ -55,7 +56,7 @@ backward per essay adds into each parameter's gradient in place, as one
 backward over the batch would.
 
 ``backward`` releases the graph as it replays it. Once a node's gradient
-has reached its parents, the node drops its closure (the arrays it saved
+has reached its parents, the node drops that function (the arrays it saved
 for backward), its parents and its gradient, so the batch's saved arrays
 are freed as the replay passes them rather than when the caller lets go of
 the loss. Leaves (tensors no op produced) keep ``.grad``; every interior
@@ -85,7 +86,8 @@ the weights' gradient buffers in place.
 Three fused ops run a chain of single ops as one node, keeping only the
 arrays their backward reads besides their inputs:
 - ``encode_tokens`` (gather, dropout, conv1d, bias, tanh) keeps the ids, the
-  dropout mask and its output (a compact held node, its gradient instead).
+  dropout mask and its output (a compact held node, its gradient through
+  tanh instead).
   Its backward rebuilds the zero-padded conv input from the table, which
   does not change between forward and backward.
   It can write its output into a given array, as ``concat`` can: the model's
@@ -207,10 +209,12 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _topological_order(root):
+def _topological_order(*roots):
+    """The nodes under ``roots``, each after its parents: a depth-first
+    post-order from each root in turn."""
     order = []
     visited = set()
-    stack = [(root, False)]
+    stack = [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -325,17 +329,17 @@ def backward(loss, parameters=None, keep_owned=False, hold=()):
 
 def _compact(held):
     """Shrink the nodes of list ``held`` whose consumers have all run, those
-    no node of ``held`` reads: an ``encode_tokens`` node multiplies its
-    gradient g by 1 - out * out now, in a buffer it owns, which is the first
-    step of its backward (``_tanh_grad``), and drops its output (its
-    ``data`` becomes None), so the token block its output sits in can be
-    freed. Its backward then starts after that step. Each element takes the
-    same IEEE operations as in the full backward, only earlier."""
+    no node of ``held`` reads: an ``encode_tokens`` node's backward
+    (``_TokensBackward.compact``) multiplies its gradient g by 1 - out * out
+    now, in a buffer it owns, which is the first step of that backward
+    (``_tanh_grad``), and the node drops its output (its ``data`` becomes
+    None), so the token block its output sits in can be freed. Each element
+    takes the same IEEE operations as in the full backward, only earlier."""
     read = {id(parent) for node in held for parent in node._parents}
     for node in held:
-        tokens = getattr(node._grad_fn, "__qualname__", None) == _TOKENS_BACKWARD
-        if tokens and id(node) not in read:
-            node._grad_fn(None if node.grad is None else _owned_grad(node), compact=True)
+        compact = getattr(node._grad_fn, "compact", None)  # a _TokensBackward's
+        if compact is not None and id(node) not in read:
+            compact(None if node.grad is None else _owned_grad(node))
             node.data = None
 
 
@@ -859,10 +863,10 @@ def encode_tokens(table, ids, conv_w, conv_b, p, rng, out=None):
     in the chain's order. ``out``, when given, is the (T, Cout) array the
     encodings are written into and which holds them.
 
-    The node saves the ids, the dropout mask and its output; a held node
-    ``_compact`` shrinks drops the output. Its backward rebuilds the padded
-    conv input from the table's values, so those must not change between
-    forward and backward (training steps after backward).
+    The node saves the ids, the dropout mask and its output
+    (``_TokensBackward``). Its backward rebuilds the padded conv input from
+    the table's values, so those must not change between forward and
+    backward (training steps after backward).
     """
     table, conv_w, conv_b = _as_tensor(table), _as_tensor(conv_w), _as_tensor(conv_b)
     idx = _gather_ids("encode_tokens", table.data, ids)
@@ -874,30 +878,42 @@ def encode_tokens(table, ids, conv_w, conv_b, p, rng, out=None):
     conv = _add_bias("encode_tokens", _conv_forward(_pad_rows(embedded, k), conv_w.data),
                      conv_b.data)
     out_data = np.tanh(conv, out=out)
-    padded_shape = (len(idx) + k - 1, values.shape[1])
+    return _make_output(out_data, (table, conv_w, conv_b),
+                        _TokensBackward(table, conv_w, conv_b, idx, keep, scale, out_data))
 
-    def grad_fn(g, compact=False):
-        nonlocal out_data
-        if compact:  # see _compact: g, an owned buffer, goes through tanh now
-            if g is not None:
-                _tanh_grad(g, out_data, into=g)
-            out_data = None
-            return
-        if out_data is not None:  # else _compact has taken g through tanh
-            g = _tanh_grad(g, out_data)
-        _accumulate(conv_b, _unbroadcast(g, conv_b.data.shape))
+
+class _TokensBackward:
+    """``encode_tokens``' backward, with the arrays it reads: called with the
+    output's gradient g, it adds into conv_b, conv_w and the table's rows.
+
+    ``compact(g)`` takes its first step early, for ``_compact``: g (an
+    owned buffer, or None) becomes g * (1 - out * out) in place and the
+    output is dropped; the call then starts after that step."""
+
+    __slots__ = ("table", "conv_w", "conv_b", "idx", "keep", "scale", "out")
+
+    def __init__(self, table, conv_w, conv_b, idx, keep, scale, out):
+        self.table, self.conv_w, self.conv_b = table, conv_w, conv_b
+        self.idx, self.keep, self.scale, self.out = idx, keep, scale, out
+
+    def __call__(self, g):
+        table, conv_w, idx, keep, scale = self.table, self.conv_w, self.idx, self.keep, self.scale
+        if self.out is not None:  # else compact has taken g through tanh
+            g = _tanh_grad(g, self.out)
+        _accumulate(self.conv_b, _unbroadcast(g, self.conv_b.data.shape))
+        k = len(conv_w.data)
         if conv_w.requires_grad:
             # forward's padded input, bit for bit: the same rows, mask and scale
-            x = values[idx] if keep is None else values[idx] * keep * scale
+            x = table.data[idx] if keep is None else table.data[idx] * keep * scale
             _accumulate(conv_w, _conv_weight_grad(_pad_rows(x, k), conv_w.data, g))
         if table.requires_grad:
-            g = _conv_input_grad(padded_shape, conv_w.data, g)
+            g = _conv_input_grad((len(idx) + k - 1, table.data.shape[1]), conv_w.data, g)
             _gather_grad(table, idx, g if keep is None else g * keep * scale)
 
-    return _make_output(out_data, (table, conv_w, conv_b), grad_fn)
-
-
-_TOKENS_BACKWARD = "encode_tokens.<locals>.grad_fn"  # the backward _compact shrinks
+    def compact(self, g):
+        if g is not None:
+            _tanh_grad(g, self.out, into=g)
+        self.out = None
 
 
 def additive_attention(states, w, b, v):

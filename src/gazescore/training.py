@@ -307,9 +307,9 @@ class _EssayBackward:
     batch graph's ``numerics._raised_marks`` moves exactly these into the
     article's group): its LSTM, word attentions, encoders and the concats
     between them. What its score reaches replays at turn (0, last), right
-    after the article; what only its gaze heads reach (a labelled essay's
-    encoders, and their token concat or, with one sentence, the heads
-    themselves) takes the essay's own turn. Once the last essay has run, the
+    after the article; what its gaze heads reach, whether the score does or
+    not (a labelled essay's encoders, and their token concat or, with one
+    sentence, the heads themselves), takes the essay's own turn. Once the last essay has run, the
     stand-in's gradient, which the essays' backwards added in batch order,
     seeds the article's node.
     """
@@ -318,8 +318,9 @@ class _EssayBackward:
         self._encoders = (model.embedding, model.conv_w, model.conv_b)
         self._ranks, self._last, self._article = ranks, len(ranks) - 1, article
         turns = {(rank, essay) for essay, rank in enumerate(ranks)}
-        if article is not None:
-            turns |= {(0, self._last - 0.5), (0, self._last)}
+        if article is not None:  # the article's turn, then the last essay's score's
+            self._article_turns = (0, self._last - 0.5), (0, self._last)
+            turns.update(self._article_turns)
         self._turns = sorted(turns)
         self._next = 0
         self._held = {}  # turn -> the held nodes that replay at it
@@ -353,19 +354,19 @@ class _EssayBackward:
 
     def _run_last(self, root):
         states, stand_in = self._article
+        article_turn, score_turn = self._article_turns
         article_order = nm._topological_order(states)
-        gaze = set()  # what the gaze heads, the root's parents after the score, reach
-        for head in root._parents[1:]:
-            gaze.update(map(id, nm._topological_order(head)))
+        # what the gaze heads, the root's parents after the score, reach
+        gaze = set(map(id, nm._topological_order(*root._parents[1:])))
         held = backward(root, keep_owned=True,
                         hold=[node for node in article_order if node._grad_fn is None])
-        self._held[(0, self._last)] = [node for node in held if id(node) not in gaze]
+        self._held[score_turn] = [node for node in held if id(node) not in gaze]
         if self._ranks[self._last]:
             self._held[(self._ranks[self._last], self._last)] = [
                 node for node in held if id(node) in gaze]
         states.grad = stand_in.grad
         article_order.reverse()
-        self._held[(0, self._last - 0.5)] = article_order
+        self._held[article_turn] = article_order
 
 
 def _forward_backward_by_essay(model, batch, weights, rng):

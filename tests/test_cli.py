@@ -617,7 +617,7 @@ class TestBinGaze:
 
         records, _ = load_gaze_records(gaze_csv)
         essays, _ = load_corpus_cache(prep_dir / "corpus_cache.json")
-        sequences, _ = bin_all(records, reader_stats(records), essays)
+        sequences, _ = bin_all(records, reader_stats(records, essays), essays)
         assert sorted(sequences) == [900, 901]
         for essay_id, gaze in sequences.items():
             essay_rows = [row for row in labels if int(row["essay_id"]) == essay_id]

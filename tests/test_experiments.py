@@ -732,7 +732,7 @@ class TestLeakage:
     def test_stats_leakage_assertion_fires(self):
         essay_set = EssaySet(3, 0, 3)
         essay = make_essay(7, essay_set, np.random.default_rng(0))
-        stats = reader_stats(GazeTable.from_records(make_records(essay)))
+        stats = reader_stats(GazeTable.from_records(make_records(essay)), {7: essay})
         with pytest.raises(LeakageError, match="held-out"):
             _assert_no_stats_leakage(stats, {7})
         _assert_no_stats_leakage(stats, {8})
@@ -833,7 +833,7 @@ class TestExamplesFor:
         records = GazeTable.from_records(
             make_records(essays[7], "r1") + make_records(essays[7], "r2")
             + make_records(essays[8], "r1"))
-        sequences, _ = bin_all(records, reader_stats(records), essays)
+        sequences, _ = bin_all(records, reader_stats(records, essays), essays)
         vocab = build_vocab(essays.values())
         targets = {essay_id: gaze_targets(gaze) for essay_id, gaze in sequences.items()}
         examples = _examples_for([9, 8, 7], essays, vocab, targets)
@@ -1168,7 +1168,8 @@ class TestGridCell:
         setup = prepare_cell(self.base_config(), data, 1, fold)
         held_out = set(fold.dev) | set(fold.test)
         records = data.gaze_records
-        stats = reader_stats(records.take(~np.isin(records.essay_id, list(held_out))))
+        stats = reader_stats(records.take(~np.isin(records.essay_id, list(held_out))),
+                             data.essays)
         sequences, _ = bin_all(records.take(np.isin(records.essay_id, list(fold.dev))),
                                stats, data.essays)
         vocab = build_vocab([data.essays[i] for i in fold.train])

@@ -64,6 +64,17 @@ def essay_with_tokens(essay_id, n_tokens):
         raw_score=1, normalized_score=1 / 3)
 
 
+def essays_of(records):
+    """Essays just long enough to place every row of GazeTable ``records``."""
+    return {essay_id: essay_with_tokens(essay_id, int(records.ia_index[
+        records.essay_id == essay_id].max()) + 1) for essay_id in set(records.essay_id.tolist())}
+
+
+def stats_of(records):
+    """reader_stats over every row of GazeTable ``records`` but duplicates."""
+    return reader_stats(records, essays_of(records))
+
+
 # ---------------------------------------------------------------------------
 # record invariants and loading
 # ---------------------------------------------------------------------------
@@ -137,12 +148,12 @@ def test_load_gaze_records_rejects_fixations_above_one_hour(tmp_path):
     assert report.rejected == [(4, "fixation duration above one hour"),
                                (5, "fixation duration above one hour")]
     assert records.dwell_time_ms.tolist() == [250.0, 0.0, 3600000.0, 90.0]
-    stats = reader_stats(records)["r1"]
+    stats = stats_of(records)["r1"]
     assert all(map(math.isfinite, (stats.dt_mean, stats.dt_std, stats.ffd_mean, stats.ffd_std)))
     (tmp_path / "clean").mkdir()
     clean = write_gaze_csv(tmp_path / "clean", [*rows[:2], "1,r1,4,hat,3600000,3600000,0,1,0",
                                                 rows[2]])
-    assert reader_stats(load_gaze_records(clean)[0]) == {"r1": stats}
+    assert stats_of(load_gaze_records(clean)[0]) == {"r1": stats}
 
 
 def test_load_gaze_records_keeps_one_object_per_distinct_reader_id_and_token(tmp_path):
@@ -221,7 +232,7 @@ def test_load_reader_metadata_missing_column(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_reader_stats_constant_series():
-    stats = reader_stats(table([record(dt=100, ffd=100, ia=i, rc=1) for i in range(3)]))
+    stats = stats_of(table([record(dt=100, ffd=100, ia=i, rc=1) for i in range(3)]))
     assert stats["r1"].dt_mean == 100.0
     assert stats["r1"].dt_std == 0.0
     assert stats["r1"].n_records == 3
@@ -230,7 +241,7 @@ def test_reader_stats_constant_series():
 def test_reader_stats_population_deviation():
     # DT = [0, 200]: population sigma is 100, not the sample value 141.4
     recs = [record(dt=0.0, ffd=0.0, rc=0, ia=0), record(dt=200.0, ffd=150.0, ia=1)]
-    stats = reader_stats(table(recs))
+    stats = stats_of(table(recs))
     assert stats["r1"].dt_mean == 100.0
     assert stats["r1"].dt_std == 100.0
     assert stats["r1"].ffd_mean == 75.0
@@ -238,7 +249,7 @@ def test_reader_stats_population_deviation():
 
 def test_reader_stats_partition_by_reader():
     recs = [record(reader="a", dt=10, ffd=10), record(reader="b", dt=1000, ffd=900)]
-    stats = reader_stats(table(recs))
+    stats = stats_of(table(recs))
     assert set(stats) == {"a", "b"}
     assert stats["a"].dt_mean == 10.0
     assert stats["b"].dt_mean == 1000.0
@@ -249,14 +260,14 @@ def test_reader_stats_read_the_first_row_of_each_token():
     # skips; the same token of another essay or reader is not
     recs = [record(dt=0.0, ia=0), record(dt=200.0, ia=1), record(essay_id=2, dt=50.0, ia=1),
             record(reader="r2", dt=80.0, ia=1)]
-    stats = reader_stats(table(recs + [record(dt=900.0, ffd=700.0, ia=1), recs[0]]))
-    assert stats == reader_stats(table(recs))
+    stats = stats_of(table(recs + [record(dt=900.0, ffd=700.0, ia=1), recs[0]]))
+    assert stats == stats_of(table(recs))
     assert stats["r1"].n_records == 3 and stats["r1"].dt_mean == 250.0 / 3
 
 
 def test_reader_stats_read_only_the_rows_bin_all_can_place():
-    # given the essays, a row for a missing essay or for a token beyond its
-    # essay's end moves no statistic, and a reader left with none counts none
+    # a row for a missing essay or for a token beyond its essay's end moves
+    # no statistic, and a reader left with none counts none
     essays = {1: essay_with_tokens(1, 3), 2: essay_with_tokens(2, 2)}
     recs = [record(dt=100.0, ffd=90.0, ia=0), record(dt=300.0, ffd=200.0, ia=2),
             record(essay_id=2, dt=60.0, ffd=60.0, ia=1)]
@@ -264,12 +275,10 @@ def test_reader_stats_read_only_the_rows_bin_all_can_place():
                    record(essay_id=2, dt=900.0, ffd=800.0, ia=2),
                    record(reader="r2", ia=5), record(reader="r2", essay_id=9)]
     stats = reader_stats(table(recs + unplaceable), essays)
-    assert stats["r1"] == reader_stats(table(recs))["r1"]
+    assert stats["r1"] == reader_stats(table(recs), essays)["r1"]
     assert stats["r1"].n_records == 3 and stats["r1"].provenance == frozenset({1, 2})
     assert stats["r2"] == gaze.ReaderStats("r2", 0.0, 0.0, 0.0, 0.0, 0)
     assert list(reader_stats(table(unplaceable), essays)) == ["r1", "r2"]
-    # without the essays every row counts, as before
-    assert reader_stats(table(recs + unplaceable))["r1"].n_records == 6
 
 
 def test_an_unplaceable_row_leaves_the_bins_as_they_were():
@@ -298,7 +307,7 @@ def test_statistics_over_no_row_place_no_row():
 
 def test_reader_stats_provenance_tracks_essays():
     recs = [record(essay_id=5), record(essay_id=9, ia=1)]
-    assert reader_stats(table(recs))["r1"].provenance == frozenset({5, 9})
+    assert stats_of(table(recs))["r1"].provenance == frozenset({5, 9})
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +405,15 @@ def test_bin_run_count_values():
 def test_bin_all_rejects_a_hand_built_table_with_a_negative_fixation(dt, ffd, value):
     # the loader rejects such rows, but a GazeTable built by hand can hold them
     records = table([record(essay_id=2, reader="r2"), record(), record(ia=1, dt=dt, ffd=ffd)])
-    stats = reader_stats(table([record(), record(reader="r2")]))
+    stats = stats_of(table([record(), record(reader="r2")]))
     with pytest.raises(ValueError, match=f"^fixation value must be nonnegative, got {value}$"):
         bin_all(records, stats, {1: essay_with_tokens(1, 2), 2: essay_with_tokens(2, 1)})
 
 
 def test_bin_all_skip_chain():
     records = table([record(dt=100, ffd=80), skip_record(ia=1)])
-    sequences, _ = bin_all(records, reader_stats(records), {1: essay_with_tokens(1, 2)})
+    essays = {1: essay_with_tokens(1, 2)}
+    sequences, _ = bin_all(records, reader_stats(records, essays), essays)
     binned = sequences[1]["r1"][1]
     assert binned.skip_bin == 1
     assert binned.dt_bin == 0
@@ -420,7 +430,8 @@ def training_targets(gaze):
 
 def test_bin_all_regression_unit_target():
     records = table([record(ir=1)])
-    sequences, _ = bin_all(records, reader_stats(records), {1: essay_with_tokens(1, 1)})
+    essays = {1: essay_with_tokens(1, 1)}
+    sequences, _ = bin_all(records, reader_stats(records, essays), essays)
     (binned,) = sequences[1]["r1"]
     assert binned.ir_bin == 1
     positions, values = training_targets({"r1": [binned]})["IR"]
@@ -450,7 +461,7 @@ def test_unit_target_is_bin_over_max():
 def test_bin_all_aligns_and_masks():
     essays = {1: essay_with_tokens(1, 4)}
     recs = [record(ia=0, dt=100, ffd=90), record(ia=2, dt=300, ffd=200, rc=2)]
-    stats = reader_stats(table(recs))
+    stats = reader_stats(table(recs), essays)
     sequences, diagnostics = bin_all(table(recs), stats, essays)
     assert diagnostics == []
     seq = sequences[1]["r1"]
@@ -462,7 +473,7 @@ def test_bin_all_aligns_and_masks():
 def test_bin_all_rejects_out_of_range_index():
     essays = {1: essay_with_tokens(1, 2)}
     recs = table([record(ia=5)])
-    sequences, diagnostics = bin_all(recs, reader_stats(recs), essays)
+    sequences, diagnostics = bin_all(recs, reader_stats(recs, essays), essays)
     assert sequences == {}
     assert "out of range" in diagnostics[0]
 
@@ -470,7 +481,7 @@ def test_bin_all_rejects_out_of_range_index():
 def test_bin_all_rejects_duplicates_and_unknowns():
     essays = {1: essay_with_tokens(1, 3)}
     recs = table([record(ia=0), record(ia=0), record(essay_id=9, ia=0)])
-    sequences, diagnostics = bin_all(recs, reader_stats(recs), essays)
+    sequences, diagnostics = bin_all(recs, reader_stats(recs, essays), essays)
     assert len(diagnostics) == 2
     assert any("duplicate" in d for d in diagnostics)
     assert any("no such essay" in d for d in diagnostics)
@@ -485,8 +496,8 @@ def test_bin_all_per_reader_isolation():
     other_v1 = [record(reader="b", ia=0, dt=10, ffd=10)]
     other_v2 = [record(reader="b", ia=0, dt=5000, ffd=4000, rc=4)]
     first, second = table(mine + other_v1), table(mine + other_v2)
-    seq1, _ = bin_all(first, reader_stats(first), essays)
-    seq2, _ = bin_all(second, reader_stats(second), essays)
+    seq1, _ = bin_all(first, reader_stats(first, essays), essays)
+    seq2, _ = bin_all(second, reader_stats(second, essays), essays)
     assert seq1[1]["a"] == seq2[1]["a"]
     assert seq1[1]["b"] != seq2[1]["b"]
 
@@ -770,7 +781,7 @@ def test_bin_all_matches_the_per_record_loop(records, stats_readers):
 # ---------------------------------------------------------------------------
 
 def _binned_essays(records, stats_readers):
-    stats = {reader_id: s for reader_id, s in reader_stats(table(records)).items()
+    stats = {reader_id: s for reader_id, s in reader_stats(table(records), _BIN_ESSAYS).items()
              if reader_id in stats_readers}
     sequences, _ = bin_all(table(records), stats, _BIN_ESSAYS)
     assert all(isinstance(essay_gaze, EssayGaze) for essay_gaze in sequences.values())
@@ -812,7 +823,7 @@ def test_the_benchmark_gaze_pool_loads_and_bins_in_bounded_memory(benchmark_cv_f
     tracemalloc.start()
     try:
         records, _ = load_gaze_records(files.gaze_csv)
-        sequences, diagnostics = bin_all(records, reader_stats(records), essays)
+        sequences, diagnostics = bin_all(records, reader_stats(records, essays), essays)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

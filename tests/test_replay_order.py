@@ -196,43 +196,74 @@ def test_a_co_attention_step_gives_the_batch_graphs_gradients_bitwise(dropout, p
 
 
 @pytest.mark.parametrize("size", [5, 8, 9])
-def test_co_attentions_replay_raises_the_encoders_and_the_last_lstm_into_the_articles_group(size):
-    # the nodes a co-attention step holds back until the article's backward:
-    # the encoders of every labelled essay and of the last one, and the last
-    # essay's LSTM, word attentions and the concats that feed them; when the
-    # last essay is labelled, its token block's concat, or with one sentence
-    # its gaze heads, which read its encoder after its word attention (essay
-    # 4 is labelled with four sentences, essay 7 with one, essay 8 not)
+def test_a_co_attention_step_holds_the_encoders_and_the_last_lstm_for_the_article(
+        size, monkeypatch):
+    # the nodes a co-attention step holds back until the article's backward,
+    # and the turn each replays at: the encoders of every labelled essay at
+    # its own; the last essay's LSTM, the concat that feeds it and its word
+    # attentions right after the article; the last essay's encoders with
+    # them, or at its own turn when it is labelled, with its token block's
+    # concat or, with one sentence, its gaze heads, which read its encoder
+    # after its word attention (essay 4 is labelled with four sentences,
+    # essay 7 with one, essay 8 not)
     model = model_pair("co_attention")[0]
     examples = partly_labelled(mixed_examples(np.random.default_rng(11), size))
-    outputs = model.forward_batch([ex.sentence_ids for ex in examples], np.random.default_rng(5))
-    loss, _ = multitask_loss(outputs, examples, model.config.gaze_loss_weights)
-    order = reference_order(loss)
-    raised = {id(node): mark for node, mark in zip(order, nm._raised_marks(order))
-              if node._grad_fn is not None and mark != node._essay}
-    assert set(raised.values()) == {size}  # the article's mark
-
+    labelled = [bool(ex.gaze_targets and any(ex.sentence_ids)) for ex in examples]
     last = size - 1
+    graphs = []  # each essay's output and interior nodes with their parents, before its backward
+    essay_root = training._essay_root
+
+    def recording_root(output, example, score_coeff, terms):
+        root, finite = essay_root(output, example, score_coeff, terms)
+        graphs.append((output, [(node, node._parents) for node in nm._topological_order(root)
+                                if node._grad_fn is not None]))
+        return root, finite
+
+    holds = {}  # turn -> the interior nodes _EssayBackward holds for it
+
+    class RecordingHolds(dict):
+        def __setitem__(self, turn, nodes):
+            holds[turn] = [node for node in nodes if node._grad_fn is not None]
+            super().__setitem__(turn, nodes)
+
+    init = training._EssayBackward.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        self._held = RecordingHolds()
+
+    monkeypatch.setattr(training, "_essay_root", recording_root)
+    monkeypatch.setattr(training._EssayBackward, "__init__", recording_init)
+    _, essays = training._forward_backward_by_essay(
+        model, examples, model.config.gaze_loss_weights, np.random.default_rng(5))
+
+    def ids(nodes):
+        return {id(node) for node in nodes}
 
     def made_by(essay, parameter):
-        return [node for node in order if node._essay == essay
-                and any(p is parameter for p in node._parents)]
+        return [node for node, parents in graphs[essay][1] if any(p is parameter for p in parents)]
 
-    labelled = [ex.gaze_targets and any(ex.sentence_ids) for ex in examples]
-    expected = [node for essay in range(size) if labelled[essay] or essay == last
-                for node in made_by(essay, model.embedding)]
-    [lstm] = made_by(last, model.lstm_wx)
-    expected += [lstm, lstm._parents[0], *made_by(last, model.word_attn_w)]
+    expected = {(essays._ranks[essay], essay): ids(made_by(essay, model.embedding))
+                for essay in range(last) if labelled[essay]}
+    [(lstm, (lstm_input, *_))] = [(node, parents) for node, parents in graphs[last][1]
+                                  if any(p is model.lstm_wx for p in parents)]
+    expected[(0, last)] = ids([lstm, lstm_input, *made_by(last, model.word_attn_w)])
+    encoders = ids(made_by(last, model.embedding))
     if labelled[last]:
-        tokens = outputs[last].gaze_predictions["DT"]._parents[0]
-        if model.embedding in tokens._parents:  # one sentence, read by the heads
-            expected += [head for w in model.gaze_w.values() for head in made_by(last, w)]
+        dt_head = graphs[last][0].gaze_predictions["DT"]
+        [tokens] = [parents[0] for node, parents in graphs[last][1] if node is dt_head]
+        if tokens in made_by(last, model.embedding):  # one sentence, read by the heads
+            encoders |= ids(head for w in model.gaze_w.values() for head in made_by(last, w))
         else:
-            expected.append(tokens)
-    expected = {id(node) for node in expected if node._grad_fn is not None}
-    assert set(raised) == expected
-    # an unlabelled essay before the last keeps its encoders in its own group
-    assert any(not labelled[essay] and made_by(essay, model.embedding) for essay in range(last))
+            encoders.add(id(tokens))
+        expected[(essays._ranks[last], last)] = encoders
+    else:
+        expected[(0, last)] |= encoders
+    article = holds.pop((0, last - 0.5))
+    assert {turn: ids(nodes) for turn, nodes in holds.items()} == expected
+    assert article[0] is essays._article[0]  # the article's states, seeded, then its graph
+    # an unlabelled essay before the last runs its encoders at once
+    assert any(not labelled[essay] for essay in range(last))
 
 
 @pytest.mark.parametrize("architecture", ARCHITECTURES)

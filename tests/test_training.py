@@ -700,8 +700,8 @@ def test_backward_releases_the_batch_graph_and_parameters_keep_their_gradients(a
 def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchmark_batch):
     # held: the model and the batch's graph after forward and loss. Backward
     # frees each node's saved arrays as it passes them, so its peak adds little
-    # more than the parameters' gradients (about 1.13x of 7.8 and 9.4 MB held
-    # on 10 essays, 1.02x of 53.1 and 59.6 MB on the benchmark's 100); on 10
+    # more than the parameters' gradients (about 1.13x of 7.7 and 9.3 MB held
+    # on 10 essays, 1.02x of 52.3 and 58.8 MB on the benchmark's 100); on 10
     # essays, keeping every saved array and interior gradient to the end read
     # about 1.56x, building the dense embedding gradient before the graph is
     # freed rather than from the queued rows after it 1.27x, and copying the
@@ -712,7 +712,8 @@ def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchma
     # 54.3 and 60.8 MB with the scores recomputed and one essay finished
     # before the next (the co-attention article's encoders come first among
     # the embedding's and conv weights' users, so every essay's encoders wait
-    # for the article there)
+    # for the article there), 53.5 and 60.0 MB with encode_tokens' backward
+    # an object with slots rather than a closure
     for size in (10, len(benchmark_batch.train)):
         batch = benchmark_batch.train[:size]
         # a full collection empties the interpreter's free lists, so the figures
@@ -747,7 +748,7 @@ def test_a_training_step_on_the_benchmark_batch_peaks_in_bounded_memory(
     # the traced peak of one step on the benchmark's 100 essays, the model and
     # the optimizer's state (8.1 and 9.3 MB) included: 59.7 and 67.0 MB while
     # each step built the batch's graph, 15.8 MB with self-attention building
-    # one essay's graph at a time; 38.6 MB with co-attention doing so too,
+    # one essay's graph at a time; 37.9 MB with co-attention doing so too,
     # where every essay's sentence encoders wait for the article's backward,
     # each keeping its gradient through tanh but not its output (59.7 MB when
     # they kept both)
