@@ -11,9 +11,8 @@ mixes each side by the other's row-softmax, pools both mixtures with their
 own attention layers, and concatenates all three summaries before the
 modeling layer (dense tanh) and the scalar sigmoid output. The article's
 hidden states come from :meth:`EssayScorer.encode_article`, once per
-mini-batch in training (one graph, one dropout mask, one backward, which the
-training step runs after the last essay's) and once per list of essays
-scored through :meth:`EssayScorer.forward_batch`.
+mini-batch in training (one graph, one dropout mask) and once per list of
+essays scored through :meth:`EssayScorer.forward_batch`.
 
 An rng means training: it draws the dropout masks, and each essay gets a
 graph through :meth:`EssayScorer.forward`. Without an rng (evaluation),
@@ -280,26 +279,18 @@ class EssayScorer:
     def forward_batch(self, batch_sentence_ids, rng=None):
         """One :class:`ForwardOutput` per essay, in a list; the article is encoded once.
 
-        With an rng (training) the essays share the article's graph and
-        dropout mask, and each essay's nodes carry its index in the list as
-        their essay mark (the article's carry the number of essays), so that
-        ``backward`` over the batch's graph finishes one essay before it
-        starts the next (see :mod:`numerics`). That graph is the reference a
-        training step's gradients are checked against: the step itself takes
-        the same dropout draws (the article's, then each essay's through
-        ``forward``) and builds one essay's graph at a time. Without one
-        (evaluation) they are scored in padded blocks of up to ``EVAL_SLICE``
-        essays (see the module docstring), and the outputs carry their values
-        only.
+        With an rng (training) each essay gets a graph through ``forward``,
+        and the essays share the article's graph and dropout mask: one graph
+        over the batch, the reference a training step's gradients are checked
+        against (the step takes the same dropout draws, see :mod:`training`).
+        Without one (evaluation) they are scored in padded blocks of up to
+        ``EVAL_SLICE`` essays (see the module docstring), and the outputs
+        carry their values only.
         """
         if rng is not None:
-            with nm._building(len(batch_sentence_ids)):  # the article replays after every essay
-                article = self.encode_article(rng)
-            outputs = []
-            for essay, sentence_ids in enumerate(batch_sentence_ids):
-                with nm._building(essay):
-                    outputs.append(self.forward(sentence_ids, rng, article=article))
-            return outputs
+            article = self.encode_article(rng)
+            return [self.forward(sentence_ids, rng, article=article)
+                    for sentence_ids in batch_sentence_ids]
         if not all(batch_sentence_ids):
             raise ValueError("forward: essay has no sentences")
         article = self.encode_article()
@@ -338,7 +329,8 @@ class EssayScorer:
         gaze = {}
         if self.config.gaze_attributes and mask.any():
             tokens = conv[mask]  # forward's row order: sentence by sentence
-            gaze = {a: Tensor(nm._sigmoid(tokens @ self.gaze_w[a].data + self.gaze_b[a].data))
+            gaze = {a: Tensor(nm._dense(tokens, self.gaze_w[a].data, self.gaze_b[a].data,
+                                        "sigmoid"))
                     for a in self.config.gaze_attributes}
         return vectors, gaze
 
@@ -373,8 +365,8 @@ class EssayScorer:
                 _attend(essay2article, mask, self.e2a_attn_w, self.e2a_attn_b, self.e2a_attn_v),
                 _attend(article2essay, True, self.a2e_attn_w, self.a2e_attn_b, self.a2e_attn_v),
             ], axis=1)
-        modeled = np.tanh(summary @ self.modeling_w.data + self.modeling_b.data)
-        scores = nm._sigmoid(modeled @ self.output_w.data + self.output_b.data)
+        modeled = nm._dense(summary, self.modeling_w.data, self.modeling_b.data, "tanh")
+        scores = nm._dense(modeled, self.output_w.data, self.output_b.data, "sigmoid")
         return [ForwardOutput(Tensor(score[None]), gaze)
                 for score, (_, gaze) in zip(scores, words)]
 

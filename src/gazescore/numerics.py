@@ -9,24 +9,13 @@ every op, for the gradient oracle to check each one. Data is float64.
 Every operation returns a new ``Tensor`` that records its inputs and a
 function computing input gradients from the output gradient (a closure,
 or for ``encode_tokens`` a ``_TokensBackward``, which ``_compact`` can
-shrink). ``backward`` replays that record so that each node runs after
-every op that consumes it; a tensor consumed by several downstream ops
-receives the sum of their gradient contributions, added one at a time in
-replay order: ((g1 + g2) + g3) + .... Training results depend on that
-order to the last bit, so an optimisation may change where a sum is stored
-but never the order of its terms.
-
-The reference order is the reverse of a depth-first post-order from the
-loss (``_topological_order``). A node made while ``_building(essay)`` is in
-force carries that essay's mark, and ``backward`` regroups the reference
-order by mark (``_replay_order``): nodes no essay made (the loss terms) run
-first, then each essay's, lowest mark first, so an essay's saved arrays and
-gradients are freed before the next essay's replay starts. A node is moved
-behind a later essay's nodes when it must follow one of them: when one
-consumes it, or consumed one of its inputs before it in the reference
-order. So each tensor's consumers still run in the reference order, every
-sum keeps its terms in that order, and a graph with no marks replays in
-exactly the reference order.
+shrink). ``backward`` replays that record in one order, the reverse of a
+depth-first post-order from the loss (``_topological_order``), so that each
+node runs after every op that consumes it; a tensor consumed by several
+downstream ops receives the sum of their gradient contributions, added one
+at a time in replay order: ((g1 + g2) + g3) + .... Training results depend
+on that order to the last bit, so an optimisation may change where a sum is
+stored but never the order of its terms.
 
 A caller that knows a loss's gradient into some tensors can also start a
 backward there, without the loss's graph: ``_seeded`` makes a node that hands
@@ -107,16 +96,13 @@ private helpers the single ops use) in that run's order therefore adds the
 same terms into each input in the same order: results stay bit-identical.
 The model's block evaluator runs the ops' own forward formulas on arrays with
 leading batch axes: ``_conv_forward``, ``_add_bias``, ``_softmax`` (masked over
-padding), ``_attend`` (the attention pool) and ``_lstm_step`` (one LSTM step).
+padding), ``_attend`` (the attention pool), ``_lstm_step`` (one LSTM step) and
+``_dense`` (a dense layer).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
-
-_current_essay = -1  # the essay mark new nodes take (-1: none), see _building
 
 
 class ShapeError(ValueError):
@@ -125,7 +111,7 @@ class ShapeError(ValueError):
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_grad_fn",
-                 "_owns_grad", "_rows", "_essay")
+                 "_owns_grad", "_rows")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -136,7 +122,6 @@ class Tensor:
         self._grad_fn = None
         self._owns_grad = False  # grad is a buffer the running backward allocated
         self._rows = None  # a leaf's queued (ids, row gradients), see _gather_grad
-        self._essay = -1  # the essay whose nodes replay together (-1: none), see _replay_order
 
     def __repr__(self):
         label = f" name={self.name!r}" if self.name else ""
@@ -157,20 +142,7 @@ def _make_output(data, parents, grad_fn):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
-        out._essay = _current_essay
     return out
-
-
-@contextmanager
-def _building(essay):
-    """Mark the nodes made in the block as essay ``essay``'s (an int from 0), so
-    ``backward`` replays each essay's nodes together, lower marks first."""
-    global _current_essay
-    outer, _current_essay = _current_essay, essay
-    try:
-        yield
-    finally:
-        _current_essay = outer
 
 
 def _accumulate(tensor, grad, fresh=False):
@@ -230,42 +202,6 @@ def _topological_order(*roots):
     return order
 
 
-def _replay_order(root):
-    """The nodes under ``root`` in the order ``backward`` runs them, root first:
-    by mark, lowest first, and in the reference order within a mark (see the
-    module docstring)."""
-    order = _topological_order(root)
-    order.reverse()
-    marks = _raised_marks(order)
-    if marks is None:  # nothing to regroup
-        return order
-    return [order[i] for i in sorted(range(len(order)), key=marks.__getitem__)]  # stable
-
-
-def _raised_marks(order):
-    """Each node's essay mark in the reference ``order``, raised to those of the
-    nodes it must follow: its consumers, and its inputs' consumers that
-    precede it; None when no node is marked. One pass over the edges."""
-    marks = [node._essay for node in order]
-    if max(marks) < 0:
-        return None
-    at = {id(node): i for i, node in enumerate(order)}
-    last = {}  # an input's position -> the position of its latest consumer so far
-    for i, node in enumerate(order):
-        inputs = [at[id(parent)] for parent in node._parents]
-        mark = marks[i]  # already raised to its consumers' marks
-        for j in inputs:
-            before = marks[last.get(j, i)]
-            if before > mark:
-                mark = before
-        marks[i] = mark
-        for j in inputs:
-            if marks[j] < mark:
-                marks[j] = mark
-            last[j] = i
-    return marks
-
-
 def _split_held(order, hold):
     """(the nodes of ``order`` that replay now, those held back), each in
     ``order``'s order. A node is held when it is one of ``hold``, reads one
@@ -298,8 +234,8 @@ def backward(loss, parameters=None, keep_owned=False, hold=()):
     since ``zero_grads``, so buffers an earlier backward allocated are added
     into in place rather than copied first.
 
-    Nodes replay in ``_replay_order``: a batch's essays one after another,
-    every sum in the reference order. The graph is released as it replays:
+    Nodes replay in the reverse of ``_topological_order(loss)``, so every
+    sum adds its terms in that order. The graph is released as it replays:
     once a node has passed its gradient to its parents it drops its saved
     arrays, its parents and its ``.grad``, so interior tensors end with
     ``.grad`` None and only leaves keep theirs. A released node raises if a
@@ -314,7 +250,8 @@ def backward(loss, parameters=None, keep_owned=False, hold=()):
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
-    order = _replay_order(loss)
+    order = _topological_order(loss)
+    order.reverse()
     if not keep_owned:
         for node in order:
             node._owns_grad = False
@@ -468,6 +405,12 @@ def _tanh_grad(g, out, into=None):
 
 
 _ACTIVATIONS = {"tanh": (np.tanh, _tanh_grad), "sigmoid": (_sigmoid, _sigmoid_grad)}
+
+
+def _dense(x, w, b, activation):
+    """activation(x @ w + b) of x (..., n), w (n, m) and b (m,); activation is
+    "tanh" or "sigmoid"."""
+    return _ACTIVATIONS[activation][0](_add_bias("dense", x @ w, b))
 
 
 def _softmax(x, axis=-1, mask=True):
@@ -754,10 +697,7 @@ def gather_rows(table, ids):
     def grad_fn(g):
         _gather_grad(table, idx, g)
 
-    out = _make_output(out_data, (table,), grad_fn)
-    if out._essay < 0:  # a loss term's rows replay with the essay they read
-        out._essay = table._essay
-    return out
+    return _make_output(out_data, (table,), grad_fn)
 
 
 def narrow(x, axis, start, stop):
@@ -958,9 +898,9 @@ def dense(x, w, b, activation):
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if activation not in _ACTIVATIONS:
         raise ValueError(f"dense: unknown activation {activation!r}")
-    forward, gradient = _ACTIVATIONS[activation]
     _check_matmul("dense", x.data, w.data)
-    out_data = forward(_add_bias("dense", x.data @ w.data, b.data))
+    out_data = _dense(x.data, w.data, b.data, activation)
+    gradient = _ACTIVATIONS[activation][1]
 
     def grad_fn(g):
         g = gradient(g, out_data)

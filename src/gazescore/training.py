@@ -303,15 +303,15 @@ class _EssayBackward:
     essay's LSTM. So the article takes the turn (0, last - 1/2), after every
     other essay the score reaches first, and every later turn waits for the
     last essay. That essay holds back every reader of the parameters the
-    article reads, and what must follow those readers (``_split_held``; the
-    batch graph's ``numerics._raised_marks`` moves exactly these into the
-    article's group): its LSTM, word attentions, encoders and the concats
-    between them. What its score reaches replays at turn (0, last), right
-    after the article; what its gaze heads reach, whether the score does or
-    not (a labelled essay's encoders, and their token concat or, with one
-    sentence, the heads themselves), takes the essay's own turn. Once the last essay has run, the
-    stand-in's gradient, which the essays' backwards added in batch order,
-    seeds the article's node.
+    article reads, and what must follow those readers (``_split_held``): its
+    LSTM, word attentions, encoders and the concats between them, which the
+    batch's graph replays after the article's. What its score reaches
+    replays at turn (0, last), right after the article; what its gaze heads
+    reach, whether the score does or not (a labelled essay's encoders, and
+    their token concat or, with one sentence, the heads themselves), takes
+    the essay's own turn. Once the last essay has run, the stand-in's
+    gradient, which the essays' backwards added in batch order, seeds the
+    article's node.
     """
 
     def __init__(self, model, ranks, article=None):
@@ -369,6 +369,27 @@ class _EssayBackward:
         self._held[article_turn] = article_order
 
 
+def _loss_terms(model, batch, weights):
+    """(terms, ranks): the weighted gaze terms of ``batch``'s loss, in the order
+    ``multitask_loss`` adds them, as ``_essay_root`` takes them, and each
+    essay's rank (see ``_EssayBackward``): 1 + the index of the last term it
+    has rows for, else 0."""
+    rows = {}  # labelled rows of each attribute over the essays forward predicts gaze for
+    labelled = [[attribute for attribute in model.config.gaze_attributes
+                 if any(ex.sentence_ids) and attribute in ex.gaze_targets
+                 and ex.gaze_targets[attribute][0].size] for ex in batch]
+    for ex, attributes in zip(batch, labelled):
+        for attribute in attributes:
+            rows[attribute] = rows.get(attribute, 0) + ex.gaze_targets[attribute][0].size
+    # mul's backward gives each term's mse the loss's gradient, 1, times the weight
+    terms = [(attribute, 1.0 * np.float64(weights[attribute]), 2.0 / rows[attribute])
+             for attribute in model.config.gaze_attributes
+             if attribute in rows and weights.get(attribute, 0.0) != 0.0]
+    ranks = [max([k + 1 for k, (attribute, _, _) in enumerate(terms) if attribute in attributes],
+                 default=0) for attributes in labelled]
+    return terms, ranks
+
+
 def _forward_backward_by_essay(model, batch, weights, rng):
     """Each essay's forward, then at once its backward from ``_essay_root``
     through ``_EssayBackward``; returns (each essay's output values, the
@@ -379,20 +400,7 @@ def _forward_backward_by_essay(model, batch, weights, rng):
     the article's states through one stand-in leaf, so its backward stops
     there.
     """
-    rows = {}  # labelled rows of each attribute over the essays forward predicts gaze for
-    labelled = [[attribute for attribute in model.config.gaze_attributes
-                 if any(ex.sentence_ids) and attribute in ex.gaze_targets
-                 and ex.gaze_targets[attribute][0].size] for ex in batch]
-    for ex, attributes in zip(batch, labelled):
-        for attribute in attributes:
-            rows[attribute] = rows.get(attribute, 0) + ex.gaze_targets[attribute][0].size
-    # the weighted gaze terms, in the order multitask_loss adds them; mul's
-    # backward gives each term's mse the loss's gradient, 1, times the weight
-    terms = [(attribute, 1.0 * np.float64(weights[attribute]), 2.0 / rows[attribute])
-             for attribute in model.config.gaze_attributes
-             if attribute in rows and weights.get(attribute, 0.0) != 0.0]
-    ranks = [max([k + 1 for k, (attribute, _, _) in enumerate(terms) if attribute in attributes],
-                 default=0) for attributes in labelled]
+    terms, ranks = _loss_terms(model, batch, weights)
     states = model.encode_article(rng)
     article = None if states is None else Tensor(states.data, requires_grad=True)
     essays = _EssayBackward(model, ranks, None if states is None else (states, article))

@@ -1,13 +1,10 @@
-"""Backward's replay order against the depth-first order it regroups.
+"""Backward's replay order, and a training step's gradients against the batch graph's.
 
-``backward`` runs a training batch's nodes one essay at a time. The reference
-is the reverse of a depth-first post-order from the loss, the order backward
-ran every graph in before. Each tensor's consumers must still add into its
-gradient in the reference's order, so every gradient equals the reference's
-bit for bit, and a graph whose nodes carry no essay mark runs in exactly the
-reference order. A training step goes further and builds one essay's graph
-at a time (a co-attention model's article once, before the essays); its
-gradients must equal the batch graph's.
+``backward`` replays every graph in one order, the reference order: the
+reverse of a depth-first post-order from the loss. A training step builds one
+essay's graph at a time (a co-attention model's article once, before the
+essays) and holds some nodes back; its gradients must equal, bit for bit,
+those of ``backward`` over the batch's graph.
 """
 
 import weakref
@@ -24,42 +21,22 @@ from test_acceptance import OP_INSTANCES, _model_loss_case
 from test_fused import mixed_examples, model_pair
 
 
-def reference_order(root):
-    """The nodes under root in the reverse of a depth-first post-order from it."""
-    return nm._topological_order(root)[::-1]
+def assert_backward_replays_the_reference_order(loss):
+    """Record the order in which ``backward(loss)`` calls each interior node's
+    gradient function, and check it is the reverse of ``_topological_order(loss)``."""
+    reference = [node for node in nm._topological_order(loss)[::-1] if node._grad_fn is not None]
+    called = []
 
+    def recording(node, grad_fn):
+        def grad_fn_recorded(g):
+            called.append(id(node))
+            grad_fn(g)
+        return grad_fn_recorded
 
-def same_nodes(a, b):
-    return [id(node) for node in a] == [id(node) for node in b]
-
-
-@pytest.mark.parametrize("architecture", ARCHITECTURES)
-def test_essay_by_essay_gradients_equal_the_reference_orders_bitwise(architecture,
-                                                                      monkeypatch):
-    # essays with empty and one-token sentences, every third one unlabelled,
-    # at dropout 0.5; the same seeds build the same graph twice
-    examples = mixed_examples(np.random.default_rng(11), 9)
-    model = model_pair(architecture)[0]
-    assert model.config.dropout == 0.5
-
-    def gradients():
-        outputs = model.forward_batch([ex.sentence_ids for ex in examples],
-                                      np.random.default_rng(5))
-        loss, _ = multitask_loss(outputs, examples, model.config.gaze_loss_weights)
-        order, reference = nm._replay_order(loss), reference_order(loss)
-        regrouped = not same_nodes(order, reference)
-        assert sorted(map(id, order)) == sorted(map(id, reference))
-        nm.zero_grads(model.parameters())
-        nm.backward(loss, model.parameters())
-        return regrouped, {name: p.grad for name, p in model.named_parameters().items()}
-
-    regrouped, grouped = gradients()
-    assert regrouped
-    monkeypatch.setattr(nm, "_replay_order", reference_order)
-    reference = gradients()[1]
-    assert list(grouped) == list(reference)
-    for name, grad in reference.items():
-        assert grouped[name].tobytes() == grad.tobytes(), name
+    for node in reference:
+        node._grad_fn = recording(node, node._grad_fn)
+    nm.backward(loss)
+    assert called == [id(node) for node in reference]
 
 
 @pytest.mark.parametrize("op", sorted(OP_INSTANCES))
@@ -69,28 +46,23 @@ def test_an_op_instance_replays_in_the_reference_order(op):
         arrays, build = OP_INSTANCES[op](rng)
         out = build([Tensor(a, requires_grad=True) for a in arrays])
         loss = nm.tensor_sum(nm.mul(out, Tensor(rng.standard_normal(out.data.shape))))
-        assert same_nodes(nm._replay_order(loss), reference_order(loss))
+        assert_backward_replays_the_reference_order(loss)
 
 
 def test_a_model_instance_of_the_gradient_oracle_replays_in_the_reference_order():
     rng = np.random.default_rng(20240601)
     for _ in range(10):
-        loss = _model_loss_case(rng)[1]()
-        assert same_nodes(nm._replay_order(loss), reference_order(loss))
-
-
-@pytest.mark.parametrize("architecture", ARCHITECTURES)
-def test_the_single_op_chains_scored_without_marks_replay_in_the_reference_order(
-        architecture):
-    # forward, called per essay, marks no node; forward_batch marks each essay's
+        assert_backward_replays_the_reference_order(_model_loss_case(rng)[1]())
+    # the batch graph a training step is checked against, on essays with
+    # empty and one-token sentences, for the fused model and the single-op chains
     examples = mixed_examples(np.random.default_rng(11), 9)
-    model = model_pair(architecture)[1]
-    rng = np.random.default_rng(5)
-    outputs = [model.forward(ex.sentence_ids, rng) for ex in examples]
-    loss, _ = multitask_loss(outputs, examples, model.config.gaze_loss_weights)
-    reference = reference_order(loss)
-    assert len(reference) > 100 and all(node._essay == -1 for node in reference)
-    assert same_nodes(nm._replay_order(loss), reference)
+    for architecture in ARCHITECTURES:
+        for model in model_pair(architecture):
+            outputs = model.forward_batch([ex.sentence_ids for ex in examples],
+                                          np.random.default_rng(5))
+            loss, _ = multitask_loss(outputs, examples, model.config.gaze_loss_weights)
+            assert len(nm._topological_order(loss)) > 100
+            assert_backward_replays_the_reference_order(loss)
 
 
 def partly_labelled(examples):
@@ -127,37 +99,6 @@ def test_a_self_attention_step_gives_the_batch_graphs_gradients_bitwise(dropout,
         for name, p in model.named_parameters().items():
             assert np.array_equal(by_essay[name], p.grad), (type(model).__name__, name)
             assert by_essay[name].tobytes() == p.grad.tobytes(), (type(model).__name__, name)
-
-
-def raised_nodes(model, examples):
-    """The interior nodes of a training batch's graph that ``_replay_order``
-    moves to another essay's group than the one that made them."""
-    outputs = model.forward_batch([ex.sentence_ids for ex in examples], np.random.default_rng(5))
-    loss, _ = multitask_loss(outputs, examples, model.config.gaze_loss_weights)
-    order = reference_order(loss)
-    return [node for node, mark in zip(order, nm._raised_marks(order))
-            if node._grad_fn is not None and mark != node._essay]
-
-
-def test_self_attentions_replay_raises_no_node_to_another_essay(benchmark_batch):
-    # every essay labelled by the same gaze terms: each essay's group
-    # replays its own nodes only, in the order its graph alone replays them
-    model = benchmark_batch.model("self_attention")
-    assert raised_nodes(model, benchmark_batch.train[:10]) == []
-    model = model_pair("self_attention")[0]
-    examples = [ex for ex in mixed_examples(np.random.default_rng(11), 12) if ex.gaze_targets]
-    assert raised_nodes(model, examples) == []
-
-
-def test_self_attentions_replay_raises_only_encoders_across_essays():
-    # with essays first reached by different loss terms, only the sentence
-    # encoders, which the training step holds back, move to a later essay
-    model = model_pair("self_attention")[0]
-    examples = partly_labelled(mixed_examples(np.random.default_rng(11), 9))
-    raised = raised_nodes(model, examples)
-    assert raised
-    encoder_inputs = {id(model.embedding), id(model.conv_w), id(model.conv_b)}
-    assert all({id(p) for p in node._parents} == encoder_inputs for node in raised)
 
 
 def assert_step_gives_the_batch_graphs_gradients(model, examples, weights):
