@@ -11,8 +11,7 @@ row of ``SYSTEMS``, which every cell reads.
 Runs, ablations and the gaze-weight grid search are lists of cells (one
 configuration on one (set, fold)) that :func:`execute_cells` runs, here or in
 worker processes; a cell's outcome, with a worker's logged lines, is a value.
-The library entry points stop at the first failed cell and raise its own
-exception; the CLI runs every cell and lists every failure.
+A failed cell stops no other: every cell runs, and the CLI lists every failure.
 Beside each kind of cell list is what assembles its results into the
 command's result (:func:`assemble_report`, :func:`ablation_report`,
 :func:`grid_report`); the CLI only writes their files.
@@ -527,7 +526,7 @@ def _run_worker_cell(config, set_id, fold):
     return (*_run_cell(task, data, config, set_id, fold, lines.append), lines)
 
 
-def execute_cells(task, data, cells, jobs=1, log=None, fail_fast=False):
+def execute_cells(task, data, cells, jobs=1, log=None):
     """Run ``task(config, data, set_id, fold, log)`` for every cell.
 
     ``log`` gets each cell's label and then the lines the task logged, in
@@ -538,9 +537,8 @@ def execute_cells(task, data, cells, jobs=1, log=None, fail_fast=False):
     outcome comes back as (result, error, lines), logged as its turn comes;
     a cell whose outcome cannot come back (its worker died) fails with no lines.
     Returns (results, failures): the finished cells' results in cell order
-    and a (cell, exception) pair for each cell that raised. With
-    ``fail_fast`` the first failed cell's exception propagates instead, and
-    cells still waiting to start are dropped.
+    and a (cell, exception) pair for each cell that raised; a failed cell
+    stops no other.
     """
     results, failures = [], []
     workers = min(jobs, len(cells))
@@ -564,25 +562,12 @@ def execute_cells(task, data, cells, jobs=1, log=None, fail_fast=False):
                         log(line)
             if error is None:
                 results.append(result)
-            elif fail_fast:
-                raise error
             else:
                 failures.append((cell, error))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return results, failures
-
-
-def run_experiment(config, data, log=None, jobs=1):
-    """Train and evaluate one system over every fold of every target set.
-
-    ``jobs`` above 1 runs the cells in that many worker processes; the
-    report is the same.
-    """
-    results, _ = execute_cells(run_fold, data, fold_cells(config, data), jobs, log,
-                               fail_fast=True)
-    return assemble_report(config, results)
 
 
 def assemble_report(config, fold_results):

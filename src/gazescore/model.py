@@ -14,10 +14,10 @@ hidden states come from :meth:`EssayScorer.encode_article`, once per
 mini-batch in training (one graph, one dropout mask) and once per list of
 essays scored through :meth:`EssayScorer.forward_batch`.
 
-An rng means training: it draws the dropout masks, and each essay gets a
-graph through :meth:`EssayScorer.forward`. Without an rng (evaluation),
-``forward_batch`` scores in plain numpy on the parameters' values, with the
-graph ops' own formulas. An essay's sentences form one token block padded with
+:meth:`EssayScorer.forward` builds one essay's graph; an rng means training
+and draws its dropout masks. :meth:`EssayScorer.forward_batch` scores in
+evaluation only, in plain numpy on the parameters' values, with the graph
+ops' own formulas. An essay's sentences form one token block padded with
 zero rows, so the PAD row is never read (one gather of the real tokens,
 ``conv_kernel`` stacked matmuls, a masked word attention); up to ``EVAL_SLICE``
 essays form one padded sentence block, which one LSTM time loop advances, each
@@ -37,9 +37,9 @@ concatenated copy.
 In training, each sentence's embedding, dropout, convolution and tanh are
 one graph node (``numerics.encode_tokens``), each attention pool is one
 (``numerics.additive_attention``), and so are the modeling layer, the
-output layer and each gaze head (``numerics.dense``): a 12-sentence essay
-with five gaze heads takes about 43 nodes, loss included, and results equal
-the single ops' bit for bit.
+output layer and each gaze head (``numerics.dense``): a training step
+builds about 37 nodes for a 12-sentence essay with five gaze heads, its
+root included, and results equal the single ops' bit for bit.
 """
 
 from __future__ import annotations
@@ -276,21 +276,13 @@ class EssayScorer:
                                   essay_hidden)
         return essay2article, article2essay
 
-    def forward_batch(self, batch_sentence_ids, rng=None):
-        """One :class:`ForwardOutput` per essay, in a list; the article is encoded once.
+    def forward_batch(self, batch_sentence_ids):
+        """Evaluation outputs, one :class:`ForwardOutput` per essay, in a list.
 
-        With an rng (training) each essay gets a graph through ``forward``,
-        and the essays share the article's graph and dropout mask: one graph
-        over the batch, the reference a training step's gradients are checked
-        against (the step takes the same dropout draws, see :mod:`training`).
-        Without one (evaluation) they are scored in padded blocks of up to
-        ``EVAL_SLICE`` essays (see the module docstring), and the outputs
-        carry their values only.
+        The article is encoded once, and the essays are scored in padded
+        blocks of up to ``EVAL_SLICE`` essays (see the module docstring); the
+        outputs carry their values only.
         """
-        if rng is not None:
-            article = self.encode_article(rng)
-            return [self.forward(sentence_ids, rng, article=article)
-                    for sentence_ids in batch_sentence_ids]
         if not all(batch_sentence_ids):
             raise ValueError("forward: essay has no sentences")
         article = self.encode_article()

@@ -224,15 +224,14 @@ def _released(g):
                        "run the forward again to rebuild it")
 
 
-def backward(loss, parameters=None, keep_owned=False, hold=()):
+def backward(loss, keep_owned=False, hold=()):
     """Populate ``grad`` on every leaf tensor the scalar ``loss`` depends on.
 
-    ``parameters``, when given, is an iterable of tensors that must end up
-    with a gradient even if the loss does not reach them; those receive
-    zeros (``_fill_grads``). Gradients accumulate, so call ``zero_grads``
-    between steps. ``keep_owned`` says the caller holds no leaf's gradient
-    since ``zero_grads``, so buffers an earlier backward allocated are added
-    into in place rather than copied first.
+    A leaf the loss does not reach keeps the gradient it had (``_fill_grads``
+    gives zeros to those with none). Gradients accumulate, so call
+    ``zero_grads`` between steps. ``keep_owned`` says the caller holds no
+    leaf's gradient since ``zero_grads``, so buffers an earlier backward
+    allocated are added into in place rather than copied first.
 
     Nodes replay in the reverse of ``_topological_order(loss)``, so every
     sum adds its terms in that order. The graph is released as it replays:
@@ -258,8 +257,6 @@ def backward(loss, parameters=None, keep_owned=False, hold=()):
     order, held = _split_held(order, hold) if hold else (order, [])
     loss.grad = np.ones_like(loss.data)
     _replay(order)
-    if parameters is not None:
-        _fill_grads(parameters)
     _compact(held)
     return held
 

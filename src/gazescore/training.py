@@ -14,7 +14,10 @@ gradient, and the loss itself comes from the outputs' values afterwards. A
 co-attention model's essays all read one article graph, encoded once per
 batch, whose backward runs after the last essay's; the nodes whose sums must
 follow it wait, and a waiting encoder keeps only its gradient. Every
-gradient equals the batch graph's bit for bit.
+gradient equals, bit for bit, that of ``backward`` over one graph of the
+whole batch (the batch graph): the article encoded once, each essay's
+``forward`` on it, and ``multitask_loss`` over their outputs. The tests
+build that graph and check it.
 """
 
 from __future__ import annotations
@@ -395,10 +398,10 @@ def _forward_backward_by_essay(model, batch, weights, rng):
     through ``_EssayBackward``; returns (each essay's output values, the
     ``_EssayBackward``, whose ``finish`` the caller runs after its loss check).
 
-    The article and the essays take the dropout draws ``forward_batch``
-    gives them: the article's first, then each essay's. Every essay reads
-    the article's states through one stand-in leaf, so its backward stops
-    there.
+    The article and the essays take the dropout draws the batch graph
+    takes: the article's first, then each essay's, in batch order. Every
+    essay reads the article's states through one stand-in leaf, so its
+    backward stops there.
     """
     terms, ranks = _loss_terms(model, batch, weights)
     states = model.encode_article(rng)
@@ -422,8 +425,8 @@ def _batch_gradients(model, params, batch, weights, rng, epoch, batch_index):
     its forward ends (``_forward_backward_by_essay``), and ``multitask_loss``
     over the outputs' values gives the loss. A co-attention model encodes
     its article once, and the article's backward runs after the last
-    essay's. Every gradient equals, bit for bit, that of ``backward`` over
-    the batch's graph (``forward_batch`` and ``multitask_loss``).
+    essay's. Every gradient equals, bit for bit, the batch graph's (see
+    the module docstring).
     """
     zero_grads(params)
     outputs, essays = _forward_backward_by_essay(model, batch, weights, rng)

