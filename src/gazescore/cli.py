@@ -112,9 +112,10 @@ _REPORT_PARSERS = {name: parse for name, parse in get_type_hints(FoldResult).ite
                    if parse is not dict}
 REPORT_COLUMNS = ("system", *_REPORT_PARSERS)
 
-# predictions.csv: one row per test essay, its ids, then how each of Prediction's fields parses
-_PREDICTION_PARSERS = get_type_hints(Prediction)
-PREDICTION_COLUMNS = ("set_id", "fold_id", "essay_id", *_PREDICTION_PARSERS)
+# predictions.csv: one row per test essay, how its ids and then each of Prediction's fields parse
+_PREDICTION_PARSERS = {**dict.fromkeys(("set_id", "fold_id", "essay_id"), int),
+                       **get_type_hints(Prediction)}
+PREDICTION_COLUMNS = tuple(_PREDICTION_PARSERS)
 
 # input keys naming directories, which their commands check themselves
 DIRECTORY_KEYS = ("folds_dir", "run_a", "run_b")
@@ -314,6 +315,15 @@ def _fields_of(path):
         raise CliError(f"{path}: missing field {error.args[0]!r}") from None
 
 
+def _json_load(path, fh, **options):
+    """``json.load(fh, **options)`` of open file ``path``, which raises a file
+    that is not UTF-8 or not JSON as an error naming it."""
+    try:
+        return json.load(fh, **options)
+    except ValueError as error:
+        raise CliError(f"{path}: not JSON ({error})") from None
+
+
 def _json_object(path, value, what):
     """``value``, which ``what`` in the JSON file ``path`` names, if it is an object."""
     if not isinstance(value, dict):
@@ -384,11 +394,8 @@ def load_corpus_cache(path):
     """(essays by id, sets by id) from a corpus cache, each field of the type
     it declares; equal tokens are one str."""
     with open(path, "r", encoding="utf-8") as fh, _fields_of(path):
-        try:
-            payload = _json_object(path, json.load(fh, object_hook=_interned_sentences),
-                                   "the top level")
-        except ValueError as error:  # not UTF-8, or not JSON
-            raise CliError(f"{path}: not JSON ({error})") from None
+        payload = _json_object(path, _json_load(path, fh, object_hook=_interned_sentences),
+                               "the top level")
         if payload.get("format") != CORPUS_CACHE_FORMAT:
             raise CliError(f"{path}: not a corpus cache (format {payload.get('format')!r})")
         sets = {}
@@ -772,25 +779,39 @@ def load_run_directory(run_dir):
         if not path.is_file():
             raise CliError(f"cannot read run file: {path}")
     with open(manifest_path, encoding="utf-8") as fh, _fields_of(manifest_path):
-        seed = _json_object(manifest_path, json.load(fh), "the top level")["seed"]
+        seed = _json_object(manifest_path, _json_load(manifest_path, fh), "the top level")["seed"]
     predictions = {}
     with csv_rows(predictions_path, csv.DictReader) as rows, _fields_of(predictions_path):
         for row in rows:
-            set_id, fold_id, essay_id = (int(row[name]) for name in PREDICTION_COLUMNS[:3])
-            predictions.setdefault((set_id, fold_id), {})[essay_id] = Prediction(
-                **{name: parse(row[name]) for name, parse in _PREDICTION_PARSERS.items()})
+            set_id, fold_id, essay_id, *outcome = _parsed_cells(
+                predictions_path, rows, row, _PREDICTION_PARSERS).values()
+            predictions.setdefault((set_id, fold_id), {})[essay_id] = Prediction(*outcome)
     results = []
     system = None
     with csv_rows(report_path, csv.DictReader) as rows, _fields_of(report_path):
         for row in rows:
-            system = row["system"]
-            scalars = {name: parse(row[name]) for name, parse in _REPORT_PARSERS.items()}
+            scalars = _parsed_cells(report_path, rows, row, {"system": str, **_REPORT_PARSERS})
+            system = scalars.pop("system")
             key = (scalars["set_id"], scalars["fold_id"])
             results.append(FoldResult(**scalars, test_predictions=predictions.get(key, {})))
     if not results:
         raise CliError(f"no fold results in {report_path}")
     return ExperimentReport(system=system, seed=seed,
                             fold_results=tuple(sorted(results, key=lambda r: (r.set_id, r.fold_id))))
+
+
+def _parsed_cells(path, rows, row, parsers):
+    """{column: parse(cell)} of each (column, parse) of ``parsers``, from the
+    row ``row`` of CSV file ``path`` that DictReader ``rows`` just read."""
+    cells = {}
+    for column, parse in parsers.items():
+        if row[column] is None:  # the row ends before the column
+            raise CliError(f"{path}: line {rows.line_num} has no {column} cell")
+        try:
+            cells[column] = parse(row[column])
+        except ValueError as error:
+            raise CliError(f"{path}: line {rows.line_num}: {error}") from None
+    return cells
 
 
 def cmd_report(options, seed, paths, out_dir, jobs):

@@ -64,7 +64,8 @@ class Essay:
     raw_score: int
     normalized_score: float
     degenerate: bool = False
-    # {reader_id: [BinnedGaze or None per token]}, or bin_all's EssayGaze, which reads as one
+    # {reader_id: [BinnedGaze or None per token]}; bin_all's EssayGaze reaches training as
+    # gaze_targets instead
     gaze: dict | None = None
 
     @property
@@ -153,25 +154,26 @@ def load_set_metadata(path):
             if not m:
                 raise ValueError(f"{path}:{line_no}: unrecognized key {key!r}")
             set_id, prop = int(m.group(1)), m.group(2)
-            raw.setdefault(set_id, {})[prop] = value
+            raw.setdefault(set_id, {})[prop] = value, line_no
 
     base = os.path.dirname(os.path.abspath(path))
     sets = {}
     for set_id, props in sorted(raw.items()):
-        for required in ("score_min", "score_max"):
-            if required not in props:
-                raise ValueError(f"{path}: set {set_id} missing {required}")
+        scores = {}
+        for prop in ("score_min", "score_max"):
+            if prop not in props:
+                raise ValueError(f"{path}: set {set_id} missing {prop}")
+            value, line_no = props[prop]
+            try:
+                scores[prop] = int(value)
+            except ValueError as error:
+                raise ValueError(f"{path}:{line_no}: {error}") from None
         article = None
         if "article" in props:
-            article_path = os.path.join(base, props["article"])
+            article_path = os.path.join(base, props["article"][0])
             with open_text(article_path) as fh:
                 article = fh.read()
-        sets[set_id] = EssaySet(
-            set_id=set_id,
-            score_min=int(props["score_min"]),
-            score_max=int(props["score_max"]),
-            source_article=article,
-        )
+        sets[set_id] = EssaySet(set_id=set_id, **scores, source_article=article)
     return sets
 
 
@@ -187,50 +189,53 @@ def load_essays(path, sets):
     first_lines = {}  # essay_id -> line of the row that loaded it
     report = LoadReport(per_set_counts={sid: 0 for sid in sets})
     with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    start = 1 if lines and lines[0].split("\t")[0].strip().lower() == "essay_id" else 0
-    for line_no, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        report.total_rows += 1
-        columns = line.split("\t")
-        if len(columns) < 4:
-            report.rejected.append((line_no, f"expected 4 tab-separated columns, got {len(columns)}"))
-            continue
-        try:
-            essay_id = int(columns[0])
-            set_id = int(columns[1])
-            text = columns[2]
-            raw_score = int(columns[3])
-        except ValueError as exc:
-            report.rejected.append((line_no, f"malformed field: {exc}"))
-            continue
-        if essay_id in first_lines:
-            report.rejected.append(
-                (line_no, f"essay {essay_id}: already loaded from line {first_lines[essay_id]}"))
-            continue
-        if set_id not in sets:
-            report.rejected.append((line_no, f"unknown essay set {set_id}"))
-            continue
-        essay_set = sets[set_id]
-        if not essay_set.score_min <= raw_score <= essay_set.score_max:
-            report.rejected.append((
-                line_no,
-                f"essay {essay_id}: score {raw_score} outside set {set_id} range "
-                f"[{essay_set.score_min}, {essay_set.score_max}]"))
-            continue
-        sentences = text_to_sentences(text)
-        degenerate = all(len(s) == 0 for s in sentences)
-        essays.append(Essay(
-            essay_id=essay_id,
-            set_id=set_id,
-            sentences=sentences,
-            raw_score=raw_score,
-            normalized_score=normalize_score(raw_score, essay_set),
-            degenerate=degenerate,
-        ))
-        report.per_set_counts[set_id] += 1
-        first_lines[essay_id] = line_no
+        for line_no, line in enumerate(fh, start=1):
+            # reading ends a row only at \n, \r\n or \r; any other line break is text
+            line = line.removesuffix("\n")
+            if line_no == 1 and line.split("\t")[0].strip().lower() == "essay_id":
+                continue
+            if not line.strip():
+                continue
+            report.total_rows += 1
+            columns = line.split("\t")
+            if len(columns) < 4:
+                report.rejected.append(
+                    (line_no, f"expected 4 tab-separated columns, got {len(columns)}"))
+                continue
+            try:
+                essay_id = int(columns[0])
+                set_id = int(columns[1])
+                text = columns[2]
+                raw_score = int(columns[3])
+            except ValueError as exc:
+                report.rejected.append((line_no, f"malformed field: {exc}"))
+                continue
+            if essay_id in first_lines:
+                report.rejected.append((line_no, f"essay {essay_id}: already loaded from "
+                                                 f"line {first_lines[essay_id]}"))
+                continue
+            if set_id not in sets:
+                report.rejected.append((line_no, f"unknown essay set {set_id}"))
+                continue
+            essay_set = sets[set_id]
+            if not essay_set.score_min <= raw_score <= essay_set.score_max:
+                report.rejected.append((
+                    line_no,
+                    f"essay {essay_id}: score {raw_score} outside set {set_id} range "
+                    f"[{essay_set.score_min}, {essay_set.score_max}]"))
+                continue
+            sentences = text_to_sentences(text)
+            degenerate = all(len(s) == 0 for s in sentences)
+            essays.append(Essay(
+                essay_id=essay_id,
+                set_id=set_id,
+                sentences=sentences,
+                raw_score=raw_score,
+                normalized_score=normalize_score(raw_score, essay_set),
+                degenerate=degenerate,
+            ))
+            report.per_set_counts[set_id] += 1
+            first_lines[essay_id] = line_no
     return essays, report
 
 
@@ -303,7 +308,10 @@ def parse_embedding_file(path, restrict_tokens=None):
                 raise ValueError(
                     f"{path}:{line_no}: expected {dimension} values, got {len(values)}")
             if restrict_tokens is None or token in restrict_tokens:
-                vector = np.array([float(v) for v in values], dtype=np.float64)
+                try:
+                    vector = np.array([float(v) for v in values], dtype=np.float64)
+                except ValueError as error:
+                    raise ValueError(f"{path}:{line_no}: {error}") from None
                 if not np.all(np.isfinite(vector)):
                     raise ValueError(f"{path}:{line_no}: non-finite value in {token!r}'s vector")
                 vectors[token] = vector

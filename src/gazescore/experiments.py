@@ -42,7 +42,7 @@ import numpy as np
 
 from .corpus import (build_vocab, denormalize_score, matrix_from_vectors, open_text,
                      text_to_sentences)
-from .gaze import GAZE_ATTRIBUTES, GazeTable, bin_all, gaze_targets, reader_stats
+from .gaze import GAZE_ATTRIBUTES, GazeTable, any_within, bin_all, gaze_targets, reader_stats
 from .metrics import SignificanceResult, paired_t_test, qwk
 from .model import EssayScorer, ModelConfig
 from .training import TrainConfig, evaluate_breakdown, prepare_example, train
@@ -617,11 +617,7 @@ def validate_run(config, data):
 
 def _gaze_within_tokens(data, essay_ids):
     """Whether a gaze record on one of ``essay_ids`` falls within its essay's tokens."""
-    records = data.gaze_records
-    on = np.isin(records.essay_id, list(essay_ids))
-    on_ids = records.essay_id[on].tolist()
-    n_tokens = {i: sum(map(len, data.essays[i].sentences)) for i in set(on_ids)}
-    return bool(np.any(records.ia_index[on] < [n_tokens[i] for i in on_ids]))
+    return any_within(data.gaze_records, {i: data.essays[i] for i in essay_ids})
 
 
 def grid_cells(config, data, attributes, weights):

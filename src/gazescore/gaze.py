@@ -22,10 +22,9 @@ from __future__ import annotations
 import csv
 import gc
 import sys
-from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import NamedTuple, get_type_hints
 
@@ -309,12 +308,10 @@ def _groups(column):
     return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
-def _runs(keys):
-    """Row indices sorted stably by the nonnegative ``keys``, and the (start,
-    stop) of each run of equal keys in them, runs in key order."""
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
-    return order, list(zip(starts, [*starts[1:], len(order)]))
+def _spans(keys):
+    """The (start, stop) of each run of equal values in the sorted nonnegative ``keys``."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()
+    return list(zip(starts, [*starts[1:], len(keys)]))
 
 
 def reader_stats(records, essays):
@@ -328,32 +325,27 @@ def reader_stats(records, essays):
     ``bin_all`` places none of its rows.
     """
     reader_ids, reader_of = _groups(records.reader_id)
-    order = np.lexsort((records.ia_index, reader_of, records.essay_id))  # stable
-    left_out = np.zeros(len(order), dtype=bool)
-    left_out[order[1:]] = np.logical_and.reduce([
-        np.diff(column[order]) == 0 for column in (records.essay_id, reader_of, records.ia_index)])
-    _, essay_of, n_tokens = _essay_tokens(records, essays)
-    left_out |= records.ia_index >= n_tokens[essay_of]  # a missing essay counts -1 tokens
-    if left_out.any():
-        records, reader_of = records.take(~left_out), reader_of[~left_out]
-    order, spans = _runs(reader_of)
-    spans = {int(reader_of[order[start]]): (start, stop) for start, stop in spans}  # by reader
+    rows = _placeable(records, essays, reader_of, len(reader_ids))[0]
+    # by reader, each reader's in table order, so each sum adds in the same order
+    rows = rows[np.lexsort((rows, reader_of[rows]))]
+    readers = reader_of[rows]
+    spans = {int(readers[start]): (start, stop) for start, stop in _spans(readers)}
     stats = {}
     for k, reader_id in enumerate(reader_ids):
         if k not in spans:
             stats[reader_id] = ReaderStats(reader_id, 0.0, 0.0, 0.0, 0.0, 0)
             continue
-        rows = order[slice(*spans[k])]  # in table order, so each sum adds in the same order
-        dt = records.dwell_time_ms[rows]
-        ffd = records.first_fixation_ms[rows]
+        kept = rows[slice(*spans[k])]
+        dt = records.dwell_time_ms[kept]
+        ffd = records.first_fixation_ms[kept]
         stats[reader_id] = ReaderStats(
             reader_id=reader_id,
             dt_mean=float(dt.mean()),
             dt_std=float(dt.std()),
             ffd_mean=float(ffd.mean()),
             ffd_std=float(ffd.std()),
-            n_records=len(rows),
-            provenance=frozenset(records.essay_id[rows].tolist()),
+            n_records=len(kept),
+            provenance=frozenset(records.essay_id[kept].tolist()),
         )
     return stats
 
@@ -400,41 +392,28 @@ def bin_run_count(rc):
     return bins if bins.ndim else int(bins)
 
 
-class EssayGaze(Mapping):
+class EssayGaze:
     """One essay's binned gaze, as ``bin_all`` gives it.
 
     ``positions`` and ``bins`` (one column per attribute, in GAZE_ATTRIBUTES
     order) hold its labeled tokens, readers sorted by id and then positions,
     as ``labeled`` lists them; both are read-only views of arrays that the
-    essays of one ``bin_all`` call share. As a read-only Mapping it is the
-    list form {reader_id: [BinnedGaze or None per token]}, readers in the
-    order of their first record, each list built when it is read.
+    essays of one ``bin_all`` call share. Iterating it gives its reader ids,
+    sorted.
     """
 
-    __slots__ = ("n_tokens", "positions", "bins", "_spans")
+    __slots__ = ("positions", "bins", "_spans")
 
-    def __init__(self, n_tokens, spans, positions, bins):
-        # spans: {reader_id: (start, stop) of its rows in the arrays}
-        self.n_tokens, self._spans, self.positions, self.bins = n_tokens, spans, positions, bins
-
-    def __getitem__(self, reader_id):
-        start, stop = self._spans[reader_id]
-        sequence = [None] * self.n_tokens
-        for position, token_bins in zip(self.positions[start:stop].tolist(),
-                                        self.bins[start:stop].tolist()):
-            sequence[position] = BinnedGaze._make(token_bins)
-        return sequence
+    def __init__(self, spans, positions, bins):
+        # spans: {reader_id: (start, stop) of its rows in the arrays}, readers sorted
+        self._spans, self.positions, self.bins = spans, positions, bins
 
     def __iter__(self):
         return iter(self._spans)
 
-    def __len__(self):
-        return len(self._spans)
-
     def reader_ids(self):
         """The reader id of each row of the arrays."""
-        return [reader_id for reader_id in sorted(self._spans)
-                for _ in range(*self._spans[reader_id])]
+        return [reader_id for reader_id, span in self._spans.items() for _ in range(*span)]
 
 
 @collector_paused()
@@ -442,15 +421,16 @@ def bin_all(records, stats, essays):
     """Binned gaze aligned to essay tokens, from a GazeTable's rows.
 
     ``essays`` maps essay_id to an Essay (token counts come from there).
-    Returns ({essay_id: EssayGaze}, diagnostics), essays in the order of
-    their first placed record. Tokens with no record for a reader stay
-    unlabeled and are excluded from the gaze loss mask downstream. Records
-    addressing a missing essay, an out-of-range token, an unknown reader, or
-    a position an earlier record filled get one diagnostic each, in table
-    order; every other record is placed.
+    Returns ({essay_id: EssayGaze}, diagnostics), essays in id order. Tokens
+    with no record for a reader stay unlabeled and are excluded from the
+    gaze loss mask downstream. Records addressing a missing essay, an
+    out-of-range token, an unknown reader, or a position an earlier record
+    filled get one diagnostic each, in table order; every other record is
+    placed.
     """
-    essay_ids, reader_ids, n_tokens, rows, groups, diagnostics = _place(records, stats, essays)
-    readers = groups % max(len(reader_ids), 1)  # with no reader, no row is placed
+    reader_ids, rows, groups, diagnostics = _place(records, stats, essays)
+    n_readers = max(len(reader_ids), 1)  # with no reader, no row is placed
+    readers = groups % n_readers
     # each reader's DT mean and std, then FFD's
     moments = np.array([[s.dt_mean, s.dt_std, s.ffd_mean, s.ffd_std] if (s := stats.get(r))
                         else [0.0] * 4 for r in reader_ids], dtype=np.float64)
@@ -467,76 +447,90 @@ def bin_all(records, stats, essays):
     bins[:, 4] = records.skip[rows]
     positions.flags.writeable = bins.flags.writeable = False
 
-    # each (essay, reader) run in the order of its first record, as the list form made them
-    starts = np.flatnonzero(np.diff(groups, prepend=-1))
-    bounds = [*starts.tolist(), len(rows)]
-    spans = {}
-    for _, start, stop in sorted(zip(np.minimum.reduceat(rows, starts).tolist(),
-                                     bounds, bounds[1:])):
-        essay, reader = divmod(int(groups[start]), len(reader_ids))
-        spans.setdefault(essay, {})[reader_ids[reader]] = start, stop
+    # one pass over the (essay, reader) runs: essays by id, each one's readers sorted
+    runs = [(*divmod(int(groups[start]), n_readers), start, stop) for start, stop in _spans(groups)]
     sequences = {}
-    for essay, runs in spans.items():
-        low = min(start for start, _ in runs.values())
-        high = max(stop for _, stop in runs.values())
-        runs = {reader_id: (start - low, stop - low) for reader_id, (start, stop) in runs.items()}
-        sequences[essay_ids[essay]] = EssayGaze(int(n_tokens[essay]), runs,
-                                                positions[low:high], bins[low:high])
+    for _, essay_runs in groupby(runs, key=itemgetter(0)):
+        essay_runs = list(essay_runs)
+        low, high = essay_runs[0][2], essay_runs[-1][3]
+        spans = {reader_ids[reader]: (start - low, stop - low)
+                 for _, reader, start, stop in essay_runs}
+        sequences[int(records.essay_id[rows[low]])] = EssayGaze(
+            spans, positions[low:high], bins[low:high])
     return sequences, diagnostics
 
 
 def _place(records, stats, essays):
-    """Which rows of ``records`` bin_all places: (the distinct essay ids, the
-    distinct reader ids sorted, each essay's token count, the placed rows by
-    essay, then reader id, then position, each placed row's essay index times
-    the number of readers plus its reader index, the diagnostics)."""
-    essay_ids, essay_of, n_tokens = _essay_tokens(records, essays)
+    """Which rows of ``records`` bin_all places: (the distinct reader ids
+    sorted, the placed rows by essay id, then reader id, then position, each
+    placed row's essay index times the number of readers plus its reader
+    index, the diagnostics)."""
     reader_ids, reader_of = _groups(records.reader_id)
     # readers numbered in id order, as labeled sorts them
     order = sorted(range(len(reader_ids)), key=reader_ids.__getitem__)
     reader_ids, reader_of = [reader_ids[k] for k in order], np.argsort(order)[reader_of]
-    row_tokens = n_tokens[essay_of]
-    ia_index = records.ia_index
-    no_essay = row_tokens < 0
-    no_stats = ~no_essay & ~np.array([r in stats for r in reader_ids], dtype=bool)[reader_of]
-    out_of_range = ~(no_essay | no_stats) & (ia_index >= row_tokens)
-    empty = np.array([r in stats and stats[r].n_records == 0 for r in reader_ids], dtype=bool)
-    if empty.any():  # statistics over no row place nothing: such a row reads as one with none
-        no_stats |= ~(no_essay | out_of_range) & empty[reader_of]
-    # a position's first record is placed, and each later one is a duplicate;
-    # the unique keys sort the placed rows
-    width = int(n_tokens.max(initial=0)) + 1
-    candidates = np.flatnonzero(~(no_essay | no_stats | out_of_range))
-    keys, first = np.unique((essay_of[candidates] * len(reader_ids) + reader_of[candidates])
-                            * width + ia_index[candidates], return_index=True)
-    rows = candidates[first]
+    rows, groups, row_tokens = _placeable(records, essays, reader_of, len(reader_ids))
+    # statistics over no row place nothing: such a row reads as one with none
+    counted = [r in stats and stats[r].n_records > 0 for r in reader_ids]
+    if not all(counted):
+        kept = np.array(counted, dtype=bool)[groups % len(reader_ids)]
+        rows, groups = rows[kept], groups[kept]
     placed = np.zeros(len(records), dtype=bool)
     placed[rows] = True
 
     diagnostics = []
-    for i in np.flatnonzero(~placed).tolist():
-        essay_id, reader_id = essay_ids[essay_of[i]], reader_ids[reader_of[i]]
-        if no_essay[i]:
+    unplaced = np.flatnonzero(~placed)
+    for essay_id, reader, ia_index, n_tokens in zip(
+            *(column[unplaced].tolist()
+              for column in (records.essay_id, reader_of, records.ia_index, row_tokens))):
+        reader_id = reader_ids[reader]
+        if n_tokens < 0:
             diagnostics.append(f"essay {essay_id}: no such essay for reader {reader_id}")
-        elif no_stats[i]:
+        # a reader without statistics says so before a range does; one whose
+        # statistics cover no row, only for a row in range
+        elif not counted[reader] and (reader_id not in stats or ia_index < n_tokens):
             diagnostics.append(f"essay {essay_id}: no statistics for reader {reader_id}")
-        elif out_of_range[i]:
+        elif ia_index >= n_tokens:
             diagnostics.append(f"essay {essay_id}, reader {reader_id}: ia_index "
-                               f"{ia_index[i]} out of range for {row_tokens[i]} tokens")
+                               f"{ia_index} out of range for {n_tokens} tokens")
         else:
             diagnostics.append(f"essay {essay_id}, reader {reader_id}: duplicate "
-                               f"record for token {ia_index[i]}")
-    return essay_ids, reader_ids, n_tokens, rows, keys // width, diagnostics
+                               f"record for token {ia_index}")
+    return reader_ids, rows, groups, diagnostics
 
 
-def _essay_tokens(records, essays):
-    """(the distinct essay ids of ``records``, each row's index into them,
-    each essay's token count, -1 for one ``essays`` does not hold)."""
+def _placeable(records, essays, reader_of, n_readers):
+    """The rows of GazeTable ``records`` that ``bin_all`` can place: those on
+    an essay ``essays`` (essay_id -> Essay) holds, within its tokens, and the
+    first of their (essay, reader, ia_index), where ``reader_of`` numbers each
+    row's reader below ``n_readers``.
+
+    Returns (those rows, sorted by essay id, then reader number, then
+    ia_index; each one's essay index, essays numbered by id, times
+    ``n_readers`` plus its reader number; the token count of each row's
+    essay, -1 for one ``essays`` does not hold).
+    """
+    essay_of, row_tokens = _row_tokens(records, essays)
+    candidates = np.flatnonzero(records.ia_index < row_tokens)
+    width = int(row_tokens.max(initial=0)) + 1
+    keys, first = np.unique((essay_of[candidates] * n_readers + reader_of[candidates]) * width
+                            + records.ia_index[candidates], return_index=True)
+    return candidates[first], keys // width, row_tokens
+
+
+def any_within(records, essays):
+    """Whether a row of GazeTable ``records`` falls within the tokens of an
+    essay that ``essays`` (essay_id -> Essay) holds."""
+    return bool(np.any(records.ia_index < _row_tokens(records, essays)[1]))
+
+
+def _row_tokens(records, essays):
+    """(each row's essay index, essays numbered by id, each row's essay's
+    token count, -1 for one ``essays`` does not hold)."""
     essay_ids, essay_of = np.unique(records.essay_id, return_inverse=True)
-    essay_ids = essay_ids.tolist()
     n_tokens = np.array([sum(map(len, essays[e].sentences)) if e in essays else -1
-                         for e in essay_ids], dtype=np.int64)
-    return essay_ids, essay_of, n_tokens
+                         for e in essay_ids.tolist()], dtype=np.int64)
+    return essay_of, n_tokens[essay_of]
 
 
 def labeled(gaze):

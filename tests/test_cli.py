@@ -1388,6 +1388,34 @@ class TestReport:
         assert capsys.readouterr().err == \
             f"error: {copy / 'manifest.json'}: the top level is not a JSON object\n"
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("predictions.csv", "1,0,101,2,2", "{}: line 3 has no squared_error cell"),
+        ("report.csv", "self_attention,1,1,0.5", "{}: line 3 has no best_dev_qwk cell"),
+        ("predictions.csv", "1,0,x,2,2,0.5",
+         "{}: line 3: invalid literal for int() with base 10: 'x'"),
+        ("report.csv", "self_attention,1,1,high,0.5,1,66,0",
+         "{}: line 3: could not convert string to float: 'high'"),
+        ("manifest.json", "{seed: 1}", "{}: not JSON (Expecting property name enclosed in "
+                                       "double quotes: line 1 column 2 (char 1))"),
+    ], ids=["short_prediction_row", "short_report_row", "bad_prediction_cell",
+            "bad_report_cell", "manifest_not_json"])
+    def test_a_bad_row_or_manifest_exits_one_naming_the_file(self, name, text, message,
+                                                             two_runs, tmp_path, capsys):
+        # a CSV file's third line, or the whole manifest, reads ``text``
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for kept in ("report.csv", "predictions.csv", "manifest.json"):
+            (copy / kept).write_bytes((two_runs[0] / kept).read_bytes())
+        path = copy / name
+        lines = [text]
+        if name != "manifest.json":
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lines[2] = text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["report", "--out", str(tmp_path / "report"), "--set", "run_a=" + str(copy)])
+        assert code == 1
+        assert capsys.readouterr()[:] == ("", "error: " + message.format(path) + "\n")
+
     def test_compare_two_runs(self, two_runs, tmp_path, capsys):
         first, second = two_runs
         out = tmp_path / "report"

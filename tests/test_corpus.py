@@ -193,6 +193,14 @@ def test_load_set_metadata_requires_both_bounds(tmp_path):
         load_set_metadata(path)
 
 
+def test_load_set_metadata_names_the_line_of_a_bound_that_is_not_an_integer(tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_text("# scores\nset1.score_max 3\nset1.score_min zero\n")
+    with pytest.raises(ValueError) as error:
+        load_set_metadata(path)
+    assert str(error.value) == f"{path}:3: invalid literal for int() with base 10: 'zero'"
+
+
 # ---------------------------------------------------------------------------
 # essay loading
 # ---------------------------------------------------------------------------
@@ -268,6 +276,18 @@ def test_load_essays_empty_text_flagged_degenerate(tmp_path):
     assert essays[0].degenerate
     assert essays[0].sentences == [[]]
     assert essays[0].tokens == []
+
+
+def test_load_essays_ends_rows_only_at_newlines(tmp_path):
+    # a form feed, \x85 or U+2028 in an essay's text is text, not a row's end
+    sets = load_set_metadata(write_metadata(tmp_path))
+    rows = ["1\t3\tPage one.\x0cPage two.\t2", "2\t3\tPlain text.\t1",
+            "3\t5\tFirst\x85second\u2028third.\t4", "4\t1\tA letter.\t8"]
+    essays, report = load_essays(write_essays(tmp_path, rows, header=False), sets)
+    assert report.rejected == [] and report.total_rows == 4
+    assert [essay.essay_id for essay in essays] == [1, 2, 3, 4]
+    assert essays[0].tokens == ["page", "one", ".", "page", "two", "."]
+    assert essays[2].tokens == ["first", "second", "third", "."]
 
 
 def test_load_essays_keeps_one_str_per_distinct_token(tmp_path):
@@ -378,6 +398,13 @@ def test_load_embeddings_rejects_ragged_dimensions(tmp_path):
     path = write_embeddings(tmp_path, ["apple 1 2 3", "banana 1 2"])
     with pytest.raises(ValueError, match=":2"):
         parse_embedding_file(path)
+
+
+def test_load_embeddings_names_the_line_of_a_value_that_is_not_a_number(tmp_path):
+    path = write_embeddings(tmp_path, ["apple 1 2", "banana 3 x"])
+    with pytest.raises(ValueError) as error:
+        parse_embedding_file(path)
+    assert str(error.value) == f"{path}:2: could not convert string to float: 'x'"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -56,7 +56,7 @@ from gazescore.gaze import (
 from gazescore.metrics import paired_t_test
 from gazescore.model import EssayScorer
 from gazescore.training import TrainingDiverged, dev_qwk, evaluate_breakdown, prepare_example
-from oracle import run_experiment
+from oracle import gaze_lists, run_experiment
 
 TOKENS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "blue"]
 
@@ -825,7 +825,8 @@ class TestExamplesFor:
         assert [ex.essay_id for ex in examples] == [9, 8, 7]
         assert examples[0].gaze_targets == {}
         for example, readers in ((examples[1], ("r1",)), (examples[2], ("r1", "r2"))):
-            gaze = {rid: sequences[example.essay_id][rid] for rid in readers}
+            lists = gaze_lists(sequences[example.essay_id], len(essays[example.essay_id].tokens))
+            gaze = {rid: lists[rid] for rid in readers}
             expected = prepare_example(replace(essays[example.essay_id], gaze=gaze), vocab)
             assert example.gaze_targets.keys() == expected.gaze_targets.keys()
             for attribute, (positions, values) in expected.gaze_targets.items():

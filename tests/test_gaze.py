@@ -36,6 +36,7 @@ from gazescore.gaze import (
     reader_stats,
 )
 from gazescore.training import prepare_example
+from oracle import gaze_lists
 
 
 def record(essay_id=1, reader="r1", ia=0, dt=100.0, ffd=80.0, ir=0, rc=1, skip=0):
@@ -289,7 +290,7 @@ def test_an_unplaceable_row_leaves_the_bins_as_they_were():
     expected, _ = bin_all(clean, reader_stats(clean, essays), essays)
     binned, diagnostics = bin_all(noisy, reader_stats(noisy, essays), essays)
     assert diagnostics == ["essay 1, reader r1: ia_index 7 out of range for 3 tokens"]
-    assert dict(binned[1]) == dict(expected[1])
+    assert gaze_lists(binned[1], 3) == gaze_lists(expected[1], 3)
 
 
 def test_statistics_over_no_row_place_no_row():
@@ -414,7 +415,7 @@ def test_bin_all_skip_chain():
     records = table([record(dt=100, ffd=80), skip_record(ia=1)])
     essays = {1: essay_with_tokens(1, 2)}
     sequences, _ = bin_all(records, reader_stats(records, essays), essays)
-    binned = sequences[1]["r1"][1]
+    binned = gaze_lists(sequences[1], 2)["r1"][1]
     assert binned.skip_bin == 1
     assert binned.dt_bin == 0
     assert binned.ffd_bin == 0
@@ -432,7 +433,7 @@ def test_bin_all_regression_unit_target():
     records = table([record(ir=1)])
     essays = {1: essay_with_tokens(1, 1)}
     sequences, _ = bin_all(records, reader_stats(records, essays), essays)
-    (binned,) = sequences[1]["r1"]
+    (binned,) = gaze_lists(sequences[1], 1)["r1"]
     assert binned.ir_bin == 1
     positions, values = training_targets({"r1": [binned]})["IR"]
     assert positions.tolist() == [0]
@@ -464,7 +465,7 @@ def test_bin_all_aligns_and_masks():
     stats = reader_stats(table(recs), essays)
     sequences, diagnostics = bin_all(table(recs), stats, essays)
     assert diagnostics == []
-    seq = sequences[1]["r1"]
+    seq = gaze_lists(sequences[1], 4)["r1"]
     assert len(seq) == 4
     assert seq[0] is not None and seq[2] is not None
     assert seq[1] is None and seq[3] is None
@@ -485,7 +486,7 @@ def test_bin_all_rejects_duplicates_and_unknowns():
     assert len(diagnostics) == 2
     assert any("duplicate" in d for d in diagnostics)
     assert any("no such essay" in d for d in diagnostics)
-    assert sequences[1]["r1"][0] is not None
+    assert gaze_lists(sequences[1], 3)["r1"][0] is not None
 
 
 def test_bin_all_per_reader_isolation():
@@ -496,10 +497,10 @@ def test_bin_all_per_reader_isolation():
     other_v1 = [record(reader="b", ia=0, dt=10, ffd=10)]
     other_v2 = [record(reader="b", ia=0, dt=5000, ffd=4000, rc=4)]
     first, second = table(mine + other_v1), table(mine + other_v2)
-    seq1, _ = bin_all(first, reader_stats(first, essays), essays)
-    seq2, _ = bin_all(second, reader_stats(second, essays), essays)
-    assert seq1[1]["a"] == seq2[1]["a"]
-    assert seq1[1]["b"] != seq2[1]["b"]
+    seq1 = gaze_lists(bin_all(first, reader_stats(first, essays), essays)[0][1], 2)
+    seq2 = gaze_lists(bin_all(second, reader_stats(second, essays), essays)[0][1], 2)
+    assert seq1["a"] == seq2["a"]
+    assert seq1["b"] != seq2["b"]
 
 
 
@@ -771,9 +772,13 @@ def test_bin_all_matches_the_per_record_loop(records, stats_readers):
     sequences, diagnostics = bin_all(table(records), stats, _BIN_ESSAYS)
     expected_sequences, expected_diagnostics = reference_bin_all(records, stats, _BIN_ESSAYS)
     assert diagnostics == expected_diagnostics
-    # same entries, in the same order, holding the same Python ints
-    assert repr([(e, list(g.items())) for e, g in sequences.items()]) == repr(
-        [(e, list(g.items())) for e, g in expected_sequences.items()])
+    # essays by id, and each essay's readers sorted
+    assert list(sequences) == sorted(sequences)
+    assert all(list(essay_gaze) == sorted(essay_gaze) for essay_gaze in sequences.values())
+    # same entries holding the same Python ints, compared per essay and per reader
+    lists = {e: gaze_lists(g, len(_BIN_ESSAYS[e].tokens)) for e, g in sequences.items()}
+    assert repr(sorted((e, sorted(g.items())) for e, g in lists.items())) == repr(
+        sorted((e, sorted(g.items())) for e, g in expected_sequences.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -792,19 +797,18 @@ def _binned_essays(records, stats_readers):
 @settings(max_examples=300, deadline=None)
 def test_bin_all_arrays_hold_the_labeled_tokens(records, stats_readers):
     for essay_id, essay_gaze in _binned_essays(records, stats_readers).items():
-        tokens = labeled(dict(essay_gaze))
+        tokens = labeled(gaze_lists(essay_gaze, len(_BIN_ESSAYS[essay_id].tokens)))
         assert essay_gaze.reader_ids() == [reader_id for reader_id, _, _ in tokens]
         assert essay_gaze.positions.tolist() == [position for _, position, _ in tokens]
         assert essay_gaze.bins.tolist() == [list(binned) for _, _, binned in tokens]
-        assert labeled(essay_gaze) == tokens
-        assert essay_gaze.n_tokens == len(_BIN_ESSAYS[essay_id].tokens)
 
 
 @given(records=_BIN_RECORDS, stats_readers=st.sets(st.sampled_from(["a", "b", "c"])))
 @settings(max_examples=200, deadline=None)
 def test_gaze_targets_of_the_arrays_are_those_of_the_lists_bit_for_bit(records, stats_readers):
-    for essay_gaze in _binned_essays(records, stats_readers).values():
-        from_arrays, from_lists = gaze_targets(essay_gaze), gaze_targets(dict(essay_gaze))
+    for essay_id, essay_gaze in _binned_essays(records, stats_readers).items():
+        from_arrays = gaze_targets(essay_gaze)
+        from_lists = gaze_targets(gaze_lists(essay_gaze, len(_BIN_ESSAYS[essay_id].tokens)))
         assert tuple(from_arrays) == tuple(from_lists) == GAZE_ATTRIBUTES
         for attribute in GAZE_ATTRIBUTES:
             for got, expected in zip(from_arrays[attribute], from_lists[attribute], strict=True):

@@ -11,7 +11,6 @@ from gazescore.model import (ARCHITECTURES, EVAL_SLICE, EssayScorer, ForwardOutp
 from gazescore.corpus import EssaySet
 from gazescore.numerics import Tensor, backward, zero_grads
 from gazescore.training import TrainConfig, TrainExample, multitask_loss, train
-from oracle import batch_graph
 
 TINY = dict(embedding_dim=4, conv_kernel=3, conv_filters=3, lstm_hidden=3,
             modeling_hidden=3, dropout=0.0, vocab_size=12)
@@ -170,11 +169,6 @@ def test_forward_batch_outputs_leave_the_graph_in_evaluation_only(architecture):
         assert direct.predicted_score._parents and direct.predicted_score._grad_fn is not None
         tensors = [out.predicted_score, *out.gaze_predictions.values()]
         assert len(tensors) == 3 and all(not t._parents for t in tensors)
-    trained = batch_graph(model, essays, np.random.default_rng(0))
-    assert isinstance(trained, list) and len(trained) == len(essays)
-    for out in trained:
-        tensors = [out.predicted_score, *out.gaze_predictions.values()]
-        assert len(tensors) == 3 and all(t._parents for t in tensors)
 
 
 @pytest.mark.parametrize("architecture", ARCHITECTURES)
