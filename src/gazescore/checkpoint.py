@@ -52,24 +52,30 @@ def load_checkpoint(path):
         header = fh.readline().split()
         if len(header) != 2 or header[0] != FORMAT_NAME:
             raise CheckpointError(f"{path}: not a {FORMAT_NAME} file")
-        if int(header[1]) != FORMAT_VERSION:
+        if not header[1].isdecimal() or int(header[1]) != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported version {header[1]}, expected {FORMAT_VERSION}")
         blocks = []  # (parameter line, its fields, the values after it as doubles)
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if line.startswith("param "):
                 blocks.append((line, line.split(), array("d")))
             elif blocks:
-                blocks[-1][2].fromlist([float(v) for v in line.split()])
+                try:
+                    blocks[-1][2].fromlist([float(v) for v in line.split()])
+                except ValueError as error:
+                    raise CheckpointError(f"{path}:{line_no}: {error}") from None
             elif line:
                 raise CheckpointError(f"{path}: values before any parameter header")
     arrays = {}  # every value was parsed as read; the blocks are checked in file order
     for line, fields, values in blocks:
-        if len(fields) < 4:
-            raise CheckpointError(f"{path}: malformed parameter header: {line!r}")
-        name, dtype, ndim = fields[1], np.dtype(fields[2]), int(fields[3])
-        shape = tuple(int(d) for d in fields[4:])
+        try:
+            name, dtype, ndim = fields[1], np.dtype(fields[2]), int(fields[3])
+            shape = tuple(int(d) for d in fields[4:])
+            if dtype.kind not in "biuf" or any(d < 0 for d in shape):  # values are numbers
+                raise ValueError("not a numeric array shape")
+        except (IndexError, TypeError, ValueError):
+            raise CheckpointError(f"{path}: malformed parameter header: {line!r}") from None
         if len(shape) != ndim:
             raise CheckpointError(f"{path}: dimension count mismatch in: {line!r}")
         if name in arrays:

@@ -136,7 +136,7 @@ def load_set_metadata(path):
 
     Recognized keys: set<id>.score_min, set<id>.score_max, set<id>.article
     (path to the source-article text, relative to the metadata file).
-    Lines starting with '#' and blank lines are ignored.
+    Lines starting with '#' and blank lines are ignored; a key may appear once.
     """
     import os
 
@@ -154,7 +154,10 @@ def load_set_metadata(path):
             if not m:
                 raise ValueError(f"{path}:{line_no}: unrecognized key {key!r}")
             set_id, prop = int(m.group(1)), m.group(2)
-            raw.setdefault(set_id, {})[prop] = value, line_no
+            props = raw.setdefault(set_id, {})
+            if prop in props:
+                raise ValueError(f"{path}:{line_no}: key {key!r} repeats line {props[prop][1]}")
+            props[prop] = value, line_no
 
     base = os.path.dirname(os.path.abspath(path))
     sets = {}

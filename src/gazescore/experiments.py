@@ -160,12 +160,10 @@ def load_folds(path):
     folds = []
     for fold_id in sorted(groups):
         roles = groups[fold_id]
-        folds.append(FoldSpec(
-            fold_id=fold_id,
-            train=tuple(roles["train"]),
-            dev=tuple(roles["dev"]),
-            test=tuple(roles["test"]),
-        ))
+        try:
+            folds.append(FoldSpec(fold_id, *(tuple(roles[role]) for role in FOLD_ROLES)))
+        except ValueError as error:
+            raise ValueError(f"{path}: fold {fold_id}: {error}") from None
     if not folds:
         raise ValueError(f"{path}: no folds found")
     return folds
@@ -208,6 +206,8 @@ class ExperimentConfig:
             if not math.isfinite(weight):
                 raise ValueError(f"gaze loss weight for {attribute} must be finite, "
                                  f"got {weight}")
+            if weight < 0:  # the loss would reward gaze error; 0 ablates the term
+                raise ValueError(f"gaze loss weight for {attribute} must be >= 0, got {weight}")
 
 
 @dataclass

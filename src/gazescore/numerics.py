@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: the essay-scoring models use dense matmul,
-broadcast arithmetic, 1-d convolution, attention softmaxes, a forward LSTM,
-dropout, row selection and mean-squared-error reduction; ``tensor_sum``
-and ``narrow`` serve the tests' reference compositions. ``OP_KINDS`` names
+1-d convolution, attention softmaxes, a forward LSTM, dropout and row
+selection; broadcast arithmetic (``add``, ``mul``), ``mse``, ``gather_rows``,
+``tensor_sum`` and ``narrow`` serve the tests' reference compositions, the
+batch graph's loss among them. ``OP_KINDS`` names
 every op, for the gradient oracle to check each one. Data is float64.
 
 Every operation returns a new ``Tensor`` that records its inputs and a
@@ -36,13 +37,11 @@ owns, and later ones are added into that buffer in place. A first
 contribution its op has just computed and holds nowhere else (``dense``'s
 and ``additive_attention``'s gradients into their inputs) is owned from the
 start, so the second is added into it without a third array. ``+=`` performs
-the same IEEE addition per element as ``a + b``. Ownership lasts for one
-``backward`` call: a gradient left from an earlier call may be held by the
-caller and is copied before it is written. A caller that holds none can pass
-``keep_owned``: the buffers then stay owned from ``zero_grads`` to the next,
-across the backward calls of one training step, so a step that runs one
-backward per essay adds into each parameter's gradient in place, as one
-backward over the batch would.
+the same IEEE addition per element as ``a + b``. Ownership lasts from
+``zero_grads`` to the next, across backward calls: a training step that runs
+one backward per essay adds into each parameter's gradient in place, as one
+backward over the batch would. A caller that keeps a leaf's gradient array
+across a later ``backward`` sees it change, so it copies the array to keep it.
 
 ``backward`` releases the graph as it replays it. Once a node's gradient
 has reached its parents, the node drops that function (the arrays it saved
@@ -120,7 +119,7 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._grad_fn = None
-        self._owns_grad = False  # grad is a buffer the running backward allocated
+        self._owns_grad = False  # grad is a buffer a backward since zero_grads allocated
         self._rows = None  # a leaf's queued (ids, row gradients), see _gather_grad
 
     def __repr__(self):
@@ -162,7 +161,7 @@ def _accumulate(tensor, grad, fresh=False):
 
 
 def _owned_grad(tensor):
-    """``tensor.grad`` as a buffer of this backward, safe to write in place."""
+    """``tensor.grad`` as a buffer the engine owns, safe to write in place."""
     _apply_rows(tensor)
     if not tensor._owns_grad:
         tensor.grad = (np.zeros_like(tensor.data) if tensor.grad is None
@@ -224,14 +223,13 @@ def _released(g):
                        "run the forward again to rebuild it")
 
 
-def backward(loss, keep_owned=False, hold=()):
+def backward(loss, hold=()):
     """Populate ``grad`` on every leaf tensor the scalar ``loss`` depends on.
 
     A leaf the loss does not reach keeps the gradient it had (``_fill_grads``
     gives zeros to those with none). Gradients accumulate, so call
-    ``zero_grads`` between steps. ``keep_owned`` says the caller holds no
-    leaf's gradient since ``zero_grads``, so buffers an earlier backward
-    allocated are added into in place rather than copied first.
+    ``zero_grads`` between steps; a buffer an earlier backward allocated is
+    added into in place.
 
     Nodes replay in the reverse of ``_topological_order(loss)``, so every
     sum adds its terms in that order. The graph is released as it replays:
@@ -251,9 +249,6 @@ def backward(loss, keep_owned=False, hold=()):
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     order = _topological_order(loss)
     order.reverse()
-    if not keep_owned:
-        for node in order:
-            node._owns_grad = False
     order, held = _split_held(order, hold) if hold else (order, [])
     loss.grad = np.ones_like(loss.data)
     _replay(order)

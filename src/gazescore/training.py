@@ -4,9 +4,11 @@ The loss couples a mean-squared score error over the batch with one
 weighted mean-squared gaze term per configured attribute. Gaze terms
 average over labeled (essay, reader, token) triples, so essays with more
 readers weigh proportionally to their label count. Attributes whose weight
-is zero are reported but kept out of the loss graph entirely; that makes a
-zero-weight run bit-identical to a run with no gaze loss at all, which the
-tests rely on.
+is zero are reported but add nothing to the loss or its gradient; that makes
+a zero-weight run bit-identical to a run with no gaze loss at all, which the
+tests rely on. ``multitask_loss`` computes the loss and its breakdown with
+numpy on the outputs' values; ``_labelled_rows`` says which gaze rows of an
+essay it reads, for the loss and for the gradient alike.
 
 A step builds one essay's graph at a time: each essay's backward runs as
 soon as its forward ends, seeded with that essay's share of the batch loss's
@@ -16,8 +18,8 @@ batch, whose backward runs after the last essay's; the nodes whose sums must
 follow it wait, and a waiting encoder keeps only its gradient. Every
 gradient equals, bit for bit, that of ``backward`` over one graph of the
 whole batch (the batch graph): the article encoded once, each essay's
-``forward`` on it, and ``multitask_loss`` over their outputs. The tests
-build that graph and check it.
+``forward`` on it, and the loss built from graph ops over their outputs.
+The tests build that graph (``tests/oracle.py``) and check it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from . import numerics as nm
 from .corpus import denormalize_score
 from .gaze import collector_paused, gaze_targets
 from .metrics import qwk
-from .model import ForwardOutput
 from .numerics import Tensor, backward, zero_grads
 from .optim import RMSProp, clip_global_norm
 
@@ -115,62 +116,57 @@ def prepare_example(essay, vocab, targets=None):
     )
 
 
-def multitask_loss(outputs, examples, weights):
-    """(loss Tensor, LossBreakdown) for one batch.
+def _labelled_rows(output, example, attribute):
+    """(predictions, rows, targets) of the gaze rows of ``attribute`` an
+    essay's loss reads, or None when there are none: the attribute must be
+    predicted and labelled, with at least one row. ``rows`` are the checked
+    token indices, ``predictions`` the (rows, 1) values at them and
+    ``targets`` the (rows, 1) labels."""
+    if attribute not in output.gaze_predictions or attribute not in example.gaze_targets:
+        return None
+    indices, values = example.gaze_targets[attribute]
+    if indices.size == 0:
+        return None
+    prediction = output.gaze_predictions[attribute].data
+    rows = nm._gather_ids("gather_rows", prediction, indices)
+    return prediction[rows], rows, np.asarray(values, dtype=np.float64).reshape(-1, 1)
 
-    ``outputs`` are ForwardOutput per example, in the same order. Gaze
-    terms with zero weight or no labeled tokens never enter the graph;
+
+def _mse(predictions, targets):
+    """The mean of the squared differences of the concatenated arrays."""
+    diff = np.concatenate(predictions) - np.concatenate(targets)
+    return float((diff * diff).mean())
+
+
+def multitask_loss(outputs, examples, weights):
+    """(loss, LossBreakdown) for one batch, from the outputs' values.
+
+    ``outputs`` are ForwardOutput per example, in the same order. The loss
+    is the score's MSE plus each gaze attribute's MSE over its labelled rows
+    times its weight, added in the order the attributes first appear in the
+    outputs. Gaze terms with zero weight or no labelled rows add nothing;
     their measured MSE is still reported in the breakdown.
     """
     if not examples:
         raise ValueError("multitask_loss: empty batch")
     if len(outputs) != len(examples):
         raise ValueError("multitask_loss: outputs and examples differ in length")
-    scores = nm.concat([out.predicted_score for out in outputs], axis=0)
-    score_targets = Tensor(
-        np.array([[ex.score_target] for ex in examples], dtype=np.float64))
-    score_mse = nm.mse(scores, score_targets)
-
-    attributes = []
-    for out in outputs:
-        for attribute in out.gaze_predictions:
-            if attribute not in attributes:
-                attributes.append(attribute)
-    gaze_mse_tensors = {}
-    gaze_counts = {}
-    for attribute in attributes:
-        prediction_parts = []
-        target_parts = []
-        for out, ex in zip(outputs, examples):
-            if attribute not in out.gaze_predictions or attribute not in ex.gaze_targets:
-                continue
-            indices, values = ex.gaze_targets[attribute]
-            if indices.size == 0:
-                continue
-            prediction_parts.append(nm.gather_rows(out.gaze_predictions[attribute], indices))
-            target_parts.append(values)
-        count = int(sum(p.data.shape[0] for p in prediction_parts))
-        gaze_counts[attribute] = count
-        if count == 0:
-            continue
-        stacked = nm.concat(prediction_parts, axis=0)
-        targets = Tensor(np.concatenate(target_parts).reshape(-1, 1))
-        gaze_mse_tensors[attribute] = nm.mse(stacked, targets)
-
+    score_mse = _mse([out.predicted_score.data for out in outputs],
+                     [np.array([[ex.score_target]], dtype=np.float64) for ex in examples])
     loss = score_mse
-    for attribute, mse_tensor in gaze_mse_tensors.items():
-        weight = weights.get(attribute, 0.0)
-        if weight != 0.0:
-            loss = nm.add(loss, nm.mul(mse_tensor, Tensor(np.asarray(weight))))
-
-    gaze_mse = {a: (float(gaze_mse_tensors[a].data) if a in gaze_mse_tensors else 0.0)
-                for a in attributes}
-    breakdown = LossBreakdown(
-        score_mse=float(score_mse.data),
-        gaze_mse=gaze_mse,
-        gaze_token_counts=gaze_counts,
-    )
-    return loss, breakdown
+    gaze_mse, gaze_counts = {}, {}
+    for attribute in dict.fromkeys(a for out in outputs for a in out.gaze_predictions):
+        parts = [_labelled_rows(out, ex, attribute) for out, ex in zip(outputs, examples)]
+        parts = [part for part in parts if part is not None]
+        gaze_counts[attribute] = sum(len(rows) for _, rows, _ in parts)
+        gaze_mse[attribute] = 0.0
+        if parts:
+            gaze_mse[attribute] = _mse([p for p, _, _ in parts], [t for _, _, t in parts])
+            weight = float(weights.get(attribute, 0.0))
+            if weight != 0.0:
+                loss = loss + gaze_mse[attribute] * weight
+    return loss, LossBreakdown(score_mse=score_mse, gaze_mse=gaze_mse,
+                               gaze_token_counts=gaze_counts)
 
 
 @dataclass
@@ -260,9 +256,9 @@ def _aggregate_epoch(batch_breakdowns, batch_sizes):
 
 
 def _essay_root(output, example, score_coeff, terms):
-    """(node, finite): ``_seeded``'s node that gives one essay's outputs its
-    share of the gradient ``multitask_loss`` over the batch gives them, and
-    whether every seed is finite.
+    """(node, finite): ``_seeded``'s node that gives one essay's outputs their
+    share of the gradient the batch's loss gives them, and whether every seed
+    is finite.
 
     Each seed is mse's input gradient: the score's with 2 / batch size, and
     each weighted gaze term's, in ``terms``' (attribute, the loss's gradient
@@ -273,14 +269,11 @@ def _essay_root(output, example, score_coeff, terms):
     seeds = [(output.predicted_score,
               nm._mse_grad(1.0, score_coeff, output.predicted_score.data - target), None)]
     for attribute, g, coeff in terms:
-        if attribute not in output.gaze_predictions or attribute not in example.gaze_targets:
-            continue
-        indices, values = example.gaze_targets[attribute]
-        if indices.size:
-            prediction = output.gaze_predictions[attribute]
-            rows = nm._gather_ids("gather_rows", prediction.data, indices)
-            diff = prediction.data[rows] - np.asarray(values, dtype=np.float64).reshape(-1, 1)
-            seeds.append((prediction, nm._mse_grad(g, coeff, diff), rows))
+        labelled = _labelled_rows(output, example, attribute)
+        if labelled is not None:
+            predictions, rows, targets = labelled
+            seeds.append((output.gaze_predictions[attribute],
+                          nm._mse_grad(g, coeff, predictions - targets), rows))
     return nm._seeded(seeds), all(np.isfinite(grad).all() for _, grad, _ in seeds)
 
 
@@ -347,10 +340,10 @@ class _EssayBackward:
         if self._article is not None and essay == self._last:
             self._run_last(root)
         elif self._turns[self._next] == turn:
-            backward(root, keep_owned=True)
+            backward(root)
             self._next += 1
         else:
-            self._held[turn] = backward(root, keep_owned=True, hold=self._encoders)
+            self._held[turn] = backward(root, hold=self._encoders)
         while self._next < len(self._turns) and self._turns[self._next] in self._held:
             nm._replay(self._held.pop(self._turns[self._next]))
             self._next += 1
@@ -361,8 +354,7 @@ class _EssayBackward:
         article_order = nm._topological_order(states)
         # what the gaze heads, the root's parents after the score, reach
         gaze = set(map(id, nm._topological_order(*root._parents[1:])))
-        held = backward(root, keep_owned=True,
-                        hold=[node for node in article_order if node._grad_fn is None])
+        held = backward(root, hold=[node for node in article_order if node._grad_fn is None])
         self._held[score_turn] = [node for node in held if id(node) not in gaze]
         if self._ranks[self._last]:
             self._held[(self._ranks[self._last], self._last)] = [
@@ -395,8 +387,9 @@ def _loss_terms(model, batch, weights):
 
 def _forward_backward_by_essay(model, batch, weights, rng):
     """Each essay's forward, then at once its backward from ``_essay_root``
-    through ``_EssayBackward``; returns (each essay's output values, the
-    ``_EssayBackward``, whose ``finish`` the caller runs after its loss check).
+    through ``_EssayBackward``; returns (the essays' outputs, whose released
+    nodes keep their values, and the ``_EssayBackward``, whose ``finish`` the
+    caller runs after its loss check).
 
     The article and the essays take the dropout draws the batch graph
     takes: the article's first, then each essay's, in batch order. Every
@@ -407,14 +400,11 @@ def _forward_backward_by_essay(model, batch, weights, rng):
     states = model.encode_article(rng)
     article = None if states is None else Tensor(states.data, requires_grad=True)
     essays = _EssayBackward(model, ranks, None if states is None else (states, article))
-    values = []
+    outputs = []
     for essay, ex in enumerate(batch):
-        output = model.forward(ex.sentence_ids, rng, article=article)
-        essays.add(essay, *_essay_root(output, ex, 2.0 / len(batch), terms))
-        values.append(ForwardOutput(
-            Tensor(output.predicted_score.data),
-            {a: Tensor(p.data) for a, p in output.gaze_predictions.items()}))
-    return values, essays
+        outputs.append(model.forward(ex.sentence_ids, rng, article=article))
+        essays.add(essay, *_essay_root(outputs[-1], ex, 2.0 / len(batch), terms))
+    return outputs, essays
 
 
 def _batch_gradients(model, params, batch, weights, rng, epoch, batch_index):
@@ -431,7 +421,7 @@ def _batch_gradients(model, params, batch, weights, rng, epoch, batch_index):
     zero_grads(params)
     outputs, essays = _forward_backward_by_essay(model, batch, weights, rng)
     loss, breakdown = multitask_loss(outputs, batch, weights)
-    if not math.isfinite(float(loss.data)):
+    if not math.isfinite(loss):
         raise TrainingDiverged(epoch, batch_index, _param_norms(model))
     essays.finish()
     nm._fill_grads(params)

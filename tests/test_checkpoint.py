@@ -110,10 +110,30 @@ def test_any_saved_arrays_load_back_bit_for_bit(arrays):
     ("\n1 2\nparam w float64 1 2\n1 2\n", "values before any parameter header"),
     # blocks are checked in file order: the first fault is the one reported
     ("param w float64 1 3\n1 2\nparam v float64\n", "parameter 'w' has 2 values, expected 3"),
-], ids=["malformed_param_line", "dimension_count", "values_before_header", "first_fault"])
+    ("param w bogus 1 1\n1\n", "malformed parameter header: 'param w bogus 1 1'"),
+    ("param w float64 x 1\n1\n", "malformed parameter header: 'param w float64 x 1'"),
+    ("param w float64 1 1.5\n1\n", "malformed parameter header: 'param w float64 1 1.5'"),
+    ("param w float64 2 -1 -1\n1\n", "malformed parameter header: 'param w float64 2 -1 -1'"),
+    ("param w V8 1 1\n1\n", "malformed parameter header: 'param w V8 1 1'"),
+    ("param w U5 1 1\n1\n", "malformed parameter header: 'param w U5 1 1'"),
+], ids=["malformed_param_line", "dimension_count", "values_before_header", "first_fault",
+        "dtype", "ndim", "dim", "negative_dim", "void_dtype", "str_dtype"])
 def test_malformed_file_names_its_first_fault(tmp_path, body, message):
     path = tmp_path / "m.ckpt"
     path.write_text("gazescore-checkpoint 1\n" + body)
     with pytest.raises(CheckpointError) as raised:
         load_checkpoint(path)
     assert str(raised.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gazescore-checkpoint x\n", ": unsupported version x, expected 1"),
+    ("gazescore-checkpoint 1\nparam w float64 1 2\n1 zz\n",
+     ":3: could not convert string to float: 'zz'"),
+], ids=["version", "value"])
+def test_an_unparsable_number_raises_a_checkpoint_error_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "m.ckpt"
+    path.write_text(text)
+    with pytest.raises(CheckpointError) as raised:
+        load_checkpoint(path)
+    assert str(raised.value) == f"{path}{message}"

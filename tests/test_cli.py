@@ -527,6 +527,17 @@ class TestPreprocess:
         assert "empty input file" in err
         assert str(empty) in err
 
+    def test_a_repeated_set_metadata_key_exits_one_naming_its_line(self, data_dir, tmp_path,
+                                                                    capsys):
+        metadata = tmp_path / "sets.cfg"
+        metadata.write_text("set1.score_min 0\nset1.score_max 3\nset1.score_max 12\n")
+        code = main(["preprocess", "--out", str(tmp_path / "out"),
+                     "--set", "essays=" + str(data_dir / "essays.tsv"),
+                     "--set", "set_metadata=" + str(metadata)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {metadata}:3: key 'set1.score_max' repeats line 2\n"
+
     def test_missing_input_exits_nonzero(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["preprocess", "--out", str(out),
@@ -974,6 +985,21 @@ class TestRun:
             captured = capsys.readouterr()
             assert captured.err == f"error: gaze loss weight for DT must be finite, got {value}\n"
             assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
+
+    @pytest.mark.parametrize("command, pair, value", [("run", "gaze_weight_DT=-0.05", "-0.05"),
+                                                      ("gridsearch", "grid=0.05,-1", "-1.0")])
+    def test_negative_gaze_weight_rejected_before_any_cell(self, command, pair, value,
+                                                           data_dir, prep_dir, set1_gaze_dir,
+                                                           tmp_path, capsys):
+        records = "records_clean=" + str(set1_gaze_dir / "records_clean.csv")
+        out = tmp_path / "out"
+        args = run_args(data_dir, prep_dir, out, "essays_gaze", records,
+                        "gaze_attributes=DT", pair)
+        args[0] = command
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: gaze loss weight for DT must be >= 0, got {value}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolved.cfg"]
 
     def test_essays_gaze_augments_with_pool(self, data_dir, prep_dir,
                                             pool_gaze_dir, tmp_path):

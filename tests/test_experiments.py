@@ -247,6 +247,18 @@ class TestFoldFiles:
         with pytest.raises(ValueError, match="must be integers"):
             load_folds(path)
 
+    @pytest.mark.parametrize("lines, reason", [
+        ("0,train,1\n0,dev,2\n0,test,3\n2,train,4\n2,test,5\n",
+         "fold 2: every fold role needs at least one essay"),
+        ("0,train,1\n0,dev,2\n0,test,1\n", "fold 0: essay 1 appears in two fold roles"),
+    ], ids=["missing_role", "two_roles"])
+    def test_a_bad_fold_names_the_file_and_the_fold(self, tmp_path, lines, reason):
+        path = tmp_path / "set_3.txt"
+        path.write_text(lines)
+        with pytest.raises(ValueError) as error:
+            load_folds(path)
+        assert str(error.value) == f"{path}: {reason}"
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -304,6 +316,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"gaze loss weight for DT must be finite"):
             ExperimentConfig(system="essays_gaze", target_sets=(1,), gaze_attributes=("DT",),
                              gaze_loss_weights={"DT": weight})
+
+    @pytest.mark.parametrize("weight", [-0.05, -1e-300])
+    def test_negative_weight_rejected_and_zero_kept(self, weight):
+        # a negative weight would make the loss reward gaze error
+        with pytest.raises(ValueError) as error:
+            ExperimentConfig(system="essays_gaze", target_sets=(1,), gaze_attributes=("DT",),
+                             gaze_loss_weights={"DT": weight})
+        assert str(error.value) == f"gaze loss weight for DT must be >= 0, got {weight}"
+        ExperimentConfig(system="essays_gaze", target_sets=(1,), gaze_attributes=("DT",),
+                         gaze_loss_weights={"DT": 0.0})
 
     def test_default_weights_match_published_values(self):
         assert DEFAULT_GAZE_WEIGHTS == {

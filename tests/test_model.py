@@ -10,7 +10,8 @@ from gazescore.model import (ARCHITECTURES, EVAL_SLICE, EssayScorer, ForwardOutp
                              ModelConfig)
 from gazescore.corpus import EssaySet
 from gazescore.numerics import Tensor, backward, zero_grads
-from gazescore.training import TrainConfig, TrainExample, multitask_loss, train
+from gazescore.training import TrainConfig, TrainExample, train
+from oracle import batch_loss
 
 TINY = dict(embedding_dim=4, conv_kernel=3, conv_filters=3, lstm_hidden=3,
             modeling_hidden=3, dropout=0.0, vocab_size=12)
@@ -474,7 +475,7 @@ def test_fused_lstm_gradients_match_per_gate_reference_bitwise(architecture):
     for model in reference_pair(architecture):
         rng = np.random.default_rng(4)
         outputs = [model.forward(ex.sentence_ids, rng=rng) for ex in examples]
-        loss, _ = multitask_loss(outputs, examples, dict(model.config.gaze_loss_weights))
+        loss, _ = batch_loss(outputs, examples, dict(model.config.gaze_loss_weights))
         backward(loss)
         nm._fill_grads(model.parameters())
         scores.append([out.predicted_score.data for out in outputs])
@@ -524,7 +525,7 @@ def test_shared_article_gradients_match_per_essay_encoding(architecture):
         else:  # the reference: every essay encodes its own copy of the article
             outputs = [model.forward(ex.sentence_ids, rng=rng, article=own_article(model, rng))
                        for ex in examples]
-        loss, _ = multitask_loss(outputs, examples, weights)
+        loss, _ = batch_loss(outputs, examples, weights)
         backward(loss)
         nm._fill_grads(model.parameters())
         scores.append([out.predicted_score.data for out in outputs])

@@ -19,8 +19,7 @@ from gazescore import numerics as nm
 from gazescore import training
 from gazescore.model import ARCHITECTURES
 from gazescore.numerics import Tensor
-from gazescore.training import multitask_loss
-from oracle import batch_graph
+from oracle import batch_graph, batch_loss
 from test_acceptance import OP_INSTANCES, _model_loss_case
 from test_fused import WEIGHTS, mixed_examples, model_pair
 
@@ -64,7 +63,7 @@ def test_a_model_instance_of_the_gradient_oracle_replays_in_the_reference_order(
         for model in model_pair(architecture):
             outputs = batch_graph(model, [ex.sentence_ids for ex in examples],
                                   np.random.default_rng(5))
-            loss, _ = multitask_loss(outputs, examples, model.config.gaze_loss_weights)
+            loss, _ = batch_loss(outputs, examples, model.config.gaze_loss_weights)
             assert len(nm._topological_order(loss)) > 100
             assert_backward_replays_the_reference_order(loss)
 
@@ -80,13 +79,13 @@ def partly_labelled(examples):
 
 def assert_step_gives_the_batch_graphs_gradients(model, examples, weights):
     """A training step's gradients and breakdown on ``examples``, one essay's
-    graph at a time, against backward(multitask_loss(batch_graph(...))), bit for bit."""
+    graph at a time, against backward(batch_loss(batch_graph(...))), bit for bit."""
     params = model.parameters()
     breakdown = training._batch_gradients(model, params, examples, weights,
                                           np.random.default_rng(5), 1, 0)
     by_essay = {name: p.grad for name, p in model.named_parameters().items()}
     outputs = batch_graph(model, [ex.sentence_ids for ex in examples], np.random.default_rng(5))
-    loss, expected = multitask_loss(outputs, examples, weights)
+    loss, expected = batch_loss(outputs, examples, weights)
     nm.zero_grads(params)
     nm.backward(loss)
     nm._fill_grads(params)

@@ -556,21 +556,6 @@ def test_add_shares_its_gradient_and_a_later_contribution_leaves_it_alone():
     np.testing.assert_array_equal(a.grad, w + w * k)
 
 
-def test_gradient_held_from_an_earlier_backward_is_not_written():
-    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-
-    def loss():  # two contributions, so x.grad is a buffer backward allocated
-        return nm.tensor_sum(nm.add(nm.mul(x, Tensor(np.array([3.0, 5.0]))),
-                                    nm.mul(x, Tensor(np.array([-1.0, 2.0])))))
-
-    backward(loss())
-    held = x.grad
-    first = held.copy()
-    backward(loss())
-    np.testing.assert_array_equal(held, first)
-    np.testing.assert_array_equal(x.grad, 2 * first)
-
-
 def test_second_backward_through_a_released_graph_raises_and_keeps_leaf_gradients():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     w = Tensor(np.array([0.5, 3.0]), requires_grad=True)

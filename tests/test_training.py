@@ -9,13 +9,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazescore import numerics
 from gazescore import training as training_module
 from gazescore.corpus import Essay, EssaySet, Vocabulary, build_vocab, denormalize_score
 from gazescore.gaze import BinnedGaze, collector_paused
 from gazescore.metrics import qwk
-from gazescore.model import ARCHITECTURES, EssayScorer, ModelConfig
+from gazescore.model import ARCHITECTURES, EssayScorer, ForwardOutput, ModelConfig
 from gazescore.numerics import Tensor, backward, zero_grads
 from gazescore.optim import RMSProp
 from gazescore.training import (
@@ -31,7 +33,7 @@ from gazescore.training import (
     prepare_example,
     train,
 )
-from oracle import batch_graph
+from oracle import batch_graph, batch_loss
 
 SETS = {3: EssaySet(3, 0, 3)}
 TINY = dict(embedding_dim=4, conv_kernel=3, conv_filters=3, lstm_hidden=3,
@@ -117,7 +119,7 @@ def test_loss_score_only_half_prediction():
     example.score_target = 1.0
     outputs = [model.forward(example.sentence_ids)]
     loss, breakdown = multitask_loss(outputs, [example], {})
-    assert float(loss.data) == pytest.approx(0.25)
+    assert loss == pytest.approx(0.25)
     assert breakdown.score_mse == pytest.approx(0.25)
     assert sum(breakdown.gaze_token_counts.values()) == 0
 
@@ -127,7 +129,7 @@ def test_loss_without_gaze_labels_equals_score_mse():
     examples = make_examples(3)  # no gaze targets attached
     outputs = [model.forward(ex.sentence_ids) for ex in examples]
     loss, breakdown = multitask_loss(outputs, examples, {"DT": 0.5})
-    assert float(loss.data) == pytest.approx(breakdown.score_mse)
+    assert loss == pytest.approx(breakdown.score_mse)
     assert breakdown.gaze_mse["DT"] == 0.0
 
 
@@ -141,7 +143,7 @@ def test_loss_perfect_predictions_vanish():
     loss, breakdown = multitask_loss([out], [example], {"DT": 0.5})
     assert breakdown.score_mse == pytest.approx(0.0, abs=1e-18)
     assert breakdown.gaze_mse["DT"] == pytest.approx(0.0, abs=1e-18)
-    assert float(loss.data) == pytest.approx(0.0, abs=1e-18)
+    assert loss == pytest.approx(0.0, abs=1e-18)
 
 
 def test_loss_weighted_total_identity():
@@ -150,8 +152,7 @@ def test_loss_weighted_total_identity():
     outputs = [model.forward(ex.sentence_ids) for ex in examples]
     weights = {"DT": 0.05}
     loss, breakdown = multitask_loss(outputs, examples, weights)
-    assert float(loss.data) == pytest.approx(
-        breakdown.score_mse + 0.05 * breakdown.gaze_mse["DT"])
+    assert loss == pytest.approx(breakdown.score_mse + 0.05 * breakdown.gaze_mse["DT"])
 
 
 def test_loss_rejects_empty_batch():
@@ -177,11 +178,66 @@ def test_loss_batch_composition_invariance():
     assert union.gaze_token_counts["DT"] == tokens_a + tokens_b
 
 
+GAZE = ("DT", "FFD", "Skip")
+
+
+def random_outputs(data):
+    """(outputs, examples, weights) of a random batch: essays with no tokens
+    (so no gaze predictions), unlabelled ones and ones labelled for some of the
+    predicted attributes, rows that repeat, weights 0 or not, and at times a
+    nan prediction."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    predicted = data.draw(st.lists(st.sampled_from(GAZE), unique=True))
+    outputs, examples = [], []
+    for k in range(data.draw(st.integers(1, 8))):
+        n_tokens = data.draw(st.integers(0, 6))
+        labels = data.draw(st.sets(st.sampled_from(GAZE))) if n_tokens else set()
+        outputs.append(ForwardOutput(
+            Tensor(rng.random((1, 1))),
+            {a: Tensor(rng.random((n_tokens, 1))) for a in predicted if n_tokens}))
+        targets = {}
+        for attribute in sorted(labels):
+            idx = np.sort(rng.integers(0, n_tokens, size=data.draw(st.integers(0, 2 * n_tokens))))
+            targets[attribute] = (idx, rng.random(idx.size))
+        examples.append(TrainExample(essay_id=k, set_id=3, sentence_ids=[[2]] * max(n_tokens, 1),
+                                     score_target=rng.random(), raw_score=0,
+                                     gaze_targets=targets))
+    if data.draw(st.booleans()):
+        out = outputs[data.draw(st.integers(0, len(outputs) - 1))]
+        array = data.draw(st.sampled_from([out.predicted_score,
+                                           *out.gaze_predictions.values()])).data
+        if array.size:
+            array[data.draw(st.integers(0, array.size - 1)), 0] = np.nan
+    weights = data.draw(st.fixed_dictionaries(
+        {}, optional={a: st.sampled_from([0.0, 0.05, 0.5, 1.0]) for a in GAZE}))
+    return outputs, examples, weights
+
+
+def same_bits(a, b):
+    """Whether two floats hold the same bits, or are both nan."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_loss_on_values_equals_the_batch_graphs_loss_bitwise(data):
+    outputs, examples, weights = random_outputs(data)
+    loss, breakdown = multitask_loss(outputs, examples, weights)
+    graph_loss, expected = batch_loss(outputs, examples, weights)
+    assert isinstance(loss, float)
+    if math.isfinite(loss) or math.isfinite(float(graph_loss.data)):
+        assert np.float64(loss).tobytes() == graph_loss.data.tobytes()
+    assert same_bits(breakdown.score_mse, expected.score_mse)
+    assert list(breakdown.gaze_mse) == list(expected.gaze_mse)
+    assert all(same_bits(breakdown.gaze_mse[a], expected.gaze_mse[a]) for a in expected.gaze_mse)
+    assert breakdown.gaze_token_counts == expected.gaze_token_counts
+
+
 def test_zero_weight_terms_stay_out_of_the_graph():
     model = tiny_model(gaze=("DT",))
     examples = make_examples(2, with_gaze=True)
     outputs = [model.forward(ex.sentence_ids) for ex in examples]
-    loss, breakdown = multitask_loss(outputs, examples, {"DT": 0.0})
+    loss, breakdown = batch_loss(outputs, examples, {"DT": 0.0})
     assert breakdown.gaze_mse["DT"] > 0.0  # still measured
     params = model.parameters()
     zero_grads(params)
@@ -508,28 +564,29 @@ def test_train_encodes_the_article_once_per_batch_and_per_evaluation_pass():
 
 
 def test_train_frees_each_batch_graph_before_the_next_forward(monkeypatch):
-    # a batch's loss (and so its graph) must be gone before the next batch,
-    # or the next dev pass, encodes the article
+    # every essay's root (and so its graph) must be gone before the next
+    # batch, or the next dev pass, encodes the article
     model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture="co_attention",
                        dropout=0.5)
-    losses = []
+    roots = []
+    essay_root = training_module._essay_root
 
-    def recording_loss(outputs, examples, weights):
-        loss, breakdown = multitask_loss(outputs, examples, weights)
-        losses.append(weakref.ref(loss.data))
-        return loss, breakdown
+    def recording_root(*args):
+        root, finite = essay_root(*args)
+        roots.append(weakref.ref(root.data))
+        return root, finite
 
     encode_article = model.encode_article
 
     def checking(rng=None):
-        assert all(ref() is None for ref in losses), "an earlier batch's graph is alive"
+        assert all(ref() is None for ref in roots), "an earlier batch's graph is alive"
         return encode_article(rng)
 
-    monkeypatch.setattr(training_module, "multitask_loss", recording_loss)
+    monkeypatch.setattr(training_module, "_essay_root", recording_root)
     model.encode_article = checking
     train(model, make_examples(6, with_gaze=True), make_examples(2, seed=9, base=900),
           TrainConfig(batch_size=2, epochs=2, seed=0), SETS)
-    assert len(losses) == 6
+    assert len(roots) == 12
 
 
 def test_evaluate_breakdown_scores_without_a_graph():
@@ -571,7 +628,7 @@ def test_training_forward_after_an_evaluation_pass_records_every_gradient(archit
             dev_qwk(model, make_examples(2, seed=9, base=900), SETS)
         outputs = batch_graph(model, [ex.sentence_ids for ex in examples],
                               np.random.default_rng(0))
-        loss, _ = multitask_loss(outputs, examples, {"DT": 0.5})
+        loss, _ = batch_loss(outputs, examples, {"DT": 0.5})
         assert loss._grad_fn is not None
         zero_grads(model.parameters())
         backward(loss)
@@ -690,7 +747,7 @@ def test_backward_releases_the_batch_graph_and_parameters_keep_their_gradients(a
                        dropout=0.5)
     examples = make_examples(4, with_gaze=True)
     outputs = batch_graph(model, [ex.sentence_ids for ex in examples], np.random.default_rng(0))
-    loss, _ = multitask_loss(outputs, examples, {"DT": 0.5})
+    loss, _ = batch_loss(outputs, examples, {"DT": 0.5})
     interior = [node for node in numerics._topological_order(loss) if node._grad_fn is not None]
     assert len(interior) > 10
     backward(loss)
@@ -703,7 +760,7 @@ def test_backward_releases_the_batch_graph_and_parameters_keep_their_gradients(a
 def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchmark_batch):
     # one essay's graph as a training step builds it, on the benchmark's first
     # 10 train essays: the essay's forward (co-attention's on the article's
-    # stand-in leaf), its _essay_root and backward(root, keep_owned=True), each
+    # stand-in leaf), its _essay_root and backward(root), each
     # measured from just before its forward. Backward frees each node's saved
     # arrays as it passes them, so its peak is 2.22x (self-attention) and
     # 1.96x (co-attention) of the 0.40 and 0.45 MB the forward left; releasing
@@ -730,7 +787,7 @@ def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchma
                 root = training_module._essay_root(output, example, 2.0 / len(batch), terms)[0]
                 held = tracemalloc.get_traced_memory()[0] - before
                 tracemalloc.reset_peak()
-                backward(root, keep_owned=True)
+                backward(root)
                 peak = tracemalloc.get_traced_memory()[1] - before
                 del output, root
                 if essay >= 2:
