@@ -86,6 +86,7 @@ from .gaze import (
     filter_readers,
     load_gaze_records,
     load_reader_metadata,
+    note_first_line,
     reader_stats,
 )
 from .model import ModelConfig
@@ -780,19 +781,22 @@ def load_run_directory(run_dir):
             raise CliError(f"cannot read run file: {path}")
     with open(manifest_path, encoding="utf-8") as fh, _fields_of(manifest_path):
         seed = _json_object(manifest_path, _json_load(manifest_path, fh), "the top level")["seed"]
-    predictions = {}
+    predictions, lines = {}, {}
     with csv_rows(predictions_path, csv.DictReader) as rows, _fields_of(predictions_path):
         for row in rows:
             set_id, fold_id, essay_id, *outcome = _parsed_cells(
                 predictions_path, rows, row, _PREDICTION_PARSERS).values()
+            note_first_line(predictions_path, rows, lines, (set_id, fold_id, essay_id),
+                            f"set {set_id} fold {fold_id} essay {essay_id}")
             predictions.setdefault((set_id, fold_id), {})[essay_id] = Prediction(*outcome)
-    results = []
+    results, lines = [], {}
     system = None
     with csv_rows(report_path, csv.DictReader) as rows, _fields_of(report_path):
         for row in rows:
             scalars = _parsed_cells(report_path, rows, row, {"system": str, **_REPORT_PARSERS})
             system = scalars.pop("system")
             key = (scalars["set_id"], scalars["fold_id"])
+            note_first_line(report_path, rows, lines, key, f"set {key[0]} fold {key[1]}")
             results.append(FoldResult(**scalars, test_predictions=predictions.get(key, {})))
     if not results:
         raise CliError(f"no fold results in {report_path}")

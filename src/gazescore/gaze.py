@@ -168,6 +168,15 @@ def csv_rows(path, reader=csv.reader):
             raise ValueError(f"{path}: malformed CSV ({error})") from None
 
 
+def note_first_line(path, reader, lines, key, label):
+    """Note in ``lines`` ({key: line}) that the row of CSV file ``path`` that
+    ``reader`` just read holds ``key``; a key an earlier row held raises a
+    ValueError naming both lines, the row by ``label``."""
+    if key in lines:
+        raise ValueError(f"{path}:{reader.line_num}: {label} repeats line {lines[key]}")
+    lines[key] = reader.line_num
+
+
 @collector_paused()
 def load_gaze_records(path):
     """Parse the gaze CSV into (GazeTable, GazeLoadReport).
@@ -278,19 +287,21 @@ def load_reader_metadata(path):
     """The frozenset of the ids of the native readers of a reader metadata CSV.
 
     The CSV has at least the columns reader_id and native; native is true
-    when it reads 1, true or yes, in any case.
+    when it reads 1, true or yes, in any case. A reader listed twice raises.
     """
     with csv_rows(path, csv.DictReader) as reader:
         for required in ("reader_id", "native"):
             if required not in (reader.fieldnames or []):
                 raise ValueError(f"{path}: missing column {required!r}")
-        native = []
+        native, lines = [], {}
         for row in reader:
             for column in ("reader_id", "native"):
                 if row[column] is None:  # the row ends before the column
                     raise ValueError(f"{path}: line {reader.line_num} has no {column} cell")
+            reader_id = row["reader_id"].strip()
+            note_first_line(path, reader, lines, reader_id, f"reader {reader_id!r}")
             if row["native"].strip().lower() in ("1", "true", "yes"):
-                native.append(row["reader_id"].strip())
+                native.append(reader_id)
         return frozenset(native)
 
 

@@ -52,17 +52,13 @@ tensor ends with ``.grad`` None. A released graph cannot be replayed: a
 second ``backward`` through it, or through an op fed one of its interior
 tensors, raises. Dropout masks are kept as bool arrays, 1 byte an entry.
 
-Row gradients into a leaf (``gather_rows`` or ``encode_tokens`` on the
-embedding) wait in a queue on the leaf. ``backward`` scatters the queue
-when it pops the leaf, after every node that reads the leaf is released, so
-the dense table gradient is allocated once most of the graph is freed. A
-dense contribution to the same leaf scatters the queue first, and a
-backward that raises scatters what is queued before it returns: no queue
-outlives a backward. Each call's rows are summed into the distinct rows it
-read, each row's terms from 0 in the order ``np.add.at`` on a dense table
-would add them, and the calls' sums are added in replay order; rows no call
-read are left untouched rather than given + 0.0. An interior table's rows
-are written at once.
+Row gradients (``gather_rows``, ``encode_tokens`` and ``_seeded`` into a
+table) go into the table's gradient as each call computes them, in replay
+order, like every other contribution (``_scatter_rows``). Each call's rows
+are summed into the distinct rows it read, each row's terms from 0 in the
+order ``np.add.at`` on a dense table would add them, and that sum is added
+into those rows; rows no call read are left untouched rather than given
++ 0.0.
 ``lstm`` runs a whole forward LSTM as one node, its time loop inside the
 op as ``conv1d`` keeps its kernel loop; forward and backward evaluate the
 same expressions, in the same order, as the per-step composition of
@@ -110,7 +106,7 @@ class ShapeError(ValueError):
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_grad_fn",
-                 "_owns_grad", "_rows")
+                 "_owns_grad")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -120,7 +116,6 @@ class Tensor:
         self._parents = ()
         self._grad_fn = None
         self._owns_grad = False  # grad is a buffer a backward since zero_grads allocated
-        self._rows = None  # a leaf's queued (ids, row gradients), see _gather_grad
 
     def __repr__(self):
         label = f" name={self.name!r}" if self.name else ""
@@ -149,7 +144,6 @@ def _accumulate(tensor, grad, fresh=False):
     other tensor holds, which later contributions may then add into in place."""
     if not tensor.requires_grad:
         return
-    _apply_rows(tensor)
     if tensor.grad is None:
         tensor.grad = grad
         tensor._owns_grad = fresh
@@ -162,7 +156,6 @@ def _accumulate(tensor, grad, fresh=False):
 
 def _owned_grad(tensor):
     """``tensor.grad`` as a buffer the engine owns, safe to write in place."""
-    _apply_rows(tensor)
     if not tensor._owns_grad:
         tensor.grad = (np.zeros_like(tensor.data) if tensor.grad is None
                        else tensor.grad.copy())
@@ -277,18 +270,13 @@ def _replay(order):
     with their gradients in place (``backward``'s held nodes), releasing
     each; the list is emptied, so it holds no node that has run."""
     order.reverse()
-    try:
-        while order:
-            node = order.pop()  # the order list no longer holds it
-            if node._grad_fn is None:
-                _apply_rows(node)  # every node that reads the leaf is released
-                continue
-            if node.grad is not None:
-                node._grad_fn(node.grad)
-            node._grad_fn, node._parents, node.grad = _released, (), None
-    finally:  # a raise leaves no row queued, each leaf's grad as if applied at once
-        for node in order:
-            _apply_rows(node)
+    while order:
+        node = order.pop()  # the order list no longer holds it
+        if node._grad_fn is None:  # a leaf keeps its gradient
+            continue
+        if node.grad is not None:
+            node._grad_fn(node.grad)
+        node._grad_fn, node._parents, node.grad = _released, (), None
 
 
 def _fill_grads(parameters):
@@ -311,7 +299,8 @@ def _seeded(terms):
     ``terms`` lists (tensor, grad, rows). With ``rows`` None, ``grad`` is
     added into the tensor's gradient as an op adds into its input's; else
     it holds the gradients of the tensor's rows ``rows`` (valid int64 row
-    indices), added as ``gather_rows(tensor, rows)``'s backward adds them.
+    indices), added at once by ``_scatter_rows``, as ``gather_rows(tensor,
+    rows)``'s backward adds them.
     The node's parents are the tensors in order, which sets the order
     ``backward`` replays their graph in.
     """
@@ -321,7 +310,7 @@ def _seeded(terms):
             if rows is None:
                 _accumulate(tensor, grad)
             else:
-                _gather_grad(tensor, rows, grad)
+                _scatter_rows(tensor, rows, grad)
 
     return _make_output(np.zeros(()), [tensor for tensor, _, _ in terms], grad_fn)
 
@@ -475,35 +464,12 @@ def _gather_ids(op, table, ids):
     return idx
 
 
-def _gather_grad(table, idx, g):
-    """Add row i of g into row idx[i] of table's gradient (see _scatter_rows).
-
-    A leaf queues the rows: ``backward`` scatters its queue once every node
-    that reads the leaf is released, and a dense contribution scatters it
-    first. An interior table, whose own node reads its gradient next, is
-    written at once.
-    """
-    if table._grad_fn is not None:
-        _scatter_rows(table, idx, g)
-        return
-    if table._rows is None:
-        table._rows = []
-    table._rows.append((idx, g))
-
-
-def _apply_rows(tensor):
-    """Scatter a leaf's queued rows into its gradient, in the order they were queued."""
-    if tensor._rows:
-        queued, tensor._rows = tensor._rows, None
-        for idx, g in queued:
-            _scatter_rows(tensor, idx, g)
-
-
 def _scatter_rows(tensor, idx, g):
-    """Sum g's rows into the distinct rows idx names, each row's terms in the
-    order ``np.add.at`` on a dense table of zeros would add them, and add those
-    sums into tensor's gradient; a row idx does not name is left untouched
-    rather than given + 0.0."""
+    """Add row i of g into row idx[i] of tensor's gradient, now: g's rows are
+    summed into the distinct rows idx names, each row's terms in the order
+    ``np.add.at`` on a dense table of zeros would add them, and those sums
+    are added into tensor's gradient; a row idx does not name is left
+    untouched rather than given + 0.0."""
     order = np.argsort(idx, kind="stable")
     rows = idx[order]
     if (rows[1:] != rows[:-1]).all():
@@ -687,7 +653,7 @@ def gather_rows(table, ids):
     out_data = table.data[idx]
 
     def grad_fn(g):
-        _gather_grad(table, idx, g)
+        _scatter_rows(table, idx, g)
 
     return _make_output(out_data, (table,), grad_fn)
 
@@ -840,7 +806,7 @@ class _TokensBackward:
             _accumulate(conv_w, _conv_weight_grad(_pad_rows(x, k), conv_w.data, g))
         if table.requires_grad:
             g = _conv_input_grad((len(idx) + k - 1, table.data.shape[1]), conv_w.data, g)
-            _gather_grad(table, idx, g if keep is None else g * keep * scale)
+            _scatter_rows(table, idx, g if keep is None else g * keep * scale)
 
     def compact(self, g):
         if g is not None:

@@ -7,8 +7,9 @@ readers weigh proportionally to their label count. Attributes whose weight
 is zero are reported but add nothing to the loss or its gradient; that makes
 a zero-weight run bit-identical to a run with no gaze loss at all, which the
 tests rely on. ``multitask_loss`` computes the loss and its breakdown with
-numpy on the outputs' values; ``_labelled_rows`` says which gaze rows of an
-essay it reads, for the loss and for the gradient alike.
+numpy on the outputs' values; ``_labelled_rows`` says, from the example
+alone, which gaze rows of an essay it reads, for the loss, the gradient and
+``train``'s warning about an attribute no essay labels alike.
 
 A step builds one essay's graph at a time: each essay's backward runs as
 soon as its forward ends, seeded with that essay's share of the batch loss's
@@ -116,20 +117,20 @@ def prepare_example(essay, vocab, targets=None):
     )
 
 
-def _labelled_rows(output, example, attribute):
-    """(predictions, rows, targets) of the gaze rows of ``attribute`` an
-    essay's loss reads, or None when there are none: the attribute must be
-    predicted and labelled, with at least one row. ``rows`` are the checked
-    token indices, ``predictions`` the (rows, 1) values at them and
-    ``targets`` the (rows, 1) labels."""
-    if attribute not in output.gaze_predictions or attribute not in example.gaze_targets:
-        return None
-    indices, values = example.gaze_targets[attribute]
-    if indices.size == 0:
-        return None
-    prediction = output.gaze_predictions[attribute].data
-    rows = nm._gather_ids("gather_rows", prediction, indices)
-    return prediction[rows], rows, np.asarray(values, dtype=np.float64).reshape(-1, 1)
+def _labelled_rows(example, attributes):
+    """{attribute: (rows, targets)} of the gaze rows an essay's loss reads, for
+    those of ``attributes`` (in their order) it has: the essay must have a
+    token, and the attribute at least one labelled row. ``rows`` are the
+    token indices, checked against the essay's token count, and ``targets``
+    the (rows, 1) labels."""
+    n_tokens = sum(map(len, example.sentence_ids))
+    labelled = {}
+    for attribute in attributes:
+        indices, values = example.gaze_targets.get(attribute, ((), ()))
+        if n_tokens and len(indices):
+            rows = nm._gather_ids("gather_rows", np.empty((n_tokens, 0)), indices)
+            labelled[attribute] = rows, np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    return labelled
 
 
 def _mse(predictions, targets):
@@ -155,13 +156,14 @@ def multitask_loss(outputs, examples, weights):
                      [np.array([[ex.score_target]], dtype=np.float64) for ex in examples])
     loss = score_mse
     gaze_mse, gaze_counts = {}, {}
+    labelled = [_labelled_rows(ex, out.gaze_predictions) for out, ex in zip(outputs, examples)]
     for attribute in dict.fromkeys(a for out in outputs for a in out.gaze_predictions):
-        parts = [_labelled_rows(out, ex, attribute) for out, ex in zip(outputs, examples)]
-        parts = [part for part in parts if part is not None]
-        gaze_counts[attribute] = sum(len(rows) for _, rows, _ in parts)
+        parts = [(out.gaze_predictions[attribute].data[rows[attribute][0]], rows[attribute][1])
+                 for out, rows in zip(outputs, labelled) if attribute in rows]
+        gaze_counts[attribute] = sum(len(targets) for _, targets in parts)
         gaze_mse[attribute] = 0.0
         if parts:
-            gaze_mse[attribute] = _mse([p for p, _, _ in parts], [t for _, _, t in parts])
+            gaze_mse[attribute] = _mse(*zip(*parts))
             weight = float(weights.get(attribute, 0.0))
             if weight != 0.0:
                 loss = loss + gaze_mse[attribute] * weight
@@ -268,12 +270,13 @@ def _essay_root(output, example, score_coeff, terms):
     target = np.array([[example.score_target]], dtype=np.float64)
     seeds = [(output.predicted_score,
               nm._mse_grad(1.0, score_coeff, output.predicted_score.data - target), None)]
+    labelled = _labelled_rows(example, [attribute for attribute, _, _ in terms])
     for attribute, g, coeff in terms:
-        labelled = _labelled_rows(output, example, attribute)
-        if labelled is not None:
-            predictions, rows, targets = labelled
-            seeds.append((output.gaze_predictions[attribute],
-                          nm._mse_grad(g, coeff, predictions - targets), rows))
+        if attribute in labelled:
+            rows, targets = labelled[attribute]
+            prediction = output.gaze_predictions[attribute]
+            seeds.append((prediction, nm._mse_grad(g, coeff, prediction.data[rows] - targets),
+                          rows))
     return nm._seeded(seeds), all(np.isfinite(grad).all() for _, grad, _ in seeds)
 
 
@@ -369,13 +372,11 @@ def _loss_terms(model, batch, weights):
     ``multitask_loss`` adds them, as ``_essay_root`` takes them, and each
     essay's rank (see ``_EssayBackward``): 1 + the index of the last term it
     has rows for, else 0."""
-    rows = {}  # labelled rows of each attribute over the essays forward predicts gaze for
-    labelled = [[attribute for attribute in model.config.gaze_attributes
-                 if any(ex.sentence_ids) and attribute in ex.gaze_targets
-                 and ex.gaze_targets[attribute][0].size] for ex in batch]
-    for ex, attributes in zip(batch, labelled):
-        for attribute in attributes:
-            rows[attribute] = rows.get(attribute, 0) + ex.gaze_targets[attribute][0].size
+    rows = {}  # labelled rows of each attribute over the batch
+    labelled = [_labelled_rows(ex, model.config.gaze_attributes) for ex in batch]
+    for essay_rows in labelled:
+        for attribute, (indices, _) in essay_rows.items():
+            rows[attribute] = rows.get(attribute, 0) + indices.size
     # mul's backward gives each term's mse the loss's gradient, 1, times the weight
     terms = [(attribute, 1.0 * np.float64(weights[attribute]), 2.0 / rows[attribute])
              for attribute in model.config.gaze_attributes
@@ -462,8 +463,10 @@ def train(model, train_examples, dev_examples, config, sets, log=None):
     if overlap:
         raise ValueError(f"train/dev overlap on essay ids: {sorted(overlap)[:5]}")
     weights = dict(model.config.gaze_loss_weights)
+    labelled = {attribute for ex in train_examples
+                for attribute in _labelled_rows(ex, model.config.gaze_attributes)}
     for attribute in model.config.gaze_attributes:
-        if not any(attribute in ex.gaze_targets for ex in train_examples):
+        if attribute not in labelled:
             warnings.warn(
                 f"gaze attribute {attribute} configured but unlabeled in the "
                 f"training set; its head trains only through shared layers")

@@ -788,6 +788,19 @@ class TestBinGaze:
         assert code == 1
         assert capsys.readouterr()[:] == ("", f"error: {readers}: line 3 has no native cell\n")
 
+    def test_a_reader_listed_twice_exits_one_naming_its_line(self, data_dir, prep_dir, tmp_path,
+                                                            capsys):
+        # r1 loaded as native, so native_only kept a reader the file also calls non-native
+        readers = tmp_path / "readers.csv"
+        readers.write_text("reader_id,native\nr1,yes\nr2,no\n r1 ,no\n", encoding="utf-8")
+        code = main(["bin-gaze", "--out", str(tmp_path / "out"),
+                     "--set", "gaze_csv=" + str(data_dir / "gaze_pool.csv"),
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                     "--set", "reader_metadata=" + str(readers),
+                     "--set", "reader_filter=native_only"])
+        assert code == 1
+        assert capsys.readouterr()[:] == ("", f"error: {readers}:4: reader 'r1' repeats line 2\n")
+
     @pytest.mark.parametrize("command, key, source, separator, text_column", [
         ("bin-gaze", "gaze_csv", "gaze_pool.csv", b",", 3),
         ("preprocess", "essays", "essays.tsv", b"\t", 2)], ids=["gaze_csv", "essays"])
@@ -1400,6 +1413,26 @@ class TestReport:
         code = main(["report", "--out", str(tmp_path / "report"), "--set", "run_a=" + str(copy)])
         assert code == 1
         assert capsys.readouterr()[:] == ("", error)
+
+    @pytest.mark.parametrize("name", ["report.csv", "predictions.csv"])
+    def test_a_repeated_row_exits_one_naming_both_lines(self, name, two_runs, tmp_path, capsys):
+        # a copy of report.csv's first row rendered its fold twice and counted
+        # it twice in the set mean; predictions.csv's last copy won silently
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for kept in ("report.csv", "predictions.csv", "manifest.json"):
+            (copy / kept).write_bytes((two_runs[0] / kept).read_bytes())
+        with open(copy / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(copy / name, "a", newline="") as fh:
+            csv.writer(fh).writerow(rows[0].values())
+        key = f"set {rows[0]['set_id']} fold {rows[0]['fold_id']}"
+        if name == "predictions.csv":
+            key += f" essay {rows[0]['essay_id']}"
+        code = main(["report", "--out", str(tmp_path / "report"), "--set", "run_a=" + str(copy)])
+        assert code == 1
+        assert capsys.readouterr()[:] == (
+            "", f"error: {copy / name}:{len(rows) + 2}: {key} repeats line 2\n")
 
     def test_manifest_that_is_not_an_object_exits_one_naming_it(self, two_runs, tmp_path,
                                                                 capsys):

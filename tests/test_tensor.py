@@ -302,13 +302,12 @@ def test_gather_rows_backward_matches_the_unique_add_at_reference(data):
     assert table.grad.tobytes() == expected.tobytes()
 
 
-def test_queued_rows_keep_the_order_of_every_row_sum_bitwise():
-    # A leaf's row gradients wait in a queue until backward scatters them. The
-    # terms, in replay order: a dense mul, an interior table (its gather is
-    # written at once, and its mul passes the sum on densely), two row calls, a
-    # dense mul that must scatter the queue first, and a last row call that
-    # backward scatters when it pops the leaf. Each sum must keep its terms and
-    # their order: the reference adds each call's np.add.at sums in turn.
+def test_rows_keep_the_order_of_every_row_sum_bitwise():
+    # Row gradients go into the table's gradient as each call computes them.
+    # The terms, in replay order: a dense mul, an interior table (its mul
+    # passes its gather's rows on densely), two row calls, a dense mul added
+    # after them, and a last row call. Each sum must keep its terms and their
+    # order: the reference adds each call's np.add.at sums in turn.
     rng = np.random.default_rng(41)
     n, d = 7, 3
     table = Tensor(rng.standard_normal((n, d)), requires_grad=True)
@@ -361,14 +360,13 @@ def test_queued_rows_keep_the_order_of_every_row_sum_bitwise():
     assert not np.signbit(expected[0]).any() and np.signbit(expected[6]).all()
     assert (expected[4] == 1.0).all()
     assert table.grad.tobytes() == expected.tobytes()
-    assert not table._rows
 
 
 @pytest.mark.parametrize("failure", ["released tensor", "grad_fn error"])
-def test_a_backward_that_raises_leaves_no_row_queued(failure):
+def test_a_backward_that_raises_keeps_the_rows_it_added(failure):
     # rows reach the table before the raise, while the table is still ahead
-    # in the replay (the failing branch also reads it); they must land in
-    # table.grad as if written at once, and no queue may outlive the backward
+    # in the replay (the failing branch also reads it); they stay in
+    # table.grad, written at once
     table = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     if failure == "released tensor":
@@ -387,7 +385,7 @@ def test_a_backward_that_raises_leaves_no_row_queued(failure):
     expected = np.zeros((4, 2))
     np.add.at(expected, ids, g)
     assert table.grad.tobytes() == expected.tobytes()
-    assert not table._rows and not x._rows and x.grad is None
+    assert x.grad is None
 
 
 def test_gather_rows_bounds_checked():

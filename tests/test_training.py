@@ -418,6 +418,18 @@ def test_warning_when_attribute_unlabeled():
         train(model, make_examples(2), [], TrainConfig(epochs=0, seed=0), SETS)
 
 
+def test_warning_when_an_attributes_only_labels_are_empty_or_on_an_essay_without_tokens():
+    # the loss reads no row of DT: one essay's DT label holds no row, the
+    # other's sits on an essay with no token
+    model = tiny_model(gaze=("DT",), weights={"DT": 0.01})
+    examples = make_examples(2, with_gaze=True)
+    examples[0].gaze_targets["DT"] = (np.array([], dtype=np.int64), np.array([]))
+    examples[1].sentence_ids = [[]]
+    examples[1].gaze_targets["DT"] = (np.array([0]), np.array([0.5]))
+    with pytest.warns(UserWarning, match="DT configured but unlabeled"):
+        train(model, examples, [], TrainConfig(epochs=0, seed=0), SETS)
+
+
 def test_checkpoint_selection_best_dev_qwk():
     model = tiny_model()
     result = train(model, make_examples(8), make_examples(4, seed=33, base=900),
@@ -808,11 +820,12 @@ def test_a_training_step_on_the_benchmark_batch_peaks_in_bounded_memory(
         architecture, bound_mb, benchmark_batch):
     # the traced peak of one step on the benchmark's 100 essays, the model and
     # the optimizer's state (8.1 and 9.3 MB) included: 59.7 and 67.0 MB while
-    # each step built the batch's graph, 15.8 MB with self-attention building
-    # one essay's graph at a time; 37.9 MB with co-attention doing so too,
+    # each step built the batch's graph, 15.7 MB with self-attention building
+    # one essay's graph at a time; 38.4 MB with co-attention doing so too,
     # where every essay's sentence encoders wait for the article's backward,
     # each keeping its gradient through tanh but not its output (59.7 MB when
-    # they kept both)
+    # they kept both), and the article's replay builds the 1.6 MB dense
+    # embedding gradient at its first encoder
     gc.collect()
     tracemalloc.start()
     try:
