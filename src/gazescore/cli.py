@@ -82,12 +82,11 @@ from .gaze import (
     GazeTable,
     bin_all,
     collector_paused,
-    csv_rows,
     filter_readers,
     load_gaze_records,
     load_reader_metadata,
-    note_first_line,
     reader_stats,
+    table_rows,
 )
 from .model import ModelConfig
 from .training import TrainConfig, format_epoch_line
@@ -149,8 +148,8 @@ class CliError(Exception):
 # ------------------------------------------------------------ options
 
 def parse_config_file(path):
-    """Flat ``key = value`` lines; # comments and blank lines ignored."""
-    options = {}
+    """Flat ``key = value`` lines; # comments and blank lines ignored; a key may appear once."""
+    options, lines = {}, {}
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -162,7 +161,9 @@ def parse_config_file(path):
             key = key.strip()
             if not key:
                 raise CliError(f"{path}:{line_no}: empty key")
-            options[key] = value.strip()
+            if key in lines:
+                raise CliError(f"{path}:{line_no}: key {key!r} repeats line {lines[key]}")
+            options[key], lines[key] = value.strip(), line_no
     return options
 
 
@@ -779,43 +780,36 @@ def load_run_directory(run_dir):
     for path in (report_path, predictions_path, manifest_path):
         if not path.is_file():
             raise CliError(f"cannot read run file: {path}")
-    with open(manifest_path, encoding="utf-8") as fh, _fields_of(manifest_path):
-        seed = _json_object(manifest_path, _json_load(manifest_path, fh), "the top level")["seed"]
-    predictions, lines = {}, {}
-    with csv_rows(predictions_path, csv.DictReader) as rows, _fields_of(predictions_path):
-        for row in rows:
-            set_id, fold_id, essay_id, *outcome = _parsed_cells(
-                predictions_path, rows, row, _PREDICTION_PARSERS).values()
-            note_first_line(predictions_path, rows, lines, (set_id, fold_id, essay_id),
-                            f"set {set_id} fold {fold_id} essay {essay_id}")
-            predictions.setdefault((set_id, fold_id), {})[essay_id] = Prediction(*outcome)
-    results, lines = [], {}
-    system = None
-    with csv_rows(report_path, csv.DictReader) as rows, _fields_of(report_path):
-        for row in rows:
-            scalars = _parsed_cells(report_path, rows, row, {"system": str, **_REPORT_PARSERS})
-            system = scalars.pop("system")
-            key = (scalars["set_id"], scalars["fold_id"])
-            note_first_line(report_path, rows, lines, key, f"set {key[0]} fold {key[1]}")
-            results.append(FoldResult(**scalars, test_predictions=predictions.get(key, {})))
+    with open_text(manifest_path) as fh, _fields_of(manifest_path):
+        manifest = _json_object(manifest_path, _json_load(manifest_path, fh), "the top level")
+        seed = _typed(manifest_path, "the top level", manifest, "seed", int)
+    predictions, lines = {}, {}  # lines: (set, fold) -> the line of its first prediction
+    for line, row in table_rows(predictions_path, _PREDICTION_PARSERS, PREDICTION_COLUMNS[:3],
+                                "set {set_id} fold {fold_id} essay {essay_id}"):
+        set_id, fold_id, essay_id, *outcome = row.values()
+        predictions.setdefault((set_id, fold_id), {})[essay_id] = Prediction(*outcome)
+        lines.setdefault((set_id, fold_id), line)
+    results, first = [], None  # first: (system, line) of the first report row
+    for line, row in table_rows(report_path, {"system": str, **_REPORT_PARSERS},
+                                ("set_id", "fold_id"), "set {set_id} fold {fold_id}"):
+        system = row.pop("system")
+        first = first or (system, line)
+        if system != first[0]:
+            raise CliError(f"{report_path}:{line}: system {system!r} differs from line "
+                           f"{first[1]}'s {first[0]!r}")
+        key = (row["set_id"], row["fold_id"])
+        if key not in predictions:
+            raise CliError(f"{report_path}:{line}: set {key[0]} fold {key[1]} has no row in "
+                           f"{predictions_path}")
+        results.append(FoldResult(**row, test_predictions=predictions.pop(key)))
     if not results:
         raise CliError(f"no fold results in {report_path}")
-    return ExperimentReport(system=system, seed=seed,
+    if predictions:
+        set_id, fold_id = key = min(predictions, key=lines.get)
+        raise CliError(f"{predictions_path}:{lines[key]}: set {set_id} fold {fold_id} has no "
+                       f"row in {report_path}")
+    return ExperimentReport(system=first[0], seed=seed,
                             fold_results=tuple(sorted(results, key=lambda r: (r.set_id, r.fold_id))))
-
-
-def _parsed_cells(path, rows, row, parsers):
-    """{column: parse(cell)} of each (column, parse) of ``parsers``, from the
-    row ``row`` of CSV file ``path`` that DictReader ``rows`` just read."""
-    cells = {}
-    for column, parse in parsers.items():
-        if row[column] is None:  # the row ends before the column
-            raise CliError(f"{path}: line {rows.line_num} has no {column} cell")
-        try:
-            cells[column] = parse(row[column])
-        except ValueError as error:
-            raise CliError(f"{path}: line {rows.line_num}: {error}") from None
-    return cells
 
 
 def cmd_report(options, seed, paths, out_dir, jobs):

@@ -122,9 +122,10 @@ def denormalize_score(pred, essay_set):
 
 @contextmanager
 def open_text(path, newline=None):
-    """UTF-8 text file ``path`` open for reading in the block, which raises a
-    UnicodeDecodeError as a ValueError naming the file."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+    """UTF-8 text file ``path`` open for reading in the block, a leading
+    byte-order mark skipped, which raises a UnicodeDecodeError as a
+    ValueError naming the file."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as error:

@@ -81,9 +81,17 @@ def _token(cell):
     return cell
 
 
+def _reader_id(cell):
+    """A reader id cell's text, stripped; a blank one names no reader."""
+    reader_id = str.strip(cell)
+    if not reader_id:
+        raise ValueError("reader_id is blank")
+    return reader_id
+
+
 # how each column's text becomes its field: by the field's type, reader ids
-# stripped, and a missing token rejected as a missing reader id is
-_COLUMN_PARSERS = {**get_type_hints(GazeRecord), "reader_id": str.strip, "token": _token}
+# as _reader_id reads them, and a missing token rejected as a missing reader id is
+_COLUMN_PARSERS = {**get_type_hints(GazeRecord), "reader_id": _reader_id, "token": _token}
 _COLUMN_DTYPES = {name: {int: np.int64, float: np.float64, str: object}[kind]
                   for name, kind in get_type_hints(GazeRecord).items()}
 _INT64 = np.iinfo(np.int64)
@@ -168,13 +176,35 @@ def csv_rows(path, reader=csv.reader):
             raise ValueError(f"{path}: malformed CSV ({error})") from None
 
 
-def note_first_line(path, reader, lines, key, label):
-    """Note in ``lines`` ({key: line}) that the row of CSV file ``path`` that
-    ``reader`` just read holds ``key``; a key an earlier row held raises a
-    ValueError naming both lines, the row by ``label``."""
-    if key in lines:
-        raise ValueError(f"{path}:{reader.line_num}: {label} repeats line {lines[key]}")
-    lines[key] = reader.line_num
+def table_rows(path, parsers, key, label):
+    """(line, {column: parse(cell)}) of each row of CSV file ``path`` past its
+    header line, for each (column, parse) of ``parsers``.
+
+    A row repeating an earlier row's values in the ``key`` columns raises
+    naming both lines, the row by ``label`` formatted with its values. Every
+    fault of a row raises as a ValueError ``<path>:<line>: <reason>``; a
+    header without a column of ``parsers`` raises naming the column.
+    """
+    with csv_rows(path, csv.DictReader) as reader:
+        for column in parsers:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: missing column {column!r}")
+        lines = {}
+        for row in reader:
+            line, values = reader.line_num, {}
+            for column, parse in parsers.items():
+                if row[column] is None:  # the row ends before the column
+                    raise ValueError(f"{path}:{line}: no {column} cell")
+                try:
+                    values[column] = parse(row[column])
+                except ValueError as error:
+                    raise ValueError(f"{path}:{line}: {error}") from None
+            row_key = tuple(values[column] for column in key)
+            if row_key in lines:
+                raise ValueError(f"{path}:{line}: {label.format(**values)} repeats line "
+                                 f"{lines[row_key]}")
+            lines[row_key] = line
+            yield line, values
 
 
 @collector_paused()
@@ -289,20 +319,10 @@ def load_reader_metadata(path):
     The CSV has at least the columns reader_id and native; native is true
     when it reads 1, true or yes, in any case. A reader listed twice raises.
     """
-    with csv_rows(path, csv.DictReader) as reader:
-        for required in ("reader_id", "native"):
-            if required not in (reader.fieldnames or []):
-                raise ValueError(f"{path}: missing column {required!r}")
-        native, lines = [], {}
-        for row in reader:
-            for column in ("reader_id", "native"):
-                if row[column] is None:  # the row ends before the column
-                    raise ValueError(f"{path}: line {reader.line_num} has no {column} cell")
-            reader_id = row["reader_id"].strip()
-            note_first_line(path, reader, lines, reader_id, f"reader {reader_id!r}")
-            if row["native"].strip().lower() in ("1", "true", "yes"):
-                native.append(reader_id)
-        return frozenset(native)
+    rows = table_rows(path, {"reader_id": _reader_id,
+                             "native": lambda cell: cell.strip().lower() in ("1", "true", "yes")},
+                      ("reader_id",), "reader {reader_id!r}")
+    return frozenset(row["reader_id"] for _, row in rows if row["native"])
 
 
 def filter_readers(records, readers):

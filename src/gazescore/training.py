@@ -257,20 +257,20 @@ def _aggregate_epoch(batch_breakdowns, batch_sizes):
     )
 
 
-def _essay_root(output, example, score_coeff, terms):
+def _essay_root(output, example, labelled, score_coeff, terms):
     """(node, finite): ``_seeded``'s node that gives one essay's outputs their
     share of the gradient the batch's loss gives them, and whether every seed
     is finite.
 
     Each seed is mse's input gradient: the score's with 2 / batch size, and
     each weighted gaze term's, in ``terms``' (attribute, the loss's gradient
-    into its mse, 2 / rows) order, on the essay's labelled rows, which it
-    reaches as gather_rows' backward would.
+    into its mse, 2 / rows) order, on the essay's ``labelled`` rows (as
+    ``_labelled_rows`` gives them), which it reaches as gather_rows'
+    backward would.
     """
     target = np.array([[example.score_target]], dtype=np.float64)
     seeds = [(output.predicted_score,
               nm._mse_grad(1.0, score_coeff, output.predicted_score.data - target), None)]
-    labelled = _labelled_rows(example, [attribute for attribute, _, _ in terms])
     for attribute, g, coeff in terms:
         if attribute in labelled:
             rows, targets = labelled[attribute]
@@ -368,10 +368,10 @@ class _EssayBackward:
 
 
 def _loss_terms(model, batch, weights):
-    """(terms, ranks): the weighted gaze terms of ``batch``'s loss, in the order
-    ``multitask_loss`` adds them, as ``_essay_root`` takes them, and each
+    """(terms, ranks, labelled): the weighted gaze terms of ``batch``'s loss, in
+    the order ``multitask_loss`` adds them, as ``_essay_root`` takes them, each
     essay's rank (see ``_EssayBackward``): 1 + the index of the last term it
-    has rows for, else 0."""
+    has rows for, else 0, and each essay's ``_labelled_rows``."""
     rows = {}  # labelled rows of each attribute over the batch
     labelled = [_labelled_rows(ex, model.config.gaze_attributes) for ex in batch]
     for essay_rows in labelled:
@@ -383,7 +383,7 @@ def _loss_terms(model, batch, weights):
              if attribute in rows and weights.get(attribute, 0.0) != 0.0]
     ranks = [max([k + 1 for k, (attribute, _, _) in enumerate(terms) if attribute in attributes],
                  default=0) for attributes in labelled]
-    return terms, ranks
+    return terms, ranks, labelled
 
 
 def _forward_backward_by_essay(model, batch, weights, rng):
@@ -397,14 +397,15 @@ def _forward_backward_by_essay(model, batch, weights, rng):
     essay reads the article's states through one stand-in leaf, so its
     backward stops there.
     """
-    terms, ranks = _loss_terms(model, batch, weights)
+    terms, ranks, labelled = _loss_terms(model, batch, weights)
     states = model.encode_article(rng)
     article = None if states is None else Tensor(states.data, requires_grad=True)
     essays = _EssayBackward(model, ranks, None if states is None else (states, article))
     outputs = []
     for essay, ex in enumerate(batch):
         outputs.append(model.forward(ex.sentence_ids, rng, article=article))
-        essays.add(essay, *_essay_root(outputs[-1], ex, 2.0 / len(batch), terms))
+        essays.add(essay, *_essay_root(outputs[-1], ex, labelled[essay], 2.0 / len(batch), terms))
+        labelled[essay] = None  # its seeds keep what the backward reads; the rest goes now
     return outputs, essays
 
 

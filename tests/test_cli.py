@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline tests on a toy corpus."""
 
+import codecs
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazescore import __version__, cli, experiments
 from gazescore.checkpoint import load_checkpoint
@@ -23,7 +27,7 @@ from gazescore.cli import (
     parse_config_file,
     write_corpus_cache,
 )
-from gazescore.corpus import Essay, EssaySet
+from gazescore.corpus import Essay, EssaySet, load_essays, load_set_metadata
 from gazescore.experiments import ExperimentReport, FoldResult, Prediction, make_folds, save_folds
 from gazescore.gaze import (
     GAZE_ATTRIBUTES,
@@ -36,6 +40,7 @@ from gazescore.gaze import (
     bin_all,
     gaze_targets,
     load_gaze_records,
+    load_reader_metadata,
     reader_stats,
 )
 from gazescore.training import TrainingDiverged
@@ -190,6 +195,18 @@ class TestConfigFile:
         with pytest.raises(Exception, match="c.cfg:2"):
             parse_config_file(path)
 
+    def test_a_key_given_twice_exits_one_naming_both_lines(self, data_dir, tmp_path, capsys):
+        # the last value won silently: vocab_size resolved to 20
+        config = tmp_path / "twice.cfg"
+        config.write_text((data_dir / "base.cfg").read_text()
+                          + "vocab_size = 10\n# a comment\nvocab_size = 20\n")
+        n = len((data_dir / "base.cfg").read_text().splitlines())
+        out = tmp_path / "out"
+        assert main(["preprocess", "--config", str(config), "--out", str(out), "--dry-run"]) == 1
+        assert capsys.readouterr()[:] == (
+            "", f"error: {config}:{n + 3}: key 'vocab_size' repeats line {n + 1}\n")
+        assert not out.exists()
+
     def test_cli_override_wins_and_is_echoed(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["preprocess", "--config", str(data_dir / "base.cfg"),
@@ -249,6 +266,27 @@ class TestConfigFile:
                                   "lstm_hidden": int, "modeling_hidden": int, "dropout": float}
         assert cli.TRAIN_KEYS == {"batch_size": int, "epochs": int, "learning_rate": float,
                                   "momentum": float, "clip_norm": float}
+
+
+def _loaded_gaze(path):
+    records, report = load_gaze_records(path)
+    return list(records.rows()), report
+
+
+@pytest.mark.parametrize("name, load", [
+    ("essays.tsv", lambda path: load_essays(path, load_set_metadata(path.parent / "sets.cfg"))),
+    ("sets.cfg", load_set_metadata),
+    ("base.cfg", parse_config_file),
+    ("readers.csv", load_reader_metadata),
+    ("gaze_pool.csv", _loaded_gaze),
+], ids=["essays", "set_metadata", "config", "reader_metadata", "gaze_csv"])
+def test_a_byte_order_mark_is_not_read_as_text(name, load, data_dir, tmp_path):
+    # read as text, the mark hid the first header or key, or broke the first essay id
+    for source in ("essays.tsv", "sets.cfg", "article.txt"):
+        (tmp_path / source).write_bytes((data_dir / source).read_bytes())
+    path = tmp_path / name
+    path.write_bytes(codecs.BOM_UTF8 + (data_dir / name).read_bytes())
+    assert load(path) == load(data_dir / name)
 
 
 class TestManifest:
@@ -786,7 +824,7 @@ class TestBinGaze:
                      "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
                      "--set", "reader_metadata=" + str(readers)])
         assert code == 1
-        assert capsys.readouterr()[:] == ("", f"error: {readers}: line 3 has no native cell\n")
+        assert capsys.readouterr()[:] == ("", f"error: {readers}:3: no native cell\n")
 
     def test_a_reader_listed_twice_exits_one_naming_its_line(self, data_dir, prep_dir, tmp_path,
                                                             capsys):
@@ -800,6 +838,18 @@ class TestBinGaze:
                      "--set", "reader_filter=native_only"])
         assert code == 1
         assert capsys.readouterr()[:] == ("", f"error: {readers}:4: reader 'r1' repeats line 2\n")
+
+    def test_a_blank_reader_id_exits_one_naming_its_line(self, data_dir, prep_dir, tmp_path,
+                                                         capsys):
+        # it loaded as a reader named ''
+        readers = tmp_path / "readers.csv"
+        readers.write_text("reader_id,native\nr1,yes\n  ,no\n", encoding="utf-8")
+        code = main(["bin-gaze", "--out", str(tmp_path / "out"),
+                     "--set", "gaze_csv=" + str(data_dir / "gaze_pool.csv"),
+                     "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                     "--set", "reader_metadata=" + str(readers)])
+        assert code == 1
+        assert capsys.readouterr()[:] == ("", f"error: {readers}:3: reader_id is blank\n")
 
     @pytest.mark.parametrize("command, key, source, separator, text_column", [
         ("bin-gaze", "gaze_csv", "gaze_pool.csv", b",", 3),
@@ -1375,8 +1425,8 @@ class TestReport:
     @pytest.mark.parametrize("name, field, message", [
         ("manifest.json", None, "cannot read run file: {}"),
         ("manifest.json", "seed", "{}: missing field 'seed'"),
-        ("report.csv", "test_qwk", "{}: missing field 'test_qwk'"),
-        ("predictions.csv", "squared_error", "{}: missing field 'squared_error'"),
+        ("report.csv", "test_qwk", "{}: missing column 'test_qwk'"),
+        ("predictions.csv", "squared_error", "{}: missing column 'squared_error'"),
     ], ids=["no_file", "no_seed", "no_report_column", "no_predictions_column"])
     def test_missing_manifest(self, name, field, message, two_runs, tmp_path, capsys):
         first, _ = two_runs
@@ -1434,6 +1484,39 @@ class TestReport:
         assert capsys.readouterr()[:] == (
             "", f"error: {copy / name}:{len(rows) + 2}: {key} repeats line 2\n")
 
+    @pytest.mark.parametrize("case", ["two_systems", "prediction_without_report_row",
+                                      "report_row_without_predictions"])
+    def test_files_of_two_runs_exit_one_naming_the_line(self, case, two_runs, tmp_path, capsys):
+        # report rendered the last row's system, dropped a prediction whose fold
+        # report.csv lacks, and rendered a fold without its predictions
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for kept in ("report.csv", "predictions.csv", "manifest.json"):
+            (copy / kept).write_bytes((two_runs[0] / kept).read_bytes())
+        report, predictions = copy / "report.csv", copy / "predictions.csv"
+        report_lines = report.read_text(encoding="utf-8").splitlines()
+        prediction_lines = predictions.read_text(encoding="utf-8").splitlines()
+        set_id, fold_id = report_lines[-1].split(",")[1:3]
+        fold_lines = [n for n, line in enumerate(prediction_lines, start=1)
+                      if line.split(",")[:2] == [set_id, fold_id]]
+        if case == "two_systems":
+            report_lines[2] = report_lines[2].replace("self_attention", "only_prompt", 1)
+            message = f"{report}:3: system 'only_prompt' differs from line 2's 'self_attention'"
+        elif case == "prediction_without_report_row":
+            del report_lines[-1]
+            message = (f"{predictions}:{fold_lines[0]}: set {set_id} fold {fold_id} has no row "
+                       f"in {report}")
+        else:
+            prediction_lines = [line for n, line in enumerate(prediction_lines, start=1)
+                                if n not in fold_lines]
+            message = (f"{report}:{len(report_lines)}: set {set_id} fold {fold_id} has no row "
+                       f"in {predictions}")
+        report.write_text("\n".join(report_lines) + "\n", encoding="utf-8")
+        predictions.write_text("\n".join(prediction_lines) + "\n", encoding="utf-8")
+        code = main(["report", "--out", str(tmp_path / "report"), "--set", "run_a=" + str(copy)])
+        assert code == 1
+        assert capsys.readouterr()[:] == ("", f"error: {message}\n")
+
     def test_manifest_that_is_not_an_object_exits_one_naming_it(self, two_runs, tmp_path,
                                                                 capsys):
         copy = tmp_path / "copy"
@@ -1448,16 +1531,17 @@ class TestReport:
             f"error: {copy / 'manifest.json'}: the top level is not a JSON object\n"
 
     @pytest.mark.parametrize("name, text, message", [
-        ("predictions.csv", "1,0,101,2,2", "{}: line 3 has no squared_error cell"),
-        ("report.csv", "self_attention,1,1,0.5", "{}: line 3 has no best_dev_qwk cell"),
+        ("predictions.csv", "1,0,101,2,2", "{}:3: no squared_error cell"),
+        ("report.csv", "self_attention,1,1,0.5", "{}:3: no best_dev_qwk cell"),
         ("predictions.csv", "1,0,x,2,2,0.5",
-         "{}: line 3: invalid literal for int() with base 10: 'x'"),
+         "{}:3: invalid literal for int() with base 10: 'x'"),
         ("report.csv", "self_attention,1,1,high,0.5,1,66,0",
-         "{}: line 3: could not convert string to float: 'high'"),
+         "{}:3: could not convert string to float: 'high'"),
         ("manifest.json", "{seed: 1}", "{}: not JSON (Expecting property name enclosed in "
                                        "double quotes: line 1 column 2 (char 1))"),
+        ("manifest.json", '{"seed": "5"}', "{}: the top level: field 'seed' must be int, not str"),
     ], ids=["short_prediction_row", "short_report_row", "bad_prediction_cell",
-            "bad_report_cell", "manifest_not_json"])
+            "bad_report_cell", "manifest_not_json", "manifest_seed_not_int"])
     def test_a_bad_row_or_manifest_exits_one_naming_the_file(self, name, text, message,
                                                              two_runs, tmp_path, capsys):
         # a CSV file's third line, or the whole manifest, reads ``text``
@@ -1817,3 +1901,99 @@ class TestExitCodes:
         code = main(["preprocess", "--out", str(tmp_path / "o"), "--jobs", "0",
                      "--set", "essays=x", "--set", "set_metadata=y"])
         assert code == 2
+
+
+# ------------------------------------------------------------- fuzzing
+
+# what a changed or extra cell reads: NaN, infinities, an overflowing float,
+# JSON literals and text no numeric parser takes
+FUZZ_CELLS = [b"", b" ", b"x", b"-1", b"0", b"1.5", b"nan", b"NaN", b"inf", b"-inf",
+              b"Infinity", b"1e400", b"yes", b"null", b'"x"']
+
+FUZZ_BYTES = {"lone quote": b'"', "NUL byte": b"\x00", "byte that is not UTF-8": b"\xff"}
+
+FUZZ_MUTATIONS = ["changed cell", "dropped cell", "extra cell", "renamed header",
+                  "duplicated line", "truncated line", *FUZZ_BYTES, "byte-order mark"]
+
+
+def mutate(data, text, separator, header):
+    """``text``, the bytes of a file of lines of ``separator``-split cells
+    (its first line a header when ``header``), with one to three mutations
+    ``data`` draws. A changed cell keeps the comma that ends a JSON value; a
+    renamed header cell, or with no header a line's first cell (its key),
+    gains a letter before any closing quote."""
+    lines = text.split(b"\n")
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(FUZZ_MUTATIONS))
+        i = 0 if kind == "renamed header" and header else data.draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if kind == "duplicated line":
+            lines.insert(i, line)
+        elif kind == "truncated line":  # the file ends inside the line
+            lines[i:] = [line[:data.draw(st.integers(0, len(line)))]]
+        elif kind in FUZZ_BYTES:
+            at = data.draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + FUZZ_BYTES[kind] + line[at:]
+        elif kind == "byte-order mark":
+            lines[0] = codecs.BOM_UTF8 + lines[0]
+        else:  # a mutation of one cell
+            cells = line.split(separator)
+            k = 0 if kind == "renamed header" and not header else data.draw(
+                st.integers(0, len(cells) - 1))
+            if kind == "changed cell":
+                cells[k] = data.draw(st.sampled_from(FUZZ_CELLS)) + b"," * cells[k].endswith(b",")
+            elif kind == "dropped cell":
+                del cells[k]
+            elif kind == "extra cell":
+                cells.insert(k, data.draw(st.sampled_from(FUZZ_CELLS)))
+            else:
+                name = cells[k].rstrip(b'" ')
+                cells[k] = name + b"x" + cells[k][len(name):]
+            lines[i] = separator.join(cells)
+    return b"\n".join(lines)
+
+
+# errors about an option a config file gives, which name the option and not the
+# file (the same errors --set gives)
+OPTION_ERRORS = ("error: unknown option ", "error: missing required option ",
+                 "error: cannot read input file: ")
+
+
+class TestInputFuzzer:
+    """A mutated input file leaves a command exiting 0, or 1 with one error line naming it."""
+
+    @pytest.mark.parametrize("target", ["reader_metadata", "report.csv", "predictions.csv",
+                                        "manifest.json", "config"])
+    @given(data=st.data())
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_a_mutated_input_exits_zero_or_one_naming_it(self, target, data, data_dir, prep_dir,
+                                                         two_runs, tmp_path_factory):
+        work = tmp_path_factory.getbasetemp() / "fuzz"
+        (work / "run").mkdir(parents=True, exist_ok=True)
+        out = ["--out", str(work / "out"), "--force"]
+        if target == "reader_metadata":
+            source, path = data_dir / "readers.csv", work / "readers.csv"
+            args = ["bin-gaze", *out, "--set", "gaze_csv=" + str(data_dir / "gaze_pool.csv"),
+                    "--set", "corpus_cache=" + str(prep_dir / "corpus_cache.json"),
+                    "--set", f"reader_metadata={path}"]
+        elif target == "config":
+            source, path = data_dir / "base.cfg", work / "run.cfg"
+            args = ["preprocess", "--config", str(path), *out, "--dry-run"]
+        else:
+            for name in ("report.csv", "predictions.csv", "manifest.json"):
+                (work / "run" / name).write_bytes((two_runs[0] / name).read_bytes())
+            source, path = two_runs[0] / target, work / "run" / target
+            args = ["report", *out, "--set", "run_a=" + str(work / "run")]
+        separator = {"config": b"=", "manifest.json": b": "}.get(target, b",")
+        path.write_bytes(mutate(data, source.read_bytes(), separator, separator == b","))
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(args)
+        errors = stderr.getvalue().splitlines()
+        if code == 0:
+            assert not any(line.startswith("error:") for line in errors)
+            return
+        assert code == 1 and len(errors) == 1 and errors[0].startswith("error: "), errors
+        assert str(path) in errors[0] or (target == "config"
+                                          and errors[0].startswith(OPTION_ERRORS)), errors

@@ -211,6 +211,16 @@ def test_a_row_that_ends_before_its_token_is_rejected(tmp_path):
     assert report.rejected == [(2, "malformed field: the row ends before its token")]
 
 
+def test_a_blank_reader_id_is_rejected(tmp_path):
+    # it loaded as a reader named '', whose rows took statistics of their own
+    path = write_gaze_csv(tmp_path, ["9000,r1,0,the,100,80,0,1,0", "9000, ,1,cat,100,80,0,1,0",
+                                     "9000,,2,sat,100,80,0,1,0"])
+    records, report = load_gaze_records(path)
+    assert list(records.rows()) == [(9000, "r1", 0, "the", 100.0, 80.0, 0, 1, 0)]
+    assert report.rejected == [(3, "malformed field: reader_id is blank"),
+                               (4, "malformed field: reader_id is blank")]
+
+
 def test_load_reader_metadata(tmp_path):
     path = tmp_path / "readers.csv"
     path.write_text("reader_id,native,age\nr1,1,30\nr2,0,24\nr3,true,41\n r4 ,YES,19\n")
@@ -515,7 +525,14 @@ def reference_token(text):
     return text
 
 
-_REFERENCE_PARSERS = {**get_type_hints(GazeRecord), "reader_id": str.strip,
+def reference_reader_id(text):
+    """A reader id cell's text, stripped; a blank one is malformed."""
+    if not str.strip(text):
+        raise ValueError("reader_id is blank")
+    return text.strip()
+
+
+_REFERENCE_PARSERS = {**get_type_hints(GazeRecord), "reader_id": reference_reader_id,
                       "token": reference_token}
 _INT64_RANGE = range(-2**63, 2**63)
 

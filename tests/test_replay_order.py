@@ -170,8 +170,8 @@ def test_a_co_attention_step_holds_the_encoders_and_the_last_lstm_for_the_articl
     graphs = []  # each essay's output and interior nodes with their parents, before its backward
     essay_root = training._essay_root
 
-    def recording_root(output, example, score_coeff, terms):
-        root, finite = essay_root(output, example, score_coeff, terms)
+    def recording_root(output, example, labelled, score_coeff, terms):
+        root, finite = essay_root(output, example, labelled, score_coeff, terms)
         graphs.append((output, [(node, node._parents) for node in nm._topological_order(root)
                                 if node._grad_fn is not None]))
         return root, finite
@@ -233,12 +233,12 @@ def test_an_essays_token_block_is_freed_once_its_backward_returns(architecture, 
     blocks = []
     essay_root = training._essay_root
 
-    def recording_root(output, example, score_coeff, terms):
+    def recording_root(output, example, labelled, score_coeff, terms):
         assert all(block() is None for block in blocks)  # the earlier essays' are gone
         if example.gaze_targets and any(example.sentence_ids):
             tokens = output.gaze_predictions["DT"]._parents[0].data
             blocks.append(weakref.ref(tokens if tokens.base is None else tokens.base))
-        return essay_root(output, example, score_coeff, terms)
+        return essay_root(output, example, labelled, score_coeff, terms)
 
     monkeypatch.setattr(training, "_essay_root", recording_root)
     training._batch_gradients(model, model.parameters(), examples,

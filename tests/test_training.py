@@ -781,7 +781,8 @@ def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchma
     # second goes into a new buffer), so they run but are not bounded
     batch = benchmark_batch.train[:10]
     model = benchmark_batch.model(architecture)
-    terms, _ = training_module._loss_terms(model, batch, model.config.gaze_loss_weights)
+    terms, _, labelled = training_module._loss_terms(model, batch,
+                                                     model.config.gaze_loss_weights)
     rng = np.random.default_rng(1)
     states = model.encode_article(rng)
     article = None if states is None else Tensor(states.data, requires_grad=True)
@@ -796,7 +797,8 @@ def test_backward_peak_memory_stays_near_what_forward_left(architecture, benchma
             for essay, example in enumerate(batch):
                 before = tracemalloc.get_traced_memory()[0]
                 output = model.forward(example.sentence_ids, rng, article=article)
-                root = training_module._essay_root(output, example, 2.0 / len(batch), terms)[0]
+                root = training_module._essay_root(output, example, labelled[essay],
+                                                   2.0 / len(batch), terms)[0]
                 held = tracemalloc.get_traced_memory()[0] - before
                 tracemalloc.reset_peak()
                 backward(root)
@@ -897,17 +899,18 @@ def test_training_batch_graph_holds_one_copy_of_its_token_encodings(
     # sentence) fails
     batch = benchmark_batch.train[:10]
     model = benchmark_batch.model(architecture)
-    terms, _ = training_module._loss_terms(model, batch, model.config.gaze_loss_weights)
+    terms, _, labelled = training_module._loss_terms(model, batch,
+                                                     model.config.gaze_loss_weights)
     rng = np.random.default_rng(1)
     states = model.encode_article(rng)
     article = None if states is None else Tensor(states.data, requires_grad=True)
     graphs = []
     tracemalloc.start()
     try:
-        for example in batch:
+        for example, rows in zip(batch, labelled):
             before = tracemalloc.get_traced_memory()[0]
             output = model.forward(example.sentence_ids, rng, article=article)
-            root = training_module._essay_root(output, example, 2.0 / len(batch), terms)[0]
+            root = training_module._essay_root(output, example, rows, 2.0 / len(batch), terms)[0]
             graphs.append(tracemalloc.get_traced_memory()[0] - before)
             assert root._grad_fn is not None
             del output, root
