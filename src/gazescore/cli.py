@@ -3,13 +3,13 @@
 ``main`` runs the steps every command shares, driven by the ``COMMANDS``
 table (handler, help, required and optional input keys): it resolves the
 options from a flat key-value config file plus command-line overrides
-(overrides win) and the seed, resolves and checks every input, and writes
-a manifest into the output directory before any other file. The manifest
-records the command, the resolved options, the seed, sha256 digests of
-every input file, and the package version, so a finished directory is
-self-describing. Reruns into a directory that already holds a manifest are
+(overrides win), parses each by its ``OPTIONS`` parser, checks every input,
+and writes a manifest into the output directory before any other file. The
+manifest records the command, the option texts as given, the seed, sha256
+digests of every input file, and the package version, so a finished directory
+is self-describing. Reruns into a directory that already holds a manifest are
 refused unless --force is given. With --dry-run it stops there; otherwise
-it calls the handler with (options, seed, paths, out_dir, jobs).
+it calls the handler with (options, seed, out_dir, jobs).
 
 Every command given gaze records keeps the readers ``reader_filter`` selects
 as they load (``load_selected_records``), so a run's cells see only those.
@@ -45,6 +45,7 @@ from .corpus import (
     Essay,
     EssaySet,
     build_vocab,
+    key_value_lines,
     load_essays,
     load_set_metadata,
     open_text,
@@ -125,10 +126,8 @@ EXPERIMENT_INPUTS = ("records_clean", "embeddings_cache", "reader_metadata", "fo
 
 
 def _numeric_options(config_cls):
-    """Option key -> int or float, one per numeric field of ``config_cls``.
-
-    vocab_size and seed are options of their own, resolved apart.
-    """
+    """Option key -> int or float, one per numeric field of ``config_cls`` but
+    vocab_size and seed, which are options of their own."""
     return {f.name: type(f.default) for f in fields(config_cls)
             if type(f.default) in (int, float) and f.name not in ("vocab_size", "seed")}
 
@@ -137,9 +136,6 @@ MODEL_KEYS = _numeric_options(ModelConfig)
 
 TRAIN_KEYS = _numeric_options(TrainConfig)
 
-# how option-type errors name each type
-TYPE_NAMES = {int: "an integer", float: "a number"}
-
 
 class CliError(Exception):
     """Expected failure reported to stderr with a nonzero exit."""
@@ -147,90 +143,60 @@ class CliError(Exception):
 
 # ------------------------------------------------------------ options
 
+def _scalar(cast, name):
+    """The parser of an option whose text ``cast`` reads, named ``name`` in its error."""
+    def parse(text):
+        try:
+            return cast(text)
+        except ValueError:
+            raise ValueError(f"must be {name}, got {text!r}") from None
+    return parse
+
+
+INTEGER, NUMBER = _scalar(int, "an integer"), _scalar(float, "a number")
+
+
+def _list_of(parse):
+    """The parser of a comma-separated list of non-blank fields; an empty text is not given."""
+    return lambda text: (tuple(parse(f.strip()) for f in text.split(",") if f.strip())
+                         if text else None)
+
+
+def resolve_path(text):
+    """The parser of an input path, a relative one under $GAZESCORE_DATA when
+    that is set (an absolute one replaces it); an empty text is not given."""
+    return Path(os.environ.get(DATA_DIR_ENV, ""), text) if text else None
+
+
 def parse_config_file(path):
-    """Flat ``key = value`` lines; # comments and blank lines ignored; a key may appear once."""
-    options, lines = {}, {}
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise CliError(f"{path}:{line_no}: expected key = value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if not key:
-                raise CliError(f"{path}:{line_no}: empty key")
-            if key in lines:
-                raise CliError(f"{path}:{line_no}: key {key!r} repeats line {lines[key]}")
-            options[key], lines[key] = value.strip(), line_no
-    return options
+    """{key: (text, line)} of a config file's ``key = value`` lines."""
+    return key_value_lines(path, " = ", str)
 
 
 def resolve_options(args):
-    """Config file options overlaid with --set pairs; overrides win. Every key
-    must be in ``OPTION_KEYS``, so one config file can serve every command."""
-    options = {}
-    if args.config:
-        options.update(parse_config_file(args.config))
+    """(texts, overrides, options): the config file's texts overlaid with --set
+    pairs, the pairs, and each text parsed by its ``OPTIONS`` parser unless not
+    given. A key may be any command's, and a config file's fault names its line."""
+    config = parse_config_file(args.config) if args.config else {}
     overrides = {}
     for pair in args.set or []:
-        key, _, value = pair.partition("=")
-        if "=" not in pair or not key.strip():
+        key, equals, value = map(str.strip, pair.partition("="))
+        if not (equals and key):
             raise CliError(f"--set expects key=value, got {pair!r}")
-        overrides[key.strip()] = value.strip()
-    options.update(overrides)
-    for key in options:
-        if key not in OPTION_KEYS:
-            raise CliError(f"unknown option {key!r}")
-    return options, overrides
-
-
-def resolve_seed(args, options):
-    return args.seed if args.seed is not None else opt(options, "seed", int, 0)
-
-
-def resolve_path(value):
-    """Relative paths resolve under $GAZESCORE_DATA when it is set."""
-    path = Path(value)
-    data_dir = os.environ.get(DATA_DIR_ENV)
-    if data_dir and not path.is_absolute():
-        return Path(data_dir) / path
-    return path
-
-
-def opt_path(options, key, required=False):
-    value = options.get(key)
-    if value is None or value == "":
-        if required:
-            raise CliError(f"missing required option {key!r}")
-        return None
-    return resolve_path(value)
-
-
-def _cast(key, value, cast):
-    try:
-        return cast(value)
-    except ValueError:
-        raise CliError(f"option {key!r} must be {TYPE_NAMES[cast]}, got {value!r}")
-
-
-def opt(options, key, cast, default=None):
-    """Option ``key`` cast to int or float; ``default`` when it is not given."""
-    value = options.get(key)
-    return default if value is None else _cast(key, value, cast)
-
-
-def opt_list(options, key, default=(), cast=str):
-    """Comma-separated option ``key``, each field cast; ``default`` when unset or empty."""
-    value = options.get(key)
-    if value is None or value == "":
-        return tuple(default)
-    return tuple(_cast(key, field.strip(), cast) for field in value.split(",") if field.strip())
-
-
-def typed_params(options, table):
-    return {key: opt(options, key, cast) for key, cast in table.items() if key in options}
+        overrides[key] = value
+    texts = {**{key: text for key, (text, _) in config.items()}, **overrides}
+    options = {}
+    for key, text in texts.items():
+        where = "" if key in overrides else f"{args.config}:{config[key][1]}: "
+        if key not in OPTIONS:
+            raise CliError(f"{where}unknown option {key!r}")
+        try:
+            value = OPTIONS[key](text)
+        except ValueError as error:
+            raise CliError(f"{where}option {key!r} {error}") from None
+        if value is not None:
+            options[key] = value
+    return texts, overrides, options
 
 
 def check_inputs(paths):
@@ -269,8 +235,9 @@ def digest_inputs(paths):
     return digests
 
 
-def start_run(args, options, overrides, seed, input_paths):
-    """Create the output directory and write manifest + resolved config.
+def start_run(args, texts, overrides, seed, input_paths):
+    """Create the output directory and write manifest + resolved config, which
+    record the option texts as given.
 
     The manifest always lands before any command output; a directory that
     already holds one is refused unless --force was given.
@@ -285,7 +252,7 @@ def start_run(args, options, overrides, seed, input_paths):
     manifest = {
         "command": args.command,
         "config_file": str(args.config) if args.config else None,
-        "resolved_options": {k: options[k] for k in sorted(options)},
+        "resolved_options": {k: texts[k] for k in sorted(texts)},
         "overrides": {k: overrides[k] for k in sorted(overrides)},
         "seed": seed,
         "jobs": args.jobs,
@@ -300,9 +267,7 @@ def start_run(args, options, overrides, seed, input_paths):
         fh.write("\n")
     with open(out_dir / "resolved.cfg", "w", encoding="utf-8") as fh:
         fh.write(f"seed = {seed}\n")
-        for key in sorted(options):
-            if key != "seed":
-                fh.write(f"{key} = {options[key]}\n")
+        fh.writelines(f"{key} = {texts[key]}\n" for key in sorted(texts) if key != "seed")
     return out_dir
 
 
@@ -317,11 +282,19 @@ def _fields_of(path):
         raise CliError(f"{path}: missing field {error.args[0]!r}") from None
 
 
-def _json_load(path, fh, **options):
-    """``json.load(fh, **options)`` of open file ``path``, which raises a file
-    that is not UTF-8 or not JSON as an error naming it."""
+def _json_load(path, fh, hook=lambda entry: entry):
+    """The JSON value of open file ``path``, each object as ``hook`` gives it;
+    a file that is not UTF-8 or not JSON, or an object that gives a key twice,
+    raises an error naming the file."""
+    def unique(pairs):
+        entry = dict(pairs)
+        if len(entry) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise CliError(f"{path}: key {max(keys, key=keys.count)!r} repeats in one object")
+        return hook(entry)
+
     try:
-        return json.load(fh, **options)
+        return json.load(fh, object_pairs_hook=unique)
     except ValueError as error:
         raise CliError(f"{path}: not JSON ({error})") from None
 
@@ -378,7 +351,7 @@ def write_corpus_cache(path, essays, sets):
 
 
 def _interned_sentences(entry):
-    """``json.load``'s object hook: an entry's ``sentences``, if a list of
+    """``_json_load``'s object hook: an entry's ``sentences``, if a list of
     lists of str, with each token interned, so the parse keeps one str per
     distinct token and frees each essay's copies as the essay is decoded.
     Any other value stays as it is, for ``_typed`` to name."""
@@ -396,7 +369,7 @@ def load_corpus_cache(path):
     """(essays by id, sets by id) from a corpus cache, each field of the type
     it declares; equal tokens are one str."""
     with open(path, "r", encoding="utf-8") as fh, _fields_of(path):
-        payload = _json_object(path, _json_load(path, fh, object_hook=_interned_sentences),
+        payload = _json_object(path, _json_load(path, fh, _interned_sentences),
                                "the top level")
         if payload.get("format") != CORPUS_CACHE_FORMAT:
             raise CliError(f"{path}: not a corpus cache (format {payload.get('format')!r})")
@@ -432,15 +405,15 @@ def load_corpus_cache(path):
 
 # ----------------------------------------------------------- commands
 
-def cmd_preprocess(options, seed, paths, out_dir, jobs):
-    essays_path = paths["essays"]
-    embeddings_path = paths["embeddings"]
-    sets = load_set_metadata(paths["set_metadata"])
+def cmd_preprocess(options, seed, out_dir, jobs):
+    essays_path = options["essays"]
+    embeddings_path = options.get("embeddings")
+    sets = load_set_metadata(options["set_metadata"])
     essays, report = load_essays(essays_path, sets)
     if not essays:
         raise CliError(f"no essays loaded from {essays_path}")
 
-    vocab = build_vocab(essays, max_size=opt(options, "vocab_size", int, 4000))
+    vocab = build_vocab(essays, max_size=options.get("vocab_size", 4000))
     coverage_line = "embedding coverage: not computed (no embeddings given)"
     if embeddings_path is not None:
         corpus_tokens = {t for e in essays for t in e.tokens}
@@ -516,14 +489,14 @@ def load_selected_records(options, path, metadata_path):
                              "with at least one native reader")
         records = filter_readers(records, native)
     elif name != "all":  # any other value lists reader ids
-        records = filter_readers(records, frozenset(opt_list(options, "reader_filter")))
+        records = filter_readers(records, {reader.strip() for reader in name.split(",")} - {""})
     return records, report, essay_ids
 
 
-def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
-    gaze_path = paths["gaze_csv"]
-    essays, _ = load_corpus_cache(paths["corpus_cache"])
-    records, report, _ = load_selected_records(options, gaze_path, paths["reader_metadata"])
+def cmd_bin_gaze(options, seed, out_dir, jobs):
+    gaze_path = options["gaze_csv"]
+    essays, _ = load_corpus_cache(options["corpus_cache"])
+    records, report, _ = load_selected_records(options, gaze_path, options.get("reader_metadata"))
     valid_rows = report.total_rows - len(report.rejected)
     if valid_rows and not records:
         raise CliError(f"reader_filter {options.get('reader_filter')!r} keeps no reader of the "
@@ -562,22 +535,22 @@ def cmd_bin_gaze(options, seed, paths, out_dir, jobs):
     return 0
 
 
-def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
+def _run_cells(options, seed, out_dir, jobs, task, cells_of=fold_cells):
     """Build the cells of train/run/ablate/gridsearch and run ``task`` on each.
 
     Returns (config, cells, results, failures) as ``execute_cells`` gives
     them. Generated folds are written only once ``cells_of`` has built and
     checked the cells.
     """
-    records_path = paths["records_clean"]
-    embeddings_path = paths["embeddings_cache"]
-    folds_dir = paths["folds_dir"]
-    essays, sets = load_corpus_cache(paths["corpus_cache"])
+    records_path = options.get("records_clean")
+    embeddings_path = options.get("embeddings_cache")
+    folds_dir = options.get("folds_dir")
+    essays, sets = load_corpus_cache(options["corpus_cache"])
 
     records, gaze_essays = GazeTable.from_records(), frozenset()
     if records_path is not None:
         records, _, gaze_essays = load_selected_records(options, records_path,
-                                                        paths["reader_metadata"])
+                                                        options.get("reader_metadata"))
 
     vectors = None
     if embeddings_path is not None:
@@ -588,9 +561,7 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
     system = options.get("system")
     if not system:
         raise CliError("missing required option 'system'")
-    target_sets = opt_list(options, "target_sets", cast=int)
-    if not target_sets and "set" in options:
-        target_sets = (opt(options, "set", int),)
+    target_sets = options.get("target_sets") or ((options["set"],) if "set" in options else ())
     if not target_sets:
         raise CliError("missing required option 'target_sets'")
 
@@ -605,7 +576,7 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
             set_ids = sorted(e.essay_id for e in essays.values() if e.set_id == set_id)
             folds[set_id] = make_folds(set_ids, seed=seed)
 
-    gaze_ids = frozenset(opt_list(options, "gaze_essay_ids", cast=int))
+    gaze_ids = frozenset(options.get("gaze_essay_ids", ()))
     if not gaze_ids:  # the default pool: every gaze essay the corpus holds
         gaze_ids = gaze_essays.intersection(essays)
         if gaze_ids != gaze_essays:
@@ -621,20 +592,19 @@ def _run_cells(options, seed, paths, out_dir, jobs, task, cells_of=fold_cells):
         embedding_vectors=vectors,
     )
 
-    attributes = opt_list(options, "gaze_attributes", GAZE_ATTRIBUTES)
-    weights = {}
-    for attribute in attributes:
-        weights[attribute] = opt(
-            options, f"gaze_weight_{attribute}", float, DEFAULT_GAZE_WEIGHTS.get(attribute, 0.0))
+    attributes = options.get("gaze_attributes", GAZE_ATTRIBUTES)
+    weights = {attribute: options.get(f"gaze_weight_{attribute}",
+                                      DEFAULT_GAZE_WEIGHTS.get(attribute, 0.0))
+               for attribute in attributes}
     config = ExperimentConfig(
         system=system,
         target_sets=target_sets,
         seed=seed,
         gaze_attributes=attributes,
         gaze_loss_weights=weights,
-        vocab_size=opt(options, "vocab_size", int, 4000),
-        model_params=typed_params(options, MODEL_KEYS),
-        train_params=typed_params(options, TRAIN_KEYS),
+        vocab_size=options.get("vocab_size", 4000),
+        model_params={key: options[key] for key in MODEL_KEYS if key in options},
+        train_params={key: options[key] for key in TRAIN_KEYS if key in options},
     )
     cells = cells_of(config, data)
     if folds_dir is None:
@@ -682,8 +652,8 @@ def _report_failures(out_dir, failures):
     return 1
 
 
-def cmd_run(options, seed, paths, out_dir, jobs):
-    config, _, results, failures = _run_cells(options, seed, paths, out_dir, jobs, run_fold)
+def cmd_run(options, seed, out_dir, jobs):
+    config, _, results, failures = _run_cells(options, seed, out_dir, jobs, run_fold)
     if results:
         report = assemble_report(config, results)
         _write_report_files(out_dir, report)
@@ -691,10 +661,10 @@ def cmd_run(options, seed, paths, out_dir, jobs):
     return _report_failures(out_dir, failures)
 
 
-def cmd_train(options, seed, paths, out_dir, jobs):
+def cmd_train(options, seed, out_dir, jobs):
     # the one command with a default system
     options = dict(options, system=options.get("system") or "self_attention")
-    fold_id = opt(options, "fold", int, 0)
+    fold_id = options.get("fold", 0)
 
     def pick_fold(config, data):
         if len(config.target_sets) != 1:
@@ -709,7 +679,7 @@ def cmd_train(options, seed, paths, out_dir, jobs):
                            f"has fold ids {[fold.fold_id for fold in folds]}")
         return cells
 
-    *_, results, failures = _run_cells(options, seed, paths, out_dir, jobs, train_cell, pick_fold)
+    *_, results, failures = _run_cells(options, seed, out_dir, jobs, train_cell, pick_fold)
     if failures:
         return _report_failures(out_dir, failures)
     ((_, result),) = results
@@ -724,7 +694,7 @@ def cmd_train(options, seed, paths, out_dir, jobs):
     return 0
 
 
-def cmd_ablate(options, seed, paths, out_dir, jobs):
+def cmd_ablate(options, seed, out_dir, jobs):
     attribute = options.get("attribute")
 
     def cells_of(config, data):
@@ -732,8 +702,7 @@ def cmd_ablate(options, seed, paths, out_dir, jobs):
             raise CliError("missing required option 'attribute'")
         return ablation_cells(config, data, attribute)
 
-    _, cells, results, failures = _run_cells(options, seed, paths, out_dir, jobs, run_fold,
-                                             cells_of)
+    _, cells, results, failures = _run_cells(options, seed, out_dir, jobs, run_fold, cells_of)
     if failures:
         return _report_failures(out_dir, failures)
     result = ablation_report(attribute, cells, results)
@@ -749,10 +718,10 @@ def cmd_ablate(options, seed, paths, out_dir, jobs):
     return 0
 
 
-def cmd_gridsearch(options, seed, paths, out_dir, jobs):
-    grid = opt_list(options, "grid", GAZE_WEIGHT_GRID, cast=float)
+def cmd_gridsearch(options, seed, out_dir, jobs):
+    grid = options.get("grid", GAZE_WEIGHT_GRID)
     _, cells, results, failures = _run_cells(
-        options, seed, paths, out_dir, jobs, grid_fold,
+        options, seed, out_dir, jobs, grid_fold,
         lambda config, data: grid_cells(config, data, config.gaze_attributes, grid))
     if failures:
         return _report_failures(out_dir, failures)
@@ -812,9 +781,9 @@ def load_run_directory(run_dir):
                             fold_results=tuple(sorted(results, key=lambda r: (r.set_id, r.fold_id))))
 
 
-def cmd_report(options, seed, paths, out_dir, jobs):
-    run_b = paths["run_b"]
-    report_a = load_run_directory(paths["run_a"])
+def cmd_report(options, seed, out_dir, jobs):
+    run_b = options.get("run_b")
+    report_a = load_run_directory(options["run_a"])
     if run_b is None:
         _publish(out_dir / "rendered_report.txt", format_report(report_a))
         return 0
@@ -858,13 +827,19 @@ COMMANDS = {
     "report": (cmd_report, "Render a saved run or compare two runs", ("run_a",), ("run_b",)),
 }
 
-# every key a config file or --set may give: an input key of some command, or
-# an option some command reads
-OPTION_KEYS = frozenset({
-    *(key for _, _, required, optional in COMMANDS.values() for key in required + optional),
-    "seed", "vocab_size", "system", "target_sets", "set", "fold", "attribute", "grid",
-    "reader_filter", "gaze_essay_ids", "gaze_attributes",
-    *(f"gaze_weight_{attribute}" for attribute in GAZE_ATTRIBUTES), *MODEL_KEYS, *TRAIN_KEYS})
+# every key a config file or --set may give, an input key of some command or an
+# option some command reads, and the parser of its text; reader_filter stays
+# text, which names a filter or lists reader ids
+OPTIONS = {
+    **{key: resolve_path for _, _, required, optional in COMMANDS.values()
+       for key in required + optional},
+    "seed": INTEGER, "vocab_size": INTEGER, "set": INTEGER, "fold": INTEGER,
+    "system": str, "attribute": str, "reader_filter": str,
+    "target_sets": _list_of(INTEGER), "gaze_essay_ids": _list_of(INTEGER),
+    "grid": _list_of(NUMBER), "gaze_attributes": _list_of(str),
+    **dict.fromkeys((f"gaze_weight_{attribute}" for attribute in GAZE_ATTRIBUTES), NUMBER),
+    **{key: INTEGER if cast is int else NUMBER for key, cast in (MODEL_KEYS | TRAIN_KEYS).items()},
+}
 
 
 def usable_cpus():
@@ -906,15 +881,17 @@ def main(argv=None):
         return 2
     handler, _, required, optional = COMMANDS[args.command]
     try:
-        options, overrides = resolve_options(args)
-        seed = resolve_seed(args, options)
-        paths = {key: opt_path(options, key, required=key in required)
-                 for key in required + optional}
+        texts, overrides, options = resolve_options(args)
+        seed = args.seed if args.seed is not None else options.get("seed", 0)
+        for key in required:
+            if key not in options:
+                raise CliError(f"missing required option {key!r}")
+        paths = {key: options.get(key) for key in required + optional}
         check_inputs(paths)
-        out_dir = start_run(args, options, overrides, seed, paths.values())
+        out_dir = start_run(args, texts, overrides, seed, paths.values())
         if args.dry_run:
             return 0
-        return handler(options, seed, paths, out_dir, args.jobs)
+        return handler(options, seed, out_dir, args.jobs)
     except (CliError, LeakageError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -132,52 +133,67 @@ def open_text(path, newline=None):
             raise ValueError(f"{path}: not UTF-8 ({error})") from None
 
 
-def load_set_metadata(path):
-    """Parse the flat key-value set metadata file into {set_id: EssaySet}.
-
-    Recognized keys: set<id>.score_min, set<id>.score_max, set<id>.article
-    (path to the source-article text, relative to the metadata file).
-    Lines starting with '#' and blank lines are ignored; a key may appear once.
-    """
-    import os
-
-    raw = {}
+def key_value_lines(path, separator, key):
+    """{key(name): (value, line)} of the ``name<separator>value`` lines of text
+    file ``path``; blank and ``#`` lines are skipped, a key may appear once,
+    and every fault raises ``<path>:<line>: <reason>``. A separator of spaces
+    splits at the first whitespace; ``key`` raises for a name it refuses."""
+    entries = {}
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = line.split(None, 1)
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'key value', got {line!r}")
-            key, value = fields
-            m = re.fullmatch(r"set(\d+)\.(score_min|score_max|article)", key)
-            if not m:
-                raise ValueError(f"{path}:{line_no}: unrecognized key {key!r}")
-            set_id, prop = int(m.group(1)), m.group(2)
-            props = raw.setdefault(set_id, {})
-            if prop in props:
-                raise ValueError(f"{path}:{line_no}: key {key!r} repeats line {props[prop][1]}")
-            props[prop] = value, line_no
-
-    base = os.path.dirname(os.path.abspath(path))
-    sets = {}
-    for set_id, props in sorted(raw.items()):
-        scores = {}
-        for prop in ("score_min", "score_max"):
-            if prop not in props:
-                raise ValueError(f"{path}: set {set_id} missing {prop}")
-            value, line_no = props[prop]
+            fields = [field.strip() for field in line.split(separator.strip() or None, 1)]
             try:
-                scores[prop] = int(value)
+                if len(fields) != 2:
+                    raise ValueError(f"expected 'key{separator}value', got {line!r}")
+                name, value = fields
+                canonical = key(name)
+                if canonical in entries:
+                    raise ValueError(f"key {name!r} repeats line {entries[canonical][1]}")
             except ValueError as error:
                 raise ValueError(f"{path}:{line_no}: {error}") from None
-        article = None
-        if "article" in props:
-            article_path = os.path.join(base, props["article"][0])
-            with open_text(article_path) as fh:
-                article = fh.read()
-        sets[set_id] = EssaySet(set_id=set_id, **scores, source_article=article)
+            entries[canonical] = value, line_no
+    return entries
+
+
+def _set_key(name):
+    """(set id, property) of a set metadata key ``set<id>.<property>``."""
+    m = re.fullmatch(r"set(\d+)\.(score_min|score_max|article)", name)
+    if not m:
+        raise ValueError(f"unrecognized key {name!r}")
+    return int(m.group(1)), m.group(2)
+
+
+def load_set_metadata(path):
+    """{set_id: EssaySet} of a set metadata file's ``key value`` lines, whose keys
+    are set<id>.score_min, set<id>.score_max and set<id>.article (the source
+    article's path, relative to the file); a fault in a value names its line."""
+    def read_article(name):
+        with open_text(Path(path).parent / name) as fh:
+            return fh.read()
+
+    entries = key_value_lines(path, " ", _set_key)
+    if not entries:
+        raise ValueError(f"{path}: no essay set")
+    sets = {}
+    for set_id in sorted({set_id for set_id, _ in entries}):
+        values = {}
+        for prop, parse in (("score_min", int), ("score_max", int), ("article", read_article)):
+            if (set_id, prop) in entries:
+                text, line_no = entries[set_id, prop]
+                try:
+                    values[prop] = parse(text)
+                except (OSError, ValueError) as error:  # a NUL byte in a path is a ValueError
+                    raise ValueError(f"{path}:{line_no}: {error}") from None
+            elif prop != "article":
+                raise ValueError(f"{path}: set {set_id} missing {prop}")
+        try:
+            sets[set_id] = EssaySet(set_id, values["score_min"], values["score_max"],
+                                    values.get("article"))
+        except ValueError as error:  # an empty score range
+            raise ValueError(f"{path}: {error}") from None
     return sets
 
 

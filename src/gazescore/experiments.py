@@ -138,8 +138,9 @@ def save_folds(path, folds):
 
 
 def load_folds(path):
-    """Read folds saved by :func:`save_folds`, preserving stored order."""
-    groups = {}
+    """Read folds saved by :func:`save_folds`, preserving stored order; a fold
+    may list an essay once."""
+    groups, lines = {}, {}  # lines: (fold_id, essay_id) -> the line that lists it
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -156,6 +157,10 @@ def load_folds(path):
                 raise ValueError(f"{path}:{line_no}: fold_id and essay_id must be integers")
             if role not in FOLD_ROLES:
                 raise ValueError(f"{path}:{line_no}: unknown role {role!r}")
+            first = lines.setdefault((fold_id, essay_id), line_no)
+            if first != line_no:
+                raise ValueError(f"{path}:{line_no}: fold {fold_id} essay {essay_id} repeats "
+                                 f"line {first}")
             groups.setdefault(fold_id, {r: [] for r in FOLD_ROLES})[role].append(essay_id)
     folds = []
     for fold_id in sorted(groups):

@@ -187,7 +187,7 @@ class TestConfigFile:
     def test_key_value_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# comment\n\na = 1\nb = two words \n")
-        assert parse_config_file(path) == {"a": "1", "b": "two words"}
+        assert parse_config_file(path) == {"a": ("1", 3), "b": ("two words", 4)}
 
     def test_malformed_line_names_position(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -232,24 +232,54 @@ class TestConfigFile:
         args = run_args(data_dir, prep_dir, out, "co_attention_gaze")
         if where == "set":
             args += ["--set", "learning_rte=5", "--set", "gaze_wieght_DT=3"]
+            where = ""
         else:
             config = tmp_path / "typo.cfg"
             config.write_text((data_dir / "base.cfg").read_text() + "learning_rte = 5\n")
             args[args.index("--config") + 1] = str(config)
+            where = f"{config}:{len(config.read_text().splitlines())}: "
         assert main(args) == 1
-        assert capsys.readouterr().err == "error: unknown option 'learning_rte'\n"
+        assert capsys.readouterr().err == f"error: {where}unknown option 'learning_rte'\n"
         assert not out.exists()
 
     def test_keys_other_commands_read_are_accepted(self, data_dir, tmp_path):
         # one config file may serve every command: a key that only run reads
         # is no error for preprocess
-        pairs = [f"{key}=1" for key in sorted(cli.OPTION_KEYS)
+        pairs = [f"{key}=1" for key in sorted(cli.OPTIONS)
                  if key not in ("essays", "set_metadata", "embeddings")]
         args = ["preprocess", "--config", str(data_dir / "base.cfg"), "--out",
                 str(tmp_path / "out"), "--dry-run"]
         assert main(args + [arg for pair in pairs for arg in ("--set", pair)]) == 0
         assert {"fold", "attribute", "grid", "reader_filter", "gaze_weight_Skip", "run_b",
-                "learning_rate", "embedding_dim"} <= cli.OPTION_KEYS
+                "learning_rate", "embedding_dim"} <= cli.OPTIONS.keys()
+
+    def test_a_bad_value_exits_one_before_anything_is_written(self, data_dir, tmp_path, capsys):
+        # read only by a handler, it was never parsed under --dry-run, which exited 0
+        out = tmp_path / "out"
+        assert main(["preprocess", "--config", str(data_dir / "base.cfg"), "--out", str(out),
+                     "--dry-run", "--set", "vocab_size=abc"]) == 1
+        assert capsys.readouterr()[:] == (
+            "", "error: option 'vocab_size' must be an integer, got 'abc'\n")
+        assert not out.exists()
+
+    def test_a_bad_config_value_names_its_file_and_line(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text((data_dir / "base.cfg").read_text() + "grid = 0.5, abc\n")
+        n = len(config.read_text().splitlines())
+        out = tmp_path / "out"
+        assert main(["preprocess", "--config", str(config), "--out", str(out), "--dry-run"]) == 1
+        assert capsys.readouterr()[:] == (
+            "", f"error: {config}:{n}: option 'grid' must be a number, got 'abc'\n")
+        assert not out.exists()
+
+    def test_a_config_value_an_override_replaces_is_not_parsed(self, data_dir, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text((data_dir / "base.cfg").read_text() + "vocab_size = abc\n")
+        out = tmp_path / "out"
+        assert main(["preprocess", "--config", str(config), "--out", str(out), "--dry-run",
+                     "--set", "vocab_size=12"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["resolved_options"][
+            "vocab_size"] == "12"
 
     def test_seed_flag_overrides_config(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -473,8 +503,10 @@ class TestPreprocess:
          "set id 'x' is not an integer"),
         (lambda cache: {**cache, "sets": {"1": {**cache["sets"]["1"], "score_max": 0}}},
          "set 1: score_min 0 must be below score_max 0"),
+        (lambda cache: '{"essays": [], ' + json.dumps(cache)[1:],
+         "key 'essays' repeats in one object"),
     ], ids=["top_level", "sets", "set_entry", "essays", "essay_entry", "not_json", "set_key",
-            "score_range"])
+            "score_range", "repeated_key"])
     def test_corpus_cache_of_the_wrong_shape_exits_one_naming_it(self, edit, what, data_dir,
                                                                  prep_dir, tmp_path, capsys):
         cache = tmp_path / "cache.json"
@@ -1540,8 +1572,11 @@ class TestReport:
         ("manifest.json", "{seed: 1}", "{}: not JSON (Expecting property name enclosed in "
                                        "double quotes: line 1 column 2 (char 1))"),
         ("manifest.json", '{"seed": "5"}', "{}: the top level: field 'seed' must be int, not str"),
+        # json.load kept the last of the two, and the report rendered seed: 2
+        ("manifest.json", '{"seed": 1, "seed": 2}', "{}: key 'seed' repeats in one object"),
     ], ids=["short_prediction_row", "short_report_row", "bad_prediction_cell",
-            "bad_report_cell", "manifest_not_json", "manifest_seed_not_int"])
+            "bad_report_cell", "manifest_not_json", "manifest_seed_not_int",
+            "manifest_repeated_key"])
     def test_a_bad_row_or_manifest_exits_one_naming_the_file(self, name, text, message,
                                                              two_runs, tmp_path, capsys):
         # a CSV file's third line, or the whole manifest, reads ``text``
@@ -1953,17 +1988,17 @@ def mutate(data, text, separator, header):
     return b"\n".join(lines)
 
 
-# errors about an option a config file gives, which name the option and not the
-# file (the same errors --set gives)
-OPTION_ERRORS = ("error: unknown option ", "error: missing required option ",
-                 "error: cannot read input file: ")
+# errors about an option a config file gives, which name the option or its
+# input and not the file: one the file leaves out, and an input path it gives
+OPTION_ERRORS = ("error: missing required option ", "error: cannot read input file: ")
 
 
 class TestInputFuzzer:
-    """A mutated input file leaves a command exiting 0, or 1 with one error line naming it."""
+    """A mutated input file leaves a command exiting 0, or 1 with one error line naming it;
+    a mutated fold file loads, or raises a ValueError naming it."""
 
     @pytest.mark.parametrize("target", ["reader_metadata", "report.csv", "predictions.csv",
-                                        "manifest.json", "config"])
+                                        "manifest.json", "config", "set_metadata", "folds"])
     @given(data=st.data())
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     def test_a_mutated_input_exits_zero_or_one_naming_it(self, target, data, data_dir, prep_dir,
@@ -1979,13 +2014,28 @@ class TestInputFuzzer:
         elif target == "config":
             source, path = data_dir / "base.cfg", work / "run.cfg"
             args = ["preprocess", "--config", str(path), *out, "--dry-run"]
+        elif target == "set_metadata":
+            source, path = data_dir / "sets.cfg", work / "sets.cfg"
+            (work / "article.txt").write_bytes((data_dir / "article.txt").read_bytes())
+            args = ["preprocess", *out, "--set", "essays=" + str(data_dir / "essays.tsv"),
+                    "--set", f"set_metadata={path}"]
+        elif target == "folds":  # loaded as train, run, ablate and gridsearch load it
+            source, path = two_runs[0] / "folds" / "set_1.txt", work / "set_1.txt"
         else:
             for name in ("report.csv", "predictions.csv", "manifest.json"):
                 (work / "run" / name).write_bytes((two_runs[0] / name).read_bytes())
             source, path = two_runs[0] / target, work / "run" / target
             args = ["report", *out, "--set", "run_a=" + str(work / "run")]
-        separator = {"config": b"=", "manifest.json": b": "}.get(target, b",")
-        path.write_bytes(mutate(data, source.read_bytes(), separator, separator == b","))
+        separator = {"config": b"=", "manifest.json": b": ",
+                     "set_metadata": b" "}.get(target, b",")
+        path.write_bytes(mutate(data, source.read_bytes(), separator,
+                                separator == b"," and target != "folds"))
+        if target == "folds":
+            try:
+                experiments.load_folds(path)
+            except ValueError as error:
+                assert str(path) in str(error), error
+            return
 
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

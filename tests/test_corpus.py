@@ -201,6 +201,21 @@ def test_load_set_metadata_names_the_line_of_a_bound_that_is_not_an_integer(tmp_
     assert str(error.value) == f"{path}:3: invalid literal for int() with base 10: 'zero'"
 
 
+@pytest.mark.parametrize("text, reason", [
+    # each escaped without the file's name, or loaded no set and so no essay
+    ("set1.score_min 3\nset1.score_max 3\n", ": set 1: score_min 3 must be below score_max 3"),
+    ("set1.score_min 0\nset1.score_max 3\nset1.article absent.txt\n",
+     ":3: [Errno 2] No such file or directory: '{dir}/absent.txt'"),
+    ("# no set\n", ": no essay set"),
+], ids=["empty_range", "absent_article", "no_set"])
+def test_load_set_metadata_names_the_file_of_a_bad_set(tmp_path, text, reason):
+    path = tmp_path / "bad.conf"
+    path.write_text(text)
+    with pytest.raises(ValueError) as error:
+        load_set_metadata(path)
+    assert str(error.value) == f"{path}{reason.format(dir=tmp_path)}"
+
+
 # ---------------------------------------------------------------------------
 # essay loading
 # ---------------------------------------------------------------------------

@@ -249,15 +249,17 @@ class TestFoldFiles:
 
     @pytest.mark.parametrize("lines, reason", [
         ("0,train,1\n0,dev,2\n0,test,3\n2,train,4\n2,test,5\n",
-         "fold 2: every fold role needs at least one essay"),
-        ("0,train,1\n0,dev,2\n0,test,1\n", "fold 0: essay 1 appears in two fold roles"),
-    ], ids=["missing_role", "two_roles"])
+         ": fold 2: every fold role needs at least one essay"),
+        # both named the wrong fault and no line: "fold 0: essay 1 appears in two fold roles"
+        ("0,train,1\n0,dev,2\n0,test,1\n", ":3: fold 0 essay 1 repeats line 1"),
+        ("0,train,2\n0,train,2\n0,dev,1\n0,test,3\n", ":2: fold 0 essay 2 repeats line 1"),
+    ], ids=["missing_role", "two_roles", "one_role_twice"])
     def test_a_bad_fold_names_the_file_and_the_fold(self, tmp_path, lines, reason):
         path = tmp_path / "set_3.txt"
         path.write_text(lines)
         with pytest.raises(ValueError) as error:
             load_folds(path)
-        assert str(error.value) == f"{path}: {reason}"
+        assert str(error.value) == f"{path}{reason}"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
