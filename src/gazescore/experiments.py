@@ -467,7 +467,7 @@ def run_fold(config, data, set_id, fold, log=None):
     setup, result = train_cell(config, data, set_id, fold, log)
     pairs = []
     predictions = {}
-    outputs = setup.model.forward_batch([ex.sentence_ids for ex in setup.test_examples])
+    outputs = setup.model.forward_batch([ex.sentence_ids for ex in setup.test_examples], heads=())
     for example, output in zip(setup.test_examples, outputs):
         predicted = output.score_value
         raw = denormalize_score(predicted, setup.essay_set)

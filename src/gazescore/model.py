@@ -29,10 +29,15 @@ dimensions the conv outputs, so the gaze heads, are bit-identical.
 
 Gaze heads are independent linear+sigmoid layers reading the convolution
 outputs token by token, so each non-padding token gets one prediction per
-configured attribute. When heads are configured, ``forward`` (the graph path)
-allocates one (n_tokens, F) token block per essay: each sentence's encoder
-writes its outputs into its own rows, and the heads read the block, with no
-concatenated copy.
+head that runs. ``forward`` and ``forward_batch`` run the heads of the
+attributes they are asked for, every configured one by default: a training
+step asks each essay's forward for the attributes it has labelled rows for
+(zero-weight ones too, whose MSE the loss reports), ``training.dev_qwk`` and
+``experiments.run_fold``'s test scoring ask for none, as no score reads a
+head, and ``training.evaluate_breakdown`` asks for all. When heads run,
+``forward`` (the graph path) allocates one (n_tokens, F) token block per
+essay: each sentence's encoder writes its outputs into its own rows, and the
+heads read the block, with no concatenated copy.
 
 In training, each sentence's embedding, dropout, convolution and tanh are
 one graph node (``numerics.encode_tokens``), each attention pool is one
@@ -276,15 +281,17 @@ class EssayScorer:
                                   essay_hidden)
         return essay2article, article2essay
 
-    def forward_batch(self, batch_sentence_ids):
+    def forward_batch(self, batch_sentence_ids, heads=None):
         """Evaluation outputs, one :class:`ForwardOutput` per essay, in a list.
 
         The article is encoded once, and the essays are scored in padded
         blocks of up to ``EVAL_SLICE`` essays (see the module docstring); the
-        outputs carry their values only.
+        outputs carry their values only. ``heads`` are the gaze attributes
+        whose heads run, as in :meth:`forward`.
         """
         if not all(batch_sentence_ids):
             raise ValueError("forward: essay has no sentences")
+        heads = self.config.gaze_attributes if heads is None else heads
         article = self.encode_article()
         article = None if article is None else article.data
         order = sorted(range(len(batch_sentence_ids)),
@@ -292,16 +299,16 @@ class EssayScorer:
         outputs = [None] * len(order)
         for start in range(0, len(order), EVAL_SLICE):
             chosen = order[start:start + EVAL_SLICE]
-            scored = self._score_block([batch_sentence_ids[i] for i in chosen], article)
+            scored = self._score_block([batch_sentence_ids[i] for i in chosen], article, heads)
             for i, output in zip(chosen, scored):
                 outputs[i] = output
         return outputs
 
     # -- evaluation on parameter values, no graph ----------------------------
 
-    def _encode_words(self, sentence_ids):
+    def _encode_words(self, sentence_ids, heads):
         """One essay's sentence vectors (S, F), an empty sentence's zero, and
-        its gaze predictions, from one padded token block."""
+        the predictions of its gaze ``heads``, from one padded token block."""
         k, w = self.config.conv_kernel, self.conv_w.data
         lengths = np.array([len(ids) for ids in sentence_ids])
         width = max(lengths.max(), 1)
@@ -316,14 +323,14 @@ class EssayScorer:
         single = lengths == 1
         if width > 1 and single.any():
             conv[single, :1] = nm._conv_forward(embedded[single, :k], w)
-        conv = np.tanh(nm._add_bias("forward_batch", conv, self.conv_b.data))
+        conv = nm._tanh(nm._add_bias("forward_batch", conv, self.conv_b.data))
         vectors = _attend(conv, mask, self.word_attn_w, self.word_attn_b, self.word_attn_v)
         gaze = {}
-        if self.config.gaze_attributes and mask.any():
+        if heads and mask.any():
             tokens = conv[mask]  # forward's row order: sentence by sentence
             gaze = {a: Tensor(nm._dense(tokens, self.gaze_w[a].data, self.gaze_b[a].data,
                                         "sigmoid"))
-                    for a in self.config.gaze_attributes}
+                    for a in heads}
         return vectors, gaze
 
     def _lstm_block(self, inputs, counts):
@@ -339,9 +346,9 @@ class EssayScorer:
             hidden[:n, t] = h
         return hidden
 
-    def _score_block(self, essays, article):
+    def _score_block(self, essays, article, heads):
         """Evaluation outputs of essays given in descending sentence count."""
-        words = [self._encode_words(sentence_ids) for sentence_ids in essays]
+        words = [self._encode_words(sentence_ids, heads) for sentence_ids in essays]
         counts = np.array([len(sentence_ids) for sentence_ids in essays])
         mask = np.arange(counts[0]) < counts[:, None]
         inputs = np.zeros((len(essays), counts[0], self.config.conv_filters))
@@ -362,16 +369,19 @@ class EssayScorer:
         return [ForwardOutput(Tensor(score[None]), gaze)
                 for score, (_, gaze) in zip(scores, words)]
 
-    def forward(self, sentence_ids, rng=None, article=None):
+    def forward(self, sentence_ids, rng=None, article=None, heads=None):
         """Score one essay given its vocabulary-encoded sentences.
 
         ``article`` is :meth:`encode_article`'s result for this parameter
         state; when it is None, co_attention encodes the article itself.
+        ``heads`` are the configured gaze attributes whose heads run, in the
+        order the output gives them, every configured one when None.
         """
         if not sentence_ids:
             raise ValueError("forward: essay has no sentences")
+        heads = self.config.gaze_attributes if heads is None else heads
         tokens = None  # the gaze heads' input, which the sentences' encoders write
-        if self.config.gaze_attributes:
+        if heads:
             tokens = np.empty((sum(len(ids) for ids in sentence_ids), self.config.conv_filters))
         conv_outputs, essay_hidden, essay_vector, _ = self.encode_essay(
             sentence_ids, rng, tokens)
@@ -395,9 +405,9 @@ class EssayScorer:
 
         real_convs = [c for c in conv_outputs if c is not None]
         gaze_predictions = {}
-        if self.config.gaze_attributes and real_convs:
+        if heads and real_convs:
             all_tokens = nm.concat(real_convs, axis=0, out=tokens)
-            for attribute in self.config.gaze_attributes:
+            for attribute in heads:
                 gaze_predictions[attribute] = nm.dense(
                     all_tokens, self.gaze_w[attribute], self.gaze_b[attribute], "sigmoid")
         return ForwardOutput(predicted_score=score, gaze_predictions=gaze_predictions)

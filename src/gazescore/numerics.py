@@ -92,7 +92,11 @@ same terms into each input in the same order: results stay bit-identical.
 The model's block evaluator runs the ops' own forward formulas on arrays with
 leading batch axes: ``_conv_forward``, ``_add_bias``, ``_softmax`` (masked over
 padding), ``_attend`` (the attention pool), ``_lstm_step`` (one LSTM step) and
-``_dense`` (a dense layer).
+``_dense`` (a dense layer). These formulas make no temporary they can avoid:
+``_add_bias`` adds into the fresh product its caller gives it, ``_conv_forward``
+computes each window's product into one scratch buffer, and tanh (``_tanh``,
+in ``_attention_scores`` and a tanh ``_dense``) is taken in place. Each value
+equals the out-of-place expression's, bit for bit.
 """
 
 from __future__ import annotations
@@ -325,10 +329,11 @@ def _check_matmul(op, a, b):
 
 
 def _add_bias(op, z, b):
-    """z (..., m) + b (m,)."""
+    """z (..., m) + b (m,), added into z, a fresh array the caller gives up."""
     if b.shape != z.shape[-1:]:
         raise ShapeError(f"{op}: bias of shape {b.shape} does not fit shape {z.shape}")
-    return z + b
+    z += b
+    return z
 
 
 def _check_conv(op, x_shape, w_shape):
@@ -352,8 +357,9 @@ def _conv_forward(xp, w):
     """The sum over the k windows of padded xp (..., T + k - 1, Cin) of window j @ w[j]."""
     t = xp.shape[-2] - len(w) + 1
     out = np.zeros(xp.shape[:-2] + (t, w.shape[2]), dtype=np.result_type(xp, w))
+    product = np.empty_like(out)  # each window's product, in one scratch buffer
     for j in range(len(w)):
-        out += xp[..., j:j + t, :] @ w[j]
+        out += np.matmul(xp[..., j:j + t, :], w[j], out=product)
     return out
 
 
@@ -381,16 +387,21 @@ def _sigmoid_grad(g, out):
     return g * out * (1.0 - out)
 
 
+def _tanh(z):
+    """tanh(z), written into z."""
+    return np.tanh(z, out=z)
+
+
 def _tanh_grad(g, out, into=None):
     return np.multiply(g, 1.0 - out * out, out=into)
 
 
-_ACTIVATIONS = {"tanh": (np.tanh, _tanh_grad), "sigmoid": (_sigmoid, _sigmoid_grad)}
+_ACTIVATIONS = {"tanh": (_tanh, _tanh_grad), "sigmoid": (_sigmoid, _sigmoid_grad)}
 
 
 def _dense(x, w, b, activation):
     """activation(x @ w + b) of x (..., n), w (n, m) and b (m,); activation is
-    "tanh" or "sigmoid"."""
+    "tanh" (computed in the product's array) or "sigmoid"."""
     return _ACTIVATIONS[activation][0](_add_bias("dense", x @ w, b))
 
 
@@ -408,8 +419,9 @@ def _softmax(x, axis=-1, mask=True):
 
 
 def _attention_scores(states, w, b):
-    """u = tanh(states @ w + b) of additive attention over states (..., n, d)."""
-    return np.tanh(_add_bias("additive_attention", states @ w, b))
+    """u = tanh(states @ w + b) of additive attention over states (..., n, d),
+    computed in the product's array."""
+    return _tanh(_add_bias("additive_attention", states @ w, b))
 
 
 def _attend(states, w, b, v, mask=True):

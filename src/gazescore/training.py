@@ -7,9 +7,13 @@ readers weigh proportionally to their label count. Attributes whose weight
 is zero are reported but add nothing to the loss or its gradient; that makes
 a zero-weight run bit-identical to a run with no gaze loss at all, which the
 tests rely on. ``multitask_loss`` computes the loss and its breakdown with
-numpy on the outputs' values; ``_labelled_rows`` says, from the example
-alone, which gaze rows of an essay it reads, for the loss, the gradient and
-``train``'s warning about an attribute no essay labels alike.
+numpy on the outputs' values, over the model's configured attributes in their
+order, so a batch that no essay labels still reports each at 0;
+``_labelled_rows`` says, from the example alone, which gaze rows of an essay
+it reads, for the loss, the gradient, the heads an essay's training forward
+runs (those it has rows for, and no other) and ``train``'s warning about an
+attribute no essay labels alike. ``dev_qwk`` scores without running a gaze
+head; ``evaluate_breakdown`` runs them all.
 
 A step builds one essay's graph at a time: each essay's backward runs as
 soon as its forward ends, seeded with that essay's share of the batch loss's
@@ -139,14 +143,16 @@ def _mse(predictions, targets):
     return float((diff * diff).mean())
 
 
-def multitask_loss(outputs, examples, weights):
+def multitask_loss(outputs, examples, weights, attributes):
     """(loss, LossBreakdown) for one batch, from the outputs' values.
 
-    ``outputs`` are ForwardOutput per example, in the same order. The loss
-    is the score's MSE plus each gaze attribute's MSE over its labelled rows
-    times its weight, added in the order the attributes first appear in the
-    outputs. Gaze terms with zero weight or no labelled rows add nothing;
-    their measured MSE is still reported in the breakdown.
+    ``outputs`` are ForwardOutput per example, in the same order, each with
+    the gaze heads of the ``attributes`` its example has labelled rows for.
+    The loss is the score's MSE plus each gaze attribute's MSE over its
+    labelled rows times its weight, added in ``attributes``' order (the
+    model's configured one). Gaze terms with zero weight or no labelled rows
+    add nothing; their measured MSE is still reported in the breakdown, 0
+    when no essay labels the attribute.
     """
     if not examples:
         raise ValueError("multitask_loss: empty batch")
@@ -156,8 +162,8 @@ def multitask_loss(outputs, examples, weights):
                      [np.array([[ex.score_target]], dtype=np.float64) for ex in examples])
     loss = score_mse
     gaze_mse, gaze_counts = {}, {}
-    labelled = [_labelled_rows(ex, out.gaze_predictions) for out, ex in zip(outputs, examples)]
-    for attribute in dict.fromkeys(a for out in outputs for a in out.gaze_predictions):
+    labelled = [_labelled_rows(ex, attributes) for ex in examples]
+    for attribute in attributes:
         parts = [(out.gaze_predictions[attribute].data[rows[attribute][0]], rows[attribute][1])
                  for out, rows in zip(outputs, labelled) if attribute in rows]
         gaze_counts[attribute] = sum(len(targets) for _, targets in parts)
@@ -219,7 +225,8 @@ def dev_qwk(model, examples, sets, epoch=None):
     if len(set_ids) != 1:
         raise ValueError(f"dev set spans multiple essay sets: {sorted(set_ids)}")
     essay_set = sets[next(iter(set_ids))]
-    scores = [out.score_value for out in model.forward_batch([ex.sentence_ids for ex in examples])]
+    scores = [out.score_value
+              for out in model.forward_batch([ex.sentence_ids for ex in examples], heads=())]
     if not all(map(math.isfinite, scores)):
         raise TrainingDiverged(epoch, None, _param_norms(model))
     pairs = [(denormalize_score(score, essay_set), ex.raw_score)
@@ -228,9 +235,9 @@ def dev_qwk(model, examples, sets, epoch=None):
 
 
 def evaluate_breakdown(model, examples):
-    """Evaluation-mode LossBreakdown over a whole example list."""
+    """Evaluation-mode LossBreakdown over a whole example list, every gaze head run."""
     return multitask_loss(model.forward_batch([ex.sentence_ids for ex in examples]),
-                          examples, {})[1]
+                          examples, {}, model.config.gaze_attributes)[1]
 
 
 def _aggregate_epoch(batch_breakdowns, batch_sizes):
@@ -395,7 +402,8 @@ def _forward_backward_by_essay(model, batch, weights, rng):
     The article and the essays take the dropout draws the batch graph
     takes: the article's first, then each essay's, in batch order. Every
     essay reads the article's states through one stand-in leaf, so its
-    backward stops there.
+    backward stops there. An essay's forward runs the gaze heads of the
+    attributes it has labelled rows for alone: no other head reaches the loss.
     """
     terms, ranks, labelled = _loss_terms(model, batch, weights)
     states = model.encode_article(rng)
@@ -403,7 +411,8 @@ def _forward_backward_by_essay(model, batch, weights, rng):
     essays = _EssayBackward(model, ranks, None if states is None else (states, article))
     outputs = []
     for essay, ex in enumerate(batch):
-        outputs.append(model.forward(ex.sentence_ids, rng, article=article))
+        outputs.append(model.forward(ex.sentence_ids, rng, article=article,
+                                     heads=labelled[essay]))
         essays.add(essay, *_essay_root(outputs[-1], ex, labelled[essay], 2.0 / len(batch), terms))
         labelled[essay] = None  # its seeds keep what the backward reads; the rest goes now
     return outputs, essays
@@ -422,7 +431,7 @@ def _batch_gradients(model, params, batch, weights, rng, epoch, batch_index):
     """
     zero_grads(params)
     outputs, essays = _forward_backward_by_essay(model, batch, weights, rng)
-    loss, breakdown = multitask_loss(outputs, batch, weights)
+    loss, breakdown = multitask_loss(outputs, batch, weights, model.config.gaze_attributes)
     if not math.isfinite(loss):
         raise TrainingDiverged(epoch, batch_index, _param_norms(model))
     essays.finish()

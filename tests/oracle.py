@@ -28,14 +28,15 @@ def batch_graph(model, batch_sentence_ids, rng):
             for sentence_ids in batch_sentence_ids]
 
 
-def batch_loss(outputs, examples, weights):
+def batch_loss(outputs, examples, weights, attributes):
     """(loss Tensor, LossBreakdown) for one batch, the loss as a graph over
     the outputs: ``training.multitask_loss`` built from graph ops, the loss
     whose gradients a training step must equal.
 
-    ``outputs`` are ForwardOutput per example, in the same order. Gaze
-    terms with zero weight or no labeled tokens never enter the graph;
-    their measured MSE is still reported in the breakdown.
+    ``outputs`` are ForwardOutput per example, in the same order, and
+    ``attributes`` the gaze terms' order. Gaze terms with zero weight or no
+    labeled tokens never enter the graph; their measured MSE is still
+    reported in the breakdown.
     """
     if not examples:
         raise ValueError("batch_loss: empty batch")
@@ -46,11 +47,6 @@ def batch_loss(outputs, examples, weights):
         np.array([[ex.score_target] for ex in examples], dtype=np.float64))
     score_mse = nm.mse(scores, score_targets)
 
-    attributes = []
-    for out in outputs:
-        for attribute in out.gaze_predictions:
-            if attribute not in attributes:
-                attributes.append(attribute)
     gaze_mse_tensors = {}
     gaze_counts = {}
     for attribute in attributes:

@@ -773,15 +773,22 @@ class TestLeakage:
 @pytest.mark.parametrize("system", ["self_attention", "co_attention_gaze"])
 def test_evaluation_never_calls_forward(system, monkeypatch):
     # dev QWK, loss breakdowns and test scoring all run on the batched evaluation
-    # path; only training, which passes an rng, builds graphs through forward
-    train_forward = EssayScorer.forward
+    # path; only training, which passes an rng, builds graphs through forward.
+    # Dev QWK and test scoring ask for no gaze head, a loss breakdown for every one
+    train_forward, forward_batch = EssayScorer.forward, EssayScorer.forward_batch
+    asked = []  # the heads each forward_batch call asks for
 
-    def training_only(self, sentence_ids, rng=None, article=None):
+    def training_only(self, sentence_ids, rng=None, article=None, heads=None):
         if rng is None:
             raise AssertionError("evaluation called EssayScorer.forward")
-        return train_forward(self, sentence_ids, rng, article)
+        return train_forward(self, sentence_ids, rng, article, heads)
+
+    def recording(self, batch_sentence_ids, heads=None):
+        asked.append(heads)
+        return forward_batch(self, batch_sentence_ids, heads)
 
     monkeypatch.setattr(EssayScorer, "forward", training_only)
+    monkeypatch.setattr(EssayScorer, "forward_batch", recording)
     data = make_data(article="The sun rose early. Birds sang on the mat.",
                      target_records=True)
     config = ExperimentConfig(system=system, target_sets=(1,), seed=0,
@@ -793,6 +800,7 @@ def test_evaluation_never_calls_forward(system, monkeypatch):
     setup = prepare_cell(config, data, 1, fold)
     assert -1.0 <= dev_qwk(setup.model, setup.dev_examples, data.sets) <= 1.0
     breakdown = evaluate_breakdown(setup.model, setup.dev_examples)
+    assert asked == [(), (), (), (), None]  # two dev passes, the test set, dev_qwk, the breakdown
     assert math.isfinite(breakdown.score_mse)
     if system == "co_attention_gaze":
         assert breakdown.gaze_token_counts["DT"] > 0

@@ -7,6 +7,8 @@ must equal the chain's to the last bit, alone and inside the model's
 training loop.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -179,7 +181,7 @@ class ChainScorer(EssayScorer):
             conv, self.word_attn_w, self.word_attn_b, self.word_attn_v)
         return conv, pooled, alpha
 
-    def forward(self, sentence_ids, rng=None, article=None):
+    def forward(self, sentence_ids, rng=None, article=None, heads=None):
         if not sentence_ids:
             raise ValueError("forward: essay has no sentences")
         conv_outputs, essay_hidden, essay_vector, _ = self.encode_essay(sentence_ids, rng)
@@ -200,9 +202,10 @@ class ChainScorer(EssayScorer):
         score = chain_dense(modeled, self.output_w, self.output_b, "sigmoid")
         real_convs = [c for c in conv_outputs if c is not None]
         gaze_predictions = {}
-        if self.config.gaze_attributes and real_convs:
+        heads = self.config.gaze_attributes if heads is None else heads
+        if heads and real_convs:
             all_tokens = nm.concat(real_convs, axis=0)
-            for attribute in self.config.gaze_attributes:
+            for attribute in heads:
                 gaze_predictions[attribute] = chain_dense(
                     all_tokens, self.gaze_w[attribute], self.gaze_b[attribute], "sigmoid")
         return ForwardOutput(predicted_score=score, gaze_predictions=gaze_predictions)
@@ -259,19 +262,19 @@ def test_fused_training_matches_the_op_chains_bitwise(architecture):
 def graph_nodes_per_essay(model, examples, monkeypatch):
     """Interior nodes of the graphs one training step on ``examples`` builds,
     per essay: each essay's as ``_forward_backward_by_essay`` builds it, root
-    included (a co-attention essay's stops at the article's stand-in leaf),
-    and the article's once, shared over the essays."""
+    and every gaze head it runs included (a co-attention essay's stops at the
+    article's stand-in leaf), and the article's once, shared over the essays."""
     counts = []
 
-    def count(node):
-        counts.append(sum(n._grad_fn is not None for n in nm._topological_order(node)))
-        return node
+    def count(*nodes):
+        counts.append(sum(n._grad_fn is not None for n in nm._topological_order(*nodes)))
+        return nodes[0]
 
     essay_root, encode_article = training._essay_root, model.encode_article
 
-    def counted_root(*args):
-        root, finite = essay_root(*args)
-        return count(root), finite
+    def counted_root(output, *args):
+        root, finite = essay_root(output, *args)
+        return count(root, *output.gaze_predictions.values()), finite
 
     def counted_article(rng=None):
         states = encode_article(rng)
@@ -318,3 +321,29 @@ def test_the_benchmark_batch_trains_on_a_few_dozen_nodes(architecture, bound, be
     line = f"[graph nodes] {architecture}: {nodes:.1f} per essay"
     print("\n" + line)
     assert nodes <= bound, line
+
+
+def partly_labelled_copies(examples):
+    """Copies of ``examples`` with every third one unlabelled and every fourth
+    of the rest labelled for DT alone."""
+    return [replace(ex, gaze_targets={} if k % 3 == 2 else
+                    {"DT": ex.gaze_targets["DT"]} if k % 4 == 1 else ex.gaze_targets)
+            for k, ex in enumerate(examples)]
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_a_partly_labelled_batch_builds_no_head_that_no_label_reads(
+        architecture, benchmark_batch, monkeypatch):
+    # the benchmark's first 12 train essays, 4 of them unlabelled and 2 labelled
+    # for DT alone: an unlabelled essay builds neither the five heads nor the
+    # concat of its token block, a DT-only one four heads fewer, so a step
+    # builds 32 nodes fewer than on the fully labelled essays
+    model = benchmark_batch.model(architecture)
+    full = graph_nodes_per_essay(model, benchmark_batch.train[:12], monkeypatch)
+    monkeypatch.undo()
+    nodes = graph_nodes_per_essay(model, partly_labelled_copies(benchmark_batch.train[:12]),
+                                  monkeypatch)
+    line = (f"[partly labelled graph nodes] {architecture}: {nodes:.1f} per essay, "
+            f"{full:.1f} fully labelled")
+    print("\n" + line)
+    assert (full - nodes) * 12 == pytest.approx(32), line

@@ -475,7 +475,8 @@ def test_fused_lstm_gradients_match_per_gate_reference_bitwise(architecture):
     for model in reference_pair(architecture):
         rng = np.random.default_rng(4)
         outputs = [model.forward(ex.sentence_ids, rng=rng) for ex in examples]
-        loss, _ = batch_loss(outputs, examples, dict(model.config.gaze_loss_weights))
+        loss, _ = batch_loss(outputs, examples, dict(model.config.gaze_loss_weights),
+                             model.config.gaze_attributes)
         backward(loss)
         nm._fill_grads(model.parameters())
         scores.append([out.predicted_score.data for out in outputs])
@@ -525,7 +526,7 @@ def test_shared_article_gradients_match_per_essay_encoding(architecture):
         else:  # the reference: every essay encodes its own copy of the article
             outputs = [model.forward(ex.sentence_ids, rng=rng, article=own_article(model, rng))
                        for ex in examples]
-        loss, _ = batch_loss(outputs, examples, weights)
+        loss, _ = batch_loss(outputs, examples, weights, config.gaze_attributes)
         backward(loss)
         nm._fill_grads(model.parameters())
         scores.append([out.predicted_score.data for out in outputs])
@@ -568,7 +569,7 @@ def test_batched_evaluation_matches_per_essay_forward(architecture):
     assert np.all(state["embedding"][0] != 0.0)
     model.load_state_dict(state)
     essays = parity_essays()
-    evaluated = model.forward_batch(essays)
+    evaluated = model.forward_batch(essays, heads=model.config.gaze_attributes)
     assert len(essays) > EVAL_SLICE and len(evaluated) == len(essays)
     largest = 0.0
     for essay, out in zip(essays, evaluated):
@@ -602,7 +603,7 @@ def test_batched_evaluation_gaze_predictions_equal_forward_bitwise_at_paper_dims
     lengths = [[1], [0, 1, 3], [7, 0, 1, 1], [12, 30, 1], [1, 1], [0, 5], [25, 2, 0, 9, 1]]
     essays = [[[int(t) for t in rng.integers(1, vocab, size=n)] for n in sizes]
               for sizes in lengths * 3]
-    for essay, out in zip(essays, model.forward_batch(essays)):
+    for essay, out in zip(essays, model.forward_batch(essays, heads=config.gaze_attributes)):
         reference = model.forward(essay).gaze_predictions
         assert list(out.gaze_predictions) == list(reference)
         for attribute, expected in reference.items():
@@ -610,9 +611,10 @@ def test_batched_evaluation_gaze_predictions_equal_forward_bitwise_at_paper_dims
 
 
 def evaluation_digest(model, essays):
-    """sha256 over forward_batch's scores and sorted gaze predictions, essay by essay."""
+    """sha256 over forward_batch's scores and every head's gaze predictions,
+    sorted, essay by essay."""
     digest = hashlib.sha256()
-    for out in model.forward_batch(essays):
+    for out in model.forward_batch(essays, heads=model.config.gaze_attributes):
         digest.update(out.predicted_score.data.tobytes())
         for attribute in sorted(out.gaze_predictions):
             digest.update(out.gaze_predictions[attribute].data.tobytes())
@@ -629,6 +631,23 @@ def test_evaluation_of_the_benchmark_essays_repeats_bit_for_bit(architecture, be
     print(f"\n[eval digest] {architecture}: {digest} over "
           f"{len(benchmark_batch.eval_essays)} essays")
     assert evaluation_digest(model, benchmark_batch.eval_essays) == digest
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_evaluation_runs_the_gaze_heads_it_is_asked_for_alone(architecture):
+    # dev_qwk and run_fold's test scoring ask for no head; the scores keep their
+    # bits, and a head asked for alone keeps its own
+    model = tiny_model(architecture, gaze=("DT", "Skip"))
+    essays = parity_essays()
+    every = model.forward_batch(essays)
+    assert all(list(out.gaze_predictions) == ["DT", "Skip"] for out in every[:2])
+    for heads in ((), ("Skip",)):
+        for full, out in zip(every, model.forward_batch(essays, heads=heads)):
+            assert out.predicted_score.data.tobytes() == full.predicted_score.data.tobytes()
+            assert list(out.gaze_predictions) == [a for a in heads if a in full.gaze_predictions]
+            for attribute, prediction in out.gaze_predictions.items():
+                assert prediction.data.tobytes() == full.gaze_predictions[attribute].data.tobytes()
+    assert not model.forward(ESSAY, heads=()).gaze_predictions
 
 
 def test_batched_evaluation_rejects_an_empty_essay():

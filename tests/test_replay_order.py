@@ -63,7 +63,8 @@ def test_a_model_instance_of_the_gradient_oracle_replays_in_the_reference_order(
         for model in model_pair(architecture):
             outputs = batch_graph(model, [ex.sentence_ids for ex in examples],
                                   np.random.default_rng(5))
-            loss, _ = batch_loss(outputs, examples, model.config.gaze_loss_weights)
+            loss, _ = batch_loss(outputs, examples, model.config.gaze_loss_weights,
+                                  model.config.gaze_attributes)
             assert len(nm._topological_order(loss)) > 100
             assert_backward_replays_the_reference_order(loss)
 
@@ -85,7 +86,7 @@ def assert_step_gives_the_batch_graphs_gradients(model, examples, weights):
                                           np.random.default_rng(5), 1, 0)
     by_essay = {name: p.grad for name, p in model.named_parameters().items()}
     outputs = batch_graph(model, [ex.sentence_ids for ex in examples], np.random.default_rng(5))
-    loss, expected = batch_loss(outputs, examples, weights)
+    loss, expected = batch_loss(outputs, examples, weights, model.config.gaze_attributes)
     nm.zero_grads(params)
     nm.backward(loss)
     nm._fill_grads(params)
@@ -150,6 +151,40 @@ def test_a_step_gives_the_batch_graphs_gradients_on_random_batches(data):
                                                  if a in labels[k]})
                 for k in data.draw(st.permutations(range(size)))]
     assert_step_gives_the_batch_graphs_gradients(model, examples, weights)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+def test_a_training_forward_runs_the_heads_of_its_labelled_attributes_alone(
+        architecture, monkeypatch):
+    # an unlabelled essay's forward builds no gaze head node, a labelled one
+    # those of the attributes it has rows for, FFD's at weight 0 included,
+    # whose MSE the breakdown reports
+    model = model_pair(architecture)[0]
+    examples = partly_labelled(mixed_examples(np.random.default_rng(11), 9))
+    heads = {id(w): attribute for attribute, w in model.gaze_w.items()}
+    built = []  # per forward, the attributes of the head nodes it builds
+    dense, forward = nm.dense, model.forward
+
+    def recording_dense(x, w, b, activation):
+        if id(w) in heads:
+            built[-1].append(heads[id(w)])
+        return dense(x, w, b, activation)
+
+    def recording_forward(*args, **kwargs):
+        built.append([])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(nm, "dense", recording_dense)
+    monkeypatch.setattr(model, "forward", recording_forward)
+    breakdown = training._batch_gradients(model, model.parameters(), examples,
+                                          {"DT": 0.5, "FFD": 0.0, "Skip": 0.1},
+                                          np.random.default_rng(5), 1, 0)
+    expected = [[a for a in model.config.gaze_attributes
+                 if any(ex.sentence_ids) and len(ex.gaze_targets.get(a, ((), ()))[0])]
+                for ex in examples]
+    assert built == expected
+    assert [] in expected and ["DT"] in expected and ["DT", "FFD", "Skip"] in expected
+    assert breakdown.gaze_mse["FFD"] > 0
 
 
 @pytest.mark.parametrize("size", [5, 8, 9])

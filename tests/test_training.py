@@ -118,7 +118,7 @@ def test_loss_score_only_half_prediction():
     example = make_examples(1)[0]
     example.score_target = 1.0
     outputs = [model.forward(example.sentence_ids)]
-    loss, breakdown = multitask_loss(outputs, [example], {})
+    loss, breakdown = multitask_loss(outputs, [example], {}, ())
     assert loss == pytest.approx(0.25)
     assert breakdown.score_mse == pytest.approx(0.25)
     assert sum(breakdown.gaze_token_counts.values()) == 0
@@ -128,7 +128,7 @@ def test_loss_without_gaze_labels_equals_score_mse():
     model = tiny_model(gaze=("DT",), weights={"DT": 0.5})
     examples = make_examples(3)  # no gaze targets attached
     outputs = [model.forward(ex.sentence_ids) for ex in examples]
-    loss, breakdown = multitask_loss(outputs, examples, {"DT": 0.5})
+    loss, breakdown = multitask_loss(outputs, examples, {"DT": 0.5}, ("DT",))
     assert loss == pytest.approx(breakdown.score_mse)
     assert breakdown.gaze_mse["DT"] == 0.0
 
@@ -140,7 +140,7 @@ def test_loss_perfect_predictions_vanish():
     example.score_target = out.score_value
     idx = example.gaze_targets["DT"][0]
     example.gaze_targets["DT"] = (idx, out.gaze_predictions["DT"].data[idx, 0].copy())
-    loss, breakdown = multitask_loss([out], [example], {"DT": 0.5})
+    loss, breakdown = multitask_loss([out], [example], {"DT": 0.5}, ("DT",))
     assert breakdown.score_mse == pytest.approx(0.0, abs=1e-18)
     assert breakdown.gaze_mse["DT"] == pytest.approx(0.0, abs=1e-18)
     assert loss == pytest.approx(0.0, abs=1e-18)
@@ -151,13 +151,13 @@ def test_loss_weighted_total_identity():
     examples = make_examples(4, with_gaze=True)
     outputs = [model.forward(ex.sentence_ids) for ex in examples]
     weights = {"DT": 0.05}
-    loss, breakdown = multitask_loss(outputs, examples, weights)
+    loss, breakdown = multitask_loss(outputs, examples, weights, ("DT",))
     assert loss == pytest.approx(breakdown.score_mse + 0.05 * breakdown.gaze_mse["DT"])
 
 
 def test_loss_rejects_empty_batch():
     with pytest.raises(ValueError):
-        multitask_loss([], [], {})
+        multitask_loss([], [], {}, ())
 
 
 def test_loss_batch_composition_invariance():
@@ -165,9 +165,9 @@ def test_loss_batch_composition_invariance():
     model = tiny_model(gaze=("DT",))
     examples = make_examples(6, with_gaze=True)
     outputs = [model.forward(ex.sentence_ids) for ex in examples]
-    _, union = multitask_loss(outputs, examples, {"DT": 0.1})
-    _, part_a = multitask_loss(outputs[:2], examples[:2], {"DT": 0.1})
-    _, part_b = multitask_loss(outputs[2:], examples[2:], {"DT": 0.1})
+    _, union = multitask_loss(outputs, examples, {"DT": 0.1}, ("DT",))
+    _, part_a = multitask_loss(outputs[:2], examples[:2], {"DT": 0.1}, ("DT",))
+    _, part_b = multitask_loss(outputs[2:], examples[2:], {"DT": 0.1}, ("DT",))
     score_mean = (part_a.score_mse * 2 + part_b.score_mse * 4) / 6
     assert union.score_mse == pytest.approx(score_mean, rel=1e-12)
     tokens_a = part_a.gaze_token_counts["DT"]
@@ -182,10 +182,10 @@ GAZE = ("DT", "FFD", "Skip")
 
 
 def random_outputs(data):
-    """(outputs, examples, weights) of a random batch: essays with no tokens
-    (so no gaze predictions), unlabelled ones and ones labelled for some of the
-    predicted attributes, rows that repeat, weights 0 or not, and at times a
-    nan prediction."""
+    """(outputs, examples, weights, the predicted attributes) of a random batch:
+    essays with no tokens (so no gaze predictions), unlabelled ones and ones
+    labelled for some of the predicted attributes, rows that repeat, weights 0
+    or not, and at times a nan prediction."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     predicted = data.draw(st.lists(st.sampled_from(GAZE), unique=True))
     outputs, examples = [], []
@@ -210,7 +210,7 @@ def random_outputs(data):
             array[data.draw(st.integers(0, array.size - 1)), 0] = np.nan
     weights = data.draw(st.fixed_dictionaries(
         {}, optional={a: st.sampled_from([0.0, 0.05, 0.5, 1.0]) for a in GAZE}))
-    return outputs, examples, weights
+    return outputs, examples, weights, predicted
 
 
 def same_bits(a, b):
@@ -221,9 +221,9 @@ def same_bits(a, b):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_the_loss_on_values_equals_the_batch_graphs_loss_bitwise(data):
-    outputs, examples, weights = random_outputs(data)
-    loss, breakdown = multitask_loss(outputs, examples, weights)
-    graph_loss, expected = batch_loss(outputs, examples, weights)
+    outputs, examples, weights, attributes = random_outputs(data)
+    loss, breakdown = multitask_loss(outputs, examples, weights, attributes)
+    graph_loss, expected = batch_loss(outputs, examples, weights, attributes)
     assert isinstance(loss, float)
     if math.isfinite(loss) or math.isfinite(float(graph_loss.data)):
         assert np.float64(loss).tobytes() == graph_loss.data.tobytes()
@@ -237,7 +237,7 @@ def test_zero_weight_terms_stay_out_of_the_graph():
     model = tiny_model(gaze=("DT",))
     examples = make_examples(2, with_gaze=True)
     outputs = [model.forward(ex.sentence_ids) for ex in examples]
-    loss, breakdown = batch_loss(outputs, examples, {"DT": 0.0})
+    loss, breakdown = batch_loss(outputs, examples, {"DT": 0.0}, ("DT",))
     assert breakdown.gaze_mse["DT"] > 0.0  # still measured
     params = model.parameters()
     zero_grads(params)
@@ -495,6 +495,26 @@ def test_training_log_lines():
     assert "dev_qwk=" in lines[0]
 
 
+def test_a_batch_no_essay_labels_keeps_every_configured_attributes_column():
+    # no training forward runs a gaze head, yet the epoch line reports each
+    # configured attribute at 0
+    model = tiny_model(gaze=("Skip", "DT"), weights={"DT": 0.5})
+    lines = []
+    with pytest.warns(UserWarning, match="unlabeled"):
+        train(model, make_examples(4), [], TrainConfig(batch_size=2, epochs=1, seed=0), SETS,
+              log=lines.append)
+    assert " gaze_mse_DT=0 gaze_mse_Skip=0 " in lines[0]
+
+
+def test_the_loss_reports_its_attributes_in_the_order_given_whatever_the_heads_run():
+    model = tiny_model(gaze=("Skip", "DT"), weights={"DT": 0.5})
+    examples = make_examples(4)
+    outputs = [model.forward(ex.sentence_ids, heads=()) for ex in examples]
+    _, breakdown = multitask_loss(outputs, examples, {"DT": 0.5}, model.config.gaze_attributes)
+    assert list(breakdown.gaze_mse.items()) == [("Skip", 0.0), ("DT", 0.0)]
+    assert breakdown.gaze_token_counts == {"Skip": 0, "DT": 0}
+
+
 def test_format_epoch_line_is_key_value():
     stats = EpochStats(
         epoch=3,
@@ -555,7 +575,7 @@ def test_evaluate_breakdown_matches_per_essay_forward_on_co_attention():
     examples = make_examples(5, with_gaze=True, seed=22, base=700)
     weights = {"DT": 0.5}
     _, reference = multitask_loss([per_essay_forward(model, ex.sentence_ids) for ex in examples],
-                                  examples, weights)
+                                  examples, weights, ("DT",))
     assert evaluate_breakdown(model, examples) == reference  # every field, exactly
 
 
@@ -609,7 +629,7 @@ def test_evaluate_breakdown_scores_without_a_graph():
         model = tiny_model(gaze=("DT",), weights={"DT": 0.5}, architecture=architecture)
         examples = make_examples(4, with_gaze=True)
         _, expected = multitask_loss([model.forward(ex.sentence_ids) for ex in examples],
-                                     examples, {"DT": 0.5})
+                                     examples, {"DT": 0.5}, ("DT",))
         returned = []
         forward_batch = model.forward_batch
 
@@ -640,7 +660,7 @@ def test_training_forward_after_an_evaluation_pass_records_every_gradient(archit
             dev_qwk(model, make_examples(2, seed=9, base=900), SETS)
         outputs = batch_graph(model, [ex.sentence_ids for ex in examples],
                               np.random.default_rng(0))
-        loss, _ = batch_loss(outputs, examples, {"DT": 0.5})
+        loss, _ = batch_loss(outputs, examples, {"DT": 0.5}, ("DT",))
         assert loss._grad_fn is not None
         zero_grads(model.parameters())
         backward(loss)
@@ -759,7 +779,7 @@ def test_backward_releases_the_batch_graph_and_parameters_keep_their_gradients(a
                        dropout=0.5)
     examples = make_examples(4, with_gaze=True)
     outputs = batch_graph(model, [ex.sentence_ids for ex in examples], np.random.default_rng(0))
-    loss, _ = batch_loss(outputs, examples, {"DT": 0.5})
+    loss, _ = batch_loss(outputs, examples, {"DT": 0.5}, ("DT",))
     interior = [node for node in numerics._topological_order(loss) if node._grad_fn is not None]
     assert len(interior) > 10
     backward(loss)
